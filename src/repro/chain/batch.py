@@ -12,10 +12,10 @@ finality schedule, cheap authentication — address binding, nonce, balance
 — stays eager), but two expensive steps are deferred to the block seal:
 
 - **signature verification** — the curve checks for every transaction in
-  the block run through :func:`~repro.chain.crypto.ed25519_batch_verify`,
-  which deduplicates signer keys so a block of transactions from a
-  bounded wallet fleet pays one full-width scalar multiply per *unique*
-  signer rather than per transaction;
+  the block run in one :func:`~repro.chain.crypto.ed25519_batch_verify`
+  call, which rejects exactly the transactions a per-transaction
+  :func:`~repro.chain.crypto.ed25519_verify` would (it costs the same per
+  signature; the saving is the next item);
 - **checkpoint sealing** — one checkpoint with one Merkle root and one
   folded shard state root commits the whole block, so shard-disjoint
   transactions in the same window never trigger interleaved root

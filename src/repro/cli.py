@@ -668,7 +668,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
         print(
             f"  sessions/sec: {report['sessions_per_sec']:.1f}   "
-            f"peak active: {det['peak_active_sessions']}"
+            f"peak active: {det['peak_active_sessions']}   "
+            f"signatures: {report['signature_backend']}"
         )
         print(
             f"  session latency: p50 {det['latency_p50_s']:.2f}s  "

@@ -1,5 +1,5 @@
 """Performance tooling: parallel cell execution for the fast path."""
 
-from repro.perf.parallel import map_cells
+from repro._lazy import lazy_exports
 
-__all__ = ["map_cells"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {"parallel": ("map_cells",)})

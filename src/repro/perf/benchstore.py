@@ -6,10 +6,16 @@ numbers can be compared across commits::
 
     {
       "d32fa0d": [
-        {"kind": "smoke", "seconds": 1.23, "timestamp": "2026-08-08T..."},
+        {"kind": "smoke", "seconds": 1.23, "timestamp": "2026-08-08T...",
+         "signature_backend": "openssl"},
         ...
       ]
     }
+
+Every row is stamped with the Ed25519 backend of the process that wrote
+it (:func:`repro.chain.crypto.backend_name`): control-plane rows from the
+OpenSSL backend and from the pure-Python fallback differ severalfold and
+must never be read against each other.
 
 The append/load logic used to be copy-pasted into each bench (table1,
 vmbench, loadgen, fleet, obs); this module is the single implementation
@@ -84,7 +90,11 @@ def append_rows(
     path = bench_path(bench_name, root)
     document = load_document(bench_name, root=root)
     stamp = datetime.datetime.now().strftime("%Y-%m-%dT%H:%M:%S")
-    stamped = [dict(row, timestamp=stamp) for row in rows]
+    # Imported here: most benches that record rows never touch the chain.
+    from repro.chain.crypto import backend_name
+
+    backend = backend_name()
+    stamped = [dict(row, timestamp=stamp, signature_backend=backend) for row in rows]
     document.setdefault(git_head(root), []).extend(stamped)
     path.write_text(json.dumps(document, indent=2) + "\n")
     return path

@@ -1,60 +1,38 @@
 """Workloads: the scenarios behind every table and figure."""
 
-from repro.workloads.loadgen import (
-    LoadgenConfig,
-    LoadgenFleet,
-)
-from repro.workloads.loadgen import build as build_loadgen
-from repro.workloads.loadgen import run as run_loadgen
-from repro.workloads.scenarios import (
-    ChainScenario,
-    Fig6Scenario,
-    MarketplaceTestbed,
-    build_chain,
-    build_internet_like,
-)
-from repro.workloads.wan import (
-    CITY_SPECS,
-    INTERNAL_RTT_MS,
-    LONDON_ASN,
-    CitySpec,
-    ProtoSpec,
-    WanScenario,
-    build_city_link,
-)
-from repro.workloads.wanbench import (
-    ContinentScenario,
-    ModeOutcome,
-    WanbenchConfig,
-    build_continent,
-    run_campaign,
-    run_event_baseline,
-    run_wanbench,
-    small_config,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CITY_SPECS",
-    "ChainScenario",
-    "CitySpec",
-    "ContinentScenario",
-    "Fig6Scenario",
-    "INTERNAL_RTT_MS",
-    "LONDON_ASN",
-    "LoadgenConfig",
-    "LoadgenFleet",
-    "MarketplaceTestbed",
-    "ModeOutcome",
-    "ProtoSpec",
-    "WanScenario",
-    "WanbenchConfig",
-    "build_chain",
-    "build_continent",
-    "build_internet_like",
-    "build_city_link",
-    "build_loadgen",
-    "run_campaign",
-    "run_event_baseline",
-    "run_wanbench",
-    "small_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "loadgen": (
+        "LoadgenConfig",
+        "LoadgenFleet",
+        "build_loadgen",
+        "run_loadgen",
+    ),
+    "scenarios": (
+        "ChainScenario",
+        "Fig6Scenario",
+        "MarketplaceTestbed",
+        "build_chain",
+        "build_internet_like",
+    ),
+    "wan": (
+        "CITY_SPECS",
+        "INTERNAL_RTT_MS",
+        "LONDON_ASN",
+        "CitySpec",
+        "ProtoSpec",
+        "WanScenario",
+        "build_city_link",
+    ),
+    "wanbench": (
+        "ContinentScenario",
+        "ModeOutcome",
+        "WanbenchConfig",
+        "build_continent",
+        "run_campaign",
+        "run_event_baseline",
+        "run_wanbench",
+        "small_config",
+    ),
+})

@@ -46,7 +46,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from repro.chain.crypto import KeyPair, ed25519_batch_verify
+from repro.chain.crypto import KeyPair, backend_name, ed25519_batch_verify
 from repro.chain.events import Event
 from repro.chain.gas import sui_to_mist
 from repro.chain.ledger import Ledger, Wallet
@@ -823,6 +823,7 @@ def run(fleet: LoadgenFleet) -> dict:
             config.block_window if config.ledger_mode == "batched" else None
         ),
         "num_shards": config.num_shards,
+        "signature_backend": backend_name(),
         "wall_seconds": round(wall_seconds, 3),
         "sessions_per_sec": round(len(completed) / wall_seconds, 2)
         if wall_seconds > 0
@@ -835,3 +836,8 @@ def run(fleet: LoadgenFleet) -> dict:
     if verify_seconds is not None:
         report["verify_chain_seconds"] = round(verify_seconds, 3)
     return report
+
+
+#: The names ``repro.workloads`` re-exports these under.
+build_loadgen = build
+run_loadgen = run

@@ -1,5 +1,9 @@
 """Shared fixtures: small, fast topologies and chains.
 
+Bench rows written through :mod:`repro.perf.benchstore` go to a per-session
+tmp dir, so running the suite leaves the tracked ``BENCH_*.json`` alone;
+``pytest --record`` appends to the real files on purpose.
+
 Also ships a minimal stand-in for pytest-timeout: when the plugin is not
 installed (the ``timeout`` ini key in pyproject.toml would be inert), a
 SIGALRM-based hook enforces the same per-test wall-clock ceiling so a
@@ -16,15 +20,22 @@ import threading
 import pytest
 
 from repro.netsim import Link, Network, Protocol, Simulator, Topology
+from repro.perf import benchstore
 
 ALL_PROTOCOLS = (Protocol.UDP, Protocol.TCP, Protocol.ICMP, Protocol.RAW_IP)
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 _CAN_ALARM = hasattr(signal, "SIGALRM")
 
-if not _HAVE_PYTEST_TIMEOUT:
 
-    def pytest_addoption(parser):
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record",
+        action="store_true",
+        help="append bench rows to the tracked BENCH_*.json files "
+        "(default: a tmp dir)",
+    )
+    if not _HAVE_PYTEST_TIMEOUT:
         parser.addini(
             "timeout",
             "default per-test timeout in seconds (pytest-timeout fallback)",
@@ -36,6 +47,20 @@ if not _HAVE_PYTEST_TIMEOUT:
             default=None,
             help="per-test timeout in seconds (pytest-timeout fallback)",
         )
+
+
+@pytest.fixture(scope="session")
+def _bench_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("bench")
+
+
+@pytest.fixture(autouse=True)
+def _bench_rows_outside_worktree(request, monkeypatch, _bench_root):
+    if not request.config.getoption("--record"):
+        monkeypatch.setattr(benchstore, "repo_root", lambda: _bench_root)
+
+
+if not _HAVE_PYTEST_TIMEOUT:
 
     def _timeout_for(item) -> float | None:
         marker = item.get_closest_marker("timeout")
