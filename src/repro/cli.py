@@ -279,6 +279,7 @@ def _cmd_vmbench(args: argparse.Namespace) -> int:
 
 def _cmd_wanbench(args: argparse.Namespace) -> int:
     import json
+    from dataclasses import asdict
 
     from repro.workloads.wanbench import (
         MODES,
@@ -306,6 +307,7 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
         record_outcomes(summary)
     if args.json:
         payload = dict(summary)
+        payload["config"] = asdict(config)
         payload["outcomes"] = {
             mode: outcome.bench_row(config)
             for mode, outcome in summary["outcomes"].items()
@@ -326,6 +328,9 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
             f"{outcome.probes_sent:>8} {outcome.mean_convergence:>9.2f}  "
             f"{outcome.digest[:16]}"
         )
+        if outcome.fallbacks:
+            print(f"  {mode}: process pool failed, {outcome.fallbacks} "
+                  f"batch(es) rerun serially (results unaffected)")
     if "speedup_fast_over_event" in summary:
         print(f"fast-path speedup over event-driven: "
               f"{summary['speedup_fast_over_event']:.1f}x")

@@ -1,22 +1,25 @@
 """Vectorized segment probing: the localization fast path.
 
-:class:`FastSegmentProber` is a drop-in replacement for
-:class:`~repro.core.probing.SegmentProber` that simulates each D2D echo
-measurement as one vectorized :class:`~repro.netsim.fastpath.ProbeCell`
-instead of deploying paired echo Debuglets and pumping the event loop.
-It duck-types the surface :class:`~repro.core.localization.FaultLocalizer`
-uses (``network``, ``measure_sync``, measurement ``ok`` /
-``loss_rate()`` / ``mean_rtt_ms()``), so
+:class:`FastSegmentProber` simulates each D2D echo measurement as one
+vectorized :class:`~repro.netsim.fastpath.ProbeCell` instead of deploying
+paired echo Debuglets and pumping the event loop. It implements the prober
+contract stated in :mod:`repro.core.probing` — ``network`` plus
+``measure_batch(requests, protocol=)`` returning measurements with ``ok``
+/ ``loss_rate()`` / ``mean_rtt_ms()`` — so
 ``FaultLocalizer(FastSegmentProber(network))`` runs any strategy on the
-fast path unchanged — same plans, same judge, same report shape.
+fast path: same driver, same plans, same judge, same report shape. A batch
+is built on the calling process and simulated inline, or on the
+:class:`~repro.perf.parallel.CellPool` a campaign engine hands the prober
+for the duration of its run.
 
-Contract (inherited from PR 1, extended in PR 10): statistically
-equivalent to the event-driven reference — per-measurement loss and mean
-RTT agree within sampling tolerance, property-tested per strategy in
-``tests/properties/test_prop_fastprobe.py`` — but not bit-identical.
-Fault overlays are vectorized as time-window masks; the 300 µs sandbox
-host-switch overhead the VM pair adds to every RTT is applied as a
-constant, matching ``estimate_baseline_rtt``'s analytic model.
+Contract: statistically equivalent to the event-driven reference on
+measurements the event engine completes, verdict-level where its client
+overruns its manifest (DESIGN.md, "Localization core"; property-tested per
+strategy in ``tests/properties/test_prop_fastprobe.py``) — never
+bit-identical. Fault overlays are vectorized as time-window masks; the
+300 µs sandbox host-switch overhead the VM pair adds to every RTT is
+applied as a constant, matching ``estimate_baseline_rtt``'s analytic
+model.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from repro.netsim.fastpath import (
     extract_segment_cell,
     simulate_cell_arrays,
 )
+from repro.core.probing import SegmentRequest, Vantage
 from repro.netsim.network import Network
 from repro.netsim.packet import Protocol
 from repro.pathaware.segments import PathSegment
-
-Vantage = tuple[int, int]
 
 #: Host-switch overhead of the sandboxed echo pair, both directions
 #: (mirrors ``estimate_baseline_rtt``'s default).
@@ -84,6 +86,11 @@ class FastSegmentProber:
     the request — the property the sharded campaign engine relies on for
     bit-identical serial/parallel execution (it passes explicit
     ``seed_labels`` to decouple streams from issue order).
+
+    ``pool`` is ``None`` (simulate inline) or an open cell pool exposing
+    ``run(cells, group_keys)``; with one, each batch travels as one task
+    per client-vantage region (``topology.region_of``, region 0 when the
+    topology has none).
     """
 
     def __init__(
@@ -97,7 +104,6 @@ class FastSegmentProber:
         seed: int = 0,
         label: str = "fastprobe",
         sandbox_overhead: float = SANDBOX_OVERHEAD,
-        allow_overlays: bool = True,
     ) -> None:
         self.network = network
         self.probes = probes
@@ -107,8 +113,8 @@ class FastSegmentProber:
         self.seed = seed
         self.label = label
         self.sandbox_overhead = sandbox_overhead
-        self.allow_overlays = allow_overlays
         self.measurements_run = 0
+        self.pool = None
 
     # ------------------------------------------------------- cell plumbing
 
@@ -119,16 +125,14 @@ class FastSegmentProber:
         segment: PathSegment,
         *,
         protocol: Protocol = Protocol.UDP,
-        probes: int | None = None,
         start: float | None = None,
         seed_labels: tuple = (),
     ) -> ProbeCell:
         """Extract the measurement as a picklable cell (not yet simulated).
 
-        The sharded campaign loop calls this on the controller and ships
-        the cell to a worker; ``measure_sync`` uses it inline.
+        ``start=None`` places the train at the simulator clock;
+        ``seed_labels=()`` derives its stream from the measurement counter.
         """
-        count = self.probes if probes is None else probes
         sim = self.network.simulator
         # Server-side warmup offset, as in SegmentProber.measure().
         start_at = (sim.now if start is None else start) + 0.05
@@ -139,14 +143,13 @@ class FastSegmentProber:
             protocol,
             client_vantage=client,
             server_vantage=server,
-            count=count,
+            count=self.probes,
             interval=self.interval_us * 1e-6,
             start=start_at,
             size=self.probe_size,
             timeout=self.timeout,
             seed=cell_seed(self.seed, self.label, *labels),
             label=f"{self.label}/{client[0]}-{server[0]}",
-            allow_overlays=self.allow_overlays,
         )
 
     def measurement_from_arrays(
@@ -177,6 +180,53 @@ class FastSegmentProber:
 
     # ---------------------------------------------------------- measuring
 
+    def measure_batch(
+        self,
+        requests: list[SegmentRequest],
+        *,
+        protocol: Protocol = Protocol.UDP,
+    ) -> list[FastSegmentMeasurement]:
+        """Simulate ``requests`` as one batch of cells, results in order.
+
+        A request without a ``start`` is placed at the simulator clock,
+        and the clock is advanced past it afterwards — mirroring the
+        event-driven prober's synchronous pumping, so ``time_to_locate``
+        accounting stays comparable between engines. A request with an
+        explicit ``start`` lives in its own window and leaves the clock
+        alone.
+        """
+        cells = []
+        for request in requests:
+            cells.append(
+                self.build_cell(
+                    request.client,
+                    request.server,
+                    request.segment,
+                    protocol=protocol,
+                    start=request.start,
+                    seed_labels=request.seed_labels,
+                )
+            )
+            self.measurements_run += 1
+        if self.pool is None:
+            arrays = map(simulate_cell_arrays, cells)
+        else:
+            region_of = getattr(self.network.topology, "region_of", {})
+            arrays = self.pool.run(
+                cells, [region_of.get(request.client[0], 0) for request in requests]
+            )
+        sim = self.network.simulator
+        measurements = []
+        for request, cell, (send_times, rtts) in zip(requests, cells, arrays):
+            measurement = self.measurement_from_arrays(
+                cell, request.client, request.server, request.segment,
+                send_times, rtts,
+            )
+            if request.start is None and measurement.finished_at > sim.now:
+                sim.run(until=measurement.finished_at)
+            measurements.append(measurement)
+        return measurements
+
     def measure_sync(
         self,
         client: Vantage,
@@ -184,29 +234,9 @@ class FastSegmentProber:
         segment: PathSegment,
         *,
         protocol: Protocol = Protocol.UDP,
-        probes: int | None = None,
-        seed_labels: tuple = (),
     ) -> FastSegmentMeasurement:
-        """Simulate one measurement and advance the sim clock past it.
-
-        The clock advance mirrors the event-driven prober's synchronous
-        pumping, so strategy ``time_to_locate`` accounting stays
-        comparable between engines.
-        """
-        cell = self.build_cell(
-            client,
-            server,
-            segment,
-            protocol=protocol,
-            probes=probes,
-            seed_labels=seed_labels,
+        """Simulate one measurement at the simulator clock."""
+        (measurement,) = self.measure_batch(
+            [SegmentRequest(client, server, segment)], protocol=protocol
         )
-        self.measurements_run += 1
-        send_times, rtts = simulate_cell_arrays(cell)
-        measurement = self.measurement_from_arrays(
-            cell, client, server, segment, send_times, rtts
-        )
-        sim = self.network.simulator
-        if measurement.finished_at > sim.now:
-            sim.run(until=measurement.finished_at)
         return measurement

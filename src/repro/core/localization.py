@@ -15,6 +15,13 @@ A :class:`FaultJudge` compares each measurement against a baseline
 expectation (analytic from the topology, or calibrated), and the localizer
 returns a report with suspects, the measurements spent, and time-to-locate
 — the §VI-D cost/time trade-off.
+
+The strategies themselves are the engine-neutral plans of
+:mod:`repro.core.locplans`; :meth:`FaultLocalizer.run_episodes` is the one
+driver that feeds them, for a single localization
+(:meth:`FaultLocalizer.localize`, one episode at the prober's clock) and
+for campaigns of thousands of concurrent episodes
+(:class:`~repro.perf.shardloop.CampaignEngine`) alike, over either prober.
 """
 
 from __future__ import annotations
@@ -24,8 +31,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.errors import ConfigurationError
-from repro.core.locplans import SuspectSpec, drive_plan, make_plan
-from repro.core.probing import SegmentMeasurement, SegmentProber, Vantage
+from repro.core.locplans import STRATEGIES, SuspectSpec, make_plan
+from repro.core.probing import (
+    SegmentMeasurement,
+    SegmentProber,
+    SegmentRequest,
+    Vantage,
+)
 from repro.netsim.faults import FaultLocation
 from repro.netsim.packet import Protocol
 from repro.netsim.topology import Topology
@@ -112,6 +124,8 @@ class LocalizationReport:
     verdicts: list[SegmentVerdict]
     started_at: float
     finished_at: float
+    #: The plan's ``(i, j)`` request behind each verdict, in order.
+    requests: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def measurements_used(self) -> int:
@@ -135,18 +149,66 @@ class LocalizationReport:
         return False
 
 
-class FaultLocalizer:
-    """Runs a strategy of segment measurements to localize path faults.
+@dataclass(frozen=True)
+class Episode:
+    """One localization episode: a strategy over one path.
 
-    The strategy decision logic lives in :mod:`repro.core.locplans` as
-    engine-neutral measurement plans; this class drives a plan against
-    the event-driven :class:`~repro.core.probing.SegmentProber`. The
-    fast and sharded campaign engines (:mod:`repro.core.fastprobe`,
-    :mod:`repro.perf.shardloop`) drive the *same* plans, which is what
-    keeps all three engines' measurement sequences identical.
+    ``window_start`` is the beginning of the episode's simulated-time
+    interval. In a campaign it is private to the episode, and the fault
+    (if any) should be injected active over exactly that window so
+    concurrent episodes cannot observe each other's overlays.
+    ``fault_kind`` / ``fault_location`` are the ground truth a campaign
+    scores its report against; the driver never reads them.
     """
 
-    STRATEGIES = ("exhaustive", "binary", "linear", "guided")
+    index: int
+    path: PathSegment
+    strategy: str
+    window_start: float
+    hint: SuspectSpec | None = None
+    fault_kind: str = ""
+    fault_location: FaultLocation | None = None
+
+
+def _client_vantage(path: PathSegment, index: int) -> Vantage:
+    """Where the echo client of a measurement starting at hop ``index`` runs."""
+    hop = path.hops[index]
+    interface = hop.egress if hop.egress is not None else hop.ingress
+    if interface is None:
+        raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
+    return (hop.asn, interface)
+
+
+def _server_vantage(path: PathSegment, index: int) -> Vantage:
+    """Where the echo server of a measurement ending at hop ``index`` runs."""
+    hop = path.hops[index]
+    interface = hop.ingress if hop.ingress is not None else hop.egress
+    if interface is None:
+        raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
+    return (hop.asn, interface)
+
+
+def _location_for(path: PathSegment, spec: SuspectSpec) -> FaultLocation:
+    """Resolve a plan's suspect spec to the concrete on-path location."""
+    kind, index = spec
+    if kind == "link":
+        egress, ingress = path.inter_domain_links()[index]
+        return FaultLocation(link=(egress, ingress))
+    return FaultLocation(asn=path.hops[index].asn)
+
+
+class FaultLocalizer:
+    """Runs strategies of segment measurements to localize path faults.
+
+    The strategy decision logic lives in :mod:`repro.core.locplans` as
+    engine-neutral measurement plans; :meth:`run_episodes` drives them
+    against ``prober`` — the event-driven
+    :class:`~repro.core.probing.SegmentProber` or the vectorized
+    :class:`~repro.core.fastprobe.FastSegmentProber` — through its
+    ``measure_batch``.
+    """
+
+    STRATEGIES = STRATEGIES
 
     def __init__(
         self,
@@ -163,38 +225,6 @@ class FaultLocalizer:
         self._baseline = baseline or (
             lambda segment: estimate_baseline_rtt(topology, segment)
         )
-
-    # ------------------------------------------------------ vantage math
-
-    @staticmethod
-    def _client_vantage(path: PathSegment, index: int) -> Vantage:
-        hop = path.hops[index]
-        interface = hop.egress if hop.egress is not None else hop.ingress
-        if interface is None:
-            raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
-        return (hop.asn, interface)
-
-    @staticmethod
-    def _server_vantage(path: PathSegment, index: int) -> Vantage:
-        hop = path.hops[index]
-        interface = hop.ingress if hop.ingress is not None else hop.egress
-        if interface is None:
-            raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
-        return (hop.asn, interface)
-
-    def _measure(self, path: PathSegment, i: int, j: int) -> SegmentVerdict:
-        """Measure the sub-path between on-path AS indices ``i < j``."""
-        asns = path.asns()
-        segment = path.subsegment(asns[i], asns[j])
-        client = self._client_vantage(path, i)
-        server = self._server_vantage(path, j)
-        measurement = self.prober.measure_sync(
-            client, server, segment, protocol=self.protocol
-        )
-        baseline_ms = self._baseline(segment) * 1e3
-        return self.judge.judge(measurement, baseline_ms)
-
-    # -------------------------------------------------------- strategies
 
     def localize(
         self,
@@ -216,44 +246,108 @@ class FaultLocalizer:
             raise ConfigurationError("guided strategy requires a hint")
         if path.length < 1:
             raise ConfigurationError("path must cross at least one link")
-        started = self.prober.network.simulator.now
-        verdicts: list[SegmentVerdict] = []
-
-        def measure(i: int, j: int) -> bool:
-            verdict = self._measure(path, i, j)
-            verdicts.append(verdict)
-            return verdict.faulty
-
-        plan = make_plan(
-            strategy,
-            path.length,
-            hint=hint_spec_for(path, hint) if hint is not None else None,
-        )
-        specs = drive_plan(plan, measure)
-        suspects = [self._location_for(path, spec) for spec in specs]
-        finished = self.prober.network.simulator.now
-        return LocalizationReport(
+        episode = Episode(
+            index=0,
             path=path,
             strategy=strategy,
-            suspects=suspects,
-            verdicts=verdicts,
-            started_at=started,
-            finished_at=finished,
+            window_start=self.prober.network.simulator.now,
+            hint=hint_spec_for(path, hint) if hint is not None else None,
         )
+        (report,) = self.run_episodes([episode])
+        return report
 
-    def _location_for(self, path: PathSegment, spec: SuspectSpec) -> FaultLocation:
-        kind, index = spec
-        if kind == "link":
-            return self._link_location(path, index)
-        return self._interior_location(path, index)
+    def run_episodes(
+        self,
+        episodes: list[Episode],
+        *,
+        slot: float | None = None,
+        max_steps: int | None = None,
+    ) -> list[LocalizationReport]:
+        """The plan driver: run every episode's plan to completion.
 
-    def _link_location(self, path: PathSegment, i: int) -> FaultLocation:
-        egress, ingress = path.inter_domain_links()[i]
-        return FaultLocation(link=(egress, ingress))
+        An epoch loop. Each epoch takes the next ``(i, j)`` request of
+        every unfinished plan, hands them to the prober as one batch,
+        judges the measurements and feeds the booleans back in episode
+        order. Returns one report per episode, in input order.
 
-    @staticmethod
-    def _interior_location(path: PathSegment, index: int) -> FaultLocation:
-        return FaultLocation(asn=path.hops[index].asn)
+        With ``slot=None`` requests are measured at the prober's clock
+        with issue-order RNG streams (a stand-alone localization). With a
+        ``slot``, step ``s`` of an episode starts at ``window_start +
+        s·slot`` and draws from the ``(episode index, s)`` stream, so a
+        measurement is a pure function of its request — what makes
+        serial and pooled campaigns bit-identical — and a plan still
+        asking after ``max_steps`` measurements has left its window and
+        ends with no suspects.
+        """
+        reports = [
+            LocalizationReport(
+                path=episode.path,
+                strategy=episode.strategy,
+                suspects=[],
+                verdicts=[],
+                started_at=episode.window_start,
+                finished_at=episode.window_start,
+            )
+            for episode in episodes
+        ]
+        plans = [
+            make_plan(episode.strategy, episode.path.length, hint=episode.hint)
+            for episode in episodes
+        ]
+        pending: list[tuple[int, int] | None] = [None] * len(episodes)
+
+        def resume(k: int, faulty: bool | None) -> None:
+            """Feed plan ``k`` a verdict (``None`` starts it)."""
+            plan = plans[k]
+            try:
+                pending[k] = plan.send(faulty)
+            except StopIteration as stop:
+                pending[k] = None
+                path = episodes[k].path
+                reports[k].suspects = [
+                    _location_for(path, spec) for spec in stop.value or []
+                ]
+
+        for k in range(len(episodes)):
+            resume(k, None)
+        active = [k for k, span in enumerate(pending) if span is not None]
+        while active:
+            batch: list[int] = []
+            requests: list[SegmentRequest] = []
+            for k in active:
+                episode = episodes[k]
+                step = len(reports[k].verdicts)
+                if max_steps is not None and step >= max_steps:
+                    continue  # out of its window: dropped, no suspects
+                start, seed_labels = None, ()
+                if slot is not None:
+                    start = episode.window_start + step * slot
+                    seed_labels = (episode.index, step)
+                i, j = pending[k]
+                path = episode.path
+                asns = path.asns()
+                batch.append(k)
+                requests.append(
+                    SegmentRequest(
+                        _client_vantage(path, i),
+                        _server_vantage(path, j),
+                        path.subsegment(asns[i], asns[j]),
+                        start,
+                        seed_labels,
+                    )
+                )
+            measurements = self.prober.measure_batch(requests, protocol=self.protocol)
+            for k, request, measurement in zip(batch, requests, measurements):
+                verdict = self.judge.judge(
+                    measurement, self._baseline(request.segment) * 1e3
+                )
+                report = reports[k]
+                report.requests.append(pending[k])
+                report.verdicts.append(verdict)
+                report.finished_at = measurement.finished_at
+                resume(k, verdict.faulty)
+            active = [k for k in batch if pending[k] is not None]
+        return reports
 
 
 def hint_spec_for(path: PathSegment, hint: FaultLocation) -> SuspectSpec | None:

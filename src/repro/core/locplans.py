@@ -1,12 +1,7 @@
 """Measurement plans: localization strategies as engine-neutral generators.
 
-The §VI-D strategies (exhaustive, binary, linear, guided) used to live as
-recursive methods inside :class:`~repro.core.localization.FaultLocalizer`,
-hard-wired to the event-driven :class:`~repro.core.probing.SegmentProber`.
-PR 10 needs the *same* decision logic driven by three different
-measurement engines — event-driven VM probing, the vectorized fast path,
-and the region-sharded campaign loop — so the strategies are factored out
-as coroutine **plans**:
+The §VI-D strategies (exhaustive, binary, linear, guided) are coroutine
+**plans**:
 
 - a plan ``yield``\\ s a measurement request ``(i, j)`` — "measure the
   sub-path between on-path hop indices ``i < j``";
@@ -16,19 +11,19 @@ as coroutine **plans**:
   interior of the k-th on-path AS).
 
 Plans are pure index arithmetic over a path of ``n`` links: no probing,
-no topology, no randomness. That is what guarantees the fast and sharded
-campaign engines reproduce the event-driven engine's measurement sequence
-exactly — they all run this one generator — and it is what the
-serial-vs-sharded digest equality test ultimately rests on.
+no topology, no randomness. One driver feeds them
+(:meth:`repro.core.localization.FaultLocalizer.run_episodes`), whichever
+prober measures and however many episodes run at once, so every engine
+issues the same measurement sequence for the same verdicts.
 
-The sharded loop additionally exploits that a plan between two ``yield``\\ s
-is *suspended state*: thousands of concurrent episodes each hold a plan,
-and the epoch barrier resumes them in deterministic order.
+A plan between two ``yield``\\ s is *suspended state*: a campaign of
+thousands of concurrent episodes holds one plan each, and the driver's
+epoch barrier resumes them in deterministic order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Generator
 
 from repro.common.errors import ConfigurationError
 
@@ -152,15 +147,3 @@ def make_plan(strategy: str, n: int, *, hint: SuspectSpec | None = None) -> Plan
     if strategy == "guided":
         return plan_guided(n, hint)
     raise ConfigurationError(f"unknown strategy {strategy!r}")
-
-
-def drive_plan(
-    plan: Plan, measure: Callable[[int, int], bool]
-) -> list[SuspectSpec]:
-    """Run ``plan`` to completion against a synchronous measure function."""
-    try:
-        request = next(plan)
-        while True:
-            request = plan.send(measure(*request))
-    except StopIteration as stop:
-        return stop.value or []

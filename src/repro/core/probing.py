@@ -6,12 +6,23 @@ another, pin the forwarding path between them (and its reverse), and run
 real data-plane probes. :class:`ExecutorFleet` manages the deployed
 executors; :class:`SegmentProber` packages one such measurement, either
 asynchronously (callback) or synchronously (pumping the simulator).
+
+**The prober contract.** The localization driver
+(:meth:`repro.core.localization.FaultLocalizer.run_episodes`) talks to a
+prober through ``network`` and one method, ``measure_batch(requests,
+protocol=)``: a list of :class:`SegmentRequest` in, one measurement per
+request out, in order, each exposing ``ok`` / ``loss_rate()`` /
+``mean_rtt_ms()`` / ``probes`` / ``segment`` / ``finished_at``. A request
+without a ``start`` is measured at the simulator clock, which ends up
+past it. :class:`SegmentProber` (VM pairs on the event engine) and
+:class:`~repro.core.fastprobe.FastSegmentProber` (vectorized cells) are
+the two implementations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.core.application import DebugletApplication
@@ -23,6 +34,20 @@ from repro.pathaware.segments import PathSegment
 from repro.sandbox.programs import echo_client, echo_server
 
 Vantage = tuple[int, int]  # (ASN, interface)
+
+
+class SegmentRequest(NamedTuple):
+    """One segment measurement asked of a prober's ``measure_batch``."""
+
+    client: Vantage
+    server: Vantage
+    segment: PathSegment
+    #: Simulated start time; ``None`` measures at the simulator clock.
+    start: float | None = None
+    #: Labels deriving the measurement's RNG stream independently of issue
+    #: order; ``()`` uses the prober's own measurement counter. Only the
+    #: vectorized prober draws from a per-measurement stream.
+    seed_labels: tuple = ()
 
 
 class ExecutorFleet:
@@ -241,3 +266,21 @@ class SegmentProber:
             if not sim.step():
                 raise SimulationError("simulator went idle before completion")
         return measurement
+
+    def measure_batch(
+        self,
+        requests: list[SegmentRequest],
+        *,
+        protocol: Protocol = Protocol.UDP,
+    ) -> list[SegmentMeasurement]:
+        """Measure ``requests`` one after another on the one simulator clock."""
+        return [
+            self.measure_sync(
+                request.client,
+                request.server,
+                request.segment,
+                protocol=protocol,
+                start_at=request.start,
+            )
+            for request in requests
+        ]

@@ -22,9 +22,11 @@ negligible for paper-style probing and documented in DESIGN.md:
 - sub-RTT drift of the congestion/churn evaluation instant (processes
   vary over minutes-to-hours; a probe crosses a channel in milliseconds).
 
-Channel features that *would* change results are refused with
-:class:`FastPathUnsupported` — fault overlays, flowlet ECMP, expired TTL
-budgets — so callers can fall back to the event-driven reference.
+Fault overlays are vectorized as time-window masks (:class:`OverlayWindow`).
+What the array model cannot reproduce is refused with
+:class:`FastPathUnsupported` — flowlet ECMP, a destination that does not
+echo the protocol, a path with missing interfaces — so callers can fall
+back to the event-driven reference.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_seed
 from repro.netsim.conduit import DirectedChannel
 from repro.netsim.ecmp import HashGranularity
+from repro.netsim.network import walk_path
 from repro.netsim.packet import Address, Packet, Protocol
 from repro.netsim.trace import MeasurementTrace
 
@@ -77,9 +80,9 @@ class OverlayWindow:
 
     Fault overlays are *time windows*: a probe is only affected when its
     traversal instant falls inside ``[start, end)``. That makes them
-    vectorizable with boolean masks — the generalization (PR 10) that
-    lets the fast path run full localization campaigns, where injected
-    faults are the entire point of the workload.
+    vectorizable with boolean masks, which is what lets the fast path run
+    localization campaigns, where injected faults are the point of the
+    workload.
     """
 
     start: float
@@ -127,34 +130,20 @@ class ProbeCell:
 # --------------------------------------------------------------- extraction
 
 
-def _stage_from_channel(
-    channel: DirectedChannel, packet: Packet, *, allow_overlays: bool = False
-) -> ChannelStage:
-    """Snapshot ``channel`` as seen by ``packet``'s protocol.
-
-    ``allow_overlays`` opts in to vectorized fault-overlay windows (the
-    localization fast path); the default preserves PR 1's refusal
-    contract for callers that predate overlay support.
-    """
-    overlays: tuple[OverlayWindow, ...] = ()
-    if channel.overlays:
-        if not allow_overlays:
-            raise FastPathUnsupported(
-                f"channel {channel.name} has fault overlays; "
-                "use the event-driven path"
-            )
-        overlays = tuple(
-            OverlayWindow(
-                start=o.start,
-                end=o.end,
-                extra_delay=o.extra_delay,
-                extra_loss=o.extra_loss,
-                blackhole=o.blackhole,
-                extra_jitter=o.extra_jitter,
-            )
-            for o in channel.overlays
-            if o.protocols is None or packet.protocol in o.protocols
+def _stage_from_channel(channel: DirectedChannel, packet: Packet) -> ChannelStage:
+    """Snapshot ``channel`` as seen by ``packet``'s protocol."""
+    overlays = tuple(
+        OverlayWindow(
+            start=o.start,
+            end=o.end,
+            extra_delay=o.extra_delay,
+            extra_loss=o.extra_loss,
+            blackhole=o.blackhole,
+            extra_jitter=o.extra_jitter,
         )
+        for o in channel.overlays
+        if o.protocols is None or packet.protocol in o.protocols
+    )
     treatment = channel.treatment.for_protocol(packet.protocol)
     if channel.priority_addresses and (
         packet.src in channel.priority_addresses
@@ -286,56 +275,17 @@ def _segment_stages(
     packet: Packet,
     src_attachment: str,
     dst_attachment: str,
-    *,
-    allow_overlays: bool,
 ) -> list[ChannelStage]:
-    """Stages for one direction of a pinned segment traversal.
-
-    Mirrors ``Network._build_trail`` exactly: source attachment to egress
-    interface, the inter-domain channel per crossed link, ingress→egress
-    interior channels at transit ASes, and ingress to the destination
-    attachment at the final AS.
-    """
-    from repro.netsim.topology import InterfaceId
-
-    stages: list[ChannelStage] = []
-    if len(hops) == 1:
-        asys = topology.autonomous_system(hops[0].asn)
-        channel = asys.internal_channel(src_attachment, dst_attachment)
-        stages.append(
-            _stage_from_channel(channel, packet, allow_overlays=allow_overlays)
-        )
-        return stages
-
-    first = hops[0]
-    if first.egress is None:
-        raise FastPathUnsupported("first hop has no egress interface")
-    asys = topology.autonomous_system(first.asn)
-    stages.append(
-        _stage_from_channel(
-            asys.internal_channel(src_attachment, f"if{first.egress}"),
-            packet,
-            allow_overlays=allow_overlays,
-        )
-    )
-    for hop, nxt in zip(hops, hops[1:]):
-        if hop.egress is None or nxt.ingress is None:
-            raise FastPathUnsupported("missing interface on transit hop")
-        channel = topology.channel_between(
-            InterfaceId(hop.asn, hop.egress), InterfaceId(nxt.asn, nxt.ingress)
-        )
-        stages.append(
-            _stage_from_channel(channel, packet, allow_overlays=allow_overlays)
-        )
-        next_as = topology.autonomous_system(nxt.asn)
-        if nxt.egress is not None:
-            interior = next_as.internal_channel(f"if{nxt.ingress}", f"if{nxt.egress}")
-        else:
-            interior = next_as.internal_channel(f"if{nxt.ingress}", dst_attachment)
-        stages.append(
-            _stage_from_channel(interior, packet, allow_overlays=allow_overlays)
-        )
-    return stages
+    """Stages for one direction of a pinned segment traversal."""
+    try:
+        return [
+            _stage_from_channel(channel, packet)
+            for channel, _, _ in walk_path(
+                topology, hops, src_attachment, dst_attachment
+            )
+        ]
+    except SimulationError as error:
+        raise FastPathUnsupported(str(error)) from error
 
 
 def extract_segment_cell(
@@ -353,7 +303,6 @@ def extract_segment_cell(
     dst_port: int = 7,
     seed: int = 0,
     label: str = "",
-    allow_overlays: bool = True,
 ) -> ProbeCell:
     """Snapshot a D2D segment measurement as a vectorizable cell.
 
@@ -362,9 +311,7 @@ def extract_segment_cell(
     vantage points over a *pinned* :class:`~repro.pathaware.segments.PathSegment`,
     echoed back over its reverse — exactly the round trip
     :class:`~repro.core.probing.SegmentProber` runs with paired echo
-    Debuglets. Fault overlays are vectorized by default here (a
-    localization campaign is *about* injected faults); pass
-    ``allow_overlays=False`` to restore the PR 1 refusal behavior.
+    Debuglets.
     """
     if count <= 0:
         raise ConfigurationError("probe count must be positive")
@@ -384,12 +331,7 @@ def extract_segment_cell(
     )
     reply = probe.reply_to()
     stages = _segment_stages(
-        topology,
-        hops,
-        probe,
-        client_attachment,
-        server_attachment,
-        allow_overlays=allow_overlays,
+        topology, hops, probe, client_attachment, server_attachment
     )
     stages += _segment_stages(
         topology,
@@ -397,7 +339,6 @@ def extract_segment_cell(
         reply,
         server_attachment,
         client_attachment,
-        allow_overlays=allow_overlays,
     )
     return ProbeCell(
         label=label,

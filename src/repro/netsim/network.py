@@ -13,7 +13,7 @@ lossy and unrepresentative of data-packet latency (§II).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.common.errors import SimulationError
 from repro.common.rng import derive_buffered_rng
@@ -21,7 +21,13 @@ from repro.netsim.conduit import DirectedChannel
 from repro.netsim.endhost import Host
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Address, IcmpType, Packet, Protocol
-from repro.netsim.topology import BorderRouter, InterfaceId, PathHop, Topology
+from repro.netsim.topology import (
+    AutonomousSystem,
+    BorderRouter,
+    InterfaceId,
+    PathHop,
+    Topology,
+)
 
 DropCallback = Callable[[Packet, str, float], None]
 
@@ -33,6 +39,56 @@ class _Segment:
     channel: DirectedChannel
     router: BorderRouter | None = None
     host: Host | None = None
+
+
+def walk_path(
+    topology: Topology,
+    path: list[PathHop],
+    src_attachment: str,
+    dst_attachment: str,
+) -> Iterator[tuple[DirectedChannel, AutonomousSystem, int | None]]:
+    """The channel traversals of a pinned AS path, in forwarding order.
+
+    Yields ``(channel, autonomous system, interface)`` per traversal:
+    source attachment to the first egress interface, then per crossed link
+    the inter-domain channel and the next AS's interior channel
+    (ingress to egress at a transit AS, ingress to ``dst_attachment`` at
+    the last). ``interface`` is the border interface the traversal ends
+    at, ``None`` when it ends at the destination attachment. The event
+    engine (:meth:`Network._build_trail`) and the vectorized extraction
+    (:mod:`repro.netsim.fastpath`) both expand paths through this walk.
+    """
+    first = path[0]
+    asys = topology.autonomous_system(first.asn)
+    if len(path) == 1:
+        yield asys.internal_channel(src_attachment, dst_attachment), asys, None
+        return
+    if first.egress is None:
+        raise SimulationError("first hop has no egress interface")
+    yield (
+        asys.internal_channel(src_attachment, f"if{first.egress}"),
+        asys,
+        first.egress,
+    )
+    for hop, nxt in zip(path, path[1:]):
+        if hop.egress is None or nxt.ingress is None:
+            raise SimulationError("missing interface on transit hop")
+        asys = topology.autonomous_system(nxt.asn)
+        yield (
+            topology.channel_between(
+                InterfaceId(hop.asn, hop.egress), InterfaceId(nxt.asn, nxt.ingress)
+            ),
+            asys,
+            nxt.ingress,
+        )
+        if nxt.egress is not None:
+            yield (
+                asys.internal_channel(f"if{nxt.ingress}", f"if{nxt.egress}"),
+                asys,
+                nxt.egress,
+            )
+        else:
+            yield asys.internal_channel(f"if{nxt.ingress}", dst_attachment), asys, None
 
 
 @dataclass
@@ -125,49 +181,13 @@ class Network:
         dst_attachment = dst_host.attachment if dst_host else "interior"
 
         segments: list[_Segment] = []
-        if len(path) == 1:
-            asys = self.topology.autonomous_system(path[0].asn)
-            channel = asys.internal_channel(src_attachment, dst_attachment)
-            segments.append(_Segment(channel, host=dst_host))
-            return segments
-
-        # Source AS: interior (or attachment) to egress interface.
-        first = path[0]
-        if first.egress is None:
-            raise SimulationError("first hop has no egress interface")
-        asys = self.topology.autonomous_system(first.asn)
-        egress_router = asys.router(first.egress)
-        segments.append(
-            _Segment(
-                asys.internal_channel(src_attachment, f"if{first.egress}"),
-                router=egress_router,
-            )
-        )
-
-        for hop, nxt in zip(path, path[1:]):
-            # Inter-domain link from hop.egress to nxt.ingress.
-            if hop.egress is None or nxt.ingress is None:
-                raise SimulationError("missing interface on transit hop")
-            src_if = InterfaceId(hop.asn, hop.egress)
-            dst_if = InterfaceId(nxt.asn, nxt.ingress)
-            channel = self.topology.channel_between(src_if, dst_if)
-            next_as = self.topology.autonomous_system(nxt.asn)
-            segments.append(_Segment(channel, router=next_as.router(nxt.ingress)))
-            # Within the next AS: ingress to egress (transit) or to host (last).
-            if nxt.egress is not None:
-                segments.append(
-                    _Segment(
-                        next_as.internal_channel(f"if{nxt.ingress}", f"if{nxt.egress}"),
-                        router=next_as.router(nxt.egress),
-                    )
-                )
+        for channel, asys, interface in walk_path(
+            self.topology, path, src_attachment, dst_attachment
+        ):
+            if interface is None:
+                segments.append(_Segment(channel, host=dst_host))
             else:
-                segments.append(
-                    _Segment(
-                        next_as.internal_channel(f"if{nxt.ingress}", dst_attachment),
-                        host=dst_host,
-                    )
-                )
+                segments.append(_Segment(channel, router=asys.router(interface)))
         return segments
 
     def _router_attachment(self, address: Address) -> str:

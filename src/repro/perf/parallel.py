@@ -1,21 +1,26 @@
-"""Process-parallel execution of independent fast-path cells.
+"""The one process pool: serial-or-pooled execution of fast-path cells.
 
-The §II study is embarrassingly parallel once vectorized: each
-(city, protocol) cell is a :class:`~repro.netsim.fastpath.ProbeCell`
-whose randomness comes from its own embedded seed (derived via the
-standard ``derive_seed`` label scheme), so :func:`simulate_cell` is a
-pure function of the cell. Fanning cells over a ``ProcessPoolExecutor``
-therefore yields *bit-identical* results to running them serially, in
-any order — property-tested in ``tests/properties/test_prop_parallel.py``.
+A :class:`~repro.netsim.fastpath.ProbeCell` carries its own derived seed,
+so :func:`~repro.netsim.fastpath.simulate_cell_arrays` is a pure function
+of the cell: running cells inline, in another order, or in worker
+processes yields *bit-identical* arrays. :class:`CellPool` is the only
+place that spawns workers; the §II study (:func:`map_cells`, one task per
+cell) and localization campaigns (:class:`~repro.perf.shardloop.CampaignEngine`,
+one task per client region per epoch) both run their cells through it.
 
-Cells are small frozen dataclasses of floats and tuples, so pickling
-them to workers costs microseconds; the returned traces carry only the
-per-probe records.
+Cells are small frozen dataclasses of floats and tuples and workers return
+bare ``(send_times, rtts)`` arrays, so crossing the process boundary costs
+microseconds per cell.
 
-Worker counts are clamped to the machine's core count, and a pool that
-cannot be spawned (fd exhaustion, fork limits, sandboxed environments)
-degrades to the serial path instead of crashing the study — counted in
-``fallback_serial_total`` and in the obs metrics registry.
+**Worker counts.** ``-1`` adapts to the machine (every core; serial on a
+single-core box). An explicit count is honoured and clamped only to the
+task count: results never depend on it, and the serial-vs-sharded digest
+checks must exercise a real pool even on a one-core runner.
+
+**Degraded mode.** A pool that cannot be spawned (fd exhaustion, fork
+limits, sandboxed environments) or that breaks mid-batch reruns that batch
+serially, stays serial afterwards and counts the event in
+:data:`fallback_serial_total` — never crashing the study or the campaign.
 """
 
 from __future__ import annotations
@@ -23,53 +28,99 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.netsim.fastpath import ProbeCell, simulate_cell, simulate_cell_arrays
+import numpy as np
+
+from repro.netsim.fastpath import ProbeCell, simulate_cell_arrays
 from repro.netsim.trace import MeasurementTrace
 
-#: Process-pool spawn/execution failures that downgrade to serial, total
-#: since import (also mirrored to the obs counter
-#: ``parallel_fallback_serial_total`` when a bundle is attached).
+Arrays = tuple[np.ndarray, np.ndarray]
+
+#: Batches rerun serially because the pool failed to spawn or broke, total
+#: since import. The one fallback counter: campaigns report its movement
+#: as ``CampaignResult.fallbacks``.
 fallback_serial_total = 0
-
-_m_fallback = None
-
-
-def attach_observability(obs) -> None:
-    """Mirror fallback counts into ``obs``'s metrics registry.
-
-    Follows the engine's attachment idiom: pre-resolve the recorder once
-    so the failure path is a direct method call.
-    """
-    global _m_fallback
-    _m_fallback = obs.metrics.counter("parallel_fallback_serial_total")
-
-
-def default_workers() -> int:
-    """Worker count used when callers pass ``workers=-1`` (all cores)."""
-    return max(1, os.cpu_count() or 1)
 
 
 def resolve_workers(workers: int | None, n_tasks: int) -> int:
-    """Effective pool size for a request: 0 means run serially.
-
-    ``-1`` asks for every core; explicit counts are clamped to the
-    machine's core count (oversubscribing CPU-bound numpy workers only
-    adds scheduler thrash) and to the task count.
-    """
+    """Effective pool size for a request: 0 means run serially."""
     if workers == -1:
-        workers = default_workers()
-    if workers is None or workers <= 1 or n_tasks <= 1:
-        return 0
-    return min(workers, default_workers(), n_tasks)
+        cores = os.cpu_count() or 1
+        workers = cores if cores > 1 else 0
+    return min(max(workers or 0, 0), n_tasks)
 
 
-def _count_fallback(error: BaseException) -> None:
-    global fallback_serial_total
-    fallback_serial_total += 1
-    if _m_fallback is not None:
-        _m_fallback.inc()
+def simulate_cells_batch(cells: list[ProbeCell]) -> list[Arrays]:
+    """Worker entry point: simulate one task's cells.
+
+    Top-level (picklable) and pure — results depend only on the cells.
+    """
+    return [simulate_cell_arrays(cell) for cell in cells]
+
+
+class CellPool:
+    """Runs batches of cells inline or on a process pool spawned once.
+
+    ``workers`` is the resolved pool size (0: serial). Use as a context
+    manager; the processes start with the first pooled batch and are shut
+    down on exit.
+    """
+
+    def __init__(self, workers: int | None, n_tasks: int) -> None:
+        self.workers = resolve_workers(workers, n_tasks)
+        self._executor: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "CellPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def run(
+        self, cells: Sequence[ProbeCell], group_keys: Iterable[int]
+    ) -> Iterator[Arrays]:
+        """Yield each cell's ``(send_times, rtts)`` in input order.
+
+        Pooled, cells sharing a group key travel as one task, submitted in
+        sorted key order, and the whole batch completes before the first
+        pair is yielded; serially, each pair is computed as it is consumed.
+        """
+        global fallback_serial_total
+        if self.workers:
+            groups: dict[int, list[int]] = {}
+            for index, key in enumerate(group_keys):
+                groups.setdefault(key, []).append(index)
+            results: list[Arrays | None] = [None] * len(cells)
+            try:
+                if self._executor is None:
+                    self._executor = ProcessPoolExecutor(max_workers=self.workers)
+                futures = [
+                    (
+                        groups[key],
+                        self._executor.submit(
+                            simulate_cells_batch, [cells[i] for i in groups[key]]
+                        ),
+                    )
+                    for key in sorted(groups)
+                ]
+                for indices, future in futures:
+                    for index, arrays in zip(indices, future.result()):
+                        results[index] = arrays
+            except (OSError, BrokenProcessPool):
+                self.close()
+                self.workers = 0
+                fallback_serial_total += 1
+            else:
+                yield from results
+                return
+        for cell in cells:
+            yield simulate_cell_arrays(cell)
 
 
 def map_cells(
@@ -77,29 +128,18 @@ def map_cells(
 ) -> list[MeasurementTrace]:
     """Simulate ``cells`` and return traces in input order.
 
-    ``workers=None`` (or 0/1) runs serially in-process; ``workers=-1``
-    uses every core; any other positive count caps the pool (clamped to
-    the core count). Because each cell carries its own derived seed, the
-    result is identical for every choice of ``workers`` — parallelism is
-    purely a wall-clock decision, and a pool that fails to spawn or dies
-    mid-flight silently degrades to the serial path.
+    ``workers=None`` (or 0) runs serially in-process; see the module
+    docstring for other counts. Because each cell carries its own derived
+    seed, the result is identical for every choice of ``workers`` —
+    parallelism is purely a wall-clock decision.
     """
-    cell_list: Sequence[ProbeCell] = list(cells)
-    pool_size = resolve_workers(workers, len(cell_list))
-    if pool_size == 0:
-        return [simulate_cell(cell) for cell in cell_list]
-    try:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            # Workers return bare (send_times, rtts) arrays — cheap to
-            # pickle; executor.map preserves input order, keeping
-            # parallel == serial.
-            arrays = list(pool.map(simulate_cell_arrays, cell_list))
-    except (OSError, BrokenProcessPool, PermissionError) as error:
-        _count_fallback(error)
-        return [simulate_cell(cell) for cell in cell_list]
-    return [
-        MeasurementTrace.from_arrays(
-            cell.protocol, send_times, rtts, label=cell.label
-        )
-        for cell, (send_times, rtts) in zip(cell_list, arrays)
-    ]
+    cell_list = list(cells)
+    with CellPool(workers, len(cell_list)) as pool:
+        return [
+            MeasurementTrace.from_arrays(
+                cell.protocol, send_times, rtts, label=cell.label
+            )
+            for cell, (send_times, rtts) in zip(
+                cell_list, pool.run(cell_list, range(len(cell_list)))
+            )
+        ]

@@ -1,124 +1,55 @@
-"""Region-sharded epoch-barrier execution of localization campaigns.
+"""Region-sharded execution of localization campaigns.
 
 A continent-scale campaign runs thousands of concurrent localization
 *episodes* — each a strategy plan (:mod:`repro.core.locplans`) probing
-one policy path. This module partitions that work across processes by
-the **AS region of each episode's client vantage** (the deployment the
-paper implies: an operator's regional probing infrastructure), with the
-controller process exchanging work at **epoch barriers**:
+one policy path. :class:`CampaignEngine` is the many-episode call of the
+one plan driver (:meth:`repro.core.localization.FaultLocalizer.run_episodes`)
+over the vectorized prober, with the work of each epoch partitioned across
+processes by the **AS region of each request's client vantage** (the
+deployment the paper implies: an operator's regional probing
+infrastructure):
 
 1. every active episode contributes its next measurement request;
-2. the controller extracts the requests as picklable
+2. the prober extracts the requests as picklable
    :class:`~repro.netsim.fastpath.ProbeCell` snapshots — the
    boundary-crossing unit, a probe train about to traverse (possibly)
    many regions;
-3. cells are grouped by client region and shipped to one worker task per
-   region; workers run :func:`~repro.netsim.fastpath.simulate_cell_arrays`
-   — a pure function of the cell — and return bare float arrays;
-4. results are fed back into the plans **in episode order**, unblocking
-   the next round of requests.
+3. the :class:`~repro.perf.parallel.CellPool` ships one task per client
+   region to its workers, which run the pure
+   :func:`~repro.netsim.fastpath.simulate_cell_arrays` and return bare
+   float arrays;
+4. the driver judges the results and feeds them back into the plans **in
+   episode order** — the epoch barrier — unblocking the next round.
 
-Bit-identical determinism (the PR 1 ``perf/parallel`` pattern, extended
-from independent cells to a stateful epoch loop): each measurement's RNG
-stream is derived from ``(seed, episode, step)``, never from a shared
-clock or issue order, and every episode owns a disjoint simulated-time
-window, so injected fault overlays (time-masked in the vectorized path)
-cannot leak across episodes. Serial (``workers=0``) and sharded runs of
-the same campaign therefore produce byte-identical result digests —
+Bit-identical determinism: each measurement's RNG stream is derived from
+``(seed, episode, step)``, never from a shared clock or issue order, and
+every episode owns a disjoint simulated-time window, so injected fault
+overlays (time-masked in the vectorized path) cannot leak across episodes.
+Serial (``workers=0``) and sharded runs of the same campaign therefore
+produce byte-identical result digests — pinned against golden constants,
 property-tested, and re-checked in CI on every push.
 
-A pool that cannot be spawned degrades to the serial path (counted like
-``perf.parallel``'s fallback), never crashing the campaign.
+A pool that cannot be spawned, or that breaks, degrades to the serial path
+and says so in :attr:`CampaignResult.fallbacks`, never crashing the
+campaign.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
 from repro.core.fastprobe import FastSegmentProber
-from repro.core.localization import FaultJudge, estimate_baseline_rtt
-from repro.core.locplans import Plan, SuspectSpec, make_plan
+from repro.core.localization import (
+    Episode,
+    FaultJudge,
+    FaultLocalizer,
+    LocalizationReport,
+)
 from repro.netsim.faults import FaultLocation
-from repro.netsim.fastpath import ProbeCell, simulate_cell_arrays
 from repro.netsim.packet import Protocol
-from repro.pathaware.segments import PathSegment
-from repro.perf import parallel as _parallel
-
-
-def simulate_cells_batch(cells: list[ProbeCell]):
-    """Worker entry point: simulate a region's batch of cells.
-
-    Top-level (picklable) and pure — results depend only on the cells.
-    """
-    return [simulate_cell_arrays(cell) for cell in cells]
-
-
-@dataclass(frozen=True)
-class Episode:
-    """One localization episode of a campaign.
-
-    ``window_start`` is the beginning of the episode's private
-    simulated-time interval; the fault (if any) should be injected
-    active over exactly that window so concurrent episodes cannot
-    observe each other's overlays.
-    """
-
-    index: int
-    path: PathSegment
-    strategy: str
-    window_start: float
-    hint: SuspectSpec | None = None
-    fault_kind: str = ""
-    fault_location: FaultLocation | None = None
-
-
-@dataclass
-class _EpisodeState:
-    episode: Episode
-    plan: Plan
-    request: tuple[int, int] | None
-    step: int = 0
-    verdicts: list[dict] = field(default_factory=list)
-    suspects: list[SuspectSpec] | None = None
-
-
-def _client_vantage(path: PathSegment, index: int) -> tuple[int, int]:
-    hop = path.hops[index]
-    interface = hop.egress if hop.egress is not None else hop.ingress
-    if interface is None:
-        raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
-    return (hop.asn, interface)
-
-
-def _server_vantage(path: PathSegment, index: int) -> tuple[int, int]:
-    hop = path.hops[index]
-    interface = hop.ingress if hop.ingress is not None else hop.egress
-    if interface is None:
-        raise ConfigurationError(f"AS {hop.asn} has no on-path interface")
-    return (hop.asn, interface)
-
-
-def _location_matches(suspect: FaultLocation, truth: FaultLocation) -> bool:
-    if suspect == truth:
-        return True
-    return (
-        suspect.link is not None
-        and truth.link is not None
-        and set(suspect.link) == set(truth.link)
-    )
-
-
-def _location_for(path: PathSegment, spec: SuspectSpec) -> FaultLocation:
-    kind, index = spec
-    if kind == "link":
-        egress, ingress = path.inter_domain_links()[index]
-        return FaultLocation(link=(egress, ingress))
-    return FaultLocation(asn=path.hops[index].asn)
+from repro.perf import parallel
 
 
 def _location_str(location: FaultLocation) -> str:
@@ -126,6 +57,35 @@ def _location_str(location: FaultLocation) -> str:
         a, b = location.link
         return f"link:{a.asn}#{a.interface}-{b.asn}#{b.interface}"
     return f"as:{location.asn}"
+
+
+def episode_row(episode: Episode, report: LocalizationReport) -> dict:
+    """The canonical result row of one episode, whichever engine ran it."""
+    truth = episode.fault_location
+    return {
+        "episode": episode.index,
+        "src": episode.path.src_asn,
+        "dst": episode.path.dst_asn,
+        "path_length": episode.path.length,
+        "strategy": episode.strategy,
+        "fault_kind": episode.fault_kind,
+        "fault": _location_str(truth) if truth is not None else "",
+        "found": truth is not None and report.found(truth),
+        "measurements": report.measurements_used,
+        "convergence_time": report.time_to_locate,
+        "suspects": [_location_str(s) for s in report.suspects],
+        "verdicts": [
+            {
+                "i": i,
+                "j": j,
+                "faulty": verdict.faulty,
+                "mean_rtt_ms": verdict.measurement.mean_rtt_ms(),
+                "loss": verdict.measurement.loss_rate(),
+                "finished_at": verdict.measurement.finished_at,
+            }
+            for (i, j), verdict in zip(report.requests, report.verdicts)
+        ],
+    }
 
 
 @dataclass
@@ -138,6 +98,27 @@ class CampaignResult:
     probes_sent: int
     workers: int
     fallbacks: int
+
+    @classmethod
+    def from_reports(
+        cls,
+        episodes: list[Episode],
+        reports: list[LocalizationReport],
+        *,
+        workers: int = 0,
+        fallbacks: int = 0,
+    ) -> "CampaignResult":
+        """Rows and totals for ``episodes`` and their reports, in order."""
+        return cls(
+            rows=[episode_row(e, r) for e, r in zip(episodes, reports)],
+            epochs=max((r.measurements_used for r in reports), default=0),
+            measurements=sum(r.measurements_used for r in reports),
+            probes_sent=sum(
+                v.measurement.probes for r in reports for v in r.verdicts
+            ),
+            workers=workers,
+            fallbacks=fallbacks,
+        )
 
     def digest(self) -> str:
         """Canonical fingerprint of the campaign outcome.
@@ -155,9 +136,9 @@ class CampaignEngine:
     """Runs a set of episodes serially or region-sharded.
 
     ``workers=0`` runs every measurement inline (the reference);
-    ``workers=N`` (or ``-1`` for all cores) shards each epoch's batch by
-    client region over a persistent process pool. Both paths feed the
-    same plans in the same order with the same derived seeds, which is
+    ``workers=N`` (or ``-1`` to adapt to the machine) shards each epoch's
+    batch by client region over a persistent process pool. Both paths feed
+    the same plans in the same order with the same derived seeds, which is
     what the digest-equality guarantee rests on.
     """
 
@@ -176,18 +157,11 @@ class CampaignEngine:
         max_steps: int = 64,
         seed: int = 0,
         workers: int = 0,
-        region_of: dict[int, int] | None = None,
     ) -> None:
         self.network = network
         self.episodes = episodes
-        self.judge = judge or FaultJudge()
-        self.protocol = protocol
         self.max_steps = max_steps
-        self.seed = seed
         self.workers = workers
-        self.region_of = region_of if region_of is not None else getattr(
-            network.topology, "region_of", {}
-        )
         self.prober = FastSegmentProber(
             network,
             probes=probes,
@@ -197,206 +171,33 @@ class CampaignEngine:
             seed=seed,
             label="wan",
         )
+        self.localizer = FaultLocalizer(self.prober, judge=judge, protocol=protocol)
         # One measurement slot: server warmup + the train + timeout slack.
         self.slot = slot if slot is not None else (
             0.1 + probes * interval_us * 1e-6 + timeout
         )
-        self.fallbacks = 0
 
     def window_length(self) -> float:
         """The per-episode simulated-time window implied by the config."""
         return self.slot * self.max_steps
 
-    # --------------------------------------------------------------- run
-
     def run(self) -> CampaignResult:
-        states: list[_EpisodeState] = []
-        for episode in self.episodes:
-            plan = make_plan(
-                episode.strategy, episode.path.length, hint=episode.hint
-            )
+        fallbacks_before = parallel.fallback_serial_total
+        with parallel.CellPool(self.workers, len(self.episodes)) as pool:
+            workers = pool.workers
+            self.prober.pool = pool if workers else None
             try:
-                request = next(plan)
-            except StopIteration as stop:  # zero-length plan (n == 0)
-                states.append(
-                    _EpisodeState(episode, plan, None, suspects=stop.value or [])
+                reports = self.localizer.run_episodes(
+                    self.episodes, slot=self.slot, max_steps=self.max_steps
                 )
-                continue
-            states.append(_EpisodeState(episode, plan, request))
-
-        pool: ProcessPoolExecutor | None = None
-        # ``-1`` adapts to the machine (core-clamped, may come out serial
-        # on small boxes); an explicit count is honored as-is — sharding
-        # here is a correctness/structure choice, and the digest-equality
-        # CI check must exercise a real pool even on one core.
-        if self.workers == -1:
-            pool_size = _parallel.resolve_workers(-1, len(states))
-        else:
-            pool_size = min(max(self.workers, 0), len(states))
-        if pool_size:
-            try:
-                pool = ProcessPoolExecutor(max_workers=pool_size)
-            except (OSError, PermissionError):
-                self.fallbacks += 1
-                pool = None
-
-        epochs = 0
-        measurements = 0
-        probes_sent = 0
-        try:
-            active = [s for s in states if s.request is not None]
-            while active:
-                batch = self._build_batch(active)
-                results = self._simulate_batch(pool, batch)
-                if results is None:  # pool died mid-epoch: degrade, retry
-                    pool = None
-                    self.fallbacks += 1
-                    results = self._simulate_batch(None, batch)
-                for state, cell, client, server, segment in batch:
-                    send_times, rtts = results[state.episode.index]
-                    self._advance(
-                        state, cell, client, server, segment, send_times, rtts
-                    )
-                    measurements += 1
-                    probes_sent += cell.count
-                epochs += 1
-                active = [s for s in states if s.request is not None]
-        finally:
-            if pool is not None:
-                pool.shutdown()
-
-        rows = [self._row_for(state) for state in states]
-        return CampaignResult(
-            rows=rows,
-            epochs=epochs,
-            measurements=measurements,
-            probes_sent=probes_sent,
-            workers=pool_size,
-            fallbacks=self.fallbacks,
+            finally:
+                self.prober.pool = None
+        return CampaignResult.from_reports(
+            self.episodes,
+            reports,
+            workers=workers,
+            fallbacks=parallel.fallback_serial_total - fallbacks_before,
         )
 
-    # ----------------------------------------------------------- internals
 
-    def _build_batch(self, active: list[_EpisodeState]):
-        batch = []
-        for state in sorted(active, key=lambda s: s.episode.index):
-            episode = state.episode
-            if state.step >= self.max_steps:
-                # Out of window: terminate the plan with what it has.
-                state.suspects = []
-                state.request = None
-                continue
-            i, j = state.request
-            asns = episode.path.asns()
-            segment = episode.path.subsegment(asns[i], asns[j])
-            client = _client_vantage(episode.path, i)
-            server = _server_vantage(episode.path, j)
-            start = episode.window_start + state.step * self.slot
-            cell = self.prober.build_cell(
-                client,
-                server,
-                segment,
-                protocol=self.protocol,
-                start=start,
-                seed_labels=(episode.index, state.step),
-            )
-            batch.append((state, cell, client, server, segment))
-        return batch
-
-    def _simulate_batch(self, pool: ProcessPoolExecutor | None, batch):
-        """Simulate one epoch's cells; returns ``{episode_index: arrays}``.
-
-        With a pool, cells are grouped by client-vantage region and one
-        worker task is submitted per region — the shard boundary. Returns
-        ``None`` when the pool broke (caller degrades to serial).
-        """
-        if pool is None:
-            return {
-                state.episode.index: simulate_cell_arrays(cell)
-                for state, cell, *_ in batch
-            }
-        by_region: dict[int, list] = {}
-        for entry in batch:
-            state, cell, client, *_ = entry
-            region = self.region_of.get(client[0], 0)
-            by_region.setdefault(region, []).append((state.episode.index, cell))
-        futures = []
-        try:
-            for region in sorted(by_region):
-                indices = [index for index, _ in by_region[region]]
-                cells = [cell for _, cell in by_region[region]]
-                futures.append((indices, pool.submit(simulate_cells_batch, cells)))
-            results: dict[int, tuple] = {}
-            for indices, future in futures:
-                for index, arrays in zip(indices, future.result()):
-                    results[index] = arrays
-        except (OSError, BrokenProcessPool):
-            return None
-        return results
-
-    def _advance(self, state, cell, client, server, segment, send_times, rtts):
-        measurement = self.prober.measurement_from_arrays(
-            cell, client, server, segment, send_times, rtts
-        )
-        baseline_ms = (
-            estimate_baseline_rtt(self.network.topology, segment) * 1e3
-        )
-        verdict = self.judge.judge(measurement, baseline_ms)
-        i, j = state.request
-        state.verdicts.append(
-            {
-                "i": i,
-                "j": j,
-                "faulty": verdict.faulty,
-                "mean_rtt_ms": measurement.mean_rtt_ms(),
-                "loss": measurement.loss_rate(),
-                "finished_at": measurement.finished_at,
-            }
-        )
-        state.step += 1
-        try:
-            state.request = state.plan.send(verdict.faulty)
-        except StopIteration as stop:
-            state.request = None
-            state.suspects = stop.value or []
-
-    def _row_for(self, state: _EpisodeState) -> dict:
-        episode = state.episode
-        specs = state.suspects or []
-        suspects = [_location_for(episode.path, spec) for spec in specs]
-        found = False
-        if episode.fault_location is not None:
-            found = any(
-                _location_matches(s, episode.fault_location) for s in suspects
-            )
-        convergence = 0.0
-        if state.verdicts:
-            convergence = (
-                state.verdicts[-1]["finished_at"] - episode.window_start
-            )
-        return {
-            "episode": episode.index,
-            "src": episode.path.src_asn,
-            "dst": episode.path.dst_asn,
-            "path_length": episode.path.length,
-            "strategy": episode.strategy,
-            "fault_kind": episode.fault_kind,
-            "fault": (
-                _location_str(episode.fault_location)
-                if episode.fault_location is not None
-                else ""
-            ),
-            "found": found,
-            "measurements": len(state.verdicts),
-            "convergence_time": convergence,
-            "suspects": [_location_str(s) for s in suspects],
-            "verdicts": state.verdicts,
-        }
-
-
-__all__ = [
-    "CampaignEngine",
-    "CampaignResult",
-    "Episode",
-    "simulate_cells_batch",
-]
+__all__ = ["CampaignEngine", "CampaignResult", "Episode"]

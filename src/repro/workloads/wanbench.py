@@ -1,6 +1,6 @@
 """Continent-scale fault-localization campaigns over generated Internets.
 
-The ``wanbench`` scenario family stresses every layer PR 10 adds: a
+The ``wanbench`` scenario family stresses every Internet-scale layer: a
 seeded power-law Gao-Rexford topology (:mod:`repro.netsim.internet`)
 carrying gravity-model background traffic, a batch of concurrent
 localization *episodes* — random multi-hop policy paths, each with one
@@ -14,7 +14,8 @@ interchangeable measurement engines:
 - ``sharded`` — the same campaign engine fanned over a process pool by
   client region at epoch barriers.
 
-All three drive the same strategy plans (:mod:`repro.core.locplans`), so
+All three feed the same strategy plans (:mod:`repro.core.locplans`) through
+the same driver and build their rows with the same row builder, so
 accuracy / probe-cost / convergence-time curves are comparable across
 engines; ``fast`` and ``sharded`` are additionally **bit-identical** to
 each other (digest equality), and the fast path's wall-clock advantage
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
-from repro.core.fastprobe import FastSegmentProber
 from repro.core.localization import FaultJudge, FaultLocalizer
 from repro.core.probing import ExecutorFleet, SegmentProber
 from repro.netsim.engine import Simulator
@@ -279,6 +279,8 @@ class ModeOutcome:
     mean_convergence: float
     digest: str
     workers: int = 0
+    #: Batches the pool handed back to the serial path (0 on a healthy run).
+    fallbacks: int = 0
     rows: list[dict] = field(default_factory=list)
 
     @property
@@ -318,6 +320,7 @@ def _summarize(mode: str, result: CampaignResult, wall: float) -> ModeOutcome:
         ),
         digest=result.digest(),
         workers=result.workers,
+        fallbacks=result.fallbacks,
         rows=rows,
     )
 
@@ -337,7 +340,6 @@ def run_campaign(scenario: ContinentScenario, *, workers: int = 0) -> ModeOutcom
         max_steps=config.max_steps,
         seed=config.seed,
         workers=workers,
-        region_of=scenario.topology.region_of,
     )
     started = time.perf_counter()
     result = engine.run()
@@ -365,8 +367,7 @@ def run_event_baseline(scenario: ContinentScenario) -> ModeOutcome:
     )
     localizer = FaultLocalizer(prober, judge=campaign_judge())
     started = time.perf_counter()
-    rows: list[dict] = []
-    measurements = 0
+    reports = []
     for episode in scenario.episodes:
         for hop in episode.path.hops:
             for interface in (hop.ingress, hop.egress):
@@ -374,27 +375,9 @@ def run_event_baseline(scenario: ContinentScenario) -> ModeOutcome:
                     fleet.deploy(hop.asn, interface)
         if scenario.simulator.now < episode.window_start:
             scenario.simulator.run(until=episode.window_start)
-        report = localizer.localize(episode.path, strategy=episode.strategy)
-        measurements += report.measurements_used
-        rows.append(
-            {
-                "episode": episode.index,
-                "strategy": episode.strategy,
-                "fault_kind": episode.fault_kind,
-                "found": report.found(episode.fault_location),
-                "measurements": report.measurements_used,
-                "convergence_time": report.time_to_locate,
-            }
-        )
+        reports.append(localizer.localize(episode.path, strategy=episode.strategy))
     wall = time.perf_counter() - started
-    result = CampaignResult(
-        rows=rows,
-        epochs=0,
-        measurements=measurements,
-        probes_sent=measurements * config.probes,
-        workers=0,
-        fallbacks=0,
-    )
+    result = CampaignResult.from_reports(scenario.episodes, reports)
     return _summarize("event", result, wall)
 
 
@@ -423,13 +406,7 @@ def run_wanbench(
             workers = config.workers if config.workers else -1
             outcomes[mode] = run_campaign(scenario, workers=workers)
     summary: dict = {
-        "config": {
-            "ases": config.n_ases,
-            "episodes": config.episodes,
-            "seed": config.seed,
-            "strategy": config.strategy,
-            "traffic": config.traffic,
-        },
+        "config": config,
         "congested_channels": scenario.congested_channels if scenario else 0,
         "outcomes": outcomes,
     }
@@ -452,7 +429,7 @@ def record_outcomes(summary: dict) -> None:
     outcomes: dict[str, ModeOutcome] = summary["outcomes"]
     rows = []
     for outcome in outcomes.values():
-        row = outcome.bench_row(_config_of(summary))
+        row = outcome.bench_row(summary["config"])
         if "speedup_fast_over_event" in summary and outcome.mode == "fast":
             row["speedup_over_event"] = round(
                 summary["speedup_fast_over_event"], 2
@@ -461,17 +438,6 @@ def record_outcomes(summary: dict) -> None:
             row["digest_match"] = summary["digest_match"]
         rows.append(row)
     benchstore.append_rows("wan", rows)
-
-
-def _config_of(summary: dict) -> WanbenchConfig:
-    c = summary["config"]
-    return WanbenchConfig(
-        n_ases=c["ases"],
-        episodes=c["episodes"],
-        seed=c["seed"],
-        strategy=c["strategy"],
-        traffic=c["traffic"],
-    )
 
 
 def small_config(**overrides) -> WanbenchConfig:

@@ -9,6 +9,12 @@ installed (the ``timeout`` ini key in pyproject.toml would be inert), a
 SIGALRM-based hook enforces the same per-test wall-clock ceiling so a
 hung simulator loop fails fast instead of wedging the run. The real
 plugin, when present, takes precedence untouched.
+
+Hypothesis runs under the ``tier1`` profile unless told otherwise:
+derandomized and without an example database, so the suite's verdict does
+not depend on a random seed or on what an earlier run happened to find.
+Open-ended search is ``pytest --hypothesis-profile=fuzz`` (the CI ``fuzz``
+job).
 """
 
 from __future__ import annotations
@@ -18,11 +24,16 @@ import signal
 import threading
 
 import pytest
+from hypothesis import settings
 
 from repro.netsim import Link, Network, Protocol, Simulator, Topology
 from repro.perf import benchstore
 
 ALL_PROTOCOLS = (Protocol.UDP, Protocol.TCP, Protocol.ICMP, Protocol.RAW_IP)
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("fuzz")
+settings.load_profile("tier1")
 
 _HAVE_PYTEST_TIMEOUT = importlib.util.find_spec("pytest_timeout") is not None
 _CAN_ALARM = hasattr(signal, "SIGALRM")

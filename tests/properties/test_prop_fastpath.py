@@ -92,30 +92,37 @@ def test_cell_simulation_is_pure_function_of_cell():
     ]
 
 
-def test_fault_overlays_are_refused():
+def test_fault_overlays_are_vectorized():
+    """An overlay on the Frankfurt uplink shifts the fast Table I cell by
+    the overlay's delay, in agreement with the event-driven cell."""
     from repro.netsim.topology import InterfaceId
 
-    scenario = WanScenario.build(seed=7, cities=["frankfurt"])
-    spec_asn = scenario.specs["frankfurt"].asn
-    # Put an overlay on the inter-domain forward channel and expect the
-    # extraction to refuse rather than silently mis-simulate.
-    channel = scenario.topology.channel_between(
-        InterfaceId(spec_asn, 1), InterfaceId(1, 1)
-    )
-    channel.add_overlay(
-        FaultOverlay(start=0.0, end=1e9, extra_delay=5e-3)
-    )
-    with pytest.raises(FastPathUnsupported):
-        extract_probe_cell(
-            scenario.network,
-            scenario.city_hosts["frankfurt"],
-            scenario.london.address,
-            Protocol.ICMP,
-            count=10,
-            interval=1.0,
-            start=0.0,
-            seed=1,
+    def frankfurt_icmp(*, overlay, fast):
+        scenario = WanScenario.build(seed=7, cities=["frankfurt"])
+        if overlay:
+            spec_asn = scenario.specs["frankfurt"].asn
+            channel = scenario.topology.channel_between(
+                InterfaceId(spec_asn, 1), InterfaceId(1, 1)
+            )
+            channel.add_overlay(
+                FaultOverlay(start=0.0, end=1e9, extra_delay=5e-3)
+            )
+        study = scenario.run_protocol_study(
+            probes_per_protocol=PROBES, fast=fast
         )
+        return study["frankfurt"][Protocol.ICMP]
+
+    clean = frankfurt_icmp(overlay=False, fast=True)
+    faulted = frankfurt_icmp(overlay=True, fast=True)
+    event = frankfurt_icmp(overlay=True, fast=False)
+    # Same cell seed, and a delay-only overlay draws no randomness: every
+    # delivered probe moves by the overlay's 5 ms.
+    assert math.isclose(
+        faulted.mean_rtt_ms() - clean.mean_rtt_ms(), 5.0, abs_tol=0.05
+    ), (faulted.mean_rtt_ms(), clean.mean_rtt_ms())
+    assert math.isclose(
+        faulted.mean_rtt_ms(), event.mean_rtt_ms(), rel_tol=0.01
+    ), (faulted.mean_rtt_ms(), event.mean_rtt_ms())
 
 
 def test_non_echoing_destination_is_refused():

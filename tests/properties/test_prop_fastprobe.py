@@ -8,20 +8,25 @@ vectorized :class:`~repro.core.fastprobe.FastSegmentProber` must
   divergence means the engines judged a segment differently), and
 - produce per-measurement statistics (mean RTT against the analytic
   baseline, loss) that agree with the reference within sampling
-  tolerance: the PR 1 statistical-equivalence contract extended from
-  Table I cells to general localization workloads.
+  tolerance *on every measurement the event engine completes*, and
+- agree at verdict level, with a stated reason, where it does not: under
+  heavy loss the closed-loop stock ``echo_client`` blocks one full
+  timeout per lost probe while its manifest budgets a single one, so the
+  executor kills it, ``SegmentMeasurement.ok`` is ``False`` and
+  ``loss_rate()`` is the placeholder 1.0 — not a statistic to compare.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fastprobe import FastSegmentProber
-from repro.core.localization import FaultLocalizer
+from repro.core.localization import FaultJudge, FaultLocalizer
 from repro.core.probing import ExecutorFleet, SegmentProber
 from repro.netsim import FaultInjector, InterfaceId
 from repro.workloads.scenarios import build_chain
 
 STRATEGIES = ["binary", "linear", "exhaustive"]
+JUDGE = FaultJudge()
 
 
 @st.composite
@@ -58,7 +63,7 @@ def _run_event(n_ases, kind, where, seed, strategy):
     fleet = ExecutorFleet(scenario.network, seed=seed + 1)
     fleet.deploy_full()
     prober = SegmentProber(fleet, probes=10, interval_us=5000)
-    localizer = FaultLocalizer(prober)
+    localizer = FaultLocalizer(prober, judge=JUDGE)
     report = localizer.localize(
         scenario.registry.shortest(1, n_ases), strategy=strategy
     )
@@ -71,7 +76,7 @@ def _run_fast(n_ases, kind, where, seed, strategy):
     prober = FastSegmentProber(
         scenario.network, probes=10, interval_us=5000, seed=seed + 1
     )
-    localizer = FaultLocalizer(prober)
+    localizer = FaultLocalizer(prober, judge=JUDGE)
     report = localizer.localize(
         scenario.registry.shortest(1, n_ases), strategy=strategy
     )
@@ -95,17 +100,28 @@ class TestFastProbeEquivalence:
         assert len(fast_report.suspects) == len(event_report.suspects)
 
     @given(chain_fault_cases())
+    @example((3, "loss", 2, 37, "binary"))
     @settings(max_examples=8, deadline=None)
     def test_per_measurement_statistics_agree(self, case):
         n_ases, kind, where, seed, strategy = case
         event_report, _ = _run_event(n_ases, kind, where, seed, strategy)
         fast_report, _ = _run_fast(n_ases, kind, where, seed, strategy)
-        pairs = list(zip(event_report.verdicts, fast_report.verdicts))
-        for event_verdict, fast_verdict in pairs:
+        completed = []
+        for event_verdict, fast_verdict in zip(
+            event_report.verdicts, fast_report.verdicts
+        ):
             assert event_verdict.faulty == fast_verdict.faulty, case
             e = event_verdict.measurement
             f = fast_verdict.measurement
             assert e.segment.key() == f.segment.key()
+            if not e.ok:
+                # The event-driven client overran its manifest: there are
+                # no statistics, only a verdict — which must carry that
+                # reason and which the fast path must reach through loss.
+                assert event_verdict.reasons == ["execution failed"], case
+                assert f.loss_rate() > JUDGE.loss_threshold, case
+                continue
+            completed.append((e, f))
             # Delay agreement: within 20% of baseline or 3 ms absolute —
             # 10-probe means over jittered channels are noisy, but both
             # engines see the same deterministic delay structure.
@@ -122,10 +138,9 @@ class TestFastProbeEquivalence:
             if not event_verdict.faulty:
                 loss_gap = abs(e.loss_rate() - f.loss_rate())
                 assert loss_gap <= 0.3, case
-        # Aggregate loss agreement: averaging over the whole campaign
-        # shrinks the binomial noise well below this bound.
-        e_losses = [v.measurement.loss_rate() for v, _ in pairs]
-        f_losses = [v.measurement.loss_rate() for _, v in pairs]
-        e_mean_loss = sum(e_losses) / len(e_losses)
-        f_mean_loss = sum(f_losses) / len(f_losses)
-        assert abs(e_mean_loss - f_mean_loss) <= 0.25, case
+        # Aggregate loss agreement over the completed measurements:
+        # averaging shrinks the binomial noise well below this bound.
+        if completed:
+            e_mean_loss = sum(e.loss_rate() for e, _ in completed) / len(completed)
+            f_mean_loss = sum(f.loss_rate() for _, f in completed) / len(completed)
+            assert abs(e_mean_loss - f_mean_loss) <= 0.25, case

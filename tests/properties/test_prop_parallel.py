@@ -6,12 +6,17 @@ purely a wall-clock decision — the traces must be bit-identical to a
 serial run, in input order, for any worker count.
 """
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.netsim.fastpath import cell_seed, extract_probe_cell
 from repro.netsim.packet import Protocol
+from repro.perf import parallel
 from repro.perf.parallel import map_cells
 from repro.workloads.wan import WanScenario
+from repro.workloads.wanbench import build_continent, run_campaign, small_config
 
 
 def _fingerprint(traces):
@@ -80,3 +85,59 @@ def test_scenario_level_parallel_matches_serial():
         assert [(r.seq, r.send_time, r.rtt) for r in a] == [
             (r.seq, r.send_time, r.rtt) for r in b
         ]
+
+
+# ------------------------------------------------------------ degraded mode
+
+
+def _refuse_to_spawn(*args, **kwargs):
+    raise OSError("cannot allocate a worker process")
+
+
+class _BreaksAfterFirstTask:
+    """A pool whose first task completes and whose later ones find it broken."""
+
+    def __init__(self, max_workers=None):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = Future()
+        if self.submitted == 1:
+            future.set_result(fn(*args))
+        else:
+            future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
+def _run_study(workers):
+    traces = map_cells(_make_cells(count=100), workers=workers)
+    return _fingerprint(traces), None
+
+
+def _run_campaign(workers):
+    scenario = build_continent(small_config(episodes=4))
+    outcome = run_campaign(scenario, workers=workers)
+    assert outcome.workers == workers
+    return outcome.digest, outcome.fallbacks  # CampaignResult.fallbacks
+
+
+@pytest.mark.parametrize(
+    "broken_pool", [_refuse_to_spawn, _BreaksAfterFirstTask],
+    ids=["spawn-fails", "breaks-mid-batch"],
+)
+@pytest.mark.parametrize(
+    "run", [_run_study, _run_campaign], ids=["map_cells", "run_campaign"]
+)
+def test_pool_failure_degrades_to_serial_and_says_so(monkeypatch, run, broken_pool):
+    expected, undisturbed = run(0)
+    assert not undisturbed
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", broken_pool)
+    before = parallel.fallback_serial_total
+    result, reported = run(2)  # no exception escapes
+    assert result == expected
+    assert parallel.fallback_serial_total == before + 1
+    assert reported in (None, 1)

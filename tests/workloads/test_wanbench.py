@@ -13,15 +13,19 @@ Three contracts of the continent-scale campaign family:
   >=5k ASes in ``BENCH_wan.json``; see EXPERIMENTS.md).
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.core.fastprobe import FastSegmentProber
+from repro.core.localization import FaultLocalizer
 from repro.perf import benchstore
 from repro.workloads.wanbench import (
     WanbenchConfig,
     build_continent,
+    campaign_judge,
     run_campaign,
     run_event_baseline,
     run_wanbench,
@@ -29,6 +33,90 @@ from repro.workloads.wanbench import (
 )
 
 pytestmark = pytest.mark.wan
+
+# Golden digests, computed at the commit before the plan drivers were
+# merged (numpy 2.4.6). A numpy release that changes ``Generator``
+# distribution streams (NEP 19) is the one legitimate reason to
+# regenerate them; a driver, prober or pool change is not.
+GOLDEN_CAMPAIGN = "fefd4f00f5734ee2167a1cbcb55b459b334c9861ccd9f84d7138b39a936fe25b"
+GOLDEN_CAMPAIGN_BINARY_SEED3 = (
+    "3e771d095a279e0d4c37c06a08cc1f6e2435dbc1f3901356980030f1ac6ff034"
+)
+GOLDEN_ONE_AT_A_TIME = (
+    "904d761549a333b4d36165849f559a710795cd970620cae092482b00f7833dc6"
+)
+GOLDEN_EVENT_SIX_KEYS = (
+    "72ff455e6c37556747f85542c0bb1ea1ce4e7b6bfc89ceb23cffbaebdd624fc8"
+)
+EVENT_KEYS = (
+    "episode", "strategy", "fault_kind", "found", "measurements",
+    "convergence_time",
+)
+
+
+def _sha(rows) -> str:
+    payload = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_campaign_digest_is_pinned(self, workers):
+        outcome = run_campaign(build_continent(small_config()), workers=workers)
+        assert outcome.digest == GOLDEN_CAMPAIGN
+        assert outcome.workers == workers
+        assert outcome.fallbacks == 0
+
+    def test_binary_campaign_digest_is_pinned(self):
+        config = small_config(seed=3, strategy="binary")
+        outcome = run_campaign(build_continent(config), workers=0)
+        assert outcome.digest == GOLDEN_CAMPAIGN_BINARY_SEED3
+
+    def test_one_localization_at_a_time_is_pinned(self):
+        """``FaultLocalizer`` over the fast prober, episode by episode at
+        the prober's clock — the way ``bench/workloads.py::WanCampaign``
+        drives its second half."""
+        config = small_config()
+        scenario = build_continent(config)
+        localizer = FaultLocalizer(
+            FastSegmentProber(
+                scenario.network,
+                probes=config.probes,
+                interval_us=config.interval_us,
+                probe_size=config.probe_size,
+                timeout=config.timeout,
+                seed=config.seed,
+                label="wan",
+            ),
+            judge=campaign_judge(),
+        )
+        rows = []
+        for episode in scenario.episodes:
+            if scenario.simulator.now < episode.window_start:
+                scenario.simulator.run(until=episode.window_start)
+            report = localizer.localize(episode.path, strategy=episode.strategy)
+            rows.append(
+                [
+                    episode.index,
+                    report.found(episode.fault_location),
+                    report.measurements_used,
+                    report.time_to_locate,
+                    [
+                        (
+                            v.faulty,
+                            v.measurement.mean_rtt_ms(),
+                            v.measurement.loss_rate(),
+                        )
+                        for v in report.verdicts
+                    ],
+                ]
+            )
+        assert _sha(rows) == GOLDEN_ONE_AT_A_TIME
+
+    def test_event_baseline_rows_are_pinned(self):
+        outcome = run_event_baseline(build_continent(small_config()))
+        rows = [{key: row[key] for key in EVENT_KEYS} for row in outcome.rows]
+        assert _sha(rows) == GOLDEN_EVENT_SIX_KEYS
 
 
 @pytest.fixture(scope="module")
