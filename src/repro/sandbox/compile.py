@@ -39,10 +39,14 @@ Process-wide, modules are compiled once: :func:`get_compiled` keys a
 small LRU cache by ``Module.code_hash()``, so the marketplace's
 ``purchase_slot``, ``Executor.admit``, and every per-session VM share one
 translation. Cache traffic is exported as ``vm_compile_cache_hits_total``
-/ ``vm_compile_cache_misses_total`` counters and a ``vm_compile_seconds``
-histogram; to keep same-seed runs byte-identical, hit/miss is judged
-*per observability bundle* and the histogram observes the stored
-translation time rather than re-measuring.
+/ ``vm_compile_cache_misses_total`` counters, a ``vm_compile_instructions``
+histogram of translated module sizes and — only in runs that degrade — a
+``vm_compile_unsupported_total{reason}`` counter for modules forced onto
+the reference tier. Every exported value is a function of the modules
+seen and hit/miss is judged *per observability bundle*, so same-seed
+exports are byte-identical across bundles and across processes; the wall
+clock a translation took stays on ``CompiledModule.compile_seconds``,
+beside the export, never in it.
 """
 
 from __future__ import annotations
@@ -562,15 +566,16 @@ def compile_module(module: Module) -> CompiledModule:
 class CompileCache:
     """Process-wide LRU of compiled modules, keyed by bytecode hash.
 
-    Uncompilable modules are cached as ``None`` so their (expensive)
-    analysis runs once, not once per session. ``stats()`` exposes the
-    counters the marketplace-scenario tests assert on.
+    Uncompilable modules are cached as the reason they were refused, so
+    the refusal is derived once, not once per session, and a run degraded
+    to the reference tier can say why. ``stats()`` exposes the counters
+    the marketplace-scenario tests assert on.
     """
 
     def __init__(self, capacity: int = 256) -> None:
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, CompiledModule | None] = OrderedDict()
+        self._entries: OrderedDict[bytes, CompiledModule | str] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._compiles = 0
@@ -583,14 +588,14 @@ class CompileCache:
                 self._entries.move_to_end(key)
                 entry = self._entries[key]
                 self._hits += 1
-                self._record_obs(obs, key, entry)
-                return entry
+                self._record_obs(obs, module, entry)
+                return None if isinstance(entry, str) else entry
         # Translate outside the lock: compilation is pure, and a rare
         # duplicate translation beats serialising every admission.
         try:
             entry = compile_module(module)
-        except CompileUnsupported:
-            entry = None
+        except CompileUnsupported as exc:
+            entry = str(exc)
         with self._lock:
             if key in self._entries:
                 entry = self._entries[key]
@@ -599,23 +604,25 @@ class CompileCache:
                 self._entries[key] = entry
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
-                if entry is None:
+                if isinstance(entry, str):
                     self._unsupported += 1
                 else:
                     self._compiles += 1
             self._misses += 1
-            self._record_obs(obs, key, entry)
-        return entry
+            self._record_obs(obs, module, entry)
+        return None if isinstance(entry, str) else entry
 
     @staticmethod
-    def _record_obs(obs, key: bytes, entry: CompiledModule | None) -> None:
+    def _record_obs(obs, module: Module, entry: CompiledModule | str) -> None:
         """Count hit/miss per observability bundle, not per process.
 
         The process cache outlives a scenario, so judging hit/miss
         against it would make the second same-seed run emit different
-        counters than the first. Each bundle keeps its own seen-hash set
-        and the histogram observes the *stored* translation time, which
-        keeps same-seed exports byte-identical.
+        counters than the first. Each bundle keeps its own seen-hash set,
+        and what is observed on first sight — the module's instruction
+        count, or the reason it cannot be compiled — depends on the
+        module alone, never on the wall clock, which keeps same-seed
+        exports byte-identical from one process to the next.
         """
         if obs is None:
             return
@@ -623,15 +630,20 @@ class CompileCache:
         if seen is None:
             seen = set()
             obs._vm_compile_seen = seen
+        key = module.code_hash()
         if key in seen:
             obs.metrics.counter("vm_compile_cache_hits_total").inc()
+            return
+        seen.add(key)
+        obs.metrics.counter("vm_compile_cache_misses_total").inc()
+        if isinstance(entry, str):
+            obs.metrics.counter(
+                "vm_compile_unsupported_total", reason=entry
+            ).inc()
         else:
-            seen.add(key)
-            obs.metrics.counter("vm_compile_cache_misses_total").inc()
-            if entry is not None:
-                obs.metrics.histogram("vm_compile_seconds").observe(
-                    entry.compile_seconds
-                )
+            obs.metrics.histogram("vm_compile_instructions").observe(
+                module.instruction_count()
+            )
 
     def stats(self) -> dict:
         with self._lock:

@@ -75,7 +75,7 @@ class RunnableProgram:
 #: Tier used by :class:`VMProgram` when none is requested explicitly.
 #: "auto" compiles modules whose static proofs hold and falls back to the
 #: reference interpreter otherwise; scenarios and the marketplace thus run
-#: on the compiled tier by default (DESIGN.md §10). Benchmarks flip this
+#: on the compiled tier by default (DESIGN.md §7). Benchmarks flip this
 #: to "reference" to measure the interpreter baseline.
 DEFAULT_TIER = "auto"
 

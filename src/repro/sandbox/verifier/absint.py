@@ -16,8 +16,9 @@ comparison results remember which local they tested (a *predicate
 token*), and a conditional jump meets the implied constraint into that
 local on each outgoing edge; an empty meet marks the edge infeasible.
 
-Per-function analysis is driven either standalone (capability inference,
-:mod:`.facts`) or by :mod:`.taint`'s module-level fixpoint, which
+Per-function analysis is driven either standalone (the context-free stage
+of :mod:`.analysis`, read by capability inference and :mod:`.facts`) or
+by :mod:`.taint`'s module-level fixpoint, which
 supplies an :class:`AnalysisContext` — memory/global taint maps and
 interprocedural parameter/return summaries — and consumes the memory
 writes, global writes, call arguments, and host-call argument facts
@@ -128,9 +129,10 @@ class FunctionSummary:
 class AnalysisContext:
     """Module-level facts the per-function analysis reads and feeds.
 
-    Standalone callers (capability inference, facts gathering) pass no
-    context: memory and global reads are then *untainted* — sound for
-    those consumers, which ignore taint — and calls return TOP.
+    The context-free stage (read by capability inference and facts
+    gathering) passes no context: memory and global reads are then
+    *untainted* — sound for those consumers, which ignore taint — and
+    calls return TOP.
     """
 
     memory_taint: MemoryTaintMap | None = None

@@ -22,7 +22,7 @@ AND) with interprocedural summaries: per function, whether *every* path
 through it performs a receive (``always_recv``) and whether a reply is
 reachable from its entry before any receive (``reply_unguarded``). The
 call graph is proven acyclic before this pass, so one bottom-up sweep in
-reverse topological order suffices.
+the analysis's callees-first order suffices.
 """
 
 from __future__ import annotations
@@ -52,14 +52,15 @@ class EffectSummary:
 def check_effects(
     module: Module,
     cfgs: dict[str, FunctionCFG],
-    reachable: list[str],
+    bottom_up: list[str],
     outcomes: dict[str, FunctionAbstract],
 ) -> list[d.Diagnostic]:
-    """Run all host-effect sequencing checks over reachable functions."""
+    """Run all host-effect sequencing checks over the reachable functions,
+    given callees before callers."""
     diags: list[d.Diagnostic] = []
     summaries: dict[str, EffectSummary] = {}
 
-    for name in _reverse_topological(module, reachable):
+    for name in bottom_up:
         function = module.functions[name]
         cfg = cfgs[name]
         summaries[name] = _must_recv_dataflow(
@@ -72,7 +73,7 @@ def check_effects(
     # the entry already folds that in via the summaries, so the per-site
     # diagnostics above cover the whole program. Timeout/buffer checks
     # are per-site and context-free:
-    for name in reachable:
+    for name in sorted(bottom_up):
         for site in outcomes[name].host_sites:
             if site.op == "net_recv" and len(site.arg_intervals) == 2:
                 timeout = site.arg_intervals[1]
@@ -114,25 +115,6 @@ def _check_buffer(module: Module, site) -> d.Diagnostic | None:
             site.function, site.instruction,
         )
     return None
-
-
-def _reverse_topological(module: Module, reachable: list[str]) -> list[str]:
-    """Callees before callers (the call graph is acyclic here)."""
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in seen or name not in module.functions:
-            return
-        seen.add(name)
-        for instruction in module.functions[name].code:
-            if instruction.op is Op.CALL:
-                visit(str(instruction.arg))
-        order.append(name)
-
-    for name in reachable:
-        visit(name)
-    return [name for name in order if name in set(reachable)]
 
 
 def _must_recv_dataflow(

@@ -2,37 +2,41 @@
 
 The threaded-code tier (:mod:`repro.sandbox.compile`) only runs modules
 for which the verifier's analyses can *prove* the dynamic checks the
-reference interpreter performs per instruction:
+reference interpreter performs per instruction. :func:`gather_facts` is a
+reader of the module's shared :class:`~.analysis.ModuleAnalysis` — it
+runs no analysis of its own — and takes from it:
 
+- well-formed structure (the module validates; local indices in range,
+  known host ops) — stage 1;
+- bounded call depth and no recursion reachable from the entry — the
+  frame-stack analogue, stage 2;
 - operand-stack discipline (no underflow, depth below the VM ceiling,
-  consistent depths at joins) — from :mod:`.stackcheck`;
-- bounded call depth and no recursion — the frame-stack analogue;
-- well-formed structure (local indices in range, known host ops,
-  globals representable as unsigned 64-bit values).
+  consistent depths at joins) and the per-instruction entry depths —
+  stage 3;
+- the context-free interval facts that let individual bounds checks be
+  elided (:attr:`FunctionFacts.safe_accesses`,
+  :attr:`FunctionFacts.inbounds_accesses`) — stage 4.
 
-On top of the proofs, this module derives the *block layout* used for
-fuel pre-aggregation: basic-block leaders and the exact fuel cost of each
-block (the sum of its instructions' :data:`~repro.sandbox.isa.FUEL_COST`),
-plus the constant-propagation facts that let individual bounds checks be
-elided (:attr:`FunctionFacts.safe_accesses`).
+What it adds is what only the translator needs: globals representable as
+unsigned 64-bit values, the worst-case value-stack depth summed along
+call chains, and the *block layout* used for fuel pre-aggregation —
+basic-block leaders and the exact fuel cost of each block (the sum of its
+instructions' :data:`~repro.sandbox.isa.FUEL_COST`).
 
-A module for which any proof fails raises :class:`FactsUnavailable`;
-the VM then simply stays on the reference tier — the compiled tier is an
-optimisation, never a requirement.
+A module for which any proof fails raises :class:`FactsUnavailable`
+naming the first one that did; the VM then stays on the reference tier,
+and says so — the compiled tier is an optimisation, never a requirement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import SandboxError
-from repro.sandbox.hostops import HOST_OPS
 from repro.sandbox.isa import FUEL_COST, Op
 from repro.sandbox.module import ENTRY_POINT, Function, Module
-from repro.sandbox.verifier.absint import analyze_function
-from repro.sandbox.verifier.cfg import build_cfg
+from repro.sandbox.verifier.analysis import ModuleAnalysis
 from repro.sandbox.verifier.diagnostics import Severity
-from repro.sandbox.verifier.stackcheck import check_stack, stack_effect
+from repro.sandbox.verifier.stackcheck import stack_effect
 
 #: ops that terminate a basic block (control may leave the straight line).
 _BLOCK_ENDERS = (Op.JMP, Op.JZ, Op.JNZ, Op.CALL, Op.HOST, Op.RET)
@@ -99,47 +103,6 @@ def block_fuel(function: Function, leaders: tuple[int, ...]) -> dict[int, int]:
     return costs
 
 
-def _check_structure(module: Module, function: Function) -> None:
-    n_slots = function.n_params + function.n_locals
-    for index, instruction in enumerate(function.code):
-        op = instruction.op
-        if op in (Op.LOCAL_GET, Op.LOCAL_SET, Op.LOCAL_TEE):
-            if not 0 <= int(instruction.arg) < n_slots:
-                raise FactsUnavailable(
-                    f"{function.name}@{index}: local index {instruction.arg} "
-                    f"out of range (function has {n_slots} slots)"
-                )
-        elif op is Op.HOST and instruction.arg not in HOST_OPS:
-            raise FactsUnavailable(
-                f"{function.name}@{index}: unknown host op {instruction.arg!r}"
-            )
-
-
-def _call_graph_depth(module: Module) -> int:
-    """Deepest call chain from the entry; raises on recursion."""
-    callees = {
-        name: sorted(
-            {i.arg for i in function.code if i.op is Op.CALL}
-        )
-        for name, function in module.functions.items()
-    }
-    depth: dict[str, int] = {}
-    visiting: set[str] = set()
-
-    def chain(name: str) -> int:
-        known = depth.get(name)
-        if known is not None:
-            return known
-        if name in visiting:
-            raise FactsUnavailable(f"recursive call through {name!r}")
-        visiting.add(name)
-        depth[name] = 1 + max((chain(c) for c in callees[name]), default=0)
-        visiting.discard(name)
-        return depth[name]
-
-    return chain(ENTRY_POINT)
-
-
 def _value_stack_peak(module: Module, per_function: dict[str, FunctionFacts]) -> int:
     """Worst-case absolute operand-stack depth, summed along call chains.
 
@@ -179,28 +142,29 @@ def gather_facts(module: Module) -> StaticFacts:
     Raises :class:`FactsUnavailable` when any required proof fails; the
     caller falls back to the reference interpreter in that case.
     """
-    try:
-        module.validate()
-    except SandboxError as exc:
-        raise FactsUnavailable(f"module fails validation: {exc}") from exc
-
+    analysis = ModuleAnalysis.of(module)
+    if analysis.invalid is not None:
+        raise FactsUnavailable(f"module fails validation: {analysis.invalid}")
     for name, value in module.globals.items():
         if not 0 <= int(value) < (1 << 64):
             raise FactsUnavailable(
                 f"global {name!r} = {value} is not an unsigned 64-bit value"
             )
+    for diag in analysis.structure:
+        if diag.severity is Severity.ERROR:
+            raise FactsUnavailable(f"{diag.location}: {diag.message}")
+    stack_diags, depth_in = analysis.stack
+    if stack_diags:  # every stack diagnostic is an error
+        raise FactsUnavailable(
+            f"{stack_diags[0].function}: operand-stack discipline not "
+            f"provable ({stack_diags[0].message})"
+        )
+    abstracts = analysis.abstracts
+    assert abstracts is not None  # valid, well-formed, stack-checked
 
     per_function: dict[str, FunctionFacts] = {}
     for name, function in module.functions.items():
-        _check_structure(module, function)
-        cfg = build_cfg(function)
-        stack_diags, depth_in = check_stack(module, function, cfg)
-        if any(d.severity is Severity.ERROR for d in stack_diags):
-            raise FactsUnavailable(
-                f"{name}: operand-stack discipline not provable "
-                f"({stack_diags[0].message})"
-            )
-        abstract = analyze_function(module, function, cfg)
+        abstract = abstracts[name]
         safe = dict(abstract.safe_accesses) if abstract.converged else {}
         inbounds = dict(abstract.inbounds_accesses) if abstract.converged else {}
         leaders = block_leaders(function)
@@ -209,11 +173,13 @@ def gather_facts(module: Module) -> StaticFacts:
             leaders=leaders,
             block_fuel=block_fuel(function, leaders),
             safe_accesses=safe,
-            depth_in=depth_in,
+            depth_in=dict(depth_in[name]),
             inbounds_accesses=inbounds,
         )
 
-    call_depth = _call_graph_depth(module)
+    _, call_depth, reentered = analysis.entry_walk
+    if reentered is not None:
+        raise FactsUnavailable(f"recursive call through {reentered!r}")
     from repro.sandbox.vm import VM  # late: vm imports this package lazily
 
     if call_depth > VM.MAX_STACK_DEPTH:

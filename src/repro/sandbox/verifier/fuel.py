@@ -92,22 +92,24 @@ class FuelEstimate:
 def estimate_module_fuel(
     module: Module,
     cfgs: dict[str, FunctionCFG],
+    call_order: tuple[tuple[str, ...], frozenset[str]],
     max_instructions: int | None = None,
     max_packets_received: int | None = None,
 ) -> FuelEstimate:
     """Bound worst-case fuel for every function and the entry point.
 
-    ``max_instructions`` (the manifest fuel limit) upgrades an unbounded
-    verdict to an error and triggers the V300 limit check;
-    ``max_packets_received`` enables the receive-drain loop bound.
-    Assumes the module passed structural validation (calls resolve).
+    ``call_order`` is the analysis's ``(acyclic functions bottom-up,
+    functions on a call cycle)``. ``max_instructions`` (the manifest fuel
+    limit) upgrades an unbounded verdict to an error and triggers the V300
+    limit check; ``max_packets_received`` enables the receive-drain loop
+    bound. Assumes the module passed structural validation (calls resolve).
     """
     estimate = FuelEstimate(module_verdict=None)
     strict = max_instructions is not None
 
     # Bottom-up over the call graph; recursion (rejected structurally as
     # V103 elsewhere) leaves every function on a call-graph cycle unbounded.
-    order, cyclic_functions = _call_order(module)
+    order, cyclic_functions = call_order
     for name in cyclic_functions:
         estimate.function_verdicts[name] = FuelVerdict(UNBOUNDED)
 
@@ -136,32 +138,6 @@ def estimate_module_fuel(
             ENTRY_POINT,
         ))
     return estimate
-
-
-def _call_order(module: Module) -> tuple[list[str], set[str]]:
-    """Reverse-topological order of the call graph; cyclic nodes split out."""
-    callees: dict[str, set[str]] = {}
-    for name, function in module.functions.items():
-        callees[name] = {
-            instruction.arg
-            for instruction in function.code
-            if instruction.op is Op.CALL and instruction.arg in module.functions
-        }
-    names = sorted(module.functions)
-    index_of = {name: i for i, name in enumerate(names)}
-    successors = [
-        tuple(index_of[callee] for callee in sorted(callees[name]))
-        for name in names
-    ]
-    cyclic: set[str] = set()
-    order: list[str] = []
-    # Tarjan emits SCCs in reverse-topological order: callees first.
-    for scc in tarjan_sccs(successors, set(range(len(names)))):
-        if len(scc) > 1 or next(iter(scc)) in successors[next(iter(scc))]:
-            cyclic.update(names[i] for i in scc)
-        else:
-            order.append(names[next(iter(scc))])
-    return order, cyclic
 
 
 def _cost(module: Module, instruction, verdicts: dict[str, FuelVerdict]):

@@ -19,6 +19,14 @@ What the fixpoint computes (all over-approximations):
   abstract return value per function (the call graph is proven acyclic
   before this pass runs, so plain iteration converges).
 
+The fixpoint is dependency-aware: a round re-interprets a function only
+when something it *reads* of that context changed since its last run
+(see :func:`analyze_module`), so the cost of a confirming round is
+proportional to what the previous round moved, not to the module. The
+result is one stage of the module's shared
+:class:`~.analysis.ModuleAnalysis`; :func:`check_policy` is what the
+asker adds.
+
 The policy checks then prove, per reachable host site, that
 
 - ``result_i64``/``result_bytes`` emit only data whose provenance kinds
@@ -39,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.errors import SandboxError
-from repro.sandbox.hostops import RECV_HEADER_SIZE
+from repro.sandbox.hostops import RECV_HEADER_SIZE, protocol_from_number
+from repro.sandbox.isa import Op
 from repro.sandbox.module import Module
 from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier.absint import (
@@ -70,6 +79,8 @@ _MAX_SEGMENTS = 64
 
 _VALID_PORT = (0, 65535)
 
+_LOAD_OPS = (Op.LOAD8, Op.LOAD64)
+
 
 class MemoryTaint:
     """May-taint map over linear memory: disjoint ``[lo, hi)`` segments,
@@ -81,6 +92,8 @@ class MemoryTaint:
         self.size = size
         self._segments: list[tuple[int, int, TaintSet]] = []
         self.store_sites: dict[Tag, tuple[str, int]] = {}
+        #: bumped whenever the map grows, i.e. whenever a read may change
+        self.generation = 0
 
     def read(self, lo: int, hi: int) -> TaintSet:
         tags: set[Tag] = set()
@@ -102,6 +115,7 @@ class MemoryTaint:
             return False
         self._segments.append((lo, hi, taint))
         self._normalize()
+        self.generation += 1
         return True
 
     def _covered(self, lo: int, hi: int) -> bool:
@@ -151,8 +165,6 @@ class ModuleDataflow:
 
 
 def _recv_buffer(module: Module, protocol_number: int):
-    from repro.sandbox.hostops import protocol_from_number
-
     try:
         protocol = protocol_from_number(protocol_number)
         return module.buffer(
@@ -166,19 +178,44 @@ def analyze_module(
     module: Module,
     cfgs: dict[str, FunctionCFG],
     reachable: list[str],
+    callees: dict[str, tuple[str, ...]],
 ) -> ModuleDataflow:
-    """Run the interprocedural interval+taint fixpoint to convergence."""
-    result = ModuleDataflow(memory_taint=MemoryTaint(module.memory_size))
-    context = AnalysisContext(memory_taint=result.memory_taint)
-    memory = result.memory_taint
-    assert memory is not None
+    """Run the interprocedural interval+taint fixpoint to convergence.
+
+    ``analyze_function`` is pure in the module and in what it reads of the
+    context, and it reads the context at four points only, all decidable
+    from the function's opcodes: its own ``param_values`` entry,
+    ``global_taints`` at ``GLOBAL_GET``, ``memory_taint`` at loads, and
+    ``summaries`` of its callees at ``CALL``. A round therefore
+    re-interprets a function only when one of those moved since its last
+    run; otherwise the outcome it already merged is the outcome it would
+    get, and merging is idempotent.
+    """
+    memory = MemoryTaint(module.memory_size)
+    result = ModuleDataflow(memory_taint=memory)
+    context = AnalysisContext(memory_taint=memory)
+    codes = {name: module.functions[name].code for name in reachable}
+    globals_read = {
+        name: sorted({str(i.arg) for i in code if i.op is Op.GLOBAL_GET})
+        for name, code in codes.items()
+    }
+    loads = {n for n, code in codes.items() if any(i.op in _LOAD_OPS for i in code)}
+    last_read: dict[str, tuple[object, ...]] = {}
 
     for _ in range(_MAX_ITERATIONS):
         changed = False
         for name in reachable:
-            outcome = analyze_function(
-                module, module.functions[name], cfgs[name], context
+            function = module.functions[name]
+            read = (
+                context.param_values.get(name) if function.n_params else None,
+                tuple(context.global_taints.get(g) for g in globals_read[name]),
+                memory.generation if name in loads else 0,
+                tuple(context.summaries.get(c) for c in callees[name]),
             )
+            if last_read.get(name) == read:
+                continue
+            last_read[name] = read
+            outcome = analyze_function(module, function, cfgs[name], context)
             result.outcomes[name] = outcome
             if not outcome.converged:
                 result.converged = False
@@ -270,8 +307,6 @@ def _instruction_at(module: Module, function: str, instruction: int) -> str:
 
 
 def _send_buffer_size(module: Module, protocol_number: int | None) -> int | None:
-    from repro.sandbox.hostops import protocol_from_number
-
     if protocol_number is None:
         return None
     try:
@@ -433,8 +468,6 @@ def _check_send_site(
                 site.function, site.instruction,
             ))
         else:
-            from repro.sandbox.hostops import protocol_from_number
-
             try:
                 name = protocol_from_number(site.protocol).name.lower()
             except SandboxError:

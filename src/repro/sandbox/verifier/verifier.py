@@ -1,54 +1,50 @@
-"""Ahead-of-time verification of Debuglet bytecode modules.
+"""Ahead-of-time verification of Debuglet bytecode modules: the readers.
 
-``verify_module`` is the single entry point. It runs, in order:
+Everything that depends on the bytecode alone — structure (V10x), CFGs and
+the call graph (V102–V104), stack discipline (V20x), abstract
+interpretation (V40x), taint and host-effect sequencing (V70x) — is
+derived once per ``Module.code_hash()`` by
+:class:`~repro.sandbox.verifier.analysis.ModuleAnalysis`; see that module
+for the stages and what each assumes of the one before. This module holds
+the two entry points that read it and add what depends on who is asking:
 
-1. **structure** — entry point present, every instruction well-formed,
-   every jump in range, every ``CALL``/``HOST``/global/local name or
-   index resolvable (V10x);
-2. **control flow** — per-function CFGs, dead-code detection (V102),
-   call-graph recursion (V103) and static call-depth vs the VM frame
-   ceiling (V104);
-3. **stack** — abstract interpretation of operand-stack depth, the Wasm
-   validation analogue (V20x);
-4. **constants & memory** — constant propagation proving memory accesses
-   in-bounds where addresses are derivable (V40x) and recovering the
-   protocol argument of network host calls;
-5. **fuel** — worst-case fuel bounds per function and for the module,
-   checked against the manifest's ``max_instructions`` (V30x);
-6. **capabilities** — the set of network protocols the code can actually
-   exercise, cross-checked against the manifest's declared capabilities
-   and, when given, an executor policy's offered ones (V50x).
+- :func:`verify_module` — the report. On top of the analysis's
+  diagnostics: worst-case **fuel** per function and for the module,
+  checked against the manifest's ``max_instructions`` (V30x, with the
+  receive-drain bound from ``max_packets_received``); the
+  **capabilities** the code can exercise, cross-checked against the
+  manifest's declarations and, when given, an executor policy's offer
+  (V50x); and the manifest's **policy block** against the emission/send
+  dataflow (V60x).
+- :func:`infer_capabilities` — the cheap question
+  ``Manifest.validate_module`` asks, answered from the context-free
+  abstracts alone.
 
-Later passes assume the invariants earlier passes establish, so a failed
-pass suppresses the ones after it (a module that underflows the stack
-has no meaningful fuel bound). The report's ``ok`` is True iff no
+Every party still calls these itself and acts on its own report; a second
+identical derivation in the same process is simply answered from the
+first. Later stages assume the invariants earlier ones establish, so a
+failed stage suppresses the ones after it (a module that underflows the
+stack has no meaningful fuel bound). The report's ``ok`` is True iff no
 diagnostic has ERROR severity; warnings and infos never block admission.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.sandbox.hostops import HOST_OPS, net_ops, protocol_from_number
-from repro.sandbox.isa import Op, validate_instruction
-from repro.sandbox.module import ENTRY_POINT, MAX_MEMORY_BYTES, Module
+from repro.sandbox.hostops import net_ops, protocol_from_number
+from repro.sandbox.module import Module
 from repro.sandbox.verifier import diagnostics as d
-from repro.sandbox.verifier import effects as fx
 from repro.sandbox.verifier import taint as tt
-from repro.sandbox.verifier.absint import HostSite, analyze_function
-from repro.sandbox.verifier.cfg import build_cfg, tarjan_sccs
+from repro.sandbox.verifier.absint import HostSite
+from repro.sandbox.verifier.analysis import ModuleAnalysis
 from repro.sandbox.verifier.fuel import FuelVerdict, estimate_module_fuel
-from repro.sandbox.verifier.stackcheck import check_stack
-from repro.sandbox.vm import VM
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.sandbox.manifest import ExecutorPolicy, Manifest
 
 _NET_OPS = net_ops()
-_LOCAL_OPS = (Op.LOCAL_GET, Op.LOCAL_SET, Op.LOCAL_TEE)
 
 
 @dataclass
@@ -110,14 +106,6 @@ class VerificationReport:
         }
 
 
-#: report cache: verification is pure in (module bytes, manifest, policy)
-#: and the marketplace re-verifies the same application wire on every
-#: purchase, so fleet-scale load is dominated by repeats.
-_REPORT_CACHE: OrderedDict[tuple, VerificationReport] = OrderedDict()
-_REPORT_CACHE_LOCK = threading.Lock()
-_REPORT_CACHE_SIZE = 256
-
-
 def verify_module(
     module: Module,
     manifest: "Manifest | None" = None,
@@ -130,78 +118,20 @@ def verify_module(
     shape); with one, fuel bounds and capabilities are additionally
     checked against its declarations — and its policy block, when
     present, against the emission/send dataflow — and with an executor
-    policy, against the executor's offer. Reports are cached per
-    (module, manifest, policy): treat them as immutable.
+    policy, against the executor's offer. Every call builds its own
+    report; the bytecode-only part comes from the module's shared
+    :class:`ModuleAnalysis`.
     """
-    try:
-        key = (module.code_hash(), repr(manifest), repr(policy))
-    except Exception:
-        key = None
-    if key is not None:
-        with _REPORT_CACHE_LOCK:
-            cached = _REPORT_CACHE.get(key)
-            if cached is not None:
-                _REPORT_CACHE.move_to_end(key)
-                return cached
-    report = _verify_module_uncached(module, manifest, policy)
-    if key is not None:
-        with _REPORT_CACHE_LOCK:
-            _REPORT_CACHE[key] = report
-            while len(_REPORT_CACHE) > _REPORT_CACHE_SIZE:
-                _REPORT_CACHE.popitem(last=False)
-    return report
-
-
-def _verify_module_uncached(
-    module: Module,
-    manifest: "Manifest | None",
-    policy: "ExecutorPolicy | None",
-) -> VerificationReport:
-    report = VerificationReport()
-
-    structural_ok = _check_structure(module, report)
-    if not structural_ok:
+    analysis = ModuleAnalysis.of(module)
+    report = VerificationReport(diagnostics=list(analysis.diagnostics))
+    dataflow = analysis.dataflow
+    if dataflow is None:
         return report
-
-    cfgs = {
-        name: build_cfg(function)
-        for name, function in module.functions.items()
-    }
-    for name, cfg in sorted(cfgs.items()):
-        dead = set(range(len(cfg.function.code))) - cfg.reachable
-        if dead:
-            report.diagnostics.append(d.warning(
-                d.UNREACHABLE_CODE,
-                f"{len(dead)} unreachable instruction(s) starting at "
-                f"index {min(dead)}",
-                name, min(dead),
-            ))
-
-    _check_call_graph(module, report)
-
-    stack_ok = True
-    for name in sorted(module.functions):
-        diags, _ = check_stack(module, module.functions[name], cfgs[name])
-        report.diagnostics.extend(diags)
-        if any(x.severity is d.Severity.ERROR for x in diags):
-            stack_ok = False
-    if not stack_ok or not report.ok:
-        return report
-
-    reachable = _reachable_functions(module)
-    dataflow = tt.analyze_module(module, cfgs, reachable)
-    host_sites: list[HostSite] = []
-    for name in sorted(dataflow.outcomes):
-        report.diagnostics.extend(dataflow.outcomes[name].diagnostics)
-        host_sites.extend(dataflow.outcomes[name].host_sites)
-
-    report.diagnostics.extend(
-        fx.check_effects(module, cfgs, reachable, dataflow.outcomes)
-    )
 
     estimate = estimate_module_fuel(
         module,
-        cfgs,
+        analysis.cfgs,
+        analysis.call_order,
         max_instructions=None if manifest is None else manifest.max_instructions,
         max_packets_received=(
             None if manifest is None else manifest.max_packets_received
@@ -211,7 +141,7 @@ def _verify_module_uncached(
     report.fuel = estimate.module_verdict
     report.function_fuel = dict(estimate.function_verdicts)
 
-    _check_capabilities(host_sites, manifest, policy, report)
+    _check_capabilities(dataflow.host_sites(), manifest, policy, report)
     report.diagnostics.extend(tt.check_policy(module, dataflow, manifest))
     return report
 
@@ -222,170 +152,26 @@ def infer_capabilities(module: Module) -> tuple[frozenset[str], bool]:
     Returns ``(capabilities, derivable)`` where ``derivable`` is False
     when some reachable network host call's protocol argument is not a
     static constant (the true set may then be larger). Modules that fail
-    basic validation yield ``(frozenset(), False)`` — nothing provable.
+    validation or the stack check yield ``(frozenset(), False)`` — nothing
+    provable, because nothing was interpreted.
     """
-    try:
-        module.validate()
-    except Exception:
+    analysis = ModuleAnalysis.of(module)
+    abstracts = analysis.abstracts
+    if abstracts is None:
         return frozenset(), False
-    capabilities: set[str] = set()
-    derivable = True
-    for name in _reachable_functions(module):
-        function = module.functions[name]
-        outcome = analyze_function(module, function, build_cfg(function))
-        for site in outcome.host_sites:
-            if site.op not in _NET_OPS:
-                continue
-            if site.protocol is None:
-                derivable = False
-                continue
-            try:
-                capabilities.add(protocol_from_number(site.protocol).name.lower())
-            except Exception:
-                derivable = False
-    return frozenset(capabilities), derivable
+    report = VerificationReport()
+    _check_capabilities(
+        [site for name in analysis.entry_walk[0]
+         for site in abstracts[name].host_sites],
+        None, None, report,
+    )
+    # With nobody to compare against, the only possible error is a
+    # protocol number no capability names (V502): not derivable either.
+    return report.capabilities, report.capabilities_derivable and report.ok
 
 
 # --------------------------------------------------------------------------
-# pass 1: structure
-
-
-def _check_structure(module: Module, report: VerificationReport) -> bool:
-    diags = report.diagnostics
-    if ENTRY_POINT not in module.functions:
-        diags.append(d.error(
-            d.MISSING_ENTRY_POINT,
-            f"module lacks entry point {ENTRY_POINT!r}",
-        ))
-    if not 0 < module.memory_size <= MAX_MEMORY_BYTES:
-        diags.append(d.error(
-            d.MALFORMED_INSTRUCTION,
-            f"memory size {module.memory_size} out of range "
-            f"(1..{MAX_MEMORY_BYTES})",
-        ))
-    for name, function in sorted(module.functions.items()):
-        if function.n_params < 0 or function.n_locals < 0:
-            diags.append(d.error(
-                d.MALFORMED_INSTRUCTION,
-                "negative parameter or local count", name,
-            ))
-            continue
-        n_slots = function.n_params + function.n_locals
-        for index, instruction in enumerate(function.code):
-            try:
-                validate_instruction(instruction)
-            except ValueError as exc:
-                diags.append(d.error(
-                    d.MALFORMED_INSTRUCTION, str(exc), name, index,
-                ))
-                continue
-            op, arg = instruction.op, instruction.arg
-            if op in (Op.JMP, Op.JZ, Op.JNZ):
-                if not 0 <= int(arg) < len(function.code):
-                    diags.append(d.error(
-                        d.JUMP_OUT_OF_RANGE,
-                        f"jump target {arg} outside [0, {len(function.code)})",
-                        name, index,
-                    ))
-            elif op is Op.CALL and arg not in module.functions:
-                diags.append(d.error(
-                    d.UNKNOWN_CALL, f"call to unknown function {arg!r}",
-                    name, index,
-                ))
-            elif op is Op.HOST and arg not in HOST_OPS:
-                diags.append(d.error(
-                    d.UNKNOWN_HOST_OP, f"unknown host operation {arg!r}",
-                    name, index,
-                ))
-            elif op in _LOCAL_OPS and not 0 <= int(arg) < n_slots:
-                diags.append(d.error(
-                    d.BAD_LOCAL_INDEX,
-                    f"local index {arg} out of range "
-                    f"(function has {n_slots} slot(s))",
-                    name, index,
-                ))
-            elif op in (Op.GLOBAL_GET, Op.GLOBAL_SET) and arg not in module.globals:
-                diags.append(d.error(
-                    d.UNKNOWN_GLOBAL, f"unknown global {arg!r}", name, index,
-                ))
-    return report.ok
-
-
-# --------------------------------------------------------------------------
-# pass 2: call graph
-
-
-def _call_sites(module: Module) -> dict[str, set[str]]:
-    return {
-        name: {
-            instruction.arg
-            for instruction in function.code
-            if instruction.op is Op.CALL
-        }
-        for name, function in module.functions.items()
-    }
-
-
-def _reachable_functions(module: Module) -> list[str]:
-    """Functions reachable from the entry point via CALL, sorted."""
-    calls = _call_sites(module)
-    seen: set[str] = set()
-    stack = [ENTRY_POINT] if ENTRY_POINT in module.functions else []
-    while stack:
-        name = stack.pop()
-        if name in seen:
-            continue
-        seen.add(name)
-        stack.extend(c for c in calls.get(name, ()) if c in module.functions)
-    return sorted(seen)
-
-
-def _check_call_graph(module: Module, report: VerificationReport) -> None:
-    calls = _call_sites(module)
-    names = sorted(module.functions)
-    index_of = {name: i for i, name in enumerate(names)}
-    successors = [
-        tuple(index_of[callee] for callee in sorted(calls[name]))
-        for name in names
-    ]
-    recursive: set[str] = set()
-    for scc in tarjan_sccs(successors, set(range(len(names)))):
-        if len(scc) > 1 or next(iter(scc)) in successors[next(iter(scc))]:
-            recursive.update(names[i] for i in scc)
-    if recursive:
-        report.diagnostics.append(d.error(
-            d.RECURSIVE_CALL,
-            "recursive call cycle through "
-            f"{', '.join(sorted(recursive))} — the VM cannot bound its "
-            "frame depth statically",
-        ))
-        return
-
-    # Acyclic: deepest call chain from the entry, in frames.
-    depth: dict[str, int] = {}
-
-    def chain_depth(name: str) -> int:
-        known = depth.get(name)
-        if known is not None:
-            return known
-        depth[name] = 1  # placeholder; graph is acyclic so never read
-        callees = [c for c in calls[name] if c in module.functions]
-        depth[name] = 1 + max((chain_depth(c) for c in callees), default=0)
-        return depth[name]
-
-    if ENTRY_POINT in module.functions:
-        deepest = chain_depth(ENTRY_POINT)
-        if deepest > VM.MAX_STACK_DEPTH:
-            report.diagnostics.append(d.error(
-                d.CALL_DEPTH_EXCEEDED,
-                f"worst-case call depth {deepest} exceeds the VM frame "
-                f"ceiling of {VM.MAX_STACK_DEPTH}",
-                ENTRY_POINT,
-            ))
-
-
-# --------------------------------------------------------------------------
-# pass 6: capabilities
+# what depends on who is asking: capabilities
 
 
 def _check_capabilities(

@@ -134,12 +134,16 @@ class VM:
                 compiled if compiled is not None
                 else _compiled_tier().get_compiled(module, obs=obs)
             )
-            if compiled is None:
-                if tier == "compiled":
+            if compiled is None and tier == "compiled":
+                # Ask once more, for the reason: the refusal is read off
+                # the module's shared analysis, not derived again.
+                try:
+                    compiled = _compiled_tier().compile_module(module)
+                except _compiled_tier().CompileUnsupported as exc:
                     raise SandboxError(
-                        "module is not provable for the compiled tier"
-                    )
-            else:
+                        f"module is not provable for the compiled tier: {exc}"
+                    ) from exc
+            if compiled is not None:
                 self._compiled = compiled
                 self.tier = "compiled"
 

@@ -24,6 +24,7 @@ over ``event`` is the benchmark headline recorded in ``BENCH_wan.json``.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field, replace
 
@@ -389,7 +390,11 @@ def run_wanbench(
     Returns per-mode outcomes plus the two headline comparisons: the
     fast-over-event wall-clock speedup and the serial-vs-sharded digest
     match. Each mode gets a freshly built scenario so no engine can leak
-    state (sim clock, lazily deployed executors) into the next.
+    state (sim clock, lazily deployed executors) into the next, and starts
+    from a collected heap so none is billed for collecting the garbage the
+    previous engine or its own scenario build left behind — a full
+    collection is 0.1–0.2 s in a long-lived process, several times the
+    smoke-scale fast campaign it could land in.
     """
     unknown = set(modes) - set(MODES)
     if unknown:
@@ -398,6 +403,7 @@ def run_wanbench(
     scenario = None
     for mode in modes:
         scenario = build_continent(config)
+        gc.collect()
         if mode == "event":
             outcomes[mode] = run_event_baseline(scenario)
         elif mode == "fast":

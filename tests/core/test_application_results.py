@@ -39,6 +39,21 @@ class TestApplicationWireFormat:
         with pytest.raises(ManifestError):
             DebugletApplication.from_wire(b"garbage")
 
+    def test_stack_invalid_wire_constructs_and_is_left_to_the_verifier(self):
+        """A program that underflows its operand stack used to throw a
+        bare IndexError out of capability inference — through
+        ``__post_init__``, ``from_wire`` and everything that calls them.
+        Nothing is provable about it, so construction succeeds and
+        ``Executor.admit``'s verifier run is what rejects it (V200)."""
+        from repro.sandbox.assembler import assemble
+
+        source = ".memory 64\n.func run_debuglet 0 0\ndrop\npush 0\nret\n.end\n"
+        app = DebugletApplication(
+            "underflow", self._app().manifest, module=assemble(source)
+        )
+        clone = DebugletApplication.from_wire(app.to_wire())
+        assert clone.code_hash() == app.code_hash()
+
     def test_exactly_one_program_source_required(self):
         stock = echo_client(Protocol.UDP, Address(2, "x"), count=1)
         with pytest.raises(ConfigurationError):

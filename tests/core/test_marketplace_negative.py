@@ -74,3 +74,34 @@ class TestAgentAdmission:
         assert agent.rejected_applications
         # The server side (admissible) still ran and published.
         assert session.server_outcome.status == "completed"
+
+    def test_stack_invalid_hashed_purchase_is_rejected_not_raised(self):
+        """On a hashed purchase the contract never sees the bytecode, so
+        the executor's own verifier is the only static gate. A program
+        that underflows its operand stack must end up in
+        ``rejected_applications`` with the verifier's V200 — not as an
+        IndexError thrown through the simulator's event dispatch — and
+        its escrow must come back when the window has passed."""
+        from repro.core.marketplace import SessionState
+        from repro.sandbox.assembler import assemble
+        from tests.chaos.helpers import assert_invariants
+
+        testbed = MarketplaceTestbed.build(2, seed=114)
+        stock_client, server_app = _apps(testbed, port=9802)
+        source = ".memory 64\n.func run_debuglet 0 0\ndrop\npush 0\nret\n.end\n"
+        client_app = DebugletApplication(
+            "underflow", stock_client.manifest, module=assemble(source),
+            path=stock_client.path,
+        )
+        session = testbed.initiator.request_measurement(
+            client_app, server_app, (1, 2), (2, 1), duration=10.0,
+            code_store=testbed.code_store, deadline_margin=5.0,
+        )
+        testbed.initiator.run_until_done(session, testbed.chain.simulator)
+
+        (rejected,) = testbed.agents[(1, 2)].rejected_applications
+        assert rejected[0] == session.client_application
+        assert "[V200]" in rejected[1]
+        assert session.state is SessionState.REFUNDED
+        assert session.client_application in session.refunds
+        assert_invariants(testbed, session)

@@ -84,3 +84,29 @@ def test_same_seed_table1_fast_runs_emit_identical_bytes():
         return obs
 
     assert exports(run()) == exports(run())
+
+
+def test_same_seed_exports_are_identical_across_processes(tmp_path):
+    """Inside one process the compile cache is warm for the second run, so
+    the in-process checks above cannot see a wall-clock figure that was
+    measured once and replayed. Two interpreters can: the export must
+    hold functions of the seed and the modules only."""
+    import os
+    import subprocess
+    import sys
+
+    def run(tag: str) -> tuple[bytes, bytes]:
+        events, metrics = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.prom"
+        subprocess.run(
+            [sys.executable, "-m", "repro", "quickstart", "--probes", "10",
+             "--events-out", str(events), "--metrics-out", str(metrics)],
+            capture_output=True, timeout=110, check=True,
+            env=os.environ
+            | {"PYTHONPATH": os.pathsep.join(filter(None, sys.path))},
+        )
+        return events.read_bytes(), metrics.read_bytes()
+
+    first, second = run("a"), run("b")
+    assert first[0] == second[0]
+    assert first[1] == second[1]
+    assert b"vm_compile_instructions_sum" in first[1]

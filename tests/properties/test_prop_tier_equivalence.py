@@ -7,7 +7,7 @@ run to completion on both tiers under random fuel limits, host-result
 scripts, and embedder memory writes. The *entire observable session* must
 match: the host-call sequence (names, arguments, ``fuel_used`` at every
 suspension), the final ``Done`` value or trap type+message, final
-``fuel_used``, final linear memory, and final globals (DESIGN.md §10).
+``fuel_used``, final linear memory, and final globals (DESIGN.md §7).
 
 Small fuel limits matter most: they force traps at arbitrary points —
 mid-block, at host boundaries, inside loops — which is exactly where the

@@ -102,6 +102,59 @@ class TestTierSelection:
             assert VM(stock.module, tier="auto").tier == "compiled"
 
 
+def _unprovable_modules():
+    from tests.sandbox.test_analysis_equivalence import (
+        _facts_unavailable, _rejected,
+    )
+
+    cases = _facts_unavailable()
+    return [
+        ("recursive call", cases["facts_recursion"][0]),
+        ("call depth", cases["facts_call_depth"][0]),
+        ("value-stack depth", cases["facts_value_stack_peak"][0]),
+        ("unsigned 64-bit", cases["facts_global_outside_u64"][0]),
+        ("operand-stack discipline", _rejected()["V200_underflow"][0]),
+        ("local index 7 out of range", _bad_local_module()),
+    ]
+
+
+class TestDegradedMode:
+    """``FactsUnavailable`` forces the reference tier — same behaviour,
+    and the run says that it happened and why (ROADMAP 5(f))."""
+
+    @pytest.mark.parametrize(
+        "cause,module", _unprovable_modules(),
+        ids=[cause for cause, _ in _unprovable_modules()],
+    )
+    def test_reference_tier_is_forced_counted_and_named(self, cause, module):
+        from repro.obs import Observability
+
+        from tests.properties.test_prop_tier_equivalence import _run_session
+
+        bundle = Observability.enabled()
+        assert VM(module, tier="auto", obs=bundle).tier == "reference"
+        reference = _run_session(module, "reference", 1_000_000, [0], [])
+        assert _run_session(module, "auto", 1_000_000, [0], []) == reference[1:]
+
+        VM(module, tier="auto", obs=bundle)  # second sight: a plain hit
+        (row,) = [
+            (dict(labels), metric.value)
+            for _, name, labels, metric in bundle.metrics.snapshot()
+            if name == "vm_compile_unsupported_total"
+        ]
+        assert cause in row[0]["reason"] and row[1] == 1
+
+        with pytest.raises(SandboxError, match="not provable.*" + cause):
+            VM(module, tier="compiled")
+
+    def test_no_series_in_runs_that_never_degrade(self):
+        from repro.obs import Observability, to_prometheus
+
+        bundle = Observability.enabled()
+        assert VM(_module("push 1"), tier="auto", obs=bundle).tier == "compiled"
+        assert "unsupported" not in to_prometheus(bundle.metrics)
+
+
 class TestExactEquivalence:
     def test_done_value_and_fuel_match(self):
         module = _module("push 6\npush 7\nmul")

@@ -97,7 +97,7 @@ class TestObsCounters:
         assert first == second
         assert "vm_compile_cache_misses_total 1" in first
         assert "vm_compile_cache_hits_total 1" in first
-        assert "vm_compile_seconds" in first
+        assert "vm_compile_instructions" in first
 
     def test_no_obs_is_fine(self):
         cache = CompileCache()

@@ -435,6 +435,29 @@ class TestCapabilities:
         bad = Module(functions={}, memory_size=4096)
         assert infer_capabilities(bad) == (frozenset(), False)
 
+    @pytest.mark.parametrize("code", [
+        # pops an empty abstract stack (IndexError before the analysis
+        # was staged behind the stack check)
+        [Instruction(Op.DROP), Instruction(Op.PUSH, 0), Instruction(Op.RET)],
+        [Instruction(Op.PUSH, 1), Instruction(Op.ADD), Instruction(Op.RET)],
+        # does not underflow the abstract stack, but whatever would be
+        # read off it as net_send's protocol is garbage
+        [Instruction(Op.PUSH, 17), Instruction(Op.HOST, "net_send"),
+         Instruction(Op.RET)],
+    ], ids=["drop", "add", "short-net_send"])
+    def test_infer_capabilities_proves_nothing_on_a_stack_invalid_module(
+        self, code,
+    ):
+        module = mod(code, n_locals=0)
+        assert "V200" in codes(verify_module(module))
+        assert infer_capabilities(module) == (frozenset(), False)
+        # "nothing provable" defers to verification, it does not reject
+        manifest().validate_module(module)
+
+    def test_infer_capabilities_proves_nothing_on_a_bad_local_index(self):
+        module = mod([Instruction(Op.LOCAL_GET, 9), Instruction(Op.RET)])
+        assert infer_capabilities(module) == (frozenset(), False)
+
 
 STOCK_PROGRAMS = [
     pytest.param(
