@@ -14,8 +14,6 @@ import os
 
 import pytest
 
-from repro.perf import benchstore
-
 FULL_SCALE = os.environ.get("DEBUGLET_FULL", "") == "1"
 
 
@@ -30,14 +28,3 @@ def once(benchmark):
         return run_once(benchmark, fn)
 
     return runner
-
-
-def record_bench(name: str, seconds: float, **extra) -> None:
-    """Append a wall-clock measurement to ``BENCH_table1.json``.
-
-    The file maps git SHA -> list of entries, so numbers from successive
-    commits accumulate instead of overwriting each other.
-    """
-    benchstore.append_rows(
-        "table1", [{"name": name, "seconds": round(seconds, 4), **extra}]
-    )

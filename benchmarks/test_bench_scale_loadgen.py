@@ -1,7 +1,8 @@
 """Fleet-scale control-plane bench: batched+sharded ledger vs serial.
 
 Runs the ``repro loadgen`` fleet (DESIGN.md §11) in both ledger modes and
-records sessions/sec into ``BENCH_scale.json``. The default scale keeps CI
+asserts the batched-over-serial sessions/sec ratio (absolute sessions/sec
+is ``market_batched`` in ``bench/``). The default scale keeps CI
 fast; ``DEBUGLET_FULL=1`` runs the paper-scale 12 000-session fleet, where
 one checkpoint seal and shard-root fold per transaction dominate the
 serial baseline and the batched ledger is ~5x sessions/sec (5.1x and 5.7x
@@ -18,7 +19,6 @@ CPU and corrupt both wall-clock numbers.
 
 from benchmarks.conftest import FULL_SCALE, run_once
 
-from repro.perf import benchstore
 from repro.workloads import LoadgenConfig, build_loadgen, run_loadgen
 
 SESSIONS = 12_000 if FULL_SCALE else 1_200
@@ -55,18 +55,6 @@ def test_bench_scale_loadgen(benchmark):
 
     speedup = batched["sessions_per_sec"] / serial["sessions_per_sec"]
     tier = "full" if FULL_SCALE else "reduced"
-    benchstore.append_rows("scale", [
-        {
-            "mode": row["mode"],
-            "wall_seconds": round(row["wall_seconds"], 2),
-            "sessions_per_sec": round(row["sessions_per_sec"], 2),
-            "ledger_txs_per_sec": round(row["ledger_txs_per_sec"], 2),
-            "sessions": SESSIONS,
-            "tier": tier,
-        }
-        for row in (serial, batched)
-    ])
-
     print(
         f"\nscale bench ({tier}, {SESSIONS} sessions): "
         f"serial {serial['wall_seconds']:.1f}s "

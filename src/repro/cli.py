@@ -284,7 +284,6 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
     from repro.workloads.wanbench import (
         MODES,
         WanbenchConfig,
-        record_outcomes,
         run_wanbench,
     )
 
@@ -303,8 +302,8 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
         traffic=not args.no_traffic,
     )
     summary = run_wanbench(config, modes=modes)
-    if args.record:
-        record_outcomes(summary)
+    # A serial-vs-sharded digest mismatch fails the command in both output modes.
+    status = 0 if summary.get("digest_match", True) else 1
     if args.json:
         payload = dict(summary)
         payload["config"] = asdict(config)
@@ -313,7 +312,7 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
             for mode, outcome in summary["outcomes"].items()
         }
         print(json.dumps(payload, indent=2))
-        return 0
+        return status
     print(
         f"wanbench: {config.n_ases} ASes, {config.episodes} episodes, "
         f"strategy {config.strategy}, seed {config.seed} "
@@ -337,9 +336,7 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
     if "digest_match" in summary:
         verdict = "MATCH" if summary["digest_match"] else "MISMATCH"
         print(f"serial vs sharded digest: {verdict}")
-        if not summary["digest_match"]:
-            return 1
-    return 0
+    return status
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -1096,8 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-traffic", action="store_true",
                    help="skip the background traffic matrix")
-    p.add_argument("--record", action="store_true",
-                   help="append results to BENCH_wan.json")
     p.add_argument("--json", action="store_true",
                    help="emit the summary as JSON")
     p.set_defaults(func=_cmd_wanbench)

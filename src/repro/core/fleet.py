@@ -9,7 +9,11 @@ re-walks the run loop once per session.
 ordinary simulator events (so a load ramp is just a schedule), completions
 flow back through each session's ``on_complete`` callback, and one run
 loop drains the whole fleet off the simulator clock — no busy-spin, no
-per-session pumping. Three mechanisms keep it honest at scale:
+per-session pumping. (The "fleet" here is a fleet of *sessions*: not
+:class:`~repro.core.probing.ExecutorFleet`, the vantage → executor table
+of the data-plane probers, and not
+:class:`~repro.core.fleetmgr.FleetManager`, which owns executor
+membership and liveness.) Three mechanisms keep it honest at scale:
 
 - **ready queue** — with ``max_in_flight`` set, launches whose turn has
   come while the fleet is saturated wait in a FIFO and are admitted as

@@ -4,7 +4,11 @@ The marketplace so far ran off a *static* executor population: agents were
 registered at testbed build time and stayed registered forever. This
 module adds the control-plane layer that makes the population dynamic —
 the piece the paper's §VI (decentralized discovery, incremental
-deployment) presumes and the ROADMAP names "executor fleet management":
+deployment) presumes and the ROADMAP names "executor fleet management"
+(the "fleet" here is executor *membership*: not
+:class:`~repro.core.probing.ExecutorFleet`, the marketplace-free vantage →
+executor table of the data-plane probers, and not
+:class:`~repro.core.fleet.FleetScheduler`, which multiplexes sessions):
 
 - a **lifecycle** per executor — ``registered → active → draining →
   retired`` on the happy path, with sim-clock heartbeats, missed-heartbeat

@@ -98,7 +98,7 @@ class PlacementPlan:
         return sorted({c.position for c in self.chosen})
 
     def as_row(self) -> dict:
-        """A flat record for benches (BENCH_fleet.json) and EXPERIMENTS."""
+        """A flat record for ``repro placement --json`` and EXPERIMENTS."""
         return {
             "strategy": self.strategy,
             "n_ases": self.n_ases,

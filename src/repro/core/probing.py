@@ -7,6 +7,13 @@ real data-plane probes. :class:`ExecutorFleet` manages the deployed
 executors; :class:`SegmentProber` packages one such measurement, either
 asynchronously (callback) or synchronously (pumping the simulator).
 
+Three unrelated things are called "fleet": :class:`ExecutorFleet` here is
+a plain vantage → :class:`~repro.core.executor.Executor` table for
+data-plane probing (no marketplace, no lifecycle);
+:class:`~repro.core.fleet.FleetScheduler` multiplexes many marketplace
+*sessions* on one simulator; :class:`~repro.core.fleetmgr.FleetManager`
+owns executor *membership* (registration, heartbeats, drain, admission).
+
 **The prober contract.** The localization driver
 (:meth:`repro.core.localization.FaultLocalizer.run_episodes`) talks to a
 prober through ``network`` and one method, ``measure_batch(requests,

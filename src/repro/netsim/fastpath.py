@@ -23,10 +23,12 @@ negligible for paper-style probing and documented in DESIGN.md:
   vary over minutes-to-hours; a probe crosses a channel in milliseconds).
 
 Fault overlays are vectorized as time-window masks (:class:`OverlayWindow`).
-What the array model cannot reproduce is refused with
+What the array model cannot reproduce is *refused* with
 :class:`FastPathUnsupported` — flowlet ECMP, a destination that does not
-echo the protocol, a path with missing interfaces — so callers can fall
-back to the event-driven reference.
+echo the protocol, a path with missing interfaces. Nothing in the library
+catches it: the request fails loudly rather than being mis-simulated, and
+measuring it on the event-driven reference instead is the caller's
+decision.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ DAY = 86400.0
 
 
 class FastPathUnsupported(SimulationError):
-    """The scenario uses a feature the vectorized path cannot reproduce."""
+    """The scenario uses a feature the vectorized path cannot reproduce.
+
+    A refusal, not a fallback: it propagates to whoever chose the fast
+    path (no driver retries the request on the event engine).
+    """
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ scenario (simulator + fleet + sandboxed probers) per tier, which bounds
 how much of a full-scenario wall clock the VM actually is.
 
 All timings are min-of-N wall seconds; results feed ``repro vmbench``
-and ``BENCH_vm.json``.
+and the ``vm_tiers`` workload of ``bench/``.
 """
 
 from __future__ import annotations

@@ -34,8 +34,7 @@ per-pair session spread) for the same-seed CI comparison.
 Everything that happens in simulated time is seeded and deterministic:
 two runs with the same config produce byte-identical observability
 exports and the same ledger state digest. Wall-clock throughput numbers
-live only in the returned report (and in ``BENCH_scale.json`` /
-``BENCH_fleet.json``).
+live only in the returned report.
 """
 
 from __future__ import annotations

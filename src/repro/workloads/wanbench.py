@@ -19,7 +19,9 @@ the same driver and build their rows with the same row builder, so
 accuracy / probe-cost / convergence-time curves are comparable across
 engines; ``fast`` and ``sharded`` are additionally **bit-identical** to
 each other (digest equality), and the fast path's wall-clock advantage
-over ``event`` is the benchmark headline recorded in ``BENCH_wan.json``.
+over ``event`` is the headline ratio (``speedup_fast_over_event`` in the
+summary; guarded at smoke scale by ``tests/workloads/test_wanbench.py``,
+measured at ≥5k ASes in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -426,24 +428,6 @@ def run_wanbench(
             outcomes["fast"].digest == outcomes["sharded"].digest
         )
     return summary
-
-
-def record_outcomes(summary: dict) -> None:
-    """Append the run's bench rows to ``BENCH_wan.json``."""
-    from repro.perf import benchstore
-
-    outcomes: dict[str, ModeOutcome] = summary["outcomes"]
-    rows = []
-    for outcome in outcomes.values():
-        row = outcome.bench_row(summary["config"])
-        if "speedup_fast_over_event" in summary and outcome.mode == "fast":
-            row["speedup_over_event"] = round(
-                summary["speedup_fast_over_event"], 2
-            )
-        if "digest_match" in summary and outcome.mode == "sharded":
-            row["digest_match"] = summary["digest_match"]
-        rows.append(row)
-    benchstore.append_rows("wan", rows)
 
 
 def small_config(**overrides) -> WanbenchConfig:

@@ -1,8 +1,7 @@
 """Shared fixtures: small, fast topologies and chains.
 
-Bench rows written through :mod:`repro.perf.benchstore` go to a per-session
-tmp dir, so running the suite leaves the tracked ``BENCH_*.json`` alone;
-``pytest --record`` appends to the real files on purpose.
+The suite writes nothing into the worktree: wall-clock numbers in tests
+only back ratio assertions (``-m perf_smoke``); measurement is ``bench/``.
 
 Also ships a minimal stand-in for pytest-timeout: when the plugin is not
 installed (the ``timeout`` ini key in pyproject.toml would be inert), a
@@ -27,7 +26,6 @@ import pytest
 from hypothesis import settings
 
 from repro.netsim import Link, Network, Protocol, Simulator, Topology
-from repro.perf import benchstore
 
 ALL_PROTOCOLS = (Protocol.UDP, Protocol.TCP, Protocol.ICMP, Protocol.RAW_IP)
 
@@ -40,12 +38,6 @@ _CAN_ALARM = hasattr(signal, "SIGALRM")
 
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--record",
-        action="store_true",
-        help="append bench rows to the tracked BENCH_*.json files "
-        "(default: a tmp dir)",
-    )
     if not _HAVE_PYTEST_TIMEOUT:
         parser.addini(
             "timeout",
@@ -58,17 +50,6 @@ def pytest_addoption(parser):
             default=None,
             help="per-test timeout in seconds (pytest-timeout fallback)",
         )
-
-
-@pytest.fixture(scope="session")
-def _bench_root(tmp_path_factory):
-    return tmp_path_factory.mktemp("bench")
-
-
-@pytest.fixture(autouse=True)
-def _bench_rows_outside_worktree(request, monkeypatch, _bench_root):
-    if not request.config.getoption("--record"):
-        monkeypatch.setattr(benchstore, "repo_root", lambda: _bench_root)
 
 
 if not _HAVE_PYTEST_TIMEOUT:

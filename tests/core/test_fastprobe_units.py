@@ -5,8 +5,13 @@ import pytest
 
 from repro.core.executor import executor_data_address
 from repro.core.fastprobe import SANDBOX_OVERHEAD, FastSegmentProber
-from repro.netsim.fastpath import _vantage_address
+from repro.core.localization import FaultLocalizer
+from repro.netsim import Link, Network, Simulator, Topology
+from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
+from repro.netsim.fastpath import FastPathUnsupported, _vantage_address
 from repro.netsim.packet import Protocol
+from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
+from repro.pathaware.discovery import PathRegistry
 from repro.workloads.scenarios import build_chain
 
 
@@ -79,3 +84,24 @@ class TestFastSegmentProber:
         for protocol in (Protocol.UDP, Protocol.ICMP):
             m = prober.measure_sync((1, 2), (4, 1), segment, protocol=protocol)
             assert m.protocol is protocol
+
+
+def test_unsupported_path_is_refused_to_the_localizers_caller():
+    """``FastPathUnsupported`` is a refusal, not a fallback: no driver
+    catches it and re-measures on the event engine, so a localization over
+    a flowlet-ECMP link fails loudly at ``localize`` (DESIGN.md §6)."""
+    topology = Topology()
+    for asn in (1, 2, 3):
+        topology.make_as(asn, seed=asn)
+    topology.connect(1, 2, 2, 1, Link.symmetric("1-2", base_delay=5e-3, seed=11))
+    topology.connect(2, 2, 3, 1, Link.symmetric(
+        "2-3", base_delay=5e-3, seed=12,
+        ecmp=EcmpGroup([Route(0.0), Route(1e-3)]),
+        treatment=TreatmentProfile.uniform(
+            ProtocolTreatment(ecmp_granularity=HashGranularity.PER_FLOWLET)
+        ),
+    ))
+    network = Network(topology, Simulator(), seed=4)
+    localizer = FaultLocalizer(FastSegmentProber(network, probes=5, seed=1))
+    with pytest.raises(FastPathUnsupported, match="flowlet ECMP"):
+        localizer.localize(PathRegistry(topology).shortest(1, 3))

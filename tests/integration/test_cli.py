@@ -159,3 +159,60 @@ class TestVerifyCommand:
 
     def test_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/x.dasm"]) == 2
+
+
+@pytest.mark.wan
+class TestWanbenchCommand:
+    ARGS = ["wanbench", "--ases", "120", "--episodes", "9", "--regions", "3",
+            "--modes", "fast,sharded", "--workers", "2"]
+
+    def test_json_reports_matching_digests(self, capsys):
+        import dataclasses
+        import json
+
+        from repro.workloads.wanbench import WanbenchConfig
+
+        assert main([*self.ARGS, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["digest_match"] is True
+        outcomes = payload["outcomes"]
+        assert outcomes["fast"]["digest"] == outcomes["sharded"]["digest"]
+        assert outcomes["sharded"]["workers"] == 2
+        assert set(payload["config"]) == {
+            f.name for f in dataclasses.fields(WanbenchConfig)
+        }
+
+    @pytest.mark.parametrize("output, verdict", [
+        ([], "serial vs sharded digest: MISMATCH"),
+        (["--json"], '"digest_match": false'),
+    ], ids=["text", "json"])
+    def test_digest_mismatch_fails_in_both_output_modes(
+        self, output, verdict, monkeypatch, capsys
+    ):
+        from repro.workloads import wanbench
+
+        def mismatched(config, *, modes):
+            outcomes = {
+                mode: wanbench.ModeOutcome(
+                    mode=mode, wall_seconds=0.1, episodes=1, found=1,
+                    measurements=1, probes_sent=10, mean_convergence=0.0,
+                    digest=mode * 4,
+                )
+                for mode in modes
+            }
+            return {"config": config, "congested_channels": 0,
+                    "outcomes": outcomes, "digest_match": False}
+
+        monkeypatch.setattr(wanbench, "run_wanbench", mismatched)
+        assert main([*self.ARGS, *output]) == 1
+        assert verdict in capsys.readouterr().out
+
+    def test_unknown_mode_is_a_usage_error(self, capsys):
+        assert main(["wanbench", "--modes", "fast,warp"]) == 2
+        assert "unknown modes: ['warp']" in capsys.readouterr().err
+
+    def test_record_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.ARGS, "--record"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --record" in capsys.readouterr().err

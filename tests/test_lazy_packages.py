@@ -39,12 +39,12 @@ def test_every_exported_name_still_resolves(package):
 
 
 def test_aliases_and_submodules_resolve():
-    from repro.perf import benchstore  # a submodule, not an export
+    from repro.perf import vmbench  # a submodule, not an export
     from repro.workloads import build_loadgen, loadgen, run_loadgen
 
     assert build_loadgen is loadgen.build and run_loadgen is loadgen.run
     assert "run_loadgen" in importlib.import_module("repro.workloads").__all__
-    assert benchstore.__name__ == "repro.perf.benchstore"
+    assert vmbench.__name__ == "repro.perf.vmbench"
 
 
 _NARROW = """

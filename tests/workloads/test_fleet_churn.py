@@ -9,8 +9,8 @@ evictions, and crash/re-register cycles must
 - never hand a session to a draining/suspected/evicted member, and
 - stay byte-identical across same-seed runs (obs exports included).
 
-The perf_smoke guard appends the churn numbers — and the placement
-strategy coverage/cost rows — to ``BENCH_fleet.json``.
+The last test pins the placement headline: border-router co-location
+beats the random baseline at equal budget.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.core.fleetmgr import ExecutorState
 from repro.core.placement import STRATEGIES, evaluate_strategies, synthetic_candidates
 from repro.obs import Observability
 from repro.obs.export import to_prometheus
-from repro.perf import benchstore
 from repro.workloads import LoadgenConfig, build_loadgen, run_loadgen
 
 pytestmark = pytest.mark.fleet
@@ -162,37 +161,20 @@ class TestChurnDeterminism:
         assert json.dumps(report["deterministic"]["fleet"])
 
 
-# ----------------------------------------------------------- perf guard
+# ------------------------------------------------------ placement guard
 
 
-def _record_bench(rows: list[dict]) -> None:
-    benchstore.append_rows("fleet", rows)
 @pytest.mark.perf_smoke
-def test_churn_bench_records_fleet_json(churn_run):
-    """Append the churn numbers and the placement coverage/cost rows to
-    BENCH_fleet.json, asserting the headline comparison on the way:
-    border-router co-location localizes strictly better (smaller mean
-    suspect set) than the random baseline at equal budget."""
-    _, report, _ = churn_run
-    det = report["deterministic"]
-    rows = [{
-        "tier": "churn",
-        "sessions": det["sessions"],
-        "certified": det["certified"],
-        "refunded": det["by_state"].get("refunded", 0),
-        "wall_seconds": report["wall_seconds"],
-        "sessions_per_sec": report["sessions_per_sec"],
-        "fleet_states": det["fleet"]["states"],
-        "lifecycle_transitions": det["fleet"]["transitions"],
-        "heartbeats_missed": det["fleet"]["heartbeats_missed"],
-    }]
+def test_border_placement_beats_random_at_equal_budget():
+    """The placement headline (deterministic, no wall clock): border-router
+    co-location localizes at least as well (smaller mean suspect set) as
+    the random baseline at every budget >= 200 and strictly better at the
+    three-hire budget."""
     n_ases = 8
     pool = synthetic_candidates(n_ases)
     for budget in (100, 200, 300, 500):
         plans = evaluate_strategies(n_ases, pool, budget=budget, seed=3)
         assert set(plans) == set(STRATEGIES)
-        for strategy in STRATEGIES:
-            rows.append({"tier": "placement", **plans[strategy].as_row()})
         if budget >= 200:
             assert (
                 plans["border"].mean_suspect_set
@@ -201,5 +183,3 @@ def test_churn_bench_records_fleet_json(churn_run):
     # At the three-hire budget the ordering must be strict.
     plans = evaluate_strategies(n_ases, pool, budget=300, seed=3)
     assert plans["border"].mean_suspect_set < plans["random"].mean_suspect_set
-    _record_bench(rows)
-    assert report["sessions_per_sec"] > 2.0, report

@@ -5,14 +5,12 @@ suite: the fleet certifies everything it launches, sustains full
 concurrency, runs deterministically (byte-identical observability exports
 for the same seed), and the batched ledger stays ahead of the serial
 baseline. The full-scale (~5x) comparison lives in
-``benchmarks/test_bench_scale_loadgen.py`` and ``BENCH_scale.json`` (see
-README: ``repro loadgen``).
+``benchmarks/test_bench_scale_loadgen.py`` (see README: ``repro loadgen``).
 """
 
 import pytest
 
 from repro.obs import Observability
-from repro.perf import benchstore
 from repro.obs.export import to_prometheus
 from repro.workloads import LoadgenConfig, build_loadgen, run_loadgen
 
@@ -38,7 +36,8 @@ def test_loadgen_certifies_full_fleet_at_peak_concurrency():
     assert det["peak_active_sessions"] == SMOKE["sessions"]
     assert det["latency_p50_s"] > 0
     assert det["latency_p99_s"] >= det["latency_p50_s"]
-    # Loose CI-robust throughput floor; the bench records the real number.
+    # Loose CI-robust throughput floor; ``market_batched`` in ``bench/``
+    # measures the real number.
     assert report["sessions_per_sec"] > 2.0, report
 
 
@@ -79,10 +78,6 @@ def test_loadgen_chain_verifies():
 # ----------------------------------------------------------- perf guard
 
 
-def _record_bench(rows: list[dict]) -> None:
-    benchstore.append_rows("scale", rows)
-
-
 @pytest.mark.perf_smoke
 def test_batched_ledger_beats_serial_on_small_fleet():
     """Smoke-scale guard for the scale bench: batched must already be
@@ -97,12 +92,6 @@ def test_batched_ledger_beats_serial_on_small_fleet():
         "blocks_sealed": batched["deterministic"]["blocks_sealed"],
         "checkpoints": batched["deterministic"]["checkpoints"],
     }
-    _record_bench([
-        {k: row[k] for k in ("mode", "wall_seconds", "sessions_per_sec",
-                             "ledger_txs_per_sec")}
-        | {"sessions": scale["sessions"], "tier": "perf_smoke"}
-        for row in (serial, batched)
-    ])
     assert batched["wall_seconds"] < serial["wall_seconds"], (
         batched["wall_seconds"], serial["wall_seconds"],
     )
@@ -125,8 +114,8 @@ def test_loadgen_audit_mode_observes_and_samples():
 def test_audit_overhead_stays_under_ten_percent():
     """Acceptance guard: fleet-scale auditing (25% sampling, window
     checks + batch signature verification) costs <10% sessions/sec.
-    Recorded in BENCH_scale.json alongside the ledger rows. Both runs
-    certify the same session population, so the comparison is honest.
+    Both runs certify the same session population, so the comparison is
+    honest.
 
     The true cost is ~4-6% and single runs of one configuration spread
     by +-10% on a shared host, so one plain/audited pair cannot carry a
@@ -151,17 +140,6 @@ def test_audit_overhead_stays_under_ten_percent():
         degradation = 1.0 - rate(audited) / rate(plain)
         if pair >= 2 and degradation < 0.10:
             break
-    _record_bench([
-        {
-            "mode": row["mode"],
-            "wall_seconds": row["wall_seconds"],
-            "sessions_per_sec": row["sessions_per_sec"],
-            "audit_rate": row.get("audit_rate", 0.0),
-            "sessions": scale["sessions"],
-            "tier": "audit_overhead",
-        }
-        for row in (plain, audited)
-    ])
     assert degradation < 0.10, (
         f"auditing degrades sessions/sec by {degradation:.1%} "
         f"({rate(plain):.1f} -> {rate(audited):.1f}; "

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from repro.netsim.packet import Protocol
-from repro.perf import benchstore
 from repro.workloads.wan import WanScenario
 
 
@@ -36,8 +35,6 @@ def test_fast_path_beats_event_driven_on_small_study():
         assert event["frankfurt"][protocol].sent == probes
 
 
-def _record_bench(rows: list[dict]) -> None:
-    benchstore.append_rows("obs", rows)
 @pytest.mark.perf_smoke
 def test_observability_disabled_overhead_under_5_percent():
     """The observability overhead guard (DESIGN.md §9).
@@ -60,13 +57,6 @@ def test_observability_disabled_overhead_under_5_percent():
 
     detached = min(run_study(None) for _ in range(repeats))
     disabled = min(run_study(Observability.disabled()) for _ in range(repeats))
-
-    _record_bench([
-        {"name": "table1-fast-detached", "seconds": round(detached, 4),
-         "probes_per_cell": probes, "repeats": repeats},
-        {"name": "table1-fast-obs-disabled", "seconds": round(disabled, 4),
-         "probes_per_cell": probes, "repeats": repeats},
-    ])
 
     # <5% relative, with a 10 ms absolute floor against timer jitter.
     assert disabled <= detached * 1.05 + 0.010, (detached, disabled)

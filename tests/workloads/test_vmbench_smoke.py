@@ -4,34 +4,30 @@ Cheap guards that run inside the tier-1 suite (selectable with
 ``-m perf_smoke``), mirroring ``test_perf_smoke``:
 
 - the compiled tier must clearly beat the reference interpreter on the
-  interpreter-bound tight loop (loose 2x smoke bound; the real >=5x
-  number lives in ``BENCH_vm.json`` at full scale);
+  interpreter-bound tight loop (loose 2x smoke bound; the full-scale
+  number is ``sandbox.compile.speedup_geomean`` of ``vm_tiers`` in
+  ``bench/``);
 - on the host-call-dominated workload — where interpretation is *not*
   the bottleneck — the compiled tier must stay within 1% of the
   reference (plus a small absolute floor against timer jitter), so the
-  fast tier never taxes workloads it cannot help;
-- measured rows are appended to ``BENCH_vm.json`` keyed by git head.
+  fast tier never taxes workloads it cannot help.
 """
 
 import pytest
 
-from repro.perf import benchstore
 from repro.perf.vmbench import run_suite
 
 pytestmark = pytest.mark.perf_smoke
 
 
-def _record_bench(rows: list[dict]) -> None:
-    benchstore.append_rows("vm", rows)
 def test_compiled_tier_speedup_and_host_call_parity():
-    """One measured pass over both guard workloads, recorded to
-    ``BENCH_vm.json``. Small scale keeps this inside tier-1 budget;
-    min-of-N timing (inside ``run_suite``) absorbs scheduler noise."""
+    """One measured pass over both guard workloads. Small scale keeps
+    this inside tier-1 budget; min-of-N timing (inside ``run_suite``)
+    absorbs scheduler noise."""
     rows = run_suite(
         scale=0.2, repeats=3, workloads=("tight_loop", "host_heavy")
     )
     by_key = {(row["name"], row["tier"]): row for row in rows}
-    _record_bench([dict(row, kind="smoke") for row in rows])
 
     # Interpreter-bound: loose 2x smoke bound (full-scale bench shows
     # >=5x; 2x here guards against the tier quietly falling back to the
@@ -46,7 +42,7 @@ def test_compiled_tier_speedup_and_host_call_parity():
     assert host_fast <= host_ref * 1.01 + 0.010, (host_ref, host_fast)
 
     # run_suite already asserts fuel/result/host_calls equality across
-    # tiers; spot-check the invariants made it into the recorded rows.
+    # tiers; spot-check the invariants made it into the returned rows.
     assert by_key[("tight_loop", "reference")]["fuel_used"] == \
         by_key[("tight_loop", "compiled")]["fuel_used"]
     assert by_key[("host_heavy", "compiled")]["host_calls"] > 0
