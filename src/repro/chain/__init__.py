@@ -5,7 +5,6 @@ signed and replayable transaction history, contract-escrowed payments,
 events, sub-second finality, and Table II-calibrated storage pricing.
 """
 
-from repro.chain.batch import BlockBuilder, PendingBlock
 from repro.chain.contract import Contract, ExecutionContext, entry
 from repro.chain.crypto import KeyPair, ed25519_batch_verify, sha256, verify_signature
 from repro.chain.events import Event, EventBus
@@ -17,7 +16,6 @@ from repro.chain.transaction import Transaction, TransactionReceipt
 
 __all__ = [
     "Account",
-    "BlockBuilder",
     "Checkpoint",
     "DEFAULT_NUM_SHARDS",
     "Contract",
@@ -32,7 +30,6 @@ __all__ = [
     "MerkleTree",
     "MIST_PER_SUI",
     "ObjectStore",
-    "PendingBlock",
     "StoredObject",
     "Transaction",
     "TransactionReceipt",

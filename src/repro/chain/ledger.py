@@ -19,9 +19,10 @@ Debuglet's control plane relies on (§IV-C, §V-B):
 Fleet-scale additions (DESIGN.md §11): object state lives in a sharded
 store whose folded Merkle root is committed in every checkpoint; rollback
 on revert uses per-transaction undo journals instead of O(state) deep
-copies; and an optional *block mode* (``block_window``) groups
-transactions into batched checkpoints with deferred, deduplicated
-signature verification — observably identical to serial application.
+copies; and an optional *block mode* (``block_window``, or an explicit
+:meth:`Ledger.begin_block`) seals one checkpoint per window instead of one
+per transaction. It is a seal schedule and nothing else: transactions are
+verified and executed at submission either way.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.chain.batch import BlockBuilder
 from repro.chain.contract import Contract, ExecutionContext
 from repro.chain.crypto import KeyPair, ed25519_batch_verify
 from repro.chain.events import Event, EventBus
@@ -141,9 +141,11 @@ class Ledger:
 
         self._transactions: list[Transaction] = []
         self._receipts: list[TransactionReceipt] = []
-        self._receipt_index: dict[bytes, TransactionReceipt] = {}
         self.checkpoints: list[Checkpoint] = []
-        self._block = BlockBuilder(self)
+        # Digests of the open block (None: no block open) and its opening time.
+        self._pending: list[bytes] | None = None
+        self._block_opened_at = 0.0
+        self.blocks_sealed = 0
         self._genesis_grants: list[tuple[str, int]] = []
         # Token sinks: computation fees are burned; storage fees fund the
         # rebates paid when objects are freed (Sui's storage-fund model);
@@ -304,15 +306,14 @@ class Ledger:
     def submit(self, tx: Transaction) -> TransactionReceipt:
         """Execute ``tx`` and commit it to the chain.
 
-        Serial mode seals one checkpoint per transaction. In block mode
-        (``block_window`` set, or an explicit :meth:`begin_block`), the
-        transaction still executes now — receipt, escrow accounting, and
-        event schedule are identical — but its curve-level signature check
-        and checkpoint seal are deferred to the block flush.
+        Serial mode seals one checkpoint per transaction; in block mode
+        (``block_window`` set, or an explicit :meth:`begin_block`) the
+        seal — and nothing else — waits for the block flush.
 
-        Authentication errors and malformed calls raise; contract-level
-        aborts produce a *reverted* receipt with all state rolled back
-        (the computation fee is still charged, as on real chains).
+        Authentication errors and malformed calls raise before any state
+        is touched; contract-level aborts produce a *reverted* receipt
+        with all state rolled back (the computation fee is still charged,
+        as on real chains).
         """
         obs = self.obs
         if self.submit_gate is not None:
@@ -328,14 +329,8 @@ class Ledger:
                         function=tx.function, reason=str(exc),
                     )
                 raise
-        batched = self.block_window is not None or self._block.active
         if self.require_signatures:
-            if batched:
-                # Cheap half now; the curve check is batch-verified at the
-                # block seal (fail-stop on forgery).
-                tx.verify_address()
-            else:
-                tx.verify()
+            tx.verify()
         sender = self._account(tx.sender)
         if tx.nonce != sender.nonce:
             raise ChainError(f"bad nonce {tx.nonce}, expected {sender.nonce}")
@@ -423,9 +418,11 @@ class Ledger:
         )
         self._transactions.append(tx)
         self._receipts.append(receipt)
-        self._receipt_index[digest] = receipt
-        if batched:
-            self._block.note(tx, digest)
+        if self._pending is None and self.block_window is not None:
+            self.begin_block()
+            self._scheduler(self.block_window, self.flush_block)
+        if self._pending is not None:
+            self._pending.append(digest)
         else:
             self._seal_checkpoint([digest], receipt.finalized_at)
         if obs is not None:
@@ -463,20 +460,32 @@ class Ledger:
     # ------------------------------------------------------------ blocks
 
     def begin_block(self) -> None:
-        """Open an explicit block: submissions batch until :meth:`flush_block`."""
-        self._block.open()
+        """Open a block: submissions share one checkpoint until
+        :meth:`flush_block` (``block_window`` ledgers do both themselves)."""
+        if self._pending is not None:
+            raise ChainError("a block is already open")
+        self._pending = []
+        self._block_opened_at = self.now
 
-    def flush_block(self, timestamp: float | None = None) -> Checkpoint | None:
-        """Seal the pending block, if any; returns the new checkpoint."""
-        return self._block.flush(timestamp)
-
-    @property
-    def block_active(self) -> bool:
-        return self._block.active
-
-    @property
-    def pending_block_size(self) -> int:
-        return self._block.pending
+    def flush_block(self) -> Checkpoint | None:
+        """Seal the open block into one checkpoint; None when none is open."""
+        digests = self._pending
+        if digests is None:
+            return None
+        self._pending = None
+        checkpoint = self._seal_checkpoint(digests, self.now + self.finality_latency)
+        self.blocks_sealed += 1
+        obs = self.obs
+        if obs is not None:
+            obs.metrics.counter("ledger_blocks_total").inc()
+            obs.metrics.histogram("ledger_batch_size").observe(len(digests))
+            # Deterministic by construction: simulated time from the first
+            # submission of the block to its seal (never wall clock), so
+            # same-seed runs export identical histograms.
+            obs.metrics.histogram("ledger_apply_seconds").observe(
+                max(self.now - self._block_opened_at, 0.0)
+            )
+        return checkpoint
 
     def _seal_checkpoint(self, digests: list[bytes], timestamp: float) -> Checkpoint:
         previous = self.checkpoints[-1].hash() if self.checkpoints else _GENESIS_HASH
@@ -527,12 +536,6 @@ class Ledger:
     def receipts(self) -> list[TransactionReceipt]:
         return list(self._receipts)
 
-    def receipt_for(self, digest: bytes) -> TransactionReceipt:
-        receipt = self._receipt_index.get(digest)
-        if receipt is None:
-            raise ChainError("no receipt with that digest")
-        return receipt
-
     def verify_chain(self) -> None:
         """Check every signature and the checkpoint hash chain.
 
@@ -540,7 +543,7 @@ class Ledger:
         alike; an open block is flushed first so the chain is complete.
         Raises :class:`VerificationError` on the first inconsistency.
         """
-        self._block.flush()
+        self.flush_block()
         total = sum(len(cp.tx_digests) for cp in self.checkpoints)
         if total != len(self._transactions):
             raise VerificationError("checkpoint/transaction count mismatch")

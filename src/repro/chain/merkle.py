@@ -99,11 +99,6 @@ def hash_leaf(data: bytes) -> bytes:
     return _hash_leaf(data)
 
 
-def fold_roots(roots: list[bytes]) -> bytes:
-    """Fold per-shard roots into one ledger state root (node-level fold)."""
-    return merkle_root_from_hashes(list(roots))
-
-
 def verify_inclusion(leaf: bytes, proof: MerkleProof, root: bytes) -> bool:
     """Check that ``leaf`` is included under ``root`` via ``proof``."""
     current = _hash_leaf(leaf)

@@ -67,9 +67,6 @@ class StoredObject:
     # Cached leaf hash for the shard Merkle tree; invalidated on mutation.
     leaf_hash: bytes | None = field(default=None, repr=False, compare=False)
 
-    def encoded_size(self) -> int:
-        return self.size_bytes
-
     def compute_leaf_hash(self) -> bytes:
         if self.leaf_hash is None:
             self.leaf_hash = hash_leaf(

@@ -76,8 +76,9 @@ class Transaction:
     def verify_address(self) -> None:
         """The cheap half of verification: sender address binds the key.
 
-        Block-mode ledgers run this eagerly at submission and defer the
-        curve check to the block seal's batch verification.
+        :meth:`verify` runs it before the curve check; ``Ledger.verify_chain``
+        runs it per transaction, then checks the history's signatures in
+        one batch call.
         """
         expected = hashlib.sha256(self.public_key).hexdigest()[:32]
         if expected != self.sender:

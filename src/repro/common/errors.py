@@ -94,10 +94,6 @@ class SessionStalled(DebugletError):
         self.context = dict(context or {})
 
 
-class InsufficientGas(ChainError):
-    """The submitted gas budget does not cover the transaction cost."""
-
-
 class InsufficientTokens(ChainError):
     """A transfer or escrow exceeds the sender's balance."""
 

@@ -523,11 +523,11 @@ class DebugletMarket(Contract):
             asn_c, intf_c, asn_s, intf_s,
             client_slot_start, server_slot_start, window_start, window_end,
             client_fields={
-                "bytecode": store_bytecode(client_bytecode),
+                "bytecode": client_bytecode,
                 "manifest": client_manifest,
             },
             server_fields={
-                "bytecode": store_bytecode(server_bytecode),
+                "bytecode": server_bytecode,
                 "manifest": server_manifest,
             },
         )
@@ -792,20 +792,6 @@ class DebugletMarket(Contract):
     def stake_of(self, asn: int, interface: int) -> int:
         """Off-chain read of the slashable stake."""
         return self.state["stake_map"].get(slot_key(asn, interface), 0)
-
-    def convictions_of(self, asn: int, interface: int) -> list[dict]:
-        """Off-chain read of the conviction records."""
-        return list(self.state["conviction_map"].get(slot_key(asn, interface), []))
-
-    def is_convicted(self, asn: int, interface: int) -> bool:
-        """Whether the executor has at least one recorded conviction."""
-        return bool(self.state["conviction_map"].get(slot_key(asn, interface)))
-
-
-def store_bytecode(bytecode: bytes) -> bytes:
-    """Identity today; the §V-B off-chain optimization can swap this for
-    ``sha256(bytecode)`` storage with the code shipped out of band."""
-    return bytecode
 
 
 def _verify_application_wire(ctx: ExecutionContext, wire: bytes, label: str) -> None:

@@ -52,6 +52,7 @@ from repro.chain.crypto import sha256
 from repro.common.errors import ChainError, SandboxError
 from repro.common.rng import derive_rng
 from repro.common.serialize import canonical_encode
+from repro.core.executor import WINDOW_SLACK
 from repro.sandbox.program import ProgramCall, ProgramDone, ReceivedData
 from repro.sandbox.programs import decode_result_pairs
 
@@ -81,7 +82,7 @@ class AuditConfig:
     rtt_tolerance_us: float = 2_000.0
     rtt_rel_tolerance: float = 0.35
     #: Grace around the purchased window for certificate timestamps.
-    window_slack: float = 5.0
+    window_slack: float = WINDOW_SLACK
     seed: int = 0
 
 
@@ -502,10 +503,8 @@ class Auditor:
 
     def _check_window(self, session, outcome) -> None:
         certificate = outcome.certificate
-        slack = self.config.window_slack
-        if (
-            certificate.started_at >= session.window_start - slack
-            and certificate.finished_at <= session.window_end + slack
+        if certificate.within_window(
+            session.window_start, session.window_end, self.config.window_slack
         ):
             return
         self._convict(

@@ -59,6 +59,20 @@ def _covered(element: Element, i: int, j: int) -> bool:
     return i < element.index < j
 
 
+def coverage_signatures(
+    n_ases: int, measurable: list[int]
+) -> dict[Element, frozenset]:
+    """Each fault element's signature: the set of measurement pairs, among
+    the ``measurable`` positions, whose segment covers it. Elements with
+    equal signatures are indistinguishable — the one partition both
+    :func:`analyze_deployment` and :mod:`repro.core.placement` score."""
+    pairs = list(combinations(measurable, 2))
+    return {
+        element: frozenset((i, j) for i, j in pairs if _covered(element, i, j))
+        for element in path_elements(n_ases)
+    }
+
+
 @dataclass
 class DeploymentReport:
     """Localization power of one deployment pattern."""
@@ -90,13 +104,7 @@ def analyze_deployment(n_ases: int, deployed: set[int]) -> DeploymentReport:
     own networks (§VI-B: "between a deploying AS and either endpoint").
     """
     measurable = sorted({0, n_ases - 1} | {d for d in deployed if 0 <= d < n_ases})
-    elements = path_elements(n_ases)
-    signatures: dict[Element, frozenset] = {}
-    pairs = list(combinations(measurable, 2))
-    for element in elements:
-        signatures[element] = frozenset(
-            (i, j) for i, j in pairs if _covered(element, i, j)
-        )
+    signatures = coverage_signatures(n_ases, measurable)
     group_sizes: dict[Element, int] = {}
     for element, signature in signatures.items():
         group_sizes[element] = sum(

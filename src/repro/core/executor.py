@@ -22,7 +22,7 @@ Timing model (calibrated to the paper's §V-B measurements):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.common.errors import (
@@ -98,6 +98,11 @@ class ExecutionRecord:
         return self.status.startswith("failed")
 
 
+#: Grace (seconds) around a purchased window for certificate timestamps:
+#: what the Auditor convicts on and what third-party verification accepts.
+WINDOW_SLACK = 5.0
+
+
 @dataclass(frozen=True)
 class ResultCertificate:
     """The executor's signed statement about an execution (§IV-B).
@@ -128,6 +133,33 @@ class ResultCertificate:
                 "public_key": self.executor_public_key,
             }
         )
+
+    def within_window(
+        self, start: float, end: float, slack: float = WINDOW_SLACK
+    ) -> bool:
+        """Whether the certified interval sits inside ``[start - slack,
+        end + slack]`` — the defence against stale-certificate reuse
+        (DESIGN.md §13): a certificate republished for a later purchase
+        carries the earlier window's timestamps."""
+        return self.started_at >= start - slack and self.finished_at <= end + slack
+
+
+def issue_certificate(
+    keypair: KeyPair, asn: int, interface: int, record: ExecutionRecord
+) -> ResultCertificate:
+    """The certificate the executor at ``<asn, interface>`` signs over
+    ``record``'s code, result bytes and execution interval."""
+    unsigned = ResultCertificate(
+        asn=asn,
+        interface=interface,
+        code_hash=record.application.code_hash(),
+        result_hash=sha256(record.result),
+        started_at=record.started_at,
+        finished_at=record.finished_at,
+        executor_public_key=keypair.public,
+        signature=b"",
+    )
+    return replace(unsigned, signature=keypair.sign(unsigned.signing_payload()))
 
 
 class _Execution:
@@ -818,25 +850,4 @@ class Executor:
 
     def certify(self, record: ExecutionRecord) -> ResultCertificate:
         """Sign the execution outcome (only completed runs get results)."""
-        result_hash = sha256(record.result)
-        certificate = ResultCertificate(
-            asn=self.asn,
-            interface=self.interface,
-            code_hash=record.application.code_hash(),
-            result_hash=result_hash,
-            started_at=record.started_at,
-            finished_at=record.finished_at,
-            executor_public_key=self.keypair.public,
-            signature=b"",
-        )
-        signature = self.keypair.sign(certificate.signing_payload())
-        return ResultCertificate(
-            asn=certificate.asn,
-            interface=certificate.interface,
-            code_hash=certificate.code_hash,
-            result_hash=certificate.result_hash,
-            started_at=certificate.started_at,
-            finished_at=certificate.finished_at,
-            executor_public_key=certificate.executor_public_key,
-            signature=signature,
-        )
+        return issue_certificate(self.keypair, self.asn, self.interface, record)

@@ -112,10 +112,6 @@ class FleetScheduler:
     def active(self) -> int:
         return self._active
 
-    @property
-    def ready_depth(self) -> int:
-        return len(self._ready)
-
     def launch(self, at: float, start: LaunchFn, *, label: str = "") -> None:
         """Schedule ``start`` to run at simulated time ``at``.
 

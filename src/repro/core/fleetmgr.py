@@ -788,9 +788,6 @@ class FleetManager:
         member = self.members.get(vantage)
         return member is not None and member.sellable
 
-    def sellable_vantages(self) -> list[tuple[int, int]]:
-        return sorted(v for v, m in self.members.items() if m.sellable)
-
     def members_in(self, *states: ExecutorState) -> list[FleetMember]:
         wanted = set(states)
         return [

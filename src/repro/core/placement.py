@@ -9,7 +9,7 @@ alternatives, which become two placement *qualities* here:
 - **border-router co-location** ("border"): the executor sits at the AS's
   border router facing the measured segment, so a measurement anchored
   there brackets exactly the links and transit interiors between the two
-  vantages (the :func:`~repro.core.deployment._covered` model).
+  vantages (the :func:`~repro.core.deployment.coverage_signatures` model).
 
 - **in-AS host** ("in_as"): the executor is an ordinary host inside the
   AS. Cheaper to deploy (no router real estate), but traffic to/from it
@@ -36,11 +36,10 @@ along the path, not vantage count, is what buys localization power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
-from repro.core.deployment import Element, path_elements
+from repro.core.deployment import Element, coverage_signatures
 
 #: Placement qualities, ordered best-first.
 BORDER = "border"
@@ -69,15 +68,6 @@ class VantageCandidate:
             raise ConfigurationError(f"unknown placement kind {self.kind!r}")
         if self.price < 0:
             raise ConfigurationError("price must be non-negative")
-
-
-def _covered(element: Element, i: int, j: int) -> bool:
-    """Is ``element`` definitely inside a measurement between vantage
-    positions i < j? (:func:`repro.core.deployment._covered` semantics:
-    links i..j-1 and transit interiors i+1..j-1.)"""
-    if element.kind == "link":
-        return i <= element.index < j
-    return i < element.index < j
 
 
 @dataclass
@@ -138,14 +128,10 @@ def score_placement(
     quality[0] = BORDER
     quality[n_ases - 1] = BORDER
     measurable = sorted(p for p in quality if 0 <= p < n_ases)
-    elements = path_elements(n_ases)
-    pairs = list(combinations(measurable, 2))
-    signatures = {
-        element: frozenset(
-            (i, j) for i, j in pairs if _covered(element, i, j)
-        )
-        for element in elements
-    }
+    signatures = coverage_signatures(n_ases, measurable)
+    elements = list(signatures)
+    # Every pair (i, j) covers link i, so the signatures' union is all pairs.
+    pairs = frozenset().union(*signatures.values())
     in_as = [
         p
         for p, kind in quality.items()

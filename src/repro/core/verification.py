@@ -10,9 +10,10 @@ can therefore check, for any application ID:
 2. the transaction's sender is the executor registered on-chain for the
    application's ``<AS, interface>``;
 3. the certificate inside the result payload is validly signed, its
-   result hash matches the published bytes, and its code hash matches the
-   bytecode the initiator purchased — so the executor ran *that* code and
-   produced *these* bytes at *that* vantage point.
+   result hash matches the published bytes, its code hash matches the
+   bytecode the initiator purchased, and its execution interval sits in
+   the purchased window — so the executor ran *that* code and produced
+   *these* bytes at *that* vantage point, for *this* purchase.
 """
 
 from __future__ import annotations
@@ -41,17 +42,8 @@ def verify_certificate(
     result: bytes,
     expected_code_hash: bytes | None = None,
     expected_vantage: tuple[int, int] | None = None,
-    expected_window: tuple[float, float] | None = None,
-    window_slack: float = 0.0,
 ) -> None:
-    """Check one certificate against the result bytes it claims to cover.
-
-    ``expected_window`` additionally requires the certified execution
-    interval to sit inside ``[start - slack, end + slack]`` — the defense
-    against stale-certificate reuse (DESIGN.md §13): an old certificate
-    re-published for a new purchase carries timestamps from the earlier
-    window and fails containment.
-    """
+    """Check one certificate against the result bytes it claims to cover."""
     if sha256(result) != certificate.result_hash:
         raise VerificationError("result bytes do not match certificate hash")
     if expected_code_hash is not None and certificate.code_hash != expected_code_hash:
@@ -61,17 +53,6 @@ def verify_certificate(
         certificate.interface,
     ) != expected_vantage:
         raise VerificationError("certificate names a different vantage point")
-    if expected_window is not None:
-        start, end = expected_window
-        if (
-            certificate.started_at < start - window_slack
-            or certificate.finished_at > end + window_slack
-        ):
-            raise VerificationError(
-                f"certificate covers [{certificate.started_at:.3f}, "
-                f"{certificate.finished_at:.3f}], outside the purchased "
-                f"window [{start:.3f}, {end:.3f}] (slack {window_slack})"
-            )
     if not verify_signature(
         certificate.executor_public_key,
         certificate.signing_payload(),
@@ -107,16 +88,10 @@ class ChainVerifier:
         market: DebugletMarket,
         *,
         code_store=None,
-        enforce_window: float | None = None,
     ) -> None:
         self.ledger = ledger
         self.market = market
         self.code_store = code_store
-        # Opt-in window containment: when set, certificates must cover an
-        # interval inside the application's purchased window plus this
-        # many seconds of slack (anti stale-certificate, §13). None keeps
-        # the legacy checks only.
-        self.enforce_window = enforce_window
 
     def verify_result(self, application_id_hex: str) -> VerifiedResult:
         """Run all checks for one application's published result."""
@@ -160,7 +135,7 @@ class ChainVerifier:
                 "result published by an address other than the registered executor"
             )
 
-        # (3) The certificate covers these bytes and this code.
+        # (3) The certificate covers these bytes, this code and this window.
         result, status, certificate = decode_result_payload(
             result_obj.data["result"]
         )
@@ -173,19 +148,21 @@ class ChainVerifier:
                 )
             wire = self.code_store.get_verified(app_obj.data["bytecode_hash"])
         purchased = DebugletApplication.from_wire(wire)
-        expected_window = None
-        if self.enforce_window is not None:
-            window = app_obj.data.get("window")
-            if window is not None:
-                expected_window = (window["start"], window["end"])
         verify_certificate(
             certificate,
             result=result,
             expected_code_hash=purchased.code_hash(),
             expected_vantage=(asn, interface),
-            expected_window=expected_window,
-            window_slack=self.enforce_window or 0.0,
         )
+        window = app_obj.data.get("window")
+        if window is None:
+            raise VerificationError("application has no purchased window")
+        if not certificate.within_window(window["start"], window["end"]):
+            raise VerificationError(
+                f"certificate covers [{certificate.started_at:.3f}, "
+                f"{certificate.finished_at:.3f}], outside the purchased "
+                f"window [{window['start']:.3f}, {window['end']:.3f}]"
+            )
         return VerifiedResult(
             application_id=application_id_hex,
             result=result,

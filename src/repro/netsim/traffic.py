@@ -403,15 +403,6 @@ class TrafficMatrix:
             self.utilization_floor + self.utilization_scale * load,
         )
 
-    def hot_links(self, threshold: float = 0.7) -> list[tuple[int, int, float]]:
-        """Directed edges whose installed utilization exceeds ``threshold``."""
-        hot = [
-            (a, b, self.utilization_of(a, b))
-            for (a, b) in self.channel_load
-            if self.utilization_of(a, b) > threshold
-        ]
-        return sorted(hot, key=lambda row: (-row[2], row[0], row[1]))
-
     def apply(self) -> int:
         """Install load-derived congestion on every loaded channel.
 

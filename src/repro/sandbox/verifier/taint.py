@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.errors import SandboxError
-from repro.sandbox.hostops import RECV_HEADER_SIZE, protocol_from_number
+from repro.sandbox.hostops import protocol_from_number
 from repro.sandbox.isa import Op
 from repro.sandbox.module import Module
 from repro.sandbox.verifier import diagnostics as d
@@ -63,7 +63,6 @@ from repro.sandbox.verifier.absint import (
     join_vals,
 )
 from repro.sandbox.verifier.cfg import FunctionCFG
-from repro.sandbox.verifier.intervals import INT_MAX
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sandbox.manifest import Manifest
@@ -317,16 +316,6 @@ def _send_buffer_size(module: Module, protocol_number: int | None) -> int | None
     except SandboxError:
         return None
     return buffer.size
-
-
-def _recv_payload_ceiling(module: Module, protocol_number: int | None) -> int:
-    """Largest payload ``net_recv`` can deliver: anything bigger than the
-    receive buffer (minus header) is a runtime trap before resumption."""
-    if protocol_number is not None:
-        buffer = _recv_buffer(module, protocol_number)
-        if buffer is not None:
-            return max(buffer.size - RECV_HEADER_SIZE, 0)
-    return INT_MAX
 
 
 def check_policy(

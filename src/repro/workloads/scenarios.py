@@ -38,14 +38,6 @@ class ChainScenario:
     registry: PathRegistry
     n_ases: int
 
-    @property
-    def first_asn(self) -> int:
-        return 1
-
-    @property
-    def last_asn(self) -> int:
-        return self.n_ases
-
 
 def build_chain(
     n_ases: int,

@@ -16,7 +16,8 @@ chain verification still hold afterwards.
 import pytest
 
 from repro.chaos import ChaosInjector
-from repro.common.errors import SessionStalled
+from repro.common.errors import SessionStalled, VerificationError
+from repro.core.verification import ChainVerifier
 from repro.obs import Observability, to_chrome_trace, to_jsonl, to_prometheus
 
 from tests.byzantine.helpers import (
@@ -233,6 +234,23 @@ class TestStaleCertificates:
         audit_sessions(testbed, auditor, sessions)
         assert len(corruptor.attacks) >= 1
         _assert_byzantine_convicted(testbed, auditor, mechanism="window")
+
+    def test_reused_certificate_fails_third_party_verification(self):
+        # No auditor needed: anyone holding the ledger refuses the
+        # republication, while the honest first run and the honest server
+        # side of every session still verify.
+        testbed, _ = build_audited_testbed(seed=1, audit_rate=0.0)
+        corruptor = corrupt(testbed, "stale_certificate", seed=1)
+        first, *later = [run_echo_session(testbed, port=7801) for _ in range(3)]
+        assert len(corruptor.attacks) == len(later)
+        verifier = ChainVerifier(testbed.ledger, testbed.market)
+        verifier.verify_result(first.outcomes["client"].application_id)
+        for session in later:
+            verifier.verify_result(session.outcomes["server"].application_id)
+            with pytest.raises(
+                VerificationError, match="outside the purchased window"
+            ):
+                verifier.verify_result(session.outcomes["client"].application_id)
 
 
 # -------------------------------------------------- economics and chain

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import VerificationError
+from repro.common.ids import ObjectId
 from repro.core.application import DebugletApplication
 from repro.core.executor import executor_data_address
 from repro.core.verification import ChainVerifier
@@ -92,3 +93,19 @@ class TestAdversarialVerification:
                 )
         finally:
             results_map[session.client_application] = original
+
+    def test_application_without_window_is_a_verification_error(self, flow):
+        """The window check is unconditional; an application object that
+        carries none fails with the verifier's own error type."""
+        testbed, session = flow
+        app_obj = testbed.ledger.objects.get(
+            ObjectId.from_hex(session.client_application)
+        )
+        window = app_obj.data.pop("window")
+        try:
+            with pytest.raises(VerificationError, match="no purchased window"):
+                ChainVerifier(testbed.ledger, testbed.market).verify_result(
+                    session.client_application
+                )
+        finally:
+            app_obj.data["window"] = window

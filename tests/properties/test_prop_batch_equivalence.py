@@ -1,8 +1,8 @@
 """Property: batched block application ≡ serial application (DESIGN.md §11).
 
-The batched execution tier must be an *optimization*, never a semantic
-change: for any marketplace history — including rejected transactions and
-``LedgerUnavailable`` outage windows — applying transactions through
+Block mode is a seal schedule, never a semantic change: for any
+marketplace history — including rejected transactions, forged signatures
+and ``LedgerUnavailable`` outage windows — applying transactions through
 block-grouped checkpoints must yield exactly the balances, escrow totals,
 object-store Merkle root, ledger events, and state digest that per-tx
 serial application yields. Hypothesis drives arbitrary interleavings of
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.chain import KeyPair, Ledger, Transaction, Wallet, sui_to_mist
 from repro.chain.events import Event
 from repro.chaos import ChaosInjector
-from repro.common.errors import ChainError, VerificationError
+from repro.common.errors import ChainError, LedgerUnavailable, VerificationError
 from repro.contracts.debuglet_market import DebugletMarket, ExecutionSlot
 from repro.netsim.engine import Simulator
 
@@ -39,7 +39,7 @@ def _slot(start: float, price: int) -> dict:
 OPERATIONS = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=20.0),
-        st.sampled_from(["register", "offer", "purchase", "result"]),
+        st.sampled_from(["register", "offer", "purchase", "result", "forge"]),
         st.integers(0, 2),
         st.floats(min_value=0.0, max_value=600.0),
     ),
@@ -54,6 +54,24 @@ OUTAGE = st.one_of(
         st.floats(min_value=0.5, max_value=6.0),
     ),
 )
+
+
+def _forged(ledger: Ledger, wallet: Wallet, variant: int) -> Transaction:
+    """A correctly signed ``register_executor`` with its signature zeroed
+    (even ``variant``) or with bit ``variant % 512`` flipped (odd)."""
+    tx = Transaction(
+        sender=wallet.address,
+        contract="debuglet_market",
+        function="register_executor",
+        args=(10, 1),
+        nonce=ledger.next_nonce(wallet.address),
+        gas_budget=Wallet.DEFAULT_GAS_BUDGET,
+    ).signed_by(wallet.keypair)
+    signature = bytearray(64)
+    if variant % 2:
+        signature[:] = tx.signature
+        signature[variant % 512 // 8] ^= 1 << variant % 8
+    return replace(tx, signature=bytes(signature))
 
 
 def _run_history(mode: str, operations, outage) -> Ledger:
@@ -112,6 +130,13 @@ def _run_history(mode: str, operations, outage) -> Ledger:
                         "debuglet_market", "result_ready",
                         purchased[int(detail) % len(purchased)], b"R",
                     )
+            elif kind == "forge":
+                # A valid call whose signature is zeroed or has one bit
+                # flipped: refused at the door, whatever the ledger mode.
+                before = ledger.state_digest()
+                with pytest.raises((VerificationError, LedgerUnavailable)):
+                    ledger.submit(_forged(ledger, wallets[actor], int(detail)))
+                assert ledger.state_digest() == before
         except ChainError:
             pass  # rejected / gated transactions never reach the chain
 
@@ -164,41 +189,42 @@ class TestBatchEquivalenceProperty:
         assert replica.state_digest() == batched.state_digest()
 
 
-def test_forged_signature_fails_stop_at_flush():
-    """A forged signature in a block is caught by the deferred batch
-    verification: the flush fail-stops with the culprit named, instead of
-    silently sealing the checkpoint."""
-    ledger = Ledger(finality_latency=FINALITY, num_shards=4)
+@pytest.mark.parametrize("mode", ["serial", "block_window", "begin_block"])
+def test_forged_signature_is_rejected_at_submit(mode):
+    """A forged transaction never runs, in any ledger mode: ``submit``
+    raises before touching state, the open block keeps only the honest
+    transaction, and the history still verifies and replays."""
+    simulator = Simulator()
+    ledger = Ledger(
+        clock=lambda: simulator.now,
+        scheduler=lambda delay, fn: simulator.schedule(delay, fn),
+        finality_latency=FINALITY,
+        num_shards=4,
+        block_window=BLOCK_WINDOW if mode == "block_window" else None,
+    )
     ledger.register_contract(DebugletMarket())
-    keypair = KeyPair.deterministic("forger")
-    ledger.create_account(keypair, balance=sui_to_mist(10))
+    wallet = Wallet(ledger, KeyPair.deterministic("forger"))
+    ledger.create_account(wallet.keypair, balance=sui_to_mist(10))
+    if mode == "begin_block":
+        ledger.begin_block()
+    good = wallet.must_call("debuglet_market", "register_executor", 10, 1)
 
-    ledger.begin_block()
-    good = Transaction(
-        sender=keypair.address,
-        contract="debuglet_market",
-        function="register_executor",
-        args=(10, 1),
-        nonce=0,
-        gas_budget=Wallet.DEFAULT_GAS_BUDGET,
-    ).signed_by(keypair)
-    ledger.submit(good)
-    forged = Transaction(
-        sender=keypair.address,
-        contract="debuglet_market",
-        function="register_executor",
-        args=(11, 1),
-        nonce=1,
-        gas_budget=Wallet.DEFAULT_GAS_BUDGET,
-    ).signed_by(keypair)
-    forged = replace(forged, signature=bytes(64))
-    # Optimistic execution accepts it (the address binds the key)...
-    ledger.submit(forged)
+    for variant in (0, 1, 511):
+        digest = ledger.state_digest()
+        scheduled = simulator.pending_events
+        with pytest.raises(VerificationError):
+            ledger.submit(_forged(ledger, wallet, variant))
+        assert ledger.next_nonce(wallet.address) == 1
+        assert ledger.state_digest() == digest
+        assert simulator.pending_events == scheduled
+        assert len(ledger.transactions) == len(ledger.receipts) == 1
 
-    # ...but the block seal's batch verification rejects the whole block,
-    # naming the culprit (block 0, position 1).
-    with pytest.raises(VerificationError, match=r"register_executor#0\+1"):
-        ledger.flush_block()
+    simulator.run()
+    ledger.flush_block()
+    assert [cp.tx_digests for cp in ledger.checkpoints] == [(good.digest,)]
+    assert ledger.blocks_sealed == (0 if mode == "serial" else 1)
+    ledger.verify_chain()
+    ledger.replay({"debuglet_market": DebugletMarket})
 
 
 def test_event_delivery_order_is_stable_under_indexing():

@@ -36,9 +36,6 @@ def test_loadgen_certifies_full_fleet_at_peak_concurrency():
     assert det["peak_active_sessions"] == SMOKE["sessions"]
     assert det["latency_p50_s"] > 0
     assert det["latency_p99_s"] >= det["latency_p50_s"]
-    # Loose CI-robust throughput floor; ``market_batched`` in ``bench/``
-    # measures the real number.
-    assert report["sessions_per_sec"] > 2.0, report
 
 
 def test_loadgen_batched_matches_serial_outcome():
