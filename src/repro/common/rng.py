@@ -78,7 +78,7 @@ class BufferedRng:
 
     def __init__(
         self,
-        generator: RngStream,
+        generator: RngStream | None,
         *,
         block: int = 4096,
         threshold: int = 32,
@@ -87,7 +87,6 @@ class BufferedRng:
             raise ValueError("block must be at least 2")
         if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        self._gen = generator
         self._block = block
         self._threshold = threshold
         # Active buffer state: kind key, standard-form values, cursor, and
@@ -99,6 +98,13 @@ class BufferedRng:
         # Streak tracking for adaptive engagement.
         self._streak_kind: tuple | None = None
         self._streak = 0
+        # ``None`` is :func:`derive_buffered_rng`, which names the stream's
+        # labels here and leaves ``_gen`` unset: the first read of it lands
+        # in ``__getattr__``, which derives it. ``_gen`` comes last either
+        # way, so both kinds of instance lay their attributes out alike.
+        self._derive_from: tuple | None = None
+        if generator is not None:
+            self._gen = generator
 
     # ------------------------------------------------------------ internals
 
@@ -209,6 +215,15 @@ class BufferedRng:
 
     def __getattr__(self, name: str):
         """Delegate uncommon draws to the wrapped generator, realigned."""
+        if name == "_gen":
+            # Reached once per derived stream, at its first draw; from then
+            # on ``_gen`` is an ordinary instance attribute and draws cost
+            # what they cost on an eagerly built stream.
+            labels = self._derive_from
+            if labels is None:
+                raise AttributeError(name)
+            generator = self._gen = derive_rng(*labels)
+            return generator
         attribute = getattr(self._gen, name)
         if callable(attribute):
             self._realign()
@@ -219,5 +234,14 @@ class BufferedRng:
 def derive_buffered_rng(
     seed: int, *labels: str | int, block: int = 4096, threshold: int = 32
 ) -> BufferedRng:
-    """A :class:`BufferedRng` over the ``derive_rng(seed, *labels)`` stream."""
-    return BufferedRng(derive_rng(seed, *labels), block=block, threshold=threshold)
+    """A :class:`BufferedRng` over the ``derive_rng(seed, *labels)`` stream.
+
+    The generator is derived at the first draw, not here. A stream is a
+    pure function of ``(seed, labels)``, so when it is built changes no
+    draw — and a stream nobody draws from (most channels of a generated
+    Internet never carry a probe) costs this small object instead of a
+    seeded bit generator.
+    """
+    rng = BufferedRng(None, block=block, threshold=threshold)
+    rng._derive_from = (seed, *labels)
+    return rng

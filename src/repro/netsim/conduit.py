@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.common.rng import BufferedRng, derive_rng
+from repro.common.rng import derive_buffered_rng
 from repro.netsim.congestion import CongestionProcess, calm_congestion
 from repro.netsim.ecmp import EcmpGroup, single_route
 from repro.netsim.packet import Packet, Protocol
@@ -111,8 +111,9 @@ class DirectedChannel:
         self.priority_addresses: set = set()
         # BufferedRng preserves the bare generator's draw sequence exactly
         # (see common.rng), so seeded traces are identical with or without
-        # the buffering layer.
-        self._rng = BufferedRng(derive_rng(seed, "channel", name))
+        # the buffering layer. The stream is derived at its first draw: a
+        # channel no packet crosses never builds one.
+        self._rng = derive_buffered_rng(seed, "channel", name)
         # Lindley recursion state: when the serializer frees up, per class.
         self._busy_until = {True: 0.0, False: 0.0}  # keyed by priority flag
         self.packets_in = 0

@@ -89,15 +89,16 @@ class CongestionProcess:
         # itself, so the memo starts (and can be reset to) always-miss.
         self._memo_t = float("nan")
         self._memo_u = 0.0
-        # The buffered stream serves the identical draw sequence as a bare
-        # generator (see common.rng), so burst schedules are unchanged.
-        rng = derive_buffered_rng(seed, label, "bursts")
-        self._generate_bursts(rng)
+        # A stream is a pure function of ``(seed, labels)``, so deriving it
+        # only when there are bursts to schedule changes no draw — and a
+        # continent's worth of calm links derives none. The buffered stream
+        # serves the identical draw sequence as a bare generator (see
+        # common.rng), so burst schedules are unchanged.
+        if config.burst_rate > 0:
+            self._generate_bursts(derive_buffered_rng(seed, label, "bursts"))
 
     def _generate_bursts(self, rng: RngStream) -> None:
         config = self.config
-        if config.burst_rate <= 0:
-            return
         time = 0.0
         low, high = config.burst_magnitude_range
         while True:

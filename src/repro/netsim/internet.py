@@ -14,10 +14,15 @@ business relationships real inter-domain routing is governed by:
 Routing follows the Gao-Rexford conditions: an AS prefers routes learned
 from customers over peers over providers, and only exports customer
 routes to peers/providers (no valley: a path is ``up* (peer)? down*``).
-:class:`GaoRexfordRouter` computes per-destination routing trees with the
-standard three-phase BFS (customer routes up from the destination, one
+:class:`GaoRexfordRouter` computes per-destination routing trees in the
+standard three phases (customer routes up from the destination, one
 peer hop, provider routes down), deterministically tie-broken, so every
-path the simulator forwards over is valley-free by construction.
+path the simulator forwards over is valley-free by construction. The
+relationship graphs are held as sorted edge arrays and all three phases
+are one level-synchronous numpy relaxation that serves a batch of
+destinations per call; the dict-and-list BFS it replaced lives on under
+``tests/netsim/route_reference.py`` as the reference every tree is
+compared against.
 
 Every stochastic choice draws from streams derived via the standard
 ``derive_rng`` label scheme, so a topology is a pure function of its
@@ -29,13 +34,22 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import itertools
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_rng
 from repro.netsim.conduit import Link
-from repro.netsim.topology import InterfaceId, PathHop, Topology
+from repro.netsim.topology import (
+    AutonomousSystem,
+    InterfaceId,
+    PathHop,
+    Topology,
+)
 
 #: Continent labels for the default five-region split (cosmetic; the
 #: sharding layer only cares about the region *index*).
@@ -114,6 +128,11 @@ class InternetTopology(Topology):
         self.router = GaoRexfordRouter(self)
 
     # ------------------------------------------------------------ building
+
+    def add_as(self, autonomous_system: AutonomousSystem) -> AutonomousSystem:
+        # Route tables are as wide as the highest ASN: a new AS outdates them.
+        self.router.invalidate()
+        return super().add_as(autonomous_system)
 
     def _next_interface(self, asn: int) -> int:
         nxt = self._iface_counter.get(asn, 0) + 1
@@ -337,148 +356,243 @@ class RouteTree:
     customer_next: list[int] = field(repr=False, default_factory=list)
 
 
+#: ``pref_len`` of an AS that holds no route.
+_UNREACHABLE = 1 << 30
+
+#: Most ``(destination, AS)`` cells one kernel call works on. Batching
+#: amortizes numpy's per-call cost over small arrays; past a few tens of
+#: thousands of cells there is nothing left to amortize, only memory to
+#: hold, so this — not the LRU alone — sizes a batch.
+_BATCH_CELLS = 1 << 14
+
+
+@dataclass(frozen=True)
+class _ExportEdges:
+    """One relationship class as arrays: ``tail`` exports routes to ``head``.
+
+    Edges are sorted by ``(head, tail)``. ``tail`` holds the exporter's
+    ASN per edge; ``flat_tail`` / ``flat_head`` hold the two endpoints as
+    cell indices ``row * width + asn`` for every row of a full batch, row
+    after row, so the first ``b * len(tail)`` entries serve a batch of
+    ``b`` destinations and ascending order is ``(row, head, tail)`` order.
+    """
+
+    tail: np.ndarray
+    flat_tail: np.ndarray
+    flat_head: np.ndarray
+
+
+@dataclass(frozen=True)
+class _RouteArrays:
+    """The three relationship graphs of one topology state."""
+
+    width: int  # cells per destination: the highest ASN, plus one
+    batch: int  # destinations per kernel call
+    up: _ExportEdges  # customer -> provider
+    peer: _ExportEdges  # peer -> peer, both directions
+    down: _ExportEdges  # provider -> customer
+
+
+def _export_edges(
+    exporters_of: dict[int, list[int]], rows: np.ndarray
+) -> _ExportEdges:
+    """Edge arrays from ``{head: [tails exporting to it]}``."""
+    fan_in = np.fromiter(
+        map(len, exporters_of.values()), np.intp, len(exporters_of)
+    )
+    head = np.repeat(np.fromiter(exporters_of, np.int32, len(fan_in)), fan_in)
+    tail = np.fromiter(
+        itertools.chain.from_iterable(exporters_of.values()), np.int32, len(head)
+    )
+    order = np.lexsort((tail, head))
+    head, tail = head[order], tail[order]
+    return _ExportEdges(
+        tail=tail,
+        flat_tail=(rows + tail).ravel(),
+        flat_head=(rows + head).ravel(),
+    )
+
+
 class GaoRexfordRouter:
     """Valley-free route computation with per-destination tree caching.
 
     The three phases mirror how BGP announcements actually propagate
     under Gao-Rexford export rules:
 
-    1. **customer routes** — BFS *up* from the destination along
+    1. **customer routes** — *up* from the destination along
        customer→provider edges (an AS hears about its customers' cone
        and may export those routes to anyone);
     2. **peer routes** — one lateral hop from any AS holding a customer
        route (customer routes are the only ones exported to peers);
-    3. **provider routes** — bucketed BFS *down* customer edges from
-       every routed AS (providers export their best route, whatever its
+    3. **provider routes** — *down* provider→customer edges from every
+       routed AS (providers export their best route, whatever its
        class, to customers).
 
     Preference at every AS: customer > peer > provider, then shortest
     AS path, then lowest next-hop ASN — fully deterministic.
+
+    All three phases are one level-synchronous relaxation over sorted
+    edge arrays (:meth:`_route_trees`), run for a batch of destinations
+    at a time: :meth:`tree` is the batch of one, :meth:`trees` serves a
+    caller that knows its destinations in advance. The arrays are built
+    at the first tree after a topology change and dropped by
+    :meth:`invalidate`.
     """
 
     def __init__(self, topology: InternetTopology, *, cache_size: int = 64) -> None:
         self.topology = topology
         self.cache_size = cache_size
         self._trees: OrderedDict[int, RouteTree] = OrderedDict()
+        self._arrays: _RouteArrays | None = None
         self.trees_computed = 0
 
     def invalidate(self) -> None:
         self._trees.clear()
+        self._arrays = None
+
+    def _require(self, asn: int) -> None:
+        if asn not in self.topology.ases:
+            raise SimulationError(f"AS {asn} is not in the topology")
 
     def tree(self, dst: int) -> RouteTree:
         cached = self._trees.get(dst)
         if cached is not None:
             self._trees.move_to_end(dst)
             return cached
-        tree = self._compute(dst)
-        self._trees[dst] = tree
-        if len(self._trees) > self.cache_size:
-            self._trees.popitem(last=False)
-        self.trees_computed += 1
-        return tree
+        return next(self.trees((dst,)))
 
-    def _compute(self, dst: int) -> RouteTree:
-        topo = self.topology
-        n = max(topo.ases)
-        none = -1
-        unreach = 1 << 30
-        # Phase 1: customer routes, level-synchronous BFS up provider edges.
-        dist_c = [unreach] * (n + 1)
-        next_c = [none] * (n + 1)
-        dist_c[dst] = 0
-        frontier = [dst]
-        while frontier:
-            discovered: dict[int, int] = {}
-            for v in sorted(frontier):
-                for p in topo.providers_of.get(v, ()):
-                    if dist_c[p] != unreach:
-                        continue
-                    best = discovered.get(p)
-                    if best is None or v < best:
-                        discovered[p] = v
-            for p, via in discovered.items():
-                dist_c[p] = dist_c[via] + 1
-                next_c[p] = via
-            frontier = list(discovered)
+    def trees(self, dsts: Iterable[int]) -> Iterator[RouteTree]:
+        """Yield the route tree of each destination, in the order given.
 
-        # Phase 2: peer routes (one lateral hop onto a customer route).
-        dist_p = [unreach] * (n + 1)
-        next_p = [none] * (n + 1)
-        for v in topo.ases:
-            best_len = unreach
-            best_peer = none
-            for u in sorted(topo.peers_of.get(v, ())):
-                if dist_c[u] == unreach:
-                    continue
-                candidate = dist_c[u] + 1
-                if candidate < best_len:
-                    best_len = candidate
-                    best_peer = u
-            if best_peer != none and dist_c[v] == unreach:
-                dist_p[v] = best_len
-                next_p[v] = best_peer
+        Trees not in the LRU are computed a batch of consecutive
+        destinations at a time — one kernel call each — when the caller
+        reaches the batch, so walking a long sink list costs a fraction
+        of one cold :meth:`tree` per sink. A batch never outgrows the
+        LRU: between two yields, :meth:`tree` finds every member of the
+        current batch cached. No tree is computed that was not asked for
+        or is already cached.
+        """
+        dsts = list(dsts)
+        for dst in dsts:
+            self._require(dst)
+        cached = self._trees
+        position = 0
+        while position < len(dsts):
+            arrays = self._route_arrays()
+            batch = dsts[position:position + arrays.batch]
+            position += len(batch)
+            # Touch the members already cached first, so making room
+            # evicts only trees this batch does not need — and make the
+            # room before the kernel runs, not after: the LRU never holds
+            # more than ``cache_size`` trees, new ones included.
+            held: dict[int, RouteTree] = {}
+            for dst in batch:
+                tree = cached.get(dst)
+                if tree is not None:
+                    cached.move_to_end(dst)
+                    held[dst] = tree
+            missing = [dst for dst in dict.fromkeys(batch) if dst not in held]
+            if missing:
+                for _ in range(len(cached) + len(missing) - self.cache_size):
+                    cached.popitem(last=False)
+                for tree in self._route_trees(arrays, missing):
+                    held[tree.dst] = cached[tree.dst] = tree
+                self.trees_computed += len(missing)
+            for dst in batch:
+                yield held[dst]
 
-        # Export length of each routed AS (its preferred route so far).
-        pref_class = [-1] * (n + 1)
-        pref_len = [unreach] * (n + 1)
-        next_hop = [none] * (n + 1)
-        for v in topo.ases:
-            if dist_c[v] != unreach:
-                pref_class[v] = 0
-                pref_len[v] = dist_c[v]
-                next_hop[v] = next_c[v] if v != dst else dst
-            elif dist_p[v] != unreach:
-                pref_class[v] = 1
-                pref_len[v] = dist_p[v]
-                next_hop[v] = next_p[v]
+    def _route_arrays(self) -> _RouteArrays:
+        arrays = self._arrays
+        if arrays is None:
+            topo = self.topology
+            width = max(topo.ases) + 1
+            batch = max(1, min(self.cache_size, _BATCH_CELLS // width))
+            rows = (np.arange(batch) * width)[:, None]
+            arrays = self._arrays = _RouteArrays(
+                width=width,
+                batch=batch,
+                up=_export_edges(topo.customers_of, rows),
+                peer=_export_edges(topo.peers_of, rows),
+                down=_export_edges(topo.providers_of, rows),
+            )
+        return arrays
 
-        # Phase 3: provider routes, bucketed BFS down customer edges.
-        # Buckets are candidate total lengths; unit edge weights keep the
-        # scan monotone (a node finalized at length L never improves).
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for v in topo.ases:
-            if pref_class[v] != -1:
-                for c in topo.customers_of.get(v, ()):
-                    if pref_class[c] != -1:
-                        continue
-                    buckets.setdefault(pref_len[v] + 1, []).append((c, v))
-        length = 0
-        max_length = 2 * (n + 2)
-        while buckets and length <= max_length:
-            if length not in buckets:
-                length += 1
-                continue
-            entries = buckets.pop(length)
-            newly: dict[int, int] = {}
-            for c, via in sorted(entries):
-                if pref_class[c] != -1:
-                    continue
-                best = newly.get(c)
-                if best is None or via < best:
-                    newly[c] = via
-            for c, via in newly.items():
-                pref_class[c] = 2
-                pref_len[c] = length
-                next_hop[c] = via
-                for grandchild in topo.customers_of.get(c, ()):
-                    if pref_class[grandchild] == -1:
-                        buckets.setdefault(length + 1, []).append(
-                            (grandchild, c)
-                        )
-            length += 1
+    @staticmethod
+    def _route_trees(arrays: _RouteArrays, dsts: list[int]) -> list[RouteTree]:
+        """The kernel: route trees of ``dsts`` (distinct, at most a batch).
 
-        return RouteTree(
-            dst=dst,
-            pref_class=pref_class,
-            pref_len=pref_len,
-            next_hop=next_hop,
-            customer_next=next_c,
-        )
+        State is three flat int32 tables over cells ``row * width + asn``,
+        one row per destination. A *relaxation* over an edge set runs
+        level by level: at level ``L`` every edge whose tail holds a route
+        of length ``L`` fires at a head that holds none, and the head
+        takes length ``L + 1`` through the lowest-ASN tail that fired.
+        Levels ascend, so the first route a cell gets is its shortest in
+        that class, and classes run best first, so it is its preferred
+        one. The peer relaxation reads lengths frozen after the customer
+        phase — a peer route is never re-exported to a peer.
+        """
+        width = arrays.width
+        rows = len(dsts)
+        roots = np.arange(rows) * width + np.array(dsts)
+        pref_class = np.full(rows * width, -1, np.int32)
+        pref_len = np.full(rows * width, _UNREACHABLE, np.int32)
+        next_hop = np.full(rows * width, -1, np.int32)
+        pref_class[roots] = 0
+        pref_len[roots] = 0
+
+        def relax(
+            edges: _ExportEdges, lengths: np.ndarray, route_class: int, longest: int
+        ) -> int:
+            """Run one phase; ``longest`` is the longest route held so far."""
+            per_row = edges.tail.size
+            flat_tail = edges.flat_tail[: rows * per_row]
+            flat_head = edges.flat_head[: rows * per_row]
+            level = 0
+            while level <= longest:
+                fires = (lengths == level).take(flat_tail)
+                fires &= (pref_class < 0).take(flat_head)
+                fired = np.flatnonzero(fires)
+                level += 1
+                if fired.size:
+                    # ``fired`` ascends in (row, head, tail) order, so each
+                    # head's lowest-ASN exporter opens its run. (Assigning
+                    # through the repeated heads and trusting the write
+                    # order would not do: numpy leaves that unspecified.)
+                    heads = flat_head.take(fired)
+                    opens_run = np.empty(heads.size, bool)
+                    opens_run[0] = True
+                    np.not_equal(heads[1:], heads[:-1], out=opens_run[1:])
+                    heads = heads[opens_run]
+                    pref_class[heads] = route_class
+                    pref_len[heads] = level
+                    next_hop[heads] = edges.tail.take(fired[opens_run] % per_row)
+                    longest = max(longest, level)
+            return longest
+
+        longest = relax(arrays.up, pref_len, 0, 0)
+        customer_len = pref_len.copy()
+        customer_next = next_hop.copy()
+        next_hop[roots] = dsts
+        longest = relax(arrays.peer, customer_len, 1, longest)
+        relax(arrays.down, pref_len, 2, longest)
+
+        # Callers index the tables per hop and feed the ASNs into digests
+        # and wire encodings: plain lists of Python ints, as ever.
+        tables = [
+            table.reshape(rows, width).tolist()
+            for table in (pref_class, pref_len, next_hop, customer_next)
+        ]
+        return [
+            RouteTree(dst, *(table[row] for table in tables))
+            for row, dst in enumerate(dsts)
+        ]
 
     # ----------------------------------------------------------- path walks
 
     def path_asns(self, src: int, dst: int) -> list[int]:
         """The preferred valley-free AS path from ``src`` to ``dst``."""
+        self._require(src)
+        self._require(dst)
         if src == dst:
             return [src]
         tree = self.tree(dst)

@@ -378,20 +378,26 @@ class TrafficMatrix:
         #: Accumulated load per directed AS-level edge ``(a, b)``.
         self.channel_load: dict[tuple[int, int], float] = {}
         self.demands: list[tuple[int, int, float]] = []
-        # Route demands grouped by destination so the router's
-        # per-destination tree cache is hit once per distinct sink.
+        # Route demands grouped by destination: the router is handed the
+        # distinct sinks in the order they come up and computes their
+        # trees a batch at a time, so every path below finds its tree in
+        # the router's LRU.
         order = sorted(range(k), key=lambda i: (int(dst_idx[i]), int(src_idx[i]), i))
+        by_sink: dict[int, list[tuple[int, float]]] = {}
         for i in order:
             src, dst = ases[int(src_idx[i])], ases[int(dst_idx[i])]
             if src == dst:
                 continue
             intensity = float(intensities[i])
             self.demands.append((src, dst, intensity))
-            asns = topology.policy_segment_asns(src, dst)
-            for a, b in zip(asns, asns[1:]):
-                self.channel_load[(a, b)] = (
-                    self.channel_load.get((a, b), 0.0) + intensity
-                )
+            by_sink.setdefault(dst, []).append((src, intensity))
+        for tree in topology.router.trees(by_sink):
+            for src, intensity in by_sink[tree.dst]:
+                asns = topology.policy_segment_asns(src, tree.dst)
+                for a, b in zip(asns, asns[1:]):
+                    self.channel_load[(a, b)] = (
+                        self.channel_load.get((a, b), 0.0) + intensity
+                    )
 
     def utilization_of(self, a: int, b: int) -> float:
         """The base utilization installed on the a→b channel."""

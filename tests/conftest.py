@@ -94,6 +94,22 @@ if not _HAVE_PYTEST_TIMEOUT:
 
 
 @pytest.fixture
+def derived_streams(monkeypatch):
+    """The ``(seed, *labels)`` of every stream derived while the test runs."""
+    from repro.common import rng
+
+    derived = []
+    real = rng.derive_rng
+
+    def counting(*labels):
+        derived.append(labels)
+        return real(*labels)
+
+    monkeypatch.setattr(rng, "derive_rng", counting)
+    return derived
+
+
+@pytest.fixture
 def two_as_network():
     """AS1 -10ms- AS2 with a client in AS1 and an echo server in AS2."""
     sim = Simulator()

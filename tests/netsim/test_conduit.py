@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.rng import BufferedRng, derive_rng
 from repro.netsim.conduit import DirectedChannel, FaultOverlay, Link
 from repro.netsim.congestion import CongestionConfig, CongestionProcess, calm_congestion
 from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
@@ -57,6 +58,19 @@ class TestBasicTransit:
         delays_a = [a.transit(_packet(seq=i), float(i)).delay for i in range(20)]
         delays_b = [b.transit(_packet(seq=i), float(i)).delay for i in range(20)]
         assert delays_a == delays_b
+
+
+    def test_channel_no_packet_crosses_builds_no_stream(self, derived_streams):
+        """Construction derives nothing — not the channel's own stream, not
+        its calm congestion process's; the first packet derives the
+        channel's, and the draws are those of the eagerly built stream."""
+        link = Link.symmetric("idle", base_delay=1e-3, jitter_std=1e-4, seed=9)
+        assert derived_streams == []
+        delay = link.forward.transit(_packet(), 0.0).delay
+        assert derived_streams == [(9, "channel", "idle/fwd")]
+        eager = DirectedChannel("idle/fwd", base_delay=1e-3, jitter_std=1e-4, seed=9)
+        eager._rng = BufferedRng(derive_rng(9, "channel", "idle/fwd"))
+        assert delay == eager.transit(_packet(), 0.0).delay
 
 
 class TestSelfQueueing:

@@ -36,6 +36,17 @@ class TestUtilization:
         samples_b = [b.utilization(t) for t in range(0, 50000, 500)]
         assert samples_a != samples_b
 
+    def test_stream_is_derived_only_when_bursts_are_scheduled(self, derived_streams):
+        """A burst-free process (every calm link, every process the
+        traffic matrix installs) never draws, so it derives no stream; one
+        with bursts derives exactly the ``(seed, label, "bursts")`` stream."""
+        calm_congestion(seed=3)
+        CongestionProcess(CongestionConfig(burst_rate=0.0), seed=3)
+        assert derived_streams == []
+        bursty = CongestionProcess(CongestionConfig(), seed=3, label="x")
+        assert derived_streams == [(3, "x", "bursts")]
+        assert bursty._bursts
+
     def test_diurnal_variation_present(self):
         config = CongestionConfig(diurnal_amplitude=0.2, burst_rate=0.0)
         process = CongestionProcess(config, seed=1)

@@ -88,6 +88,25 @@ class TestDerivedStreams:
         expected = [float(bare.standard_normal()) for _ in range(5000)]
         assert values == expected
 
+    def test_derived_stream_is_built_at_its_first_draw(self, derived_streams):
+        buffered = derive_buffered_rng(42, "channel", "a/fwd")
+        assert derived_streams == []
+        first = float(buffered.random())
+        second = float(buffered.gamma(2.0, 0.5))
+        assert derived_streams == [(42, "channel", "a/fwd")]
+        bare = derive_rng(42, "channel", "a/fwd")
+        assert [first, second] == [
+            float(bare.random()), 0.5 * float(bare.standard_gamma(2.0))
+        ]
+        # The pass-through side of the façade derives it just the same.
+        other = derive_buffered_rng(42, "channel", "a/rev")
+        assert list(other.integers(0, 100, 4)) == list(
+            derive_rng(42, "channel", "a/rev").integers(0, 100, 4)
+        )
+        assert derived_streams == [
+            (42, "channel", "a/fwd"), (42, "channel", "a/rev")
+        ]
+
     def test_passthrough_attribute_access_realigns(self):
         buffered = BufferedRng(
             np.random.default_rng(99), block=16, threshold=4
