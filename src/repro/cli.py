@@ -335,6 +335,8 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
               f"{summary['speedup_fast_over_event']:.1f}x")
     if "digest_match" in summary:
         verdict = "MATCH" if summary["digest_match"] else "MISMATCH"
+        if summary.get("digest_match_vacuous"):
+            verdict += " (vacuous: no pool worked for the sharded run)"
         print(f"serial vs sharded digest: {verdict}")
     return status
 

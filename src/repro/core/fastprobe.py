@@ -8,9 +8,10 @@ contract stated in :mod:`repro.core.probing` — ``network`` plus
 / ``loss_rate()`` / ``mean_rtt_ms()`` — so
 ``FaultLocalizer(FastSegmentProber(network))`` runs any strategy on the
 fast path: same driver, same plans, same judge, same report shape. A batch
-is built on the calling process and simulated inline, or on the
-:class:`~repro.perf.parallel.CellPool` a campaign engine hands the prober
-for the duration of its run.
+is built on the calling process and simulated as one call of the batch
+kernel (:func:`~repro.netsim.fastpath.simulate_cell_batch`) inline, or on
+the :class:`~repro.perf.parallel.CellPool` a campaign engine hands the
+prober for the duration of its run.
 
 Contract: statistically equivalent to the event-driven reference on
 measurements the event engine completes, verdict-level where its client
@@ -32,7 +33,7 @@ from repro.netsim.fastpath import (
     ProbeCell,
     cell_seed,
     extract_segment_cell,
-    simulate_cell_arrays,
+    simulate_cell_batch,
 )
 from repro.core.probing import SegmentRequest, Vantage
 from repro.netsim.network import Network
@@ -49,7 +50,8 @@ class FastSegmentMeasurement:
     """Vectorized counterpart of :class:`~repro.core.probing.SegmentMeasurement`.
 
     Carries the raw per-probe arrays instead of VM execution records;
-    exposes the same judgment surface.
+    exposes the same judgment surface. ``mean_ms`` / ``loss`` are the
+    statistics of ``rtts``, taken once where the measurement is built.
     """
 
     client: Vantage
@@ -59,6 +61,8 @@ class FastSegmentMeasurement:
     probes: int
     send_times: np.ndarray
     rtts: np.ndarray  # seconds, NaN = lost, sandbox overhead included
+    mean_ms: float  # over delivered probes; NaN when none was
+    loss: float
     started_at: float = 0.0
     finished_at: float = 0.0
 
@@ -67,14 +71,10 @@ class FastSegmentMeasurement:
         return True  # the vectorized path has no VM execution to fail
 
     def mean_rtt_ms(self) -> float:
-        if np.all(np.isnan(self.rtts)):
-            return float("nan")
-        return float(np.nanmean(self.rtts)) * 1e3
+        return self.mean_ms
 
     def loss_rate(self) -> float:
-        if self.probes == 0:
-            return 0.0
-        return float(np.isnan(self.rtts).sum()) / self.probes
+        return self.loss
 
 
 class FastSegmentProber:
@@ -163,9 +163,16 @@ class FastSegmentProber:
     ) -> FastSegmentMeasurement:
         """Wrap simulated arrays as a judged-measurement object."""
         rtts = rtts + self.sandbox_overhead  # NaN + c stays NaN
+        lost = np.isnan(rtts)
+        delivered = cell.count - int(lost.sum())
         finished = float(cell.start + (cell.count - 1) * cell.interval)
-        finite = rtts[~np.isnan(rtts)]
-        finished += float(finite.max()) if finite.size else cell.timeout
+        if delivered:
+            finished += float(np.fmax.reduce(rtts))
+            # nanmean's arithmetic exactly: lost entries summed as 0.0.
+            mean_ms = float(np.where(lost, 0.0, rtts).sum() / delivered) * 1e3
+        else:
+            finished += cell.timeout
+            mean_ms = float("nan")
         return FastSegmentMeasurement(
             client=client,
             server=server,
@@ -174,6 +181,8 @@ class FastSegmentProber:
             probes=cell.count,
             send_times=send_times,
             rtts=rtts,
+            mean_ms=mean_ms,
+            loss=(cell.count - delivered) / cell.count,
             started_at=float(cell.start),
             finished_at=finished,
         )
@@ -209,7 +218,7 @@ class FastSegmentProber:
             )
             self.measurements_run += 1
         if self.pool is None:
-            arrays = map(simulate_cell_arrays, cells)
+            arrays = simulate_cell_batch(cells)
         else:
             region_of = getattr(self.network.topology, "region_of", {})
             arrays = self.pool.run(

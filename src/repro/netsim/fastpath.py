@@ -5,17 +5,40 @@ The §II motivation experiments push millions of probes through
 RNG calls per packet. For *open-loop* probe trains — a fixed send schedule
 with no feedback, exactly the :class:`~repro.netsim.traffic.MultiProtocolProber`
 shape — every per-packet quantity is an independent function of the send
-time, so an entire train can be simulated as numpy array operations.
+time, so an entire train can be simulated as numpy array operations, and a
+*batch* of trains as the same operations on ``(cell, probe)`` arrays.
 
-**Equivalence contract.** :func:`simulate_cell` produces a
-:class:`~repro.netsim.trace.MeasurementTrace` whose per-protocol
-mean/std/loss statistics match the event-driven reference within sampling
-tolerance (property-tested in ``tests/properties/test_prop_fastpath.py``).
-It is *not* bit-identical: the fast path draws its randomness from a
-per-cell stream derived via the standard ``derive_rng`` scheme, which also
-makes every cell independent — serial and process-parallel execution give
-identical results. The fast path deliberately skips two effects that are
-negligible for paper-style probing and documented in DESIGN.md:
+**A cell** (:class:`ProbeCell`) is a train's schedule, its seed, and its
+round trip as packed rows: one row of :data:`STAGE_WIDTH` floats per
+channel traversal, holding what :meth:`DirectedChannel.transit` would read
+for the probe's protocol and addresses, plus :class:`StageExtras` (bursts,
+churn shifts, overlay windows, a per-packet ECMP route table) on the few
+stages that have any. :func:`extract_probe_cell` / :func:`extract_segment_cell`
+build one; a ten-stage cell pickles to about 1.5 KB.
+
+**The kernel** (:func:`simulate_cell_batch`) is stage-synchronous: cells of
+equal probe count travel together, a block of at most ``2**14 // count``
+at a time, deepest first, and stage ``k`` of every cell still travelling is
+one round of array operations, the per-stage numbers read as ``(cells, 1)``
+columns. :func:`simulate_cell_arrays` is its batch of one. Who calls it
+with how many cells: an epoch of a campaign inline
+(:meth:`~repro.core.fastprobe.FastSegmentProber.measure_batch`), one client
+region's share of an epoch per pool task, one cell per task in the §II
+study (:mod:`repro.perf.parallel`).
+
+**Contracts.** *Bit-identical:* a cell's arrays are a pure function of the
+cell — batched ≡ one at a time ≡ the per-cell kernel this one replaced
+(kept as ``tests/netsim/cell_reference.py``), whatever the batch, the order
+or the process, because each cell draws from its own
+``default_rng(cell.seed)`` in a fixed order and every element sees the
+same IEEE operations (``tests/properties/test_prop_cell_kernel.py``; golden
+hashes from the parent commit in ``tests/netsim/``). Serial ≡ sharded
+campaigns rest on this. *Statistical:* :func:`simulate_cell`'s
+per-protocol mean/std/loss match the event-driven reference within
+sampling tolerance (``tests/properties/test_prop_fastpath.py``) — never
+bit-identical, the streams differ. The fast path deliberately skips two
+effects that are negligible for paper-style probing and documented in
+DESIGN.md:
 
 - the Lindley self-queueing term (probe interarrival ≫ transmission time
   for one-per-second 64-byte probes on multi-Gbps channels), and
@@ -34,7 +57,8 @@ decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -58,29 +82,6 @@ class FastPathUnsupported(SimulationError):
 
 
 @dataclass(frozen=True)
-class CongestionParams:
-    """Picklable snapshot of a :class:`CongestionProcess`."""
-
-    base: float
-    amplitude: float
-    phase: float
-    bursts: tuple[tuple[float, float, float], ...]  # (start, end, magnitude)
-    queue_service_time: float
-    queue_shape: float
-    priority_fraction: float
-    drop_threshold: float
-    drop_scale: float
-
-    def utilization(self, t: np.ndarray) -> np.ndarray:
-        u = np.full(t.shape, self.base)
-        if self.amplitude:
-            u += self.amplitude * np.sin(2.0 * math.pi * t / DAY + self.phase)
-        for start, end, magnitude in self.bursts:
-            u += magnitude * ((t >= start) & (t < end))
-        return np.clip(u, 0.0, 0.99)
-
-
-@dataclass(frozen=True)
 class OverlayWindow:
     """Picklable snapshot of a protocol-filtered :class:`FaultOverlay`.
 
@@ -99,29 +100,55 @@ class OverlayWindow:
     extra_jitter: float = 0.0
 
 
-@dataclass(frozen=True)
-class ChannelStage:
-    """One channel traversal of a probe's round trip, vectorizable."""
+#: Columns of a packed stage row: everything one channel traversal
+#: contributes that is a plain number, already resolved for the probe's
+#: protocol and addresses. ``BACKLOG_FRACTION`` is 1.0 off the priority
+#: queue; ``FIXED_DELAY`` is propagation + transmission; on a fixed route
+#: ``ROUTE_OFFSET`` / ``JITTER_SCALE`` include the selected route's offset
+#: and jitter, under per-packet ECMP they hold 0.0 / the channel's own
+#: jitter and the route table is in the stage's :class:`StageExtras`.
+(
+    UTILIZATION,
+    AMPLITUDE,
+    PHASE,
+    SERVICE_TIME,
+    QUEUE_SHAPE,
+    BACKLOG_FRACTION,
+    DROP_THRESHOLD,
+    DROP_SCALE,
+    BASE_DROP,
+    DROP_MULTIPLIER,
+    FIXED_DELAY,
+    ROUTE_OFFSET,
+    EXTRA_DELAY,
+    JITTER_SCALE,
+) = range(14)
+STAGE_WIDTH = 14
 
-    base_delay: float
-    transmission: float
-    priority: bool
-    extra_delay: float
-    base_drop: float
-    drop_multiplier: float
-    jitter_base: float  # jitter_std + treatment.extra_jitter
-    route_offsets: tuple[float, ...]
-    route_jitters: tuple[float, ...]
-    route_weights: tuple[float, ...]  # normalized; () when route is fixed
-    fixed_route: int  # used when route_weights is empty
-    congestion: CongestionParams
-    churn: tuple[tuple[float, float, float], ...]  # (start, end, delta)
+Window = tuple[float, float, float]  # (start, end, value while active)
+
+
+@dataclass(frozen=True)
+class StageExtras:
+    """The ragged part of a stage; only stages that have any carry one."""
+
+    bursts: tuple[Window, ...] = ()  # utilization bursts, natural + injected
+    churn: tuple[Window, ...] = ()  # route-churn delay shifts
     overlays: tuple[OverlayWindow, ...] = ()
+    #: Per-packet ECMP: (cumulative weights, delay offsets, jitters), one
+    #: entry per route; ``None`` when the route is fixed for the train.
+    routes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeCell:
-    """One (probe train) cell: schedule plus its round-trip stages."""
+    """One (probe train) cell: schedule plus its round-trip stages.
+
+    ``stages`` is a ``(traversals, STAGE_WIDTH)`` float array, one packed
+    row per channel traversal in forwarding order; ``extras`` lists
+    ``(stage index, StageExtras)`` for the stages that have ragged parts.
+    A small picklable value: this is what crosses the process boundary.
+    """
 
     label: str
     protocol: Protocol
@@ -130,41 +157,48 @@ class ProbeCell:
     start: float
     timeout: float
     seed: int
-    stages: tuple[ChannelStage, ...]
+    stages: np.ndarray
+    extras: tuple[tuple[int, StageExtras], ...] = ()
+
+
+#: One channel traversal as extracted: its packed row, its extras if any.
+Traversal = tuple[tuple[float, ...], "StageExtras | None"]
 
 
 # --------------------------------------------------------------- extraction
 
 
-def _stage_from_channel(channel: DirectedChannel, packet: Packet) -> ChannelStage:
-    """Snapshot ``channel`` as seen by ``packet``'s protocol."""
-    overlays = tuple(
-        OverlayWindow(
-            start=o.start,
-            end=o.end,
-            extra_delay=o.extra_delay,
-            extra_loss=o.extra_loss,
-            blackhole=o.blackhole,
-            extra_jitter=o.extra_jitter,
-        )
-        for o in channel.overlays
-        if o.protocols is None or packet.protocol in o.protocols
-    )
-    treatment = channel.treatment.for_protocol(packet.protocol)
+def _stage_from_channel(channel: DirectedChannel, packet: Packet) -> Traversal:
+    """``channel`` as ``packet`` would cross it: one packed row, plus extras.
+
+    Reads exactly what :meth:`DirectedChannel.transit` reads for the same
+    packet (treatment, priority-address rewrite, ECMP group and selection,
+    transmission time); extras are ``None`` unless the channel has bursts,
+    churn shifts or overlays that apply to the protocol, or sprays it per
+    packet.
+    """
+    protocol = packet.protocol
+    treatment = channel.treatment.for_protocol(protocol)
+    priority, drop_multiplier = treatment.priority, treatment.drop_multiplier
     if channel.priority_addresses and (
         packet.src in channel.priority_addresses
         or packet.dst in channel.priority_addresses
     ):
-        treatment = replace(treatment, priority=True, drop_multiplier=0.0)
+        priority, drop_multiplier = True, 0.0
 
-    ecmp = channel.ecmp_for(packet.protocol)
+    ecmp = channel.ecmp_for(protocol)
     granularity = treatment.ecmp_granularity
-    offsets = tuple(route.delay_offset for route in ecmp.routes)
-    jitters = tuple(route.jitter for route in ecmp.routes)
+    routes = None
+    route_offset = route_jitter = 0.0
     if granularity is HashGranularity.PER_PACKET and len(ecmp) > 1:
         total = sum(route.weight for route in ecmp.routes)
-        weights = tuple(route.weight / total for route in ecmp.routes)
-        fixed = 0
+        cumulative = np.cumsum([route.weight / total for route in ecmp.routes])
+        cumulative[-1] = 1.0
+        routes = (
+            cumulative,
+            np.array([route.delay_offset for route in ecmp.routes]),
+            np.array([route.jitter for route in ecmp.routes]),
+        )
     elif granularity is HashGranularity.PER_FLOWLET and len(ecmp) > 1:
         raise FastPathUnsupported(
             f"channel {channel.name}: flowlet ECMP is time-dependent"
@@ -173,45 +207,71 @@ def _stage_from_channel(channel: DirectedChannel, packet: Packet) -> ChannelStag
         # SINGLE always picks route 0; PER_FLOW / PER_DEST hash quantities
         # that are constant across an open-loop train, so the event-driven
         # selection is a fixed index we can compute exactly.
-        weights = ()
-        fixed = ecmp.select(packet, 0.0, granularity)
+        route = ecmp.routes[ecmp.select(packet, 0.0, granularity)]
+        route_offset, route_jitter = route.delay_offset, route.jitter
 
     congestion = channel.congestion
     config = congestion.config
-    bursts = tuple(
-        (burst.start, burst.end, burst.magnitude)
-        for burst in (congestion._bursts + congestion._extra)
+    row = (
+        config.base_utilization,
+        config.diurnal_amplitude,
+        config.diurnal_phase,
+        config.queue_service_time,
+        config.queue_shape,
+        config.priority_backlog_fraction if priority else 1.0,
+        config.drop_threshold,
+        config.drop_scale,
+        treatment.base_drop,
+        drop_multiplier,
+        channel.base_delay + channel.transmission_time(packet.size),
+        route_offset,
+        treatment.extra_delay,
+        channel.jitter_std + treatment.extra_jitter + route_jitter,
     )
-    churn = tuple(
-        (shift.start, shift.end, shift.delta)
-        for shift in channel.churn.shifts
-        if shift.protocols is None or packet.protocol in shift.protocols
-    )
-    return ChannelStage(
-        base_delay=channel.base_delay,
-        transmission=channel.transmission_time(packet.size),
-        priority=treatment.priority,
-        extra_delay=treatment.extra_delay,
-        base_drop=treatment.base_drop,
-        drop_multiplier=treatment.drop_multiplier,
-        jitter_base=channel.jitter_std + treatment.extra_jitter,
-        route_offsets=offsets,
-        route_jitters=jitters,
-        route_weights=weights,
-        fixed_route=fixed,
-        congestion=CongestionParams(
-            base=config.base_utilization,
-            amplitude=config.diurnal_amplitude,
-            phase=config.diurnal_phase,
-            bursts=bursts,
-            queue_service_time=config.queue_service_time,
-            queue_shape=config.queue_shape,
-            priority_fraction=config.priority_backlog_fraction,
-            drop_threshold=config.drop_threshold,
-            drop_scale=config.drop_scale,
+    bursts: tuple = ()
+    churn: tuple = ()
+    overlays: tuple = ()
+    if congestion._bursts or congestion._extra:
+        bursts = tuple(
+            (burst.start, burst.end, burst.magnitude)
+            for burst in (congestion._bursts + congestion._extra)
+        )
+    if channel.churn.shifts:
+        churn = tuple(
+            (shift.start, shift.end, shift.delta)
+            for shift in channel.churn.shifts
+            if shift.protocols is None or protocol in shift.protocols
+        )
+    if channel.overlays:
+        overlays = tuple(
+            OverlayWindow(
+                start=o.start,
+                end=o.end,
+                extra_delay=o.extra_delay,
+                extra_loss=o.extra_loss,
+                blackhole=o.blackhole,
+                extra_jitter=o.extra_jitter,
+            )
+            for o in channel.overlays
+            if o.protocols is None or protocol in o.protocols
+        )
+    if bursts or churn or overlays or routes is not None:
+        return row, StageExtras(bursts, churn, overlays, routes)
+    return row, None
+
+
+def _pack_cell(traversals: list[Traversal], **schedule) -> ProbeCell:
+    """The cell whose round trip is ``traversals``, in forwarding order."""
+    return ProbeCell(
+        stages=np.array([row for row, _ in traversals], dtype=np.float64).reshape(
+            -1, STAGE_WIDTH
         ),
-        churn=churn,
-        overlays=overlays,
+        extras=tuple(
+            (index, extras)
+            for index, (_, extras) in enumerate(traversals)
+            if extras is not None
+        ),
+        **schedule,
     )
 
 
@@ -234,9 +294,9 @@ def extract_probe_cell(
     """Snapshot one echo-probe train as a vectorizable :class:`ProbeCell`.
 
     Walks the same trails the event-driven path would use (probe out,
-    echo reply back) and converts every traversed channel into a
-    :class:`ChannelStage`. Raises :class:`FastPathUnsupported` when the
-    scenario relies on effects only the event-driven path models.
+    echo reply back) and converts every traversed channel into one packed
+    stage row. Raises :class:`FastPathUnsupported` when the scenario
+    relies on effects only the event-driven path models.
     """
     if count <= 0:
         raise ConfigurationError("probe count must be positive")
@@ -263,7 +323,8 @@ def extract_probe_cell(
         trail = network._build_trail(packet, None)
         for segment in trail:
             stages.append(_stage_from_channel(segment.channel, packet))
-    return ProbeCell(
+    return _pack_cell(
+        stages,
         label=label,
         protocol=protocol,
         count=count,
@@ -271,7 +332,6 @@ def extract_probe_cell(
         start=start,
         timeout=timeout,
         seed=seed,
-        stages=tuple(stages),
     )
 
 
@@ -281,7 +341,7 @@ def _segment_stages(
     packet: Packet,
     src_attachment: str,
     dst_attachment: str,
-) -> list[ChannelStage]:
+) -> list[Traversal]:
     """Stages for one direction of a pinned segment traversal."""
     try:
         return [
@@ -346,7 +406,8 @@ def extract_segment_cell(
         server_attachment,
         client_attachment,
     )
-    return ProbeCell(
+    return _pack_cell(
+        stages,
         label=label,
         protocol=protocol,
         count=count,
@@ -354,7 +415,6 @@ def extract_segment_cell(
         start=start,
         timeout=timeout,
         seed=seed,
-        stages=tuple(stages),
     )
 
 
@@ -372,110 +432,245 @@ def _vantage_address(vantage: tuple[int, int]) -> "Address":
 # --------------------------------------------------------------- simulation
 
 
-def simulate_cell_arrays(cell: ProbeCell) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one open-loop probe train entirely as array operations.
+Arrays = tuple[np.ndarray, np.ndarray]
 
-    Returns ``(send_times, rtts)`` with NaN rtt marking a lost probe —
-    the raw form :mod:`repro.perf.parallel` ships across process
-    boundaries (two float arrays pickle far cheaper than per-probe record
-    objects). Pure function of ``cell`` (including its embedded seed):
-    calling it from any process or in any order yields bit-identical
-    arrays, which is what makes the parallel fan-out safe.
+#: Elements of one block's ``(cell, probe)`` arrays: 128 KiB of floats per
+#: array, so a block's working set stays cache-sized whatever the batch. A
+#: block holds ``_BLOCK_ELEMENTS // count`` cells (at least one).
+_BLOCK_ELEMENTS = 2**14
+
+_TWO_PI = 2.0 * math.pi
+_PADDING = np.zeros((1, STAGE_WIDTH))
+_PADDING[0, QUEUE_SHAPE] = 1.0  # an idle stage that divides by nothing
+
+
+def simulate_cell_batch(cells: Sequence[ProbeCell]) -> list[Arrays]:
+    """Simulate open-loop probe trains, a batch at a time, as array operations.
+
+    Returns one ``(send_times, rtts)`` pair per cell, in input order, NaN
+    rtt marking a lost probe — the raw form :mod:`repro.perf.parallel`
+    ships across process boundaries (two float arrays pickle far cheaper
+    than per-probe record objects). Each pair is a pure function of its
+    cell (including its embedded seed): whatever batch a cell travels in,
+    in whatever order, in whichever process, its arrays are bit-identical
+    — which is what makes batching and the parallel fan-out safe.
+
+    Cells of equal ``count`` are simulated together, a block at a time,
+    deepest cell first so that the cells still travelling at any stage are
+    a prefix of the block's rows.
     """
-    rng = np.random.default_rng(cell.seed)
-    n = cell.count
-    send_times = cell.start + cell.interval * np.arange(n, dtype=np.float64)
-    t = send_times.copy()  # arrival instant at the current stage
-    delivered = np.ones(n, dtype=bool)
+    results: list[Arrays | None] = [None] * len(cells)
+    by_count: dict[int, list[int]] = {}
+    for index, cell in enumerate(cells):
+        by_count.setdefault(cell.count, []).append(index)
+    for count, indices in by_count.items():
+        indices.sort(key=lambda index: -len(cells[index].stages))
+        width = max(1, _BLOCK_ELEMENTS // count)
+        for at in range(0, len(indices), width):
+            block = indices[at : at + width]
+            arrays = _simulate_block([cells[index] for index in block])
+            for index, pair in zip(block, arrays):
+                results[index] = pair
+    return results
 
-    for stage in cell.stages:
-        congestion = stage.congestion
-        u = congestion.utilization(t)
 
-        # Fault-overlay activity masks: which probes traverse this
-        # channel inside each overlay's [start, end) window.
-        overlay_masks: list[tuple[OverlayWindow, np.ndarray]] = []
-        if stage.overlays:
-            overlay_masks = [
-                (o, (t >= o.start) & (t < o.end)) for o in stage.overlays
-            ]
+def _congestion_terms(u, columns):
+    """``(drop probability, queue-delay scale)`` at utilization ``u``.
 
-        # Drop decision: protocol floor + congestion loss + overlays.
-        drop_probability = np.full(n, stage.base_drop)
-        excess = u - congestion.drop_threshold
-        over = excess > 0.0
-        if over.any():
-            drop_probability = drop_probability + np.where(
-                over,
-                congestion.drop_scale * excess * excess * stage.drop_multiplier,
-                0.0,
-            )
-        for overlay, mask in overlay_masks:
-            if overlay.blackhole:
-                delivered &= ~mask
-            if overlay.extra_loss:
-                drop_probability = drop_probability + overlay.extra_loss * mask
-        if drop_probability.max() > 0.0:
-            delivered &= rng.random(n) >= np.minimum(drop_probability, 1.0)
-
-        # Route choice.
-        if stage.route_weights:
-            cumulative = np.cumsum(stage.route_weights)
-            cumulative[-1] = 1.0
-            indices = np.searchsorted(cumulative, rng.random(n), side="right")
-            route_offset = np.asarray(stage.route_offsets)[indices]
-            route_jitter = np.asarray(stage.route_jitters)[indices]
-        else:
-            route_offset = stage.route_offsets[stage.fixed_route]
-            route_jitter = stage.route_jitters[stage.fixed_route]
-
-        # Cross-traffic queueing (gamma with the class-appropriate mean).
-        mean_queue = u / (1.0 - u) * congestion.queue_service_time
-        if stage.priority:
-            mean_queue = mean_queue * congestion.priority_fraction
-        shape = congestion.queue_shape
-        queue = rng.standard_gamma(shape, n) * (mean_queue / shape)
-
-        # Per-packet jitter (folded normal), scale possibly per-route.
-        jitter_scale = stage.jitter_base + route_jitter
-        if np.any(jitter_scale > 0.0):
-            jitter = np.abs(rng.standard_normal(n)) * jitter_scale
-        else:
-            jitter = 0.0
-
-        # Route churn offset in effect at the traversal instant.
-        churn_offset = 0.0
-        if stage.churn:
-            churn_offset = np.zeros(n)
-            for start, end, delta in stage.churn:
-                churn_offset += delta * ((t >= start) & (t < end))
-
-        # Overlay delay/jitter, masked to each overlay's active window.
-        overlay_delay = 0.0
-        if overlay_masks:
-            overlay_delay = np.zeros(n)
-            for overlay, mask in overlay_masks:
-                if overlay.extra_delay:
-                    overlay_delay += overlay.extra_delay * mask
-                if overlay.extra_jitter:
-                    overlay_delay += (
-                        np.abs(rng.standard_normal(n)) * overlay.extra_jitter * mask
-                    )
-
-        t = t + (
-            stage.base_delay
-            + stage.transmission
-            + queue
-            + route_offset
-            + churn_offset
-            + stage.extra_delay
-            + overlay_delay
-            + jitter
+    ``columns`` is indexed by packed-row column and broadcasts against
+    ``u``. The scale is what a unit-mean-per-shape gamma draw is multiplied
+    by: the class-appropriate mean queueing delay over the gamma shape.
+    """
+    u = np.minimum(np.maximum(u, 0.0), 0.99)
+    excess = u - columns[DROP_THRESHOLD]
+    over = excess > 0.0
+    drop = columns[BASE_DROP]
+    if over.any():
+        drop = drop + np.where(
+            over,
+            columns[DROP_SCALE] * excess * excess * columns[DROP_MULTIPLIER],
+            0.0,
         )
+    mean_queue = u / (1.0 - u) * columns[SERVICE_TIME] * columns[BACKLOG_FRACTION]
+    return drop, mean_queue / columns[QUEUE_SHAPE]
+
+
+def _simulate_block(cells: list[ProbeCell]) -> Iterable[Arrays]:
+    """The kernel: cells of one ``count``, deepest first, stage by stage.
+
+    Every array is ``(cell, probe)``; the per-stage numbers are ``(cells,
+    1)`` columns. Each element sees the IEEE operations of the per-cell
+    reference (``tests/netsim/cell_reference.py``) in its order, and each
+    cell draws from its own generator in the reference's order (drop,
+    route, queue gamma, jitter normal, overlay-jitter normals, stage by
+    stage) — across cells the order of draws is free. A term the reference
+    skips is computed for a whole stage only where adding it is exact
+    (``+ 0.0`` on a positive sum, ``* 1.0``, ``0 * sin``), and is never
+    drawn for; a term that does not depend on the probe (everything about
+    congestion on a stage without diurnal swing or bursts) is computed once
+    per row instead of once per probe, from the same operations.
+    """
+    rows, n = len(cells), cells[0].count
+    depths = [len(cell.stages) for cell in cells]
+    generators = [np.random.default_rng(cell.seed) for cell in cells]
+    draw_gamma = [generator.standard_gamma for generator in generators]
+    draw_normal = [generator.standard_normal for generator in generators]
+
+    schedule = np.array(
+        [(cell.start, cell.interval, cell.timeout) for cell in cells],
+        dtype=np.float64,
+    ).reshape(rows, 3, 1)
+    send_times = schedule[:, 0] + schedule[:, 1] * np.arange(n, dtype=np.float64)
+    t = send_times.copy()  # arrival instant at the current stage
+    lost = np.zeros((rows, n), dtype=bool)
+    gamma = np.empty((rows, n))
+    noise = np.zeros((rows, n))  # N(0, 1) draws; a stale row meets scale 0
+    gamma_rows, noise_rows = list(gamma), list(noise)
+
+    # table[column, stage, row]: the packed rows regrouped by stage, a
+    # cell's missing stages reading the inert padding row.
+    flat = np.concatenate([cell.stages for cell in cells] + [_PADDING])
+    depth_of = np.array(depths)
+    ends = depth_of.cumsum()
+    stage_index = np.arange(depths[0])[:, None]
+    table = flat.T[
+        :, np.where(stage_index < depth_of, ends - depth_of + stage_index, ends[-1])
+    ]
+    steady_drop, steady_scale = _congestion_terms(table[UTILIZATION], table)
+    shapes = table[QUEUE_SHAPE].tolist()
+    jittered = table[JITTER_SCALE] > 0.0
+    extras_at: dict[int, list[tuple[int, StageExtras]]] = {}
+    for row, cell in enumerate(cells):
+        for index, extras in cell.extras:
+            extras_at.setdefault(index, []).append((row, extras))
+            if extras.routes is not None:
+                jittered[index, row] = False  # decided by the routes drawn
+    # Per stage: does any row have a diurnal swing / a route offset / a
+    # protocol delay / a jitter draw?
+    swings, offsets, delays = (
+        (table[[AMPLITUDE, ROUTE_OFFSET, EXTRA_DELAY]] != 0.0).any(axis=2).tolist()
+    )
+    any_jittered = jittered.any(axis=1).tolist()
+    jittered = jittered.tolist()
+
+    live = rows
+    for k in range(depths[0]):
+        while depths[live - 1] <= k:
+            live -= 1
+        columns = table[:, k, :live, None]
+        now = t[:live]
+        # The ragged extras, per row that has any: bursts, churn shifts,
+        # per-packet route tables, and overlays with their activity masks
+        # (which probes cross this channel inside each [start, end) window).
+        bursts = churned = routed = overlaid = ()
+        overlay_loss = False
+        if k in extras_at:
+            extras = extras_at[k]
+            bursts = [(row, e.bursts) for row, e in extras if e.bursts]
+            churned = [(row, e.churn) for row, e in extras if e.churn]
+            routed = [(row, e.routes) for row, e in extras if e.routes is not None]
+            overlaid = [
+                (
+                    row,
+                    [
+                        (o, (now[row] >= o.start) & (now[row] < o.end))
+                        for o in e.overlays
+                    ],
+                )
+                for row, e in extras
+                if e.overlays
+            ]
+            overlay_loss = any(o.extra_loss for _, e in extras for o in e.overlays)
+
+        # Congestion: steady along a row unless some row of the stage has
+        # a diurnal swing or bursts.
+        if swings[k] or bursts:
+            u = columns[UTILIZATION] + columns[AMPLITUDE] * np.sin(
+                _TWO_PI * now / DAY + columns[PHASE]
+            )
+            for row, spans in bursts:
+                for start, end, magnitude in spans:
+                    u[row] += magnitude * ((now[row] >= start) & (now[row] < end))
+            drop, queue_scale = _congestion_terms(u, columns)
+        else:
+            drop = steady_drop[k, :live, None]
+            queue_scale = steady_scale[k, :live, None]
+
+        # Drop decision: protocol floor + congestion loss + overlays. A row
+        # draws only if it can lose a probe at all.
+        if overlay_loss:
+            drop = np.broadcast_to(drop, now.shape).copy()
+        for row, masks in overlaid:
+            for o, mask in masks:
+                if o.blackhole:
+                    lost[row] |= mask
+                if o.extra_loss:
+                    drop[row] += o.extra_loss * mask
+        if drop.max() > 0.0:
+            for row in np.flatnonzero(drop.max(axis=1) > 0.0).tolist():
+                lost[row] |= generators[row].random(n) < np.minimum(drop[row], 1.0)
+
+        # Route choice: fixed per row, except under per-packet ECMP.
+        route_offset, jitter_scale = columns[ROUTE_OFFSET], columns[JITTER_SCALE]
+        if routed:
+            route_offset = np.repeat(route_offset, n, axis=1)
+            jitter_scale = np.repeat(jitter_scale, n, axis=1)
+            for row, (cumulative, route_offsets, route_jitters) in routed:
+                indices = np.searchsorted(
+                    cumulative, generators[row].random(n), side="right"
+                )
+                route_offset[row] = route_offsets[indices]
+                jitter_scale[row] += route_jitters[indices]
+
+        # Cross-traffic queueing (gamma with the class-appropriate mean)
+        # and per-packet jitter (folded normal, scale possibly per-route).
+        stage_shapes, stage_jittered = shapes[k], jittered[k]
+        for row in range(live):
+            draw_gamma[row](stage_shapes[row], out=gamma_rows[row])
+            if stage_jittered[row]:
+                draw_normal[row](out=noise_rows[row])
+        for row, _ in routed:
+            if np.any(jitter_scale[row] > 0.0):
+                draw_normal[row](out=noise_rows[row])
+
+        # The traversal's delay, summed in the reference's order; churn and
+        # overlay offsets are totalled per row first, as it totals them.
+        delay = gamma[:live] * queue_scale
+        delay += columns[FIXED_DELAY]
+        if offsets[k] or routed:
+            delay += route_offset
+        for row, shifts in churned:
+            offset = np.zeros(n)
+            for start, end, delta in shifts:
+                offset += delta * ((now[row] >= start) & (now[row] < end))
+            delay[row] += offset
+        if delays[k]:
+            delay += columns[EXTRA_DELAY]
+        for row, masks in overlaid:
+            offset = np.zeros(n)
+            for o, mask in masks:
+                if o.extra_delay:
+                    offset += o.extra_delay * mask
+                if o.extra_jitter:
+                    offset += (
+                        np.abs(generators[row].standard_normal(n))
+                        * o.extra_jitter
+                        * mask
+                    )
+            delay[row] += offset
+        if any_jittered[k] or routed:
+            delay += np.abs(noise[:live]) * jitter_scale
+        now += delay
 
     rtts = t - send_times
-    rtts[~delivered | (rtts > cell.timeout)] = np.nan
-    return send_times, rtts
+    rtts[lost | (rtts > schedule[:, 2])] = np.nan
+    return zip(send_times, rtts)
+
+
+def simulate_cell_arrays(cell: ProbeCell) -> Arrays:
+    """``(send_times, rtts)`` of one cell: :func:`simulate_cell_batch` of one."""
+    (arrays,) = simulate_cell_batch([cell])
+    return arrays
 
 
 def simulate_cell(cell: ProbeCell) -> MeasurementTrace:

@@ -1,14 +1,17 @@
 """The one process pool: serial-or-pooled execution of fast-path cells.
 
 A :class:`~repro.netsim.fastpath.ProbeCell` carries its own derived seed,
-so :func:`~repro.netsim.fastpath.simulate_cell_arrays` is a pure function
-of the cell: running cells inline, in another order, or in worker
-processes yields *bit-identical* arrays. :class:`CellPool` is the only
-place that spawns workers; the §II study (:func:`map_cells`, one task per
-cell) and localization campaigns (:class:`~repro.perf.shardloop.CampaignEngine`,
-one task per client region per epoch) both run their cells through it.
+so its arrays are a pure function of the cell: running cells inline, in
+another order, in other batches or in worker processes yields
+*bit-identical* arrays. :class:`CellPool` is the only place that spawns
+workers, and every batch — inline or shipped — goes through the one kernel,
+:func:`~repro.netsim.fastpath.simulate_cell_batch`, which is also the
+worker entry point: the §II study (:func:`map_cells`) ships one cell per
+task, localization campaigns
+(:class:`~repro.perf.shardloop.CampaignEngine`) one client region's share
+of an epoch per task, and inline the whole batch is one kernel call.
 
-Cells are small frozen dataclasses of floats and tuples and workers return
+Cells are packed float rows with a few small tuples and workers return
 bare ``(send_times, rtts)`` arrays, so crossing the process boundary costs
 microseconds per cell.
 
@@ -19,8 +22,10 @@ checks must exercise a real pool even on a one-core runner.
 
 **Degraded mode.** A pool that cannot be spawned (fd exhaustion, fork
 limits, sandboxed environments) or that breaks mid-batch reruns that batch
-serially, stays serial afterwards and counts the event in
+inline, stays serial afterwards and counts the event in
 :data:`fallback_serial_total` — never crashing the study or the campaign.
+:attr:`CellPool.pooled_batches` says how many batches the workers did
+complete, so a caller can tell a pool that worked from one that never did.
 """
 
 from __future__ import annotations
@@ -30,12 +35,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from repro.netsim.fastpath import ProbeCell, simulate_cell_arrays
+from repro.netsim.fastpath import Arrays, ProbeCell, simulate_cell_batch
 from repro.netsim.trace import MeasurementTrace
-
-Arrays = tuple[np.ndarray, np.ndarray]
 
 #: Batches rerun serially because the pool failed to spawn or broke, total
 #: since import. The one fallback counter: campaigns report its movement
@@ -51,14 +52,6 @@ def resolve_workers(workers: int | None, n_tasks: int) -> int:
     return min(max(workers or 0, 0), n_tasks)
 
 
-def simulate_cells_batch(cells: list[ProbeCell]) -> list[Arrays]:
-    """Worker entry point: simulate one task's cells.
-
-    Top-level (picklable) and pure — results depend only on the cells.
-    """
-    return [simulate_cell_arrays(cell) for cell in cells]
-
-
 class CellPool:
     """Runs batches of cells inline or on a process pool spawned once.
 
@@ -69,6 +62,8 @@ class CellPool:
 
     def __init__(self, workers: int | None, n_tasks: int) -> None:
         self.workers = resolve_workers(workers, n_tasks)
+        #: Batches the worker processes completed (0: every cell ran inline).
+        self.pooled_batches = 0
         self._executor: ProcessPoolExecutor | None = None
 
     def __enter__(self) -> "CellPool":
@@ -87,9 +82,10 @@ class CellPool:
     ) -> Iterator[Arrays]:
         """Yield each cell's ``(send_times, rtts)`` in input order.
 
-        Pooled, cells sharing a group key travel as one task, submitted in
-        sorted key order, and the whole batch completes before the first
-        pair is yielded; serially, each pair is computed as it is consumed.
+        Pooled, cells sharing a group key travel as one task (one kernel
+        call in the worker), submitted in sorted key order; serially the
+        whole batch is one kernel call here. Either way the batch completes
+        before the first pair is yielded.
         """
         global fallback_serial_total
         if self.workers:
@@ -104,7 +100,7 @@ class CellPool:
                     (
                         groups[key],
                         self._executor.submit(
-                            simulate_cells_batch, [cells[i] for i in groups[key]]
+                            simulate_cell_batch, [cells[i] for i in groups[key]]
                         ),
                     )
                     for key in sorted(groups)
@@ -117,10 +113,10 @@ class CellPool:
                 self.workers = 0
                 fallback_serial_total += 1
             else:
+                self.pooled_batches += 1
                 yield from results
                 return
-        for cell in cells:
-            yield simulate_cell_arrays(cell)
+        yield from simulate_cell_batch(cells)
 
 
 def map_cells(

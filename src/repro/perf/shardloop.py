@@ -11,27 +11,30 @@ infrastructure):
 
 1. every active episode contributes its next measurement request;
 2. the prober extracts the requests as picklable
-   :class:`~repro.netsim.fastpath.ProbeCell` snapshots — the
-   boundary-crossing unit, a probe train about to traverse (possibly)
-   many regions;
-3. the :class:`~repro.perf.parallel.CellPool` ships one task per client
-   region to its workers, which run the pure
-   :func:`~repro.netsim.fastpath.simulate_cell_arrays` and return bare
-   float arrays;
+   :class:`~repro.netsim.fastpath.ProbeCell` snapshots (packed stage rows
+   plus sparse extras) — the boundary-crossing unit, a probe train about
+   to traverse (possibly) many regions;
+3. the epoch's cells go through the one batch kernel,
+   :func:`~repro.netsim.fastpath.simulate_cell_batch`: all of them in one
+   call inline (``workers=0``), or one call per client region in the
+   workers of the :class:`~repro.perf.parallel.CellPool`, which return
+   bare float arrays;
 4. the driver judges the results and feeds them back into the plans **in
    episode order** — the epoch barrier — unblocking the next round.
 
 Bit-identical determinism: each measurement's RNG stream is derived from
-``(seed, episode, step)``, never from a shared clock or issue order, and
-every episode owns a disjoint simulated-time window, so injected fault
-overlays (time-masked in the vectorized path) cannot leak across episodes.
-Serial (``workers=0``) and sharded runs of the same campaign therefore
-produce byte-identical result digests — pinned against golden constants,
+``(seed, episode, step)``, never from a shared clock or issue order, every
+episode owns a disjoint simulated-time window, so injected fault overlays
+(time-masked in the vectorized path) cannot leak across episodes, and the
+kernel gives a cell the same arrays whatever batch it travels in. Serial
+(``workers=0``) and sharded runs of the same campaign therefore produce
+byte-identical result digests — pinned against golden constants,
 property-tested, and re-checked in CI on every push.
 
 A pool that cannot be spawned, or that breaks, degrades to the serial path
-and says so in :attr:`CampaignResult.fallbacks`, never crashing the
-campaign.
+and says so, never crashing the campaign: :attr:`CampaignResult.fallbacks`
+counts the batches rerun inline, and :attr:`CampaignResult.workers` is the
+pool that did work — 0 when none completed a batch.
 """
 
 from __future__ import annotations
@@ -96,8 +99,8 @@ class CampaignResult:
     epochs: int
     measurements: int
     probes_sent: int
-    workers: int
-    fallbacks: int
+    workers: int  # the pool that did work (0: everything ran inline)
+    fallbacks: int  # batches a failed pool handed back to the serial path
 
     @classmethod
     def from_reports(
@@ -195,7 +198,9 @@ class CampaignEngine:
         return CampaignResult.from_reports(
             self.episodes,
             reports,
-            workers=workers,
+            # The processes that did the work: a pool that never completed
+            # a batch did none of it.
+            workers=workers if pool.pooled_batches else 0,
             fallbacks=parallel.fallback_serial_total - fallbacks_before,
         )
 

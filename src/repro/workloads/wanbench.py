@@ -299,6 +299,7 @@ class ModeOutcome:
             "strategy": config.strategy,
             "seed": config.seed,
             "workers": self.workers,
+            "fallbacks": self.fallbacks,
             "seconds": round(self.wall_seconds, 4),
             "accuracy": round(self.accuracy, 4),
             "measurements": self.measurements,
@@ -391,8 +392,9 @@ def run_wanbench(
 
     Returns per-mode outcomes plus the two headline comparisons: the
     fast-over-event wall-clock speedup and the serial-vs-sharded digest
-    match. Each mode gets a freshly built scenario so no engine can leak
-    state (sim clock, lazily deployed executors) into the next, and starts
+    match (with ``digest_match_vacuous`` when no pool worked for the
+    sharded run). Each mode gets a freshly built scenario so no engine can
+    leak state (sim clock, lazily deployed executors) into the next, and starts
     from a collected heap so none is billed for collecting the garbage the
     previous engine or its own scenario build left behind — a full
     collection is 0.1–0.2 s in a long-lived process, several times the
@@ -427,6 +429,9 @@ def run_wanbench(
         summary["digest_match"] = (
             outcomes["fast"].digest == outcomes["sharded"].digest
         )
+        # A sharded run no pool worked for (none could be spawned, or one
+        # core) is the serial run again: the match says nothing.
+        summary["digest_match_vacuous"] = outcomes["sharded"].workers == 0
     return summary
 
 

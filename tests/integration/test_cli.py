@@ -177,7 +177,9 @@ class TestWanbenchCommand:
         assert payload["digest_match"] is True
         outcomes = payload["outcomes"]
         assert outcomes["fast"]["digest"] == outcomes["sharded"]["digest"]
-        assert outcomes["sharded"]["workers"] == 2
+        assert (outcomes["sharded"]["workers"], outcomes["sharded"]["fallbacks"]) == (2, 0)
+        assert (outcomes["fast"]["workers"], outcomes["fast"]["fallbacks"]) == (0, 0)
+        assert payload["digest_match_vacuous"] is False
         assert set(payload["config"]) == {
             f.name for f in dataclasses.fields(WanbenchConfig)
         }
@@ -206,6 +208,36 @@ class TestWanbenchCommand:
         monkeypatch.setattr(wanbench, "run_wanbench", mismatched)
         assert main([*self.ARGS, *output]) == 1
         assert verdict in capsys.readouterr().out
+
+    def test_pool_that_cannot_spawn_is_not_two_workers(self, monkeypatch, capsys):
+        """Degraded to serial, the sharded run is the serial run again: the
+        digests match (exit 0, results are unaffected) and the document says
+        that no pool ran, that a batch fell back, and that the match
+        therefore compares the serial run with itself."""
+        import json
+
+        from repro.perf import parallel
+
+        def refuse(*args, **kwargs):
+            raise OSError("cannot allocate a worker process")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", refuse)
+        assert main([*self.ARGS, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        sharded = payload["outcomes"]["sharded"]
+        assert (sharded["workers"], sharded["fallbacks"]) == (0, 1)
+        assert payload["digest_match"] is True
+        assert payload["digest_match_vacuous"] is True
+
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert "1 batch(es) rerun serially" in out
+        assert "serial vs sharded digest: MATCH (vacuous" in out
+
+    def test_healthy_text_output_is_not_vacuous(self, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("serial vs sharded digest: MATCH")
 
     def test_unknown_mode_is_a_usage_error(self, capsys):
         assert main(["wanbench", "--modes", "fast,warp"]) == 2
