@@ -5,11 +5,15 @@ All stochastic components in the simulator draw from explicitly threaded
 streams derive them from a parent seed and a string label, so adding a new
 component never perturbs the draws of existing ones.
 
-:class:`BufferedRng` is a drop-in façade over a generator for the scalar
-hot paths (per-packet draws in ``netsim.conduit``, schedule generation in
-``netsim.congestion`` and ``netsim.traffic``): it serves scalar draws from
-pre-filled blocks while guaranteeing the exact draw sequence of the bare
-generator, so seeded traces are unchanged by the buffering.
+:class:`BufferedRng` is a drop-in façade over a generator for single-kind
+scalar streams (schedule generation in ``netsim.congestion`` and
+``netsim.traffic``, slow-path ICMP jitter in ``netsim.network``): it serves
+scalar draws from pre-filled blocks while guaranteeing the exact draw
+sequence of the bare generator, so seeded traces are unchanged by the
+buffering. An interleaved pattern never engages the buffer, so
+``DirectedChannel.transit`` (uniform / gamma / normal per packet) draws
+from its bare generator, scaling the standard forms itself with the
+arithmetic documented below.
 """
 
 from __future__ import annotations
@@ -64,9 +68,8 @@ class BufferedRng:
       internally (``normal(l, s) == l + s * standard_normal()``, etc.).
 
     Buffering only engages after ``threshold`` consecutive draws of the
-    same distribution *kind*, so interleaved usage (e.g. the per-packet
-    uniform/gamma/normal pattern in ``DirectedChannel.transit``) stays on
-    the scalar path with negligible overhead, while single-kind streams
+    same distribution *kind*, so interleaved usage stays on the scalar path
+    (at about twice a bare draw's cost), while single-kind streams
     (slow-path ICMP jitter, Poisson schedules) are served from blocks of
     ``block`` draws per underlying call. Abandoning a partially consumed
     block rewinds the underlying bit-generator state and replays the

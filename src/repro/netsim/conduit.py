@@ -11,18 +11,38 @@ protocol-differential drops — into a single ``transit`` call that yields a
 Channels are used both for individual inter-domain/intra-AS links and, with
 larger parameters, for aggregate Internet paths between distant cities
 (the §II experiments).
+
+``transit`` is the event engine's per-packet budget, so what it reads is
+split in two. What is constant per ``(protocol, prioritized)`` is compiled
+once into a small *plan* — the resolved :class:`ProtocolTreatment` (the
+§VI-E priority variant built once, not per packet), the protocol's
+:class:`EcmpGroup`, and its first route when selection cannot vary
+(``SINGLE``, or a group of one) — and dropped by the ``treatment`` setter.
+Everything a caller may change behind the channel's back is read live, per
+packet: ``priority_addresses`` (a set mutated in place), ``overlays``,
+``congestion`` and ``churn`` (both replaced wholesale by the WAN
+generators), ``base_delay``, ``jitter_std`` and ``bandwidth_bps``. Per
+packet the utilization is read once
+(:meth:`CongestionProcess.drop_and_queue_mean`) and the draws come straight
+from the channel's bare generator in their standard forms, scaled here with
+the arithmetic numpy uses itself — the sequence a seeded trace has always
+seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.common.rng import derive_buffered_rng
+from repro.common import rng as streams
 from repro.netsim.congestion import CongestionProcess, calm_congestion
-from repro.netsim.ecmp import EcmpGroup, single_route
+from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route, single_route
 from repro.netsim.packet import Packet, Protocol
 from repro.netsim.routechurn import RouteChurnProcess, no_churn
-from repro.netsim.treatment import TreatmentProfile
+from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
+
+#: What a protocol with no ECMP group of its own rides: one route, no
+#: offset. Selection over one route keeps no state, so every channel shares it.
+_SINGLE_ROUTE = single_route()
 
 
 @dataclass(frozen=True)
@@ -46,7 +66,7 @@ class FaultOverlay:
         return self.protocols is None or protocol in self.protocols
 
 
-@dataclass
+@dataclass(slots=True)
 class TransitOutcome:
     """Result of pushing one packet through a channel."""
 
@@ -89,10 +109,6 @@ class DirectedChannel:
         self.base_delay = base_delay
         self.bandwidth_bps = bandwidth_bps
         self.jitter_std = jitter_std
-        # Per-protocol caches, invalidated by the ``treatment`` setter and
-        # kept out of the priority-address rewrite path.
-        self._treatment_cache: dict[Protocol, object] = {}
-        self._ecmp_cache: dict[Protocol, EcmpGroup] = {}
         self.treatment = treatment or TreatmentProfile.uniform()
         self.congestion = congestion or calm_congestion(seed, f"{name}/congestion")
         # ECMP groups may differ per protocol (different protocols really
@@ -103,17 +119,15 @@ class DirectedChannel:
             self._ecmp_by_protocol = {None: ecmp}
         else:
             self._ecmp_by_protocol = dict(ecmp)
-        self._default_route = single_route()
         self.churn = churn or no_churn()
         self.overlays: list[FaultOverlay] = []
         # Addresses whose packets get priority treatment regardless of
         # protocol — the §VI-E "ISP prioritizes executor traffic" attack.
         self.priority_addresses: set = set()
-        # BufferedRng preserves the bare generator's draw sequence exactly
-        # (see common.rng), so seeded traces are identical with or without
-        # the buffering layer. The stream is derived at its first draw: a
-        # channel no packet crosses never builds one.
-        self._rng = derive_buffered_rng(seed, "channel", name)
+        # The stream is derived at its first draw: a channel no packet
+        # crosses never builds one.
+        self._stream_labels = (seed, "channel", name)
+        self._rng: streams.RngStream | None = None
         # Lindley recursion state: when the serializer frees up, per class.
         self._busy_until = {True: 0.0, False: 0.0}  # keyed by priority flag
         self.packets_in = 0
@@ -126,7 +140,8 @@ class DirectedChannel:
     @treatment.setter
     def treatment(self, value: TreatmentProfile) -> None:
         self._treatment = value
-        self._treatment_cache = {}
+        # Forwarding plans per protocol, indexed by the prioritized flag.
+        self._plans: tuple[dict, dict] = ({}, {})
 
     def add_overlay(self, overlay: FaultOverlay) -> None:
         self.overlays.append(overlay)
@@ -139,15 +154,27 @@ class DirectedChannel:
 
     def ecmp_for(self, protocol: Protocol) -> EcmpGroup:
         """The route set ``protocol`` is balanced over on this channel."""
-        group = self._ecmp_cache.get(protocol)
+        group = self._ecmp_by_protocol.get(protocol)
         if group is None:
-            group = self._ecmp_by_protocol.get(protocol)
-            if group is None:
-                group = self._ecmp_by_protocol.get(None)
-            if group is None:
-                group = self._default_route
-            self._ecmp_cache[protocol] = group
+            group = self._ecmp_by_protocol.get(None, _SINGLE_ROUTE)
         return group
+
+    def _compile(
+        self, protocol: Protocol, prioritized: bool
+    ) -> tuple[ProtocolTreatment, EcmpGroup, Route | None]:
+        """The forwarding plan for ``protocol``: treatment, route set, and
+        the route itself when selection is constant (else ``None``)."""
+        treatment = self._treatment.for_protocol(protocol)
+        if prioritized:
+            treatment = replace(treatment, priority=True, drop_multiplier=0.0)
+        ecmp = self.ecmp_for(protocol)
+        constant = (
+            treatment.ecmp_granularity is HashGranularity.SINGLE
+            or len(ecmp.routes) == 1
+        )
+        plan = (treatment, ecmp, ecmp.routes[0] if constant else None)
+        self._plans[prioritized][protocol] = plan
+        return plan
 
     def transit(self, packet: Packet, t: float) -> TransitOutcome:
         """Push ``packet`` into the channel at time ``t``.
@@ -156,50 +183,63 @@ class DirectedChannel:
         time until the packet exits the far end.
         """
         self.packets_in += 1
-        treatment = self._treatment_cache.get(packet.protocol)
-        if treatment is None:
-            treatment = self._treatment.for_protocol(packet.protocol)
-            self._treatment_cache[packet.protocol] = treatment
-        if self.priority_addresses and (
-            packet.src in self.priority_addresses
-            or packet.dst in self.priority_addresses
-        ):
-            treatment = replace(treatment, priority=True, drop_multiplier=0.0)
+        protocol = packet.protocol
+        addresses = self.priority_addresses
+        prioritized = bool(addresses) and (
+            packet.src in addresses or packet.dst in addresses
+        )
+        plan = self._plans[prioritized].get(protocol)
+        if plan is None:
+            plan = self._compile(protocol, prioritized)
+        treatment, ecmp, route = plan
+        priority = treatment.priority
         # Overlays are empty in the common case: skip the per-packet list
         # build and both aggregation passes entirely.
         if self.overlays:
-            active = [o for o in self.overlays if o.applies(t, packet.protocol)]
+            active = [o for o in self.overlays if o.applies(t, protocol)]
         else:
             active = ()
 
         # Drop decision: protocol floor + congestion loss + fault overlays.
-        drop_probability = treatment.base_drop
-        drop_probability += self.congestion.drop_probability(
-            t, multiplier=treatment.drop_multiplier
+        congestion = self.congestion
+        congestion_drop, queue_mean = congestion.drop_and_queue_mean(
+            t, treatment.drop_multiplier, priority
         )
+        drop_probability = treatment.base_drop + congestion_drop
         if active:
             if any(overlay.blackhole for overlay in active):
                 self.packets_dropped += 1
                 return TransitOutcome.dropped("blackhole")
             drop_probability += sum(overlay.extra_loss for overlay in active)
-        if drop_probability > 0 and self._rng.random() < min(drop_probability, 1.0):
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = streams.derive_rng(*self._stream_labels)
+        # A uniform in [0, 1) is below any probability of 1 or more.
+        if drop_probability > 0 and rng.random() < drop_probability:
             self.packets_dropped += 1
             return TransitOutcome.dropped("loss")
 
-        ecmp = self.ecmp_for(packet.protocol)
-        route_index = ecmp.select(packet, t, treatment.ecmp_granularity)
-        route = ecmp.route(route_index)
+        if route is None:
+            route_index = ecmp.select(packet, t, treatment.ecmp_granularity)
+            route = ecmp.routes[route_index]
+        else:
+            route_index = 0
 
-        transmission = self.transmission_time(packet.size)
-        self_queue = max(0.0, self._busy_until[treatment.priority] - t)
-        self._busy_until[treatment.priority] = t + self_queue + transmission
+        transmission = packet.size * 8.0 / self.bandwidth_bps
+        busy_until = self._busy_until
+        self_queue = busy_until[priority] - t
+        if self_queue < 0.0:
+            self_queue = 0.0
+        busy_until[priority] = t + self_queue + transmission
 
-        cross_queue = self.congestion.sample_queue_delay(
-            t, self._rng, priority=treatment.priority
-        )
+        if queue_mean > 0.0:
+            shape = congestion.config.queue_shape
+            cross_queue = queue_mean / shape * rng.standard_gamma(shape)
+        else:
+            cross_queue = 0.0
 
         jitter_scale = self.jitter_std + route.jitter + treatment.extra_jitter
-        jitter = abs(float(self._rng.normal(0.0, jitter_scale))) if jitter_scale else 0.0
+        jitter = abs(jitter_scale * rng.standard_normal()) if jitter_scale else 0.0
 
         delay = (
             self.base_delay
@@ -207,7 +247,7 @@ class DirectedChannel:
             + self_queue
             + cross_queue
             + route.delay_offset
-            + (self.churn.offset(t, packet.protocol) if self.churn.shifts else 0.0)
+            + (self.churn.offset(t, protocol) if self.churn.shifts else 0.0)
             + treatment.extra_delay
             + jitter
         )
@@ -215,8 +255,8 @@ class DirectedChannel:
             delay += sum(overlay.extra_delay for overlay in active)
             for overlay in active:
                 if overlay.extra_jitter:
-                    delay += abs(float(self._rng.normal(0.0, overlay.extra_jitter)))
-        return TransitOutcome(delivered=True, delay=delay, route_index=route_index)
+                    delay += abs(overlay.extra_jitter * rng.standard_normal())
+        return TransitOutcome(True, delay, route_index)
 
     @property
     def loss_fraction(self) -> float:

@@ -6,13 +6,22 @@ placed bursts. Queueing-delay samples and drop probabilities are derived
 from the utilization at the query instant, with priority classes seeing a
 fraction of the backlog — this is the mechanism behind the paper's
 observation that ICMP (priority-queued) shows lower jitter than UDP/TCP.
+
+The drop and queue-mean formulas are stated once, in
+:meth:`CongestionProcess.drop_and_queue_mean`, which reads the utilization
+once: it is what :meth:`DirectedChannel.transit` calls per packet, and
+``drop_probability`` / ``mean_queue_delay`` / ``sample_queue_delay`` are
+callers of it. ``utilization(t)`` is exact for any burst schedule — a burst
+is found however many later ones have started — and a process with no
+natural bursts, or none injected, pays nothing for the empty scan.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.common.rng import RngStream, derive_buffered_rng
 
@@ -82,13 +91,11 @@ class CongestionProcess:
         self.horizon = horizon
         self._bursts: list[Burst] = []
         self._burst_starts: list[float] = []
+        # ``_burst_reach[i]`` is the latest end among bursts ``0..i`` (by
+        # start): non-decreasing, so the earliest burst that can still be
+        # active at ``t`` is one bisection away.
+        self._burst_reach: list[float] = []
         self._extra: list[Burst] = []  # fault-injected bursts, kept separate
-        # Memo for the last-queried instant: transit() asks for the drop
-        # probability and the queue mean at the same ``t``, so the second
-        # lookup is free. NaN compares unequal to everything, including
-        # itself, so the memo starts (and can be reset to) always-miss.
-        self._memo_t = float("nan")
-        self._memo_u = 0.0
         # A stream is a pure function of ``(seed, labels)``, so deriving it
         # only when there are bursts to schedule changes no draw — and a
         # continent's worth of calm links derives none. The buffered stream
@@ -99,6 +106,7 @@ class CongestionProcess:
 
     def _generate_bursts(self, rng: RngStream) -> None:
         config = self.config
+        bursts: list[Burst] = []
         time = 0.0
         low, high = config.burst_magnitude_range
         while True:
@@ -107,55 +115,77 @@ class CongestionProcess:
                 break
             duration = float(rng.exponential(config.burst_mean_duration))
             magnitude = float(rng.uniform(low, high))
-            self._bursts.append(Burst(time, duration, magnitude))
-        self._burst_starts = [burst.start for burst in self._bursts]
+            bursts.append(Burst(time, duration, magnitude))
+        self._schedule(bursts)
+
+    def _schedule(self, bursts: list[Burst]) -> None:
+        """Install the natural bursts (ascending ``start``) and their index."""
+        self._bursts = bursts
+        self._burst_starts = [burst.start for burst in bursts]
+        self._burst_reach = list(accumulate((burst.end for burst in bursts), max))
 
     def inject_burst(self, start: float, duration: float, magnitude: float) -> Burst:
         """Add a fault-injected congestion episode (used by fault injection)."""
         burst = Burst(start, duration, magnitude)
         self._extra.append(burst)
-        self._memo_t = float("nan")
         return burst
 
     def clear_injected(self) -> None:
         """Remove all fault-injected bursts."""
         self._extra.clear()
-        self._memo_t = float("nan")
 
     def utilization(self, t: float) -> float:
         """Utilization in [0, 0.99] at simulated time ``t``."""
-        if t == self._memo_t:
-            return self._memo_u
         config = self.config
         value = config.base_utilization
         if config.diurnal_amplitude:
             value += config.diurnal_amplitude * math.sin(
                 2.0 * math.pi * t / DAY + config.diurnal_phase
             )
-        # Natural bursts: only those starting at or before t can be active.
-        index = bisect.bisect_right(self._burst_starts, t)
-        for burst in self._bursts[max(0, index - 64) : index]:
-            if burst.start <= t < burst.end:
-                value += burst.magnitude
+        # Natural bursts: only those starting at or before t can be active,
+        # and none before the first whose reach exceeds t. Summed in start
+        # order, whatever the number of bursts in between.
+        starts = self._burst_starts
+        if starts:
+            index = bisect_right(starts, t)
+            if index and self._burst_reach[index - 1] > t:
+                first = bisect_right(self._burst_reach, t, 0, index)
+                for burst in self._bursts[first:index]:
+                    if t < burst.end:
+                        value += burst.magnitude
         for burst in self._extra:
             if burst.start <= t < burst.end:
                 value += burst.magnitude
-        value = min(max(value, 0.0), 0.99)
-        self._memo_t = t
-        self._memo_u = value
-        return value
+        if value > 0.99:
+            return 0.99
+        return value if value >= 0.0 else 0.0
 
-    def mean_queue_delay(self, t: float, *, priority: bool = False) -> float:
-        """Expected queueing delay at ``t`` for the given service class.
+    def drop_and_queue_mean(
+        self, t: float, multiplier: float, priority: bool
+    ) -> tuple[float, float]:
+        """``(congestion-loss probability, expected queueing delay)`` at ``t``.
 
-        Uses the M/M/1-style ``u / (1 - u)`` backlog growth; priority
-        traffic only sees ``priority_backlog_fraction`` of the backlog.
+        One utilization read serves both. The loss is zero below
+        ``drop_threshold`` utilization, then grows quadratically, scaled by
+        the protocol's ``multiplier``; the queue mean follows the
+        M/M/1-style ``u / (1 - u)`` backlog growth, of which priority
+        traffic only sees ``priority_backlog_fraction``.
         """
+        config = self.config
         u = self.utilization(t)
+        excess = u - config.drop_threshold
+        if excess <= 0.0:
+            drop = 0.0
+        else:
+            drop = min(config.drop_scale * excess * excess * multiplier, 1.0)
         backlog = u / (1.0 - u)
         if priority:
-            backlog *= self.config.priority_backlog_fraction
-        return backlog * self.config.queue_service_time
+            backlog *= config.priority_backlog_fraction
+        return drop, backlog * config.queue_service_time
+
+    def mean_queue_delay(self, t: float, *, priority: bool = False) -> float:
+        """Expected queueing delay at ``t`` for the given service class."""
+        return self.drop_and_queue_mean(t, 1.0, priority)[1]
 
     def sample_queue_delay(
         self, t: float, rng: RngStream, *, priority: bool = False
@@ -170,16 +200,10 @@ class CongestionProcess:
     def drop_probability(self, t: float, *, multiplier: float = 1.0) -> float:
         """Congestion-loss probability at ``t``.
 
-        Zero below ``drop_threshold`` utilization, then grows quadratically.
         ``multiplier`` applies protocol-differential treatment (e.g. routers
         deprioritizing TCP on congested links, per §II).
         """
-        u = self.utilization(t)
-        excess = u - self.config.drop_threshold
-        if excess <= 0.0:
-            return 0.0
-        probability = self.config.drop_scale * excess * excess * multiplier
-        return min(probability, 1.0)
+        return self.drop_and_queue_mean(t, multiplier, False)[0]
 
 
 def calm_congestion(seed: int = 0, label: str = "calm") -> CongestionProcess:

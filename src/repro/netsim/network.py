@@ -4,10 +4,18 @@
 :class:`~repro.netsim.engine.Simulator`. Sending a packet expands its AS
 path into a *trail* of directed-channel traversals with a border router (or
 the destination host) at the end of each; the trail is then walked with one
-simulator event per segment. TTL is decremented at every border router,
-and routers answer TTL expiry with rate-limited, slow-path ICMP
+simulator event per segment, and one callback per event
+(:meth:`Network._hop`: the TTL at the router just reached, the next
+channel's ``transit``, the next event). TTL is decremented at every border
+router, and routers answer TTL expiry with rate-limited, slow-path ICMP
 time-exceeded messages — the behaviour that makes real traceroute both
 lossy and unrepresentative of data-packet latency (§II).
+
+A trail is a pure function of the endpoints and the path over a static
+topology, so it is expanded once: default routes are memoized by
+``(src, dst)``, pinned paths by ``(src, dst, tuple(path))`` — a Debuglet's
+probe train pins the same path on every packet — and
+:meth:`Network.invalidate_routes` flushes both.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from repro.netsim.topology import (
 DropCallback = Callable[[Packet, str, float], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Segment:
     """One channel traversal; ``router`` set when the segment ends at one."""
 
@@ -119,9 +127,9 @@ class Network:
         # This stream only ever draws slow-path jitter normals, so the
         # buffered façade serves it from blocks (sequence-identical).
         self._rng = derive_buffered_rng(seed, "network")
-        # Default-route trails are pure functions of (src, dst) over a
+        # Trails are pure functions of (src, dst[, pinned path]) over a
         # static topology; memoize them. Invalidated when hosts appear.
-        self._trail_cache: dict[tuple[Address, Address], list[_Segment]] = {}
+        self._trail_cache: dict[tuple, list[_Segment]] = {}
 
     # ------------------------------------------------------------- hosts
 
@@ -150,24 +158,22 @@ class Network:
     def send(self, packet: Packet, *, path: list[PathHop] | None = None) -> None:
         """Transmit ``packet`` now, along ``path`` or the shortest AS path."""
         self.stats.packets_sent += 1
-        packet.send_time = self.simulator.now
-        if path is None:
-            key = (packet.src, packet.dst)
-            trail = self._trail_cache.get(key)
-            if trail is None:
-                try:
-                    trail = self._build_trail(packet, None)
-                except SimulationError:
-                    self._drop(packet, "unroutable")
-                    return
-                self._trail_cache[key] = trail
-        else:
+        packet.send_time = now = self.simulator.now
+        # A pinned path is keyed by value: the caller keeps its list.
+        key = (
+            (packet.src, packet.dst)
+            if path is None
+            else (packet.src, packet.dst, tuple(path))
+        )
+        trail = self._trail_cache.get(key)
+        if trail is None:
             try:
                 trail = self._build_trail(packet, path)
             except SimulationError:
                 self._drop(packet, "unroutable")
                 return
-        self._advance(packet, trail, 0, self.simulator.now)
+            self._trail_cache[key] = trail
+        self._hop(packet, trail, 0, now)
 
     def _build_trail(self, packet: Packet, path: list[PathHop] | None) -> list[_Segment]:
         dst_host = self.hosts.get(packet.dst)
@@ -196,28 +202,27 @@ class Network:
             return f"if{address.host[2:]}"
         return "interior"
 
-    def _advance(self, packet: Packet, trail: list[_Segment], index: int, t: float) -> None:
-        if index >= len(trail):
-            self._deliver(packet, t)
-            return
-        segment = trail[index]
-        outcome = segment.channel.transit(packet, t)
+    def _hop(self, packet: Packet, trail: list[_Segment], index: int, t: float) -> None:
+        """``packet`` at the head of segment ``index`` at ``t``: out of the
+        source when 0, else just arrived over segment ``index - 1``."""
+        if index:
+            router = trail[index - 1].router
+            if router is not None:
+                packet.ttl -= 1
+                if packet.ttl <= 0:
+                    self.stats.ttl_expiries += 1
+                    self._handle_ttl_expiry(packet, router, t)
+                    return
+            if index == len(trail):
+                self._deliver(packet, t)
+                return
+        outcome = trail[index].channel.transit(packet, t)
         if not outcome.delivered:
             self._drop(packet, outcome.drop_reason or "loss")
             return
         arrival = t + outcome.delay
         # Hop events are never cancelled: use the handle-free fast path.
-        self.simulator.post(arrival, self._arrive, packet, trail, index, arrival)
-
-    def _arrive(self, packet: Packet, trail: list[_Segment], index: int, t: float) -> None:
-        segment = trail[index]
-        if segment.router is not None:
-            packet.ttl -= 1
-            if packet.ttl <= 0:
-                self.stats.ttl_expiries += 1
-                self._handle_ttl_expiry(packet, segment.router, t)
-                return
-        self._advance(packet, trail, index + 1, t)
+        self.simulator.post(arrival, self._hop, packet, trail, index + 1, arrival)
 
     def _handle_ttl_expiry(self, packet: Packet, router: BorderRouter, t: float) -> None:
         """Drop the packet; maybe emit a slow-path ICMP time-exceeded."""

@@ -53,7 +53,7 @@ class Address:
         return f"{self.asn}-{self.host}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated layer-3 packet.
 
@@ -73,8 +73,7 @@ class Packet:
     payload: Any = None
     icmp_type: IcmpType | None = None
     send_time: float | None = None
-    packet_id: int = field(default_factory=lambda: next(_PACKET_COUNTER))
-    metadata: dict[str, Any] = field(default_factory=dict)
+    packet_id: int = field(default_factory=_PACKET_COUNTER.__next__)
 
     def __post_init__(self) -> None:
         if self.size <= 0:

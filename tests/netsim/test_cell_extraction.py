@@ -236,6 +236,40 @@ class TestExtras:
         natural = [(b.start, b.end, b.magnitude) for b in congestion._bursts]
         assert natural and extras.bursts == (*natural, (10.0, 15.0, 0.25))
 
+    def test_the_cell_and_transit_read_the_same_utilization_under_dense_bursts(self):
+        """The row takes *every* burst; ``transit`` reads ``utilization(t)``.
+        With more than 64 bursts starting inside a longer one, the event
+        engine used to forget the long one and the two engines disagreed on
+        exactly the congested channels."""
+        congestion = CongestionProcess(
+            CongestionConfig(
+                base_utilization=0.05, diurnal_amplitude=0.02,
+                burst_rate=1 / 2.0, burst_mean_duration=150.0,
+                burst_magnitude_range=(0.001, 0.003),
+            ),
+            seed=3, horizon=400.0,
+        )
+        topology = chain(congestion=congestion)
+        cell = extract(topology)
+        row, windows = cell.stages[3], dict(cell.extras)[3].bursts
+        assert len(windows) == len(congestion._bursts) > 150
+
+        def cell_utilization(t):
+            value = row[fastpath.UTILIZATION] + row[fastpath.AMPLITUDE] * np.sin(
+                2.0 * np.pi * t / 86400.0 + row[fastpath.PHASE]
+            )
+            for start, end, magnitude in windows:
+                if start <= t < end:
+                    value += magnitude
+            return value
+
+        for t in np.arange(150.0, 400.0, 2.5):
+            overlapping = sum(1 for start, end, _ in windows if start <= t < end)
+            assert overlapping > 40
+            assert congestion.utilization(float(t)) == pytest.approx(
+                cell_utilization(t), rel=1e-12
+            )
+
     def test_per_packet_ecmp_carries_the_route_table(self):
         topology = chain(
             ecmp=EcmpGroup(ROUTES),

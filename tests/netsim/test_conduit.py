@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.rng import BufferedRng, derive_rng
+from repro.common.rng import derive_rng
 from repro.netsim.conduit import DirectedChannel, FaultOverlay, Link
 from repro.netsim.congestion import CongestionConfig, CongestionProcess, calm_congestion
 from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
@@ -69,7 +69,7 @@ class TestBasicTransit:
         delay = link.forward.transit(_packet(), 0.0).delay
         assert derived_streams == [(9, "channel", "idle/fwd")]
         eager = DirectedChannel("idle/fwd", base_delay=1e-3, jitter_std=1e-4, seed=9)
-        eager._rng = BufferedRng(derive_rng(9, "channel", "idle/fwd"))
+        eager._rng = derive_rng(9, "channel", "idle/fwd")
         assert delay == eager.transit(_packet(), 0.0).delay
 
 

@@ -147,3 +147,105 @@ class TestTtl:
         sim.run_until_idle()
         # ~1 ms out + 50 ms punt + ~1 ms back.
         assert arrival and arrival[0] > 50e-3
+
+
+class TestPinnedTrails:
+    """A pinned path is expanded into its trail once per ``(src, dst,
+    path)``, by value, and flushed with the default routes."""
+
+    VIA_AS2 = [PathHop(1, None, 2), PathHop(2, 1, 2), PathHop(3, 1, None)]
+    DIRECT = [PathHop(1, None, 9), PathHop(3, 9, None)]
+
+    @pytest.fixture
+    def diamond(self, three_as_network):
+        sim, topo, net, client, server = three_as_network
+        topo.connect(1, 9, 3, 9, Link.symmetric("direct", base_delay=1e-3, seed=50))
+        net.invalidate_routes()
+        builds = []
+        build = net._build_trail
+
+        def counting(packet, path):
+            builds.append(path)
+            return build(packet, path)
+
+        net._build_trail = counting
+        return sim, topo, net, client, server, builds
+
+    @staticmethod
+    def listen(host):
+        """One-way delays of the UDP packets ``host`` receives on port 7."""
+        host.echo_protocols.clear()
+        delays = []
+        host.open_udp(7).on_receive = lambda p, t: delays.append(t - p.send_time)
+        return delays
+
+    def one_way_delays(self, sim, client, server, paths):
+        """Arrival delay at the server of one UDP packet per path."""
+        delays = self.listen(server)
+        sock = client.open_udp(1000)
+        for path in paths:
+            sock.send(server.address, dst_port=7, path=path)
+            sim.run_until_idle()
+        return delays
+
+    def test_a_train_on_one_pinned_path_builds_one_trail(self, diamond):
+        sim, _, net, client, server, builds = diamond
+        delays = self.one_way_delays(
+            sim, client, server, [list(self.VIA_AS2) for _ in range(5)]
+        )
+        assert len(delays) == 5 and len(builds) == 1
+
+    def test_two_pinned_paths_between_one_pair_get_their_own_trails(self, diamond):
+        sim, _, net, client, server, builds = diamond
+        long, short, again, default = self.one_way_delays(
+            sim, client, server, [self.VIA_AS2, self.DIRECT, self.VIA_AS2, None]
+        )
+        assert long > 11e-3 > 4e-3 > short
+        assert again > 11e-3 and default < 4e-3
+        assert builds == [self.VIA_AS2, self.DIRECT, None]
+
+    def test_mutating_the_path_after_send_does_not_alias_the_trail(self, diamond):
+        sim, _, net, client, server, builds = diamond
+        path = list(self.VIA_AS2)
+        arrivals = self.listen(server)
+        sock = client.open_udp(1000)
+        sock.send(server.address, dst_port=7, path=path)
+        path[:] = self.DIRECT  # the caller reuses its list for another route
+        sock.send(server.address, dst_port=7, path=path)
+        sim.run_until_idle()
+        sock.send(server.address, dst_port=7, path=list(self.VIA_AS2))
+        sim.run_until_idle()
+        short, long, long_again = sorted(arrivals)
+        assert short < 4e-3 and 11e-3 < long and 11e-3 < long_again
+        assert len(builds) == 2
+
+    def test_add_host_flushes_pinned_trails_too(self, diamond):
+        sim, _, net, client, _, builds = diamond
+        late = Address(3, "late")
+        sock = client.open_udp(1000)
+        sock.send(late, dst_port=7, path=self.VIA_AS2)
+        sim.run_until_idle()
+        assert net.stats.drops_by_reason == {"no_such_host": 1}
+        # Co-located with the ingress interface: no interior crossing left.
+        arrivals = self.listen(net.make_host(3, "late", attachment="if1"))
+        sock.send(late, dst_port=7, path=self.VIA_AS2)
+        sim.run_until_idle()
+        assert len(builds) == 2
+        interior = client.network.topology.autonomous_system(3).internal_channel(
+            "if1", "interior"
+        )
+        assert arrivals and interior.packets_in == 1  # only the first attempt
+
+    def test_an_unroutable_pinned_path_is_dropped_every_time_and_never_cached(
+        self, diamond
+    ):
+        sim, _, net, client, server, builds = diamond
+        wrong_end = [PathHop(1, None, 2), PathHop(2, 1, None)]
+        no_such_link = [PathHop(1, None, 2), PathHop(3, 1, None)]
+        sock = client.open_udp(1000)
+        for path in (wrong_end, no_such_link, wrong_end, no_such_link):
+            sock.send(server.address, dst_port=7, path=path)
+        sim.run_until_idle()
+        assert net.stats.drops_by_reason == {"unroutable": 4}
+        assert net.stats.packets_delivered == 0
+        assert len(builds) == 4 and not net._trail_cache
