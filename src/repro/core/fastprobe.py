@@ -18,9 +18,9 @@ measurements the event engine completes, verdict-level where its client
 overruns its manifest (DESIGN.md, "Localization core"; property-tested per
 strategy in ``tests/properties/test_prop_fastprobe.py``) — never
 bit-identical. Fault overlays are vectorized as time-window masks; the
-300 µs sandbox host-switch overhead the VM pair adds to every RTT is
-applied as a constant, matching ``estimate_baseline_rtt``'s analytic
-model.
+sandbox host-switch overhead the VM pair adds to every RTT is applied as
+the constant ``estimate_baseline_rtt``'s analytic model adds
+(:data:`~repro.core.probing.SANDBOX_OVERHEAD`, stated once).
 """
 
 from __future__ import annotations
@@ -35,14 +35,10 @@ from repro.netsim.fastpath import (
     extract_segment_cell,
     simulate_cell_batch,
 )
-from repro.core.probing import SegmentRequest, Vantage
+from repro.core.probing import SANDBOX_OVERHEAD, SegmentRequest, Vantage
 from repro.netsim.network import Network
 from repro.netsim.packet import Protocol
 from repro.pathaware.segments import PathSegment
-
-#: Host-switch overhead of the sandboxed echo pair, both directions
-#: (mirrors ``estimate_baseline_rtt``'s default).
-SANDBOX_OVERHEAD = 300e-6
 
 
 @dataclass
@@ -161,31 +157,58 @@ class FastSegmentProber:
         send_times: np.ndarray,
         rtts: np.ndarray,
     ) -> FastSegmentMeasurement:
-        """Wrap simulated arrays as a judged-measurement object."""
-        rtts = rtts + self.sandbox_overhead  # NaN + c stays NaN
-        lost = np.isnan(rtts)
-        delivered = cell.count - int(lost.sum())
-        finished = float(cell.start + (cell.count - 1) * cell.interval)
-        if delivered:
-            finished += float(np.fmax.reduce(rtts))
-            # nanmean's arithmetic exactly: lost entries summed as 0.0.
-            mean_ms = float(np.where(lost, 0.0, rtts).sum() / delivered) * 1e3
-        else:
-            finished += cell.timeout
-            mean_ms = float("nan")
-        return FastSegmentMeasurement(
-            client=client,
-            server=server,
-            protocol=cell.protocol,
-            segment=segment,
-            probes=cell.count,
-            send_times=send_times,
-            rtts=rtts,
-            mean_ms=mean_ms,
-            loss=(cell.count - delivered) / cell.count,
-            started_at=float(cell.start),
-            finished_at=finished,
+        """Wrap simulated arrays as a judged-measurement object
+        (:meth:`measurements_from_arrays` of one)."""
+        (measurement,) = self.measurements_from_arrays(
+            [cell], [SegmentRequest(client, server, segment)], [(send_times, rtts)]
         )
+        return measurement
+
+    def measurements_from_arrays(
+        self,
+        cells: list[ProbeCell],
+        requests: list[SegmentRequest],
+        arrays: list[tuple[np.ndarray, np.ndarray]],
+    ) -> list[FastSegmentMeasurement]:
+        """One measurement per cell of a batch (equal probe counts), its
+        statistics taken along the rows of one ``(cell, probe)`` array —
+        per row the IEEE operations a 1-D array would see."""
+        if not cells:
+            return []
+        count = cells[0].count
+        # NaN + c stays NaN.
+        rtts = np.array([rtts for _, rtts in arrays]) + self.sandbox_overhead
+        lost = np.isnan(rtts)
+        losses = lost.sum(axis=1).tolist()
+        latest = np.fmax.reduce(rtts, axis=1).tolist()
+        # nanmean's arithmetic exactly: lost entries summed as 0.0.
+        totals = np.where(lost, 0.0, rtts).sum(axis=1).tolist()
+        measurements = []
+        for index, (cell, request) in enumerate(zip(cells, requests)):
+            delivered = count - losses[index]
+            finished = float(cell.start + (count - 1) * cell.interval)
+            if delivered:
+                finished += latest[index]
+                mean_ms = totals[index] / delivered * 1e3
+            else:
+                finished += cell.timeout
+                mean_ms = float("nan")
+            measurements.append(
+                FastSegmentMeasurement(
+                    client=request.client,
+                    server=request.server,
+                    protocol=cell.protocol,
+                    segment=request.segment,
+                    probes=count,
+                    send_times=arrays[index][0],
+                    rtts=rtts[index],
+                    mean_ms=mean_ms,
+                    loss=losses[index] / count,
+                    started_at=float(cell.start),
+                    finished_at=finished,
+                )
+            )
+        return measurements
 
     # ---------------------------------------------------------- measuring
 
@@ -221,19 +244,14 @@ class FastSegmentProber:
             arrays = simulate_cell_batch(cells)
         else:
             region_of = getattr(self.network.topology, "region_of", {})
-            arrays = self.pool.run(
+            arrays = list(self.pool.run(
                 cells, [region_of.get(request.client[0], 0) for request in requests]
-            )
+            ))
+        measurements = self.measurements_from_arrays(cells, requests, arrays)
         sim = self.network.simulator
-        measurements = []
-        for request, cell, (send_times, rtts) in zip(requests, cells, arrays):
-            measurement = self.measurement_from_arrays(
-                cell, request.client, request.server, request.segment,
-                send_times, rtts,
-            )
+        for request, measurement in zip(requests, measurements):
             if request.start is None and measurement.finished_at > sim.now:
                 sim.run(until=measurement.finished_at)
-            measurements.append(measurement)
         return measurements
 
     def measure_sync(

@@ -33,6 +33,7 @@ from typing import Callable
 from repro.common.errors import ConfigurationError
 from repro.core.locplans import STRATEGIES, SuspectSpec, make_plan
 from repro.core.probing import (
+    SANDBOX_OVERHEAD,
     SegmentMeasurement,
     SegmentProber,
     SegmentRequest,
@@ -48,24 +49,26 @@ def estimate_baseline_rtt(
     topology: Topology,
     segment: PathSegment,
     *,
-    sandbox_overhead: float = 300e-6,
+    sandbox_overhead: float = SANDBOX_OVERHEAD,
 ) -> float:
     """Analytic no-fault RTT for a D2D measurement over ``segment``.
 
     Sums propagation both ways over the inter-domain links and the
     interior delays of transit ASes, plus the sandbox host-switch
     overhead. Queueing under benign load is not included — judges should
-    allow slack on top of this.
+    allow slack on top of this. Every ``base_delay`` is read live, and the
+    sum runs in one fixed order: the threshold it feeds decides ``faulty``.
     """
     total = sandbox_overhead
-    for a, b in segment.inter_domain_links():
-        total += topology.channel_between(a, b).base_delay
-        total += topology.channel_between(b, a).base_delay
-    hops = segment.as_list()
+    hops = segment.hops
+    link_channel = topology.link_channel
+    for hop, nxt in zip(hops, hops[1:]):
+        total += link_channel(hop.asn, hop.egress, nxt.asn, nxt.ingress).base_delay
+        total += link_channel(nxt.asn, nxt.ingress, hop.asn, hop.egress).base_delay
     for hop in hops:
-        asys = topology.autonomous_system(hop.asn)
         if hop.ingress is not None and hop.egress is not None:
-            total += 2 * asys.internal_delay  # transit both directions
+            # transit, both directions
+            total += 2 * topology.autonomous_system(hop.asn).internal_delay
     return total
 
 

@@ -42,6 +42,12 @@ from repro.sandbox.programs import echo_client, echo_server
 
 Vantage = tuple[int, int]  # (ASN, interface)
 
+#: Host-switch overhead of the sandboxed echo pair over one round trip.
+#: The vectorized prober adds it to every RTT and the analytic baseline
+#: (:func:`repro.core.localization.estimate_baseline_rtt`) to every
+#: expectation; a verdict compares the two, so both read this one constant.
+SANDBOX_OVERHEAD = 300e-6
+
 
 class SegmentRequest(NamedTuple):
     """One segment measurement asked of a prober's ``measure_batch``."""

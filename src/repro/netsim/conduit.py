@@ -18,8 +18,8 @@ once into a small *plan* — the resolved :class:`ProtocolTreatment` (the
 §VI-E priority variant built once, not per packet), the protocol's
 :class:`EcmpGroup`, and its first route when selection cannot vary
 (``SINGLE``, or a group of one) — and dropped by the ``treatment`` setter.
-Everything a caller may change behind the channel's back is read live, per
-packet: ``priority_addresses`` (a set mutated in place), ``overlays``,
+Everything else is read live, per packet, from the slot behind the public
+name: ``priority_addresses`` (a set mutated in place), ``overlays``,
 ``congestion`` and ``churn`` (both replaced wholesale by the WAN
 generators), ``base_delay``, ``jitter_std`` and ``bandwidth_bps``. Per
 packet the utilization is read once
@@ -27,11 +27,27 @@ packet the utilization is read once
 from the channel's bare generator in their standard forms, scaled here with
 the arithmetic numpy uses itself — the sequence a seeded trace has always
 seen.
+
+The same rule, for readers that keep what they read across packets (the
+vectorized path's :class:`~repro.netsim.fastpath.StageTable`): what is
+replaced or assigned goes through a setter that bumps the channel's
+``_version`` — ``treatment``, ``congestion``, ``churn``, ``base_delay``,
+``jitter_std``, ``bandwidth_bps``, and ``add_overlay`` / ``remove_overlay``,
+the only way ``overlays`` changes — and the two processes that grow in
+place (``CongestionProcess.inject_burst`` / ``clear_injected``,
+``RouteChurnProcess.add``) carry a version of their own, because one may
+sit behind many channels. :meth:`DirectedChannel.state_stamp` is the three
+together; a reader compares it and learns nothing about protocols. Still
+read live on every visit, by everyone: ``priority_addresses``. Outside the
+contract, here as for the plans: a ``TreatmentProfile.treatments`` dict,
+an ``EcmpGroup.routes`` list or a ``RouteChurnProcess.shifts`` list mutated
+in place. ``transit`` itself touches none of the versions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from repro.common import rng as streams
 from repro.netsim.congestion import CongestionProcess, calm_congestion
@@ -80,6 +96,16 @@ class TransitOutcome:
         return cls(delivered=False, drop_reason=reason)
 
 
+def _versioned(slot: str) -> property:
+    """A public attribute kept in ``slot``; assigning it bumps ``_version``."""
+
+    def assign(self, value) -> None:
+        setattr(self, slot, value)
+        self._version += 1
+
+    return property(attrgetter(slot), assign)
+
+
 class DirectedChannel:
     """One direction of a link or aggregate path.
 
@@ -87,6 +113,12 @@ class DirectedChannel:
     channel ``name``, so rebuilding the same topology reproduces identical
     packet fates.
     """
+
+    base_delay = _versioned("_base_delay")
+    bandwidth_bps = _versioned("_bandwidth_bps")
+    jitter_std = _versioned("_jitter_std")
+    congestion = _versioned("_congestion")
+    churn = _versioned("_churn")
 
     def __init__(
         self,
@@ -106,11 +138,12 @@ class DirectedChannel:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth_bps must be positive")
         self.name = name
-        self.base_delay = base_delay
-        self.bandwidth_bps = bandwidth_bps
-        self.jitter_std = jitter_std
+        self._version = 0
+        self._base_delay = base_delay
+        self._bandwidth_bps = bandwidth_bps
+        self._jitter_std = jitter_std
         self.treatment = treatment or TreatmentProfile.uniform()
-        self.congestion = congestion or calm_congestion(seed, f"{name}/congestion")
+        self._congestion = congestion or calm_congestion(seed, f"{name}/congestion")
         # ECMP groups may differ per protocol (different protocols really
         # do take different route sets); a plain group applies to all.
         if ecmp is None:
@@ -119,7 +152,7 @@ class DirectedChannel:
             self._ecmp_by_protocol = {None: ecmp}
         else:
             self._ecmp_by_protocol = dict(ecmp)
-        self.churn = churn or no_churn()
+        self._churn = churn or no_churn()
         self.overlays: list[FaultOverlay] = []
         # Addresses whose packets get priority treatment regardless of
         # protocol — the §VI-E "ISP prioritizes executor traffic" attack.
@@ -140,23 +173,44 @@ class DirectedChannel:
     @treatment.setter
     def treatment(self, value: TreatmentProfile) -> None:
         self._treatment = value
+        self._version += 1
         # Forwarding plans per protocol, indexed by the prioritized flag.
         self._plans: tuple[dict, dict] = ({}, {})
 
+    def state_stamp(self) -> tuple[int, int, int]:
+        """Equal to an earlier stamp iff nothing a packed stage row is read
+        from (module docstring) was replaced, assigned, added or removed
+        in between."""
+        return (self._version, self._congestion._version, self._churn._version)
+
     def add_overlay(self, overlay: FaultOverlay) -> None:
         self.overlays.append(overlay)
+        self._version += 1
 
     def remove_overlay(self, overlay: FaultOverlay) -> None:
-        self.overlays.remove(overlay)
+        """Take ``overlay`` — that object, not an equal one — off the channel.
+
+        Two faults built from the same parameters carry equal (frozen)
+        overlays; removing by equality would strip the other fault's.
+        """
+        for index, existing in enumerate(self.overlays):
+            if existing is overlay:
+                del self.overlays[index]
+                self._version += 1
+                return
+        raise ValueError(f"overlay {overlay} is not on channel {self.name}")
 
     def transmission_time(self, size_bytes: int) -> float:
-        return size_bytes * 8.0 / self.bandwidth_bps
+        return size_bytes * 8.0 / self._bandwidth_bps
 
     def ecmp_for(self, protocol: Protocol) -> EcmpGroup:
         """The route set ``protocol`` is balanced over on this channel."""
-        group = self._ecmp_by_protocol.get(protocol)
+        groups = self._ecmp_by_protocol
+        if not groups:
+            return _SINGLE_ROUTE
+        group = groups.get(protocol)
         if group is None:
-            group = self._ecmp_by_protocol.get(None, _SINGLE_ROUTE)
+            group = groups.get(None, _SINGLE_ROUTE)
         return group
 
     def _compile(
@@ -201,7 +255,7 @@ class DirectedChannel:
             active = ()
 
         # Drop decision: protocol floor + congestion loss + fault overlays.
-        congestion = self.congestion
+        congestion = self._congestion
         congestion_drop, queue_mean = congestion.drop_and_queue_mean(
             t, treatment.drop_multiplier, priority
         )
@@ -225,7 +279,7 @@ class DirectedChannel:
         else:
             route_index = 0
 
-        transmission = packet.size * 8.0 / self.bandwidth_bps
+        transmission = packet.size * 8.0 / self._bandwidth_bps
         busy_until = self._busy_until
         self_queue = busy_until[priority] - t
         if self_queue < 0.0:
@@ -238,16 +292,17 @@ class DirectedChannel:
         else:
             cross_queue = 0.0
 
-        jitter_scale = self.jitter_std + route.jitter + treatment.extra_jitter
+        jitter_scale = self._jitter_std + route.jitter + treatment.extra_jitter
         jitter = abs(jitter_scale * rng.standard_normal()) if jitter_scale else 0.0
 
+        churn = self._churn
         delay = (
-            self.base_delay
+            self._base_delay
             + transmission
             + self_queue
             + cross_queue
             + route.delay_offset
-            + (self.churn.offset(t, protocol) if self.churn.shifts else 0.0)
+            + (churn.offset(t, protocol) if churn.shifts else 0.0)
             + treatment.extra_delay
             + jitter
         )

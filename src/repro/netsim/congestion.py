@@ -14,6 +14,13 @@ once: it is what :meth:`DirectedChannel.transit` calls per packet, and
 callers of it. ``utilization(t)`` is exact for any burst schedule — a burst
 is found however many later ones have started — and a process with no
 natural bursts, or none injected, pays nothing for the empty scan.
+
+A :class:`CongestionConfig` is frozen and may be shared — every calm channel
+of a generated Internet reads the one ``_CALM`` — while a process is per
+channel or per AS: ``inject_burst`` / ``clear_injected`` are the only things
+that change one after construction, and each bumps the process's
+``_version`` so that a reader holding what it read through *any* channel of
+the process (:meth:`DirectedChannel.state_stamp`) sees it.
 """
 
 from __future__ import annotations
@@ -41,14 +48,16 @@ class Burst:
         return self.start + self.duration
 
 
-@dataclass
+@dataclass(frozen=True)
 class CongestionConfig:
     """Parameters of a congestion process.
 
     ``base_utilization`` is the average fraction of capacity in use;
     ``diurnal_amplitude`` adds a sinusoid with a one-day period;
     bursts arrive as a Poisson process with the given rate (per second),
-    exponential durations, and uniform magnitudes.
+    exponential durations, and uniform magnitudes. Frozen: a config is
+    shared (every calm channel reads the same one) and what was read from
+    it stays read; a different load is a different process.
     """
 
     base_utilization: float = 0.30
@@ -96,6 +105,11 @@ class CongestionProcess:
         # active at ``t`` is one bisection away.
         self._burst_reach: list[float] = []
         self._extra: list[Burst] = []  # fault-injected bursts, kept separate
+        # Bumped by whatever changes ``_extra``. A process may be shared by
+        # many channels (every interior channel of an AS) and does not know
+        # them, so it carries its own stamp beside theirs
+        # (:meth:`DirectedChannel.state_stamp`).
+        self._version = 0
         # A stream is a pure function of ``(seed, labels)``, so deriving it
         # only when there are bursts to schedule changes no draw — and a
         # continent's worth of calm links derives none. The buffered stream
@@ -128,11 +142,13 @@ class CongestionProcess:
         """Add a fault-injected congestion episode (used by fault injection)."""
         burst = Burst(start, duration, magnitude)
         self._extra.append(burst)
+        self._version += 1
         return burst
 
     def clear_injected(self) -> None:
         """Remove all fault-injected bursts."""
         self._extra.clear()
+        self._version += 1
 
     def utilization(self, t: float) -> float:
         """Utilization in [0, 0.99] at simulated time ``t``."""
@@ -206,12 +222,19 @@ class CongestionProcess:
         return self.drop_and_queue_mean(t, multiplier, False)[0]
 
 
+_CALM = CongestionConfig(
+    base_utilization=0.05,
+    diurnal_amplitude=0.0,
+    burst_rate=0.0,
+    queue_service_time=0.05e-3,
+)
+
+
 def calm_congestion(seed: int = 0, label: str = "calm") -> CongestionProcess:
-    """A nearly idle link: negligible queueing, no natural bursts."""
-    config = CongestionConfig(
-        base_utilization=0.05,
-        diurnal_amplitude=0.0,
-        burst_rate=0.0,
-        queue_service_time=0.05e-3,
-    )
-    return CongestionProcess(config, seed=seed, label=label)
+    """A nearly idle link: negligible queueing, no natural bursts.
+
+    Every calm process reads the one ``_CALM`` config — a continent builds
+    thousands of these — but is its own process: bursts are injected per
+    channel.
+    """
+    return CongestionProcess(_CALM, seed=seed, label=label)

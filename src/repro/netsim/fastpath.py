@@ -13,15 +13,29 @@ round trip as packed rows: one row of :data:`STAGE_WIDTH` floats per
 channel traversal, holding what :meth:`DirectedChannel.transit` would read
 for the probe's protocol and addresses, plus :class:`StageExtras` (bursts,
 churn shifts, overlay windows, a per-packet ECMP route table) on the few
-stages that have any. :func:`extract_probe_cell` / :func:`extract_segment_cell`
-build one; a ten-stage cell pickles to about 1.5 KB.
+stages that have any. :func:`_stage_from_channel` is the one statement of
+what a row holds. :func:`extract_probe_cell` (the §II study, over the event
+engine's trails) calls it per traversal; :func:`extract_segment_cell` (a
+campaign's measurements) reads channels through the topology's
+:class:`StageTable` — extraction costs per *channel state*, not per
+traversal — and cuts the cell out of it as ``rows[stage ids]``. Either way
+the cell is a self-contained picklable value: a ten-stage cell pickles to
+about 1.5 KB.
 
 **The kernel** (:func:`simulate_cell_batch`) is stage-synchronous: cells of
 equal probe count travel together, a block of at most ``2**14 // count``
 at a time, deepest first, and stage ``k`` of every cell still travelling is
 one round of array operations, the per-stage numbers read as ``(cells, 1)``
-columns. :func:`simulate_cell_arrays` is its batch of one. Who calls it
-with how many cells: an epoch of a campaign inline
+columns. A window (overlay, burst, churn shift) costs a row nothing unless
+some probe of the row can be inside it *at that stage*: the row's first and
+last arrival are taken once, a window that ends at or before the first or
+starts after the last is not evaluated (every term it feeds is an exact
+``+ 0.0``), one that covers both is applied as a scalar. The trap: an
+overlay with ``extra_jitter`` draws its normal whether or not its window is
+active, so a skipped one still draws — in the delay section, in overlay
+order, where ``tests/netsim/cell_reference.py`` draws it — or every later
+draw of the cell moves. :func:`simulate_cell_arrays` is the batch of one.
+Who calls the kernel with how many cells: an epoch of a campaign inline
 (:meth:`~repro.core.fastprobe.FastSegmentProber.measure_batch`), one client
 region's share of an epoch per pool task, one cell per task in the §II
 study (:mod:`repro.perf.parallel`).
@@ -66,7 +80,6 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_seed
 from repro.netsim.conduit import DirectedChannel
 from repro.netsim.ecmp import HashGranularity
-from repro.netsim.network import walk_path
 from repro.netsim.packet import Address, Packet, Protocol
 from repro.netsim.trace import MeasurementTrace
 
@@ -335,23 +348,180 @@ def extract_probe_cell(
     )
 
 
-def _segment_stages(
-    topology,
-    hops,
-    packet: Packet,
-    src_attachment: str,
-    dst_attachment: str,
-) -> list[Traversal]:
-    """Stages for one direction of a pinned segment traversal."""
-    try:
-        return [
-            _stage_from_channel(channel, packet)
-            for channel, _, _ in walk_path(
-                topology, hops, src_attachment, dst_attachment
-            )
-        ]
-    except SimulationError as error:
-        raise FastPathUnsupported(str(error)) from error
+class _StageEntry:
+    """One channel in a :class:`StageTable`: its stage id, the handle, the
+    :meth:`DirectedChannel.state_stamp` the tabled row was read at (``None``
+    while none is), and for a link the ``(asn, interface)`` it arrives at."""
+
+    __slots__ = ("stage", "channel", "stamp", "peer")
+
+    def __init__(self, stage: int, channel: DirectedChannel, peer) -> None:
+        self.stage = stage
+        self.channel = channel
+        self.stamp = None
+        self.peer = peer
+
+
+class StageTable:
+    """Every channel of one topology as probes of one ``(protocol, size)``
+    would cross it, read once per channel state.
+
+    Packed rows live in one growing ``(capacity, STAGE_WIDTH)`` array with
+    each stage's :class:`StageExtras` (or ``None``) beside it; a stage id
+    indexes both. Entries are keyed by what a pinned path names, as plain
+    ints — ``(asn, egress)`` for the link leaving an interface, ``(asn,
+    in, out)`` for the interior channel between two interfaces — so a hit
+    builds no ``InterfaceId`` and no attachment string and hashes no
+    ``Enum``. A link's entry remembers the ``(asn, interface)`` it arrives
+    at; a different peer is a miss, so :meth:`Topology.link_channel` states
+    the error.
+
+    A hit is one dict lookup and one stamp comparison. Everything else goes
+    through :func:`_stage_from_channel`, the one statement of what a row
+    holds, and is either tabled or — when the row depends on more than
+    ``(channel state, protocol, size)`` — used for that visit only:
+
+    - a non-empty ``priority_addresses`` (a public set, mutated in place)
+      bypasses the table for the visit and leaves the entry alone;
+    - a channel whose route selection hashes the packet (``PER_FLOW`` /
+      ``PER_DEST`` over more than one route) is never tabled;
+    - ``PER_FLOWLET`` over more than one route raises
+      :class:`FastPathUnsupported` on every visit, nothing being tabled.
+
+    What the stamp cannot see is outside the contract, as it is for
+    ``transit``'s forwarding plans: ``TreatmentProfile.treatments``,
+    ``EcmpGroup.routes`` or a ``RouteChurnProcess.shifts`` list mutated in
+    place.
+    """
+
+    def __init__(self, topology, protocol: Protocol, size: int) -> None:
+        self.topology = topology
+        self.protocol = protocol
+        self.size = size
+        self.rows = np.empty((256, STAGE_WIDTH))
+        self.extras: list[StageExtras | None] = []
+        self._entries: dict[tuple, _StageEntry] = {}
+
+    def cell_stages(
+        self,
+        hops,
+        client_vantage: tuple[int, int],
+        server_vantage: tuple[int, int],
+        dst_port: int,
+    ) -> tuple[np.ndarray, tuple[tuple[int, StageExtras], ...]]:
+        """``(stages, extras)`` of the echo round trip over pinned ``hops``:
+        client to server, then back over the same hops reversed."""
+        client, server = client_vantage[1], server_vantage[1]
+        out = [(hop.asn, hop.ingress, hop.egress) for hop in hops]
+        back = [(asn, egress, ingress) for asn, ingress, egress in reversed(out)]
+        entries = self.entries_along(out, client, server)
+        turn = len(entries)
+        entries += self.entries_along(back, server, client)
+
+        echo = None  # the probe and its reply, built by the first read
+        fresh: dict[int, tuple] = {}  # stage id -> what to table for it
+        live = []
+        for position, entry in enumerate(entries):
+            channel = entry.channel
+            stamp = channel.state_stamp()
+            if entry.stamp == stamp and not channel.priority_addresses:
+                continue
+            if entry.stage in fresh:  # out and back through a vantage's channel
+                continue
+            if echo is None:
+                probe = Packet(
+                    src=_vantage_address(client_vantage),
+                    dst=_vantage_address(server_vantage),
+                    protocol=self.protocol,
+                    size=self.size,
+                    dst_port=dst_port,
+                )
+                echo = (probe, probe.reply_to())
+            traversal = _stage_from_channel(channel, echo[position >= turn])
+            if channel.priority_addresses or _route_hashes_packet(
+                channel, self.protocol
+            ):
+                live.append((position, traversal))
+            else:
+                fresh[entry.stage] = (entry, stamp, traversal)
+        if fresh:
+            # Tabled together, after every read of the cell went through:
+            # a refusal half way leaves no stamp on a row never written.
+            self.rows[list(fresh)] = [row for _, _, (row, _) in fresh.values()]
+            for entry, stamp, (_, ragged) in fresh.values():
+                self.extras[entry.stage] = ragged
+                entry.stamp = stamp
+
+        ids = [entry.stage for entry in entries]
+        stages = self.rows[ids]
+        extras = [self.extras[stage] for stage in ids]
+        for position, (row, ragged) in live:
+            stages[position] = row
+            extras[position] = ragged
+        return stages, tuple(
+            (position, ragged)
+            for position, ragged in enumerate(extras)
+            if ragged is not None
+        )
+
+    def entries_along(self, hops, source: int, sink: int) -> list[_StageEntry]:
+        """The entries of one direction in forwarding order, ``hops`` being
+        ``(asn, in, out)`` per AS, entered at interface ``source`` and left
+        at ``sink``: their channels are the ones
+        :func:`~repro.netsim.network.walk_path` yields, in its order."""
+        entries = self._entries
+        found = []
+        last = len(hops) - 1
+        previous = None
+        for index, (asn, ingress, egress) in enumerate(hops):
+            if index:
+                entry = entries.get(previous)
+                if entry is None or entry.peer != (asn, ingress):
+                    entry = self._add(
+                        previous,
+                        self.topology.link_channel(*previous, asn, ingress),
+                        (asn, ingress),
+                    )
+                found.append(entry)
+            else:
+                ingress = source
+            if index == last:
+                egress = sink
+            key = (asn, ingress, egress)
+            entry = entries.get(key)
+            if entry is None:
+                if ingress is None or egress is None:
+                    raise SimulationError("missing interface on transit hop")
+                entry = self._add(
+                    key,
+                    self.topology.autonomous_system(asn).internal_channel(
+                        f"if{ingress}", f"if{egress}"
+                    ),
+                    None,
+                )
+            found.append(entry)
+            previous = (asn, egress)
+        return found
+
+    def _add(self, key, channel: DirectedChannel, peer) -> _StageEntry:
+        stage = len(self.extras)
+        if stage == len(self.rows):
+            self.rows = np.concatenate([self.rows, np.empty_like(self.rows)])
+        self.extras.append(None)
+        entry = self._entries[key] = _StageEntry(stage, channel, peer)
+        return entry
+
+
+def _route_hashes_packet(channel: DirectedChannel, protocol: Protocol) -> bool:
+    """Does the fixed route :func:`_stage_from_channel` folds into the row
+    depend on the packet's addresses and ports?"""
+    if len(channel.ecmp_for(protocol)) == 1:
+        return False
+    granularity = channel.treatment.for_protocol(protocol).ecmp_granularity
+    return (
+        granularity is HashGranularity.PER_FLOW
+        or granularity is HashGranularity.PER_DEST
+    )
 
 
 def extract_segment_cell(
@@ -377,37 +547,27 @@ def extract_segment_cell(
     vantage points over a *pinned* :class:`~repro.pathaware.segments.PathSegment`,
     echoed back over its reverse — exactly the round trip
     :class:`~repro.core.probing.SegmentProber` runs with paired echo
-    Debuglets.
+    Debuglets. The stages come out of the topology's :class:`StageTable`
+    for ``(protocol, size)``; the cell is still a self-contained value.
     """
     if count <= 0:
         raise ConfigurationError("probe count must be positive")
     if interval <= 0:
         raise ConfigurationError("probe interval must be positive")
-    hops = segment.as_list()
+    hops = segment.hops
     if hops[0].asn != client_vantage[0] or hops[-1].asn != server_vantage[0]:
         raise ConfigurationError("segment does not join the two vantage points")
-    client_attachment = f"if{client_vantage[1]}"
-    server_attachment = f"if{server_vantage[1]}"
-    probe = Packet(
-        src=_vantage_address(client_vantage),
-        dst=_vantage_address(server_vantage),
-        protocol=protocol,
-        size=size,
-        dst_port=dst_port,
-    )
-    reply = probe.reply_to()
-    stages = _segment_stages(
-        topology, hops, probe, client_attachment, server_attachment
-    )
-    stages += _segment_stages(
-        topology,
-        segment.reversed().as_list(),
-        reply,
-        server_attachment,
-        client_attachment,
-    )
-    return _pack_cell(
-        stages,
+    tables = topology.stage_tables
+    table = tables.get((protocol, size))
+    if table is None:
+        table = tables[protocol, size] = StageTable(topology, protocol, size)
+    try:
+        stages, extras = table.cell_stages(
+            hops, client_vantage, server_vantage, dst_port
+        )
+    except SimulationError as error:
+        raise FastPathUnsupported(str(error)) from error
+    return ProbeCell(
         label=label,
         protocol=protocol,
         count=count,
@@ -415,6 +575,8 @@ def extract_segment_cell(
         start=start,
         timeout=timeout,
         seed=seed,
+        stages=stages,
+        extras=extras,
     )
 
 
@@ -495,6 +657,11 @@ def _congestion_terms(u, columns):
     return drop, mean_queue / columns[QUEUE_SHAPE]
 
 
+def _inside(arrivals: np.ndarray, start: float, end: float) -> np.ndarray:
+    """Which probes cross the channel inside the ``[start, end)`` window."""
+    return (arrivals >= start) & (arrivals < end)
+
+
 def _simulate_block(cells: list[ProbeCell]) -> Iterable[Arrays]:
     """The kernel: cells of one ``count``, deepest first, stage by stage.
 
@@ -559,28 +726,48 @@ def _simulate_block(cells: list[ProbeCell]) -> Iterable[Arrays]:
             live -= 1
         columns = table[:, k, :live, None]
         now = t[:live]
-        # The ragged extras, per row that has any: bursts, churn shifts,
-        # per-packet route tables, and overlays with their activity masks
-        # (which probes cross this channel inside each [start, end) window).
+        # The ragged extras, per row that has any: per-packet route tables,
+        # and the bursts, churn shifts and overlays whose [start, end)
+        # window some probe of the row can be in — a window that ends at or
+        # before the row's first arrival here, or starts after its last,
+        # has an all-False mask, and every term it feeds is an exact no-op
+        # (``+ 0.0`` on a non-negative sum, ``|= False``). The one thing
+        # such an overlay still does is draw its jitter normal: it stays
+        # listed, maskless, so the draw happens where the reference makes it.
         bursts = churned = routed = overlaid = ()
         overlay_loss = False
         if k in extras_at:
-            extras = extras_at[k]
-            bursts = [(row, e.bursts) for row, e in extras if e.bursts]
-            churned = [(row, e.churn) for row, e in extras if e.churn]
-            routed = [(row, e.routes) for row, e in extras if e.routes is not None]
-            overlaid = [
-                (
-                    row,
-                    [
-                        (o, (now[row] >= o.start) & (now[row] < o.end))
-                        for o in e.overlays
-                    ],
-                )
-                for row, e in extras
-                if e.overlays
-            ]
-            overlay_loss = any(o.extra_loss for _, e in extras for o in e.overlays)
+            bursts, churned, routed, overlaid = [], [], [], []
+            first = last = None
+            for row, e in extras_at[k]:
+                if e.routes is not None:
+                    routed.append((row, e.routes))
+                if not (e.bursts or e.churn or e.overlays):
+                    continue
+                if first is None:
+                    first, last = now.min(axis=1).tolist(), now.max(axis=1).tolist()
+                lo, hi = first[row], last[row]
+                arrivals = now[row]
+                spans = [w for w in e.bursts if w[1] > lo and w[0] <= hi]
+                if spans:
+                    bursts.append((row, spans))
+                spans = [w for w in e.churn if w[1] > lo and w[0] <= hi]
+                if spans:
+                    churned.append((row, spans))
+                masks = []
+                for o in e.overlays:
+                    if o.end > lo and o.start <= hi:
+                        # Every probe inside (a campaign's fault spans its
+                        # episode's window): ``x * True`` is ``x``.
+                        mask = (o.start <= lo and hi < o.end) or _inside(
+                            arrivals, o.start, o.end
+                        )
+                        masks.append((o, mask))
+                        overlay_loss = overlay_loss or bool(o.extra_loss)
+                    elif o.extra_jitter:
+                        masks.append((o, None))
+                if masks:
+                    overlaid.append((row, masks))
 
         # Congestion: steady along a row unless some row of the stage has
         # a diurnal swing or bursts.
@@ -590,7 +777,7 @@ def _simulate_block(cells: list[ProbeCell]) -> Iterable[Arrays]:
             )
             for row, spans in bursts:
                 for start, end, magnitude in spans:
-                    u[row] += magnitude * ((now[row] >= start) & (now[row] < end))
+                    u[row] += magnitude * _inside(now[row], start, end)
             drop, queue_scale = _congestion_terms(u, columns)
         else:
             drop = steady_drop[k, :live, None]
@@ -602,6 +789,8 @@ def _simulate_block(cells: list[ProbeCell]) -> Iterable[Arrays]:
             drop = np.broadcast_to(drop, now.shape).copy()
         for row, masks in overlaid:
             for o, mask in masks:
+                if mask is None:
+                    continue
                 if o.blackhole:
                     lost[row] |= mask
                 if o.extra_loss:
@@ -642,13 +831,16 @@ def _simulate_block(cells: list[ProbeCell]) -> Iterable[Arrays]:
         for row, shifts in churned:
             offset = np.zeros(n)
             for start, end, delta in shifts:
-                offset += delta * ((now[row] >= start) & (now[row] < end))
+                offset += delta * _inside(now[row], start, end)
             delay[row] += offset
         if delays[k]:
             delay += columns[EXTRA_DELAY]
         for row, masks in overlaid:
             offset = np.zeros(n)
             for o, mask in masks:
+                if mask is None:
+                    generators[row].standard_normal(n)  # drawn, times zero
+                    continue
                 if o.extra_delay:
                     offset += o.extra_delay * mask
                 if o.extra_jitter:

@@ -54,20 +54,15 @@ class InjectedFault:
     def revoke(self) -> None:
         """Remove the fault's effects from all channels. Idempotent.
 
-        Removal is by overlay *identity*, not equality: two faults built
-        from identical parameters produce equal (frozen) overlays, and an
-        equality-based ``list.remove`` on the second revoke would strip
-        the other fault's still-active overlay, silently restoring stale
-        channel parameters.
+        :meth:`DirectedChannel.remove_overlay` removes by *identity*: a
+        twin fault built from identical parameters keeps its own (equal,
+        frozen) overlay.
         """
         if self.revoked:
             return
         self.revoked = True
         for channel, overlay in self.overlays:
-            for index, existing in enumerate(channel.overlays):
-                if existing is overlay:
-                    del channel.overlays[index]
-                    break
+            channel.remove_overlay(overlay)
 
 
 class FaultInjector:

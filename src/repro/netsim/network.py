@@ -62,9 +62,11 @@ def walk_path(
     the inter-domain channel and the next AS's interior channel
     (ingress to egress at a transit AS, ingress to ``dst_attachment`` at
     the last). ``interface`` is the border interface the traversal ends
-    at, ``None`` when it ends at the destination attachment. The event
-    engine (:meth:`Network._build_trail`) and the vectorized extraction
-    (:mod:`repro.netsim.fastpath`) both expand paths through this walk.
+    at, ``None`` when it ends at the destination attachment. This is the
+    event engine's expansion (:meth:`Network._build_trail`) and the oracle
+    of the vectorized path's hop-keyed one
+    (:meth:`repro.netsim.fastpath.StageTable.entries_along`: same channel
+    objects, same order — ``tests/properties/test_prop_stage_table.py``).
     """
     first = path[0]
     asys = topology.autonomous_system(first.asn)

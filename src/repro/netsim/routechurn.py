@@ -43,6 +43,9 @@ class RouteChurnProcess:
 
     def __init__(self, shifts: list[RouteShift] | None = None) -> None:
         self.shifts: list[RouteShift] = list(shifts or [])
+        # Bumped by :meth:`add`: a schedule grown in place is seen by
+        # whoever stamped the channel (:meth:`DirectedChannel.state_stamp`).
+        self._version = 0
 
     @classmethod
     def random(
@@ -72,6 +75,7 @@ class RouteChurnProcess:
 
     def add(self, shift: RouteShift) -> None:
         self.shifts.append(shift)
+        self._version += 1
 
     def offset(self, t: float, protocol: Protocol) -> float:
         """Total delay shift in effect at ``t`` for ``protocol``."""

@@ -173,9 +173,15 @@ class Topology:
 
     def __init__(self) -> None:
         self.ases: dict[int, AutonomousSystem] = {}
-        # Keyed by the interface on either end; the string records which
-        # directed channel carries traffic *leaving* that interface.
-        self._links: dict[InterfaceId, tuple[Link, InterfaceId, str]] = {}
+        # Keyed by the ``(asn, interface)`` on either end — plain ints, so a
+        # lookup builds and hashes no ``InterfaceId``; the flag says whether
+        # ``link.forward`` carries the traffic *leaving* that interface.
+        self._links: dict[tuple[int, int], tuple[Link, InterfaceId, bool]] = {}
+        # The vectorized path's per-``(protocol, probe size)`` stage tables
+        # (:class:`repro.netsim.fastpath.StageTable`): kept here, beside the
+        # channels they were read from, so every prober over this topology
+        # shares them.
+        self.stage_tables: dict = {}
 
     def add_as(self, autonomous_system: AutonomousSystem) -> AutonomousSystem:
         if autonomous_system.asn in self.ases:
@@ -214,35 +220,46 @@ class Topology:
         ifid_a = InterfaceId(asn_a, interface_a)
         ifid_b = InterfaceId(asn_b, interface_b)
         for ifid in (ifid_a, ifid_b):
-            if ifid in self._links:
+            if (ifid.asn, ifid.interface) in self._links:
                 raise ConfigurationError(f"interface {ifid} is already linked")
-        self._links[ifid_a] = (link, ifid_b, "forward")
-        self._links[ifid_b] = (link, ifid_a, "reverse")
+        self._links[(asn_a, interface_a)] = (link, ifid_b, True)
+        self._links[(asn_b, interface_b)] = (link, ifid_a, False)
         return link
 
     def link_at(self, ifid: InterfaceId) -> tuple[Link, InterfaceId]:
         """The link attached at ``ifid`` and the interface at the far end."""
-        if ifid not in self._links:
+        entry = self._links.get((ifid.asn, ifid.interface))
+        if entry is None:
             raise SimulationError(f"no link at interface {ifid}")
-        link, peer, _ = self._links[ifid]
-        return link, peer
+        return entry[0], entry[1]
 
     def channel_between(self, src: InterfaceId, dst: InterfaceId) -> DirectedChannel:
         """The directed channel carrying traffic from ``src`` to ``dst``."""
-        if src not in self._links:
-            raise SimulationError(f"no link at interface {src}")
-        link, peer, direction = self._links[src]
-        if peer != dst:
-            raise SimulationError(f"{src} is linked to {peer}, not {dst}")
-        return link.channel(direction)
+        return self.link_channel(src.asn, src.interface, dst.asn, dst.interface)
+
+    def link_channel(
+        self, asn: int, interface: int, peer_asn: int, peer_interface: int
+    ) -> DirectedChannel:
+        """:meth:`channel_between` for callers that hold plain numbers: the
+        channel from ``<asn, interface>`` to ``<peer_asn, peer_interface>``."""
+        entry = self._links.get((asn, interface))
+        if entry is None:
+            raise SimulationError(f"no link at interface {asn}#{interface}")
+        link, peer, forward = entry
+        if peer.asn != peer_asn or peer.interface != peer_interface:
+            raise SimulationError(
+                f"{asn}#{interface} is linked to {peer}, "
+                f"not {peer_asn}#{peer_interface}"
+            )
+        return link.forward if forward else link.reverse
 
     def neighbors(self, asn: int) -> list[tuple[int, int, int]]:
         """Adjacent ASes as ``(egress_interface, peer_asn, peer_interface)``."""
         result = []
         for interface in sorted(self.autonomous_system(asn).routers):
-            ifid = InterfaceId(asn, interface)
-            if ifid in self._links:
-                _, peer, _ = self._links[ifid]
+            entry = self._links.get((asn, interface))
+            if entry is not None:
+                peer = entry[1]
                 result.append((interface, peer.asn, peer.interface))
         return result
 

@@ -53,6 +53,9 @@ class TreatmentProfile:
     default: ProtocolTreatment = field(default_factory=ProtocolTreatment)
 
     def for_protocol(self, protocol: Protocol) -> ProtocolTreatment:
+        # An ``Enum`` hashes through Python; most profiles are uniform.
+        if not self.treatments:
+            return self.default
         return self.treatments.get(protocol, self.default)
 
     def with_treatment(

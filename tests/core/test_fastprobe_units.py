@@ -1,11 +1,14 @@
 """Units for the vectorized segment prober and its netsim plumbing."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.core import probing
 from repro.core.executor import executor_data_address
 from repro.core.fastprobe import SANDBOX_OVERHEAD, FastSegmentProber
-from repro.core.localization import FaultLocalizer
+from repro.core.localization import FaultLocalizer, estimate_baseline_rtt
 from repro.netsim import Link, Network, Simulator, Topology
 from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
 from repro.netsim.fastpath import FastPathUnsupported, _vantage_address
@@ -84,6 +87,35 @@ class TestFastSegmentProber:
         for protocol in (Protocol.UDP, Protocol.ICMP):
             m = prober.measure_sync((1, 2), (4, 1), segment, protocol=protocol)
             assert m.protocol is protocol
+
+
+class TestSandboxOverhead:
+    """The host-switch overhead is on both sides of every fast-path verdict:
+    in the measured RTTs and in the baseline they are judged against."""
+
+    def test_it_is_stated_once(self):
+        prober_default = inspect.signature(FastSegmentProber).parameters[
+            "sandbox_overhead"].default
+        baseline_default = inspect.signature(estimate_baseline_rtt).parameters[
+            "sandbox_overhead"].default
+        assert prober_default is baseline_default is probing.SANDBOX_OVERHEAD
+        assert SANDBOX_OVERHEAD is probing.SANDBOX_OVERHEAD
+
+    def test_mean_minus_baseline_does_not_depend_on_its_value(self):
+        """A healthy 10-AS chain: whatever the constant is, it cancels."""
+        def excess_ms(**overhead):
+            scenario = build_chain(10, seed=5)
+            segment = scenario.registry.shortest(1, 10)
+            prober = FastSegmentProber(scenario.network, probes=30, seed=2, **overhead)
+            measurement = prober.measure_sync((1, 2), (10, 1), segment)
+            baseline = estimate_baseline_rtt(scenario.topology, segment, **overhead)
+            return measurement.mean_rtt_ms() - baseline * 1e3
+
+        shipped = excess_ms()
+        assert 0.0 < shipped < 5.0  # queueing and jitter only
+        for value in (0.0, 1e-3, 50e-3):
+            assert excess_ms(sandbox_overhead=value) == pytest.approx(
+                shipped, abs=1e-9)
 
 
 def test_unsupported_path_is_refused_to_the_localizers_caller():

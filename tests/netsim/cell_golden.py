@@ -64,17 +64,17 @@ def campaign_config(seed: int) -> WanbenchConfig:
 def campaign_hashes(seed: int, *, workers: int = 0) -> list[str]:
     """One hash per measurement of the campaign, in wrapping order."""
     hashes: list[str] = []
-    wrap = FastSegmentProber.measurement_from_arrays
+    wrap = FastSegmentProber.measurements_from_arrays
 
-    def recording(self, cell, client, server, segment, send_times, rtts):
-        hashes.append(array_hash(send_times, rtts))
-        return wrap(self, cell, client, server, segment, send_times, rtts)
+    def recording(self, cells, requests, arrays):
+        hashes.extend(array_hash(*pair) for pair in arrays)
+        return wrap(self, cells, requests, arrays)
 
-    FastSegmentProber.measurement_from_arrays = recording
+    FastSegmentProber.measurements_from_arrays = recording
     try:
         run_campaign(build_continent(campaign_config(seed)), workers=workers)
     finally:
-        FastSegmentProber.measurement_from_arrays = wrap
+        FastSegmentProber.measurements_from_arrays = wrap
     return hashes
 
 
@@ -111,8 +111,7 @@ def _busy_congestion(**overrides) -> CongestionProcess:
         burst_magnitude_range=(0.1, 0.3),
         queue_shape=1.5,
     )
-    for name, value in overrides.items():
-        setattr(config, name, value)
+    config = replace(config, **overrides)
     return CongestionProcess(config, seed=5, label="golden", horizon=400.0)
 
 

@@ -14,6 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.fastprobe import FastSegmentProber
 from repro.netsim import fastpath
 from repro.netsim.conduit import FaultOverlay
 from repro.netsim.congestion import CongestionConfig, CongestionProcess
@@ -33,6 +34,7 @@ from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
 from repro.pathaware.discovery import PathRegistry
 from repro.pathaware.segments import PathSegment
 from repro.workloads.wan import WanScenario
+from repro.workloads.wanbench import build_continent, run_campaign, small_config
 from tests.netsim.cell_golden import cell_over, chain, handbuilt_cells, link_channels
 from tests.properties.test_prop_cell_kernel import assert_same_arrays
 
@@ -293,6 +295,90 @@ class TestExtras:
         topology = chain(treatment=TreatmentProfile.uniform(
             ProtocolTreatment(ecmp_granularity=HashGranularity.PER_PACKET)))
         assert extract(topology).extras == ()
+
+
+class TestTheTable:
+    def test_a_campaign_reads_each_channel_once(self, monkeypatch):
+        """The count behind "extraction costs per channel state, not per
+        traversal": over a 40-episode campaign ``_stage_from_channel`` runs
+        once per distinct table key, a fraction of the traversals."""
+        reads, traversals = [], []
+        read, build = fastpath._stage_from_channel, FastSegmentProber.build_cell
+
+        def counting_read(channel, packet):
+            reads.append(channel)
+            return read(channel, packet)
+
+        def counting_build(self, *args, **kwargs):
+            cell = build(self, *args, **kwargs)
+            traversals.append(len(cell.stages))
+            return cell
+
+        monkeypatch.setattr(fastpath, "_stage_from_channel", counting_read)
+        monkeypatch.setattr(FastSegmentProber, "build_cell", counting_build)
+        scenario = build_continent(small_config(episodes=40))
+        outcome = run_campaign(scenario)
+        (table,) = scenario.topology.stage_tables.values()
+        assert len(traversals) == outcome.measurements
+        assert len(reads) == len(set(reads)) == len(table._entries)
+        assert 3 * len(reads) < sum(traversals)
+
+    def test_a_stale_row_is_reread_in_place(self):
+        topology = chain()
+        before = extract(topology)
+        (table,) = topology.stage_tables.values()
+        stages = len(table._entries)
+        forward, _ = link_channels(topology)
+        forward.base_delay = 9e-3
+        after = extract(topology)
+        assert len(table._entries) == stages  # same entry, same stage id
+        assert after.stages[3, fastpath.FIXED_DELAY] == 9e-3 + forward.transmission_time(64)
+        assert before.stages[3, fastpath.FIXED_DELAY] != after.stages[3, fastpath.FIXED_DELAY]
+        changed = before.stages != after.stages
+        assert changed.sum() == 1  # and the cell cut earlier kept its copy
+
+    def test_a_refused_cell_tables_nothing_it_did_not_finish(self):
+        """Flowlet ECMP on the second link: the cell is refused on every
+        visit, and the channels read before the refusal are read again
+        rather than trusted half-written."""
+        topology = chain(
+            ecmp=EcmpGroup(ROUTES),
+            treatment=TreatmentProfile.uniform(ProtocolTreatment(
+                ecmp_granularity=HashGranularity.PER_FLOWLET)),
+        )
+        for _ in range(2):
+            with pytest.raises(FastPathUnsupported, match="flowlet ECMP"):
+                extract(topology)
+        for channel in link_channels(topology):
+            channel.treatment = TreatmentProfile.uniform()
+        assert_rows_match_transit(topology, Protocol.UDP)
+
+    def test_per_flow_rows_follow_the_flow_not_the_table(self):
+        """Two vantage pairs over the same channels hash to different
+        routes; each cell gets its own, whichever was extracted first."""
+        topology = chain(ecmp=EcmpGroup(ROUTES, salt=2))
+        segment = PathRegistry(topology).shortest(1, 3)
+
+        def offsets(client_interface):
+            cell = extract_segment_cell(
+                topology, segment, Protocol.UDP,
+                client_vantage=(1, client_interface), server_vantage=SERVER,
+                count=5, interval=1e-3, start=0.0,
+            )
+            return cell.stages[[3, 6], fastpath.ROUTE_OFFSET].tolist()
+
+        seen = {interface: offsets(interface) for interface in range(2, 10)}
+        assert len({tuple(pair) for pair in seen.values()}) > 2
+        for interface, expected in seen.items():
+            assert offsets(interface) == expected
+            fresh = chain(ecmp=EcmpGroup(ROUTES, salt=2))
+            probe = Packet(src=Address(1, f"exec{interface}"), dst=Address(3, "exec1"),
+                           protocol=Protocol.UDP, size=64, dst_port=7)
+            forward, reverse = link_channels(fresh)
+            assert expected == [
+                transit_reads(forward, probe)[fastpath.ROUTE_OFFSET],
+                transit_reads(reverse, probe.reply_to())[fastpath.ROUTE_OFFSET],
+            ]
 
 
 class TestCellIsAValue:

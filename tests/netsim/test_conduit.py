@@ -8,6 +8,7 @@ from repro.netsim.conduit import DirectedChannel, FaultOverlay, Link
 from repro.netsim.congestion import CongestionConfig, CongestionProcess, calm_congestion
 from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
 from repro.netsim.packet import Address, Packet, Protocol
+from repro.netsim.routechurn import RouteChurnProcess, RouteShift
 from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
 
 
@@ -170,6 +171,50 @@ class TestOverlays:
         channel.add_overlay(overlay)
         channel.remove_overlay(overlay)
         assert channel.transit(_packet(), 5.0).delivered
+
+    def test_remove_overlay_is_by_identity(self):
+        """Equal (frozen) overlays are different faults: the one asked for
+        goes, wherever it sits, and one that is not on the channel raises
+        even when its equal is."""
+        channel = _quiet_channel()
+        first = FaultOverlay(start=0.0, end=10.0, blackhole=True)
+        twin = FaultOverlay(start=0.0, end=10.0, blackhole=True)
+        assert first == twin and first is not twin
+        channel.add_overlay(first)
+        channel.add_overlay(twin)
+        channel.remove_overlay(twin)
+        assert len(channel.overlays) == 1 and channel.overlays[0] is first
+        with pytest.raises(ValueError, match="not on channel"):
+            channel.remove_overlay(twin)
+        assert channel.overlays[0] is first
+
+    def test_every_caller_side_change_moves_the_state_stamp(self):
+        """What a packed stage row is read from cannot change without the
+        stamp changing; a packet crossing the channel changes neither."""
+        channel = _quiet_channel()
+        overlay = FaultOverlay(start=0.0, end=10.0, extra_delay=1e-3)
+        seen = {channel.state_stamp()}
+        for change in (
+            lambda: setattr(channel, "treatment", TreatmentProfile.uniform()),
+            lambda: setattr(channel, "base_delay", 6e-3),
+            lambda: setattr(channel, "jitter_std", 1e-4),
+            lambda: setattr(channel, "bandwidth_bps", 1e6),
+            lambda: channel.add_overlay(overlay),
+            lambda: channel.remove_overlay(overlay),
+            lambda: channel.congestion.inject_burst(0.0, 5.0, 0.2),
+            lambda: channel.congestion.clear_injected(),
+            lambda: setattr(channel, "congestion", calm_congestion(3, "other")),
+            lambda: channel.churn.add(RouteShift(0.0, 5.0, 1e-3)),
+            lambda: setattr(channel, "churn", RouteChurnProcess([])),
+        ):
+            change()
+            stamp = channel.state_stamp()
+            assert stamp not in seen
+            seen.add(stamp)
+            channel.transit(_packet(), 1.0)
+            assert channel.state_stamp() == stamp
+        assert (channel.base_delay, channel.jitter_std, channel.bandwidth_bps) == (
+            6e-3, 1e-4, 1e6)
 
 
 class TestPerProtocolEcmp:

@@ -2,7 +2,9 @@
 
 
 from repro.netsim import FaultInjector, FaultKind, FaultLocation, InterfaceId, Protocol
+from repro.netsim.fastpath import extract_segment_cell
 from repro.netsim.packet import Address, Packet
+from repro.pathaware.segments import PathSegment
 
 
 def _probe(seq=0):
@@ -137,3 +139,41 @@ class TestRevocation:
         assert not fwd.transit(_probe(), 1.0).delivered
         survivor.revoke()
         assert fwd.transit(_probe(), 1.0).delivered
+
+    def test_revoking_one_of_two_equal_faults_leaves_the_others_object(
+        self, three_as_network
+    ):
+        """Same parameters, equal frozen overlays: what remains on the
+        channel after revoking the first is the twin's own object."""
+        _, topo, _, _, _ = three_as_network
+        injector = FaultInjector(topo)
+        ends = (InterfaceId(1, 2), InterfaceId(2, 1))
+        first = injector.link_loss(*ends, loss=0.5, start=0.0, end=1e9)
+        twin = injector.link_loss(*ends, loss=0.5, start=0.0, end=1e9)
+        (_, first_overlay), (_, twin_overlay) = first.overlays[0], twin.overlays[0]
+        assert first_overlay == twin_overlay and first_overlay is not twin_overlay
+        first.revoke()
+        for channel, overlay in twin.overlays:
+            assert len(channel.overlays) == 1 and channel.overlays[0] is overlay
+
+    def test_a_revoke_is_seen_by_the_next_extraction(self, three_as_network):
+        """The vectorized path reads channels through a long-lived table:
+        a fault revoked after the table was read is gone from the next cell."""
+        _, topo, _, _, _ = three_as_network
+        segment = PathSegment.from_hops(topo.shortest_path(1, 3))
+
+        def overlays_carried():
+            cell = extract_segment_cell(
+                topo, segment, Protocol.UDP, client_vantage=(1, 2),
+                server_vantage=(3, 1), count=5, interval=1e-3, start=0.0,
+            )
+            return sum(len(extras.overlays) for _, extras in cell.extras)
+
+        assert overlays_carried() == 0
+        injector = FaultInjector(topo)
+        fault = injector.link_delay(
+            InterfaceId(1, 2), InterfaceId(2, 1), extra_delay=5e-3, start=0.0, end=1e9
+        )
+        assert overlays_carried() == 2  # out over the link and back
+        fault.revoke()
+        assert overlays_carried() == 0

@@ -276,6 +276,143 @@ def _two_stages():
     return np.array([row, row])
 
 
+# ------------------------------------------------------------------ the skip
+
+
+class TestTheSkipIsExact:
+    """The kernel builds no mask for a window no probe of the row can be in
+    (``end <= first arrival`` or ``start > last arrival`` at that stage) and
+    none for a window every probe is in. At stage 0 the arrivals are the send
+    times, so the edges can be placed to the ulp."""
+
+    COUNT, INTERVAL, START = 8, 0.25, 10.0
+    FIRST, LAST = START, START + (COUNT - 1) * INTERVAL
+    #: name -> (start, end): just outside, then just inside, at either end,
+    #: then covering every probe exactly and missing the last by an ulp.
+    EDGES = {
+        "ends-at-first": (0.0, FIRST),
+        "ends-past-first": (0.0, np.nextafter(FIRST, np.inf)),
+        "starts-at-last": (LAST, 1e3),
+        "starts-past-last": (np.nextafter(LAST, np.inf), 1e3),
+        "covers-all": (FIRST, np.nextafter(LAST, np.inf)),
+        "covers-all-but-last": (FIRST, LAST),
+        "inside": (FIRST + 0.3, LAST - 0.3),
+    }
+    INSIDE = {"ends-at-first": 0, "ends-past-first": 1, "starts-at-last": 1,
+              "starts-past-last": 0, "covers-all": COUNT,
+              "covers-all-but-last": COUNT - 1, "inside": 4}
+
+    def cell(self, extras, *, seed=21, stages=None, at=0):
+        stages = _two_stages() if stages is None else stages
+        return ProbeCell("skip", Protocol.UDP, self.COUNT, self.INTERVAL,
+                         self.START, 2.0, seed, stages, ((at, extras),))
+
+    def check(self, cell):
+        """Alone, and as a middle row of a block (the bounds are per row)."""
+        expected = reference_cell_arrays(cell)
+        assert_same_arrays(simulate_cell_arrays(cell), expected)
+        early = ProbeCell("early", Protocol.UDP, self.COUNT, self.INTERVAL, 0.0,
+                          2.0, 3, _two_stages())
+        late = ProbeCell("late", Protocol.UDP, self.COUNT, self.INTERVAL, 500.0,
+                         2.0, 4, _two_stages())
+        assert_same_arrays(simulate_cell_batch([early, cell, late])[1], expected)
+        return expected[1]
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_blackhole_edges(self, edge):
+        rtts = self.check(self.cell(StageExtras(
+            overlays=(OverlayWindow(*self.EDGES[edge], blackhole=True),))))
+        assert int(np.isnan(rtts).sum()) == self.INSIDE[edge]
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_delay_loss_and_jitter_edges(self, edge):
+        start, end = self.EDGES[edge]
+        rtts = self.check(self.cell(StageExtras(
+            overlays=(OverlayWindow(start, end, extra_delay=0.5),))))
+        assert int((rtts > 0.4).sum()) == self.INSIDE[edge]
+        rtts = self.check(self.cell(StageExtras(
+            overlays=(OverlayWindow(start, end, extra_loss=1.5),))))
+        assert int(np.isnan(rtts).sum()) == self.INSIDE[edge]
+        self.check(self.cell(StageExtras(
+            overlays=(OverlayWindow(start, end, extra_delay=1e-3, extra_jitter=5e-3),))))
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("delta", [0.5, -2e-3])
+    def test_churn_edges(self, edge, delta):
+        """Negative deltas too: ``delta * False`` is ``-0.0``, still a no-op."""
+        rtts = self.check(self.cell(StageExtras(
+            churn=((*self.EDGES[edge], delta), (0.0, 5.0, -1e-3), (50.0, 60.0, 3e-3)))))
+        if delta > 0:
+            assert int((rtts > 0.4).sum()) == self.INSIDE[edge]
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_burst_edges(self, edge):
+        """A burst to saturation loses probes (threshold 0.5, scale 2)."""
+        stages = _two_stages()
+        stages[:, fastpath.AMPLITUDE] = 0.0  # the steady path unless a burst is in
+        stages[:, fastpath.DROP_SCALE] = 40.0
+        extras = StageExtras(bursts=((*self.EDGES[edge], 0.59), (0.0, 5.0, 0.2)))
+        rtts = self.check(self.cell(extras, stages=stages))
+        assert int(np.isnan(rtts).sum()) == self.INSIDE[edge]
+
+    def test_a_later_stage_reads_its_own_arrivals(self):
+        """At stage 1 the arrivals are 3 ms and more past the send times: a
+        window ending between the two is out at stage 1, in at stage 0."""
+        window = OverlayWindow(0.0, self.FIRST + 1e-3, blackhole=True)
+        for at, lost in ((0, 1), (1, 0)):
+            rtts = self.check(self.cell(StageExtras(overlays=(window,)), at=at))
+            assert int(np.isnan(rtts).sum()) == lost
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_skipped_jitter_overlay_still_draws_in_its_place(self, seed):
+        """Out of its window between two overlays inside theirs: its normal
+        is drawn after the first's and before the third's, and discarded."""
+        inside = (self.FIRST + 0.3, self.LAST - 0.3)
+        extras = StageExtras(overlays=(
+            OverlayWindow(*inside, extra_delay=1e-3, extra_jitter=2e-3),
+            OverlayWindow(500.0, 600.0, extra_delay=9.0, extra_jitter=4e-3),
+            OverlayWindow(*inside, extra_jitter=3e-3),
+        ))
+        cell = ProbeCell("order", Protocol.UDP, self.COUNT, self.INTERVAL,
+                         self.START, 2.0, seed, _two_stages(),
+                         ((0, extras), (1, extras)))
+        rtts = self.check(cell)
+        assert not (rtts > 1.0).any()
+
+    def test_a_skipped_loss_overlay_makes_no_row_draw(self):
+        """``extra_loss`` outside its window on a stage that cannot lose a
+        probe otherwise: nothing is drawn for the drop decision, nothing is
+        lost, and the next draws are where the reference has them."""
+        stages = _two_stages()
+        stages[:, fastpath.AMPLITUDE] = 0.0
+        stages[:, fastpath.UTILIZATION] = 0.3  # under the drop threshold
+        extras = StageExtras(overlays=(OverlayWindow(0.0, 5.0, extra_loss=0.9),))
+        rtts = self.check(self.cell(extras, stages=stages))
+        assert not np.isnan(rtts).any()
+
+    def test_masks_are_built_only_for_windows_a_probe_can_be_in(self, monkeypatch):
+        """Counted over a campaign's cells: every mask the kernel builds is
+        for a window that meets its row's arrivals without covering them,
+        and most windows the cells carry need none."""
+        built = []
+        inside = fastpath._inside
+
+        def recording(arrivals, start, end):
+            lo, hi = arrivals.min(), arrivals.max()
+            assert end > lo and start <= hi
+            assert not (start <= lo and hi < end)
+            built.append((start, end))
+            return inside(arrivals, start, end)
+
+        cells = _campaign_cells(episodes=40)
+        carried = sum(len(e.overlays) for cell in cells for _, e in cell.extras)
+        expected = simulate_cell_batch(cells)
+        monkeypatch.setattr(fastpath, "_inside", recording)
+        for got, pair in zip(simulate_cell_batch(cells), expected):
+            assert_same_arrays(got, pair)
+        assert carried > 100 and len(built) < carried // 10
+
+
 # -------------------------------------------------------------- through a pool
 
 
@@ -321,7 +458,7 @@ class TestThroughCellPool:
         assert parallel.fallback_serial_total == before + 1
 
 
-def _campaign_cells():
+def _campaign_cells(episodes=4):
     cells = []
     build = fastprobe.FastSegmentProber.build_cell
 
@@ -331,5 +468,5 @@ def _campaign_cells():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fastprobe.FastSegmentProber, "build_cell", recording)
-        run_campaign(build_continent(small_config(episodes=4)))
+        run_campaign(build_continent(small_config(episodes=episodes)))
     return cells

@@ -22,6 +22,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.fastprobe import FastSegmentProber
 from repro.core.localization import FaultLocalizer
 from repro.workloads.wanbench import (
+    WanbenchConfig,
     build_continent,
     campaign_judge,
     run_campaign,
@@ -50,6 +51,28 @@ EVENT_KEYS = (
     "episode", "strategy", "fault_kind", "found", "measurements",
     "convergence_time",
 )
+
+# Serial campaign digests by ``(n_ases, episodes, seed)``, recorded at the
+# parent of the stage table (565ea43) before ``netsim/fastpath.py`` was
+# touched: ``wan_campaign``'s bench iterations 0-2, the CI ``wan`` job's
+# campaign (``repro wanbench --ases 300 --episodes 400 --modes fast`` prints
+# the first 16 digits), and the 40 / 400 / 2 000-episode campaigns of the
+# flat-cost table in EXPERIMENTS.md. ``python -m tests.workloads.test_wanbench``
+# prints them again; like the goldens above they move only with numpy's streams.
+SERIAL_DIGESTS = {
+    (400, 80, 0): "4dd43c1391335d08280edb6d3133640ce81667eacc53d5d63a9057b0efddded5",
+    (400, 80, 1): "833b2b94eec57736f86780b8369f1e387511a7667cc6cc64a6a9e5b19de6740b",
+    (400, 80, 2): "b749b907ef906fe66594c4dff841e9c0552ba9dd11429bcfda3e9cd284a768bf",
+    (300, 400, 0): "bea5f8f7364ac4b4715cc480428abef1bc2659a00f554dfc86ec92092f05a358",
+    (1000, 40, 1): "0b84172d45d24dc12427f370278d276f46c5aa80d07497339b26c94c14f0dbcc",
+    (1000, 400, 1): "32dc0a1fe9c6fbc7f794cc0368efa8dab292429144ccf39c8a58d2123e600f16",
+    (1000, 2000, 1): "a0011a780a2549e036b95dacf3ea8b9b19bcf0eccc407d04a040d901fc3ab9e2",
+}
+
+
+def serial_digest(n_ases: int, episodes: int, seed: int) -> str:
+    config = WanbenchConfig(n_ases=n_ases, episodes=episodes, seed=seed)
+    return run_campaign(build_continent(config), workers=0).digest
 
 
 def _sha(rows) -> str:
@@ -110,6 +133,12 @@ class TestGoldenDigests:
                 ]
             )
         assert _sha(rows) == GOLDEN_ONE_AT_A_TIME
+
+    @pytest.mark.parametrize(
+        "size", SERIAL_DIGESTS, ids=lambda size: "x".join(map(str, size))
+    )
+    def test_serial_digests_at_bench_and_experiment_sizes(self, size):
+        assert serial_digest(*size) == SERIAL_DIGESTS[size]
 
     def test_event_baseline_rows_are_pinned(self):
         outcome = run_event_baseline(build_continent(small_config()))
@@ -199,3 +228,8 @@ def test_fast_path_beats_event_driven_campaign(smoke_summary):
         fast.wall_seconds,
         event.wall_seconds,
     )
+
+
+if __name__ == "__main__":
+    for size in SERIAL_DIGESTS:
+        print(f"    {size}: \"{serial_digest(*size)}\",")
