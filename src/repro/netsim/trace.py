@@ -1,43 +1,81 @@
-"""Measurement traces: per-probe records and summary statistics.
+"""Measurement traces: one probe train as two columns, and its statistics.
 
 A :class:`MeasurementTrace` is what every probing tool in this repository
 produces — the paper's Table I cells (RTT mean/std, loss per-mille) are
 direct summaries of one trace each.
+
+**Representation.** A trace is two float64 columns of equal length,
+``(send_times, rtts)`` (:attr:`MeasurementTrace.columns`): probe ``i``
+(sequence number ``i + 1``) left at ``send_times[i]`` and came back after
+``rtts[i]`` seconds, ``NaN`` marking a lost probe. Every producer writes
+that shape: the fast-path kernel returns it per cell and
+:meth:`MeasurementTrace.from_arrays` keeps those arrays without copying;
+the event-driven trains (:mod:`repro.netsim.traffic`) append a send
+instant per probe and fill the reply's slot. Both columns are read-only
+views once a trace holds them, so no reader of a trace can change it.
+
+Every statistic is a column operation — no Python object per probe. The
+received RTTs, :meth:`MeasurementTrace.rtts`, are ``rtts[~isnan(rtts)]``:
+the values of the record-list trace this one replaced, in the same order,
+so every mean, std and percentile is bit-identical to it (the replaced
+class is kept as ``tests/netsim/trace_reference.py``, the oracle of
+``tests/properties/test_prop_trace_columns.py``).
+:attr:`MeasurementTrace.records` is a per-probe view built on access, for
+readers that want one :class:`ProbeRecord` per probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.netsim.packet import Protocol
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeRecord:
     """One probe's fate. ``rtt`` is ``None`` when the probe was lost."""
 
     seq: int
     send_time: float
     rtt: float | None = None
-    receive_time: float | None = None
 
     @property
     def lost(self) -> bool:
         return self.rtt is None
 
 
-@dataclass
+def _frozen_column(values) -> np.ndarray:
+    """``values`` as a read-only float64 view (a copy only if not float64)."""
+    column = np.asarray(values, dtype=np.float64).view()
+    column.flags.writeable = False
+    return column
+
+
 class MeasurementTrace:
-    """An ordered collection of probe records for one (pair, protocol)."""
+    """One (pair, protocol) probe train: ``send_times`` and ``rtts`` columns
+    (``NaN`` = lost), probe ``i`` having sequence number ``i + 1``."""
 
-    protocol: Protocol
-    label: str = ""
-    records: list[ProbeRecord] = field(default_factory=list)
+    __slots__ = ("protocol", "label", "_send_times", "_rtts")
 
-    def add(self, record: ProbeRecord) -> None:
-        self.records.append(record)
+    def __init__(
+        self,
+        protocol: Protocol,
+        send_times: np.ndarray,
+        rtts: np.ndarray,
+        *,
+        label: str = "",
+    ) -> None:
+        self.protocol = protocol
+        self.label = label
+        self._send_times = _frozen_column(send_times)
+        self._rtts = _frozen_column(rtts)
+        if self._send_times.ndim != 1 or self._send_times.shape != self._rtts.shape:
+            raise ValueError(
+                "a trace needs two 1-D columns of equal length, got shapes "
+                f"{self._send_times.shape} and {self._rtts.shape}"
+            )
 
     @classmethod
     def from_arrays(
@@ -48,35 +86,50 @@ class MeasurementTrace:
         *,
         label: str = "",
     ) -> "MeasurementTrace":
-        """Build a trace from vectorized results (``NaN`` rtt = lost).
+        """Wrap vectorized results (``NaN`` rtt = lost) without copying them.
 
         Probes are numbered 1..N in array order, matching what a
         :class:`~repro.netsim.traffic.ProbeTrain` would have produced for
         the same schedule.
         """
-        records = [
-            ProbeRecord(
-                seq=index + 1,
-                send_time=float(send),
-                rtt=None if lost else float(rtt),
-                receive_time=None if lost else float(send + rtt),
-            )
-            for index, (send, rtt, lost) in enumerate(
-                zip(send_times, rtts, np.isnan(rtts))
+        return cls(protocol, send_times, rtts, label=label)
+
+    @property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(send_times, rtts)``, read-only; a lost probe's rtt is ``NaN``."""
+        return self._send_times, self._rtts
+
+    @property
+    def records(self) -> list[ProbeRecord]:
+        """One :class:`ProbeRecord` per probe, built on access."""
+        return [
+            ProbeRecord(seq, send, None if lost else rtt)
+            for seq, (send, rtt, lost) in enumerate(
+                zip(
+                    self._send_times.tolist(),
+                    self._rtts.tolist(),
+                    np.isnan(self._rtts).tolist(),
+                ),
+                start=1,
             )
         ]
-        return cls(protocol, label=label, records=records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._send_times)
+
+    def __repr__(self) -> str:
+        return (
+            f"MeasurementTrace({self.protocol.name}, label={self.label!r}, "
+            f"sent={self.sent}, lost={self.lost})"
+        )
 
     @property
     def sent(self) -> int:
-        return len(self.records)
+        return len(self._send_times)
 
     @property
     def lost(self) -> int:
-        return sum(1 for record in self.records if record.lost)
+        return int(np.count_nonzero(np.isnan(self._rtts)))
 
     @property
     def received(self) -> int:
@@ -84,7 +137,7 @@ class MeasurementTrace:
 
     def loss_rate(self) -> float:
         """Fraction of probes lost, in [0, 1]."""
-        if not self.records:
+        if not self.sent:
             return 0.0
         return self.lost / self.sent
 
@@ -93,10 +146,8 @@ class MeasurementTrace:
         return self.loss_rate() * 1000.0
 
     def rtts(self) -> np.ndarray:
-        """Round-trip times of received probes, in seconds."""
-        return np.array(
-            [record.rtt for record in self.records if record.rtt is not None]
-        )
+        """Round-trip times of received probes, in seconds, in send order."""
+        return self._rtts[~np.isnan(self._rtts)]
 
     def rtts_ms(self) -> np.ndarray:
         return self.rtts() * 1e3
@@ -115,9 +166,8 @@ class MeasurementTrace:
 
     def time_series(self) -> tuple[np.ndarray, np.ndarray]:
         """(send_time, rtt_ms) arrays for received probes — Fig 1–3 data."""
-        times = [r.send_time for r in self.records if r.rtt is not None]
-        rtts = [r.rtt * 1e3 for r in self.records if r.rtt is not None]
-        return np.array(times), np.array(rtts)
+        received = ~np.isnan(self._rtts)
+        return self._send_times[received], self._rtts[received] * 1e3
 
     def summary(self) -> dict:
         """The Table I cell for this trace."""

@@ -11,6 +11,7 @@ arrival times instead of echoing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
@@ -18,13 +19,53 @@ from repro.netsim.endhost import Host, Socket
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, IcmpType, Packet, Protocol
 from repro.netsim.topology import PathHop
-from repro.netsim.trace import MeasurementTrace, ProbeRecord
+from repro.netsim.trace import MeasurementTrace
 
 #: Probe size used when a train does not specify one (layer-3 total bytes).
 DEFAULT_PROBE_SIZE = 64
 
 
-class ProbeTrain:
+class _ColumnTrain:
+    """What both trains share: the schedule checks and the trace columns.
+
+    As probe ``seq`` leaves, its send instant is appended (so ``seq`` is
+    its position + 1) and its rtt slot starts as ``NaN``; an answer writes
+    slot ``seq - 1``. ``_pending`` maps each unanswered ``seq`` to its send
+    instant.
+    """
+
+    def __init__(
+        self, protocol: Protocol, *, count: int, interval: float, label: str
+    ) -> None:
+        if count <= 0:
+            raise ConfigurationError("probe count must be positive")
+        if interval <= 0:
+            raise ConfigurationError("probe interval must be positive")
+        self.protocol = protocol
+        self.count = count
+        self.interval = interval
+        self.label = label
+        self._send_times: list[float] = []
+        self._rtts: list[float] = []
+        self._pending: dict[int, float] = {}
+
+    def _sending(self, now: float) -> int:
+        """Record a probe leaving at ``now``; returns its sequence number."""
+        self._send_times.append(now)
+        self._rtts.append(math.nan)
+        seq = len(self._send_times)
+        self._pending[seq] = now
+        return seq
+
+    @property
+    def trace(self) -> MeasurementTrace:
+        """The probes sent so far; unanswered ones read as lost."""
+        return MeasurementTrace(
+            self.protocol, self._send_times, self._rtts, label=self.label
+        )
+
+
+class ProbeTrain(_ColumnTrain):
     """Send ``count`` probes at ``interval`` seconds and match echo replies.
 
     The destination host's stack must echo this protocol (see
@@ -48,22 +89,13 @@ class ProbeTrain:
         path: list[PathHop] | None = None,
         label: str = "",
     ) -> None:
-        if count <= 0:
-            raise ConfigurationError("probe count must be positive")
-        if interval <= 0:
-            raise ConfigurationError("probe interval must be positive")
+        super().__init__(protocol, count=count, interval=interval, label=label)
         self.client = client
         self.server = server
-        self.protocol = protocol
-        self.count = count
-        self.interval = interval
         self.size = size
         self.start = client.network.simulator.now if start is None else start
         self.timeout = timeout
         self.path = path
-        self.trace = MeasurementTrace(protocol, label=label)
-        self._pending: dict[int, ProbeRecord] = {}
-        self._next_seq = 1
 
         if protocol in (Protocol.UDP, Protocol.TCP):
             if src_port <= 0:
@@ -86,11 +118,7 @@ class ProbeTrain:
             post(self.start + i * self.interval, self._send_one)
 
     def _send_one(self) -> None:
-        seq = self._next_seq
-        self._next_seq += 1
-        record = ProbeRecord(seq=seq, send_time=self.network.simulator.now)
-        self._pending[seq] = record
-        self.trace.add(record)
+        seq = self._sending(self.network.simulator.now)
         icmp_type = IcmpType.ECHO_REQUEST if self.protocol is Protocol.ICMP else None
         self._socket.send(
             self.server,
@@ -104,13 +132,12 @@ class ProbeTrain:
     def _on_reply(self, packet: Packet, t: float) -> None:
         if packet.protocol is Protocol.ICMP and packet.icmp_type is not IcmpType.ECHO_REPLY:
             return  # e.g. stray time-exceeded messages
-        record = self._pending.pop(packet.seq, None)
-        if record is None:
+        send_time = self._pending.pop(packet.seq, None)
+        if send_time is None:
             return  # duplicate or late reply
-        if t - record.send_time > self.timeout:
+        if t - send_time > self.timeout:
             return  # reply after timeout counts as loss
-        record.receive_time = t
-        record.rtt = t - record.send_time
+        self._rtts[packet.seq - 1] = t - send_time
 
     def finalize(self) -> MeasurementTrace:
         """Mark unanswered probes as lost, release the socket, and return
@@ -165,13 +192,14 @@ class MultiProtocolProber:
         return {proto: train.finalize() for proto, train in self.trains.items()}
 
 
-class OneWayProbeTrain:
+class OneWayProbeTrain(_ColumnTrain):
     """Unidirectional probes: sender timestamps, receiver records arrivals.
 
     Requires the receiver to bind the probe port (no echo involved), which
     is what a Debuglet *server* application does. With the simulator's
     global clock, one-way delay is exact — standing in for the synchronized
-    clocks the paper assumes between executors.
+    clocks the paper assumes between executors. The delay is stored in the
+    trace's rtt column; ``finalize()`` releases both sockets.
     """
 
     def __init__(
@@ -189,6 +217,7 @@ class OneWayProbeTrain:
         path: list[PathHop] | None = None,
         label: str = "",
     ) -> None:
+        super().__init__(protocol, count=count, interval=interval, label=label)
         if protocol in (Protocol.UDP, Protocol.TCP):
             self._client_socket = client.open_socket(protocol, src_port)
             self._server_socket = server.open_socket(protocol, dst_port)
@@ -199,24 +228,15 @@ class OneWayProbeTrain:
             self._dst_port = 0
         self.client = client
         self.server = server
-        self.protocol = protocol
-        self.count = count
-        self.interval = interval
         self.size = size
         self.start = client.network.simulator.now if start is None else start
         self.path = path
-        self.trace = MeasurementTrace(protocol, label=label)
-        self._records: dict[int, ProbeRecord] = {}
         self._server_socket.on_receive = self._on_arrival
         for i in range(count):
-            client.network.simulator.post(
-                self.start + i * interval, self._send_one, i + 1
-            )
+            client.network.simulator.post(self.start + i * interval, self._send_one)
 
-    def _send_one(self, seq: int) -> None:
-        record = ProbeRecord(seq=seq, send_time=self.client.network.simulator.now)
-        self._records[seq] = record
-        self.trace.add(record)
+    def _send_one(self) -> None:
+        seq = self._sending(self.client.network.simulator.now)
         self._client_socket.send(
             self.server.address,
             dst_port=self._dst_port,
@@ -226,14 +246,17 @@ class OneWayProbeTrain:
         )
 
     def _on_arrival(self, packet: Packet, t: float) -> None:
-        record = self._records.pop(packet.seq, None)
-        if record is None:
+        send_time = self._pending.pop(packet.seq, None)
+        if send_time is None:
             return
-        record.receive_time = t
-        record.rtt = t - record.send_time  # one-way delay stored in rtt slot
+        self._rtts[packet.seq - 1] = t - send_time  # one-way delay
 
     def finalize(self) -> MeasurementTrace:
-        self._records.clear()
+        """Mark probes that never arrived as lost, release both sockets, and
+        return the trace."""
+        self._pending.clear()
+        self._client_socket.close()
+        self._server_socket.close()
         return self.trace
 
 

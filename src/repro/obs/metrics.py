@@ -7,7 +7,9 @@ When observability is disabled, :class:`NullMetricsRegistry` hands out
 shared no-op recorders — the disabled mode costs one no-op call per
 instrumented site, which the overhead guard in
 ``tests/workloads/test_perf_smoke.py`` bounds at <5% on the Table I fast
-path.
+path. A site that records a whole array (a trace's RTTs) makes one
+``Histogram.observe_many`` call, so disabled it costs one call per array,
+not one per value.
 
 Histograms use **fixed logarithmic buckets** so that two runs with the
 same seed fill exactly the same buckets: bucket boundaries are computed
@@ -19,6 +21,8 @@ oracle (see DESIGN.md §9).
 from __future__ import annotations
 
 import bisect
+
+import numpy as np
 
 
 def log_buckets(start: float, factor: float, count: int) -> tuple[float, ...]:
@@ -97,6 +101,25 @@ class Histogram:
         self.total += 1
         self.sum += value
 
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` every value, in order, as array operations.
+
+        Buckets come from ``searchsorted(side="left")`` — ``bisect_left``,
+        a NaN included — and ``sum`` is accumulated in observation order (a
+        running sum, not a pairwise one), so the histogram and its export
+        are bit-identical to the per-value loop.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if not values.size:
+            return
+        indices = np.searchsorted(self.bounds, values, side="left")
+        indices[np.isnan(values)] = 0
+        binned = np.bincount(indices, minlength=len(self.counts))
+        for index in np.flatnonzero(binned).tolist():
+            self.counts[index] += int(binned[index])
+        self.total += int(values.size)
+        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
+
 
 class _NullRecorder:
     """No-op twin of every recorder; shared singleton, near-zero cost."""
@@ -113,6 +136,9 @@ class _NullRecorder:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values) -> None:
         pass
 
 

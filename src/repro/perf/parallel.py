@@ -13,7 +13,11 @@ of an epoch per task, and inline the whole batch is one kernel call.
 
 Cells are packed float rows with a few small tuples and workers return
 bare ``(send_times, rtts)`` arrays, so crossing the process boundary costs
-microseconds per cell.
+microseconds per cell. Those arrays are also what the caller keeps:
+:func:`map_cells` wraps each pair as a
+:class:`~repro.netsim.trace.MeasurementTrace` without copying it, so no
+Python object is built per probe whether the cells ran inline or pooled,
+and the pool's speedup is the kernel's.
 
 **Worker counts.** ``-1`` adapts to the machine (every core; serial on a
 single-core box). An explicit count is honoured and clamped only to the
@@ -122,7 +126,8 @@ class CellPool:
 def map_cells(
     cells: Iterable[ProbeCell], *, workers: int | None = None
 ) -> list[MeasurementTrace]:
-    """Simulate ``cells`` and return traces in input order.
+    """Simulate ``cells`` and return traces in input order, each holding
+    its cell's kernel arrays as its columns.
 
     ``workers=None`` (or 0) runs serially in-process; see the module
     docstring for other counts. Because each cell carries its own derived

@@ -456,9 +456,9 @@ class WanScenario:
                 labels = {"city": city, "protocol": protocol.name}
                 counter("probes_sent_total", **labels).inc(trace.sent)
                 counter("probes_lost_total", **labels).inc(trace.lost)
-                rtt = obs.metrics.histogram("probe_rtt_seconds", **labels)
-                for value in trace.rtts():
-                    rtt.observe(float(value))
+                obs.metrics.histogram("probe_rtt_seconds", **labels).observe_many(
+                    trace.rtts()
+                )
 
     def _run_protocol_study_fast(
         self,

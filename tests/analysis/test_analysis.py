@@ -14,16 +14,15 @@ from repro.analysis import (
     table_row,
 )
 from repro.netsim.packet import Protocol
-from repro.netsim.trace import MeasurementTrace, ProbeRecord
+from repro.netsim.trace import MeasurementTrace
 
 
 def _trace(rtts_ms, lost=0):
-    trace = MeasurementTrace(Protocol.UDP)
-    for i, rtt in enumerate(rtts_ms):
-        trace.add(ProbeRecord(seq=i, send_time=float(i), rtt=rtt * 1e-3))
-    for j in range(lost):
-        trace.add(ProbeRecord(seq=1000 + j, send_time=0.0))
-    return trace
+    return MeasurementTrace.from_arrays(
+        Protocol.UDP,
+        np.arange(len(rtts_ms) + lost, dtype=float),
+        np.concatenate([np.array(rtts_ms) * 1e-3, np.full(lost, np.nan)]),
+    )
 
 
 class TestCellStats:

@@ -2,6 +2,7 @@
 
 import csv
 
+import numpy as np
 import pytest
 
 from repro.analysis.export import (
@@ -10,14 +11,13 @@ from repro.analysis.export import (
     write_timeseries_csv,
 )
 from repro.netsim.packet import Protocol
-from repro.netsim.trace import MeasurementTrace, ProbeRecord
+from repro.netsim.trace import MeasurementTrace
 
 
 def _trace(rtts_ms):
-    trace = MeasurementTrace(Protocol.UDP)
-    for i, rtt in enumerate(rtts_ms):
-        trace.add(ProbeRecord(seq=i, send_time=float(i), rtt=rtt * 1e-3))
-    return trace
+    return MeasurementTrace.from_arrays(
+        Protocol.UDP, np.arange(len(rtts_ms), dtype=float), np.array(rtts_ms) * 1e-3
+    )
 
 
 class TestExport:

