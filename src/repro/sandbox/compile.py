@@ -1,12 +1,12 @@
 """The compiled execution tier: threaded code + block fuel + a module cache.
 
-The reference interpreter (:class:`repro.sandbox.vm.VM`) re-decodes every
-instruction through a long ``if/elif`` chain and charges fuel one
-instruction at a time. This module translates a validated
-:class:`~repro.sandbox.module.Module` once into **threaded code**: a flat
-list of bound closures, one per instruction, each returning the index of
-the next closure to run. Dispatch is a list index plus a call — no Enum
-identity tests, no attribute lookups, no fuel dict.
+The reference interpreter (:class:`repro.sandbox.vm.VM`) dispatches on a
+table decoded once per module, one row per instruction, and charges fuel
+and makes every runtime check one instruction at a time. This module
+translates a validated :class:`~repro.sandbox.module.Module` once into
+**threaded code**: a flat list of bound closures, one per instruction,
+each returning the index of the next closure to run, with the checks the
+verifier proved dropped and fuel charged once per block.
 
 Three static proofs (from :mod:`repro.sandbox.verifier.facts`) pay for
 the speed:

@@ -17,8 +17,10 @@ Stages are lazy, and each assumes what the one before it established:
 2. **call graph and CFGs** — the callee map, its bottom-up order and
    cycles, what the entry point reaches and how deep; per-function CFGs
    with dead code (V102), recursion (V103), call depth (V104).
-3. **stack** — operand-stack depth per instruction (V20x). The abstract
-   interpreter pops without checking, so it only ever runs behind this.
+3. **stack** — operand-stack depth per instruction (V200–V202) and, from
+   those depths and the acyclic call graph, the worst-case value-stack
+   depth along call chains (V203). The abstract interpreter pops without
+   checking, so it only ever runs behind this.
 4. **context-free abstracts** — interval facts per function with unknown
    arguments and callees: what capability inference and check elision
    read. ``None`` unless stages 1 and 3 passed.
@@ -48,7 +50,7 @@ from repro.sandbox.verifier import effects as fx
 from repro.sandbox.verifier import taint as tt
 from repro.sandbox.verifier.absint import FunctionAbstract, analyze_function
 from repro.sandbox.verifier.cfg import FunctionCFG, build_cfg, tarjan_sccs
-from repro.sandbox.verifier.stackcheck import check_stack
+from repro.sandbox.verifier.stackcheck import check_stack, stack_effect
 from repro.sandbox.vm import VM
 
 _LOCAL_OPS = (Op.LOCAL_GET, Op.LOCAL_SET, Op.LOCAL_TEE)
@@ -247,6 +249,47 @@ class ModuleAnalysis:
         return tuple(diags), depth_in
 
     @cached_property
+    def value_stack_peak(self) -> int | None:
+        """Worst-case value-stack depth from the entry point, summed along
+        call chains; None unless the structure and stack stages found no
+        error and the entry reaches no cycle.
+
+        ``peak(f)`` is the largest depth reached relative to ``f``'s
+        floor: an instruction's own exit depth or, at a call site, the
+        depth left under the callee plus the callee's peak.
+        """
+        if (
+            _has_error(self.structure)
+            or self.stack[0]
+            or self.entry_walk[2] is not None
+        ):
+            return None
+        functions = self.module.functions
+        depth_in = self.stack[1]
+        peaks: dict[str, int] = {}
+
+        def peak(name: str) -> int:
+            known = peaks.get(name)
+            if known is not None:
+                return known
+            code = functions[name].code
+            highest = 0
+            for index, entry_depth in depth_in[name].items():
+                instruction = code[index]
+                pops, pushes = stack_effect(instruction, self.module)
+                highest = max(highest, entry_depth - pops + pushes)
+                if instruction.op is Op.CALL:
+                    callee = str(instruction.arg)
+                    highest = max(
+                        highest,
+                        entry_depth - functions[callee].n_params + peak(callee),
+                    )
+            peaks[name] = highest
+            return highest
+
+        return peak(ENTRY_POINT)
+
+    @cached_property
     def preflight(self) -> tuple[d.Diagnostic, ...]:
         """Stages 1-3 in report order; a failed structure stage suppresses
         the rest (they would index by names that do not resolve)."""
@@ -276,6 +319,13 @@ class ModuleAnalysis:
                 d.CALL_DEPTH_EXCEEDED,
                 f"worst-case call depth {deepest} exceeds the VM frame "
                 f"ceiling of {VM.MAX_STACK_DEPTH}",
+                ENTRY_POINT,
+            ))
+        elif (self.value_stack_peak or 0) > VM.MAX_VALUE_STACK:
+            diags.append(d.error(
+                d.CALL_CHAIN_STACK_OVERFLOW,
+                f"worst-case value-stack depth {self.value_stack_peak} along "
+                f"call chains exceeds the VM ceiling of {VM.MAX_VALUE_STACK}",
                 ENTRY_POINT,
             ))
         return tuple(diags) + self.stack[0]

@@ -28,6 +28,7 @@ MALFORMED_INSTRUCTION = "V109"
 STACK_UNDERFLOW = "V200"
 STACK_OVERFLOW = "V201"
 STACK_DEPTH_MISMATCH = "V202"
+CALL_CHAIN_STACK_OVERFLOW = "V203"
 
 # -------------------------------------------------------------------- fuel
 FUEL_EXCEEDS_LIMIT = "V300"

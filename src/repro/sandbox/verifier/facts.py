@@ -11,17 +11,16 @@ runs no analysis of its own — and takes from it:
 - bounded call depth and no recursion reachable from the entry — the
   frame-stack analogue, stage 2;
 - operand-stack discipline (no underflow, depth below the VM ceiling,
-  consistent depths at joins) and the per-instruction entry depths —
-  stage 3;
+  consistent depths at joins), the per-instruction entry depths and the
+  worst-case value-stack depth summed along call chains — stage 3;
 - the context-free interval facts that let individual bounds checks be
   elided (:attr:`FunctionFacts.safe_accesses`,
   :attr:`FunctionFacts.inbounds_accesses`) — stage 4.
 
 What it adds is what only the translator needs: globals representable as
-unsigned 64-bit values, the worst-case value-stack depth summed along
-call chains, and the *block layout* used for fuel pre-aggregation —
-basic-block leaders and the exact fuel cost of each block (the sum of its
-instructions' :data:`~repro.sandbox.isa.FUEL_COST`).
+unsigned 64-bit values, and the *block layout* used for fuel
+pre-aggregation — basic-block leaders and the exact fuel cost of each
+block (the sum of its instructions' :data:`~repro.sandbox.isa.FUEL_COST`).
 
 A module for which any proof fails raises :class:`FactsUnavailable`
 naming the first one that did; the VM then stays on the reference tier,
@@ -33,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sandbox.isa import FUEL_COST, Op
-from repro.sandbox.module import ENTRY_POINT, Function, Module
+from repro.sandbox.module import Function, Module
 from repro.sandbox.verifier.analysis import ModuleAnalysis
 from repro.sandbox.verifier.diagnostics import Severity
-from repro.sandbox.verifier.stackcheck import stack_effect
 
 #: ops that terminate a basic block (control may leave the straight line).
 _BLOCK_ENDERS = (Op.JMP, Op.JZ, Op.JNZ, Op.CALL, Op.HOST, Op.RET)
@@ -103,39 +101,6 @@ def block_fuel(function: Function, leaders: tuple[int, ...]) -> dict[int, int]:
     return costs
 
 
-def _value_stack_peak(module: Module, per_function: dict[str, FunctionFacts]) -> int:
-    """Worst-case absolute operand-stack depth, summed along call chains.
-
-    ``peak(f)`` is the largest depth reached *relative to f's floor*:
-    either an instruction's own exit depth, or — at a call site — the
-    depth left under the callee plus the callee's peak. The call graph is
-    already proven acyclic, so plain memoised recursion terminates.
-    """
-    peaks: dict[str, int] = {}
-
-    def peak(name: str) -> int:
-        known = peaks.get(name)
-        if known is not None:
-            return known
-        function = module.functions[name]
-        facts = per_function[name]
-        highest = 0
-        for index, entry_depth in facts.depth_in.items():
-            instruction = function.code[index]
-            pops, pushes = stack_effect(instruction, module)
-            highest = max(highest, entry_depth - pops + pushes)
-            if instruction.op is Op.CALL:
-                callee = module.functions[instruction.arg]
-                highest = max(
-                    highest,
-                    entry_depth - callee.n_params + peak(instruction.arg),
-                )
-        peaks[name] = highest
-        return highest
-
-    return peak(ENTRY_POINT)
-
-
 def gather_facts(module: Module) -> StaticFacts:
     """Prove the module safe for the compiled tier and lay out its blocks.
 
@@ -187,7 +152,8 @@ def gather_facts(module: Module) -> StaticFacts:
             f"worst-case call depth {call_depth} exceeds the frame ceiling "
             f"of {VM.MAX_STACK_DEPTH}"
         )
-    value_stack_peak = _value_stack_peak(module, per_function)
+    value_stack_peak = analysis.value_stack_peak
+    assert value_stack_peak is not None  # stack-checked, acyclic from the entry
     if value_stack_peak > VM.MAX_VALUE_STACK:
         raise FactsUnavailable(
             f"worst-case value-stack depth {value_stack_peak} exceeds the "

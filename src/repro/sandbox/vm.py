@@ -13,11 +13,18 @@ Executes a :class:`~repro.sandbox.module.Module` with:
 
 This mirrors how the paper's Go executor embeds Wasmer: WA code blocks on
 imported host functions that bridge to real sockets.
+
+On the reference tier each function is decoded once per module into
+``(handler, arg, fuel)`` rows, one small handler per opcode (``_decode``),
+and ``_run`` charges a row's fuel and then calls its handler. The tier
+reads no verifier facts and elides no check: it is the independent
+re-execution that audits and the compiled tier's bail-to-replay rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 from repro.common.errors import SandboxError
 from repro.common.errors import FuelExhausted, MemoryFault
@@ -27,6 +34,11 @@ from repro.sandbox.module import ENTRY_POINT, Module
 
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
+
+#: frame and value-stack ceilings (``VM.MAX_STACK_DEPTH`` /
+#: ``VM.MAX_VALUE_STACK``), as module constants for the handlers.
+_MAX_FRAMES = 256
+_MAX_VALUES = 65536
 
 #: host-op arities resolved once at module load, not per call (hot path).
 _HOST_ARITY = {name: spec[0] for name, spec in HOST_OPS.items()}
@@ -70,12 +82,18 @@ class Done:
     value: int
 
 
-@dataclass
 class _Frame:
-    function_name: str
-    pc: int
-    locals: list[int]
-    stack_floor: int  # value-stack depth at call time
+    """One activation of a function on the reference tier."""
+
+    __slots__ = ("function_name", "pc", "locals", "stack_floor", "code")
+
+    def __init__(self, function_name: str, pc: int, locals_: list[int],
+                 stack_floor: int, code: list[tuple]) -> None:
+        self.function_name = function_name
+        self.pc = pc
+        self.locals = locals_
+        self.stack_floor = stack_floor  # value-stack depth at call time
+        self.code = code  # the function's decoded rows
 
 
 class VM:
@@ -93,8 +111,8 @@ class VM:
     ``fuel_used`` tracks total instructions (weighted) for CPU accounting.
     """
 
-    MAX_STACK_DEPTH = 256
-    MAX_VALUE_STACK = 65536
+    MAX_STACK_DEPTH = _MAX_FRAMES
+    MAX_VALUE_STACK = _MAX_VALUES
 
     def __init__(
         self, module: Module, *, fuel_limit: int = 10_000_000, obs=None,
@@ -108,7 +126,7 @@ class VM:
         self.globals = dict(module.globals)
         self._stack: list[int] = []
         self._frames: list[_Frame] = []
-        self._floor = 0  # active frame's stack_floor, hoisted for _pop
+        self._floor = 0  # active frame's stack_floor, for underflow checks
         self._started = False
         self._finished = False
         self._awaiting_host: HostCall | None = None
@@ -165,7 +183,8 @@ class VM:
             def runner():
                 return self._compiled_start(locals_, args)
         else:
-            self._frames.append(_Frame(ENTRY_POINT, 0, locals_, 0))
+            rows = _decode(self.module)[ENTRY_POINT]
+            self._frames.append(_Frame(ENTRY_POINT, 0, locals_, 0, rows))
             self._floor = 0
             runner = self._run
         if self._obs is None:
@@ -186,8 +205,11 @@ class VM:
                     return self._compiled_resume(results)
             else:
                 self._awaiting_host = None
+                stack = self._stack
                 for value in results:
-                    self._push(_wrap(value))
+                    if len(stack) >= _MAX_VALUES:
+                        raise SandboxError("value stack overflow")
+                    stack.append(_wrap(value))
                 runner = self._run
         if self._obs is None:
             return runner()
@@ -324,206 +346,419 @@ class VM:
 
     # -------------------------------------------------------- interpreter
 
-    def _push(self, value: int) -> None:
-        if len(self._stack) >= self.MAX_VALUE_STACK:
-            raise SandboxError("value stack overflow")
-        self._stack.append(value)
-
-    def _pop(self) -> int:
-        # ``_floor`` mirrors the active frame's stack_floor (maintained at
-        # call/return) so the hot underflow check needs no frame lookup.
-        if len(self._stack) <= self._floor:
-            raise SandboxError("value stack underflow")
-        return self._stack.pop()
-
     def _run(self) -> "HostCall | Done":
+        """Dispatch decoded rows until a host call, completion or trap.
+
+        Fuel is charged per instruction, before its handler runs. The
+        running total is kept in a local and written back on every exit,
+        including a trap.
+        """
         if self._finished:
             raise SandboxError("VM already finished")
         stack = self._stack
-        functions = self.module.functions
-        fuel_cost = FUEL_COST
-
-        while True:
-            frame = self._frames[-1]
-            code = functions[frame.function_name].code
-            if frame.pc >= len(code):
-                # Falling off the end returns 0 (implicit).
-                result = self._return_value_or_zero(frame)
-                step = self._pop_frame(result)
+        frame = self._frames[-1]
+        code = frame.code
+        limit = self.fuel_limit
+        fuel = self.fuel_used
+        try:
+            while True:
+                pc = frame.pc
+                handler, arg, cost = code[pc]
+                fuel += cost
+                # falling off the end is free, and so never refused
+                if fuel > limit and handler is not _fall:
+                    raise FuelExhausted(
+                        f"fuel limit {limit} exceeded in {frame.function_name}"
+                    )
+                frame.pc = pc + 1
+                step = handler(self, stack, frame, arg)
                 if step is not None:
-                    return step
-                continue
-            instruction = code[frame.pc]
-            op = instruction.op
+                    if step is not _SWITCH:
+                        return step
+                    frame = self._frames[-1]
+                    code = frame.code
+        finally:
+            self.fuel_used = fuel
 
-            self.fuel_used += fuel_cost[op]
-            if self.fuel_used > self.fuel_limit:
-                raise FuelExhausted(
-                    f"fuel limit {self.fuel_limit} exceeded in {frame.function_name}"
-                )
 
-            frame.pc += 1
-            arg = instruction.arg
+# --------------------------------------------------------- decoded handlers
+#
+# One function per opcode, ``handler(vm, stack, frame, arg)``. Each makes
+# its opcode's runtime checks in the order the semantics fix them, so a
+# trap has one type, message and partial effect: an instruction that
+# underflows has popped every operand above the frame's floor, as an
+# operand-at-a-time interpreter would (tests/sandbox/vm_reference.py keeps
+# one). A push right after a pop cannot overflow, so only net pushes test
+# the ceiling. A handler returns None to continue, ``_SWITCH`` when the
+# active frame changed, or the ``HostCall`` / ``Done`` that ends the run.
 
-            if op is Op.PUSH:
-                self._push(_wrap(arg))
-            elif op is Op.DROP:
-                self._pop()
-            elif op is Op.DUP:
-                value = self._pop()
-                self._push(value)
-                self._push(value)
-            elif op is Op.SWAP:
-                b, a = self._pop(), self._pop()
-                self._push(b)
-                self._push(a)
-            elif op is Op.ADD:
-                b, a = self._pop(), self._pop()
-                self._push(_wrap(a + b))
-            elif op is Op.SUB:
-                b, a = self._pop(), self._pop()
-                self._push(_wrap(a - b))
-            elif op is Op.MUL:
-                b, a = self._pop(), self._pop()
-                self._push(_wrap(a * b))
-            elif op is Op.DIVS:
-                b, a = _signed(self._pop()), _signed(self._pop())
-                if b == 0:
-                    raise SandboxError("integer division by zero")
-                quotient = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    quotient = -quotient
-                self._push(_wrap(quotient))
-            elif op is Op.REMS:
-                b, a = _signed(self._pop()), _signed(self._pop())
-                if b == 0:
-                    raise SandboxError("integer remainder by zero")
-                remainder = abs(a) % abs(b)
-                if a < 0:
-                    remainder = -remainder
-                self._push(_wrap(remainder))
-            elif op is Op.AND:
-                b, a = self._pop(), self._pop()
-                self._push(a & b)
-            elif op is Op.OR:
-                b, a = self._pop(), self._pop()
-                self._push(a | b)
-            elif op is Op.XOR:
-                b, a = self._pop(), self._pop()
-                self._push(a ^ b)
-            elif op is Op.SHL:
-                b, a = self._pop(), self._pop()
-                self._push(_wrap(a << (b & 63)))
-            elif op is Op.SHRU:
-                b, a = self._pop(), self._pop()
-                self._push((a & _MASK) >> (b & 63))
-            elif op is Op.EQ:
-                b, a = self._pop(), self._pop()
-                self._push(1 if a == b else 0)
-            elif op is Op.NE:
-                b, a = self._pop(), self._pop()
-                self._push(1 if a != b else 0)
-            elif op is Op.LTS:
-                b, a = _signed(self._pop()), _signed(self._pop())
-                self._push(1 if a < b else 0)
-            elif op is Op.GTS:
-                b, a = _signed(self._pop()), _signed(self._pop())
-                self._push(1 if a > b else 0)
-            elif op is Op.LES:
-                b, a = _signed(self._pop()), _signed(self._pop())
-                self._push(1 if a <= b else 0)
-            elif op is Op.GES:
-                b, a = _signed(self._pop()), _signed(self._pop())
-                self._push(1 if a >= b else 0)
-            elif op is Op.EQZ:
-                self._push(1 if self._pop() == 0 else 0)
-            elif op is Op.LOCAL_GET:
-                self._push(frame.locals[self._local_index(frame, arg)])
-            elif op is Op.LOCAL_SET:
-                frame.locals[self._local_index(frame, arg)] = self._pop()
-            elif op is Op.LOCAL_TEE:
-                value = self._pop()
-                frame.locals[self._local_index(frame, arg)] = value
-                self._push(value)
-            elif op is Op.GLOBAL_GET:
-                self._push(self.globals[arg])
-            elif op is Op.GLOBAL_SET:
-                self.globals[arg] = self._pop()
-            elif op is Op.LOAD8:
-                addr = _signed(self._pop())
-                self._check_bounds(addr, 1)
-                self._push(self.memory[addr])
-            elif op is Op.STORE8:
-                value = self._pop()
-                addr = _signed(self._pop())
-                self._check_bounds(addr, 1)
-                self.memory[addr] = value & 0xFF
-            elif op is Op.LOAD64:
-                addr = _signed(self._pop())
-                self._check_bounds(addr, 8)
-                self._push(int.from_bytes(self.memory[addr : addr + 8], "little"))
-            elif op is Op.STORE64:
-                value = self._pop()
-                addr = _signed(self._pop())
-                self._check_bounds(addr, 8)
-                self.memory[addr : addr + 8] = value.to_bytes(8, "little")
-            elif op is Op.JMP:
-                frame.pc = arg
-            elif op is Op.JZ:
-                if self._pop() == 0:
-                    frame.pc = arg
-            elif op is Op.JNZ:
-                if self._pop() != 0:
-                    frame.pc = arg
-            elif op is Op.CALL:
-                callee = functions[arg]
-                if len(self._frames) >= self.MAX_STACK_DEPTH:
-                    raise SandboxError("call stack overflow")
-                call_args = [self._pop() for _ in range(callee.n_params)]
-                call_args.reverse()
-                locals_ = call_args + [0] * callee.n_locals
-                self._frames.append(_Frame(arg, 0, locals_, len(stack)))
-                self._floor = len(stack)
-            elif op is Op.RET:
-                result = self._pop()
-                step = self._pop_frame(result)
-                if step is not None:
-                    return step
-            elif op is Op.HOST:
-                call = self._collect_host_call(arg)
-                self._awaiting_host = call
-                return call
-            elif op is Op.NOP:
-                pass
-            else:  # pragma: no cover - exhaustive
-                raise SandboxError(f"unhandled opcode {op}")
+_SWITCH = object()
 
-    def _local_index(self, frame: _Frame, arg: int) -> int:
-        if not 0 <= arg < len(frame.locals):
-            raise SandboxError(
-                f"local index {arg} out of range in {frame.function_name}"
-            )
-        return arg
 
-    def _return_value_or_zero(self, frame: _Frame) -> int:
-        if len(self._stack) > frame.stack_floor:
-            return self._stack.pop()
-        return 0
+def _underflow(vm: VM, stack: list[int]) -> NoReturn:
+    del stack[vm._floor:]
+    raise SandboxError("value stack underflow")
 
-    def _pop_frame(self, result: int) -> "Done | None":
-        frame = self._frames.pop()
-        del self._stack[frame.stack_floor :]
-        if not self._frames:
-            self._finished = True
-            return Done(_signed(result))
-        self._floor = self._frames[-1].stack_floor
-        self._push(result)
-        return None
 
-    def _collect_host_call(self, name: str) -> HostCall:
-        n_args = _HOST_ARITY.get(name)
-        if n_args is None:
-            raise SandboxError(f"unknown host operation {name!r}")
-        args = [self._pop() for _ in range(n_args)]
-        args.reverse()
-        return HostCall(name, tuple(_signed(a) for a in args))
+def _bad_local(frame: _Frame, index: int) -> NoReturn:
+    raise SandboxError(
+        f"local index {index} out of range in {frame.function_name}"
+    )
+
+
+def _h_push(vm, stack, frame, arg):
+    if len(stack) >= _MAX_VALUES:
+        raise SandboxError("value stack overflow")
+    stack.append(arg)
+
+
+def _h_drop(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    stack.pop()
+
+
+def _h_dup(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    if len(stack) >= _MAX_VALUES:
+        raise SandboxError("value stack overflow")
+    stack.append(stack[-1])
+
+
+def _h_swap(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    stack[-1], stack[-2] = stack[-2], stack[-1]
+
+
+def _h_add(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = (stack[-1] + b) & _MASK
+
+
+def _h_sub(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = (stack[-1] - b) & _MASK
+
+
+def _h_mul(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = (stack[-1] * b) & _MASK
+
+
+def _h_divs(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = _signed(stack.pop())
+    a = _signed(stack.pop())
+    if b == 0:
+        raise SandboxError("integer division by zero")
+    quotient = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        quotient = -quotient
+    stack.append(quotient & _MASK)
+
+
+def _h_rems(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = _signed(stack.pop())
+    a = _signed(stack.pop())
+    if b == 0:
+        raise SandboxError("integer remainder by zero")
+    remainder = abs(a) % abs(b)
+    if a < 0:
+        remainder = -remainder
+    stack.append(remainder & _MASK)
+
+
+def _h_and(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = stack[-1] & b
+
+
+def _h_or(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = stack[-1] | b
+
+
+def _h_xor(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = stack[-1] ^ b
+
+
+def _h_shl(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = (stack[-1] << (b & 63)) & _MASK
+
+
+def _h_shru(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = (stack[-1] & _MASK) >> (b & 63)
+
+
+def _h_eq(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = 1 if stack[-1] == b else 0
+
+
+def _h_ne(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = stack.pop()
+    stack[-1] = 1 if stack[-1] != b else 0
+
+
+def _h_lts(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = _signed(stack.pop())
+    stack[-1] = 1 if _signed(stack[-1]) < b else 0
+
+
+def _h_gts(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = _signed(stack.pop())
+    stack[-1] = 1 if _signed(stack[-1]) > b else 0
+
+
+def _h_les(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = _signed(stack.pop())
+    stack[-1] = 1 if _signed(stack[-1]) <= b else 0
+
+
+def _h_ges(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    b = _signed(stack.pop())
+    stack[-1] = 1 if _signed(stack[-1]) >= b else 0
+
+
+def _h_eqz(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    stack[-1] = 1 if stack[-1] == 0 else 0
+
+
+def _h_local_get(vm, stack, frame, arg):
+    locals_ = frame.locals
+    if not 0 <= arg < len(locals_):
+        _bad_local(frame, arg)
+    if len(stack) >= _MAX_VALUES:
+        raise SandboxError("value stack overflow")
+    stack.append(locals_[arg])
+
+
+def _h_local_set(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    value = stack.pop()
+    if not 0 <= arg < len(frame.locals):
+        _bad_local(frame, arg)
+    frame.locals[arg] = value
+
+
+def _h_local_tee(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    value = stack.pop()
+    if not 0 <= arg < len(frame.locals):
+        _bad_local(frame, arg)
+    frame.locals[arg] = value
+    stack.append(value)
+
+
+def _h_global_get(vm, stack, frame, arg):
+    value = vm.globals[arg]
+    if len(stack) >= _MAX_VALUES:
+        raise SandboxError("value stack overflow")
+    stack.append(value)
+
+
+def _h_global_set(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    vm.globals[arg] = stack.pop()
+
+
+def _h_load8(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    addr = _signed(stack.pop())
+    vm._check_bounds(addr, 1)
+    stack.append(vm.memory[addr])
+
+
+def _h_store8(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    value = stack.pop()
+    addr = _signed(stack.pop())
+    vm._check_bounds(addr, 1)
+    vm.memory[addr] = value & 0xFF
+
+
+def _h_load64(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    addr = _signed(stack.pop())
+    vm._check_bounds(addr, 8)
+    stack.append(int.from_bytes(vm.memory[addr : addr + 8], "little"))
+
+
+def _h_store64(vm, stack, frame, arg):
+    if len(stack) <= vm._floor + 1:
+        _underflow(vm, stack)
+    value = stack.pop()
+    addr = _signed(stack.pop())
+    vm._check_bounds(addr, 8)
+    vm.memory[addr : addr + 8] = value.to_bytes(8, "little")
+
+
+def _h_jmp(vm, stack, frame, arg):
+    frame.pc = arg
+
+
+def _h_jz(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    if stack.pop() == 0:
+        frame.pc = arg
+
+
+def _h_jnz(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    if stack.pop() != 0:
+        frame.pc = arg
+
+
+def _h_call(vm, stack, frame, arg):
+    name, n_params, n_locals, code = arg
+    frames = vm._frames
+    if len(frames) >= _MAX_FRAMES:
+        raise SandboxError("call stack overflow")
+    base = len(stack) - n_params
+    if base < vm._floor:
+        _underflow(vm, stack)
+    locals_ = stack[base:]
+    del stack[base:]
+    locals_ += [0] * n_locals
+    frames.append(_Frame(name, 0, locals_, base, code))
+    vm._floor = base
+    return _SWITCH
+
+
+def _leave(vm: VM, stack: list[int], result: int):
+    """Pop the active frame and hand ``result`` to its caller."""
+    frames = vm._frames
+    frame = frames.pop()
+    del stack[frame.stack_floor:]
+    if not frames:
+        vm._finished = True
+        return Done(_signed(result))
+    vm._floor = frames[-1].stack_floor
+    if len(stack) >= _MAX_VALUES:
+        raise SandboxError("value stack overflow")
+    stack.append(result)
+    return _SWITCH
+
+
+def _h_ret(vm, stack, frame, arg):
+    if len(stack) <= vm._floor:
+        _underflow(vm, stack)
+    return _leave(vm, stack, stack.pop())
+
+
+def _fall(vm, stack, frame, arg):
+    """Past the last instruction: return the top operand, or 0."""
+    result = stack.pop() if len(stack) > frame.stack_floor else 0
+    return _leave(vm, stack, result)
+
+
+def _h_host(vm, stack, frame, arg):
+    n_args = _HOST_ARITY.get(arg)
+    if n_args is None:
+        raise SandboxError(f"unknown host operation {arg!r}")
+    base = len(stack) - n_args
+    if base < vm._floor:
+        _underflow(vm, stack)
+    args = stack[base:]
+    del stack[base:]
+    call = HostCall(arg, tuple(map(_signed, args)))
+    vm._awaiting_host = call
+    return call
+
+
+def _h_nop(vm, stack, frame, arg):
+    return None
+
+
+_HANDLERS = {
+    Op.PUSH: _h_push, Op.DROP: _h_drop, Op.DUP: _h_dup, Op.SWAP: _h_swap,
+    Op.ADD: _h_add, Op.SUB: _h_sub, Op.MUL: _h_mul,
+    Op.DIVS: _h_divs, Op.REMS: _h_rems,
+    Op.AND: _h_and, Op.OR: _h_or, Op.XOR: _h_xor,
+    Op.SHL: _h_shl, Op.SHRU: _h_shru,
+    Op.EQ: _h_eq, Op.NE: _h_ne, Op.LTS: _h_lts, Op.GTS: _h_gts,
+    Op.LES: _h_les, Op.GES: _h_ges, Op.EQZ: _h_eqz,
+    Op.LOCAL_GET: _h_local_get, Op.LOCAL_SET: _h_local_set,
+    Op.LOCAL_TEE: _h_local_tee,
+    Op.GLOBAL_GET: _h_global_get, Op.GLOBAL_SET: _h_global_set,
+    Op.LOAD8: _h_load8, Op.STORE8: _h_store8,
+    Op.LOAD64: _h_load64, Op.STORE64: _h_store64,
+    Op.JMP: _h_jmp, Op.JZ: _h_jz, Op.JNZ: _h_jnz,
+    Op.CALL: _h_call, Op.RET: _h_ret, Op.HOST: _h_host, Op.NOP: _h_nop,
+}
+
+#: ends every function's rows: falling off the end costs no fuel.
+_FALL_ROW = (_fall, None, 0)
+
+
+def _decode(module: Module) -> dict[str, list[tuple]]:
+    """Each function's ``(handler, arg, fuel)`` rows, one per instruction.
+
+    Built once per module and memoised on it, like ``Module.encoded``:
+    modules are immutable once built. ``PUSH`` immediates are wrapped to
+    64 bits here, and a ``CALL`` carries its callee's name, parameter and
+    local counts, and rows. Nothing is read from the verifier.
+    """
+    table = module.__dict__.get("_decoded_cache")
+    if table is None:
+        functions = module.functions
+        table = {name: [] for name in functions}
+        for name, function in functions.items():
+            rows = table[name]
+            for instruction in function.code:
+                op, arg = instruction.op, instruction.arg
+                if op is Op.PUSH:
+                    arg = _wrap(arg)
+                elif op is Op.CALL:
+                    callee = functions[arg]
+                    arg = (arg, callee.n_params, callee.n_locals, table[arg])
+                rows.append((_HANDLERS[op], arg, FUEL_COST[op]))
+            rows.append(_FALL_ROW)
+        module.__dict__["_decoded_cache"] = table
+    return table

@@ -37,7 +37,7 @@ from repro.sandbox.verifier import infer_capabilities, verify_module
 from repro.sandbox.verifier.facts import FactsUnavailable, gather_facts
 from repro.sandbox.vm import VM
 from tests.sandbox import test_effects, test_taint_policy, test_verifier
-from tests.sandbox.test_verifier import manifest, mod
+from tests.sandbox.test_verifier import manifest, mod, operand_chain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden" / "analysis_equivalence.json"
@@ -65,20 +65,6 @@ def _fixture(name: str) -> tuple[Module, Manifest]:
     module = assemble((FIXTURES / f"{name}.dasm").read_text())
     data = json.loads((FIXTURES / f"{name}_manifest.json").read_text())
     return module, Manifest.from_dict(data)
-
-
-def _call_chain(length: int, pushes: int = 0) -> Module:
-    """``run_debuglet -> f1 -> ... ``: ``length`` frames, each holding
-    ``pushes`` operands while its callee runs."""
-    names = ["run_debuglet"] + [f"f{i}" for i in range(1, length)]
-    functions = {}
-    for name, callee in zip(names, names[1:] + [None]):
-        code = [Instruction(Op.PUSH, 0)] * pushes
-        if callee is not None:
-            code.append(Instruction(Op.CALL, callee))
-        code += [Instruction(Op.PUSH, 0), Instruction(Op.RET)]
-        functions[name] = Function(name, 0, 0, code)
-    return Module(functions=functions, memory_size=64)
 
 
 def _with(module: Module, **fields) -> Module:
@@ -192,9 +178,9 @@ def _facts_unavailable() -> dict[str, tuple[Module, Manifest]]:
             assemble(".memory 64\n.func run_debuglet 0 0\n"
                      "call run_debuglet\nret\n.end"), manifest()),
         "facts_call_depth": (
-            _call_chain(VM.MAX_STACK_DEPTH + 1), manifest()),
+            operand_chain(VM.MAX_STACK_DEPTH + 1), manifest()),
         "facts_value_stack_peak": (
-            _call_chain(VM.MAX_STACK_DEPTH - 1, per_frame), manifest()),
+            operand_chain(VM.MAX_STACK_DEPTH - 1, per_frame), manifest()),
     }
 
 

@@ -26,6 +26,22 @@ def codes(report):
     return {diag.code for diag in report.diagnostics}
 
 
+def operand_chain(frames: int, per_frame: int = 0) -> Module:
+    """``run_debuglet -> f1 -> ...``: ``frames`` functions, each pushing
+    ``per_frame`` operands before its call; the last pushes one more and
+    returns. The worst-case value-stack depth is ``frames * per_frame + 1``,
+    though no single function holds more than ``per_frame + 1``."""
+    names = ["run_debuglet"] + [f"f{i}" for i in range(1, frames)]
+    functions = {}
+    for name, callee in zip(names, names[1:] + [None]):
+        code = [Instruction(Op.PUSH, 0)] * per_frame
+        if callee is not None:
+            code.append(Instruction(Op.CALL, callee))
+        code += [Instruction(Op.PUSH, 0), Instruction(Op.RET)]
+        functions[name] = Function(name, 0, 0, code)
+    return Module(functions=functions, memory_size=64)
+
+
 def manifest(**kw):
     defaults = dict(
         max_instructions=100_000, max_duration=10.0, max_memory_bytes=65536,
@@ -146,6 +162,32 @@ class TestStack:
         report = verify_module(mod(code))
         assert not report.ok
         assert "V201" in codes(report)
+        assert "V203" not in codes(report)  # one finding per overflow
+
+    def test_operand_peak_along_call_chain_rejected(self):
+        """255 frames of 258 operands: no function overflows on its own,
+        the chain does — and the VM traps on both tiers."""
+        from repro.common.errors import SandboxError
+        from repro.sandbox.vm import VM
+
+        module = operand_chain(VM.MAX_STACK_DEPTH - 1, 258)
+        report = verify_module(module)
+        assert not report.ok
+        assert codes(report) == {"V203"}
+        diag = report.errors[0]
+        assert diag.function == "run_debuglet"
+        assert "65791" in diag.message and "65536" in diag.message
+        assert report.fuel is None  # later stages suppressed, as after V104
+        for tier in ("reference", "auto"):
+            with pytest.raises(SandboxError, match="value stack overflow"):
+                VM(module, tier=tier).start([])
+
+    def test_operand_peak_at_the_ceiling_verifies_and_runs(self):
+        from repro.sandbox.vm import VM, Done
+
+        module = operand_chain(VM.MAX_STACK_DEPTH - 1, 257)  # peak 65536
+        assert verify_module(module).ok
+        assert VM(module).start([]) == Done(0)
 
     def test_join_depth_mismatch(self):
         report = verify_module(mod([
