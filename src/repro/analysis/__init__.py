@@ -1,11 +1,6 @@
 """Analysis helpers: trace statistics and RTT cluster detection."""
 
-from repro.analysis.export import (
-    maybe_export_summary,
-    maybe_export_timeseries,
-    write_summary_csv,
-    write_timeseries_csv,
-)
+from repro.analysis.export import write_summary_csv, write_timeseries_csv
 from repro.analysis.clustering import Cluster, cluster_count, detect_clusters, spread_ms
 from repro.analysis.stats import (
     CellStats,
@@ -24,8 +19,6 @@ __all__ = [
     "format_table1_row",
     "spread_ms",
     "step_changes",
-    "maybe_export_summary",
-    "maybe_export_timeseries",
     "table_row",
     "write_summary_csv",
     "write_timeseries_csv",

@@ -1,29 +1,14 @@
-"""Exporting measurement data for external plotting.
-
-The benches print the paper's tables; these helpers additionally dump the
-underlying series as CSV so figures can be re-plotted with any tool. Set
-``DEBUGLET_EXPORT=<dir>`` when running the benches to get one CSV per
-figure.
-"""
+"""Exporting measurement data for external plotting: the series behind
+the paper's tables and figures as CSV, so they can be re-plotted with any
+tool."""
 
 from __future__ import annotations
 
 import csv
-import os
 from pathlib import Path
 
 from repro.netsim.packet import Protocol
 from repro.netsim.trace import MeasurementTrace
-
-
-def export_directory() -> Path | None:
-    """The export target from ``DEBUGLET_EXPORT``, or ``None`` if unset."""
-    value = os.environ.get("DEBUGLET_EXPORT", "")
-    if not value:
-        return None
-    path = Path(value)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def write_timeseries_csv(
@@ -65,22 +50,3 @@ def write_summary_csv(
                 )
     return path
 
-
-def maybe_export_timeseries(
-    name: str, traces: dict[Protocol, MeasurementTrace]
-) -> Path | None:
-    """Write a time-series CSV if ``DEBUGLET_EXPORT`` is set."""
-    directory = export_directory()
-    if directory is None:
-        return None
-    return write_timeseries_csv(directory / f"{name}.csv", traces)
-
-
-def maybe_export_summary(
-    name: str, rows: dict[str, dict[Protocol, MeasurementTrace]]
-) -> Path | None:
-    """Write a summary CSV if ``DEBUGLET_EXPORT`` is set."""
-    directory = export_directory()
-    if directory is None:
-        return None
-    return write_summary_csv(directory / f"{name}.csv", rows)

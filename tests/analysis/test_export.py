@@ -5,11 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from repro.analysis.export import (
-    export_directory,
-    write_summary_csv,
-    write_timeseries_csv,
-)
+from repro.analysis.export import write_summary_csv, write_timeseries_csv
 from repro.netsim.packet import Protocol
 from repro.netsim.trace import MeasurementTrace
 
@@ -41,12 +37,3 @@ class TestExport:
             rows = list(csv.reader(handle))
         assert rows[1][0] == "frankfurt"
         assert float(rows[1][4]) == pytest.approx(11.0)
-
-    def test_export_directory_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEBUGLET_EXPORT", str(tmp_path / "out"))
-        directory = export_directory()
-        assert directory is not None and directory.is_dir()
-
-    def test_export_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("DEBUGLET_EXPORT", raising=False)
-        assert export_directory() is None

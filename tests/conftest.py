@@ -1,7 +1,9 @@
 """Shared fixtures: small, fast topologies and chains.
 
-The suite writes nothing into the worktree: wall-clock numbers in tests
-only back ratio assertions (``-m perf_smoke``); measurement is ``bench/``.
+The suite writes nothing into the worktree. The paper's tables and figures
+are checked in ``tests/paper/``, at the paper's scale; wall-clock numbers in
+tests only back the two overhead guards under ``-m perf_smoke``;
+measurement is ``bench/``.
 
 Also ships a minimal stand-in for pytest-timeout: when the plugin is not
 installed (the ``timeout`` ini key in pyproject.toml would be inert), a

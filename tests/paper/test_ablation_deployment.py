@@ -16,8 +16,8 @@ def _run_sweep():
     return sweep_deployment_fraction(N_ASES, FRACTIONS, trials=60, seed=45)
 
 
-def test_bench_deployment_ablation(once):
-    rows = once(_run_sweep)
+def test_deployment_ablation():
+    rows = _run_sweep()
 
     print(f"\n=== §VI-B: localization power vs deployment ({N_ASES}-AS paths) ===")
     print("  deployed fraction   mean suspect set   exactly isolated")

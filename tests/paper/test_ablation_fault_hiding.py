@@ -71,8 +71,8 @@ def _run_study():
     return results
 
 
-def test_bench_fault_hiding(once):
-    results = once(_run_study)
+def test_fault_hiding():
+    results = _run_study()
 
     print("\n=== §VI-E: executor-traffic prioritization and its detection ===")
     for label, report in results.items():

@@ -2,7 +2,7 @@
 
 The paper's example: a path over 10 consecutive ASes with the fault on
 the *last* inter-domain link — the worst case for a linear scan and the
-motivating case for binary search. The bench compares measurements used,
+motivating case for binary search. The test compares measurements used,
 time-to-locate, and (slot-price) cost across the three strategies.
 """
 
@@ -38,8 +38,8 @@ def _run_strategies():
     return results
 
 
-def test_bench_strategy_ablation(once):
-    results = once(_run_strategies)
+def test_strategy_ablation():
+    results = _run_strategies()
 
     print(f"\n=== §VI-D: localization strategies, {N_ASES}-AS path, "
           "fault on the last link ===")

@@ -62,8 +62,8 @@ def _run_trend_study():
     return history, report, fault_time, ledger
 
 
-def test_bench_archive_trend(once):
-    history, report, fault_time, ledger = once(_run_trend_study)
+def test_archive_trend():
+    history, report, fault_time, ledger = _run_trend_study()
 
     print("\n=== §VI-F: archived measurement history (one segment) ===")
     for entry in history:

@@ -48,8 +48,8 @@ def _run_comparison():
     return ping_trace, traceroute_result, report
 
 
-def test_bench_baseline_comparison(once):
-    ping_trace, traceroute_result, report = once(_run_comparison)
+def test_baseline_comparison():
+    ping_trace, traceroute_result, report = _run_comparison()
 
     print("\n=== Baselines vs Debuglet on a UDP-only fault ===")
     print(

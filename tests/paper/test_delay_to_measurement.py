@@ -3,7 +3,7 @@
 The paper decomposes delay-to-measurement into (1) blockchain operation
 latency (two critical-path transactions, sub-second finality), (2) wait
 until the scheduled slot, and (3) sandbox setup (~10 ms), concluding the
-stack allows *sub-second* reaction to a fault. The bench measures each
+stack allows *sub-second* reaction to a fault. The test measures each
 component over the real stack.
 """
 
@@ -47,8 +47,8 @@ def _run_delay_study():
     }
 
 
-def test_bench_delay_to_measurement(once):
-    delays = once(_run_delay_study)
+def test_delay_to_measurement():
+    delays = _run_delay_study()
 
     print("\n=== §V-B: delay-to-measurement breakdown ===")
     print(f"  (1) blockchain ops (2 tx x {delays['finality_latency']:.1f} s finality): "

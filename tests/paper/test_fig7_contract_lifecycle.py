@@ -32,18 +32,15 @@ def _run_lifecycle():
                     count=COUNT, interval_us=50_000, dst_port=8650),
         path=path.as_list(),
     )
-    exec_balance_before = testbed.ledger.balance_of(
-        testbed.agents[(1, 2)].wallet.address
-    )
     session = testbed.initiator.request_measurement(
         client_app, server_app, (1, 2), (3, 1), duration=30.0
     )
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
-    return testbed, session, exec_balance_before
+    return testbed, session
 
 
-def test_bench_fig7(once):
-    testbed, session, exec_before = once(_run_lifecycle)
+def test_fig7_contract_lifecycle():
+    testbed, session = _run_lifecycle()
 
     ledger = testbed.ledger
     receipts = ledger.receipts

@@ -1,11 +1,9 @@
 """§V-B: WA execution-environment setup time.
 
 The paper observes "an almost constant setup time of around 10 ms across
-all executions". The bench instantiates Debuglet bytecodes of very
+all executions". The test instantiates Debuglet bytecodes of very
 different sizes and measures submission-to-first-instruction latency.
 """
-
-import numpy as np
 
 from repro.core.application import DebugletApplication
 from repro.core.executor import Executor, executor_data_address
@@ -60,8 +58,8 @@ def _run_setup_study():
     }
 
 
-def test_bench_setup_time(once):
-    setups = once(_run_setup_study)
+def test_setup_time():
+    setups = _run_setup_study()
 
     print("\n=== §V-B: sandbox setup time vs bytecode size ===")
     for name, (size, setup) in setups.items():

@@ -1,7 +1,7 @@
 """Table II: cost of submitting a Debuglet application to the chain.
 
 The paper prices applications of 0 B to 10 kB on the Sui main net. The
-bench stores blobs of the same sizes through the real ledger (a minimal
+test stores blobs of the same sizes through the real ledger (a minimal
 storage contract, so exactly one object per transaction like the paper's
 application object) and prints total cost and storage rebate in SUI.
 """
@@ -9,7 +9,7 @@ application object) and prints total cost and storage rebate in SUI.
 import pytest
 
 from repro.chain import Contract, ExecutionContext, KeyPair, Ledger, Wallet, entry
-from repro.chain.gas import mist_to_sui, sui_to_mist
+from repro.chain.gas import sui_to_mist
 
 #: size bytes -> (paper total SUI, paper rebate SUI)
 TABLE_II = [
@@ -53,8 +53,8 @@ def _run_table2():
     return rows
 
 
-def test_bench_table2(once):
-    rows = once(_run_table2)
+def test_table2():
+    rows = _run_table2()
 
     print("\n=== Table II: application submission cost (SUI) ===")
     print("  size      total (paper)        rebate (paper)")

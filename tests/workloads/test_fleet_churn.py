@@ -164,7 +164,6 @@ class TestChurnDeterminism:
 # ------------------------------------------------------ placement guard
 
 
-@pytest.mark.perf_smoke
 def test_border_placement_beats_random_at_equal_budget():
     """The placement headline (deterministic, no wall clock): border-router
     co-location localizes at least as well (smaller mean suspect set) as

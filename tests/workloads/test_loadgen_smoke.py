@@ -4,8 +4,9 @@ Cheap guards that the fleet-scale bench stays healthy inside the tier-1
 suite: the fleet certifies everything it launches, sustains full
 concurrency, runs deterministically (byte-identical observability exports
 for the same seed), and the batched ledger seals a small fraction of the
-serial baseline's checkpoints. The full-scale (~5x) comparison lives in
-``benchmarks/test_bench_scale_loadgen.py`` (see README: ``repro loadgen``).
+serial baseline's checkpoints. The timed comparison is ``market_batched``
+vs ``market_serial_verify`` in ``bench/``; the full-scale (~5x) one is
+``repro loadgen [--ledger serial]`` (README).
 """
 
 import pytest

@@ -1,8 +1,10 @@
-"""Perf smoke checks: quick sanity that the fast path stays fast.
+"""Cheap guards that the fast path and the observability layer stay cheap.
 
-These are not benchmarks (see ``benchmarks/test_bench_table1_protocol_rtt``
-for the real >=5x assertion at default scale); they are cheap guards that
-run inside the tier-1 suite and can be selected with ``-m perf_smoke``.
+The fast path's guard is deterministic: it counts simulator events, not
+seconds. The one wall-clock guard here, the observability disabled-mode
+overhead, measures something no ``bench/`` workload measures and carries
+``-m perf_smoke``; speed itself is measured by ``python3 -m bench``
+(``table1_study``).
 """
 
 import time
@@ -13,23 +15,18 @@ from repro.netsim.packet import Protocol
 from repro.workloads.wan import WanScenario
 
 
-@pytest.mark.perf_smoke
 def test_fast_path_beats_event_driven_on_small_study():
+    """The fast path never regresses to per-probe work: it runs no
+    simulator event, where the event engine runs at least one per probe."""
     probes = 2000
-    scenario = WanScenario.build(seed=7, cities=["frankfurt"])
-    started = time.perf_counter()
-    event = scenario.run_protocol_study(probes_per_protocol=probes)
-    event_seconds = time.perf_counter() - started
+    event_scenario = WanScenario.build(seed=7, cities=["frankfurt"])
+    event = event_scenario.run_protocol_study(probes_per_protocol=probes)
 
-    scenario = WanScenario.build(seed=7, cities=["frankfurt"])
-    started = time.perf_counter()
-    fast = scenario.run_protocol_study(probes_per_protocol=probes, fast=True)
-    fast_seconds = time.perf_counter() - started
+    fast_scenario = WanScenario.build(seed=7, cities=["frankfurt"])
+    fast = fast_scenario.run_protocol_study(probes_per_protocol=probes, fast=True)
 
-    # Loose smoke bound: the real bench asserts >=5x at full default
-    # scale; here 2x guards against the fast path quietly regressing to
-    # per-probe work while staying robust to CI timer noise.
-    assert fast_seconds * 2 < event_seconds, (fast_seconds, event_seconds)
+    assert fast_scenario.simulator.events_processed == 0
+    assert event_scenario.simulator.events_processed >= probes * len(Protocol)
     for protocol in Protocol:
         assert fast["frankfurt"][protocol].sent == probes
         assert event["frankfurt"][protocol].sent == probes
@@ -62,7 +59,6 @@ def test_observability_disabled_overhead_under_5_percent():
     assert disabled <= detached * 1.05 + 0.010, (detached, disabled)
 
 
-@pytest.mark.perf_smoke
 def test_engine_disabled_mode_skips_instrumented_loop():
     """The disabled bundle must leave the engine on its uninstrumented
     run loop (`_instrumented` False), not merely hand out null recorders."""
@@ -78,7 +74,6 @@ def test_engine_disabled_mode_skips_instrumented_loop():
     assert simulator._instrumented is True
 
 
-@pytest.mark.perf_smoke
 def test_engine_compaction_keeps_queue_bounded():
     from repro.netsim.engine import Simulator
 

@@ -3,14 +3,14 @@
 Three contracts of the continent-scale campaign family:
 
 - **Determinism** — serial and region-sharded runs of the same-seed
-  campaign produce byte-identical result digests (the CI ``wan`` job's
+  campaign produce byte-identical result digests (the CI ``cli`` job's
   main check, also exercised cross-process here);
 - **Engine agreement** — the event-driven reference drives the same
   plans to the same verdicts, so accuracy and measurement counts match
   the fast path exactly;
-- **Speed** — the fast path beats the event-driven engine by a sound
-  margin even at smoke scale (the >=10x acceptance number is measured at
-  >=5k ASes; see EXPERIMENTS.md).
+- **No per-probe work** — the fast path runs no simulator event (its
+  speed is ``wan_campaign`` in ``bench/``; the 5k-AS speedup is in
+  EXPERIMENTS.md).
 """
 
 import hashlib
@@ -54,7 +54,7 @@ EVENT_KEYS = (
 
 # Serial campaign digests by ``(n_ases, episodes, seed)``, recorded at the
 # parent of the stage table (565ea43) before ``netsim/fastpath.py`` was
-# touched: ``wan_campaign``'s bench iterations 0-2, the CI ``wan`` job's
+# touched: ``wan_campaign``'s bench iterations 0-2, the CI ``cli`` job's
 # campaign (``repro wanbench --ases 300 --episodes 400 --modes fast`` prints
 # the first 16 digits), and the 40 / 400 / 2 000-episode campaigns of the
 # flat-cost table in EXPERIMENTS.md. ``python -m tests.workloads.test_wanbench``
@@ -218,16 +218,13 @@ class TestEpisodeWindows:
             assert episode.path.length >= scenario.config.min_hops
 
 
-@pytest.mark.perf_smoke
 def test_fast_path_beats_event_driven_campaign(smoke_summary):
-    event = smoke_summary["outcomes"]["event"]
-    fast = smoke_summary["outcomes"]["fast"]
-    # Loose smoke bound (>=3x at 120 ASes); the >=10x acceptance number
-    # is measured at >=5k ASes by the full-scale wanbench run.
-    assert fast.wall_seconds * 3 < event.wall_seconds, (
-        fast.wall_seconds,
-        event.wall_seconds,
-    )
+    """The fast campaign never regresses to per-probe work: it sends the
+    event engine's probes without running a single simulator event."""
+    scenario = build_continent(small_config())
+    fast = run_campaign(scenario, workers=0)
+    assert scenario.simulator.events_processed == 0
+    assert fast.probes_sent == smoke_summary["outcomes"]["event"].probes_sent > 0
 
 
 if __name__ == "__main__":
