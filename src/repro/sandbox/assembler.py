@@ -27,14 +27,25 @@ The source format, one item per line (``;`` starts a comment):
 Numeric immediates may be decimal (optionally negative) or ``0x`` hex.
 Jumps take label names; the assembler resolves them to instruction
 indices. ``host`` and ``call`` take symbolic names kept as strings.
+
+A source this process has already assembled is not parsed again: the
+parsed module is kept (least recently used first out, up to
+:data:`~repro.sandbox.module.CACHE_CAPACITY` sources) and every caller
+gets its own :meth:`~repro.sandbox.module.Module.copy`, encoding and code
+hash included. A program is typically assembled by its author, by the
+contract at purchase and by every executor and verifier that decodes its
+wire; only the first of them pays for the parse and the encoding.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.common.errors import SandboxError
 from repro.sandbox.hostops import HOST_OPS
 from repro.sandbox.isa import Instruction, Op
-from repro.sandbox.module import BufferSpec, Function, Module
+from repro.sandbox.module import CACHE_CAPACITY, BufferSpec, Function, Module
 
 _OPS_BY_NAME = {op.value: op for op in Op}
 _LABEL_OPS = (Op.JMP, Op.JZ, Op.JNZ)
@@ -65,8 +76,28 @@ def _parse_int(token: str, line_no: int) -> int:
         raise AssemblyError(line_no, f"expected integer, got {token!r}") from None
 
 
+_parsed: OrderedDict[str, Module] = OrderedDict()
+_parsed_lock = threading.Lock()
+
+
 def assemble(source: str) -> Module:
-    """Assemble ``source`` into a validated :class:`Module`."""
+    """Assemble ``source`` into a validated :class:`Module` of the caller's
+    own (see the module docstring for what is shared)."""
+    with _parsed_lock:
+        parsed = _parsed.get(source)
+        if parsed is not None:
+            _parsed.move_to_end(source)
+    if parsed is None:
+        parsed = _parse(source)
+        parsed.code_hash()  # encoded once, carried by every copy
+        with _parsed_lock:
+            _parsed[source] = parsed
+            while len(_parsed) > CACHE_CAPACITY:
+                _parsed.popitem(last=False)
+    return parsed.copy()
+
+
+def _parse(source: str) -> Module:
     memory_size = 65536
     buffers: dict[str, BufferSpec] = {}
     globals_: dict[str, int] = {}

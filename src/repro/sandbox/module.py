@@ -10,7 +10,7 @@ code hash that executors certify.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.common.errors import SandboxError
 from repro.common.serialize import canonical_encode
@@ -20,6 +20,11 @@ ENTRY_POINT = "run_debuglet"
 
 #: Hard ceiling on module memory, mirroring a small WA instance.
 MAX_MEMORY_BYTES = 16 * 1024 * 1024
+
+#: Entries kept by each per-process memo keyed by bytecode or its source
+#: (the assembler's parses, the verifier's analyses and their fuel
+#: estimates); the least recently used entry goes first.
+CACHE_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,26 @@ class Module:
             if name in self.buffers:
                 return self.buffers[name]
         raise SandboxError(f"module declares none of the buffers {names}")
+
+    def copy(self) -> Module:
+        """An equal module that shares nothing mutable with this one: its
+        own function objects and code lists, buffer and global dicts.
+        Instructions and buffer specs are frozen, so they are shared, and
+        so are the memoised encoding and code hash when this module has
+        them (it is finished, like every module that gets them)."""
+        fresh = replace(
+            self,
+            functions={
+                name: replace(function, code=list(function.code))
+                for name, function in self.functions.items()
+            },
+            buffers=dict(self.buffers),
+            globals=dict(self.globals),
+        )
+        for key in ("_encoded_cache", "_code_hash_cache"):
+            if key in self.__dict__:
+                fresh.__dict__[key] = self.__dict__[key]
+        return fresh
 
     def encoded(self) -> bytes:
         """Canonical byte encoding (what gets stored on-chain).

@@ -29,6 +29,11 @@ Stages are lazy, and each assumes what the one before it established:
    unless every earlier stage is free of errors (which also makes the
    call graph acyclic, as the fixpoint requires).
 
+On top of the stages, :meth:`ModuleAnalysis.fuel` keeps the worst-case
+fuel estimate per ``(max_instructions, max_packets_received)`` pair a
+manifest asked with: the limits select the diagnostics, the bytecode
+decides the rest.
+
 Results are immutable once computed and the cache is keyed by the hash of
 the module's own canonical encoding, computed by whoever asks: a hit is
 indistinguishable from a miss, and nobody's verdict is taken on trust.
@@ -44,12 +49,18 @@ from typing import ClassVar
 from repro.common.errors import SandboxError
 from repro.sandbox.hostops import HOST_OPS
 from repro.sandbox.isa import Op, validate_instruction
-from repro.sandbox.module import ENTRY_POINT, MAX_MEMORY_BYTES, Module
+from repro.sandbox.module import (
+    CACHE_CAPACITY,
+    ENTRY_POINT,
+    MAX_MEMORY_BYTES,
+    Module,
+)
 from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier import effects as fx
 from repro.sandbox.verifier import taint as tt
 from repro.sandbox.verifier.absint import FunctionAbstract, analyze_function
 from repro.sandbox.verifier.cfg import FunctionCFG, build_cfg, tarjan_sccs
+from repro.sandbox.verifier.fuel import FuelEstimate, estimate_module_fuel
 from repro.sandbox.verifier.stackcheck import check_stack, stack_effect
 from repro.sandbox.vm import VM
 
@@ -63,12 +74,15 @@ def _has_error(diagnostics: tuple[d.Diagnostic, ...]) -> bool:
 class ModuleAnalysis:
     """Everything the verifier knows about one module from its bytecode."""
 
-    _CAPACITY: ClassVar[int] = 256
+    _CAPACITY: ClassVar[int] = CACHE_CAPACITY
     _shared: ClassVar[OrderedDict[bytes, ModuleAnalysis]] = OrderedDict()
     _lock: ClassVar[threading.Lock] = threading.Lock()
 
     def __init__(self, module: Module) -> None:
         self.module = module
+        self._fuel: OrderedDict[tuple[int | None, int | None], FuelEstimate] = (
+            OrderedDict()
+        )
 
     @classmethod
     def of(cls, module: Module) -> ModuleAnalysis:
@@ -358,6 +372,33 @@ class ModuleAnalysis:
         return tt.analyze_module(
             self.module, self.cfgs, list(self.entry_walk[0]), self.callees
         )
+
+    # ------------------------------------------------- fuel, per limit pair
+
+    def fuel(
+        self, max_instructions: int | None, max_packets_received: int | None
+    ) -> FuelEstimate:
+        """The fuel estimate under one pair of manifest limits, derived once
+        per pair (LRU, like the analyses themselves). Shared: a reader
+        copies what it keeps, as :func:`.verifier.verify_module` does."""
+        key = (max_instructions, max_packets_received)
+        with self._lock:
+            estimate = self._fuel.get(key)
+            if estimate is not None:
+                self._fuel.move_to_end(key)
+                return estimate
+        estimate = estimate_module_fuel(
+            self.module,
+            self.cfgs,
+            self.call_order,
+            max_instructions=max_instructions,
+            max_packets_received=max_packets_received,
+        )
+        with self._lock:
+            self._fuel[key] = estimate
+            while len(self._fuel) > self._CAPACITY:
+                self._fuel.popitem(last=False)
+        return estimate
 
     @cached_property
     def diagnostics(self) -> tuple[d.Diagnostic, ...]:

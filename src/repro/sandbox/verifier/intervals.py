@@ -17,7 +17,9 @@ fixpoint terminates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from functools import partial
+from typing import NamedTuple, cast
 
 from repro.sandbox.isa import Op
 
@@ -32,16 +34,26 @@ def _to_signed(value: int) -> int:
     return value - _TWO64 if value > INT_MAX else value
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A non-empty signed-64 interval ``[lo, hi]``."""
-
+class _Bounds(NamedTuple):
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        if not (INT_MIN <= self.lo <= self.hi <= INT_MAX):
-            raise ValueError(f"malformed interval [{self.lo}, {self.hi}]")
+
+class Interval(_Bounds):
+    """A non-empty signed-64 interval ``[lo, hi]``.
+
+    A plain ``(lo, hi)`` tuple underneath, so equality and hashing are
+    C-level. The public constructor checks the bounds; transfer functions
+    whose bounds are valid by construction build through :data:`_interval`,
+    which skips the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int) -> Interval:
+        if not (INT_MIN <= lo <= hi <= INT_MAX):
+            raise ValueError(f"malformed interval [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     # ------------------------------------------------------------ queries
 
@@ -80,20 +92,39 @@ class Interval:
 
     # ----------------------------------------------------------- lattice
 
-    def join(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+    def join(self, other: Interval) -> Interval:
+        """The hull; an operand that already covers the other comes back
+        unchanged, so a join that moves nothing allocates nothing."""
+        lo, hi = self
+        other_lo, other_hi = other
+        if lo <= other_lo:
+            if other_hi <= hi:
+                return self
+            if lo == other_lo:
+                return other
+            return _interval((lo, other_hi))
+        if hi <= other_hi:
+            return other
+        return _interval((other_lo, hi))
 
-    def meet(self, other: "Interval") -> "Interval | None":
+    def meet(self, other: Interval) -> Interval | None:
         """Intersection; None when empty (an infeasible path)."""
         lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
+        return _interval((lo, hi)) if lo <= hi else None
 
-    def widen(self, newer: "Interval") -> "Interval":
+    def widen(self, newer: Interval) -> Interval:
         """Classic interval widening: any bound still moving jumps to
         infinity, so ascending chains stabilise in one step per bound."""
         lo = self.lo if newer.lo >= self.lo else INT_MIN
         hi = self.hi if newer.hi <= self.hi else INT_MAX
-        return Interval(lo, hi)
+        return _interval((lo, hi))
+
+
+#: ``_interval((lo, hi))``: an :class:`Interval` without the bounds check,
+#: for results whose bounds are valid by construction.
+_interval = cast(
+    Callable[[tuple[int, int]], Interval], partial(tuple.__new__, Interval)
+)
 
 
 TOP = Interval(INT_MIN, INT_MAX)
@@ -105,13 +136,13 @@ FALSE = Interval(0, 0)
 def const(value: int) -> Interval:
     """Singleton interval of the (wrapped, signed) value."""
     signed = _to_signed(value)
-    return Interval(signed, signed)
+    return _interval((signed, signed))
 
 
 def _clamped(lo: int, hi: int) -> Interval:
     """``[lo, hi]`` when representable without wrapping, else TOP."""
     if INT_MIN <= lo and hi <= INT_MAX:
-        return Interval(lo, hi)
+        return _interval((lo, hi))
     return TOP
 
 
@@ -142,6 +173,8 @@ def divs(a: Interval, b: Interval) -> Interval:
     if b.lo == 0 == b.hi:
         return TOP  # certain trap; result unreachable, anything is sound
     candidates = []
+    # Divisors arbitrarily close to zero blow the quotient up to the
+    # dividend itself; sampling ±1 alongside the endpoints covers it.
     for divisor in {b.lo, b.hi, -1 if b.contains(-1) else b.hi,
                     1 if b.contains(1) else b.lo}:
         if divisor == 0:
@@ -149,10 +182,6 @@ def divs(a: Interval, b: Interval) -> Interval:
         candidates.extend(
             (_trunc_div(a.lo, divisor), _trunc_div(a.hi, divisor))
         )
-    if b.lo <= 0 <= b.hi:
-        # Divisors arbitrarily close to zero blow the quotient up to the
-        # dividend itself; endpoint sampling with ±1 above covers it.
-        pass
     return _clamped(min(candidates), max(candidates))
 
 
@@ -184,7 +213,7 @@ def and_(a: Interval, b: Interval) -> Interval:
         bounds.append(b.hi)
     if not bounds:
         return TOP
-    return Interval(0, min(bounds))
+    return _interval((0, min(bounds)))
 
 
 def or_(a: Interval, b: Interval) -> Interval:
@@ -220,7 +249,7 @@ def shru(a: Interval, b: Interval) -> Interval:
     else:
         shifts = b
     if a.lo >= 0:
-        return Interval(a.lo >> shifts.hi, a.hi >> shifts.lo)
+        return _interval((a.lo >> shifts.hi, a.hi >> shifts.lo))
     if shifts.lo >= 1:
         # A negative word becomes a large unsigned value, but any shift
         # of at least one clears the sign bit: result in [0, 2^(64-s)-1].
@@ -228,7 +257,8 @@ def shru(a: Interval, b: Interval) -> Interval:
     return TOP
 
 
-_COMPARES = {
+#: comparison op -> its abstract transfer (0, 1, or either)
+COMPARES = {
     Op.EQ: lambda a, b: TRUE if (a.is_const and a == b)
     else (FALSE if a.disjoint(b.lo, b.hi) else BOOL),
     Op.NE: lambda a, b: FALSE if (a.is_const and a == b)
@@ -246,7 +276,7 @@ _COMPARES = {
 
 def compare(op: Op, a: Interval, b: Interval) -> Interval:
     """Abstract result (0/1/either) of a comparison instruction."""
-    return _COMPARES[op](a, b)
+    return COMPARES[op](a, b)
 
 
 #: op -> op with operands swapped (``a < b`` == ``b > a``).
@@ -273,29 +303,25 @@ def constrain(op: Op, rhs: Interval) -> Interval:
     if op is Op.NE:
         return TOP
     if op is Op.LTS:
-        return TOP if rhs.hi == INT_MIN else Interval(INT_MIN, rhs.hi - 1)
+        return TOP if rhs.hi == INT_MIN else _interval((INT_MIN, rhs.hi - 1))
     if op is Op.LES:
-        return Interval(INT_MIN, rhs.hi)
+        return _interval((INT_MIN, rhs.hi))
     if op is Op.GTS:
-        return TOP if rhs.lo == INT_MAX else Interval(rhs.lo + 1, INT_MAX)
+        return TOP if rhs.lo == INT_MAX else _interval((rhs.lo + 1, INT_MAX))
     if op is Op.GES:
-        return Interval(rhs.lo, INT_MAX)
+        return _interval((rhs.lo, INT_MAX))
     raise ValueError(f"not a comparison op: {op}")
 
 
 def binary(op: Op, a: Interval, b: Interval) -> Interval:
-    """Dispatch one binary VM op over the domain."""
-    handler = _BINARY[op]
+    """Dispatch one arithmetic/bitwise VM op over the domain (comparisons
+    go through :func:`compare`)."""
+    handler = BINARY[op]
     return handler(a, b)
 
 
-_BINARY = {
+#: arithmetic/bitwise op -> its abstract transfer
+BINARY = {
     Op.ADD: add, Op.SUB: sub, Op.MUL: mul, Op.DIVS: divs, Op.REMS: rems,
     Op.AND: and_, Op.OR: or_, Op.XOR: xor, Op.SHL: shl, Op.SHRU: shru,
-    Op.EQ: lambda a, b: compare(Op.EQ, a, b),
-    Op.NE: lambda a, b: compare(Op.NE, a, b),
-    Op.LTS: lambda a, b: compare(Op.LTS, a, b),
-    Op.GTS: lambda a, b: compare(Op.GTS, a, b),
-    Op.LES: lambda a, b: compare(Op.LES, a, b),
-    Op.GES: lambda a, b: compare(Op.GES, a, b),
 }

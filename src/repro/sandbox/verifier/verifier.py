@@ -39,7 +39,7 @@ from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier import taint as tt
 from repro.sandbox.verifier.absint import HostSite
 from repro.sandbox.verifier.analysis import ModuleAnalysis
-from repro.sandbox.verifier.fuel import FuelVerdict, estimate_module_fuel
+from repro.sandbox.verifier.fuel import FuelVerdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.sandbox.manifest import ExecutorPolicy, Manifest
@@ -119,7 +119,8 @@ def verify_module(
     checked against its declarations — and its policy block, when
     present, against the emission/send dataflow — and with an executor
     policy, against the executor's offer. Every call builds its own
-    report; the bytecode-only part comes from the module's shared
+    report, copying what it keeps; the bytecode-only part, and the fuel
+    estimate per pair of manifest limits, come from the module's shared
     :class:`ModuleAnalysis`.
     """
     analysis = ModuleAnalysis.of(module)
@@ -128,14 +129,9 @@ def verify_module(
     if dataflow is None:
         return report
 
-    estimate = estimate_module_fuel(
-        module,
-        analysis.cfgs,
-        analysis.call_order,
-        max_instructions=None if manifest is None else manifest.max_instructions,
-        max_packets_received=(
-            None if manifest is None else manifest.max_packets_received
-        ),
+    estimate = analysis.fuel(
+        None if manifest is None else manifest.max_instructions,
+        None if manifest is None else manifest.max_packets_received,
     )
     report.diagnostics.extend(estimate.diagnostics)
     report.fuel = estimate.module_verdict

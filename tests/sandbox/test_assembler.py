@@ -146,6 +146,26 @@ class TestEncoding:
         module = assemble(".memory 4096\n.func run_debuglet 0 0\npush 1\nret\n.end")
         assert module.size_bytes > 0
 
+    def test_reassembling_hands_out_independent_copies(self):
+        """A source is parsed once per process; each caller still gets a
+        module of its own, and mutating it cannot reach the next caller."""
+        src = (".memory 4096\n.buffer udp_recv_buffer 0 64\n.global g 3\n"
+               ".func run_debuglet 0 0\npush 1\nret\n.end")
+        first = assemble(src)
+        pristine = first.encoded()
+        first.functions["run_debuglet"].code.append(first.functions["run_debuglet"].code[0])
+        first.functions["extra"] = first.functions["run_debuglet"]
+        first.buffers.clear()
+        first.globals["g"] = 4
+        second = assemble(src)
+        assert second is not first
+        assert [i.op for i in second.functions["run_debuglet"].code] == [Op.PUSH, Op.RET]
+        assert sorted(second.functions) == ["run_debuglet"]
+        assert list(second.buffers) == ["udp_recv_buffer"]
+        assert second.globals == {"g": 3}
+        assert second.encoded() == pristine
+        assert second.encoded() == second._encode()
+
 
 class TestHardening:
     """Parse-time rejection of programs the verifier would refuse anyway."""
