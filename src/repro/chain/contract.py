@@ -98,7 +98,7 @@ class ExecutionContext:
         self.ledger.contract_pay_out(self.contract.name, to_address, amount)
 
     def burn_from_contract(self, amount: int) -> None:
-        """Destroy tokens held by the contract (slashing, DESIGN.md §13).
+        """Destroy tokens held by the contract (slashing, DESIGN.md §11).
 
         Burned tokens move into the ledger's ``tokens_slashed`` sink — no
         account is credited, so slashing cannot be farmed by a malicious
@@ -157,7 +157,7 @@ class Contract:
     def restore(self, snapshot: dict) -> None:
         self.state = snapshot
 
-    # Journal protocol (DESIGN.md §11): a contract that tracks its own
+    # Journal protocol (DESIGN.md §10): a contract that tracks its own
     # undo log — recording (map, key, old value) per mutation instead of
     # deep-copying its whole state around every call — opts in by
     # returning True from :meth:`journal_begin`. The ledger then skips the

@@ -11,7 +11,7 @@ package imports:
 * ``"pure-python"`` — :mod:`repro.chain.ed25519_ref`, the reference the
   OpenSSL path is pinned against and the fallback when it is absent.
 
-Which one runs must never change a result (DESIGN.md §11):
+Which one runs must never change a result (DESIGN.md §10):
 
 * signing is deterministic in RFC 8032, so signatures and public keys are
   byte-identical;

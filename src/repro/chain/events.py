@@ -5,7 +5,7 @@ ready results through events (§IV-C). Subscribers filter on the event name
 and on attribute equality — e.g. an executor subscribes to
 ``ApplicationSubmitted`` events whose ``(asn, interface)`` match its own.
 
-Dispatch is indexed (DESIGN.md §11): each subscription is filed under its
+Dispatch is indexed (DESIGN.md §10): each subscription is filed under its
 most selective equality filter, so publishing costs the size of the few
 matching buckets instead of a scan over every live subscription — the
 difference between O(sessions) and O(1) per event once a load generator

@@ -16,7 +16,7 @@ Debuglet's control plane relies on (§IV-C, §V-B):
 - **storage pricing** — gas follows :class:`~repro.chain.gas.GasSchedule`
   (Table II calibration), with rebates on object free.
 
-Fleet-scale additions (DESIGN.md §11): object state lives in a sharded
+Fleet-scale additions (DESIGN.md §10): object state lives in a sharded
 store whose folded Merkle root is committed in every checkpoint; rollback
 on revert uses per-transaction undo journals instead of O(state) deep
 copies; and an optional *block mode* (``block_window``, or an explicit
@@ -151,7 +151,7 @@ class Ledger:
         # rebates paid when objects are freed (Sui's storage-fund model);
         # slashed stakes are burned into their own sink so conservation
         # (balances + escrow + gas + storage fund + slashed == genesis)
-        # stays checkable after convictions (DESIGN.md §13).
+        # stays checkable after convictions (DESIGN.md §11).
         self.gas_burned = 0
         self.storage_fund = 0
         self.tokens_slashed = 0
@@ -282,7 +282,7 @@ class Ledger:
         self._journal_balance(to_address).balance += amount
 
     def contract_burn(self, contract_name: str, amount: int) -> None:
-        """Burn tokens out of a contract's escrow (slashing, §13).
+        """Burn tokens out of a contract's escrow (slashing, §11).
 
         The tokens leave circulation into the ``tokens_slashed`` sink —
         they are destroyed, not paid to the auditor, so a conviction never

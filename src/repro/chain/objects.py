@@ -4,7 +4,7 @@ Sui-style: contracts create *objects* (applications, results, slot lists)
 identified by :class:`~repro.common.ids.ObjectId`. Storage is priced by
 encoded size; freeing an object earns the storage rebate (Table II).
 
-Fleet-scale layout (DESIGN.md §11): objects are partitioned into
+Fleet-scale layout (DESIGN.md §10): objects are partitioned into
 ``num_shards`` shards by a stable hash of their id, each shard keeps a
 cached Merkle root over per-object leaf hashes, and the ledger-wide
 :meth:`ObjectStore.state_root` folds the shard roots together. Mutations

@@ -218,7 +218,7 @@ class ChaosInjector:
         seed: int = 0,
         **params,
     ) -> ChaosFault:
-        """Turn ``executor`` Byzantine inside [start, end) (DESIGN.md §13).
+        """Turn ``executor`` Byzantine inside [start, end) (DESIGN.md §11).
 
         ``strategy`` is a :class:`~repro.core.byzantine.ByzantineStrategy`
         (or its string value); ``params`` are forwarded to

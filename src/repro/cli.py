@@ -517,7 +517,7 @@ def _cmd_chaos_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit_demo(args: argparse.Namespace) -> int:
-    """Byzantine executor vs the audit pipeline, end to end (§13)."""
+    """Byzantine executor vs the audit pipeline, end to end (§11)."""
     from repro.chain.gas import sui_to_mist
     from repro.chaos import ChaosInjector
     from repro.core import DebugletApplication
@@ -712,7 +712,7 @@ def _cmd_fleet_demo(args: argparse.Namespace) -> int:
     """The fleet lifecycle end to end on a real 3-AS marketplace: a scoped
     admission, a graceful drain with on-chain deregistration, a crash
     followed by liveness eviction and re-registration, and a heartbeat-loss
-    eviction of a healthy executor (DESIGN.md §14)."""
+    eviction of a healthy executor (DESIGN.md §12)."""
     from repro.chaos import ChaosInjector
     from repro.core import DebugletApplication
     from repro.core.executor import executor_data_address

@@ -155,7 +155,7 @@ class DebugletMarket(Contract):
 
         Re-registration by a *different* address aborts: an executor
         identity cannot be hijacked once claimed. Tokens attached to the
-        call are escrowed as slashable stake (DESIGN.md §13): burned on
+        call are escrowed as slashable stake (DESIGN.md §11): burned on
         conviction by the auditor, withdrawable otherwise.
         """
         key = slot_key(asn, interface)
@@ -830,7 +830,7 @@ def _verify_application_wire(ctx: ExecutionContext, wire: bytes, label: str) -> 
     )
     # Purchase is the first time most modules are seen; translating here
     # warms the process-wide compile cache so executor admission and every
-    # session VM afterwards reuse the threaded code by hash.
+    # session VM afterwards reuse the compiled module by hash.
     from repro.sandbox.compile import get_compiled
 
     get_compiled(module)

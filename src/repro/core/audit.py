@@ -1,4 +1,4 @@
-"""Trustfree result verification: audits, cross-validation, slashing (§13).
+"""Trustfree result verification: audits, cross-validation, slashing (§11).
 
 The certificate chain (:mod:`repro.core.verification`) proves a result
 was published by the registered executor for the right code at the right

@@ -1,4 +1,4 @@
-"""Byzantine executor strategies — the attack model (DESIGN.md §13).
+"""Byzantine executor strategies — the attack model (DESIGN.md §11).
 
 Debuglet's headline claim is *verifiable* telemetry, so the reproduction
 needs an adversary worth defending against. A

@@ -68,7 +68,7 @@ class ExecutionRecord:
     payload)``, ``("resume", result, received)`` and ``("trap", message)``
     entries, in order. Replaying the begin/resume inputs against a fresh
     reference interpreter must reproduce every call/done output and the
-    result bytes bit-for-bit (the §13 challenge–response audit,
+    result bytes bit-for-bit (the §11 challenge–response audit,
     :func:`repro.core.audit.replay_interaction_log`). ``tampered`` is
     ground truth for tests: the Byzantine strategy that corrupted this
     record, or ``""`` for honest executions — nothing in the defense
@@ -139,7 +139,7 @@ class ResultCertificate:
     ) -> bool:
         """Whether the certified interval sits inside ``[start - slack,
         end + slack]`` — the defence against stale-certificate reuse
-        (DESIGN.md §13): a certificate republished for a later purchase
+        (DESIGN.md §11): a certificate republished for a later purchase
         carries the earlier window's timestamps."""
         return self.started_at >= start - slack and self.finished_at <= end + slack
 

@@ -1,4 +1,4 @@
-"""Cooperative session orchestration at fleet scale (DESIGN.md §11).
+"""Cooperative session orchestration at fleet scale (DESIGN.md §10).
 
 :meth:`Initiator.run_until_done` drives ONE session: it pumps the global
 simulator until that session terminates. Launching thousands of sessions
@@ -79,7 +79,7 @@ class FleetScheduler:
         self.wheel_resolution = wheel_resolution
         # Optional repro.core.audit.Auditor: every completed session is
         # handed over for always-on checks plus sampled replay audits,
-        # scheduled cooperatively on the same simulator (DESIGN.md §13).
+        # scheduled cooperatively on the same simulator (DESIGN.md §11).
         self.auditor = auditor
 
         self.sessions: list[MeasurementSession] = []

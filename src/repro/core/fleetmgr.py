@@ -14,7 +14,7 @@ executor table of the data-plane probers, and not
   retired`` on the happy path, with sim-clock heartbeats, missed-heartbeat
   suspicion and eviction on the liveness path, and re-registration after a
   crash. Eviction is deliberately distinct from *slashing* (DESIGN.md
-  §13): a silent executor is delisted and its unsold inventory withdrawn,
+  §11): a silent executor is delisted and its unsold inventory withdrawn,
   but its stake is untouched — only the auditor's on-chain conviction
   burns stake. Liveness is not misbehavior.
 
@@ -608,7 +608,7 @@ class FleetManager:
 
         Deliberately does NOT touch stake or convictions — eviction
         punishes silence with lost sales, not lost collateral. Slashing
-        remains the auditor's monopoly (DESIGN.md §13), so a flaky-but-
+        remains the auditor's monopoly (DESIGN.md §11), so a flaky-but-
         honest executor can restart, re-register, and withdraw its stake.
         """
         member.missed_evictions += 1

@@ -165,7 +165,7 @@ class ExecutorAgent:
         ``stake`` tokens (if any) are attached to the registration and
         escrowed as slashable collateral: burned by ``slash_executor`` on
         an audit conviction, withdrawable via ``withdraw_stake``
-        otherwise (DESIGN.md §13).
+        otherwise (DESIGN.md §11).
         """
         self.wallet.must_call(
             self.market, "register_executor", self.asn, self.interface,

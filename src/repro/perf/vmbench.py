@@ -1,16 +1,18 @@
-"""Execution-tier microbenchmarks: reference interpreter vs threaded code.
+"""Execution-tier microbenchmarks: reference interpreter vs generated code.
 
 Four single-VM workloads isolate where the compiled tier
 (:mod:`repro.sandbox.compile`) can and cannot win:
 
 - ``tight_loop`` — pure dispatch + fuel accounting; the interpreter-bound
-  case, where block fuel and elided checks are all the compiled tier has
-  over the decoded reference tier (≈1.6x);
+  case, where the loop body is a handful of Python statements on locals
+  with one fuel charge per block (≈12–18x the decoded reference tier);
 - ``memory_heavy`` — dynamic (runtime-checked) and constant (elided)
-  loads/stores per iteration;
+  loads/stores per iteration (≈5–7x);
 - ``call_heavy`` — frame push/pop cost via a helper called per iteration;
-- ``host_heavy`` — one host call per iteration; interpretation is *not*
-  the bottleneck here, so the two tiers are close (≈1.0–1.1x).
+  the helper never suspends, so it is a plain Python call (≈13–18x);
+- ``host_heavy`` — one host call per iteration; the embedder's
+  suspend/resume round trip, not interpretation, is the bottleneck here,
+  so the two tiers are closest (≈3x).
 
 ``run_localization`` additionally times an end-to-end fault-localization
 scenario (simulator + fleet + sandboxed probers) per tier, which bounds

@@ -1,39 +1,65 @@
-"""The compiled execution tier: threaded code + block fuel + a module cache.
+"""The compiled execution tier: one generated Python generator per function.
 
 The reference interpreter (:class:`repro.sandbox.vm.VM`) dispatches on a
 table decoded once per module, one row per instruction, and charges fuel
 and makes every runtime check one instruction at a time. This module
-translates a validated :class:`~repro.sandbox.module.Module` once into
-**threaded code**: a flat list of bound closures, one per instruction,
-each returning the index of the next closure to run, with the checks the
-verifier proved dropped and fuel charged once per block.
+translates a validated :class:`~repro.sandbox.module.Module` into Python
+source, one ``def`` per Debuglet function, and compiles it:
 
-Three static proofs (from :mod:`repro.sandbox.verifier.facts`) pay for
-the speed:
+- **locals and stack slots are Python locals** — local ``i`` is ``l<i>``
+  and the operand at stack depth ``d`` is ``s<d>``. Depths are static
+  (:attr:`FunctionFacts.depth_in`), so no operand list exists at run
+  time. Within a block, operands that are pure arithmetic on locals,
+  slots and immediates stay symbolic and are folded into the instruction
+  that consumes them (``local_get 1; push 1; add; local_set 1`` becomes
+  ``l1 = (l1 + k0) & MASK``); loads, global reads, division and anything
+  that crosses a block boundary are written to their slot at once.
+- **fuel per block** — each basic block adds its summed fuel to a
+  frame-local counter once and bails if the counter passes the limit.
+  Blocks end at control transfers *and* at suspension points
+  (``CALL``/``HOST``), and the counter is written back to
+  ``vm.fuel_used`` before every ``yield``, ``yield from``, call and
+  return (and read back after them), so ``fuel_used`` observed at any
+  host-call boundary, completion or trap equals the reference tier's.
+- **blocks** are branches of a ``while True`` dispatch on a block-index
+  local; a function whose only loop is one region runs it as a bare
+  ``while True`` with ``continue`` as its back edge.
+- **calls and host calls** — ``CALL`` is ``yield from`` the callee's
+  generator (or a plain call when the callee can never suspend) with the
+  arguments as Python arguments; ``HOST`` yields a
+  :class:`~repro.sandbox.vm.HostCall` and the ``send`` that resumes it
+  carries the results.
 
-- **block fuel** — fuel is charged once per basic-block entry (a
-  synthetic handler at each block leader) instead of once per
-  instruction. Blocks end at control transfers *and* at suspension
-  points (``CALL``/``HOST``), so ``fuel_used`` observed at any host-call
-  boundary, completion, or trap equals the reference tier's exactly.
-- **check elision** — operand-stack under/overflow checks are dropped
-  (stack discipline is proven), frame-depth checks are dropped (static
-  call depth is proven), and loads/stores whose address the interval
-  analysis proved in range skip the bounds check — both constant
-  addresses (the access is rewritten to a fixed offset) and dynamic
-  ones whose whole value range fits in memory (the computed address is
-  used unchecked).
-- **equivalence by replay** — any trap (fuel, division, out-of-bounds)
-  makes the compiled tier *bail*: the VM replays its interaction log
-  (start arguments, resume results, embedder memory writes) on a fresh
-  reference interpreter, which then produces the exact trap type,
-  message, ``fuel_used``, and final memory — and keeps handling the
-  session from there. The fast tier never has to reconstruct trap
-  details; it only has to detect that one is coming.
+The checks stay those of the threaded tier this replaced: every
+arithmetic result is masked to 64 bits, signed comparisons compare
+``x ^ 2**63``, a zero divisor bails, and a load or store bails unless
+the verifier's intervals proved it in range (``safe_accesses`` for a
+constant address, ``inbounds_accesses`` for a dynamic one).
 
-Call frames are Python generators (``yield from`` for nesting), so a
-``HOST`` instruction suspends the whole frame tree for free and
-``resume`` is a plain ``generator.send``.
+**No module text reaches** :func:`compile`. Every identifier in the
+generated source is generated (``f3``, ``l2``, ``s0``, ``k7``), and the
+only literals are integers the key below fixes. Push immediates, proven
+constant addresses, global names and host-op names arrive as parameters
+of an outer factory ``def``, bound per module; function names never
+appear at all. The source executes with empty builtins, so it can reach
+nothing it is not handed.
+
+**One** :func:`compile` **per shape.** Ports and pacing make every
+marketplace session's code hash new, but not its shape. The factory is
+memoised in an LRU of :data:`~repro.sandbox.module.CACHE_CAPACITY`
+entries keyed by everything the generated text is a function of: the
+instruction sequence with push immediates masked, memory size, function
+names and arities, and per function the block leaders and fuel, entry
+depths and the index sets of the proven accesses. A module that shares a
+shape calls the cached factory with its own constants.
+
+**Equivalence by replay** — any trap (fuel, division, out-of-bounds)
+makes the compiled tier *bail*: the VM replays its interaction log
+(start arguments, resume results, embedder memory writes) on a fresh
+reference interpreter, which then produces the exact trap type,
+message, ``fuel_used`` and final memory, and keeps handling the session
+from there. The fast tier never reconstructs trap details; it only
+detects that one is coming.
 
 Process-wide, modules are compiled once: :func:`get_compiled` keys a
 small LRU cache by ``Module.code_hash()``, so the marketplace's
@@ -54,25 +80,39 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable, Generator, Iterator
+from inspect import isgeneratorfunction
+from typing import Any
 
-from repro.sandbox.isa import Op
-from repro.sandbox.module import ENTRY_POINT, Function, Module
+from repro.sandbox.hostops import HOST_OPS
+from repro.sandbox.isa import Instruction, Op
+from repro.sandbox.module import CACHE_CAPACITY, ENTRY_POINT, Function, Module
 from repro.sandbox.verifier.facts import (
     FactsUnavailable,
     FunctionFacts,
     StaticFacts,
     gather_facts,
 )
-from repro.sandbox.vm import HostCall
+from repro.sandbox.vm import VM, HostCall
 
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
 _TWO64 = 1 << 64
 
-#: frame actions a handler can request (``vm._action`` kinds).
-_RET, _FALL, _CALL, _HOST = 0, 1, 2, 3
-_RET_ACTION = (_RET, None, 0)
-_FALL_ACTION = (_FALL, None, 0)
+_JUMPS = (Op.JMP, Op.JZ, Op.JNZ)
+_LOADS = (Op.LOAD8, Op.LOAD64)
+_MEMORY_OPS = (Op.LOAD8, Op.STORE8, Op.LOAD64, Op.STORE64)
+_NAMED = (Op.GLOBAL_GET, Op.GLOBAL_SET, Op.HOST)
+
+#: operands nest at most this deep before they are written to their slot.
+_MAX_NESTING = 8
+
+#: a generated function: ``f(vm, *params)``, a generator when it may yield
+_Generated = Callable[..., Any]
+#: what ``send`` drives: yields host calls, takes results, returns a value
+_Run = Generator[HostCall, list[int] | None, int]
+#: where a factory parameter is used: (function, instruction, kind)
+_Where = tuple[int, int, str]
 
 
 class _Bail(Exception):
@@ -84,36 +124,34 @@ class CompileUnsupported(Exception):
     """The module cannot be proven safe for the compiled tier."""
 
 
-class CompiledFunction:
-    """One function's threaded code."""
-
-    __slots__ = ("name", "n_params", "n_locals", "code")
-
-    def __init__(self, name: str, n_params: int, n_locals: int) -> None:
-        self.name = name
-        self.n_params = n_params
-        self.n_locals = n_locals
-        self.code: list = []
+#: the factory's leading parameters: all that generated code may call.
+_RUNTIME: dict[str, object] = {
+    "_HostCall": HostCall, "_Bail": _Bail, "_int": int, "_abs": abs,
+    "_fb": int.from_bytes,
+}
 
 
 class CompiledModule:
-    """A module translated to threaded code, shareable across VMs.
+    """A module's generated functions, shareable across VMs.
 
-    Handlers close over immutable compile-time data only (immediates,
-    jump targets, callee references); all mutable machine state arrives
-    as arguments, so one ``CompiledModule`` safely backs any number of
-    concurrently-running VM instances.
+    The functions close over immutable per-module values only; all
+    mutable machine state (memory, globals, fuel) is read off the VM
+    passed to each call, so one ``CompiledModule`` safely backs any
+    number of concurrently running VM instances.
     """
 
     __slots__ = ("code_hash", "functions", "entry", "compile_seconds",
                  "value_stack_peak", "call_depth", "elided_checks",
-                 "elided_const", "elided_ranged")
+                 "elided_const", "elided_ranged", "_entry_suspends")
 
-    def __init__(self, code_hash: bytes, functions: dict[str, CompiledFunction],
+    def __init__(self, code_hash: bytes, functions: dict[str, _Generated],
                  facts: StaticFacts) -> None:
         self.code_hash = code_hash
+        #: function name -> generated function (a generator function when
+        #: it may suspend)
         self.functions = functions
         self.entry = functions[ENTRY_POINT]
+        self._entry_suspends = isgeneratorfunction(self.entry)
         self.compile_seconds = 0.0
         self.value_stack_peak = facts.value_stack_peak
         self.call_depth = facts.call_depth
@@ -125,436 +163,586 @@ class CompiledModule:
         )
         self.elided_checks = self.elided_const + self.elided_ranged
 
+    def start(self, vm: VM, params: list[int]) -> _Run:
+        """A generator running the entry point on ``vm``: it yields each
+        :class:`~repro.sandbox.vm.HostCall`, takes the results by
+        ``send`` and returns the (wrapped) result."""
+        if self._entry_suspends:
+            return self.entry(vm, *params)
+        return _returning(self.entry, vm, params)
 
-def run_frame(vm, cf: CompiledFunction, locals_: list):
-    """Execute one frame of threaded code as a generator.
 
-    Yields :class:`~repro.sandbox.vm.HostCall` at suspension points and
-    receives the result list back via ``send``; returns the frame's
-    (wrapped) return value. Mirrors the reference tier's frame
-    discipline: the value stack is truncated to the frame's floor on
-    every exit.
+def _returning(function: _Generated, vm: VM, params: list[int]) -> _Run:
+    """The generator protocol around an entry point that never suspends."""
+    result: int = function(vm, *params)
+    return result
+    yield  # pragma: no cover - makes this function a generator
+
+
+# ------------------------------------------------------------------ shape
+
+
+def _bindings(
+    module: Module, facts: StaticFacts
+) -> Iterator[tuple[_Where, int | str | None]]:
+    """``(function index, instruction index, kind), value`` for every
+    value the generated source takes as a factory parameter, in one fixed
+    order: push immediates (wrapped), global and host-op names, and the
+    start and end of each proven constant address."""
+    for fi, (name, function) in enumerate(module.functions.items()):
+        safe = facts.functions[name].safe_accesses
+        for index, instruction in enumerate(function.code):
+            op = instruction.op
+            if op is Op.PUSH:
+                yield (fi, index, "push"), int(instruction.arg) & _MASK
+            elif op in _NAMED:
+                yield (fi, index, "name"), instruction.arg
+            elif index in safe:
+                address = safe[index]
+                yield (fi, index, "addr"), address
+                if op in (Op.LOAD64, Op.STORE64):
+                    yield (fi, index, "end"), address + 8
+
+
+def _shape_key(module: Module, facts: StaticFacts) -> tuple[object, ...]:
+    """Everything the generated source is a function of, and nothing
+    that :func:`_bindings` passes in as a value."""
+    key: list[object] = [module.memory_size]
+    for name, function in module.functions.items():
+        ff = facts.functions[name]
+        key.append((
+            name, function.n_params, function.n_locals,
+            tuple(
+                "push" if i.op is Op.PUSH else (i.op.value, i.arg)
+                for i in function.code
+            ),
+            ff.leaders,
+            tuple(sorted(ff.block_fuel.items())),
+            tuple(sorted(ff.depth_in.items())),
+            tuple(sorted(ff.safe_accesses)),
+            tuple(sorted(ff.inbounds_accesses)),
+        ))
+    return tuple(key)
+
+
+# -------------------------------------------------------------- emission
+
+
+class _Operand:
+    """A symbolic operand: Python expression text over generated names.
+
+    ``reads`` is the set of locals and slots the text reads (immediates
+    are never assigned); ``cond`` is the same value as a truth test when
+    that is cheaper than ``1 if ... else 0``.
     """
-    stack = vm._stack
-    memory = vm.memory
-    code = cf.code
-    floor = len(stack)
-    ip = 0
-    while True:
-        while ip >= 0:
-            ip = code[ip](vm, stack, locals_, memory)
-        kind, payload, resume_ip = vm._action
-        if kind == _RET:
-            value = stack.pop()
-            del stack[floor:]
-            return value
-        if kind == _FALL:
-            value = stack.pop() if len(stack) > floor else 0
-            del stack[floor:]
-            return value
-        if kind == _CALL:
-            base = len(stack) - payload.n_params
-            callee_locals = stack[base:]
-            del stack[base:]
-            if payload.n_locals:
-                callee_locals.extend([0] * payload.n_locals)
-            stack.append((yield from run_frame(vm, payload, callee_locals)))
-        else:  # _HOST
-            results = yield payload
-            for value in results:
-                stack.append(int(value) & _MASK)
-        ip = resume_ip
+
+    __slots__ = ("text", "reads", "cond", "nesting")
+
+    def __init__(self, text: str, reads: frozenset[str], cond: str | None = None,
+                 nesting: int = 0) -> None:
+        self.text = text
+        self.reads = reads
+        self.cond = cond
+        self.nesting = nesting
 
 
-# --------------------------------------------------------- handler factories
+def _name(text: str) -> _Operand:
+    return _Operand(text, frozenset((text,)))
 
 
-def _fall(vm, stack, locals_, memory):
-    vm._action = _FALL_ACTION
-    return -1
+def _signed(text: str) -> str:
+    return f"({text} - {_TWO64} if {text} >= {_SIGN} else {text})"
 
 
-def _ret(vm, stack, locals_, memory):
-    vm._action = _RET_ACTION
-    return -1
+def _truth(operand: _Operand) -> str:
+    return operand.cond if operand.cond is not None else operand.text
 
 
-def _make_fuel(cost: int, nxt: int):
-    def fuel(vm, stack, locals_, memory):
-        used = vm.fuel_used + cost
-        if used > vm.fuel_limit:
-            raise _Bail
-        vm.fuel_used = used
-        return nxt
-    return fuel
+#: pure, total binary ops: (value template, truth-test template or None)
+_PURE: dict[Op, tuple[str | None, str | None]] = {
+    Op.ADD: (f"(({{a}} + {{b}}) & {_MASK})", None),
+    Op.SUB: (f"(({{a}} - {{b}}) & {_MASK})", None),
+    Op.MUL: (f"(({{a}} * {{b}}) & {_MASK})", None),
+    Op.AND: ("({a} & {b})", None),
+    Op.OR: ("({a} | {b})", None),
+    Op.XOR: ("({a} ^ {b})", None),
+    Op.SHL: (f"(({{a}} << ({{b}} & 63)) & {_MASK})", None),
+    Op.SHRU: ("({a} >> ({b} & 63))", None),
+    Op.EQ: (None, "{a} == {b}"),
+    Op.NE: (None, "{a} != {b}"),
+    Op.LTS: (None, f"({{a}} ^ {_SIGN}) < ({{b}} ^ {_SIGN})"),
+    Op.GTS: (None, f"({{a}} ^ {_SIGN}) > ({{b}} ^ {_SIGN})"),
+    Op.LES: (None, f"({{a}} ^ {_SIGN}) <= ({{b}} ^ {_SIGN})"),
+    Op.GES: (None, f"({{a}} ^ {_SIGN}) >= ({{b}} ^ {_SIGN})"),
+}
 
 
-def _make_handler(module: Module, instruction, nxt: int, target: int | None,
-                  safe_addr: int | None, ranged: bool,
-                  functions: dict[str, CompiledFunction]):
-    """Build the closure for one instruction.
+class _FunctionEmitter:
+    """Source for one Debuglet function, as lines of the factory body."""
 
-    ``nxt`` is the threaded-code index of the fallthrough successor,
-    ``target`` the remapped jump target (branches only), ``safe_addr``
-    the proven-constant address for elidable memory accesses. ``ranged``
-    means the interval analysis proved the (dynamic) address lies wholly
-    inside memory: the handler keeps the computed address but skips the
-    sign fix-up and bounds check — a proven-in-range address is
-    non-negative, so its unsigned stack encoding is the address itself.
-    """
-    op = instruction.op
-    arg = instruction.arg
-    size = module.memory_size
+    def __init__(self, module: Module, fi: int, function: Function,
+                 facts: FunctionFacts, params: dict[_Where, str],
+                 index_of: dict[str, int],
+                 suspends: dict[str, bool]) -> None:
+        self.module = module
+        self.fi = fi
+        self.function = function
+        self.facts = facts
+        self.params = params
+        self.index_of = index_of
+        self.suspends = suspends
+        self.lines: list[str] = []
+        self.indent = 2
+        self.stack: list[_Operand] = []
+        #: "flat" (nothing jumps back), "single" (one region loops on
+        #: itself) or "multi" (regions dispatched on ``b``)
+        self.mode = "flat"
+        #: the region being emitted: "prefix" (ahead of the loop) or "loop"
+        self.where = "prefix"
+        self.region_start = 0
 
-    if op is Op.PUSH:
-        k = int(arg) & _MASK
+    # ---------------------------------------------------------- output
 
-        def h(vm, stack, locals_, memory):
-            stack.append(k)
-            return nxt
-    elif op is Op.DROP:
-        def h(vm, stack, locals_, memory):
-            del stack[-1]
-            return nxt
-    elif op is Op.DUP:
-        def h(vm, stack, locals_, memory):
-            stack.append(stack[-1])
-            return nxt
-    elif op is Op.SWAP:
-        def h(vm, stack, locals_, memory):
-            stack[-1], stack[-2] = stack[-2], stack[-1]
-            return nxt
-    elif op is Op.ADD:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] = (stack[-1] + b) & _MASK
-            return nxt
-    elif op is Op.SUB:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] = (stack[-1] - b) & _MASK
-            return nxt
-    elif op is Op.MUL:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] = (stack[-1] * b) & _MASK
-            return nxt
-    elif op in (Op.DIVS, Op.REMS):
-        is_div = op is Op.DIVS
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
 
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            a = stack[-1]
-            if a >= _SIGN:
-                a -= _TWO64
-            if b >= _SIGN:
-                b -= _TWO64
-            if b == 0:
-                raise _Bail
-            if is_div:
-                value = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    value = -value
-            else:
-                value = abs(a) % abs(b)
-                if a < 0:
-                    value = -value
-            stack[-1] = value & _MASK
-            return nxt
-    elif op is Op.AND:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] &= b
-            return nxt
-    elif op is Op.OR:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] |= b
-            return nxt
-    elif op is Op.XOR:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] ^= b
-            return nxt
-    elif op is Op.SHL:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] = (stack[-1] << (b & 63)) & _MASK
-            return nxt
-    elif op is Op.SHRU:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] = stack[-1] >> (b & 63)
-            return nxt
-    elif op is Op.EQ:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] = 1 if stack[-1] == b else 0
-            return nxt
-    elif op is Op.NE:
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            stack[-1] = 1 if stack[-1] != b else 0
-            return nxt
-    elif op in (Op.LTS, Op.GTS, Op.LES, Op.GES):
-        kind = op
+    def param(self, index: int, kind: str) -> str:
+        return self.params[(self.fi, index, kind)]
 
-        def h(vm, stack, locals_, memory):
-            b = stack.pop()
-            a = stack[-1]
-            if a >= _SIGN:
-                a -= _TWO64
-            if b >= _SIGN:
-                b -= _TWO64
-            if kind is Op.LTS:
-                stack[-1] = 1 if a < b else 0
-            elif kind is Op.GTS:
-                stack[-1] = 1 if a > b else 0
-            elif kind is Op.LES:
-                stack[-1] = 1 if a <= b else 0
-            else:
-                stack[-1] = 1 if a >= b else 0
-            return nxt
-    elif op is Op.EQZ:
-        def h(vm, stack, locals_, memory):
-            stack[-1] = 0 if stack[-1] else 1
-            return nxt
-    elif op is Op.LOCAL_GET:
-        i = int(arg)
+    # --------------------------------------------------- operand stack
 
-        def h(vm, stack, locals_, memory):
-            stack.append(locals_[i])
-            return nxt
-    elif op is Op.LOCAL_SET:
-        i = int(arg)
+    def _slot(self, position: int) -> str:
+        return f"s{position}"
 
-        def h(vm, stack, locals_, memory):
-            locals_[i] = stack.pop()
-            return nxt
-    elif op is Op.LOCAL_TEE:
-        i = int(arg)
+    def _settled(self, position: int) -> bool:
+        return self.stack[position].text == self._slot(position)
 
-        def h(vm, stack, locals_, memory):
-            locals_[i] = stack[-1]
-            return nxt
-    elif op is Op.GLOBAL_GET:
-        name = arg
+    def _assign(self, pairs: list[tuple[str, str]]) -> None:
+        if len(pairs) == 1:
+            self.emit(f"{pairs[0][0]} = {pairs[0][1]}")
+        elif pairs:
+            targets = ", ".join(target for target, _ in pairs)
+            values = ", ".join(value for _, value in pairs)
+            self.emit(f"{targets} = {values}")
 
-        def h(vm, stack, locals_, memory):
-            stack.append(vm.globals[name])
-            return nxt
-    elif op is Op.GLOBAL_SET:
-        name = arg
+    def _spill(self, names: set[str]) -> list[tuple[str, str]]:
+        """Settle every symbolic operand that reads one of ``names``, and
+        every one that reads a slot so settled, as ``(slot, text)``."""
+        names = set(names)
+        chosen: dict[int, str] = {}
+        grew = True
+        while grew:
+            grew = False
+            for position, operand in enumerate(self.stack):
+                if (position not in chosen and not self._settled(position)
+                        and operand.reads & names):
+                    chosen[position] = operand.text
+                    names.add(self._slot(position))
+                    grew = True
+        pairs = []
+        for position in sorted(chosen):
+            pairs.append((self._slot(position), chosen[position]))
+            self.stack[position] = _name(self._slot(position))
+        return pairs
 
-        def h(vm, stack, locals_, memory):
-            vm.globals[name] = stack.pop()
-            return nxt
-    elif op is Op.LOAD8:
-        if safe_addr is not None:
-            k = safe_addr
+    def store(self, target: str, text: str) -> None:
+        """``target = text``, first settling the operands that read
+        ``target`` (one parallel assignment, so every right-hand side
+        sees the old values)."""
+        pairs = self._spill({target})
+        pairs.append((target, text))
+        self._assign(pairs)
 
-            def h(vm, stack, locals_, memory):
-                stack[-1] = memory[k]
-                return nxt
-        elif ranged:
-            def h(vm, stack, locals_, memory):
-                stack[-1] = memory[stack[-1]]
-                return nxt
+    def push_value(self, text: str) -> None:
+        """Write ``text`` to the next slot now and push that slot."""
+        slot = self._slot(len(self.stack))
+        self.store(slot, text)
+        self.stack.append(_name(slot))
+
+    def push(self, operand: _Operand) -> None:
+        if operand.nesting > _MAX_NESTING:
+            self.push_value(operand.text)
         else:
-            def h(vm, stack, locals_, memory):
-                a = stack[-1]
-                if a >= _SIGN:
-                    a -= _TWO64
-                if a < 0 or a >= size:
-                    raise _Bail
-                stack[-1] = memory[a]
-                return nxt
-    elif op is Op.STORE8:
-        if safe_addr is not None:
-            k = safe_addr
+            self.stack.append(operand)
 
-            def h(vm, stack, locals_, memory):
-                memory[k] = stack.pop() & 0xFF
-                del stack[-1]
-                return nxt
-        elif ranged:
-            def h(vm, stack, locals_, memory):
-                value = stack.pop()
-                memory[stack.pop()] = value & 0xFF
-                return nxt
+    def pop(self) -> _Operand:
+        return self.stack.pop()
+
+    def settle(self, position: int) -> None:
+        operand = self.stack[position]
+        slot = self._slot(position)
+        self.stack[position] = _name(slot)
+        self.store(slot, operand.text)
+
+    def settle_all(self, below: int | None = None) -> None:
+        """Write every symbolic operand (under ``below``) to its slot."""
+        end = len(self.stack) if below is None else below
+        pairs = []
+        for position in range(end):
+            if not self._settled(position):
+                pairs.append((self._slot(position), self.stack[position].text))
+                self.stack[position] = _name(self._slot(position))
+        self._assign(pairs)
+
+    def settle_under(self, base: int) -> None:
+        """Settle the operands under a call's arguments (the block ends
+        there), and the arguments too if they read a slot so settled."""
+        below = {self._slot(p) for p in range(base) if not self._settled(p)}
+        if any(operand.reads & below for operand in self.stack[base:]):
+            self.settle_all()
         else:
-            def h(vm, stack, locals_, memory):
-                value = stack.pop()
-                a = stack.pop()
-                if a >= _SIGN:
-                    a -= _TWO64
-                if a < 0 or a >= size:
-                    raise _Bail
-                memory[a] = value & 0xFF
-                return nxt
-    elif op is Op.LOAD64:
-        limit = size - 8
-        if safe_addr is not None:
-            k, k_end = safe_addr, safe_addr + 8
+            self.settle_all(below=base)
 
-            def h(vm, stack, locals_, memory):
-                stack[-1] = int.from_bytes(memory[k:k_end], "little")
-                return nxt
-        elif ranged:
-            def h(vm, stack, locals_, memory):
-                a = stack[-1]
-                stack[-1] = int.from_bytes(memory[a:a + 8], "little")
-                return nxt
-        else:
-            def h(vm, stack, locals_, memory):
-                a = stack[-1]
-                if a >= _SIGN:
-                    a -= _TWO64
-                if a < 0 or a > limit:
-                    raise _Bail
-                stack[-1] = int.from_bytes(memory[a:a + 8], "little")
-                return nxt
-    elif op is Op.STORE64:
-        limit = size - 8
-        if safe_addr is not None:
-            k, k_end = safe_addr, safe_addr + 8
+    # ------------------------------------------------------- structure
 
-            def h(vm, stack, locals_, memory):
-                memory[k:k_end] = stack.pop().to_bytes(8, "little")
-                del stack[-1]
-                return nxt
-        elif ranged:
-            def h(vm, stack, locals_, memory):
-                value = stack.pop()
-                a = stack.pop()
-                memory[a:a + 8] = value.to_bytes(8, "little")
-                return nxt
-        else:
-            def h(vm, stack, locals_, memory):
-                value = stack.pop()
-                a = stack.pop()
-                if a >= _SIGN:
-                    a -= _TWO64
-                if a < 0 or a > limit:
-                    raise _Bail
-                memory[a:a + 8] = value.to_bytes(8, "little")
-                return nxt
-    elif op is Op.JMP:
-        t = target
-
-        def h(vm, stack, locals_, memory):
-            return t
-    elif op is Op.JZ:
-        t = target
-
-        def h(vm, stack, locals_, memory):
-            return t if stack.pop() == 0 else nxt
-    elif op is Op.JNZ:
-        t = target
-
-        def h(vm, stack, locals_, memory):
-            return t if stack.pop() != 0 else nxt
-    elif op is Op.CALL:
-        callee = functions[arg]
-        action = (_CALL, callee, nxt)
-
-        def h(vm, stack, locals_, memory):
-            vm._action = action
-            return -1
-    elif op is Op.RET:
-        return _ret
-    elif op is Op.HOST:
-        name = arg
-        from repro.sandbox.hostops import HOST_OPS
-
-        n_args = HOST_OPS[name][0]
-        if n_args:
-            def h(vm, stack, locals_, memory):
-                base = len(stack) - n_args
-                raw = stack[base:]
-                del stack[base:]
-                vm._action = (_HOST, HostCall(name, tuple(
-                    (v - _TWO64) if v >= _SIGN else v for v in raw
-                )), nxt)
-                return -1
-        else:
-            def h(vm, stack, locals_, memory):
-                vm._action = (_HOST, HostCall(name, ()), nxt)
-                return -1
-    elif op is Op.NOP:
-        def h(vm, stack, locals_, memory):
-            return nxt
-    else:  # pragma: no cover - exhaustive over the ISA
-        raise CompileUnsupported(f"unhandled opcode {op}")
-    return h
-
-
-def _translate_function(module: Module, function: Function, facts: FunctionFacts,
-                        functions: dict[str, CompiledFunction]) -> list:
-    """Lay out one function's threaded code.
-
-    Layout: ``[fuel?, instr]*  fall`` — a synthetic fuel handler precedes
-    the first instruction of every basic block, and a shared fall-off
-    handler sits at the end. Jump targets are remapped to the target
-    block's *fuel* handler so every block entry pays its fuel exactly
-    once, matching the reference tier's per-instruction charging summed
-    over the block.
-    """
-    code = function.code
-    leaders = set(facts.leaders)
-    entry_pos: dict[int, int] = {}
-    instr_pos: dict[int, int] = {}
-    cursor = 0
-    for index in range(len(code)):
-        if index in leaders:
-            entry_pos[index] = cursor
-            cursor += 1
-        instr_pos[index] = cursor
-        cursor += 1
-    fall_pos = cursor
-
-    def arrival(index: int) -> int:
-        if index >= len(code):
-            return fall_pos
-        return entry_pos.get(index, instr_pos[index])
-
-    out: list = [None] * (fall_pos + 1)
-    for index, instruction in enumerate(code):
-        if index in leaders:
-            out[entry_pos[index]] = _make_fuel(
-                facts.block_fuel[index], instr_pos[index]
+    def generate(self) -> list[str]:
+        function, facts = self.function, self.facts
+        code = function.code
+        args = ", ".join(["V"] + [f"l{i}" for i in range(function.n_params)])
+        self.lines.append(f"    def f{self.fi}({args}):")
+        if not code:
+            self.emit("return 0")  # falling off an empty body is free
+            return self.lines
+        ops = {instruction.op for instruction in code}
+        if ops & set(_MEMORY_OPS):
+            self.emit("M = V.memory")
+        if ops & {Op.GLOBAL_GET, Op.GLOBAL_SET}:
+            self.emit("G = V.globals")
+        self.emit("L = V.fuel_limit")
+        self.emit("fuel = V.fuel_used")
+        n_total = function.n_params + function.n_locals
+        if function.n_locals:
+            zeroed = " = ".join(
+                f"l{i}" for i in range(function.n_params, n_total)
             )
-        target = None
-        if instruction.op in (Op.JMP, Op.JZ, Op.JNZ):
-            target = entry_pos[int(instruction.arg)]
-        out[instr_pos[index]] = _make_handler(
-            module, instruction, arrival(index + 1), target,
-            facts.safe_accesses.get(index),
-            index in facts.inbounds_accesses, functions,
+            self.emit(f"{zeroed} = 0")
+
+        depth_in = facts.depth_in
+        leaders = facts.leaders
+        targets = {int(i.arg) for i in code if i.op in _JUMPS}
+        starts = [
+            leader for leader in leaders
+            if leader == 0 or leader in targets
+            or code[leader - 1].op in (Op.JMP, Op.RET)
+        ]
+        # regions nothing reaches have no entry depth and are not emitted
+        live = [start for start in starts if start in depth_in]
+        bounds = dict(zip(starts, starts[1:] + [len(code)]))
+
+        # Region 0 runs ahead of the loop unless something jumps back to
+        # it or a branch in it would have to skip the rest of it.
+        prefix = 0 not in targets and not any(
+            code[i].op in (Op.JZ, Op.JNZ) for i in range(bounds[0])
         )
-    out[fall_pos] = _fall
-    return out
+        looped = live[1:] if prefix else live
+        self.mode = "flat" if not looped else (
+            "single" if len(looped) == 1 else "multi"
+        )
+        if prefix:
+            self.region(0, bounds[0], "prefix")
+        if self.mode != "flat":
+            if self.mode == "multi" and not prefix:
+                self.emit("b = 0")
+            self.emit("while True:")
+            self.indent += 1
+            for start in looped:
+                if self.mode == "multi":
+                    self.emit(f"if b == {start}:")
+                    self.indent += 1
+                self.region(start, bounds[start], "loop")
+                if self.mode == "multi":
+                    self.indent -= 1
+            self.indent -= 1
+        return self.lines
+
+    def region(self, start: int, end: int, where: str) -> None:
+        """Emit the blocks of ``[start, end)``, one fuel charge each."""
+        self.where, self.region_start = where, start
+        facts, code = self.facts, self.function.code
+        leaders = [i for i in facts.leaders if start <= i < end] + [end]
+        for leader, stop in zip(leaders, leaders[1:]):
+            self.stack = [_name(self._slot(p)) for p in range(facts.depth_in[leader])]
+            self.emit(f"fuel += {facts.block_fuel[leader]}")
+            self.emit("if fuel > L:")
+            self.emit("    raise _Bail")
+            for index in range(leader, stop):
+                if facts.depth_in.get(index) != len(self.stack):
+                    raise CompileUnsupported(
+                        f"{self.function.name}@{index}: operand depth "
+                        f"{len(self.stack)} disagrees with the verifier"
+                    )
+                self.instruction(index, code[index])
+        last = code[end - 1].op
+        if last in (Op.JMP, Op.RET):
+            return
+        self.settle_all()
+        if end == len(code):
+            self.leave(self.stack[-1].text if self.stack else "0")
+        elif self.mode == "multi":
+            self.emit(f"b = {end}")
+        elif where == "loop":  # pragma: no cover - a second live region
+            raise CompileUnsupported(f"{self.function.name}: region layout")
+
+    def leave(self, value: str) -> None:
+        self.emit("V.fuel_used = fuel")
+        self.emit(f"return {value}")
+
+    def jump(self, target: int, condition: str | None) -> None:
+        """Transfer to the region at ``target`` (when ``condition``)."""
+        if self.where == "prefix":
+            # an unconditional jump ends the prefix; the loop dispatches
+            if self.mode == "multi":
+                self.emit(f"b = {target}")
+            return
+        if condition is not None:
+            self.emit(f"if {condition}:")
+            self.indent += 1
+        if self.mode == "multi":
+            self.emit(f"b = {target}")
+            if condition is not None or target <= self.region_start:
+                self.emit("continue")
+        else:
+            self.emit("continue")
+        if condition is not None:
+            self.indent -= 1
+
+    # ---------------------------------------------------- instructions
+
+    def instruction(self, index: int, instruction: Instruction) -> None:
+        op, arg = instruction.op, instruction.arg
+        pure = _PURE.get(op)
+        if pure is not None:
+            b, a = self.pop(), self.pop()
+            template, test = pure
+            nesting = max(a.nesting, b.nesting) + 1
+            cond = None
+            if test is not None:
+                cond = test.format(a=a.text, b=b.text)
+                value = f"(1 if {cond} else 0)"
+            else:
+                assert template is not None
+                value = template.format(a=a.text, b=b.text)
+            self.push(_Operand(value, a.reads | b.reads, cond, nesting))
+        elif op is Op.PUSH:
+            self.push(_Operand(self.param(index, "push"), frozenset()))
+        elif op is Op.LOCAL_GET:
+            self.push(_name(f"l{arg}"))
+        elif op is Op.LOCAL_SET:
+            self.store(f"l{arg}", self.pop().text)
+        elif op is Op.LOCAL_TEE:
+            self.store(f"l{arg}", self.pop().text)
+            self.push(_name(f"l{arg}"))
+        elif op is Op.EQZ:
+            a = self.pop()
+            truth = _truth(a)
+            self.push(_Operand(f"(0 if {truth} else 1)", a.reads,
+                               f"not ({truth})", a.nesting + 1))
+        elif op is Op.DROP:
+            self.pop()
+        elif op is Op.DUP:
+            if self.stack[-1].nesting:  # read twice: compute it once
+                self.settle(len(self.stack) - 1)
+            self.push(self.stack[-1])
+        elif op is Op.SWAP:
+            self.stack[-1], self.stack[-2] = self.stack[-2], self.stack[-1]
+        elif op is Op.NOP:
+            pass
+        elif op in (Op.DIVS, Op.REMS):
+            self.divide(op)
+        elif op is Op.GLOBAL_GET:
+            self.push_value(f"G[{self.param(index, 'name')}]")
+        elif op is Op.GLOBAL_SET:
+            self.emit(f"G[{self.param(index, 'name')}] = {self.pop().text}")
+        elif op in _MEMORY_OPS:
+            self.memory(index, op)
+        elif op is Op.JMP:
+            self.settle_all()
+            self.jump(int(arg), None)
+        elif op in (Op.JZ, Op.JNZ):
+            condition = self.pop()
+            targets = {self._slot(p) for p in range(len(self.stack))
+                       if not self._settled(p)}
+            if condition.reads & targets:
+                self.emit(f"t0 = {condition.text}")
+                condition = _name("t0")
+            self.settle_all()
+            truth = _truth(condition)
+            self.jump(int(arg), truth if op is Op.JNZ else f"not ({truth})")
+        elif op is Op.CALL:
+            self.call(str(arg))
+        elif op is Op.RET:
+            self.leave(self.pop().text)
+        elif op is Op.HOST:
+            self.host(index, str(arg))
+        else:  # pragma: no cover - exhaustive over the ISA
+            raise CompileUnsupported(f"unhandled opcode {op}")
+
+    def divide(self, op: Op) -> None:
+        b, a = self.pop(), self.pop()
+        self.emit(f"t0, t1 = {a.text}, {b.text}")
+        self.emit("if not t1:")
+        self.emit("    raise _Bail")
+        for temp in ("t0", "t1"):
+            self.emit(f"if {temp} >= {_SIGN}:")
+            self.emit(f"    {temp} -= {_TWO64}")
+        if op is Op.DIVS:
+            self.emit("t2 = _abs(t0) // _abs(t1)")
+            self.emit("if (t0 < 0) != (t1 < 0):")
+        else:
+            self.emit("t2 = _abs(t0) % _abs(t1)")
+            self.emit("if t0 < 0:")
+        self.emit("    t2 = -t2")
+        self.push_value(f"t2 & {_MASK}")
+
+    def memory(self, index: int, op: Op) -> None:
+        size = self.module.memory_size
+        wide = op in (Op.LOAD64, Op.STORE64)
+        constant = (self.fi, index, "addr") in self.params
+        position = len(self.stack) - (1 if op in _LOADS else 2)
+        if not constant and self.stack[position].nesting:
+            self.settle(position)  # the address is read more than once
+        value = "" if op in _LOADS else self.pop().text
+        address = self.pop()
+        if constant:
+            start = self.param(index, "addr")
+            end = self.param(index, "end") if wide else ""
+        else:
+            start = address.text
+            if index not in self.facts.inbounds_accesses:
+                self.emit(f"if {start} > {size - 8 if wide else size - 1}:")
+                self.emit("    raise _Bail")
+            end = f"{start} + 8" if wide else ""
+        if op is Op.LOAD8:
+            self.push_value(f"M[{start}]")
+        elif op is Op.LOAD64:
+            self.push_value(f"_fb(M[{start}:{end}], 'little')")
+        elif op is Op.STORE8:
+            self.emit(f"M[{start}] = {value} & 255")
+        else:
+            self.emit(f"M[{start}:{end}] = {value}.to_bytes(8, 'little')")
+
+    def call(self, name: str) -> None:
+        callee = self.module.functions[name]
+        n = callee.n_params
+        base = len(self.stack) - n
+        self.settle_under(base)
+        args = ", ".join(["V"] + [operand.text for operand in self.stack[base:]])
+        del self.stack[base:]
+        how = "yield from " if self.suspends[name] else ""
+        self.emit("V.fuel_used = fuel")
+        self.emit(f"{self._slot(base)} = {how}f{self.index_of[name]}({args})")
+        self.emit("fuel = V.fuel_used")
+        self.stack.append(_name(self._slot(base)))
+
+    def host(self, index: int, name: str) -> None:
+        n_args, n_results = HOST_OPS[name]
+        base = len(self.stack) - n_args
+        self.settle_under(base)
+        for position in range(base, len(self.stack)):
+            if self.stack[position].nesting:  # read twice: compute it once
+                self.settle(position)
+        signed = [_signed(operand.text) for operand in self.stack[base:]]
+        args = "(" + "".join(f"{text}, " for text in signed) + ")"
+        del self.stack[base:]
+        self.emit("V.fuel_used = fuel")
+        self.emit(f"r = yield _HostCall({self.param(index, 'name')}, {args})")
+        self.emit("fuel = V.fuel_used")
+        for i in range(n_results):
+            self.push_value(f"_int(r[{i}]) & {_MASK}")
+
+
+def _suspending(module: Module) -> dict[str, bool]:
+    """Which functions may yield: a ``HOST``, or a call to one that may.
+    (Only runs on modules proven free of recursion.)"""
+    memo: dict[str, bool] = {}
+
+    def visit(name: str) -> bool:
+        if name not in memo:
+            memo[name] = False
+            memo[name] = any(
+                i.op is Op.HOST or (i.op is Op.CALL and visit(str(i.arg)))
+                for i in module.functions[name].code
+            )
+        return memo[name]
+
+    for name in module.functions:
+        visit(name)
+    return memo
+
+
+def _source(module: Module, facts: StaticFacts) -> str:
+    params = {
+        where: f"k{n}" for n, (where, _) in enumerate(_bindings(module, facts))
+    }
+    names = list(module.functions)
+    index_of = {name: fi for fi, name in enumerate(names)}
+    suspends = _suspending(module)
+    header = ", ".join(list(_RUNTIME) + list(params.values()))
+    lines = [f"def factory({header}):"]
+    for fi, name in enumerate(names):
+        lines += _FunctionEmitter(
+            module, fi, module.functions[name], facts.functions[name],
+            params, index_of, suspends,
+        ).generate()
+    returned = "".join(f"f{fi}, " for fi in range(len(names)))
+    lines.append(f"    return ({returned})")
+    return "\n".join(lines) + "\n"
+
+
+def _proven(module: Module) -> StaticFacts:
+    try:
+        return gather_facts(module)
+    except FactsUnavailable as exc:
+        raise CompileUnsupported(str(exc)) from exc
+
+
+def generated_source(module: Module) -> str:
+    """The Python source :func:`compile_module` compiles for ``module``'s
+    shape (what the factory memo keys): for reading, and for tests."""
+    return _source(module, _proven(module))
+
+
+# ------------------------------------------------------------ shape memo
+
+
+_FACTORIES: OrderedDict[tuple[object, ...], _Generated] = OrderedDict()
+_FACTORIES_LOCK = threading.Lock()
+
+
+def _factory(
+    module: Module, facts: StaticFacts, key: tuple[object, ...]
+) -> _Generated:
+    """The compiled factory for ``key``, built on first sight."""
+    with _FACTORIES_LOCK:
+        factory = _FACTORIES.get(key)
+        if factory is not None:
+            _FACTORIES.move_to_end(key)
+            return factory
+    # Generate outside the lock, like CompileCache: pure, and a rare
+    # duplicate compile beats serialising every admission.
+    namespace: dict[str, Any] = {"__builtins__": {}}
+    exec(compile(_source(module, facts), "<debuglet>", "exec"), namespace)
+    factory = namespace["factory"]
+    with _FACTORIES_LOCK:
+        factory = _FACTORIES.setdefault(key, factory)
+        _FACTORIES.move_to_end(key)
+        while len(_FACTORIES) > CACHE_CAPACITY:
+            _FACTORIES.popitem(last=False)
+    return factory
 
 
 def compile_module(module: Module) -> CompiledModule:
-    """Translate ``module`` to threaded code.
+    """Compile ``module`` to generated Python functions.
 
     Raises :class:`CompileUnsupported` when the static proofs the tier
     relies on are unavailable (the caller should use the reference tier).
     """
     started = time.perf_counter()
-    try:
-        facts = gather_facts(module)
-    except FactsUnavailable as exc:
-        raise CompileUnsupported(str(exc)) from exc
-    functions = {
-        name: CompiledFunction(name, f.n_params, f.n_locals)
-        for name, f in module.functions.items()
-    }
-    for name, function in module.functions.items():
-        functions[name].code = _translate_function(
-            module, function, facts.functions[name], functions
-        )
+    facts = _proven(module)
+    factory = _factory(module, facts, _shape_key(module, facts))
+    values = [value for _, value in _bindings(module, facts)]
+    generated = factory(*_RUNTIME.values(), *values)
+    functions = dict(zip(module.functions, generated))
     compiled = CompiledModule(module.code_hash(), functions, facts)
     compiled.compile_seconds = time.perf_counter() - started
     return compiled

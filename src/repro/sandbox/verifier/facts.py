@@ -1,6 +1,6 @@
 """Static facts the compiled execution tier needs, per module.
 
-The threaded-code tier (:mod:`repro.sandbox.compile`) only runs modules
+The compiled tier (:mod:`repro.sandbox.compile`) only runs modules
 for which the verifier's analyses can *prove* the dynamic checks the
 reference interpreter performs per instruction. :func:`gather_facts` is a
 reader of the module's shared :class:`~.analysis.ModuleAnalysis` — it

@@ -24,6 +24,7 @@ re-execution that audits and the compiled tier's bail-to-replay rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NoReturn
 
 from repro.common.errors import SandboxError
@@ -142,7 +143,6 @@ class VM:
         self._compiled = None
         self._delegate: "VM | None" = None
         self._gen = None
-        self._action = None
         self._oplog: list[tuple] = []
         self.tier = "reference"
         if tier not in ("reference", "auto", "compiled"):
@@ -178,11 +178,10 @@ class VM:
             raise SandboxError(
                 f"{ENTRY_POINT} expects {entry.n_params} args, got {len(args)}"
             )
-        locals_ = [_wrap(a) for a in args] + [0] * entry.n_locals
         if self._compiled is not None:
-            def runner():
-                return self._compiled_start(locals_, args)
+            runner = partial(self._compiled_start, args)
         else:
+            locals_ = [_wrap(a) for a in args] + [0] * entry.n_locals
             rows = _decode(self.module)[ENTRY_POINT]
             self._frames.append(_Frame(ENTRY_POINT, 0, locals_, 0, rows))
             self._floor = 0
@@ -201,8 +200,7 @@ class VM:
             if self._awaiting_host is None:
                 raise SandboxError("VM is not awaiting a host call")
             if self._compiled is not None:
-                def runner():
-                    return self._compiled_resume(results)
+                runner = partial(self._compiled_resume, results)
             else:
                 self._awaiting_host = None
                 stack = self._stack
@@ -217,35 +215,33 @@ class VM:
 
     # ------------------------------------------------------ compiled tier
 
-    def _compiled_start(self, locals_: list[int], raw_args: list[int]):
-        self._oplog.append(("start", raw_args))
-        self._gen = _compile_mod.run_frame(self, self._compiled.entry, locals_)
-        return self._advance(self._gen.__next__)
+    def _compiled_start(self, args: list[int]):
+        self._oplog.append(("start", args))
+        self._gen = self._compiled.start(self, [_wrap(a) for a in args])
+        return self._advance(None)
 
     def _compiled_resume(self, results: list[int]):
         call = self._awaiting_host
         self._oplog.append(("resume", results))
-        if (
-            len(results) != _HOST_RESULTS[call.name]
-            or len(self._stack) + len(results) > self.MAX_VALUE_STACK
-        ):
+        if len(results) != _HOST_RESULTS[call.name]:
             # Outside the statically-proven envelope (embedder misuse);
-            # let the reference tier produce the exact outcome.
+            # let the reference tier produce the exact outcome. With the
+            # right arity the proven value-stack peak rules out overflow.
             return self._fallback_replay()
         self._awaiting_host = None
-        return self._advance(lambda: self._gen.send(results))
+        return self._advance(results)
 
-    def _advance(self, advancer):
-        """One compiled step: run threaded code to the next boundary."""
+    def _advance(self, results: list[int] | None):
+        """One compiled step: send ``results`` into the generated code
+        and run it to the next boundary."""
         try:
-            step = advancer()
+            step = self._gen.send(results)
         except StopIteration as stop:
             self._finished = True
-            value = stop.value if stop.value is not None else 0
-            return Done(_signed(value))
-        except (_compile_mod._Bail, SandboxError, IndexError):
-            # A trap is due (fuel, division, bounds, misuse). Replay the
-            # session on the reference tier for exact trap semantics.
+            return Done(_signed(stop.value))
+        except _compile_mod._Bail:
+            # A trap is due (fuel, division, bounds). Replay the session
+            # on the reference tier for exact trap semantics.
             self._gen = None
             return self._fallback_replay()
         self._awaiting_host = step

@@ -3,7 +3,7 @@
 Ramps tens of thousands of measurement sessions into one ledger-backed
 marketplace and reports sessions/sec, session-latency percentiles, and
 ledger txs/sec — the reproduction's §V-B-style control-plane scale bench
-(DESIGN.md §11). Two ledger modes are compared head-to-head:
+(DESIGN.md §10). Two ledger modes are compared head-to-head:
 
 - ``serial`` — the pre-fleet baseline: one checkpoint (with a folded
   shard state root) sealed per transaction;
@@ -22,7 +22,7 @@ checkpointing, crypto — which is exactly the part the sharded/batched
 ledger accelerates.
 
 With ``churn`` enabled the executor population itself becomes part of
-the workload (DESIGN.md §14): a :class:`~repro.core.fleetmgr.FleetManager`
+the workload (DESIGN.md §12): a :class:`~repro.core.fleetmgr.FleetManager`
 owns every pair's lifecycle, some pairs register late (mid-ramp), some
 are gracefully drained, some crash and re-register after liveness
 eviction, and some lose only their heartbeat channel (healthy executor,
@@ -101,7 +101,7 @@ class LoadgenConfig:
     #: loadgen auditor (window containment + batched certificate
     #: signature verification). 0 disables auditing entirely.
     audit_rate: float = 0.0
-    #: Fleet churn (DESIGN.md §14): a FleetManager owns every pair's
+    #: Fleet churn (DESIGN.md §12): a FleetManager owns every pair's
     #: lifecycle and sessions pick a vantage pair at fire time from the
     #: currently-sellable set. The ``*_pairs`` knobs below say how many
     #: vantage pairs play each churn role; at least one pair must stay
@@ -296,7 +296,7 @@ class SyntheticExecutorAgent(ExecutorAgent):
 
 
 class LoadgenAuditor:
-    """Lightweight audit path for synthetic fleets (DESIGN.md §13).
+    """Lightweight audit path for synthetic fleets (DESIGN.md §11).
 
     Synthetic executors have no interaction logs, so replay audits do
     not apply; what *can* be checked at fleet scale, cheaply, is checked

@@ -1,4 +1,4 @@
-"""Scaffolding for the Byzantine adversarial battery (§13).
+"""Scaffolding for the Byzantine adversarial battery (§11).
 
 Builds staked marketplace testbeds with an on-chain auditor, runs echo
 sessions between AS1 and AS3, and lets tests mount seeded attacks via

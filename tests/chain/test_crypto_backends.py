@@ -1,6 +1,6 @@
 """The two Ed25519 backends behind ``repro.chain.crypto`` are one function.
 
-Contract (DESIGN.md §11): signing is byte-identical, verification accepts
+Contract (DESIGN.md §10): signing is byte-identical, verification accepts
 and rejects identically on every malformed class enumerated here, and
 ``ed25519_batch_verify`` returns exactly the per-item failures. Every
 differential test drives the public entry points with the backend swapped

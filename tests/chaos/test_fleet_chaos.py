@@ -1,5 +1,5 @@
 """Chaos compatibility sweep: PR 3 fault classes against the fleet
-scheduler (DESIGN.md §11).
+scheduler (DESIGN.md §10).
 
 The :class:`FleetScheduler` replaces per-session ``run_until_done``
 pumping, and the loadgen testbed replaces real executors with synthetic

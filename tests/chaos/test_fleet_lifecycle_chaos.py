@@ -1,4 +1,4 @@
-"""Chaos faults against the fleet lifecycle (DESIGN.md §14).
+"""Chaos faults against the fleet lifecycle (DESIGN.md §12).
 
 The chaos injector's executor crashes and heartbeat-loss gates drive the
 FleetManager's liveness machinery: crashes miss beats and get evicted,

@@ -145,7 +145,8 @@ class TestGenerated:
     @given(_program)
     @settings(max_examples=80, deadline=None)
     def test_expression_programs(self, exprs):
-        assert _assert_same(_build_module(exprs)) == 2
+        module = _build_module(exprs)
+        assert _assert_same(module) == len(module.functions) == 4
 
     def test_raw_instruction_modules(self):
         """Most raw modules fail the stack stage; enough pass it that the

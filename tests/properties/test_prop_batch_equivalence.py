@@ -1,4 +1,4 @@
-"""Property: batched block application ≡ serial application (DESIGN.md §11).
+"""Property: batched block application ≡ serial application (DESIGN.md §10).
 
 Block mode is a seal schedule, never a semantic change: for any
 marketplace history — including rejected transactions, forged signatures

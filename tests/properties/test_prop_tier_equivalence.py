@@ -2,25 +2,38 @@
 
 Random — but structurally valid — modules are generated from composable
 expression templates (arithmetic, possibly-trapping division, dynamic and
-constant memory accesses, host calls, counted loops, helper calls), then
-run to completion on both tiers under random fuel limits, host-result
-scripts, and embedder memory writes. The *entire observable session* must
-match: the host-call sequence (names, arguments, ``fuel_used`` at every
-suspension), the final ``Done`` value or trap type+message, final
-``fuel_used``, final linear memory, and final globals (DESIGN.md §7).
+constant memory accesses of both widths, globals, ``dup``/``swap``/
+``local_tee``/``eqz``/``nop``, host calls, counted loops of both shapes,
+branches, and calls into three helpers — one of which calls another
+that makes a host call, so a suspension crosses nested frames — with
+operands left live below the call's arguments), then run to completion
+on both tiers under random fuel limits, host-result scripts, and
+embedder memory writes. Immediates include the i64 sign and wrap
+boundaries. The *entire observable session* must match: the host-call
+sequence (names, arguments, ``fuel_used`` at every suspension), the
+final ``Done`` value or trap type+message, final ``fuel_used``, final
+linear memory, and final globals (DESIGN.md §7). The threaded tier the
+generator replaced (``tests/sandbox/compile_reference.py``) runs the same
+sessions.
 
 Small fuel limits matter most: they force traps at arbitrary points —
 mid-block, at host boundaries, inside loops — which is exactly where the
 compiled tier's block-level fuel accounting and bail-to-replay fallback
-must reproduce the reference interpreter's behaviour precisely.
+must reproduce the reference interpreter's behaviour precisely. And a
+bail that a session did not need would hide a compiler bug behind the
+replay, so whenever the reference completes without a trap the compiled
+VM must never have bailed.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SandboxError
+from repro.netsim.packet import Address, Protocol
 from repro.sandbox.assembler import assemble
+from repro.sandbox.programs import echo_client, echo_server
 from repro.sandbox.vm import VM, HostCall
+from tests.sandbox.compile_reference import ThreadedVM
 
 
 class _Ctx:
@@ -72,6 +85,66 @@ class Mem:
         )
 
 
+class Mem8:
+    """``store8``/``load8`` round trip: the byte the store kept."""
+
+    def __init__(self, addr: int, value) -> None:
+        self.addr, self.value = addr, value
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        return (
+            [f"push {self.addr}"]
+            + self.value.render(ctx)
+            + ["store8", f"push {self.addr}", "load8"]
+        )
+
+
+class Glob:
+    """Write a global, read it back (``g`` also starts at 2^64 - 1)."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        return self.value.render(ctx) + ["global_set g", "global_get g",
+                                         "global_get h", "add"]
+
+
+class Stack:
+    """``dup``, ``swap``, ``local_tee``, ``eqz`` and ``nop`` on operands."""
+
+    def __init__(self, kind: str, op: str, left, right) -> None:
+        self.kind, self.op, self.left, self.right = kind, op, left, right
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        left = self.left.render(ctx)
+        if self.kind == "dup":
+            return left + ["dup", self.op]
+        if self.kind == "swap":
+            return left + self.right.render(ctx) + ["swap", self.op]
+        if self.kind == "tee":
+            slot, _ = ctx.locals_pair()
+            return left + [f"local_tee {slot}", f"local_get {slot}", self.op]
+        if self.kind == "eqz":
+            return left + ["eqz", "nop"]
+        return left + ["nop"]
+
+
+class Select:
+    """``cond ? then : else`` with forward jumps."""
+
+    def __init__(self, cond, then, other) -> None:
+        self.cond, self.then, self.other = cond, then, other
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        other, end = ctx.label(), ctx.label()
+        return (
+            self.cond.render(ctx) + [f"jz {other}"] + self.then.render(ctx)
+            + [f"jmp {end}", f"{other}:"] + self.other.render(ctx)
+            + [f"{end}:", "nop"]
+        )
+
+
 class Host:
     def __init__(self, op: str, arg) -> None:
         self.op, self.arg = op, arg
@@ -100,18 +173,52 @@ class Loop:
         )
 
 
-class Call:
-    def __init__(self, left, right) -> None:
-        self.left, self.right = left, right
+class DoLoop:
+    """acc = sum of ``body`` over ``count`` >= 1 iterations, tested at the
+    bottom: the back edge is the loop's last instruction."""
+
+    def __init__(self, count: int, body) -> None:
+        self.count, self.body = count, body
 
     def render(self, ctx: _Ctx) -> list[str]:
-        return self.left.render(ctx) + self.right.render(ctx) + ["call helper"]
+        i, acc = ctx.locals_pair()
+        head = ctx.label()
+        return (
+            ["push 0", f"local_set {acc}", f"push {self.count}",
+             f"local_set {i}", f"{head}:"]
+            + self.body.render(ctx)
+            + [f"local_get {acc}", "add", f"local_set {acc}",
+               f"local_get {i}", "push 1", "sub", f"local_tee {i}",
+               f"jnz {head}", f"local_get {acc}"]
+        )
+
+
+class Call:
+    def __init__(self, left, right, callee: str = "helper") -> None:
+        self.left, self.right, self.callee = left, right, callee
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        return (self.left.render(ctx) + self.right.render(ctx)
+                + [f"call {self.callee}"])
 
 
 _BIN_OPS = ("add", "sub", "mul", "divs", "rems", "and", "or", "xor",
             "shl", "shru", "eq", "ne", "lts", "gts", "les", "ges")
 
-_leaf = st.integers(min_value=-(2 ** 40), max_value=2 ** 40).map(Lit)
+#: immediates: small, ±2^40, and the i64 sign and wrap boundaries
+_leaf = st.one_of(
+    st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
+    st.sampled_from((0, 1, -1, 2 ** 63 - 1, 2 ** 63, -(2 ** 63),
+                     -(2 ** 63) - 1, 2 ** 64 - 1, 2 ** 64)),
+).map(Lit)
+
+_CALLEES = ("helper", "hostly", "nested")
+
+_address = st.one_of(
+    st.integers(min_value=0, max_value=4088),
+    st.integers(min_value=4089, max_value=5000),
+    st.integers(min_value=-64, max_value=-1),
+)
 
 _flat = st.recursive(
     _leaf,
@@ -120,18 +227,28 @@ _flat = st.recursive(
             lambda t: Bin(*t)
         ),
         # mostly in-range constant addresses, occasionally OOB (traps)
+        st.tuples(_address, children).map(lambda t: Mem(*t)),
         st.tuples(
-            st.one_of(
-                st.integers(min_value=0, max_value=4088),
-                st.integers(min_value=4089, max_value=5000),
-                st.integers(min_value=-64, max_value=-1),
-            ),
+            st.one_of(_address, st.integers(min_value=4090, max_value=4096)),
             children,
-        ).map(lambda t: Mem(*t)),
+        ).map(lambda t: Mem8(*t)),
+        children.map(Glob),
+        st.tuples(
+            st.sampled_from(("dup", "swap", "tee", "eqz", "nop")),
+            st.sampled_from(_BIN_OPS), children, children,
+        ).map(lambda t: Stack(*t)),
+        st.tuples(children, children, children).map(lambda t: Select(*t)),
         st.tuples(
             st.sampled_from(("log_i64", "now_us", "rand_u32")), children
         ).map(lambda t: Host(t[0], t[1] if t[0] == "log_i64" else None)),
-        st.tuples(children, children).map(lambda t: Call(*t)),
+        st.tuples(children, children, st.sampled_from(_CALLEES)).map(
+            lambda t: Call(*t)
+        ),
+        # an operand stays live below the call's arguments
+        st.tuples(
+            st.sampled_from(_BIN_OPS), children, children, children,
+            st.sampled_from(_CALLEES),
+        ).map(lambda t: Bin(t[0], t[1], Call(t[2], t[3], t[4]))),
     ),
     max_leaves=10,
 )
@@ -140,6 +257,9 @@ _expr = st.one_of(
     _flat,
     st.tuples(st.integers(min_value=0, max_value=12), _flat).map(
         lambda t: Loop(*t)
+    ),
+    st.tuples(st.integers(min_value=1, max_value=12), _flat).map(
+        lambda t: DoLoop(*t)
     ),
 )
 
@@ -175,16 +295,27 @@ def _build_module(exprs) -> "Module":  # noqa: F821 - doc only
     n_locals = max(ctx.next_local, 1)
     source = (
         ".memory 4096\n"
+        ".global g 18446744073709551615\n"
+        ".global h 9223372036854775808\n"
         f".func run_debuglet 0 {n_locals}\n{body}\nret\n.end\n"
         ".func helper 2 0\n"
         "local_get 0\nlocal_get 1\nxor\npush 7\nadd\nret\n.end\n"
+        ".func hostly 2 0\n"
+        "local_get 0\nhost log_i64\nlocal_get 1\nadd\nret\n.end\n"
+        ".func nested 2 1\n"
+        "push 3\nlocal_get 0\nlocal_get 1\ncall hostly\nlocal_tee 2\n"
+        "local_get 1\ncall helper\nadd\nlocal_get 2\nsub\nret\n.end\n"
     )
     return assemble(source)
 
 
 def _run_session(module, tier, fuel, host_results, writes):
     """One full session as a comparable trace of every observable."""
-    vm = VM(module, fuel_limit=fuel, tier=tier)
+    return _session(VM(module, fuel_limit=fuel, tier=tier), tier,
+                    host_results, writes)
+
+
+def _session(vm, tier, host_results, writes):
     trace: list = [("tier", vm.tier)] if tier == "reference" else []
     try:
         step = vm.start([])
@@ -212,14 +343,40 @@ def _run_session(module, tier, fuel, host_results, writes):
 
 class TestTierEquivalence:
     @given(_program, _fuel, _host_results, _writes)
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_sessions_are_bit_identical(self, exprs, fuel, host_results, writes):
         module = _build_module(exprs)
         reference = _run_session(module, "reference", fuel, host_results, writes)
-        compiled = _run_session(module, "auto", fuel, host_results, writes)
         # Generated programs are valid by construction, so "auto" must
         # actually select the compiled tier — otherwise this test would
         # silently compare the reference tier with itself.
-        fast_vm = VM(module, tier="auto")
+        fast_vm = VM(module, fuel_limit=fuel, tier="auto")
         assert fast_vm.tier == "compiled"
+        compiled = _session(fast_vm, "auto", host_results, writes)
         assert reference[1:] == compiled, (reference, compiled)
+        if not any(row[0] == "trap" for row in reference):
+            # nothing trapped, so nothing may have been replayed
+            assert fast_vm._delegate is None, reference
+        threaded = _session(ThreadedVM(module, fuel_limit=fuel), "compiled",
+                            host_results, writes)
+        assert threaded == compiled
+
+
+class TestStockPrograms:
+    """The echo pair, driven by scripted hosts, never trap and so must
+    never bail."""
+
+    def test_echo_programs_never_bail(self):
+        stocks = (
+            echo_client(Protocol.UDP, Address(20, 2), count=4, interval_us=1_000),
+            echo_server(Protocol.TCP, max_echoes=4, idle_timeout_us=5_000),
+        )
+        for stock in stocks:
+            for host_results in ([64], [-1], [7, 64, -1, 0]):
+                reference = _run_session(stock.module, "reference", 1_000_000,
+                                         host_results, [])
+                assert not any(row[0] == "trap" for row in reference)
+                vm = VM(stock.module, fuel_limit=1_000_000, tier="auto")
+                assert vm.tier == "compiled"
+                assert _session(vm, "auto", host_results, []) == reference[1:]
+                assert vm._delegate is None

@@ -13,12 +13,18 @@ once:
   max_packets_received)``;
 * no more abstract interpretation than the shared analysis already did:
   a context-free pass per function plus the fixpoint's rounds (client
-  2 + 3, server 1 + 2).
+  2 + 3, server 1 + 2);
+* no ``compile()`` at all for a second fresh session on a new port: its
+  client bytecode is new, but its shape is not, so the compiled tier
+  binds the new immediates to the factory the first session compiled.
 
 Calls are counted through wrappers; nothing is timed.
 """
 
+import builtins
 from collections import Counter
+
+import repro.sandbox.compile as compile_ns
 
 from repro.core.application import DebugletApplication
 from repro.core.executor import executor_data_address
@@ -77,23 +83,28 @@ def test_one_fresh_session_derives_each_fact_once(monkeypatch):
 
     testbed = MarketplaceTestbed.build(2, seed=29)
     path = testbed.chain.registry.shortest(1, 2)
-    # Parameters no other test uses: bytecode this process has not seen.
-    server_app = DebugletApplication.from_stock(
-        "srv",
-        echo_server(Protocol.UDP, max_echoes=3, idle_timeout_us=2_345_678),
-        listen_port=8_765, path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(Protocol.UDP, executor_data_address(2, 1), count=3,
-                    interval_us=23_456, dst_port=8_765),
-        path=path.as_list(),
-    )
-    run = testbed.initiator.request_measurement(
-        client_app, server_app, (1, 2), (2, 1), duration=20.0
-    )
-    testbed.initiator.run_until_done(run, testbed.chain.simulator)
-    assert run.done
+
+    def session(port: int):
+        # Parameters no other test uses: bytecode this process has not seen.
+        server_app = DebugletApplication.from_stock(
+            "srv",
+            echo_server(Protocol.UDP, max_echoes=3, idle_timeout_us=2_345_678),
+            listen_port=port, path=path.reversed().as_list(),
+        )
+        client_app = DebugletApplication.from_stock(
+            "cli",
+            echo_client(Protocol.UDP, executor_data_address(2, 1), count=3,
+                        interval_us=23_456, dst_port=port),
+            path=path.as_list(),
+        )
+        run = testbed.initiator.request_measurement(
+            client_app, server_app, (1, 2), (2, 1), duration=20.0
+        )
+        testbed.initiator.run_until_done(run, testbed.chain.simulator)
+        assert run.done
+        return client_app, server_app, run
+
+    client_app, server_app, run = session(8_765)
     verifier = ChainVerifier(testbed.ledger, testbed.market)
     assert verifier.verify_result(run.client_application)
 
@@ -103,3 +114,17 @@ def test_one_fresh_session_derives_each_fact_once(monkeypatch):
     assert max(encodes.values()) == 1, encodes.values()
     assert estimates and max(estimates.values()) == 1, estimates
     assert Counter(interpreted) == {"run_debuglet": 5, "record_reply": 3}
+
+    compiled_sources: list[str] = []
+
+    def counting_compile(source, *args, **kwargs):
+        compiled_sources.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    monkeypatch.setattr(compile_ns, "compile", counting_compile, raising=False)
+    translated = compile_ns.compile_cache().stats()["compiles"]
+    second_client, _, _ = session(8_766)
+    assert second_client.module.code_hash() != client_app.module.code_hash()
+    # the new client module was compiled, through the factory memo
+    assert compile_ns.compile_cache().stats()["compiles"] == translated + 1
+    assert compiled_sources == []

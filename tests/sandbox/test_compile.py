@@ -229,6 +229,26 @@ class TestExactEquivalence:
         assert ref.fuel_used == fast.fuel_used
 
 
+class TestLayout:
+    """Function shapes the region layout must get right."""
+
+    @pytest.mark.parametrize("body", [
+        "push 1\nret\ndead:\njmp dead",  # a loop nothing reaches
+        "push 1\nret\ndead:\npush 2\njnz dead\npush 3",
+        "local_get 0\njz other\npush 5\nret\nother:\npush 6",
+        "local_get 0\njz end\nloop:\nlocal_get 0\npush 1\nsub\n"
+        "local_tee 0\njnz loop\nend:\nlocal_get 0",
+    ])
+    def test_matches_reference(self, body):
+        module = assemble(f".memory 64\n.func run_debuglet 1 0\n{body}\n.end\n")
+        for arg in (0, 1, 3):
+            ref, fast = _both(module)
+            assert fast.tier == "compiled"
+            assert ref.start([arg]) == fast.start([arg])
+            assert ref.fuel_used == fast.fuel_used
+            assert fast._delegate is None
+
+
 class TestCheckElision:
     def test_elided_constant_store_is_still_correct(self):
         module = _module("push 128\npush 9\nstore64\npush 128\nload64")
@@ -313,7 +333,8 @@ class TestCompiledModuleMetadata:
         assert compiled.call_depth >= 1
         assert compiled.value_stack_peak >= 1
         assert compiled.compile_seconds > 0.0
-        assert compiled.entry.name == "run_debuglet"
+        assert list(compiled.functions) == list(module.functions)
+        assert compiled.functions["run_debuglet"] is compiled.entry
 
     def test_get_compiled_returns_none_for_unsupported(self):
         assert get_compiled(_bad_local_module()) is None

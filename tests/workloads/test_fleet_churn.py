@@ -1,4 +1,4 @@
-"""Fleet churn under load (DESIGN.md §14).
+"""Fleet churn under load (DESIGN.md §12).
 
 The acceptance scenario for the fleet manager: a >=2k-session loadgen run
 with concurrent late registrations, graceful drains, heartbeat-loss

@@ -1,4 +1,4 @@
-"""Loadgen smoke checks (DESIGN.md §11).
+"""Loadgen smoke checks (DESIGN.md §10).
 
 Cheap guards that the fleet-scale bench stays healthy inside the tier-1
 suite: the fleet certifies everything it launches, sustains full
