@@ -13,7 +13,6 @@ state change of the call, like Move's ``abort``.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import ChainError, ContractRevert

@@ -45,7 +45,7 @@ the whole pipeline is deterministic per seed.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.chain.crypto import sha256
@@ -53,15 +53,15 @@ from repro.common.errors import ChainError, SandboxError
 from repro.common.rng import derive_rng
 from repro.common.serialize import canonical_encode
 from repro.core.executor import WINDOW_SLACK
-from repro.sandbox.program import ProgramCall, ProgramDone, ReceivedData
+from repro.sandbox.hostops import output_bytes
+from repro.sandbox.program import ReceivedData
 from repro.sandbox.programs import decode_result_pairs
+from repro.sandbox.vm import Done, HostCall
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.application import DebugletApplication
     from repro.core.executor import ExecutionRecord, Executor
     from repro.core.marketplace import MeasurementSession
-
-_MASK64 = (1 << 64) - 1
 
 #: Results at or below this size carry too little entropy for duplicate
 #: detection (e.g. the echo server's single (0, count) pair legitimately
@@ -151,7 +151,7 @@ def replay_interaction_log(
             data = None if entry[2] is None else ReceivedData(*entry[2])
             drive(program.resume, int(entry[1]), data)
         elif kind == "call":
-            if pending_trap is not None or not isinstance(pending, ProgramCall):
+            if pending_trap is not None or not isinstance(pending, HostCall):
                 mismatches.append(
                     ReplayMismatch(
                         index,
@@ -162,7 +162,7 @@ def replay_interaction_log(
                 )
                 break
             logged = (entry[1], tuple(entry[2]), entry[3])
-            replayed = (pending.op, tuple(pending.args), pending.payload)
+            replayed = (pending.name, tuple(pending.args), pending.payload)
             if logged != replayed:
                 mismatches.append(
                     ReplayMismatch(
@@ -173,13 +173,10 @@ def replay_interaction_log(
                     )
                 )
                 break
-            if pending.op == "result_i64":
-                emitted += (int(pending.args[0]) & _MASK64).to_bytes(8, "little")
-            elif pending.op == "result_bytes":
-                emitted += pending.payload or b""
+            emitted += output_bytes(pending.name, pending.args, pending.payload)
             pending = None
         elif kind == "done":
-            if pending_trap is not None or not isinstance(pending, ProgramDone):
+            if pending_trap is not None or not isinstance(pending, Done):
                 mismatches.append(
                     ReplayMismatch(
                         index,

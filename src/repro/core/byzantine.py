@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING
 
 from repro.chain.crypto import sha256
 from repro.common.rng import derive_rng
+from repro.sandbox.hostops import output_bytes
 from repro.sandbox.programs import decode_result_pairs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -201,18 +202,13 @@ class ByzantineCorruptor:
         entries = list(record.interaction_log)
         data = bytearray(record.result)
 
-        # Byte offset of every result-emitting call, in emission order.
+        # Output-buffer byte offset at every call, in emission order.
         offsets: dict[int, int] = {}
         off = 0
         for index, entry in enumerate(entries):
-            if entry[0] != "call":
-                continue
-            if entry[1] == "result_i64":
+            if entry[0] == "call":
                 offsets[index] = off
-                off += 8
-            elif entry[1] == "result_bytes":
-                offsets[index] = off
-                off += len(entry[3] or b"")
+                off += len(output_bytes(*entry[1:]))
 
         forged = 0
         i = 0

@@ -38,15 +38,11 @@ from repro.netsim.endhost import Socket
 from repro.netsim.engine import EventHandle
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, IcmpType, Packet, Protocol
-from repro.sandbox.hostops import protocol_from_number
+from repro.sandbox.hostops import HOST_OPS, output_bytes, protocol_from_number
 from repro.sandbox.manifest import ExecutorPolicy
 from repro.sandbox.verifier import verify_module
-from repro.sandbox.program import (
-    ProgramCall,
-    ProgramDone,
-    ReceivedData,
-    RunnableProgram,
-)
+from repro.sandbox.program import ReceivedData, RunnableProgram
+from repro.sandbox.vm import Done, HostCall
 
 
 def executor_host_name(interface: int) -> str:
@@ -418,21 +414,21 @@ class Executor:
 
     @staticmethod
     def _log_step(execution: _Execution, step) -> None:
-        if isinstance(step, ProgramDone):
+        if isinstance(step, Done):
             execution.record.interaction_log.append(("done", step.value))
         else:
             execution.record.interaction_log.append(
-                ("call", step.op, tuple(step.args), step.payload)
+                ("call", step.name, tuple(step.args), step.payload)
             )
 
     # The dispatch loop: handle steps until the program blocks or finishes.
 
     def _dispatch(self, execution: _Execution, step) -> None:
         while not execution.done:
-            if isinstance(step, ProgramDone):
+            if isinstance(step, Done):
                 self._finish_completed(execution, step.value)
                 return
-            assert isinstance(step, ProgramCall)
+            assert isinstance(step, HostCall)
             try:
                 resumed = self._perform(execution, step)
             except (PolicyViolation, SandboxError, ConfigurationError) as exc:
@@ -469,53 +465,54 @@ class Executor:
 
     # ------------------------------------------------------- host ops
 
-    def _perform(self, execution: _Execution, call: ProgramCall):
-        """Perform one host op. Returns the next step, or None if blocked."""
-        op = call.op
-        overhead = self._overhead(execution)
-        now = self.simulator.now
+    def _perform(self, execution: _Execution, call: HostCall):
+        """Perform one host op: one lookup into the handlers built from
+        :data:`~repro.sandbox.hostops.HOST_OPS`. Returns the next step,
+        or None if blocked."""
+        op = call.name
         obs = self.simulator.obs
         if obs is not None:
             obs.metrics.counter("executor_host_ops_total", op=op).inc()
+        handler = _HOST_HANDLERS.get(op)
+        if handler is None:
+            raise PolicyViolation(f"host op {op!r} not available")
+        return handler(self, execution, call, self._overhead(execution))
 
-        if op == "now_us":
-            return self._resume_after(
-                execution, overhead, int(round((now + overhead) * 1e6))
-            )
-        if op == "sleep_until_us":
-            wake = max(call.args[0] / 1e6, now) + overhead
-            self.simulator.schedule_at(wake, self._resume, execution, 0, None)
-            return None
-        if op == "net_send":
-            return self._op_net_send(execution, call, overhead)
-        if op == "net_recv":
-            return self._op_net_recv(execution, call, overhead)
-        if op == "net_reply":
-            return self._op_net_reply(execution, call, overhead)
-        if op == "result_i64":
-            value = int(call.args[0]) & ((1 << 64) - 1)
-            self._append_result(execution, value.to_bytes(8, "little"))
-            return self._resume_after(execution, overhead, 0)
-        if op == "result_bytes":
-            self._append_result(execution, call.payload or b"")
-            return self._resume_after(execution, overhead, 0)
-        if op == "log_i64":
-            execution.record.logs.append(call.args[0])
-            return self._resume_after(execution, overhead, 0)
-        if op == "rand_u32":
-            return self._resume_after(
-                execution, overhead, int(self._rng.integers(0, 2**32))
-            )
-        raise PolicyViolation(f"host op {op!r} not available")
+    def _op_now_us(self, execution: _Execution, call: HostCall, overhead: float):
+        return self._resume_after(
+            execution, overhead, int(round((self.simulator.now + overhead) * 1e6))
+        )
 
-    def _append_result(self, execution: _Execution, data: bytes) -> None:
+    def _op_sleep_until_us(
+        self, execution: _Execution, call: HostCall, overhead: float
+    ):
+        wake = max(call.args[0] / 1e6, self.simulator.now) + overhead
+        self.simulator.schedule_at(wake, self._resume, execution, 0, None)
+        return None
+
+    def _append_result(
+        self, execution: _Execution, call: HostCall, overhead: float
+    ):
         record = execution.record
+        data = output_bytes(call.name, call.args, call.payload)
         limit = execution.application.manifest.max_result_bytes
         if len(record.result) + len(data) > limit:
             raise PolicyViolation(f"result exceeds declared {limit} bytes")
         record.result += data
+        return self._resume_after(execution, overhead, 0)
 
-    def _op_net_send(self, execution: _Execution, call: ProgramCall, overhead: float):
+    _op_result_i64 = _op_result_bytes = _append_result
+
+    def _op_log_i64(self, execution: _Execution, call: HostCall, overhead: float):
+        execution.record.logs.append(call.args[0])
+        return self._resume_after(execution, overhead, 0)
+
+    def _op_rand_u32(self, execution: _Execution, call: HostCall, overhead: float):
+        return self._resume_after(
+            execution, overhead, int(self._rng.integers(0, 2**32))
+        )
+
+    def _op_net_send(self, execution: _Execution, call: HostCall, overhead: float):
         proto_num, contact_idx, dst_port, seq, size = call.args
         protocol = protocol_from_number(proto_num)
         manifest = execution.application.manifest
@@ -552,7 +549,7 @@ class Executor:
             do_send()
         return self._resume_after(execution, send_delay, 1)
 
-    def _op_net_recv(self, execution: _Execution, call: ProgramCall, overhead: float):
+    def _op_net_recv(self, execution: _Execution, call: HostCall, overhead: float):
         proto_num, timeout_us = call.args
         protocol = protocol_from_number(proto_num)
         manifest = execution.application.manifest
@@ -579,7 +576,7 @@ class Executor:
         execution.pending_recv = None
         self._resume(execution, -1, None)
 
-    def _op_net_reply(self, execution: _Execution, call: ProgramCall, overhead: float):
+    def _op_net_reply(self, execution: _Execution, call: HostCall, overhead: float):
         proto_num, seq, size = call.args
         protocol = protocol_from_number(proto_num)
         manifest = execution.application.manifest
@@ -851,3 +848,8 @@ class Executor:
     def certify(self, record: ExecutionRecord) -> ResultCertificate:
         """Sign the execution outcome (only completed runs get results)."""
         return issue_certificate(self.keypair, self.asn, self.interface, record)
+
+
+#: host op name -> ``Executor._op_<name>``, built once from the table: a
+#: row with no handler fails here, at import.
+_HOST_HANDLERS = {name: getattr(Executor, f"_op_{name}") for name in HOST_OPS}

@@ -58,32 +58,23 @@ from typing import Callable
 from repro.common.errors import (
     ChainError,
     ConfigurationError,
-    DebugletError,
     PolicyViolation,
 )
 from repro.core.application import DebugletApplication
+from repro.sandbox.hostops import HOST_OPS
 from repro.sandbox.manifest import KNOWN_CAPABILITIES
 from repro.sandbox.verifier import verify_module
 
-#: Every host operation the executor runtime implements (see
-#: ``Executor._perform``). A capability record allowlists a subset.
-ALL_HOST_OPS = (
-    "log_i64",
-    "net_recv",
-    "net_reply",
-    "net_send",
-    "now_us",
-    "rand_u32",
-    "result_i64",
-    "result_bytes",
-    "sleep_until_us",
-)
+#: Every host operation the executor runtime implements, in table order
+#: (``repro.sandbox.hostops.HOST_OPS``). A capability record allowlists a
+#: subset.
+ALL_HOST_OPS = tuple(HOST_OPS)
 
 #: The "Runners v1" safe default posture: observe and report, never
 #: transmit. Registration under this allowlist admits passive telemetry
 #: programs only; active probing requires the full allowlist.
 READ_ONLY_HOST_OPS = tuple(
-    op for op in ALL_HOST_OPS if op not in ("net_send", "net_reply")
+    name for name, row in HOST_OPS.items() if not row.transmits
 )
 
 

@@ -20,6 +20,7 @@ import hashlib
 from repro.common.errors import DebugletError
 from repro.netsim.packet import Protocol
 from repro.sandbox.program import NativeBody, NativeProgram
+from repro.sandbox.programs_native import echo_client_body
 
 
 class ResultSealer:
@@ -65,49 +66,26 @@ class ResultSealer:
 
 
 def sealed_native_echo_client(
-    protocol: Protocol,
-    sealer: ResultSealer,
-    *,
-    count: int,
-    interval_us: int = 1_000_000,
-    size: int = 64,
-    dst_port: int = 7,
-    timeout_us: int = 2_000_000,
-    drain_us: int = 2_000_000,
+    protocol: Protocol, sealer: ResultSealer, **schedule: int
 ) -> NativeProgram:
-    """An echo client whose (seq, rtt) results leave the sandbox sealed."""
-    proto = protocol.wire_number
-    payload = bytes(size)
+    """An echo client whose (seq, rtt) results leave the sandbox sealed.
 
-    def body() -> NativeBody:
-        send_times: dict[int, int] = {}
-        emitted = 0
+    :func:`~repro.sandbox.programs_native.echo_client_body`'s schedule
+    (same keyword arguments), with each ``result_i64`` word passed through
+    :meth:`ResultSealer.seal_i64` in emission order.
+    """
 
-        def sealed_emit(value: int):
-            nonlocal emitted
-            word = sealer.seal_i64(emitted, value)
-            emitted += 1
-            return ("result_i64", (word,), None)
-
-        start, _ = yield ("now_us", (), None)
-        for i in range(count):
-            now, _ = yield ("now_us", (), None)
-            send_times[i] = now
-            yield ("net_send", (proto, 0, dst_port, i, size), payload)
-            code, data = yield ("net_recv", (proto, timeout_us), None)
-            if code >= 0 and data is not None and data.seq in send_times:
-                now, _ = yield ("now_us", (), None)
-                yield sealed_emit(data.seq)
-                yield sealed_emit(now - send_times[data.seq])
-            yield ("sleep_until_us", (start + (i + 1) * interval_us,), None)
+    def sealed(plain: NativeBody) -> NativeBody:
+        words = 0
+        reply = None
         while True:
-            code, data = yield ("net_recv", (proto, drain_us), None)
-            if code < 0 or data is None:
-                break
-            if data.seq in send_times:
-                now, _ = yield ("now_us", (), None)
-                yield sealed_emit(data.seq)
-                yield sealed_emit(now - send_times[data.seq])
-        return 0
+            try:
+                op, args, payload = plain.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            if op == "result_i64":
+                args = (sealer.seal_i64(words, args[0]),)
+                words += 1
+            reply = yield (op, args, payload)
 
-    return NativeProgram(body)
+    return NativeProgram(lambda: sealed(echo_client_body(protocol, **schedule)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netsim.packet import Packet
 

@@ -10,7 +10,7 @@ per-protocol :class:`ProtocolTreatment`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.netsim.ecmp import HashGranularity
 from repro.netsim.packet import Protocol

@@ -17,7 +17,6 @@ from repro.sandbox.compile import (
     get_compiled,
 )
 from repro.sandbox.hostops import (
-    BLOCKING_OPS,
     HOST_OPS,
     RECV_HEADER_SIZE,
     protocol_from_number,
@@ -27,8 +26,6 @@ from repro.sandbox.manifest import KNOWN_CAPABILITIES, ExecutorPolicy, Manifest
 from repro.sandbox.module import ENTRY_POINT, BufferSpec, Function, Module, disassemble
 from repro.sandbox.program import (
     NativeProgram,
-    ProgramCall,
-    ProgramDone,
     ReceivedData,
     RunnableProgram,
     VMProgram,
@@ -59,7 +56,6 @@ from repro.sandbox.vm import VM, Done, HostCall
 
 __all__ = [
     "AssemblyError",
-    "BLOCKING_OPS",
     "BufferSpec",
     "CompileCache",
     "CompileUnsupported",
@@ -79,8 +75,6 @@ __all__ = [
     "Module",
     "NativeProgram",
     "Op",
-    "ProgramCall",
-    "ProgramDone",
     "RECV_HEADER_SIZE",
     "ReceivedData",
     "RunnableProgram",

@@ -635,8 +635,7 @@ class _FunctionEmitter:
         self.stack.append(_name(self._slot(base)))
 
     def host(self, index: int, name: str) -> None:
-        n_args, n_results = HOST_OPS[name]
-        base = len(self.stack) - n_args
+        base = len(self.stack) - HOST_OPS[name].arity
         self.settle_under(base)
         for position in range(base, len(self.stack)):
             if self.stack[position].nesting:  # read twice: compute it once
@@ -647,8 +646,7 @@ class _FunctionEmitter:
         self.emit("V.fuel_used = fuel")
         self.emit(f"r = yield _HostCall({self.param(index, 'name')}, {args})")
         self.emit("fuel = V.fuel_used")
-        for i in range(n_results):
-            self.push_value(f"_int(r[{i}]) & {_MASK}")
+        self.push_value(f"_int(r[0]) & {_MASK}")
 
 
 def _suspending(module: Module) -> dict[str, bool]:

@@ -6,6 +6,14 @@ reception, plus an output buffer for results (§IV-B). These are the
 corresponding operations. Every argument and result is a 64-bit integer;
 bulk data moves through the module's declared buffers.
 
+:data:`HOST_OPS` is the only place a host op is declared. One row per op
+holds everything the rest of the system knows about it: its arity (the
+VM, the stack checker, the compiled tier), its effect (the verifier's
+dataflow analyses), which way a payload moves (:class:`VMProgram`), and
+what it appends to the output buffer (the executor and the audit replay,
+through :func:`output_bytes`). The executor's handler for a row is the
+method named after it; a row without one fails at import.
+
 ``net_recv`` writes a 32-byte header followed by the payload into the
 receive buffer::
 
@@ -21,94 +29,97 @@ Protocols are named by their IP protocol number (17=UDP, 6=TCP, 1=ICMP,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.common.errors import SandboxError
 from repro.netsim.packet import Protocol
 
-#: op name -> (number of i64 arguments, number of i64 results)
-HOST_OPS: dict[str, tuple[int, int]] = {
-    "now_us": (0, 1),  # -> current time in microseconds
-    "sleep_until_us": (1, 1),  # (wake_time_us) -> 0; blocks
-    "net_send": (5, 1),  # (proto, contact_idx, dst_port, seq, size) -> 1
-    "net_recv": (2, 1),  # (proto, timeout_us) -> payload size or -1; blocks
-    "net_reply": (3, 1),  # (proto, seq, size) -> 1 or 0 (nothing to reply to)
-    "result_i64": (1, 1),  # (value) -> 0; append 8 bytes to the output
-    "result_bytes": (2, 1),  # (offset, length) -> 0; append from memory
-    "log_i64": (1, 1),  # (value) -> 0; debug channel
-    "rand_u32": (0, 1),  # -> executor-provided randomness (e.g. TCP seq)
-}
-
 #: Header size net_recv prepends in the receive buffer.
 RECV_HEADER_SIZE = 32
 
-#: Ops that can suspend the program while simulated time passes.
-BLOCKING_OPS = frozenset({"sleep_until_us", "net_recv"})
-
 _I64_MAX = (1 << 63) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _i64_word(args: tuple[int, ...], payload: bytes | None) -> bytes:
+    return (args[0] & _MASK64).to_bytes(8, "little")
+
+
+def _payload(args: tuple[int, ...], payload: bytes | None) -> bytes:
+    return payload or b""
 
 
 @dataclass(frozen=True)
-class HostEffect:
-    """Static semantics of one host op — the single source of truth the
-    verifier's dataflow analyses (intervals, taint, effect sequencing)
-    read, cross-checked against :data:`HOST_OPS` and the executor
-    dispatch by the drift test."""
+class HostOp:
+    """One host op. Every op pops ``len(arg_roles)`` i64s and pushes one."""
 
-    #: semantic role of each popped argument, deepest first
+    name: str
+    #: semantic role of each popped argument, deepest first. ``proto``
+    #: first marks a network op (capability inference keys off it).
     arg_roles: tuple[str, ...]
     #: signed interval ``[lo, hi]`` the i64 result always lies in
     result_range: tuple[int, int]
     #: provenance kind of the result: net | time | rand | const
     result_taint: str
     #: may suspend the program while simulated time passes
-    blocking: bool
-    #: writes the protocol's receive buffer (header + payload)
+    blocking: bool = False
+    #: puts a packet on the wire (read-only capability records omit it)
+    transmits: bool = False
+    #: where :class:`VMProgram` reads the outgoing payload:
+    #: ``"send_buffer"`` — the first ``size`` (last argument) bytes of the
+    #: send buffer of the protocol (first argument); ``"memory"`` —
+    #: ``length`` bytes of linear memory at ``offset``
+    payload_from: str | None = None
+    #: :class:`VMProgram` writes the received header and payload into the
+    #: protocol's receive buffer
     writes_recv_buffer: bool = False
-    #: reads linear memory (emits/sends bulk data out of the sandbox)
-    reads_memory: bool = False
+    #: the bytes one call appends to the output buffer, from its arguments
+    #: and payload; None for ops that append nothing
+    output: Callable[[tuple[int, ...], bytes | None], bytes] | None = None
+
+    @property
+    def arity(self) -> int:
+        return len(self.arg_roles)
 
 
-#: op name -> :class:`HostEffect`. ``proto`` as the first role marks the
-#: op as a network op (capability inference keys off this).
-HOST_EFFECTS: dict[str, HostEffect] = {
-    "now_us": HostEffect((), (0, _I64_MAX), "time", blocking=False),
-    "sleep_until_us": HostEffect(
-        ("wake_time_us",), (0, 0), "const", blocking=True
-    ),
-    "net_send": HostEffect(
-        ("proto", "contact_idx", "dst_port", "seq", "size"),
-        (1, 1), "const", blocking=False, reads_memory=True,
-    ),
-    "net_recv": HostEffect(
-        ("proto", "timeout_us"), (-1, _I64_MAX), "net",
-        blocking=True, writes_recv_buffer=True,
-    ),
-    "net_reply": HostEffect(
-        ("proto", "seq", "size"), (0, 1), "const", blocking=False,
-    ),
-    "result_i64": HostEffect(("value",), (0, 0), "const", blocking=False),
-    "result_bytes": HostEffect(
-        ("offset", "length"), (0, 0), "const",
-        blocking=False, reads_memory=True,
-    ),
-    "log_i64": HostEffect(("value",), (0, 0), "const", blocking=False),
-    "rand_u32": HostEffect((), (0, (1 << 32) - 1), "rand", blocking=False),
+#: op name -> :class:`HostOp`, in the order capability records list them.
+#: Comments say what a result means where its range does not.
+HOST_OPS: dict[str, HostOp] = {
+    row.name: row
+    for row in (
+        HostOp("log_i64", ("value",), (0, 0), "const"),  # 0; debug channel
+        # payload size, or -1 on timeout
+        HostOp("net_recv", ("proto", "timeout_us"), (-1, _I64_MAX), "net",
+               blocking=True, writes_recv_buffer=True),
+        # 1, or 0 when nothing has been received to reply to
+        HostOp("net_reply", ("proto", "seq", "size"), (0, 1), "const",
+               transmits=True),
+        HostOp("net_send", ("proto", "contact_idx", "dst_port", "seq", "size"),
+               (1, 1), "const", transmits=True, payload_from="send_buffer"),
+        HostOp("now_us", (), (0, _I64_MAX), "time"),  # simulated microseconds
+        # executor-provided randomness (e.g. a TCP sequence number)
+        HostOp("rand_u32", (), (0, (1 << 32) - 1), "rand"),
+        HostOp("result_i64", ("value",), (0, 0), "const", output=_i64_word),
+        HostOp("result_bytes", ("offset", "length"), (0, 0), "const",
+               payload_from="memory", output=_payload),
+        HostOp("sleep_until_us", ("wake_time_us",), (0, 0), "const",
+               blocking=True),
+    )
 }
+
+
+def output_bytes(name: str, args: tuple[int, ...], payload: bytes | None) -> bytes:
+    """What a call of ``name`` appends to the output buffer (``b""`` for
+    most ops). The executor and the audit replay both encode results here."""
+    output = HOST_OPS[name].output
+    return b"" if output is None else output(args, payload)
 
 
 def net_ops() -> tuple[str, ...]:
     """Host ops that take a wire protocol as their first argument."""
     return tuple(
-        name for name, effect in HOST_EFFECTS.items()
-        if effect.arg_roles[:1] == ("proto",)
+        name for name, row in HOST_OPS.items() if row.arg_roles[:1] == ("proto",)
     )
-
-
-def arity_of(name: str) -> int:
-    """Number of arguments ``name`` pops; trap on unknown ops."""
-    if name not in HOST_OPS:
-        raise SandboxError(f"unknown host operation {name!r}")
-    return HOST_OPS[name][0]
 
 
 _PROTOCOLS_BY_NUMBER = {p.wire_number: p for p in Protocol}

@@ -1,15 +1,17 @@
 """Runnable programs: the executor-facing interface for Debuglets.
 
 An executor drives a program as a sequence of *steps*: it begins the
-program, receives :class:`ProgramCall` requests (host operations), performs
-them against the simulated network, and resumes the program with results
-until :class:`ProgramDone`.
+program, receives :class:`~repro.sandbox.vm.HostCall` requests (host
+operations), performs them against the simulated network, and resumes the
+program with results until :class:`~repro.sandbox.vm.Done`. Both are the
+VM's own types, so a host call has one shape from the VM to the audit.
 
 Two implementations exist:
 
 - :class:`VMProgram` — sandboxed bytecode in the :class:`~repro.sandbox.vm.VM`
   (the paper's WebAssembly Debuglets). Marshals payloads between host calls
-  and the module's declared buffers.
+  and the module's declared buffers, as each op's row in
+  :data:`~repro.sandbox.hostops.HOST_OPS` directs.
 - :class:`NativeProgram` — a plain Python generator using the same host
   ops (the paper's native Go applications, the A2A baseline of Fig 8).
   No metering, no memory isolation, no host-switch overhead.
@@ -37,23 +39,7 @@ class ReceivedData:
     payload: bytes
 
 
-@dataclass
-class ProgramCall:
-    """A host operation the program wants performed."""
-
-    op: str
-    args: tuple[int, ...]
-    payload: bytes | None = None  # outgoing bytes for net_send / result_bytes
-
-
-@dataclass
-class ProgramDone:
-    """The program finished with ``run_debuglet``'s return value."""
-
-    value: int
-
-
-Step = ProgramCall | ProgramDone
+Step = HostCall | Done
 
 
 class RunnableProgram:
@@ -113,33 +99,33 @@ class VMProgram(RunnableProgram):
             raise SandboxError("program is not awaiting a host call")
         call = self._pending
         self._pending = None
-        if call.name == "net_recv" and data is not None:
+        if data is not None and HOST_OPS[call.name].writes_recv_buffer:
             self._write_received(call, data)
         return self._translate(self.vm.resume([result]))
 
-    def _translate(self, step: HostCall | Done) -> Step:
+    def _translate(self, step: Step) -> Step:
         if isinstance(step, Done):
-            return ProgramDone(step.value)
+            return step
         self._pending = step
-        payload = self._outgoing_payload(step)
-        return ProgramCall(step.name, step.args, payload)
+        source = HOST_OPS[step.name].payload_from
+        if source is None:
+            return step
+        return HostCall(step.name, step.args, self._read_payload(source, step))
 
-    def _outgoing_payload(self, call: HostCall) -> bytes | None:
-        if call.name == "net_send":
-            proto = protocol_from_number(call.args[0])
-            size = call.args[4]
-            buffer = self.module.buffer(
-                f"{proto.name.lower()}_send_buffer", "send_buffer"
-            )
-            if size < 0 or size > buffer.size:
-                raise SandboxError(
-                    f"net_send size {size} exceeds buffer {buffer.name}"
-                )
-            return self.vm.read_memory(buffer.offset, size)
-        if call.name == "result_bytes":
+    def _read_payload(self, source: str, call: HostCall) -> bytes:
+        if source == "memory":
             offset, length = call.args
             return self.vm.read_memory(offset, length)
-        return None
+        proto = protocol_from_number(call.args[0])
+        size = call.args[-1]
+        buffer = self.module.buffer(
+            f"{proto.name.lower()}_send_buffer", "send_buffer"
+        )
+        if size < 0 or size > buffer.size:
+            raise SandboxError(
+                f"{call.name} size {size} exceeds buffer {buffer.name}"
+            )
+        return self.vm.read_memory(buffer.offset, size)
 
     def _write_received(self, call: HostCall, data: ReceivedData) -> None:
         proto = protocol_from_number(call.args[0])
@@ -192,21 +178,21 @@ class NativeProgram(RunnableProgram):
         try:
             yielded = next(self._generator)
         except StopIteration as stop:
-            return ProgramDone(stop.value if stop.value is not None else 0)
+            return Done(stop.value if stop.value is not None else 0)
         return self._check(yielded)
 
     def resume(self, result: int, data: ReceivedData | None = None) -> Step:
         try:
             yielded = self._generator.send((result, data))
         except StopIteration as stop:
-            return ProgramDone(stop.value if stop.value is not None else 0)
+            return Done(stop.value if stop.value is not None else 0)
         return self._check(yielded)
 
     @staticmethod
-    def _check(yielded: tuple) -> ProgramCall:
+    def _check(yielded: tuple) -> HostCall:
         if not (isinstance(yielded, tuple) and len(yielded) == 3):
             raise SandboxError(f"native program yielded malformed op: {yielded!r}")
         op, args, payload = yielded
         if op not in HOST_OPS:
             raise SandboxError(f"native program yielded unknown op {op!r}")
-        return ProgramCall(op, tuple(int(a) for a in args), payload)
+        return HostCall(op, tuple(int(a) for a in args), payload)

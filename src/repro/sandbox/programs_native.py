@@ -9,12 +9,17 @@ ops, but run unmetered and without sandbox host-switch overhead.
 
 from __future__ import annotations
 
-
 from repro.netsim.packet import Protocol
 from repro.sandbox.program import NativeBody, NativeProgram
 
 
-def native_echo_client(
+def native_echo_client(protocol: Protocol, **schedule: int) -> NativeProgram:
+    """Native RTT/loss client; results are (seq, rtt_us) pairs. Takes
+    :func:`echo_client_body`'s keyword arguments."""
+    return NativeProgram(lambda: echo_client_body(protocol, **schedule))
+
+
+def echo_client_body(
     protocol: Protocol,
     *,
     count: int,
@@ -23,39 +28,34 @@ def native_echo_client(
     dst_port: int = 7,
     timeout_us: int = 2_000_000,
     drain_us: int = 2_000_000,
-) -> NativeProgram:
-    """Native RTT/loss client; results are (seq, rtt_us) pairs."""
+) -> NativeBody:
+    """The echo client's schedule: one probe per interval, each awaited
+    up to ``timeout_us``, then late replies drained until ``drain_us``
+    passes in silence. Emits a ``result_i64`` (seq, rtt_us) pair per
+    matched reply."""
     proto = protocol.wire_number
     payload = bytes(size)
-
-    def body() -> NativeBody:
-        send_times: dict[int, int] = {}
-
-        def record(data, now):
-            return [("result_i64", (data.seq,), None), ("result_i64", (now - send_times[data.seq],), None)]
-
-        start, _ = yield ("now_us", (), None)
-        for i in range(count):
+    send_times: dict[int, int] = {}
+    start, _ = yield ("now_us", (), None)
+    for i in range(count):
+        now, _ = yield ("now_us", (), None)
+        send_times[i] = now
+        yield ("net_send", (proto, 0, dst_port, i, size), payload)
+        code, data = yield ("net_recv", (proto, timeout_us), None)
+        if code >= 0 and data is not None and data.seq in send_times:
             now, _ = yield ("now_us", (), None)
-            send_times[i] = now
-            yield ("net_send", (proto, 0, dst_port, i, size), payload)
-            code, data = yield ("net_recv", (proto, timeout_us), None)
-            if code >= 0 and data is not None and data.seq in send_times:
-                now, _ = yield ("now_us", (), None)
-                for op in record(data, now):
-                    yield op
-            yield ("sleep_until_us", (start + (i + 1) * interval_us,), None)
-        while True:
-            code, data = yield ("net_recv", (proto, drain_us), None)
-            if code < 0 or data is None:
-                break
-            if data.seq in send_times:
-                now, _ = yield ("now_us", (), None)
-                for op in record(data, now):
-                    yield op
-        return 0
-
-    return NativeProgram(body)
+            yield ("result_i64", (data.seq,), None)
+            yield ("result_i64", (now - send_times[data.seq],), None)
+        yield ("sleep_until_us", (start + (i + 1) * interval_us,), None)
+    while True:
+        code, data = yield ("net_recv", (proto, drain_us), None)
+        if code < 0 or data is None:
+            break
+        if data.seq in send_times:
+            now, _ = yield ("now_us", (), None)
+            yield ("result_i64", (data.seq,), None)
+            yield ("result_i64", (now - send_times[data.seq],), None)
+    return 0
 
 
 def native_echo_server(

@@ -50,7 +50,6 @@ from typing import Protocol as TypingProtocol
 
 from repro.common.errors import SandboxError
 from repro.sandbox.hostops import (
-    HOST_EFFECTS,
     HOST_OPS,
     RECV_HEADER_SIZE,
     net_ops,
@@ -671,7 +670,8 @@ def _transfer_host(
     host_facts: dict[int, tuple[str, int | None, tuple, tuple]],
     flag,
 ) -> list[AbsVal]:
-    n_args, n_results = HOST_OPS[name]
+    effect = HOST_OPS[name]
+    n_args = effect.arity
     args = stack[len(stack) - n_args:] if n_args else []
     del stack[len(stack) - n_args:]
 
@@ -679,7 +679,6 @@ def _transfer_host(
     if name in _NET_OPS and args:
         protocol = args[0].interval.const
 
-    effect = HOST_EFFECTS[name]
     lo, hi = effect.result_range
     if name == "net_recv" and protocol is not None:
         # A successful receive delivers at most the receive buffer's
@@ -695,7 +694,7 @@ def _transfer_host(
     taint: TaintSet = NO_TAINT
     if effect.result_taint != "const":
         taint = frozenset({(effect.result_taint, function.name, index)})
-    stack.extend([AbsVal(Interval(lo, hi), taint)] * n_results)
+    stack.append(AbsVal(Interval(lo, hi), taint))
     arg_intervals = tuple(a.interval for a in args)
     arg_taints = tuple(a.taint for a in args)
     known = host_facts.get(index)

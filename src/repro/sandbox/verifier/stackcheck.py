@@ -73,8 +73,7 @@ def stack_effect(instruction: Instruction, module: Module) -> tuple[int, int]:
         callee = module.functions[instruction.arg]
         return callee.n_params, 1
     if op is Op.HOST:
-        n_args, n_results = HOST_OPS[instruction.arg]
-        return n_args, n_results
+        return HOST_OPS[instruction.arg].arity, 1
     return _FIXED_EFFECTS[op]
 
 

@@ -42,8 +42,7 @@ _MAX_FRAMES = 256
 _MAX_VALUES = 65536
 
 #: host-op arities resolved once at module load, not per call (hot path).
-_HOST_ARITY = {name: spec[0] for name, spec in HOST_OPS.items()}
-_HOST_RESULTS = {name: spec[1] for name, spec in HOST_OPS.items()}
+_HOST_ARITY = {name: row.arity for name, row in HOST_OPS.items()}
 
 #: the compiled tier (repro.sandbox.compile), imported on first use so the
 #: reference interpreter stays importable without the verifier stack.
@@ -70,10 +69,14 @@ def _signed(value: int) -> int:
 
 @dataclass
 class HostCall:
-    """A suspended host-function invocation."""
+    """A suspended host-function invocation: what every program, sandboxed
+    or native, hands its executor. ``payload`` carries outgoing bytes for
+    the ops whose row names a ``payload_from`` (filled in by
+    :class:`~repro.sandbox.program.VMProgram`, never by the VM)."""
 
     name: str
     args: tuple[int, ...]
+    payload: bytes | None = None
 
 
 @dataclass
@@ -221,10 +224,10 @@ class VM:
         return self._advance(None)
 
     def _compiled_resume(self, results: list[int]):
-        call = self._awaiting_host
         self._oplog.append(("resume", results))
-        if len(results) != _HOST_RESULTS[call.name]:
-            # Outside the statically-proven envelope (embedder misuse);
+        if len(results) != 1:
+            # Every host op returns one i64: anything else is outside the
+            # statically-proven envelope (embedder misuse);
             # let the reference tier produce the exact outcome. With the
             # right arity the proven value-stack peak rules out overflow.
             return self._fallback_replay()

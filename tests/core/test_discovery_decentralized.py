@@ -5,7 +5,6 @@ import pytest
 from repro.common.errors import ConfigurationError, DebugletError
 from repro.core.application import DebugletApplication
 from repro.core.discovery import DecentralizedDirectory, ExecutorAdvertisement
-from repro.core.executor import Executor
 from repro.core.probing import ExecutorFleet
 from repro.core.results import EchoMeasurement
 from repro.core.executor import executor_data_address

@@ -112,14 +112,14 @@ class TestHostOpEdgeCases:
 
         class Rogue(NativeProgram):
             def begin(self, args=None):
-                from repro.sandbox.program import ProgramCall
+                from repro.sandbox.vm import HostCall
 
-                return ProgramCall("now_us", (), None)
+                return HostCall("now_us", (), None)
 
             def resume(self, result, data=None):
-                from repro.sandbox.program import ProgramCall
+                from repro.sandbox.vm import HostCall
 
-                return ProgramCall("format_disk", (), None)
+                return HostCall("format_disk", (), None)
 
         app = DebugletApplication(
             "rogue", _manifest(), native_factory=lambda: Rogue(lambda: iter(()))

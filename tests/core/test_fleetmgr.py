@@ -6,7 +6,6 @@ from repro.common.errors import ConfigurationError, PolicyViolation
 from repro.core.application import DebugletApplication
 from repro.core.executor import executor_data_address
 from repro.core.fleetmgr import (
-    READ_ONLY_HOST_OPS,
     CapabilityRecord,
     ExecutorState,
     FleetManager,

@@ -4,12 +4,7 @@ import pytest
 
 from repro.common.errors import SandboxError
 from repro.netsim import PoissonTraffic, Protocol
-from repro.sandbox.hostops import (
-    BLOCKING_OPS,
-    HOST_OPS,
-    arity_of,
-    protocol_from_number,
-)
+from repro.sandbox.hostops import HOST_OPS, protocol_from_number
 
 
 class TestPoissonTraffic:
@@ -45,19 +40,17 @@ class TestPoissonTraffic:
 
 class TestHostOps:
     def test_every_op_has_sane_signature(self):
-        for name, (n_args, n_results) in HOST_OPS.items():
-            assert 0 <= n_args <= 8, name
-            assert n_results == 1, name  # the VM pushes exactly one result
+        for name, row in HOST_OPS.items():
+            assert 0 <= row.arity <= 8, name
 
     def test_arity_lookup(self):
-        assert arity_of("net_send") == 5
-        assert arity_of("now_us") == 0
-        with pytest.raises(SandboxError):
-            arity_of("no_such_op")
+        assert HOST_OPS["net_send"].arity == 5
+        assert HOST_OPS["now_us"].arity == 0
+        assert "no_such_op" not in HOST_OPS
 
     def test_blocking_ops_subset(self):
-        assert BLOCKING_OPS <= set(HOST_OPS)
-        assert "net_recv" in BLOCKING_OPS
+        blocking = {name for name, row in HOST_OPS.items() if row.blocking}
+        assert blocking == {"net_recv", "sleep_until_us"}
 
     def test_protocol_mapping(self):
         assert protocol_from_number(17) is Protocol.UDP

@@ -84,7 +84,7 @@ def _code(draw, n_slots: int, params: dict[str, int]) -> list[Instruction]:
         if op is Op.CALL:
             needed = params[arg]
         elif op is Op.HOST:
-            needed = HOST_OPS.get(arg, (2, 1))[0]
+            needed = HOST_OPS[arg].arity if arg in HOST_OPS else 2
         else:
             needed = _FIXED_EFFECTS[op][0]
         short = draw(st.sampled_from((0, 0, 0, 0, 0, 0, 0, 0, 1, 2)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Protocol as TypingProtocol
 
 from repro.common.errors import SandboxError
-from repro.sandbox.hostops import (
+from tests.sandbox.hostop_shapes import (
     HOST_EFFECTS,
     HOST_OPS,
     RECV_HEADER_SIZE,

@@ -27,7 +27,8 @@ from repro.sandbox.verifier.facts import (
     StaticFacts,
     gather_facts,
 )
-from repro.sandbox.vm import _HOST_RESULTS, VM, Done, HostCall, _signed
+from repro.sandbox.vm import VM, Done, HostCall, _signed
+from tests.sandbox.hostop_shapes import _HOST_RESULTS
 
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -429,7 +430,7 @@ def _make_handler(module: Module, instruction, nxt: int, target: int | None,
         return _ret
     elif op is Op.HOST:
         name = arg
-        from repro.sandbox.hostops import HOST_OPS
+        from tests.sandbox.hostop_shapes import HOST_OPS
 
         n_args = HOST_OPS[name][0]
         if n_args:

@@ -1,7 +1,6 @@
 """The shared compiled-module cache: stats, LRU, obs, and the hit-rate
 contract in a multi-session marketplace scenario (ISSUE 5 acceptance)."""
 
-import pytest
 
 from repro.core.application import DebugletApplication
 from repro.core.executor import executor_data_address

@@ -1,53 +1,60 @@
-"""Drift guards: the host-op tables, the verifier's effect signatures,
-and the executor dispatch must describe the same API.
+"""Drift guards: one host-op table, and nothing beside it.
 
-``HOST_OPS`` (arity), ``BLOCKING_OPS``, and ``HOST_EFFECTS`` (the
-verifier's semantic model) are maintained by hand in
-:mod:`repro.sandbox.hostops`; the executor's ``_perform`` dispatch and
-the VM both key off the same names. A new host op added to one table but
-not the others would silently weaken the static analyses, so these tests
-pin the tables together.
+:data:`repro.sandbox.hostops.HOST_OPS` is the only declaration a host op
+has. The VM, the verifier, ``VMProgram``, the executor's handlers, the
+audit's result encoding and the fleet's allowlists are all read or built
+from it, so what is left to guard is that the rows are well formed, that
+every row has a handler, and that no module outside the table grows its
+own list of op names again.
 """
 
-import inspect
+import ast
+from pathlib import Path
 
+import pytest
+
+import repro
 from repro.sandbox import hostops
-from repro.sandbox.hostops import BLOCKING_OPS, HOST_EFFECTS, HOST_OPS, net_ops
+from repro.sandbox.hostops import HOST_OPS, net_ops
 
 
 class TestTableConsistency:
-    def test_same_op_names_everywhere(self):
-        assert set(HOST_EFFECTS) == set(HOST_OPS)
-
-    def test_arity_matches_arg_roles(self):
-        for name, (n_args, n_results) in HOST_OPS.items():
-            effect = HOST_EFFECTS[name]
-            assert len(effect.arg_roles) == n_args, (
-                f"{name}: HOST_OPS says {n_args} args, HOST_EFFECTS names "
-                f"{len(effect.arg_roles)} roles"
-            )
-            assert n_results == 1, f"{name}: every host op returns one i64"
-
-    def test_blocking_flags_match_blocking_ops(self):
-        flagged = {n for n, e in HOST_EFFECTS.items() if e.blocking}
-        assert flagged == set(BLOCKING_OPS)
+    def test_rows_are_keyed_by_their_names(self):
+        for name, row in HOST_OPS.items():
+            assert row.name == name
 
     def test_result_ranges_well_formed(self):
         i64_min, i64_max = -(1 << 63), (1 << 63) - 1
-        for name, effect in HOST_EFFECTS.items():
-            lo, hi = effect.result_range
+        for name, row in HOST_OPS.items():
+            lo, hi = row.result_range
             assert i64_min <= lo <= hi <= i64_max, name
 
     def test_result_taints_are_known_kinds(self):
         from repro.sandbox.manifest import KNOWN_EMIT_SOURCES
 
-        for name, effect in HOST_EFFECTS.items():
-            assert effect.result_taint in KNOWN_EMIT_SOURCES + ("const",), name
+        for name, row in HOST_OPS.items():
+            assert row.result_taint in KNOWN_EMIT_SOURCES + ("const",), name
 
     def test_net_ops_lead_with_proto_role(self):
         for name in net_ops():
-            assert HOST_EFFECTS[name].arg_roles[0] == "proto"
+            assert HOST_OPS[name].arg_roles[0] == "proto"
         assert set(net_ops()) == {"net_send", "net_recv", "net_reply"}
+
+    def test_payload_directions_name_the_roles_they_read(self):
+        for name, row in HOST_OPS.items():
+            if row.payload_from == "send_buffer":
+                assert row.arg_roles[0] == "proto" and row.arg_roles[-1] == "size"
+            elif row.payload_from == "memory":
+                assert row.arg_roles == ("offset", "length"), name
+            else:
+                assert row.payload_from is None, name
+            if row.writes_recv_buffer:
+                assert row.arg_roles[0] == "proto" and row.blocking, name
+
+    def test_only_network_ops_transmit(self):
+        for name, row in HOST_OPS.items():
+            if row.transmits:
+                assert name in net_ops()
 
     def test_recv_header_covers_documented_fields(self):
         # 4 x i64 header fields documented in the module docstring
@@ -92,17 +99,35 @@ class TestVerifierUsesTheTables:
 
 class TestExecutorDispatchMatches:
     def test_executor_handles_every_table_op(self):
-        """Every op in HOST_OPS appears in Executor._perform's dispatch."""
-        from repro.core.executor import Executor
+        """The executor's dispatch is built from the rows, one method each."""
+        from repro.core import executor
 
-        dispatch_source = inspect.getsource(Executor._perform)
-        for name in HOST_OPS:
-            assert f'"{name}"' in dispatch_source, (
-                f"host op {name!r} is in HOST_OPS but Executor._perform "
-                "never dispatches it"
-            )
+        assert set(executor._HOST_HANDLERS) == set(HOST_OPS)
+        for name, handler in executor._HOST_HANDLERS.items():
+            assert handler is getattr(executor.Executor, f"_op_{name}")
 
     def test_vm_charges_host_fuel_for_all_ops(self):
         from repro.sandbox.isa import FUEL_COST, Op
 
         assert FUEL_COST[Op.HOST] >= 1
+
+
+#: Modules that used to keep their own copy of the op names.
+_TABLE_READERS = (
+    "core/executor.py",
+    "core/audit.py",
+    "core/fleetmgr.py",
+    "sandbox/program.py",
+)
+
+
+@pytest.mark.parametrize("module", _TABLE_READERS)
+def test_no_host_op_name_is_spelled_outside_the_table(module):
+    """A string literal naming a host op means a second declaration."""
+    source = (Path(repro.__file__).parent / module).read_text()
+    spelled = sorted(
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and node.value in HOST_OPS
+    )
+    assert spelled == []

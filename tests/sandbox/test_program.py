@@ -4,13 +4,8 @@ import pytest
 
 from repro.common.errors import SandboxError
 from repro.sandbox.assembler import assemble
-from repro.sandbox.program import (
-    NativeProgram,
-    ProgramCall,
-    ProgramDone,
-    ReceivedData,
-    VMProgram,
-)
+from repro.sandbox.program import NativeProgram, ReceivedData, VMProgram
+from repro.sandbox.vm import Done, HostCall
 
 
 class TestVMProgram:
@@ -33,10 +28,10 @@ class TestVMProgram:
         """
         program = VMProgram(assemble(source))
         step = program.begin()
-        assert isinstance(step, ProgramCall)
-        assert step.op == "net_send"
+        assert isinstance(step, HostCall)
+        assert step.name == "net_send"
         assert step.payload == b"A\x00\x00\x00"
-        assert program.resume(1) == ProgramDone(1)
+        assert program.resume(1) == Done(1)
 
     def test_net_send_size_beyond_buffer_rejected(self):
         source = """
@@ -72,12 +67,12 @@ class TestVMProgram:
         """
         program = VMProgram(assemble(source))
         step = program.begin()
-        assert step.op == "net_recv"
+        assert step.name == "net_recv"
         data = ReceivedData(
             contact_index=0, src_port=7, seq=99, recv_time_us=1234, payload=b"hey"
         )
         done = program.resume(len(data.payload), data)
-        assert done == ProgramDone(99)  # header.seq at offset 16
+        assert done == Done(99)  # header.seq at offset 16
 
     def test_missing_buffer_traps(self):
         source = """
@@ -128,7 +123,7 @@ class TestVMProgram:
         """
         program = VMProgram(assemble(source))
         step = program.begin()
-        assert step.op == "result_bytes"
+        assert step.name == "result_bytes"
         assert step.payload == b"H"
 
 
@@ -141,17 +136,17 @@ class TestNativeProgram:
 
         program = NativeProgram(body)
         step = program.begin()
-        assert step == ProgramCall("now_us", (), None)
+        assert step == HostCall("now_us", (), None)
         step = program.resume(100)
-        assert step.op == "net_recv"
-        assert program.resume(-1, None) == ProgramDone(99)
+        assert step.name == "net_recv"
+        assert program.resume(-1, None) == Done(99)
 
     def test_plain_return_without_yield(self):
         def body():
             return 7
             yield  # pragma: no cover
 
-        assert NativeProgram(body).begin() == ProgramDone(7)
+        assert NativeProgram(body).begin() == Done(7)
 
     def test_malformed_yield_rejected(self):
         def body():

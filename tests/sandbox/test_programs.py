@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import SandboxError
 from repro.netsim.packet import Address, Protocol
-from repro.sandbox.program import ProgramCall, ProgramDone, ReceivedData, VMProgram
+from repro.sandbox.program import ReceivedData, VMProgram
 from repro.sandbox.programs import (
     decode_result_pairs,
     echo_client,
@@ -12,6 +12,7 @@ from repro.sandbox.programs import (
     oneway_receiver,
     oneway_sender,
 )
+from repro.sandbox.vm import Done, HostCall
 
 SERVER = Address(2, "exec1")
 
@@ -43,13 +44,13 @@ def _drive_echo_client(program: VMProgram, *, reply_seqs, rtt_us=500):
     sent = []
 
     step = program.begin()
-    while isinstance(step, ProgramCall):
-        if step.op == "now_us":
+    while isinstance(step, HostCall):
+        if step.name == "now_us":
             step = program.resume(t[0])
-        elif step.op == "net_send":
+        elif step.name == "net_send":
             sent.append(step.args[3])
             step = program.resume(1)
-        elif step.op == "net_recv":
+        elif step.name == "net_recv":
             seq_wanted = sent[-1]
             if pending_replies and pending_replies[0] == seq_wanted:
                 pending_replies.pop(0)
@@ -60,15 +61,15 @@ def _drive_echo_client(program: VMProgram, *, reply_seqs, rtt_us=500):
             else:
                 t[0] += step.args[1]
                 step = program.resume(-1)
-        elif step.op == "sleep_until_us":
+        elif step.name == "sleep_until_us":
             t[0] = max(t[0], step.args[0])
             step = program.resume(0)
-        elif step.op == "result_i64":
+        elif step.name == "result_i64":
             results.append(step.args[0])
             step = program.resume(0)
         else:
             step = program.resume(0)
-    assert isinstance(step, ProgramDone)
+    assert isinstance(step, Done)
     return sent, results
 
 
@@ -121,8 +122,8 @@ class TestEchoServer:
         results = []
         step = program.begin()
         served = 0
-        while isinstance(step, ProgramCall):
-            if step.op == "net_recv":
+        while isinstance(step, HostCall):
+            if step.name == "net_recv":
                 if served < 2:
                     step = program.resume(
                         64, ReceivedData(-1, 1000, served, 0, bytes(64))
@@ -130,10 +131,10 @@ class TestEchoServer:
                     served += 1
                 else:
                     step = program.resume(-1)
-            elif step.op == "net_reply":
+            elif step.name == "net_reply":
                 replies.append(step.args[1])
                 step = program.resume(1)
-            elif step.op == "result_i64":
+            elif step.name == "result_i64":
                 results.append(step.args[0])
                 step = program.resume(0)
             else:
@@ -149,13 +150,13 @@ class TestOneWayPrograms:
         t = [0]
         results = []
         step = program.begin()
-        while isinstance(step, ProgramCall):
-            if step.op == "now_us":
+        while isinstance(step, HostCall):
+            if step.name == "now_us":
                 step = program.resume(t[0])
-            elif step.op == "sleep_until_us":
+            elif step.name == "sleep_until_us":
                 t[0] = max(t[0], step.args[0])
                 step = program.resume(0)
-            elif step.op == "result_i64":
+            elif step.name == "result_i64":
                 results.append(step.args[0])
                 step = program.resume(0)
             else:
@@ -171,8 +172,8 @@ class TestOneWayPrograms:
         results = []
         step = program.begin()
         arrival = 0
-        while isinstance(step, ProgramCall):
-            if step.op == "net_recv":
+        while isinstance(step, HostCall):
+            if step.name == "net_recv":
                 if arrival < 2:
                     arrival += 1
                     step = program.resume(
@@ -180,7 +181,7 @@ class TestOneWayPrograms:
                     )
                 else:
                     step = program.resume(-1)
-            elif step.op == "result_i64":
+            elif step.name == "result_i64":
                 results.append(step.args[0])
                 step = program.resume(0)
             else:

@@ -2,21 +2,22 @@
 
 
 from repro.netsim.packet import Protocol
-from repro.sandbox.program import ProgramCall, ProgramDone, ReceivedData
+from repro.sandbox.program import ReceivedData
 from repro.sandbox.programs import decode_result_pairs
 from repro.sandbox.programs_native import (
     native_echo_server,
     native_oneway_receiver,
     native_oneway_sender,
 )
+from repro.sandbox.vm import Done, HostCall
 
 
 def _drive(program, handler):
     step = program.begin()
-    while isinstance(step, ProgramCall):
+    while isinstance(step, HostCall):
         result, data = handler(step)
         step = program.resume(result, data)
-    assert isinstance(step, ProgramDone)
+    assert isinstance(step, Done)
     return step
 
 
@@ -29,18 +30,18 @@ class TestNativeOneWay:
         results = []
 
         def handler(call):
-            if call.op == "now_us":
+            if call.name == "now_us":
                 return clock[0], None
-            if call.op == "sleep_until_us":
+            if call.name == "sleep_until_us":
                 clock[0] = max(clock[0], call.args[0])
                 return 0, None
-            if call.op == "result_i64":
+            if call.name == "result_i64":
                 results.append(call.args[0])
                 return 0, None
-            if call.op == "net_send":
+            if call.name == "net_send":
                 clock[0] += 10
                 return 1, None
-            raise AssertionError(call.op)
+            raise AssertionError(call.name)
 
         _drive(program, handler)
         pairs = list(zip(results[0::2], results[1::2]))
@@ -59,12 +60,12 @@ class TestNativeOneWay:
         results = []
 
         def handler(call):
-            if call.op == "net_recv":
+            if call.name == "net_recv":
                 if deliveries:
                     data = deliveries.pop(0)
                     return len(data.payload), data
                 return -1, None
-            if call.op == "result_i64":
+            if call.name == "result_i64":
                 results.append(call.args[0])
                 return 0, None
             return 0, None
@@ -83,15 +84,15 @@ class TestNativeEchoServer:
         results = []
 
         def handler(call):
-            if call.op == "net_recv":
+            if call.name == "net_recv":
                 if served[0] < 5:  # more traffic than the cap
                     served[0] += 1
                     return 8, ReceivedData(0, 5, served[0], 0, b"y" * 8)
                 return -1, None
-            if call.op == "net_reply":
+            if call.name == "net_reply":
                 replies.append(call.args[1])
                 return 1, None
-            if call.op == "result_i64":
+            if call.name == "result_i64":
                 results.append(call.args[0])
                 return 0, None
             return 0, None
