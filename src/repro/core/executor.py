@@ -476,7 +476,8 @@ class Executor:
         handler = _HOST_HANDLERS.get(op)
         if handler is None:
             raise PolicyViolation(f"host op {op!r} not available")
-        return handler(self, execution, call, self._overhead(execution))
+        overhead = self.host_call_overhead if execution.program.is_sandboxed else 0.0
+        return handler(self, execution, call, overhead)
 
     def _op_now_us(self, execution: _Execution, call: HostCall, overhead: float):
         return self._resume_after(

@@ -19,13 +19,27 @@ Two implementations exist:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Generator
 
 from repro.common.errors import SandboxError
 from repro.sandbox.hostops import HOST_OPS, RECV_HEADER_SIZE, protocol_from_number
-from repro.sandbox.module import Module
+from repro.sandbox.module import BufferSpec, Module
 from repro.sandbox.vm import VM, Done, HostCall
+
+#: the receive header ``net_recv`` writes ahead of the payload
+_RECV_HEADER = struct.Struct("<4q")
+assert _RECV_HEADER.size == RECV_HEADER_SIZE
+
+#: op -> where :class:`VMProgram` reads its payload, for the ops that have one
+_PAYLOAD_FROM = {
+    name: row.payload_from for name, row in HOST_OPS.items() if row.payload_from
+}
+#: ops whose received data :class:`VMProgram` writes into the receive buffer
+_WRITES_RECV_BUFFER = frozenset(
+    name for name, row in HOST_OPS.items() if row.writes_recv_buffer
+)
 
 
 @dataclass
@@ -81,6 +95,9 @@ class VMProgram(RunnableProgram):
             tier=tier if tier is not None else DEFAULT_TIER,
         )
         self._pending: HostCall | None = None
+        # protocol number -> declared buffer, resolved on first use
+        self._send_buffers: dict[int, BufferSpec] = {}
+        self._recv_buffers: dict[int, BufferSpec] = {}
 
     @property
     def tier(self) -> str:
@@ -95,32 +112,42 @@ class VMProgram(RunnableProgram):
         return self._translate(self.vm.start(args))
 
     def resume(self, result: int, data: ReceivedData | None = None) -> Step:
-        if self._pending is None:
-            raise SandboxError("program is not awaiting a host call")
         call = self._pending
+        if call is None:
+            raise SandboxError("program is not awaiting a host call")
         self._pending = None
-        if data is not None and HOST_OPS[call.name].writes_recv_buffer:
+        if data is not None and call.name in _WRITES_RECV_BUFFER:
             self._write_received(call, data)
         return self._translate(self.vm.resume([result]))
 
     def _translate(self, step: Step) -> Step:
-        if isinstance(step, Done):
+        if type(step) is Done:
             return step
         self._pending = step
-        source = HOST_OPS[step.name].payload_from
+        source = _PAYLOAD_FROM.get(step.name)
         if source is None:
             return step
         return HostCall(step.name, step.args, self._read_payload(source, step))
+
+    def _buffer(
+        self, cache: dict[int, BufferSpec], proto_number: int, kind: str
+    ) -> BufferSpec:
+        """The protocol's ``kind`` buffer (``send_buffer`` / ``recv_buffer``),
+        looked up in the module once per program and protocol."""
+        buffer = cache.get(proto_number)
+        if buffer is None:
+            proto = protocol_from_number(proto_number)
+            buffer = cache[proto_number] = self.module.buffer(
+                f"{proto.name.lower()}_{kind}", kind
+            )
+        return buffer
 
     def _read_payload(self, source: str, call: HostCall) -> bytes:
         if source == "memory":
             offset, length = call.args
             return self.vm.read_memory(offset, length)
-        proto = protocol_from_number(call.args[0])
+        buffer = self._buffer(self._send_buffers, call.args[0], "send_buffer")
         size = call.args[-1]
-        buffer = self.module.buffer(
-            f"{proto.name.lower()}_send_buffer", "send_buffer"
-        )
         if size < 0 or size > buffer.size:
             raise SandboxError(
                 f"{call.name} size {size} exceeds buffer {buffer.name}"
@@ -128,23 +155,13 @@ class VMProgram(RunnableProgram):
         return self.vm.read_memory(buffer.offset, size)
 
     def _write_received(self, call: HostCall, data: ReceivedData) -> None:
-        proto = protocol_from_number(call.args[0])
-        buffer = self.module.buffer(
-            f"{proto.name.lower()}_recv_buffer", "recv_buffer"
-        )
-        needed = RECV_HEADER_SIZE + len(data.payload)
-        if needed > buffer.size:
+        buffer = self._buffer(self._recv_buffers, call.args[0], "recv_buffer")
+        if RECV_HEADER_SIZE + len(data.payload) > buffer.size:
             raise SandboxError(
                 f"received {len(data.payload)} bytes exceed buffer {buffer.name}"
             )
-        header = b"".join(
-            value.to_bytes(8, "little", signed=True)
-            for value in (
-                data.contact_index,
-                data.src_port,
-                data.seq,
-                data.recv_time_us,
-            )
+        header = _RECV_HEADER.pack(
+            data.contact_index, data.src_port, data.seq, data.recv_time_us
         )
         self.vm.write_memory(buffer.offset, header + data.payload)
 

@@ -196,6 +196,11 @@ class VM:
     def resume(self, results: list[int] | None = None) -> "HostCall | Done":
         """Resume after a host call, pushing ``results`` onto the stack."""
         results = [int(value) for value in (results or [])]
+        if (self._compiled is not None and self._obs is None
+                and self._awaiting_host is not None):
+            # the common case, one call deep: a compiled session with no
+            # observer (a compiled VM never has a delegate)
+            return self._compiled_resume(results)
         if self._delegate is not None:
             def runner():
                 return self._delegated(lambda: self._delegate.resume(results))
