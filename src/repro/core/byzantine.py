@@ -18,7 +18,8 @@ compose with crashes/outages via ``repro.chaos``):
   challenge–response replay of the interaction log contradicts the
   published result. With ``forge_log=True`` the corruptor rewrites the
   transcript *consistently* (shifting the logged ``now_us`` reply
-  timestamps so a replay re-derives the forged RTTs) — replay audits
+  timestamps so a replay re-derives the forged RTTs, and patching the
+  published ``result_bytes`` payload to match) — replay audits
   pass and only cross-validation against independent vantage points
   catches the lie.
 - ``HIDE_FAULTS`` — fabricate ``(seq, rtt)`` pairs for probes the
@@ -190,66 +191,57 @@ class ByzantineCorruptor:
         """Rewrite transcript *and* result so replay re-derives the lie.
 
         The echo client computes ``rtt = now_us - table[seq]`` where the
-        reply-time ``now_us`` is a *resume input* in the transcript. For
-        every reply exchange — ``net_recv`` success, ``now_us``, then the
-        two ``result_i64`` emissions ``(seq, rtt)`` — shifting the logged
-        ``now_us`` result down by ``rtt - forged_rtt`` makes a faithful
-        replay recompute exactly ``forged_rtt``. The emitted-byte offsets
-        of each ``result_i64`` are tracked so the result buffer is
-        patched in lockstep. Fuel is untouched (same instruction path),
-        so the forged transcript is bit-for-bit self-consistent.
+        reply-time ``now_us`` is a *resume input* in the transcript, keeps
+        the pair in its output region and publishes that region with one
+        ``result_bytes`` call at exit. A ``now_us`` call right after a
+        successful ``net_recv`` is a recorded reply, and the k-th one is
+        pair k of that call's payload. Shifting the logged ``now_us``
+        result down by ``rtt - forged_rtt`` makes a faithful replay
+        recompute exactly ``forged_rtt``; the RTT word is patched in the
+        logged payload and in the result buffer in lockstep. Fuel is
+        untouched (same instruction path), so the forged transcript is
+        bit-for-bit self-consistent.
         """
         entries = list(record.interaction_log)
-        data = bytearray(record.result)
 
-        # Output-buffer byte offset at every call, in emission order.
-        offsets: dict[int, int] = {}
-        off = 0
+        # The publishing call, and where its bytes start in the result.
+        publish, start, off = None, 0, 0
         for index, entry in enumerate(entries):
             if entry[0] == "call":
-                offsets[index] = off
+                if entry[1] == "result_bytes":
+                    publish, start = index, off
                 off += len(output_bytes(*entry[1:]))
+        if publish is None:
+            return 0
+        payload = bytearray(entries[publish][3])
+        data = bytearray(record.result)
 
         forged = 0
-        i = 0
-        while i + 1 < len(entries):
-            entry, nxt = entries[i], entries[i + 1]
+        pair = 0
+        for i in range(len(entries) - 3):
             if not (
-                entry[0] == "call"
-                and entry[1] == "net_recv"
-                and nxt[0] == "resume"
-                and nxt[1] >= 0
+                entries[i][0] == "call" and entries[i][1] == "net_recv"
+                and entries[i + 1][0] == "resume" and entries[i + 1][1] >= 0
+                and entries[i + 2][0] == "call" and entries[i + 2][1] == "now_us"
+                and entries[i + 3][0] == "resume"
             ):
-                i += 1
                 continue
-            j = i + 2  # expected: now_us, resume, result_i64 x2 (+resumes)
-            if (
-                j + 5 < len(entries)
-                and entries[j][0] == "call" and entries[j][1] == "now_us"
-                and entries[j + 1][0] == "resume"
-                and entries[j + 2][0] == "call"
-                and entries[j + 2][1] == "result_i64"
-                and entries[j + 3][0] == "resume"
-                and entries[j + 4][0] == "call"
-                and entries[j + 4][1] == "result_i64"
-                and entries[j + 5][0] == "resume"
-            ):
-                rtt = int(entries[j + 4][2][0])
-                new_rtt = self._forged_rtt(rtt) if rtt > 0 else None
-                if new_rtt is not None:
-                    delta = rtt - new_rtt
-                    reply_time = int(entries[j + 1][1])
-                    entries[j + 1] = ("resume", reply_time - delta, None)
-                    entries[j + 4] = (
-                        "call", "result_i64", (new_rtt,), entries[j + 4][3]
-                    )
-                    slot = offsets[j + 4]
-                    data[slot : slot + 8] = (new_rtt & _MASK64).to_bytes(8, "little")
-                    forged += 1
-                i = j + 6
+            slot = 16 * pair + 8  # the RTT word of this reply's pair
+            pair += 1
+            if slot + 8 > len(payload):
+                break
+            rtt = int.from_bytes(payload[slot : slot + 8], "little", signed=True)
+            new_rtt = self._forged_rtt(rtt) if rtt > 0 else None
+            if new_rtt is None:
                 continue
-            i += 1
+            reply_time = int(entries[i + 3][1])
+            entries[i + 3] = ("resume", reply_time - (rtt - new_rtt), None)
+            word = (new_rtt & _MASK64).to_bytes(8, "little")
+            payload[slot : slot + 8] = word
+            data[start + slot : start + slot + 8] = word
+            forged += 1
         if forged:
+            entries[publish] = entries[publish][:3] + (bytes(payload),)
             record.interaction_log = entries
             record.result = bytes(data)
         return forged

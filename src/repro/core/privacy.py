@@ -71,21 +71,20 @@ def sealed_native_echo_client(
     """An echo client whose (seq, rtt) results leave the sandbox sealed.
 
     :func:`~repro.sandbox.programs_native.echo_client_body`'s schedule
-    (same keyword arguments), with each ``result_i64`` word passed through
-    :meth:`ResultSealer.seal_i64` in emission order.
+    (same keyword arguments). Its one ``result_bytes`` call publishes the
+    whole result, so sealing that payload from stream position 0 masks
+    word ``i`` exactly as :meth:`ResultSealer.seal_i64` ``(i, word)`` does.
     """
 
     def sealed(plain: NativeBody) -> NativeBody:
-        words = 0
         reply = None
         while True:
             try:
                 op, args, payload = plain.send(reply)
             except StopIteration as stop:
                 return stop.value
-            if op == "result_i64":
-                args = (sealer.seal_i64(words, args[0]),)
-                words += 1
+            if op == "result_bytes":
+                payload = sealer.seal(payload)
             reply = yield (op, args, payload)
 
     return NativeProgram(lambda: sealed(echo_client_body(protocol, **schedule)))

@@ -9,8 +9,21 @@ the requested workload.
 Result encoding convention (shared by the native twins): the output buffer
 is a sequence of i64 little-endian values, in (key, value) pairs —
 ``(seq, rtt_us)`` for echo clients, ``(seq, timestamp_us)`` for one-way
-programs, and a single ``(count,)`` trailer for servers. Decode with
+programs, and a single ``(0, echo_count)`` trailer for servers. Decode with
 :func:`decode_result_pairs`.
+
+How results leave a program: the echo client, the echo server and the
+one-way receiver write their pairs into an *output region* of linear
+memory, a declared-size area after every buffer, and publish it with one
+``result_bytes(offset, length)`` call just before they return. So a
+probe costs no crossing for its result, and the executor appends the
+region in one piece. A run stopped before that call (a budget kill, a
+trap) publishes nothing; nothing reads a failed record's pairs. The
+client's cursor never runs past its region: a pair that would not fit,
+or a reply whose sequence number is not one it sent, is not recorded.
+The one-way sender still emits each ``(seq, send_time_us)`` pair with
+two ``result_i64`` calls: they sit between its timestamp and its
+``net_send``, so they are part of the one-way delay it measures.
 """
 
 from __future__ import annotations
@@ -67,7 +80,11 @@ def echo_client(
 
     Per-sequence send times are kept in a table in linear memory so
     out-of-order replies still yield correct RTTs. Results are
-    ``(seq, rtt_us)`` pairs for every reply received.
+    ``(seq, rtt_us)`` pairs for every reply received, kept in an output
+    region of ``16 * count`` bytes and published once, at exit. A probe
+    answered in time crosses the sandbox boundary five times (``now_us``,
+    ``net_send``, ``net_recv``, ``now_us``, ``sleep_until_us``), a lost
+    one four.
     """
     if count <= 0:
         raise SandboxError("count must be positive")
@@ -76,7 +93,9 @@ def echo_client(
     recv_off = _align(send_off + send_size)
     recv_size = 32 + max(size, 8)
     table_off = _align(recv_off + recv_size)
-    memory = _align(table_off + count * 8, 4096)
+    out_off = _align(table_off + count * 8)
+    out_size = 16 * count
+    memory = _align(out_off + out_size, 4096)
     seq_addr = recv_off + 16
 
     source = f"""
@@ -85,30 +104,53 @@ def echo_client(
 .buffer {proto}_send_buffer {send_off} {send_size}
 .buffer {proto}_recv_buffer {recv_off} {recv_size}
 
-.func record_reply 0 2        ; locals: seq, rtt
+.func record_reply 1 2        ; param: bytes recorded; locals: seq, rtt
     push {seq_addr}
     load64
-    local_set 0               ; seq = recv header.seq
-    host now_us
+    local_set 1               ; seq = recv header.seq
+    local_get 1
+    push 0
+    lts
+    jnz skip                  ; not a probe this client sent
+    local_get 1
+    push {count}
+    ges
+    jnz skip
     local_get 0
+    push 0
+    lts
+    jnz skip
+    local_get 0
+    push {out_size - 16}
+    gts
+    jnz skip                  ; output region full
+    host now_us
+    local_get 1
     push 8
     mul
     push {table_off}
     add
     load64
     sub
-    local_set 1               ; rtt = now - table[seq]
+    local_set 2               ; rtt = now - table[seq]
     local_get 0
-    host result_i64
-    drop
+    push {out_off}
+    add
     local_get 1
-    host result_i64
-    drop
+    store64
+    local_get 0
+    push {out_off + 8}
+    add
+    local_get 2
+    store64                   ; output[n] = (seq, rtt)
+    push 16
+    ret
+skip:
     push 0
     ret
 .end
 
-.func run_debuglet 0 3        ; locals: i, start, recv_size
+.func run_debuglet 0 4        ; locals: i, start, recv_size, bytes recorded
     host now_us
     local_set 1               ; start = now
 loop:
@@ -138,8 +180,11 @@ loop:
     push 0
     lts
     jnz no_reply              ; timeout: loss recorded implicitly
+    local_get 3
     call record_reply
-    drop
+    local_get 3
+    add
+    local_set 3
 no_reply:
     local_get 0
     push 1
@@ -164,10 +209,17 @@ drain:
     push 0
     lts
     jnz done
+    local_get 3
     call record_reply
-    drop
+    local_get 3
+    add
+    local_set 3
     jmp drain
 done:
+    push {out_off}
+    local_get 3
+    host result_bytes         ; publish the output region
+    drop
     push 0
     ret
 .end
@@ -208,7 +260,8 @@ def echo_server(
     proto = protocol.name.lower()
     recv_off = 0
     recv_size = 32 + max(size, 8)
-    memory = _align(recv_off + recv_size, 4096)
+    out_off = _align(recv_off + recv_size)
+    memory = _align(out_off + 16, 4096)
     seq_addr = recv_off + 16
 
     source = f"""
@@ -242,11 +295,15 @@ loop:
     local_set 0
     jmp loop
 done:
+    push {out_off}
     push 0
-    host result_i64
-    drop
+    store64
+    push {out_off + 8}
     local_get 0
-    host result_i64
+    store64                   ; output = (0, count)
+    push {out_off}
+    push 16
+    host result_bytes
     drop
     push 0
     ret
@@ -363,13 +420,18 @@ def oneway_receiver(
     idle_timeout_us: int = 5_000_000,
     size: int = 64,
 ) -> StockProgram:
-    """Record ``(seq, arrival_time_us)`` for every probe received."""
+    """Record ``(seq, arrival_time_us)`` for every probe received.
+
+    The arrival time is the receive header's; the pairs go to an output
+    region published once, at exit, so a probe costs one crossing.
+    """
     if max_probes <= 0:
         raise SandboxError("max_probes must be positive")
     proto = protocol.name.lower()
     recv_off = 0
     recv_size = 32 + max(size, 8)
-    memory = _align(recv_off + recv_size, 4096)
+    out_off = _align(recv_off + recv_size)
+    memory = _align(out_off + 16 * max_probes, 4096)
     seq_addr = recv_off + 16
     time_addr = recv_off + 24
 
@@ -392,20 +454,34 @@ loop:
     push 0
     lts
     jnz done
+    local_get 0
+    push 16
+    mul
+    push {out_off}
+    add
     push {seq_addr}
     load64
-    host result_i64
-    drop
+    store64
+    local_get 0
+    push 16
+    mul
+    push {out_off + 8}
+    add
     push {time_addr}
     load64
-    host result_i64
-    drop
+    store64                   ; output[count] = (seq, arrival time)
     local_get 0
     push 1
     add
     local_set 0
     jmp loop
 done:
+    push {out_off}
+    local_get 0
+    push 16
+    mul
+    host result_bytes         ; publish the output region
+    drop
     push 0
     ret
 .end

@@ -12,6 +12,15 @@ from __future__ import annotations
 from repro.netsim.packet import Protocol
 from repro.sandbox.program import NativeBody, NativeProgram
 
+_MASK64 = (1 << 64) - 1
+
+
+def _publish(words: list[int]) -> tuple:
+    """The one ``result_bytes`` call that publishes ``words``, the way the
+    sandboxed twins publish their output region."""
+    payload = b"".join((word & _MASK64).to_bytes(8, "little") for word in words)
+    return ("result_bytes", (0, len(payload)), payload)
+
 
 def native_echo_client(protocol: Protocol, **schedule: int) -> NativeProgram:
     """Native RTT/loss client; results are (seq, rtt_us) pairs. Takes
@@ -31,30 +40,35 @@ def echo_client_body(
 ) -> NativeBody:
     """The echo client's schedule: one probe per interval, each awaited
     up to ``timeout_us``, then late replies drained until ``drain_us``
-    passes in silence. Emits a ``result_i64`` (seq, rtt_us) pair per
-    matched reply."""
+    passes in silence. Keeps a (seq, rtt_us) pair per matched reply, at
+    most ``count``, and publishes them with one ``result_bytes`` call at
+    exit."""
     proto = protocol.wire_number
     payload = bytes(size)
     send_times: dict[int, int] = {}
+    words: list[int] = []
+
+    def record(data) -> NativeBody:
+        if data.seq in send_times and len(words) < 2 * count:
+            now, _ = yield ("now_us", (), None)
+            words.extend((data.seq, now - send_times[data.seq]))
+        return 0
+
     start, _ = yield ("now_us", (), None)
     for i in range(count):
         now, _ = yield ("now_us", (), None)
         send_times[i] = now
         yield ("net_send", (proto, 0, dst_port, i, size), payload)
         code, data = yield ("net_recv", (proto, timeout_us), None)
-        if code >= 0 and data is not None and data.seq in send_times:
-            now, _ = yield ("now_us", (), None)
-            yield ("result_i64", (data.seq,), None)
-            yield ("result_i64", (now - send_times[data.seq],), None)
+        if code >= 0 and data is not None:
+            yield from record(data)
         yield ("sleep_until_us", (start + (i + 1) * interval_us,), None)
     while True:
         code, data = yield ("net_recv", (proto, drain_us), None)
         if code < 0 or data is None:
             break
-        if data.seq in send_times:
-            now, _ = yield ("now_us", (), None)
-            yield ("result_i64", (data.seq,), None)
-            yield ("result_i64", (now - send_times[data.seq],), None)
+        yield from record(data)
+    yield _publish(words)
     return 0
 
 
@@ -75,8 +89,7 @@ def native_echo_server(
                 break
             yield ("net_reply", (proto, data.seq, len(data.payload)), None)
             echoes += 1
-        yield ("result_i64", (0,), None)
-        yield ("result_i64", (echoes,), None)
+        yield _publish([0, echoes])
         return 0
 
     return NativeProgram(body)
@@ -117,14 +130,13 @@ def native_oneway_receiver(
     proto = protocol.wire_number
 
     def body() -> NativeBody:
-        received = 0
-        while received < max_probes:
+        words: list[int] = []
+        while len(words) < 2 * max_probes:
             code, data = yield ("net_recv", (proto, idle_timeout_us), None)
             if code < 0 or data is None:
                 break
-            yield ("result_i64", (data.seq,), None)
-            yield ("result_i64", (data.recv_time_us,), None)
-            received += 1
+            words.extend((data.seq, data.recv_time_us))
+        yield _publish(words)
         return 0
 
     return NativeProgram(body)

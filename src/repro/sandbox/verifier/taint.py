@@ -78,7 +78,21 @@ _MAX_SEGMENTS = 64
 
 _VALID_PORT = (0, 65535)
 
-_LOAD_OPS = (Op.LOAD8, Op.LOAD64)
+
+
+class _ReadLog:
+    """One function run's view of the memory map: every range it read,
+    with what it read there."""
+
+    __slots__ = ("memory", "reads")
+
+    def __init__(self, memory: MemoryTaint) -> None:
+        self.memory = memory
+        self.reads: dict[tuple[int, int], TaintSet] = {}
+
+    def read(self, lo: int, hi: int) -> TaintSet:
+        taint = self.reads[(lo, hi)] = self.memory.read(lo, hi)
+        return taint
 
 
 class MemoryTaint:
@@ -91,8 +105,6 @@ class MemoryTaint:
         self.size = size
         self._segments: list[tuple[int, int, TaintSet]] = []
         self.store_sites: dict[Tag, tuple[str, int]] = {}
-        #: bumped whenever the map grows, i.e. whenever a read may change
-        self.generation = 0
 
     def read(self, lo: int, hi: int) -> TaintSet:
         tags: set[Tag] = set()
@@ -114,7 +126,6 @@ class MemoryTaint:
             return False
         self._segments.append((lo, hi, taint))
         self._normalize()
-        self.generation += 1
         return True
 
     def _covered(self, lo: int, hi: int) -> bool:
@@ -182,13 +193,15 @@ def analyze_module(
     """Run the interprocedural interval+taint fixpoint to convergence.
 
     ``analyze_function`` is pure in the module and in what it reads of the
-    context, and it reads the context at four points only, all decidable
-    from the function's opcodes: its own ``param_values`` entry,
-    ``global_taints`` at ``GLOBAL_GET``, ``memory_taint`` at loads, and
-    ``summaries`` of its callees at ``CALL``. A round therefore
-    re-interprets a function only when one of those moved since its last
-    run; otherwise the outcome it already merged is the outcome it would
-    get, and merging is idempotent.
+    context, and it reads the context at four points only: its own
+    ``param_values`` entry, ``global_taints`` at ``GLOBAL_GET``,
+    ``memory_taint`` over the range of each load, and ``summaries`` of its
+    callees at ``CALL``. A round therefore re-interprets a function only
+    when one of those moved since its last run: the memory ranges are the
+    ones that run read, and they come out the same as long as everything
+    it read is the same. Otherwise the outcome it already merged is the
+    outcome it would get, and merging is idempotent. So a function that
+    stores only where it does not load is not re-run for its own stores.
     """
     memory = MemoryTaint(module.memory_size)
     result = ModuleDataflow(memory_taint=memory)
@@ -198,8 +211,9 @@ def analyze_module(
         name: sorted({str(i.arg) for i in code if i.op is Op.GLOBAL_GET})
         for name, code in codes.items()
     }
-    loads = {n for n, code in codes.items() if any(i.op in _LOAD_OPS for i in code)}
     last_read: dict[str, tuple[object, ...]] = {}
+    #: function -> the memory ranges its last run read
+    ranges_read: dict[str, tuple[tuple[int, int], ...]] = {}
 
     for _ in range(_MAX_ITERATIONS):
         changed = False
@@ -208,13 +222,15 @@ def analyze_module(
             read = (
                 context.param_values.get(name) if function.n_params else None,
                 tuple(context.global_taints.get(g) for g in globals_read[name]),
-                memory.generation if name in loads else 0,
+                tuple(memory.read(lo, hi) for lo, hi in ranges_read.get(name, ())),
                 tuple(context.summaries.get(c) for c in callees[name]),
             )
             if last_read.get(name) == read:
                 continue
-            last_read[name] = read
+            log = context.memory_taint = _ReadLog(memory)
             outcome = analyze_function(module, function, cfgs[name], context)
+            ranges_read[name] = tuple(log.reads)
+            last_read[name] = read[:2] + (tuple(log.reads.values()),) + read[3:]
             result.outcomes[name] = outcome
             if not outcome.converged:
                 result.converged = False

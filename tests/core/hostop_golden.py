@@ -17,9 +17,16 @@ the executor their own call type. It holds, per run:
 - ``chaos``: sha256 of the JSONL and Prometheus exports of
   ``tests/obs/test_trace_determinism.py``'s chaos marketplace at one seed.
 
+It was re-recorded once, when the echo client, the echo server and the
+one-way receiver began keeping their pairs in linear memory and
+publishing them with one ``result_bytes`` call: their transcripts, fuel
+and op counters moved, and so did the chaos exports; every ``result`` and
+every replay's result hash stayed as recorded.
+
 Check: ``python -m tests.core.hostop_golden --check`` (exit 1 and the
 names that moved). Regenerate (no argument) only on a deliberate change
-to what a host op does, and say why in the change's notes.
+to what a host op does, or to what a stock program calls, and say why in
+the change's notes.
 """
 
 from __future__ import annotations

@@ -16,6 +16,11 @@ plan — with the ``DirectedChannel.transit`` that
   suspects, measurements used, every measurement's ``mean_rtt_ms`` (exact
   ``float.hex``) and the total ``fuel_used``.
 
+``fuel_used`` counts the sandboxed programs' instructions, so it was
+re-recorded once when the stock programs began publishing one output
+region instead of a ``result_i64`` call per word; every other entry was
+unchanged.
+
 Check: ``python -m tests.netsim.event_golden --check`` (exit 1 and the names
 that moved). Regenerate only if a numpy release changes its ``Generator``
 streams: ``python -m tests.netsim.event_golden`` from the repository root.

@@ -3,14 +3,20 @@
 Random — but structurally valid — modules are generated from composable
 expression templates (arithmetic, possibly-trapping division, dynamic and
 constant memory accesses of both widths, globals, ``dup``/``swap``/
-``local_tee``/``eqz``/``nop``, host calls, counted loops of both shapes,
+``local_tee``/``eqz``/``nop``, host calls — among them ``net_send`` and
+``net_recv`` over the declared buffers and ``result_bytes`` over a memory
+range — counted loops of both shapes,
 branches, and calls into three helpers — one of which calls another
 that makes a host call, so a suspension crosses nested frames — with
 operands left live below the call's arguments), then run to completion
 on both tiers under random fuel limits, host-result scripts, and
-embedder memory writes. Immediates include the i64 sign and wrap
-boundaries. The *entire observable session* must match: the host-call
-sequence (names, arguments, ``fuel_used`` at every suspension), the
+embedder memory writes; where a script answers a ``net_recv`` with a
+size, the host writes a receive header (with a scripted sequence number)
+and payload into the receive buffer, as the executor does. Immediates
+include the i64 sign and wrap boundaries. The *entire observable session*
+must match: the host-call sequence (names, arguments, ``fuel_used`` at
+every suspension, and the bytes a ``net_send`` or ``result_bytes`` reads
+out of linear memory), the
 final ``Done`` value or trap type+message, final ``fuel_used``, final
 linear memory, and final globals (DESIGN.md §7). The threaded tier the
 generator replaced (``tests/sandbox/compile_reference.py``) runs the same
@@ -31,9 +37,14 @@ from hypothesis import strategies as st
 from repro.common.errors import SandboxError
 from repro.netsim.packet import Address, Protocol
 from repro.sandbox.assembler import assemble
-from repro.sandbox.programs import echo_client, echo_server
+from repro.sandbox.hostops import protocol_from_number
+from repro.sandbox.programs import decode_result_pairs, echo_client, echo_server
 from repro.sandbox.vm import VM, HostCall
 from tests.sandbox.compile_reference import ThreadedVM
+
+#: the generated modules' declared buffers (protocol 17, UDP)
+SEND_OFF, SEND_SIZE = 0, 64
+RECV_OFF, RECV_SIZE = 64, 96
 
 
 class _Ctx:
@@ -154,6 +165,25 @@ class Host:
         return prefix + [f"host {self.op}"]
 
 
+class Net:
+    """A host op that moves bytes: ``net_send`` of the send buffer's first
+    ``size`` bytes, ``net_recv`` with a timeout, plus the sequence number
+    the host wrote into the receive header, or ``result_bytes`` of
+    ``size`` bytes of memory at ``offset``."""
+
+    def __init__(self, op: str, offset: int, size: int, arg) -> None:
+        self.op, self.offset, self.size, self.arg = op, offset, size, arg
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        if self.op == "net_send":
+            return (["push 17", "push 0", "push 7"] + self.arg.render(ctx)
+                    + [f"push {self.size}", "host net_send"])
+        if self.op == "net_recv":
+            return (["push 17"] + self.arg.render(ctx)
+                    + ["host net_recv", f"push {RECV_OFF + 16}", "load64", "add"])
+        return [f"push {self.offset}", f"push {self.size}", "host result_bytes"]
+
+
 class Loop:
     """acc = sum of ``body`` over ``count`` iterations (counted loop)."""
 
@@ -241,6 +271,12 @@ _flat = st.recursive(
         st.tuples(
             st.sampled_from(("log_i64", "now_us", "rand_u32")), children
         ).map(lambda t: Host(t[0], t[1] if t[0] == "log_i64" else None)),
+        st.tuples(
+            st.sampled_from(("net_send", "net_recv", "result_bytes")),
+            st.integers(min_value=0, max_value=4096),
+            st.integers(min_value=0, max_value=SEND_SIZE),
+            children,
+        ).map(lambda t: Net(*t)),
         st.tuples(children, children, st.sampled_from(_CALLEES)).map(
             lambda t: Call(*t)
         ),
@@ -272,6 +308,13 @@ _host_results = st.lists(
     min_size=1, max_size=4,
 )
 
+#: sequence numbers the host writes into receive headers, in turn
+_recv_seqs = st.lists(
+    st.one_of(st.integers(min_value=-2, max_value=8),
+              st.sampled_from((2 ** 63 - 1, -(2 ** 63)))),
+    min_size=1, max_size=4,
+)
+
 _writes = st.lists(
     st.one_of(
         st.none(),
@@ -295,6 +338,8 @@ def _build_module(exprs) -> "Module":  # noqa: F821 - doc only
     n_locals = max(ctx.next_local, 1)
     source = (
         ".memory 4096\n"
+        f".buffer udp_send_buffer {SEND_OFF} {SEND_SIZE}\n"
+        f".buffer udp_recv_buffer {RECV_OFF} {RECV_SIZE}\n"
         ".global g 18446744073709551615\n"
         ".global h 9223372036854775808\n"
         f".func run_debuglet 0 {n_locals}\n{body}\nret\n.end\n"
@@ -309,23 +354,49 @@ def _build_module(exprs) -> "Module":  # noqa: F821 - doc only
     return assemble(source)
 
 
-def _run_session(module, tier, fuel, host_results, writes):
+def _run_session(module, tier, fuel, host_results, writes, recv_seqs=(0,)):
     """One full session as a comparable trace of every observable."""
     return _session(VM(module, fuel_limit=fuel, tier=tier), tier,
-                    host_results, writes)
+                    host_results, writes, recv_seqs)
 
 
-def _session(vm, tier, host_results, writes):
+def _payload(vm, step) -> bytes | None:
+    """The bytes the executor's program wrapper would read for ``step``."""
+    if step.name == "result_bytes":
+        return vm.read_memory(*step.args)
+    if step.name == "net_send":
+        return vm.read_memory(SEND_OFF, min(max(step.args[-1], 0), SEND_SIZE))
+    return None
+
+
+def _deliver(vm, step, size: int, seq: int) -> None:
+    """A ``net_recv`` answered with ``size``: write the receive header and
+    ``size`` payload bytes (clipped to the buffer) as the executor does."""
+    protocol = protocol_from_number(step.args[0]).name.lower()
+    recv = vm.module.buffer(f"{protocol}_recv_buffer")
+    payload = bytes(range(min(size, recv.size - 32) % 256))
+    header = b"".join(
+        (value & (2 ** 64 - 1)).to_bytes(8, "little")
+        for value in (0, 7, seq, 1_000 + seq)
+    )
+    vm.write_memory(recv.offset, header + payload)
+
+
+def _session(vm, tier, host_results, writes, recv_seqs=(0,)):
     trace: list = [("tier", vm.tier)] if tier == "reference" else []
     try:
         step = vm.start([])
-        calls = 0
+        calls = replies = 0
         while isinstance(step, HostCall):
-            trace.append(("host", step.name, step.args, vm.fuel_used))
+            trace.append(("host", step.name, step.args, vm.fuel_used,
+                          _payload(vm, step)))
             if calls < len(writes) and writes[calls] is not None:
                 offset, data = writes[calls]
                 vm.write_memory(offset, data)
             result = host_results[calls % len(host_results)]
+            if step.name == "net_recv" and result >= 0:
+                _deliver(vm, step, result, recv_seqs[replies % len(recv_seqs)])
+                replies += 1
             calls += 1
             if calls > 400:  # host-heavy programs: bound the session
                 break
@@ -342,23 +413,26 @@ def _session(vm, tier, host_results, writes):
 
 
 class TestTierEquivalence:
-    @given(_program, _fuel, _host_results, _writes)
+    @given(_program, _fuel, _host_results, _writes, _recv_seqs)
     @settings(max_examples=200, deadline=None)
-    def test_sessions_are_bit_identical(self, exprs, fuel, host_results, writes):
+    def test_sessions_are_bit_identical(
+        self, exprs, fuel, host_results, writes, recv_seqs,
+    ):
         module = _build_module(exprs)
-        reference = _run_session(module, "reference", fuel, host_results, writes)
+        reference = _run_session(module, "reference", fuel, host_results,
+                                 writes, recv_seqs)
         # Generated programs are valid by construction, so "auto" must
         # actually select the compiled tier — otherwise this test would
         # silently compare the reference tier with itself.
         fast_vm = VM(module, fuel_limit=fuel, tier="auto")
         assert fast_vm.tier == "compiled"
-        compiled = _session(fast_vm, "auto", host_results, writes)
+        compiled = _session(fast_vm, "auto", host_results, writes, recv_seqs)
         assert reference[1:] == compiled, (reference, compiled)
         if not any(row[0] == "trap" for row in reference):
             # nothing trapped, so nothing may have been replayed
             assert fast_vm._delegate is None, reference
         threaded = _session(ThreadedVM(module, fuel_limit=fuel), "compiled",
-                            host_results, writes)
+                            host_results, writes, recv_seqs)
         assert threaded == compiled
 
 
@@ -380,3 +454,27 @@ class TestStockPrograms:
                 assert vm.tier == "compiled"
                 assert _session(vm, "auto", host_results, []) == reference[1:]
                 assert vm._delegate is None
+
+    def test_client_output_region_survives_excess_replies(self):
+        """A host that delivers more replies than probes, some with
+        sequence numbers the client never sent: no trap, no bail, and the
+        published region holds at most one pair per probe."""
+        count = 4
+        stock = echo_client(Protocol.UDP, Address(20, 2), count=count,
+                            interval_us=1_000)
+        # the probe loop's replies, then 20 late ones before the drain ends
+        host_results = [0] * (1 + count * 4) + [8] * 20 + [-1]
+        for recv_seqs in ([0, 1, 2, 3], [3, -1, 9, 2 ** 63 - 1, 0]):
+            reference = _run_session(stock.module, "reference", 1_000_000,
+                                     host_results, [], recv_seqs)
+            assert not any(row[0] == "trap" for row in reference)
+            vm = VM(stock.module, fuel_limit=1_000_000, tier="auto")
+            assert vm.tier == "compiled"
+            assert _session(vm, "auto", host_results, [], recv_seqs) \
+                == reference[1:]
+            assert vm._delegate is None
+            published = [row for row in reference if row[:2] == ("host", "result_bytes")]
+            assert len(published) == 1
+            pairs = decode_result_pairs(published[0][4])
+            assert 0 < len(pairs) <= count
+            assert all(0 <= seq < count for seq, _ in pairs)

@@ -36,6 +36,11 @@ class TestDecodeResultPairs:
         assert decode_result_pairs(b"") == []
 
 
+def _words(payload: bytes) -> list[int]:
+    """The i64 words of a published output region."""
+    return [value for pair in decode_result_pairs(payload) for value in pair]
+
+
 def _drive_echo_client(program: VMProgram, *, reply_seqs, rtt_us=500):
     """Minimal host loop: answer net_recv with echoes for chosen seqs."""
     t = [0]
@@ -64,8 +69,8 @@ def _drive_echo_client(program: VMProgram, *, reply_seqs, rtt_us=500):
         elif step.name == "sleep_until_us":
             t[0] = max(t[0], step.args[0])
             step = program.resume(0)
-        elif step.name == "result_i64":
-            results.append(step.args[0])
+        elif step.name == "result_bytes":
+            results.extend(_words(step.payload))
             step = program.resume(0)
         else:
             step = program.resume(0)
@@ -134,8 +139,8 @@ class TestEchoServer:
             elif step.name == "net_reply":
                 replies.append(step.args[1])
                 step = program.resume(1)
-            elif step.name == "result_i64":
-                results.append(step.args[0])
+            elif step.name == "result_bytes":
+                results.extend(_words(step.payload))
                 step = program.resume(0)
             else:
                 step = program.resume(0)
@@ -181,8 +186,8 @@ class TestOneWayPrograms:
                     )
                 else:
                     step = program.resume(-1)
-            elif step.name == "result_i64":
-                results.append(step.args[0])
+            elif step.name == "result_bytes":
+                results.extend(_words(step.payload))
                 step = program.resume(0)
             else:
                 step = program.resume(0)

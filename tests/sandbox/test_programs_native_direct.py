@@ -12,6 +12,11 @@ from repro.sandbox.programs_native import (
 from repro.sandbox.vm import Done, HostCall
 
 
+def _words(payload: bytes) -> list[int]:
+    """The i64 words of a published result."""
+    return [value for pair in decode_result_pairs(payload) for value in pair]
+
+
 def _drive(program, handler):
     step = program.begin()
     while isinstance(step, HostCall):
@@ -65,8 +70,8 @@ class TestNativeOneWay:
                     data = deliveries.pop(0)
                     return len(data.payload), data
                 return -1, None
-            if call.name == "result_i64":
-                results.append(call.args[0])
+            if call.name == "result_bytes":
+                results.extend(_words(call.payload))
                 return 0, None
             return 0, None
 
@@ -92,8 +97,8 @@ class TestNativeEchoServer:
             if call.name == "net_reply":
                 replies.append(call.args[1])
                 return 1, None
-            if call.name == "result_i64":
-                results.append(call.args[0])
+            if call.name == "result_bytes":
+                results.extend(_words(call.payload))
                 return 0, None
             return 0, None
 
