@@ -42,7 +42,7 @@ _WRITES_RECV_BUFFER = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceivedData:
     """What a successful ``net_recv`` hands back to the program."""
 

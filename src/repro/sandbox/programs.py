@@ -79,23 +79,27 @@ def echo_client(
     """An RTT/loss measuring client: send ``count`` probes, match replies.
 
     Per-sequence send times are kept in a table in linear memory so
-    out-of-order replies still yield correct RTTs. Results are
-    ``(seq, rtt_us)`` pairs for every reply received, kept in an output
-    region of ``16 * count`` bytes and published once, at exit. A probe
-    answered in time crosses the sandbox boundary five times (``now_us``,
+    out-of-order replies still yield correct RTTs. The table has a
+    power-of-two number of slots and a reply's sequence number indexes it
+    modulo that size, so no reply can make the client read outside it.
+    Results are ``(seq, rtt_us)`` pairs for every reply received, kept in
+    an output region of ``16 * count`` bytes and published once, at exit;
+    a reply that finds the region full is not recorded. A probe answered
+    in time crosses the sandbox boundary five times (``now_us``,
     ``net_send``, ``net_recv``, ``now_us``, ``sleep_until_us``), a lost
     one four.
     """
     if count <= 0:
         raise SandboxError("count must be positive")
     proto = protocol.name.lower()
-    send_off, send_size = 0, max(size, 8)
+    slots = 1 << (count - 1).bit_length()
+    # the send-time table sits at address 0, so a slot's address is 8 * seq
+    send_off, send_size = _align(slots * 8), max(size, 8)
     recv_off = _align(send_off + send_size)
     recv_size = 32 + max(size, 8)
-    table_off = _align(recv_off + recv_size)
-    out_off = _align(table_off + count * 8)
-    out_size = 16 * count
-    memory = _align(out_off + out_size, 4096)
+    out_off = _align(recv_off + recv_size)
+    out_last = out_off + 16 * (count - 1)  # where the last pair goes
+    memory = _align(out_last + 16, 4096)
     seq_addr = recv_off + 16
 
     source = f"""
@@ -104,53 +108,31 @@ def echo_client(
 .buffer {proto}_send_buffer {send_off} {send_size}
 .buffer {proto}_recv_buffer {recv_off} {recv_size}
 
-.func record_reply 1 2        ; param: bytes recorded; locals: seq, rtt
+.func record_reply 1 1        ; param: where the pair goes; local: seq
+    local_get 0
     push {seq_addr}
     load64
-    local_set 1               ; seq = recv header.seq
-    local_get 1
-    push 0
-    lts
-    jnz skip                  ; not a probe this client sent
-    local_get 1
-    push {count}
-    ges
-    jnz skip
+    local_tee 1
+    store64                   ; pair.seq = recv header.seq
     local_get 0
-    push 0
-    lts
-    jnz skip
-    local_get 0
-    push {out_size - 16}
-    gts
-    jnz skip                  ; output region full
+    push 8
+    add
     host now_us
     local_get 1
+    push {slots - 1}
+    and
     push 8
     mul
-    push {table_off}
-    add
     load64
     sub
-    local_set 2               ; rtt = now - table[seq]
-    local_get 0
-    push {out_off}
-    add
-    local_get 1
-    store64
-    local_get 0
-    push {out_off + 8}
-    add
-    local_get 2
-    store64                   ; output[n] = (seq, rtt)
+    store64                   ; pair.rtt = now - table[seq]
     push 16
-    ret
-skip:
-    push 0
     ret
 .end
 
-.func run_debuglet 0 4        ; locals: i, start, recv_size, bytes recorded
+.func run_debuglet 0 4        ; locals: i, start, next pair, recv size
+    push {out_off}
+    local_set 2
     host now_us
     local_set 1               ; start = now
 loop:
@@ -161,8 +143,6 @@ loop:
     local_get 0
     push 8
     mul
-    push {table_off}
-    add
     host now_us
     store64                   ; table[i] = now (send timestamp)
     push {protocol.wire_number}
@@ -175,49 +155,54 @@ loop:
     push {protocol.wire_number}
     push {timeout_us}
     host net_recv
-    local_set 2
-    local_get 2
     push 0
     lts
     jnz no_reply              ; timeout: loss recorded implicitly
-    local_get 3
+    local_get 2
+    push {out_last}
+    gts
+    jnz no_reply              ; output region full
+    local_get 2
     call record_reply
-    local_get 3
+    local_get 2
     add
-    local_set 3
+    local_set 2
 no_reply:
     local_get 0
     push 1
     add
+    local_tee 0
     push {interval_us}
     mul
     local_get 1
     add
-    host sleep_until_us
+    host sleep_until_us       ; until start + (i + 1) * interval
     drop
-    local_get 0
-    push 1
-    add
-    local_set 0
     jmp loop
 drain:
     push {protocol.wire_number}
     push {drain_us}
     host net_recv
-    local_set 2
-    local_get 2
+    local_set 3
+    local_get 3
     push 0
     lts
     jnz done
-    local_get 3
+    local_get 2
+    push {out_last}
+    gts
+    jnz drain
+    local_get 2
     call record_reply
-    local_get 3
+    local_get 2
     add
-    local_set 3
+    local_set 2
     jmp drain
 done:
     push {out_off}
-    local_get 3
+    local_get 2
+    push {out_off}
+    sub
     host result_bytes         ; publish the output region
     drop
     push 0

@@ -10,12 +10,12 @@ ops, but run unmetered and without sandbox host-switch overhead.
 from __future__ import annotations
 
 from repro.netsim.packet import Protocol
-from repro.sandbox.program import NativeBody, NativeProgram
+from repro.sandbox.program import NativeBody, NativeProgram, ReceivedData
 
 _MASK64 = (1 << 64) - 1
 
 
-def _publish(words: list[int]) -> tuple:
+def _publish(words: list[int]) -> tuple[str, tuple[int, int], bytes]:
     """The one ``result_bytes`` call that publishes ``words``, the way the
     sandboxed twins publish their output region."""
     payload = b"".join((word & _MASK64).to_bytes(8, "little") for word in words)
@@ -48,7 +48,7 @@ def echo_client_body(
     send_times: dict[int, int] = {}
     words: list[int] = []
 
-    def record(data) -> NativeBody:
+    def record(data: ReceivedData) -> NativeBody:
         if data.seq in send_times and len(words) < 2 * count:
             now, _ = yield ("now_us", (), None)
             words.extend((data.seq, now - send_times[data.seq]))

@@ -67,7 +67,7 @@ def _signed(value: int) -> int:
     return value - (1 << 64) if value & _SIGN else value
 
 
-@dataclass
+@dataclass(slots=True)
 class HostCall:
     """A suspended host-function invocation: what every program, sandboxed
     or native, hands its executor. ``payload`` carries outgoing bytes for
@@ -79,7 +79,7 @@ class HostCall:
     payload: bytes | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Done:
     """The entry point returned ``value``."""
 
@@ -194,32 +194,31 @@ class VM:
         return self._run_observed(runner)
 
     def resume(self, results: list[int] | None = None) -> "HostCall | Done":
-        """Resume after a host call, pushing ``results`` onto the stack."""
-        results = [int(value) for value in (results or [])]
-        if (self._compiled is not None and self._obs is None
-                and self._awaiting_host is not None):
-            # the common case, one call deep: a compiled session with no
-            # observer (a compiled VM never has a delegate)
-            return self._compiled_resume(results)
+        """Resume after a host call, pushing ``results`` onto the stack.
+
+        With no observer attached this is one call deep on either tier:
+        straight into ``_compiled_resume`` or ``_run``.
+        """
+        results = list(map(int, results)) if results else []
         if self._delegate is not None:
-            def runner():
+            def delegated():
                 return self._delegated(lambda: self._delegate.resume(results))
-        else:
-            if self._awaiting_host is None:
-                raise SandboxError("VM is not awaiting a host call")
-            if self._compiled is not None:
-                runner = partial(self._compiled_resume, results)
-            else:
-                self._awaiting_host = None
-                stack = self._stack
-                for value in results:
-                    if len(stack) >= _MAX_VALUES:
-                        raise SandboxError("value stack overflow")
-                    stack.append(_wrap(value))
-                runner = self._run
+            return delegated() if self._obs is None else self._run_observed(delegated)
+        if self._awaiting_host is None:
+            raise SandboxError("VM is not awaiting a host call")
+        if self._compiled is not None:
+            if self._obs is None:
+                return self._compiled_resume(results)
+            return self._run_observed(partial(self._compiled_resume, results))
+        self._awaiting_host = None
+        stack = self._stack
+        for value in results:
+            if len(stack) >= _MAX_VALUES:
+                raise SandboxError("value stack overflow")
+            stack.append(_wrap(value))
         if self._obs is None:
-            return runner()
-        return self._run_observed(runner)
+            return self._run()
+        return self._run_observed(self._run)
 
     # ------------------------------------------------------ compiled tier
 

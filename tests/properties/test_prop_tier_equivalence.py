@@ -458,13 +458,14 @@ class TestStockPrograms:
     def test_client_output_region_survives_excess_replies(self):
         """A host that delivers more replies than probes, some with
         sequence numbers the client never sent: no trap, no bail, and the
-        published region holds at most one pair per probe."""
+        published region holds at most one pair per probe, in the order
+        the replies came."""
         count = 4
         stock = echo_client(Protocol.UDP, Address(20, 2), count=count,
                             interval_us=1_000)
         # the probe loop's replies, then 20 late ones before the drain ends
         host_results = [0] * (1 + count * 4) + [8] * 20 + [-1]
-        for recv_seqs in ([0, 1, 2, 3], [3, -1, 9, 2 ** 63 - 1, 0]):
+        for recv_seqs in ([0, 1, 2, 3], [3, -1, 2 ** 63 - 1, -(2 ** 63), 9]):
             reference = _run_session(stock.module, "reference", 1_000_000,
                                      host_results, [], recv_seqs)
             assert not any(row[0] == "trap" for row in reference)
@@ -476,5 +477,5 @@ class TestStockPrograms:
             published = [row for row in reference if row[:2] == ("host", "result_bytes")]
             assert len(published) == 1
             pairs = decode_result_pairs(published[0][4])
-            assert 0 < len(pairs) <= count
-            assert all(0 <= seq < count for seq, _ in pairs)
+            assert len(pairs) == count
+            assert [seq for seq, _ in pairs] == recv_seqs[:count]
