@@ -14,16 +14,16 @@ programs, and a single ``(0, echo_count)`` trailer for servers. Decode with
 
 How results leave a program: the echo client, the echo server and the
 one-way receiver write their pairs into an *output region* of linear
-memory, a declared-size area after every buffer, and publish it with one
-``result_bytes(offset, length)`` call just before they return. So a
-probe costs no crossing for its result, and the executor appends the
-region in one piece. A run stopped before that call (a budget kill, a
-trap) publishes nothing; nothing reads a failed record's pairs. The
-client's cursor never runs past its region: a pair that would not fit,
-or a reply whose sequence number is not one it sent, is not recorded.
-The one-way sender still emits each ``(seq, send_time_us)`` pair with
-two ``result_i64`` calls: they sit between its timestamp and its
-``net_send``, so they are part of the one-way delay it measures.
+memory, an area after every buffer sized for the most pairs the program
+can record, and publish it with one ``result_bytes(offset, length)`` call
+just before they return. So a probe costs no crossing for its result,
+and the executor appends the region in one piece. A run stopped before
+that call (a budget kill, a trap) publishes nothing; nothing reads a
+failed record's pairs. The client's cursor never runs past its region: a
+reply that finds it full is not recorded. The one-way sender still emits
+each ``(seq, send_time_us)`` pair with two ``result_i64`` calls: the
+second sits between its timestamp and its ``net_send``, so it is part of
+the one-way delay the pair measures.
 """
 
 from __future__ import annotations

@@ -211,9 +211,11 @@ def analyze_module(
         name: sorted({str(i.arg) for i in code if i.op is Op.GLOBAL_GET})
         for name, code in codes.items()
     }
-    last_read: dict[str, tuple[object, ...]] = {}
-    #: function -> the memory ranges its last run read
-    ranges_read: dict[str, tuple[tuple[int, int], ...]] = {}
+    #: function -> what its last run read: its context entries, and each
+    #: memory range it loaded with the taint it found there
+    last_read: dict[
+        str, tuple[tuple[object, ...], dict[tuple[int, int], TaintSet]]
+    ] = {}
 
     for _ in range(_MAX_ITERATIONS):
         changed = False
@@ -222,15 +224,16 @@ def analyze_module(
             read = (
                 context.param_values.get(name) if function.n_params else None,
                 tuple(context.global_taints.get(g) for g in globals_read[name]),
-                tuple(memory.read(lo, hi) for lo, hi in ranges_read.get(name, ())),
                 tuple(context.summaries.get(c) for c in callees[name]),
             )
-            if last_read.get(name) == read:
+            last = last_read.get(name)
+            if last is not None and last[0] == read and all(
+                memory.read(lo, hi) == taint for (lo, hi), taint in last[1].items()
+            ):
                 continue
             log = context.memory_taint = _ReadLog(memory)
             outcome = analyze_function(module, function, cfgs[name], context)
-            ranges_read[name] = tuple(log.reads)
-            last_read[name] = read[:2] + (tuple(log.reads.values()),) + read[3:]
+            last_read[name] = (read, log.reads)
             result.outcomes[name] = outcome
             if not outcome.converged:
                 result.converged = False

@@ -471,11 +471,11 @@ class TestStockPrograms:
             assert not any(row[0] == "trap" for row in reference)
             vm = VM(stock.module, fuel_limit=1_000_000, tier="auto")
             assert vm.tier == "compiled"
-            assert _session(vm, "auto", host_results, [], recv_seqs) \
-                == reference[1:]
+            compiled = _session(vm, "auto", host_results, [], recv_seqs)
+            assert compiled == reference[1:]
             assert vm._delegate is None
-            published = [row for row in reference if row[:2] == ("host", "result_bytes")]
-            assert len(published) == 1
-            pairs = decode_result_pairs(published[0][4])
+            [published] = [row[4] for row in compiled
+                           if row[:2] == ("host", "result_bytes")]
+            pairs = decode_result_pairs(published)
             assert len(pairs) == count
             assert [seq for seq, _ in pairs] == recv_seqs[:count]
