@@ -28,9 +28,8 @@ from repro.sandbox.hostops import HOST_OPS, RECV_HEADER_SIZE, protocol_from_numb
 from repro.sandbox.module import BufferSpec, Module
 from repro.sandbox.vm import VM, Done, HostCall
 
-#: the receive header ``net_recv`` writes ahead of the payload
+#: the RECV_HEADER_SIZE-byte header ``net_recv`` writes ahead of the payload
 _RECV_HEADER = struct.Struct("<4q")
-assert _RECV_HEADER.size == RECV_HEADER_SIZE
 
 #: op -> where :class:`VMProgram` reads its payload, for the ops that have one
 _PAYLOAD_FROM = {
