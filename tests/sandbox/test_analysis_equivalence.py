@@ -95,6 +95,50 @@ done:
 .end
 """
 
+_UNBOUNDED_TIMEOUT = """
+.memory 4096
+.buffer udp_recv_buffer 0 64
+.func run_debuglet 1 1
+    push 17
+    local_get 0
+    host net_recv
+    local_set 1
+    push 0
+    ret
+.end
+"""
+
+_RESULT_BYTES_PAST_MEMORY = """
+.memory 4096
+.func run_debuglet 0 0
+    push 4000
+    push 200
+    host result_bytes
+    drop
+    push 0
+    ret
+.end
+"""
+
+#: a reply's size is its third argument, after the sequence number
+_REPLY_OVER_POLICY = """
+.memory 4096
+.buffer udp_recv_buffer 0 256
+.func run_debuglet 0 1
+    push 17
+    push 1000000
+    host net_recv
+    local_set 0
+    push 17
+    push 1
+    push 128
+    host net_reply
+    drop
+    push 0
+    ret
+.end
+"""
+
 
 def _rejected() -> dict[str, tuple[Module, Manifest]]:
     """One module per diagnostic family, sources as in the unit tests."""
@@ -127,6 +171,8 @@ def _rejected() -> dict[str, tuple[Module, Manifest]]:
         "V301_recv_drain": (
             assemble(_RECV_DRAIN), manifest(max_packets_received=5)),
         "V302_no_exit": (mod([Instruction(Op.JMP, 0)]), manifest()),
+        "V400_result_bytes_past_memory": (
+            assemble(_RESULT_BYTES_PAST_MEMORY), manifest()),
         "V400_store_out_of_bounds": (
             mod([Instruction(Op.PUSH, 100_000), Instruction(Op.PUSH, 1),
                  Instruction(Op.STORE64), Instruction(Op.PUSH, 0),
@@ -146,6 +192,12 @@ def _rejected() -> dict[str, tuple[Module, Manifest]]:
         "V600_exfiltration": (
             assemble(test_taint_policy.EXFIL),
             test_taint_policy.manifest(policy=policy)),
+        "V602_send_over_buffer": (
+            assemble(test_taint_policy.SENDER.format(size=512)),
+            test_taint_policy.manifest()),
+        "V603_reply_over_policy": (
+            assemble(_REPLY_OVER_POLICY),
+            test_taint_policy.manifest(policy=policy)),
         "V603_send_over_policy": (
             assemble(test_taint_policy.SENDER.format(size=128)),
             test_taint_policy.manifest(policy=policy)),
@@ -154,6 +206,15 @@ def _rejected() -> dict[str, tuple[Module, Manifest]]:
                 "push 0\n    push 9000", "push 3\n    push 9000",
             ).format(size=8)),
             test_taint_policy.manifest(policy=DebugletPolicy())),
+        "V604_port_out_of_range": (
+            assemble(test_taint_policy.SENDER.replace(
+                "push 9000", "push 70000",
+            ).format(size=8)),
+            test_taint_policy.manifest()),
+        "V606_protocol_not_allowed": (
+            assemble(test_taint_policy.SENDER.format(size=8)),
+            test_taint_policy.manifest(
+                policy=DebugletPolicy(allowed_protocols=("tcp",)))),
         "V700_reply_without_recv": (
             assemble(test_effects.REPLY_NO_RECV), manifest()),
         "V701_V703_poll_without_buffer": (
@@ -161,6 +222,8 @@ def _rejected() -> dict[str, tuple[Module, Manifest]]:
                 ".memory 4096\n.func run_debuglet 0 1\npush 17\npush 0\n"
                 "host net_recv\nlocal_set 0\npush 0\nret\n.end\n"
             ), manifest()),
+        "V702_unbounded_timeout": (
+            assemble(_UNBOUNDED_TIMEOUT), manifest()),
     }
 
 
