@@ -19,6 +19,7 @@ import hashlib
 
 from repro.common.errors import DebugletError
 from repro.netsim.packet import Protocol
+from repro.sandbox.hostops import HOST_OPS
 from repro.sandbox.program import NativeBody, NativeProgram
 from repro.sandbox.programs_native import echo_client_body
 
@@ -32,15 +33,10 @@ class ResultSealer:
         self.key = key
 
     def _keystream(self, length: int) -> bytes:
-        blocks = []
-        counter = 0
-        while sum(len(b) for b in blocks) < length:
-            blocks.append(
-                hashlib.sha256(
-                    self.key + counter.to_bytes(8, "little")
-                ).digest()
-            )
-            counter += 1
+        blocks = (
+            hashlib.sha256(self.key + counter.to_bytes(8, "little")).digest()
+            for counter in range(-(-length // 32))
+        )
         return b"".join(blocks)[:length]
 
     def seal(self, plaintext: bytes) -> bytes:
@@ -83,7 +79,7 @@ def sealed_native_echo_client(
                 op, args, payload = plain.send(reply)
             except StopIteration as stop:
                 return stop.value
-            if op == "result_bytes":
+            if HOST_OPS[op].output is not None and payload is not None:
                 payload = sealer.seal(payload)
             reply = yield (op, args, payload)
 

@@ -8,11 +8,12 @@ bulk data moves through the module's declared buffers.
 
 :data:`HOST_OPS` is the only place a host op is declared. One row per op
 holds everything the rest of the system knows about it: its arity (the
-VM, the stack checker, the compiled tier), its effect (the verifier's
-dataflow analyses), which way a payload moves (:class:`VMProgram`), and
-what it appends to the output buffer (the executor and the audit replay,
-through :func:`output_bytes`). The executor's handler for a row is the
-method named after it; a row without one fails at import.
+VM, the stack checker, the compiled tier), its argument roles and effect
+(every per-op rule of the verifier), which way a payload moves
+(:class:`VMProgram`), and what it appends to the output buffer (the
+executor, the audit replay and the result sealer). The executor's handler
+for a row is the method named after it; a row without one fails at import.
+:func:`protocol_buffer` is the one place a protocol's buffers are named.
 
 ``net_recv`` writes a 32-byte header followed by the payload into the
 receive buffer::
@@ -33,6 +34,7 @@ from typing import Callable
 
 from repro.common.errors import SandboxError
 from repro.netsim.packet import Protocol
+from repro.sandbox.module import BufferSpec, Module
 
 #: Header size net_recv prepends in the receive buffer.
 RECV_HEADER_SIZE = 32
@@ -73,6 +75,9 @@ class HostOp:
     #: :class:`VMProgram` writes the received header and payload into the
     #: protocol's receive buffer
     writes_recv_buffer: bool = False
+    #: answers the last packet received, so it is a no-op until a call
+    #: that ``writes_recv_buffer`` has run
+    answers_last_recv: bool = False
     #: the bytes one call appends to the output buffer, from its arguments
     #: and payload; None for ops that append nothing
     output: Callable[[tuple[int, ...], bytes | None], bytes] | None = None
@@ -93,7 +98,7 @@ HOST_OPS: dict[str, HostOp] = {
                blocking=True, writes_recv_buffer=True),
         # 1, or 0 when nothing has been received to reply to
         HostOp("net_reply", ("proto", "seq", "size"), (0, 1), "const",
-               transmits=True),
+               transmits=True, answers_last_recv=True),
         HostOp("net_send", ("proto", "contact_idx", "dst_port", "seq", "size"),
                (1, 1), "const", transmits=True, payload_from="send_buffer"),
         HostOp("now_us", (), (0, _I64_MAX), "time"),  # simulated microseconds
@@ -131,3 +136,12 @@ def protocol_from_number(number: int) -> Protocol:
     if protocol is None:
         raise SandboxError(f"unsupported protocol number {number}")
     return protocol
+
+
+def protocol_buffer(module: Module, proto_number: int, kind: str) -> BufferSpec:
+    """The ``kind`` buffer (``send_buffer`` / ``recv_buffer``) of the
+    protocol numbered ``proto_number``: ``<proto>_<kind>`` when the module
+    declares it, the generic ``<kind>`` otherwise. Traps on an unknown
+    protocol before looking at any buffer, then on a missing buffer."""
+    proto = protocol_from_number(proto_number).name.lower()
+    return module.buffer(f"{proto}_{kind}", kind)

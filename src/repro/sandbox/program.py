@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator
 
 from repro.common.errors import SandboxError
-from repro.sandbox.hostops import HOST_OPS, RECV_HEADER_SIZE, protocol_from_number
+from repro.sandbox.hostops import HOST_OPS, RECV_HEADER_SIZE, protocol_buffer
 from repro.sandbox.module import BufferSpec, Module
 from repro.sandbox.vm import VM, Done, HostCall
 
@@ -135,9 +135,8 @@ class VMProgram(RunnableProgram):
         looked up in the module once per program and protocol."""
         buffer = cache.get(proto_number)
         if buffer is None:
-            proto = protocol_from_number(proto_number)
-            buffer = cache[proto_number] = self.module.buffer(
-                f"{proto.name.lower()}_{kind}", kind
+            buffer = cache[proto_number] = protocol_buffer(
+                self.module, proto_number, kind
             )
         return buffer
 

@@ -30,12 +30,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import SandboxError
-from repro.sandbox.hostops import protocol_from_number
+from repro.sandbox.hostops import HOST_OPS, protocol_buffer, protocol_from_number
 from repro.sandbox.isa import Op
 from repro.sandbox.module import ENTRY_POINT, Module
 from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier.absint import FunctionAbstract
 from repro.sandbox.verifier.cfg import FunctionCFG
+
+#: how a diagnostic names a receive
+_RECEIVE = " / ".join(n for n, row in HOST_OPS.items() if row.writes_recv_buffer)
+
+
+def is_receive(instruction) -> bool:
+    """A host call that fills the receive buffer (-1 on timeout)."""
+    return instruction.op is Op.HOST and HOST_OPS[instruction.arg].writes_recv_buffer
 
 
 @dataclass(frozen=True)
@@ -75,12 +83,13 @@ def check_effects(
     # are per-site and context-free:
     for name in sorted(bottom_up):
         for site in outcomes[name].host_sites:
-            if site.op == "net_recv" and len(site.arg_intervals) == 2:
-                timeout = site.arg_intervals[1]
+            row = HOST_OPS[site.op]
+            timeout = dict(zip(row.arg_roles, site.arg_intervals)).get("timeout_us")
+            if timeout is not None:
                 if timeout.hi <= 0:
                     diags.append(d.warning(
                         d.RECV_TIMEOUT_NONPOSITIVE,
-                        f"net_recv timeout {timeout.render()} is never "
+                        f"{site.op} timeout {timeout.render()} is never "
                         "positive: the call always returns immediately "
                         "(a fuel-burning poll)",
                         site.function, site.instruction,
@@ -88,30 +97,33 @@ def check_effects(
                 elif timeout.hi >= (1 << 62):
                     diags.append(d.info(
                         d.RECV_TIMEOUT_UNBOUNDED,
-                        f"net_recv timeout {timeout.render()} has no "
+                        f"{site.op} timeout {timeout.render()} has no "
                         "useful static upper bound",
                         site.function, site.instruction,
                     ))
-            if site.op in ("net_send", "net_recv") and site.protocol is not None:
-                diag = _check_buffer(module, site)
+            kind = (
+                "send_buffer" if row.payload_from == "send_buffer"
+                else "recv_buffer" if row.writes_recv_buffer else None
+            )
+            if kind is not None and site.protocol is not None:
+                diag = _check_buffer(module, site, kind)
                 if diag is not None:
                     diags.append(diag)
     return diags
 
 
-def _check_buffer(module: Module, site) -> d.Diagnostic | None:
+def _check_buffer(module: Module, site, kind: str) -> d.Diagnostic | None:
     try:
         proto = protocol_from_number(site.protocol).name.lower()
     except SandboxError:
         return None  # V502 already covers unsupported protocols
-    direction = "send" if site.op == "net_send" else "recv"
     try:
-        module.buffer(f"{proto}_{direction}_buffer", f"{direction}_buffer")
+        protocol_buffer(module, site.protocol, kind)
     except SandboxError:
         return d.warning(
             d.MISSING_BUFFER,
             f"{site.op} uses protocol {proto!r} but the module declares "
-            f"no {proto}_{direction}_buffer (a certain trap on first use)",
+            f"no {proto}_{kind} (a certain trap on first use)",
             site.function, site.instruction,
         )
     return None
@@ -135,7 +147,7 @@ def _must_recv_dataflow(
     state: dict[int, bool] = {0: False}
     worklist = [0]
     reply_unguarded = False
-    unguarded_sites: list[tuple[int, str | None]] = []  # (index, callee)
+    unguarded_sites: set[tuple[int, str | None]] = set()  # (index, callee)
 
     while worklist:
         index = worklist.pop()
@@ -143,19 +155,16 @@ def _must_recv_dataflow(
         instruction = code[index]
         op, arg = instruction.op, instruction.arg
 
-        if op is Op.HOST:
-            if arg == "net_recv":
-                received = True
-            elif arg == "net_reply" and not state[index]:
-                if (index, None) not in unguarded_sites:
-                    unguarded_sites.append((index, None))
-                reply_unguarded = True
+        if is_receive(instruction):
+            received = True
+        elif op is Op.HOST and HOST_OPS[arg].answers_last_recv and not state[index]:
+            unguarded_sites.add((index, None))
+            reply_unguarded = True
         elif op is Op.CALL:
             summary = summaries.get(str(arg))
             if summary is not None:
                 if summary.reply_unguarded and not state[index]:
-                    if (index, str(arg)) not in unguarded_sites:
-                        unguarded_sites.append((index, str(arg)))
+                    unguarded_sites.add((index, str(arg)))
                     reply_unguarded = True
                 if summary.always_recv:
                     received = True
@@ -170,33 +179,25 @@ def _must_recv_dataflow(
                 worklist.append(successor)
 
     reachable_exits = [index for index in cfg.exits if index in state]
+    # a receive has happened once every exit instruction completes
     always_recv = bool(reachable_exits) and all(
-        _exit_received(code, state, index) for index in reachable_exits
+        state[index] or is_receive(code[index]) for index in reachable_exits
     )
 
     if diags is not None:
         for index, callee in sorted(unguarded_sites):
             where = (
-                "net_reply" if callee is None
+                str(code[index].arg) if callee is None
                 else f"call to {callee!r} (which can reply)"
             )
             diags.append(d.error(
                 d.REPLY_WITHOUT_RECV,
-                f"{where} is reachable with no net_recv executed on some "
+                f"{where} is reachable with no {_RECEIVE} executed on some "
                 "path: the reply can never fire there",
                 function.name, index,
                 path=_witness_path(function, cfg, summaries, index),
             ))
     return EffectSummary(always_recv, reply_unguarded)
-
-
-def _exit_received(code, state: dict[int, bool], index: int) -> bool:
-    """Has a receive happened once the exit instruction completes?"""
-    received = state[index]
-    instruction = code[index]
-    if instruction.op is Op.HOST and instruction.arg == "net_recv":
-        return True
-    return received
 
 
 def _witness_path(
@@ -217,7 +218,7 @@ def _witness_path(
         if index == target:
             break
         instruction = code[index]
-        if instruction.op is Op.HOST and instruction.arg == "net_recv":
+        if is_receive(instruction):
             continue  # a receive on the path would guard the reply
         if instruction.op is Op.CALL:
             summary = summaries.get(str(instruction.arg))

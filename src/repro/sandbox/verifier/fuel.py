@@ -56,6 +56,7 @@ from repro.sandbox.isa import FUEL_COST, Op
 from repro.sandbox.module import ENTRY_POINT, Module
 from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier.cfg import FunctionCFG, has_cycle, tarjan_sccs
+from repro.sandbox.verifier.effects import is_receive
 
 EXACT = "exact"
 BOUNDED = "bounded"
@@ -405,7 +406,7 @@ def _recv_loop_trips(function, cfg, scc, max_packets) -> int | None:
     code = function.code
     sites: list[int] = []
     for start in sorted(scc):
-        if code[start].op is not Op.HOST or code[start].arg != "net_recv":
+        if not is_receive(code[start]):
             continue
         result_local: list[int] = []
 
@@ -416,7 +417,7 @@ def _recv_loop_trips(function, cfg, scc, max_packets) -> int | None:
             return False
 
         matched = _match_run(function, cfg, scc, start, [
-            lambda i: i.op is Op.HOST and i.arg == "net_recv",
+            is_receive,
             bind,
             lambda i: i.op is Op.LOCAL_GET
             and bool(result_local) and i.arg == result_local[0],

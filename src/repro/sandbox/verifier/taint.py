@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.errors import SandboxError
-from repro.sandbox.hostops import protocol_from_number
+from repro.sandbox.hostops import HOST_OPS, protocol_buffer, protocol_from_number
 from repro.sandbox.isa import Op
 from repro.sandbox.module import Module
 from repro.sandbox.verifier import diagnostics as d
@@ -176,10 +176,7 @@ class ModuleDataflow:
 
 def _recv_buffer(module: Module, protocol_number: int):
     try:
-        protocol = protocol_from_number(protocol_number)
-        return module.buffer(
-            f"{protocol.name.lower()}_recv_buffer", "recv_buffer"
-        )
+        return protocol_buffer(module, protocol_number, "recv_buffer")
     except SandboxError:
         return None
 
@@ -245,7 +242,7 @@ def analyze_module(
                     (write.function, write.instruction),
                 )
             for site in outcome.host_sites:
-                if site.op != "net_recv":
+                if not HOST_OPS[site.op].writes_recv_buffer:
                     continue
                 tags = frozenset({
                     ("net", site.function, site.instruction),
@@ -324,19 +321,6 @@ def _instruction_at(module: Module, function: str, instruction: int) -> str:
     return str(code[instruction]) if 0 <= instruction < len(code) else "?"
 
 
-def _send_buffer_size(module: Module, protocol_number: int | None) -> int | None:
-    if protocol_number is None:
-        return None
-    try:
-        protocol = protocol_from_number(protocol_number)
-        buffer = module.buffer(
-            f"{protocol.name.lower()}_send_buffer", "send_buffer"
-        )
-    except SandboxError:
-        return None
-    return buffer.size
-
-
 def check_policy(
     module: Module,
     dataflow: ModuleDataflow,
@@ -362,7 +346,8 @@ def check_policy(
 
     used_kinds: set[str] = set()
     for site in dataflow.host_sites():
-        if site.op in ("result_i64", "result_bytes"):
+        row = HOST_OPS[site.op]
+        if row.output is not None:
             taint = _emission_taint(site, memory, module)
             kinds = {tag[0] for tag in taint}
             used_kinds |= kinds
@@ -378,7 +363,7 @@ def check_policy(
                         site.function, site.instruction,
                         path=_source_path(module, memory, tag, site),
                     ))
-        elif site.op in ("net_send", "net_reply"):
+        elif row.transmits:
             diags.extend(_check_send_site(module, site, manifest, policy))
 
     if policy is not None:
@@ -396,7 +381,10 @@ def _emission_taint(
 ) -> TaintSet:
     """Provenance of the data an emission site appends to the result."""
     taint = frozenset().union(*site.arg_taints) if site.arg_taints else NO_TAINT
-    if site.op == "result_bytes" and memory is not None and site.arg_intervals:
+    if (
+        HOST_OPS[site.op].payload_from == "memory"
+        and memory is not None and site.arg_intervals
+    ):
         offset, length = site.arg_intervals
         lo = max(offset.lo, 0)
         hi = min(
@@ -414,46 +402,48 @@ def _check_send_site(
     policy,
 ) -> list[d.Diagnostic]:
     diags: list[d.Diagnostic] = []
-    intervals = site.arg_intervals
-    if not intervals:
+    if not site.arg_intervals:
         return diags
-    size = intervals[4] if site.op == "net_send" else intervals[2]
+    row = HOST_OPS[site.op]
+    args = dict(zip(row.arg_roles, site.arg_intervals))
+    size = args["size"]
 
-    if site.op == "net_send":
-        buffer_size = _send_buffer_size(module, site.protocol)
-        if buffer_size is not None and (
-            size.lo > buffer_size or size.hi < 0
-        ):
+    if row.payload_from == "send_buffer" and site.protocol is not None:
+        try:
+            buffer = protocol_buffer(module, site.protocol, "send_buffer")
+        except SandboxError:
+            buffer = None  # unknown protocol (V502) or no buffer (V703)
+        if buffer is not None and (size.lo > buffer.size or size.hi < 0):
             diags.append(d.error(
                 d.SEND_SIZE_EXCEEDS_BUFFER,
-                f"net_send size {size.render()} always exceeds the "
-                f"{buffer_size}-byte send buffer (a certain runtime trap)",
+                f"{site.op} size {size.render()} always exceeds the "
+                f"{buffer.size}-byte send buffer (a certain runtime trap)",
                 site.function, site.instruction,
             ))
 
-        port = intervals[2]
-        if port.disjoint(*_VALID_PORT):
-            diags.append(d.warning(
-                d.SEND_PORT_OUT_OF_RANGE,
-                f"net_send destination port {port.render()} is always "
-                f"outside [0, 65535]",
+    port = args.get("dst_port")
+    if port is not None and port.disjoint(*_VALID_PORT):
+        diags.append(d.warning(
+            d.SEND_PORT_OUT_OF_RANGE,
+            f"{site.op} destination port {port.render()} is always "
+            f"outside [0, 65535]",
+            site.function, site.instruction,
+        ))
+
+    contact = args.get("contact_idx")
+    if contact is not None and manifest is not None and policy is not None:
+        # Without a policy the runtime contact check is the contract
+        # (the manifest merely names the peers); a policy buys the
+        # static proof that no undeclared peer can be addressed.
+        n_contacts = len(manifest.contacts)
+        if n_contacts == 0 or not contact.within(0, n_contacts - 1):
+            diags.append(d.error(
+                d.SEND_CONTACT_OUT_OF_RANGE,
+                f"{site.op} contact index {contact.render()} is not "
+                f"provably within the manifest's {n_contacts} declared "
+                "contact(s)",
                 site.function, site.instruction,
             ))
-
-        if manifest is not None and policy is not None:
-            # Without a policy the runtime contact check is the contract
-            # (the manifest merely names the peers); a policy buys the
-            # static proof that no undeclared peer can be addressed.
-            contact = intervals[1]
-            n_contacts = len(manifest.contacts)
-            if n_contacts == 0 or not contact.within(0, n_contacts - 1):
-                diags.append(d.error(
-                    d.SEND_CONTACT_OUT_OF_RANGE,
-                    f"net_send contact index {contact.render()} is not "
-                    f"provably within the manifest's {n_contacts} declared "
-                    "contact(s)",
-                    site.function, site.instruction,
-                ))
 
     if policy is not None and policy.max_send_size is not None:
         if not size.within(-1, policy.max_send_size):

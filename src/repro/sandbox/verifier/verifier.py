@@ -33,18 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.sandbox.hostops import net_ops, protocol_from_number
+from repro.sandbox.hostops import protocol_from_number
 from repro.sandbox.module import Module
 from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier import taint as tt
-from repro.sandbox.verifier.absint import HostSite
+from repro.sandbox.verifier.absint import _NET_OPS, HostSite
 from repro.sandbox.verifier.analysis import ModuleAnalysis
 from repro.sandbox.verifier.fuel import FuelVerdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.sandbox.manifest import ExecutorPolicy, Manifest
-
-_NET_OPS = net_ops()
 
 
 @dataclass

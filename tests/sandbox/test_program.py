@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import SandboxError
 from repro.sandbox.assembler import assemble
+from repro.sandbox.hostops import protocol_buffer
 from repro.sandbox.program import NativeProgram, ReceivedData, VMProgram
 from repro.sandbox.vm import Done, HostCall
 
@@ -125,6 +126,72 @@ class TestVMProgram:
         step = program.begin()
         assert step.name == "result_bytes"
         assert step.payload == b"H"
+
+
+NO_BUFFERS = """
+.memory 4096
+.func run_debuglet 0 0
+    push {proto}
+    push 0
+    push 7
+    push 1
+    push 4
+    host net_send
+    ret
+.end
+"""
+
+
+class TestProtocolBuffer:
+    """``protocol_buffer`` is the one lookup of a protocol's buffers, for
+    ``VMProgram`` and the verifier alike."""
+
+    BUFFERS = """
+    .memory 4096
+    .buffer udp_send_buffer 0 64
+    .buffer send_buffer 64 32
+    .buffer recv_buffer 96 128
+    .func run_debuglet 0 0
+        push 0
+        ret
+    .end
+    """
+
+    def test_protocol_specific_buffer_wins_over_generic(self):
+        module = assemble(self.BUFFERS)
+        assert protocol_buffer(module, 17, "send_buffer").name == "udp_send_buffer"
+
+    def test_generic_buffer_is_the_fallback(self):
+        module = assemble(self.BUFFERS)
+        assert protocol_buffer(module, 6, "send_buffer").name == "send_buffer"
+        assert protocol_buffer(module, 17, "recv_buffer").name == "recv_buffer"
+
+    def test_unknown_protocol_raises_before_any_buffer_lookup(self):
+        # No buffer is declared, so looking one up first would say so.
+        module = assemble(NO_BUFFERS.format(proto=17))
+        with pytest.raises(SandboxError) as raised:
+            protocol_buffer(module, 99, "send_buffer")
+        assert str(raised.value) == "unsupported protocol number 99"
+
+    def test_missing_buffer_names_both_candidates(self):
+        module = assemble(NO_BUFFERS.format(proto=17))
+        with pytest.raises(SandboxError) as raised:
+            protocol_buffer(module, 17, "recv_buffer")
+        assert str(raised.value) == (
+            "module declares none of the buffers "
+            "('udp_recv_buffer', 'recv_buffer')"
+        )
+
+    @pytest.mark.parametrize("proto, text", [
+        (99, "unsupported protocol number 99"),
+        (17, "module declares none of the buffers "
+             "('udp_send_buffer', 'send_buffer')"),
+    ])
+    def test_vm_program_raises_the_same_texts(self, proto, text):
+        program = VMProgram(assemble(NO_BUFFERS.format(proto=proto)))
+        with pytest.raises(SandboxError) as raised:
+            program.begin()
+        assert str(raised.value) == text
 
 
 class TestNativeProgram:
