@@ -5,8 +5,8 @@ Recorders are plain objects with one hot method each (``inc``, ``set``,
 reference, so recording is a single method call with no registry lookup.
 When observability is disabled, :class:`NullMetricsRegistry` hands out
 shared no-op recorders — the disabled mode costs one no-op call per
-instrumented site, which the overhead guard in
-``tests/workloads/test_perf_smoke.py`` bounds at <5% on the Table I fast
+instrumented site and builds nothing, which
+``tests/workloads/test_perf_smoke.py`` counts on the Table I fast
 path. A site that records a whole array (a trace's RTTs) makes one
 ``Histogram.observe_many`` call, so disabled it costs one call per array,
 not one per value.

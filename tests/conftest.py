@@ -1,9 +1,8 @@
 """Shared fixtures: small, fast topologies and chains.
 
 The suite writes nothing into the worktree. The paper's tables and figures
-are checked in ``tests/paper/``, at the paper's scale; wall-clock numbers in
-tests only back the two overhead guards under ``-m perf_smoke``;
-measurement is ``bench/``.
+are checked in ``tests/paper/``, at the paper's scale; no test reads a wall
+clock to decide its verdict; measurement is ``bench/``.
 
 Also ships a minimal stand-in for pytest-timeout: when the plugin is not
 installed (the ``timeout`` ini key in pyproject.toml would be inert), a
