@@ -33,10 +33,15 @@ class ResultSealer:
         self.key = key
 
     def _keystream(self, length: int) -> bytes:
-        blocks = (
-            hashlib.sha256(self.key + counter.to_bytes(8, "little")).digest()
-            for counter in range(-(-length // 32))
-        )
+        blocks = []
+        counter = 0
+        while sum(len(b) for b in blocks) < length:
+            blocks.append(
+                hashlib.sha256(
+                    self.key + counter.to_bytes(8, "little")
+                ).digest()
+            )
+            counter += 1
         return b"".join(blocks)[:length]
 
     def seal(self, plaintext: bytes) -> bytes:

@@ -31,15 +31,6 @@ from repro.sandbox.vm import VM, Done, HostCall
 #: the RECV_HEADER_SIZE-byte header ``net_recv`` writes ahead of the payload
 _RECV_HEADER = struct.Struct("<4q")
 
-#: op -> where :class:`VMProgram` reads its payload, for the ops that have one
-_PAYLOAD_FROM = {
-    name: row.payload_from for name, row in HOST_OPS.items() if row.payload_from
-}
-#: ops whose received data :class:`VMProgram` writes into the receive buffer
-_WRITES_RECV_BUFFER = frozenset(
-    name for name, row in HOST_OPS.items() if row.writes_recv_buffer
-)
-
 
 @dataclass(slots=True)
 class ReceivedData:
@@ -115,7 +106,7 @@ class VMProgram(RunnableProgram):
         if call is None:
             raise SandboxError("program is not awaiting a host call")
         self._pending = None
-        if data is not None and call.name in _WRITES_RECV_BUFFER:
+        if data is not None and HOST_OPS[call.name].writes_recv_buffer:
             self._write_received(call, data)
         return self._translate(self.vm.resume([result]))
 
@@ -123,7 +114,7 @@ class VMProgram(RunnableProgram):
         if type(step) is Done:
             return step
         self._pending = step
-        source = _PAYLOAD_FROM.get(step.name)
+        source = HOST_OPS[step.name].payload_from
         if source is None:
             return step
         return HostCall(step.name, step.args, self._read_payload(source, step))

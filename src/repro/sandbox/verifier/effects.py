@@ -147,7 +147,7 @@ def _must_recv_dataflow(
     state: dict[int, bool] = {0: False}
     worklist = [0]
     reply_unguarded = False
-    unguarded_sites: set[tuple[int, str | None]] = set()  # (index, callee)
+    unguarded_sites: list[tuple[int, str | None]] = []  # (index, callee)
 
     while worklist:
         index = worklist.pop()
@@ -158,13 +158,15 @@ def _must_recv_dataflow(
         if is_receive(instruction):
             received = True
         elif op is Op.HOST and HOST_OPS[arg].answers_last_recv and not state[index]:
-            unguarded_sites.add((index, None))
+            if (index, None) not in unguarded_sites:
+                unguarded_sites.append((index, None))
             reply_unguarded = True
         elif op is Op.CALL:
             summary = summaries.get(str(arg))
             if summary is not None:
                 if summary.reply_unguarded and not state[index]:
-                    unguarded_sites.add((index, str(arg)))
+                    if (index, str(arg)) not in unguarded_sites:
+                        unguarded_sites.append((index, str(arg)))
                     reply_unguarded = True
                 if summary.always_recv:
                     received = True
