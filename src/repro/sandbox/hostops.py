@@ -11,8 +11,9 @@ holds everything the rest of the system knows about it: its arity (the
 VM, the stack checker, the compiled tier), its argument roles and effect
 (every per-op rule of the verifier), which way a payload moves
 (:class:`VMProgram`), and what it appends to the output buffer (the
-executor, the audit replay and the result sealer). The executor's handler
-for a row is the method named after it; a row without one fails at import.
+executor and the audit replay, through :func:`output_bytes`; the result
+sealer). The executor's handler for a row is the method named after it; a
+row without one fails at import.
 :func:`protocol_buffer` is the one place a protocol's buffers are named.
 
 ``net_recv`` writes a 32-byte header followed by the payload into the

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.common.errors import SandboxError
 from repro.sandbox.hostops import HOST_OPS, protocol_buffer, protocol_from_number
-from repro.sandbox.isa import Op
+from repro.sandbox.isa import Instruction, Op
 from repro.sandbox.module import ENTRY_POINT, Module
 from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier.absint import FunctionAbstract
@@ -41,7 +41,7 @@ from repro.sandbox.verifier.cfg import FunctionCFG
 _RECEIVE = " / ".join(n for n, row in HOST_OPS.items() if row.writes_recv_buffer)
 
 
-def is_receive(instruction) -> bool:
+def is_receive(instruction: Instruction) -> bool:
     """A host call that fills the receive buffer (-1 on timeout)."""
     return instruction.op is Op.HOST and HOST_OPS[instruction.arg].writes_recv_buffer
 
