@@ -14,7 +14,10 @@ structure and stack stages: on the others it was never specified (it
 raised ``IndexError`` or read a garbage abstract stack), and
 ``tests/sandbox/test_verifier.py`` pins what it returns there now.
 
-The golden was generated at the commit *before* the analysis was shared.
+The golden was generated at the commit *before* the analysis was shared;
+the six cases that pin the rules the host-op rows drive (V400 on
+``result_bytes``, V602, V603 on ``net_reply``, V604, V606, V702) were
+recorded before those rules read the rows.
 A deliberate change to a diagnostic or a fact means regenerating it::
 
     PYTHONPATH=src python -m tests.sandbox.test_analysis_equivalence
