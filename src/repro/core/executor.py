@@ -434,19 +434,30 @@ class Executor:
             except (PolicyViolation, SandboxError, ConfigurationError) as exc:
                 self._finish_failed(execution, str(exc))
                 return
+            if resumed.__class__ is tuple:
+                # A claimed resume (:meth:`_resume_at`): the event it would
+                # have been, run here — outside the ``try`` above, as
+                # :meth:`_resume` runs it.
+                resumed = self._resumed(execution, *resumed)
             if resumed is None:
                 return  # blocked: a scheduled event will continue us
             step = resumed
 
     def _resume(self, execution: _Execution, result: int, data: ReceivedData | None) -> None:
+        step = self._resumed(execution, result, data)
+        if step is not None:
+            self._dispatch(execution, step)
+
+    def _resumed(self, execution: _Execution, result: int, data: ReceivedData | None):
+        """The program's next step after a scheduled resume, or None when
+        the execution is over (already, or by this resume trapping)."""
         if execution.done:
-            return
+            return None
         try:
-            step = self._program_resume(execution, result, data)
+            return self._program_resume(execution, result, data)
         except SandboxError as exc:
             self._finish_failed(execution, f"trap: {exc}")
-            return
-        self._dispatch(execution, step)
+            return None
 
     def _overhead(self, execution: _Execution) -> float:
         if execution.program.is_sandboxed:
@@ -457,11 +468,25 @@ class Executor:
         self, execution: _Execution, delay: float, result: int,
         data: ReceivedData | None = None,
     ):
-        """Resume later (host-switch cost) or immediately when free."""
+        """Resume after the host-switch cost, or immediately when free."""
         if delay > 0:
-            self.simulator.schedule(delay, self._resume, execution, result, data)
-            return None
+            return self._resume_at(execution, self.simulator.now + delay, result, data)
         return self._program_resume(execution, result, data)
+
+    def _resume_at(
+        self, execution: _Execution, at: float, result: int,
+        data: ReceivedData | None,
+    ):
+        """Resume the program at ``at``. When that instant is the next event
+        due it is claimed (:meth:`Simulator.claim`) and ``(result, data)``
+        comes back for :meth:`_dispatch`'s loop to resume with, so a
+        measurement's thousands of crossings never nest; otherwise it is
+        posted (resumes are never cancelled) and None comes back."""
+        sim = self.simulator
+        if sim.claim(at):
+            return (result, data)
+        sim.post(at, self._resume, execution, result, data)
+        return None
 
     # ------------------------------------------------------- host ops
 
@@ -488,8 +513,7 @@ class Executor:
         self, execution: _Execution, call: HostCall, overhead: float
     ):
         wake = max(call.args[0] / 1e6, self.simulator.now) + overhead
-        self.simulator.schedule_at(wake, self._resume, execution, 0, None)
-        return None
+        return self._resume_at(execution, wake, 0, None)
 
     def _append_result(
         self, execution: _Execution, call: HostCall, overhead: float
@@ -545,7 +569,7 @@ class Executor:
             )
 
         if send_delay > 0:
-            self.simulator.schedule(send_delay, do_send)
+            self.simulator.post(self.simulator.now + send_delay, do_send)
         else:
             do_send()
         return self._resume_after(execution, send_delay, 1)
@@ -605,7 +629,7 @@ class Executor:
             )
 
         if overhead > 0:
-            self.simulator.schedule(overhead, do_reply)
+            self.simulator.post(self.simulator.now + overhead, do_reply)
         else:
             do_reply()
         return self._resume_after(execution, overhead, 1)
@@ -665,11 +689,14 @@ class Executor:
             data = self._to_received(execution, packet, t)
             delay = self._overhead(execution)
             if delay > 0:
-                self.simulator.schedule(
-                    delay, self._resume, execution, len(data.payload), data
+                # The packet's arrival event ends here, so this resume may
+                # be claimed like any other.
+                claimed = self._resume_at(
+                    execution, self.simulator.now + delay, len(data.payload), data
                 )
-            else:
-                self._resume(execution, len(data.payload), data)
+                if claimed is None:
+                    return  # posted
+            self._resume(execution, len(data.payload), data)
         else:
             execution.recv_queues.setdefault(protocol, []).append((packet, t))
 

@@ -5,7 +5,8 @@ Debuglet at one ``<AS, interface>`` executor and an echo *server* at
 another, pin the forwarding path between them (and its reverse), and run
 real data-plane probes. :class:`ExecutorFleet` manages the deployed
 executors; :class:`SegmentProber` packages one such measurement, either
-asynchronously (callback) or synchronously (pumping the simulator).
+asynchronously (callback) or synchronously (running the simulator until it
+completes).
 
 Three unrelated things are called "fleet": :class:`ExecutorFleet` here is
 a plain vantage → :class:`~repro.core.executor.Executor` table for
@@ -270,14 +271,29 @@ class SegmentProber:
         client: Vantage,
         server: Vantage,
         segment: PathSegment,
+        *,
+        on_complete: Callable[[SegmentMeasurement], None] | None = None,
         **kwargs,
     ) -> SegmentMeasurement:
-        """Run :meth:`measure` and pump the simulator until it finishes."""
-        measurement = self.measure(client, server, segment, **kwargs)
+        """Run :meth:`measure` and run the simulator until it finishes.
+
+        The run stops after the event in which the measurement completes
+        (:meth:`Simulator.stop`, called after any ``on_complete``), where
+        stepping one event at a time would have stopped.
+        """
         sim = self.network.simulator
-        while measurement.finished_at == 0.0:
-            if not sim.step():
-                raise SimulationError("simulator went idle before completion")
+
+        def finished(measurement: SegmentMeasurement) -> None:
+            if on_complete is not None:
+                on_complete(measurement)
+            sim.stop()
+
+        measurement = self.measure(
+            client, server, segment, on_complete=finished, **kwargs
+        )
+        sim.run()
+        if measurement.finished_at == 0.0:
+            raise SimulationError("simulator went idle before completion")
         return measurement
 
     def measure_batch(

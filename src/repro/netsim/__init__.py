@@ -7,7 +7,7 @@ congestion-coupled drops), the phenomenon the paper's motivation study
 (§II) measures on the real Internet.
 """
 
-from repro.netsim.conduit import DirectedChannel, FaultOverlay, Link, TransitOutcome
+from repro.netsim.conduit import DirectedChannel, FaultOverlay, Link
 from repro.netsim.congestion import (
     Burst,
     CongestionConfig,
@@ -95,7 +95,6 @@ __all__ = [
     "Socket",
     "Topology",
     "TrafficMatrix",
-    "TransitOutcome",
     "TreatmentProfile",
     "attach_churn_ensemble",
     "calm_congestion",

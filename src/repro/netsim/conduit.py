@@ -5,8 +5,8 @@ motivation study exposes — propagation delay, transmission time,
 self-induced queueing (Lindley recursion per service class), stochastic
 cross-traffic queueing from a :class:`~repro.netsim.congestion.CongestionProcess`,
 ECMP route choice at a protocol-dependent granularity, route churn, and
-protocol-differential drops — into a single ``transit`` call that yields a
-:class:`TransitOutcome`.
+protocol-differential drops — into a single ``transit`` call that returns
+the packet's delay through the channel, or why it was dropped.
 
 Channels are used both for individual inter-domain/intra-AS links and, with
 larger parameters, for aggregate Internet paths between distant cities
@@ -82,20 +82,6 @@ class FaultOverlay:
         return self.protocols is None or protocol in self.protocols
 
 
-@dataclass(slots=True)
-class TransitOutcome:
-    """Result of pushing one packet through a channel."""
-
-    delivered: bool
-    delay: float = 0.0
-    route_index: int = 0
-    drop_reason: str | None = None
-
-    @classmethod
-    def dropped(cls, reason: str) -> "TransitOutcome":
-        return cls(delivered=False, drop_reason=reason)
-
-
 def _versioned(slot: str) -> property:
     """A public attribute kept in ``slot``; assigning it bumps ``_version``."""
 
@@ -165,6 +151,9 @@ class DirectedChannel:
         self._busy_until = {True: 0.0, False: 0.0}  # keyed by priority flag
         self.packets_in = 0
         self.packets_dropped = 0
+        #: The ECMP member (index into the protocol's route set) the last
+        #: delivered packet rode.
+        self.last_route_index = 0
 
     @property
     def treatment(self) -> TreatmentProfile:
@@ -230,11 +219,14 @@ class DirectedChannel:
         self._plans[prioritized][protocol] = plan
         return plan
 
-    def transit(self, packet: Packet, t: float) -> TransitOutcome:
+    def transit(self, packet: Packet, t: float) -> float | str:
         """Push ``packet`` into the channel at time ``t``.
 
-        Returns the transit outcome; on delivery, ``delay`` is the total
-        time until the packet exits the far end.
+        Returns the total time until the packet exits the far end (a
+        ``float``; the route it rode is then ``last_route_index``), or, if
+        the channel drops it, the reason: ``"loss"`` or ``"blackhole"``.
+        A bare number, not an outcome object, because this is the one call
+        per hop of every packet.
         """
         self.packets_in += 1
         protocol = packet.protocol
@@ -263,7 +255,7 @@ class DirectedChannel:
         if active:
             if any(overlay.blackhole for overlay in active):
                 self.packets_dropped += 1
-                return TransitOutcome.dropped("blackhole")
+                return "blackhole"
             drop_probability += sum(overlay.extra_loss for overlay in active)
         rng = self._rng
         if rng is None:
@@ -271,13 +263,14 @@ class DirectedChannel:
         # A uniform in [0, 1) is below any probability of 1 or more.
         if drop_probability > 0 and rng.random() < drop_probability:
             self.packets_dropped += 1
-            return TransitOutcome.dropped("loss")
+            return "loss"
 
         if route is None:
             route_index = ecmp.select(packet, t, treatment.ecmp_granularity)
             route = ecmp.routes[route_index]
         else:
             route_index = 0
+        self.last_route_index = route_index
 
         transmission = packet.size * 8.0 / self._bandwidth_bps
         busy_until = self._busy_until
@@ -311,7 +304,7 @@ class DirectedChannel:
             for overlay in active:
                 if overlay.extra_jitter:
                     delay += abs(overlay.extra_jitter * rng.standard_normal())
-        return TransitOutcome(True, delay, route_index)
+        return delay
 
     @property
     def loss_fraction(self) -> float:

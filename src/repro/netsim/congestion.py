@@ -13,7 +13,10 @@ once: it is what :meth:`DirectedChannel.transit` calls per packet, and
 ``drop_probability`` / ``mean_queue_delay`` / ``sample_queue_delay`` are
 callers of it. ``utilization(t)`` is exact for any burst schedule — a burst
 is found however many later ones have started — and a process with no
-natural bursts, or none injected, pays nothing for the empty scan.
+natural bursts, or none injected, pays nothing for the empty scan. A
+*steady* process (no bursts of either kind, no diurnal swing) has one
+utilization at every instant: ``drop_and_queue_mean`` keeps the first it
+reads and reads it without a call from then on.
 
 A :class:`CongestionConfig` is frozen and may be shared — every calm channel
 of a generated Internet reads the one ``_CALM`` — while a process is per
@@ -115,6 +118,9 @@ class CongestionProcess:
         # continent's worth of calm links derives none. The buffered stream
         # serves the identical draw sequence as a bare generator (see
         # common.rng), so burst schedules are unchanged.
+        # A steady process's utilization, once read (``None`` until then,
+        # and after every change to ``_extra``).
+        self._steady: float | None = None
         if config.burst_rate > 0:
             self._generate_bursts(derive_buffered_rng(seed, label, "bursts"))
 
@@ -143,12 +149,14 @@ class CongestionProcess:
         burst = Burst(start, duration, magnitude)
         self._extra.append(burst)
         self._version += 1
+        self._steady = None
         return burst
 
     def clear_injected(self) -> None:
         """Remove all fault-injected bursts."""
         self._extra.clear()
         self._version += 1
+        self._steady = None
 
     def utilization(self, t: float) -> float:
         """Utilization in [0, 0.99] at simulated time ``t``."""
@@ -188,7 +196,11 @@ class CongestionProcess:
         traffic only sees ``priority_backlog_fraction``.
         """
         config = self.config
-        u = self.utilization(t)
+        u = self._steady
+        if u is None:
+            u = self.utilization(t)
+            if not (config.diurnal_amplitude or self._bursts or self._extra):
+                self._steady = u  # the same at every instant: keep it
         excess = u - config.drop_threshold
         if excess <= 0.0:
             drop = 0.0

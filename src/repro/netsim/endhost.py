@@ -139,21 +139,24 @@ class Host:
         self._sockets.pop((sock.protocol, sock.port), None)
 
     def deliver(self, packet: Packet, t: float) -> None:
-        """Host stack demultiplexing, mirroring kernel behaviour."""
-        # Automatic echo for configured protocols (ICMP echo by default).
-        if packet.protocol in self.echo_protocols and self._is_echo_request(packet):
-            self.network.send(packet.reply_to(payload=packet.payload))
+        """Host stack demultiplexing, mirroring kernel behaviour.
+
+        Called by the network, which delivers only to attached hosts.
+        """
+        # Automatic echo for configured protocols (ICMP echo by default;
+        # for ICMP, only an echo request is answered).
+        protocol = packet.protocol
+        if protocol in self.echo_protocols and (
+            protocol is not Protocol.ICMP
+            or packet.icmp_type is IcmpType.ECHO_REQUEST
+        ):
+            self._network.send(packet.reply_to(payload=packet.payload))
             # ICMP echo requests are fully consumed by the stack; other
             # protocols still reach any bound socket (an app may observe).
-            if packet.protocol is Protocol.ICMP:
+            if protocol is Protocol.ICMP:
                 self._deliver_to_socket(packet, t, quiet=True)
                 return
         self._deliver_to_socket(packet, t, quiet=False)
-
-    def _is_echo_request(self, packet: Packet) -> bool:
-        if packet.protocol is Protocol.ICMP:
-            return packet.icmp_type is IcmpType.ECHO_REQUEST
-        return True
 
     def _deliver_to_socket(self, packet: Packet, t: float, *, quiet: bool) -> None:
         key = (packet.protocol, packet.dst_port)

@@ -10,11 +10,17 @@ hot path for fire-and-forget events (packet hops, probe sends): it stores
 the callback directly in the heap entry tuple, skipping the handle
 allocation entirely. Cancelled handles are counted live and the queue is
 compacted lazily once more than half of it is dead.
+
+A callback whose last act would be to ``post`` the event that is due next
+may :meth:`Simulator.claim` it instead and go straight on into it (the rule
+is stated beside :meth:`Simulator.post`); :meth:`Simulator.stop` ends a
+:meth:`Simulator.run` once the running callback returns.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from itertools import count
 from typing import Any, Callable
@@ -87,6 +93,11 @@ class Simulator:
         self._sequence = count()
         self._now = 0.0
         self._running = False
+        # What :meth:`claim` may take: up to the running uninstrumented
+        # ``run``'s ``until`` (``inf`` without one); ``-inf`` outside such a
+        # run and after :meth:`stop`, so nothing is claimed.
+        self._claim_limit = -math.inf
+        self._stopping = False
         self._events_processed = 0
         self._cancelled = 0
         # Observability (repro.obs). ``obs`` stays None unless a bundle is
@@ -183,7 +194,9 @@ class Simulator:
         The hot-path twin of :meth:`schedule_at`: the callback and args
         ride in the heap tuple itself, with no :class:`EventHandle`
         allocated. Use for events that are never cancelled (packet hops,
-        probe sends); behaviour and ordering are otherwise identical.
+        probe sends); behaviour and ordering are otherwise identical. When
+        the post would be the callback's last act and the event is due
+        next, :meth:`claim` (below) saves the round trip through the heap.
         """
         if time < self._now:
             raise SimulationError(
@@ -194,6 +207,52 @@ class Simulator:
         )
         if self._instrumented:
             self._h_lead.observe(time - self._now)
+
+    def claim(self, time: float) -> bool:
+        """Take the event at ``time`` as the one dispatched next, in place.
+
+        The claim rule, and the one place it lives. A callback whose last
+        act would be ``post(time, ...)`` calls ``claim(time)`` instead; on
+        True the clock reads ``time`` and ``events_processed`` has counted
+        one event, exactly as if the event had been posted, popped and
+        dispatched, and the callback goes straight on into what that event
+        would have run. It returns True iff all four hold:
+
+        - we are inside an uninstrumented :meth:`run` (so :meth:`step`
+          pumps and observability-recording runs never claim, and their
+          exports are unchanged);
+        - no :meth:`stop` has been requested;
+        - ``time`` is at or before that run's ``until``;
+        - ``time`` is strictly earlier than the heap head (and not before
+          the clock): on a tie the queued event goes first, because it
+          holds the lower sequence number.
+
+        Under those conditions ``time`` is the event the run loop would pop
+        next, so claiming moves no fate. A claimed event takes no sequence
+        number; later ones keep their relative order, which is all a
+        sequence number decides. The caller must have nothing left to do
+        once it goes on (the rest of its event would otherwise run at the
+        claimed instant). Two callers: :meth:`Network._hop
+        <repro.netsim.network.Network._hop>` for a packet's next hop and
+        the executor's host-call resumes.
+        """
+        if self._now <= time <= self._claim_limit:
+            queue = self._queue
+            if not queue or time < queue[0][0]:
+                self._now = time
+                self._events_processed += 1
+                return True
+        return False
+
+    def stop(self) -> None:
+        """End the current :meth:`run` once the running callback returns.
+
+        The clock stays at that event (a stopped ``run(until=...)`` does not
+        advance it to ``until``) and nothing is claimed after the request.
+        Outside a run it does nothing.
+        """
+        self._stopping = True
+        self._claim_limit = -math.inf
 
     # ------------------------------------------------------- cancellation
 
@@ -253,22 +312,26 @@ class Simulator:
         return False
 
     def run(self, until: float | None = None) -> None:
-        """Run events until the queue drains or simulated ``until`` passes.
+        """Run events until the queue drains, simulated ``until`` passes, or
+        a callback calls :meth:`stop`.
 
         With ``until`` set, the clock is advanced to exactly ``until`` even
-        if the last event fires earlier, so repeated ``run(until=...)``
-        calls observe monotonically increasing time.
+        if the last event fires earlier (unless stopped), so repeated
+        ``run(until=...)`` calls observe monotonically increasing time.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
+        self._stopping = False
         queue = self._queue
+        limit = math.inf if until is None else until
         try:
             if self._instrumented:
-                self._run_instrumented(queue, until)
+                self._run_instrumented(queue, limit)
             else:
-                while queue:
-                    if until is not None and queue[0][0] > until:
+                self._claim_limit = limit
+                while queue and not self._stopping:
+                    if queue[0][0] > limit:
                         break
                     entry = heapq.heappop(queue)
                     handle = entry[2]
@@ -284,16 +347,18 @@ class Simulator:
                     self._now = entry[0]
                     self._events_processed += 1
                     handle.callback(*handle.args)
-            if until is not None and until > self._now:
+            if until is not None and until > self._now and not self._stopping:
                 self._now = until
         finally:
             self._running = False
+            self._claim_limit = -math.inf
 
-    def _run_instrumented(self, queue: list, until: float | None) -> None:
+    def _run_instrumented(self, queue: list, until: float) -> None:
         """The run loop's recording twin: same semantics, plus per-event
-        counters, the recent-dispatch ring, and sampled queue depth."""
-        while queue:
-            if until is not None and queue[0][0] > until:
+        counters, the recent-dispatch ring, and sampled queue depth. It
+        never lets a callback :meth:`claim`."""
+        while queue and not self._stopping:
+            if queue[0][0] > until:
                 break
             entry = heapq.heappop(queue)
             handle = entry[2]

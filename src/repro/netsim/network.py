@@ -3,10 +3,12 @@
 ``Network`` binds a :class:`~repro.netsim.topology.Topology` to a
 :class:`~repro.netsim.engine.Simulator`. Sending a packet expands its AS
 path into a *trail* of directed-channel traversals with a border router (or
-the destination host) at the end of each; the trail is then walked with one
-simulator event per segment, and one callback per event
-(:meth:`Network._hop`: the TTL at the router just reached, the next
-channel's ``transit``, the next event). TTL is decremented at every border
+the destination host) at the end of each; the trail is then walked by one
+callback (:meth:`Network._hop`: the TTL at the router just reached, the
+next channel's ``transit``, the next hop), which goes straight on into the
+next hop whenever that hop is the simulator's next event
+(:meth:`~repro.netsim.engine.Simulator.claim`) and posts it as an event
+otherwise. TTL is decremented at every border
 router, and routers answer TTL expiry with rate-limited, slow-path ICMP
 time-exceeded messages — the behaviour that makes real traceroute both
 lossy and unrepresentative of data-packet latency (§II).
@@ -175,7 +177,16 @@ class Network:
                 self._drop(packet, "unroutable")
                 return
             self._trail_cache[key] = trail
-        self._hop(packet, trail, 0, now)
+        # The first hop is always an event: a caller may have more to do in
+        # its own event after ``send`` returns (another send, a socket
+        # delivery), so the clock must not move under it. Only ``_hop``,
+        # which is an event with nothing after its walk, claims.
+        delay = trail[0].channel.transit(packet, now)
+        if delay.__class__ is str:
+            self._drop(packet, delay)
+            return
+        arrival = now + delay
+        self.simulator.post(arrival, self._hop, packet, trail, 1, arrival)
 
     def _build_trail(self, packet: Packet, path: list[PathHop] | None) -> list[_Segment]:
         dst_host = self.hosts.get(packet.dst)
@@ -205,9 +216,15 @@ class Network:
         return "interior"
 
     def _hop(self, packet: Packet, trail: list[_Segment], index: int, t: float) -> None:
-        """``packet`` at the head of segment ``index`` at ``t``: out of the
-        source when 0, else just arrived over segment ``index - 1``."""
-        if index:
+        """``packet`` arrives at the end of segment ``index - 1`` at ``t``.
+
+        Walks on while each next hop is the simulator's next event (claimed
+        in place: the same fate, clock and event count as dispatching it)
+        and posts the first one that is not. Nothing follows the walk, which
+        is what makes claiming exact.
+        """
+        claim = self.simulator.claim
+        while True:
             router = trail[index - 1].router
             if router is not None:
                 packet.ttl -= 1
@@ -218,13 +235,16 @@ class Network:
             if index == len(trail):
                 self._deliver(packet, t)
                 return
-        outcome = trail[index].channel.transit(packet, t)
-        if not outcome.delivered:
-            self._drop(packet, outcome.drop_reason or "loss")
-            return
-        arrival = t + outcome.delay
-        # Hop events are never cancelled: use the handle-free fast path.
-        self.simulator.post(arrival, self._hop, packet, trail, index + 1, arrival)
+            delay = trail[index].channel.transit(packet, t)
+            if delay.__class__ is str:
+                self._drop(packet, delay)
+                return
+            t += delay
+            index += 1
+            if not claim(t):
+                # Hop events are never cancelled: the handle-free fast path.
+                self.simulator.post(t, self._hop, packet, trail, index, t)
+                return
 
     def _handle_ttl_expiry(self, packet: Packet, router: BorderRouter, t: float) -> None:
         """Drop the packet; maybe emit a slow-path ICMP time-exceeded."""

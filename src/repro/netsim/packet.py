@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any
+from typing import Any, NamedTuple
 
 _PACKET_COUNTER = count(1)
 
@@ -20,12 +20,22 @@ DEFAULT_PROBE_SIZE = 64
 
 
 class Protocol(enum.Enum):
-    """Layer-4 protocol of a packet, as seen by forwarding devices."""
+    """Layer-4 protocol of a packet, as seen by forwarding devices.
+
+    Hashed by identity, in C: every packet hashes its protocol several
+    times (forwarding plans, echo sets, socket keys), and ``Enum`` would
+    hash the member's name in Python each time. A member is a singleton
+    (unpickling returns the same object), so identity is its equality. No
+    set of protocols is iterated into any output, so the order a set
+    happens to hold them in is never seen.
+    """
 
     UDP = 17
     TCP = 6
     ICMP = 1
     RAW_IP = 201  # custom IP packets with an unassigned protocol number
+
+    __hash__ = object.__hash__
 
     @property
     def wire_number(self) -> int:
@@ -42,9 +52,15 @@ class IcmpType(enum.Enum):
     DEST_UNREACHABLE = 3
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """A network endpoint: AS number plus a host identifier within that AS."""
+class Address(NamedTuple):
+    """A network endpoint: AS number plus a host identifier within that AS.
+
+    A named tuple, so hashing, equality and ordering are the tuple's, in C
+    (trail memo keys hash two per packet sent), and nothing is cached on
+    the instance: a pickled address re-hashes in the process that loads it.
+    Its ``repr`` is the one a frozen dataclass printed, which ECMP's
+    per-flow hash reads.
+    """
 
     asn: int
     host: str

@@ -78,8 +78,19 @@ class RouteChurnProcess:
         self._version += 1
 
     def offset(self, t: float, protocol: Protocol) -> float:
-        """Total delay shift in effect at ``t`` for ``protocol``."""
-        return sum(s.delta for s in self.shifts if s.applies(t, protocol))
+        """Total delay shift in effect at ``t`` for ``protocol``.
+
+        :meth:`RouteShift.applies`, inlined: this runs per packet on every
+        churned channel. Summed from ``0`` in schedule order, as ``sum``
+        would.
+        """
+        total = 0
+        for shift in self.shifts:
+            if shift.start <= t < shift.end and (
+                shift.protocols is None or protocol in shift.protocols
+            ):
+                total += shift.delta
+        return total
 
 
 def no_churn() -> RouteChurnProcess:

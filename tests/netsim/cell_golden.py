@@ -86,11 +86,7 @@ def table1_hashes() -> dict[str, str]:
     hashes = {}
     for city, traces in study.items():
         for protocol, trace in traces.items():
-            send_times = np.array([r.send_time for r in trace.records])
-            rtts = np.array(
-                [np.nan if r.rtt is None else r.rtt for r in trace.records]
-            )
-            hashes[f"{city}/{protocol.name}"] = array_hash(send_times, rtts)
+            hashes[f"{city}/{protocol.name}"] = array_hash(*trace.columns)
     return hashes
 
 

@@ -32,8 +32,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from repro.core import ExecutorFleet, FaultLocalizer, SegmentProber
 from repro.netsim import FaultInjector, InterfaceId
 from repro.workloads import build_chain
@@ -56,12 +54,8 @@ def table1_cells(seed: int, probes: int) -> dict[str, dict]:
     cells = {}
     for city, traces in study.items():
         for protocol, trace in traces.items():
-            send_times = np.array([r.send_time for r in trace.records])
-            rtts = np.array(
-                [np.nan if r.rtt is None else r.rtt for r in trace.records]
-            )
             cells[f"{city}/{protocol.name}"] = {
-                "rtts": array_hash(send_times, rtts),
+                "rtts": array_hash(*trace.columns),
                 "sent_lost": [trace.sent, trace.lost],
             }
     return cells

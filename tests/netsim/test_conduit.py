@@ -10,6 +10,7 @@ from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
 from repro.netsim.packet import Address, Packet, Protocol
 from repro.netsim.routechurn import RouteChurnProcess, RouteShift
 from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
+from tests.netsim.outcome import outcome
 
 
 def _packet(protocol=Protocol.UDP, seq=0, size=64):
@@ -37,9 +38,9 @@ def _quiet_channel(**kwargs) -> DirectedChannel:
 class TestBasicTransit:
     def test_delay_at_least_propagation(self):
         channel = _quiet_channel()
-        outcome = channel.transit(_packet(), 0.0)
-        assert outcome.delivered
-        assert outcome.delay >= 5e-3
+        result = outcome(channel, _packet(), 0.0)
+        assert result.delivered
+        assert result.delay >= 5e-3
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -56,8 +57,8 @@ class TestBasicTransit:
     def test_deterministic_given_seed(self):
         a = _quiet_channel(jitter_std=1e-3, seed=9)
         b = _quiet_channel(jitter_std=1e-3, seed=9)
-        delays_a = [a.transit(_packet(seq=i), float(i)).delay for i in range(20)]
-        delays_b = [b.transit(_packet(seq=i), float(i)).delay for i in range(20)]
+        delays_a = [outcome(a, _packet(seq=i), float(i)).delay for i in range(20)]
+        delays_b = [outcome(b, _packet(seq=i), float(i)).delay for i in range(20)]
         assert delays_a == delays_b
 
 
@@ -67,18 +68,18 @@ class TestBasicTransit:
         channel's, and the draws are those of the eagerly built stream."""
         link = Link.symmetric("idle", base_delay=1e-3, jitter_std=1e-4, seed=9)
         assert derived_streams == []
-        delay = link.forward.transit(_packet(), 0.0).delay
+        delay = outcome(link.forward, _packet(), 0.0).delay
         assert derived_streams == [(9, "channel", "idle/fwd")]
         eager = DirectedChannel("idle/fwd", base_delay=1e-3, jitter_std=1e-4, seed=9)
         eager._rng = derive_rng(9, "channel", "idle/fwd")
-        assert delay == eager.transit(_packet(), 0.0).delay
+        assert delay == outcome(eager, _packet(), 0.0).delay
 
 
 class TestSelfQueueing:
     def test_back_to_back_packets_queue(self):
         channel = _quiet_channel(bandwidth_bps=1e6)  # 1 Mbps: 1500B = 12 ms
-        first = channel.transit(_packet(size=1500), 0.0)
-        second = channel.transit(_packet(size=1500), 0.0)
+        first = outcome(channel, _packet(size=1500), 0.0)
+        second = outcome(channel, _packet(size=1500), 0.0)
         assert second.delay > first.delay
 
     def test_priority_class_skips_bulk_backlog(self):
@@ -86,10 +87,10 @@ class TestSelfQueueing:
             treatments={Protocol.ICMP: ProtocolTreatment(priority=True)}
         )
         channel = _quiet_channel(bandwidth_bps=1e6, treatment=profile)
-        channel.transit(_packet(size=1500), 0.0)  # builds bulk backlog
-        channel.transit(_packet(size=1500), 0.0)
-        icmp = channel.transit(_packet(protocol=Protocol.ICMP, size=100), 0.0)
-        bulk = channel.transit(_packet(size=100), 0.0)
+        outcome(channel, _packet(size=1500), 0.0)  # builds bulk backlog
+        outcome(channel, _packet(size=1500), 0.0)
+        icmp = outcome(channel, _packet(protocol=Protocol.ICMP, size=100), 0.0)
+        bulk = outcome(channel, _packet(size=100), 0.0)
         assert icmp.delay < bulk.delay
 
 
@@ -97,7 +98,7 @@ class TestDrops:
     def test_base_drop_rate_observed(self):
         profile = TreatmentProfile(default=ProtocolTreatment(base_drop=0.2))
         channel = _quiet_channel(treatment=profile)
-        outcomes = [channel.transit(_packet(seq=i), 0.0) for i in range(3000)]
+        outcomes = [outcome(channel, _packet(seq=i), 0.0) for i in range(3000)]
         loss = sum(1 for o in outcomes if not o.delivered) / len(outcomes)
         assert 0.15 < loss < 0.25
         assert channel.loss_fraction == pytest.approx(loss)
@@ -122,12 +123,12 @@ class TestDrops:
         tcp_losses = sum(
             1
             for i in range(2000)
-            if not channel.transit(_packet(Protocol.TCP, seq=i), 0.0).delivered
+            if not outcome(channel, _packet(Protocol.TCP, seq=i), 0.0).delivered
         )
         icmp_losses = sum(
             1
             for i in range(2000)
-            if not channel.transit(_packet(Protocol.ICMP, seq=i), 0.0).delivered
+            if not outcome(channel, _packet(Protocol.ICMP, seq=i), 0.0).delivered
         )
         assert tcp_losses > 100
         assert icmp_losses == 0
@@ -135,23 +136,23 @@ class TestDrops:
     def test_drop_reason_reported(self):
         profile = TreatmentProfile(default=ProtocolTreatment(base_drop=1.0))
         channel = _quiet_channel(treatment=profile)
-        outcome = channel.transit(_packet(), 0.0)
-        assert not outcome.delivered
-        assert outcome.drop_reason == "loss"
+        result = outcome(channel, _packet(), 0.0)
+        assert not result.delivered
+        assert result.drop_reason == "loss"
 
 
 class TestOverlays:
     def test_blackhole_drops_everything(self):
         channel = _quiet_channel()
         channel.add_overlay(FaultOverlay(start=0.0, end=10.0, blackhole=True))
-        assert channel.transit(_packet(), 5.0).drop_reason == "blackhole"
-        assert channel.transit(_packet(), 15.0).delivered
+        assert outcome(channel, _packet(), 5.0).drop_reason == "blackhole"
+        assert outcome(channel, _packet(), 15.0).delivered
 
     def test_extra_delay_overlay(self):
         channel = _quiet_channel()
-        clean = channel.transit(_packet(), 0.0).delay
+        clean = outcome(channel, _packet(), 0.0).delay
         channel.add_overlay(FaultOverlay(start=0.0, end=10.0, extra_delay=20e-3))
-        faulty = channel.transit(_packet(), 5.0).delay
+        faulty = outcome(channel, _packet(), 5.0).delay
         assert faulty == pytest.approx(clean + 20e-3, abs=1e-3)
 
     def test_protocol_scoped_overlay(self):
@@ -162,15 +163,15 @@ class TestOverlays:
                 protocols=frozenset({Protocol.TCP}),
             )
         )
-        assert not channel.transit(_packet(Protocol.TCP), 1.0).delivered
-        assert channel.transit(_packet(Protocol.UDP), 1.0).delivered
+        assert not outcome(channel, _packet(Protocol.TCP), 1.0).delivered
+        assert outcome(channel, _packet(Protocol.UDP), 1.0).delivered
 
     def test_remove_overlay(self):
         channel = _quiet_channel()
         overlay = FaultOverlay(start=0.0, end=10.0, blackhole=True)
         channel.add_overlay(overlay)
         channel.remove_overlay(overlay)
-        assert channel.transit(_packet(), 5.0).delivered
+        assert outcome(channel, _packet(), 5.0).delivered
 
     def test_remove_overlay_is_by_identity(self):
         """Equal (frozen) overlays are different faults: the one asked for
@@ -211,7 +212,7 @@ class TestOverlays:
             stamp = channel.state_stamp()
             assert stamp not in seen
             seen.add(stamp)
-            channel.transit(_packet(), 1.0)
+            outcome(channel, _packet(), 1.0)
             assert channel.state_stamp() == stamp
         assert (channel.base_delay, channel.jitter_std, channel.bandwidth_bps) == (
             6e-3, 1e-4, 1e6)
@@ -228,17 +229,17 @@ class TestPerProtocolEcmp:
             }
         )
         channel = _quiet_channel(ecmp={Protocol.UDP: udp_group}, treatment=profile)
-        icmp_delay = channel.transit(_packet(Protocol.ICMP), 0.0).delay
+        icmp_delay = outcome(channel, _packet(Protocol.ICMP), 0.0).delay
         assert icmp_delay < 6e-3  # no route offset applied
         udp_delays = {
-            round(channel.transit(_packet(seq=i), 0.0).delay, 4) for i in range(50)
+            round(outcome(channel, _packet(seq=i), 0.0).delay, 4) for i in range(50)
         }
         assert len(udp_delays) == 2  # both routes exercised
 
     def test_shared_group_applies_to_all(self):
         group = EcmpGroup([Route(5e-3)])
         channel = _quiet_channel(ecmp=group)
-        assert channel.transit(_packet(Protocol.ICMP), 0.0).delay >= 10e-3
+        assert outcome(channel, _packet(Protocol.ICMP), 0.0).delay >= 10e-3
 
 
 class TestPriorityAddresses:
@@ -248,10 +249,10 @@ class TestPriorityAddresses:
             queue_service_time=2e-3,
         )
         channel = _quiet_channel(congestion=CongestionProcess(config, seed=4))
-        normal = np.mean([channel.transit(_packet(seq=i), 0.0).delay for i in range(200)])
+        normal = np.mean([outcome(channel, _packet(seq=i), 0.0).delay for i in range(200)])
         channel.priority_addresses.add(Address(1, "a"))
         prioritized = np.mean(
-            [channel.transit(_packet(seq=i), 0.0).delay for i in range(200)]
+            [outcome(channel, _packet(seq=i), 0.0).delay for i in range(200)]
         )
         assert prioritized < normal
 
@@ -259,8 +260,8 @@ class TestPriorityAddresses:
 class TestLink:
     def test_symmetric_link_directions_independent_state(self):
         link = Link.symmetric("x", base_delay=1e-3, seed=1, jitter_std=0.2e-3)
-        fwd = link.channel("forward").transit(_packet(), 0.0).delay
-        rev = link.channel("reverse").transit(_packet(), 0.0).delay
+        fwd = outcome(link.channel("forward"), _packet(), 0.0).delay
+        rev = outcome(link.channel("reverse"), _packet(), 0.0).delay
         assert fwd != rev  # independent RNG streams
 
     def test_unknown_direction_rejected(self):

@@ -184,3 +184,69 @@ class TestRunUntil:
             sim.schedule_at(float(i), lambda: None)
         sim.run_until_idle()
         assert sim.events_processed == 3
+
+
+class TestClaimAndStop:
+    """The claim rule's four conditions, one at a time, and ``stop``."""
+
+    @staticmethod
+    def claims(sim, times, *, head=None, until=None, run=True):
+        """What ``claim`` answers, in order, from inside one event at 1.0."""
+        answers = []
+        sim.post(1.0, lambda: answers.extend(sim.claim(t) for t in times))
+        if head is not None:
+            sim.post(head, lambda: None)
+        if run:
+            sim.run(until=until)
+        else:
+            while sim.step():
+                pass
+        return answers
+
+    def test_claim_sets_clock_and_counts_one_event(self):
+        sim = Simulator()
+        seen = []
+
+        def first():
+            assert sim.claim(2.0)
+            seen.append((sim.now, sim.events_processed))
+
+        sim.post(1.0, first)
+        sim.post(3.0, lambda: seen.append((sim.now, sim.events_processed)))
+        sim.run()
+        assert seen == [(2.0, 2), (3.0, 3)]
+
+    def test_only_strictly_before_the_heap_head(self):
+        assert self.claims(Simulator(), [1.5], head=2.0) == [True]
+        assert self.claims(Simulator(), [2.0], head=2.0) == [False]
+        assert self.claims(Simulator(), [0.5]) == [False]  # before the clock
+
+    def test_only_within_until(self):
+        assert self.claims(Simulator(), [3.0], until=3.0) == [True]
+        assert self.claims(Simulator(), [3.5], until=3.0) == [False]
+
+    def test_never_outside_run_in_step_or_when_instrumented(self):
+        sim = Simulator()
+        assert sim.claim(1.0) is False and sim.now == 0.0
+        assert self.claims(Simulator(), [2.0], run=False) == [False]
+        from repro.obs import Observability
+
+        sim = Simulator()
+        sim.attach_observability(Observability.enabled())
+        assert self.claims(sim, [2.0]) == [False]
+
+    def test_stop_ends_run_after_the_callback_and_refuses_claims(self):
+        sim = Simulator()
+        fired = []
+
+        def stopper():
+            sim.stop()
+            fired.append(("stop", sim.claim(1.5)))
+
+        sim.post(1.0, stopper)
+        sim.post(2.0, fired.append, "later")
+        sim.run(until=10.0)
+        assert fired == [("stop", False)]
+        assert sim.now == 1.0  # a stopped run does not advance to ``until``
+        sim.run()
+        assert fired[-1] == "later"

@@ -5,6 +5,7 @@ from repro.netsim import FaultInjector, FaultKind, FaultLocation, InterfaceId, P
 from repro.netsim.fastpath import extract_segment_cell
 from repro.netsim.packet import Address, Packet
 from repro.pathaware.segments import PathSegment
+from tests.netsim.outcome import outcome
 
 
 def _probe(seq=0):
@@ -23,8 +24,8 @@ class TestLinkFaults:
         )
         fwd = topo.channel_between(InterfaceId(1, 2), InterfaceId(2, 1))
         rev = topo.channel_between(InterfaceId(2, 1), InterfaceId(1, 2))
-        assert not fwd.transit(_probe(), 1.0).delivered
-        assert not rev.transit(_probe(), 1.0).delivered
+        assert not outcome(fwd, _probe(), 1.0).delivered
+        assert not outcome(rev, _probe(), 1.0).delivered
 
     def test_directional_fault(self, three_as_network):
         _, topo, _, _, _ = three_as_network
@@ -35,8 +36,8 @@ class TestLinkFaults:
         )
         fwd = topo.channel_between(InterfaceId(1, 2), InterfaceId(2, 1))
         rev = topo.channel_between(InterfaceId(2, 1), InterfaceId(1, 2))
-        assert not fwd.transit(_probe(), 1.0).delivered
-        assert rev.transit(_probe(), 1.0).delivered
+        assert not outcome(fwd, _probe(), 1.0).delivered
+        assert outcome(rev, _probe(), 1.0).delivered
 
     def test_delay_fault_records_ground_truth(self, three_as_network):
         _, topo, _, _, _ = three_as_network
@@ -57,9 +58,9 @@ class TestLinkFaults:
             InterfaceId(1, 2), InterfaceId(2, 1), start=10.0, end=20.0
         )
         fwd = topo.channel_between(InterfaceId(1, 2), InterfaceId(2, 1))
-        assert fwd.transit(_probe(), 5.0).delivered
-        assert not fwd.transit(_probe(), 15.0).delivered
-        assert fwd.transit(_probe(), 25.0).delivered
+        assert outcome(fwd, _probe(), 5.0).delivered
+        assert not outcome(fwd, _probe(), 15.0).delivered
+        assert outcome(fwd, _probe(), 25.0).delivered
 
 
 class TestInteriorFaults:
@@ -89,7 +90,7 @@ class TestRevocation:
         )
         fault.revoke()
         fwd = topo.channel_between(InterfaceId(1, 2), InterfaceId(2, 1))
-        assert fwd.transit(_probe(), 1.0).delivered
+        assert outcome(fwd, _probe(), 1.0).delivered
 
     def test_revoke_all(self, three_as_network):
         _, topo, _, _, _ = three_as_network
@@ -99,7 +100,7 @@ class TestRevocation:
         injector.revoke_all()
         assert injector.injected == []
         fwd = topo.channel_between(InterfaceId(1, 2), InterfaceId(2, 1))
-        assert fwd.transit(_probe(), 1.0).delivered
+        assert outcome(fwd, _probe(), 1.0).delivered
 
     def test_double_revoke_leaves_twin_fault_active(self, three_as_network):
         """Regression: revoking the same fault twice must not strip a
@@ -120,9 +121,9 @@ class TestRevocation:
         assert first.revoked and not twin.revoked
         fwd = topo.channel_between(InterfaceId(1, 2), InterfaceId(2, 1))
         # The twin fault is still in force.
-        assert not fwd.transit(_probe(), 1.0).delivered
+        assert not outcome(fwd, _probe(), 1.0).delivered
         twin.revoke()
-        assert fwd.transit(_probe(), 1.0).delivered
+        assert outcome(fwd, _probe(), 1.0).delivered
 
     def test_revoke_all_then_stale_handle_revoke_is_noop(self, three_as_network):
         _, topo, _, _, _ = three_as_network
@@ -136,9 +137,9 @@ class TestRevocation:
         )
         stale.revoke()  # handle kept from before revoke_all: must not fire
         fwd = topo.channel_between(InterfaceId(1, 2), InterfaceId(2, 1))
-        assert not fwd.transit(_probe(), 1.0).delivered
+        assert not outcome(fwd, _probe(), 1.0).delivered
         survivor.revoke()
-        assert fwd.transit(_probe(), 1.0).delivered
+        assert outcome(fwd, _probe(), 1.0).delivered
 
     def test_revoking_one_of_two_equal_faults_leaves_the_others_object(
         self, three_as_network

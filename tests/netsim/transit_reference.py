@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.common.rng import RngStream, derive_buffered_rng
-from repro.netsim.conduit import DirectedChannel, TransitOutcome
+from repro.netsim.conduit import DirectedChannel
 from repro.netsim.congestion import CongestionProcess
 from repro.netsim.ecmp import EcmpGroup, single_route
 from repro.netsim.packet import Packet, Protocol
 from repro.netsim.treatment import TreatmentProfile
+from tests.netsim.outcome import TransitOutcome
 
 
 def reference_mean_queue_delay(

@@ -6,7 +6,8 @@ on the buffered stream it drew from) — and driven through the same
 generated history. After **every** packet the two must agree exactly (``==``
 on floats, never a tolerance) on:
 
-- the :class:`TransitOutcome`, field by field;
+- the outcome (``tests/netsim/outcome.py``), field by field: delivered,
+  delay, route index, drop reason;
 - ``packets_in`` / ``packets_dropped`` and the serializer state
   ``_busy_until``;
 - the **bit-generator state** of the channel stream, so a draw made out of
@@ -33,6 +34,7 @@ from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
 from repro.netsim.packet import Address, Packet, Protocol
 from repro.netsim.routechurn import RouteChurnProcess, RouteShift
 from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
+from tests.netsim.outcome import outcome
 from tests.netsim.transit_reference import ReferenceChannel
 
 ADDRESSES = [Address(1, "a"), Address(2, "b"), Address(3, "exec1")]
@@ -249,7 +251,7 @@ def assert_same_fates(recipe, history):
             continue
         _, fields, t = op
         # One Packet each: ``packet_id`` differs and nothing reads it.
-        got = observable(ours, ours.transit(Packet(**fields), t))
+        got = observable(ours, outcome(ours, Packet(**fields), t))
         expected = observable(reference, reference.transit(Packet(**fields), t))
         assert got == expected, (step, op)
     return ours
@@ -350,7 +352,7 @@ class TestThePlan:
         # Gaps of 0.2 s stay in a flowlet; 0.9 s starts a new one.
         history = self.flow(count=20) + self.flow(count=40, step=0.9)
         ours = build_channel(DirectedChannel, recipe)
-        routes = {ours.transit(Packet(**fields), t).route_index
+        routes = {outcome(ours, Packet(**fields), t).route_index
                   for _, fields, t in history}
         assert len(routes) > 1
         assert_same_fates(recipe, history)

@@ -9,6 +9,8 @@ vs ``market_serial_verify`` in ``bench/``; the full-scale (~5x) one is
 ``repro loadgen [--ledger serial]`` (README).
 """
 
+import math
+
 import pytest
 
 from repro.obs import Observability
@@ -100,12 +102,39 @@ def test_batched_ledger_beats_serial_on_small_fleet():
     )
 
 
+#: The sampling band's two-sided false-failure rate, at any seed.
+SAMPLING_ALPHA = 1e-3
+
+
+def binomial_band(n: int, p: float, alpha: float) -> tuple[int, int]:
+    """The central ``[lo, hi]`` of Binomial(n, p): at most ``alpha / 2`` of
+    the mass lies below ``lo`` and at most ``alpha / 2`` above ``hi``."""
+    pmf = [math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+    lo, below = 0, 0.0
+    while below + pmf[lo] <= alpha / 2:
+        below += pmf[lo]
+        lo += 1
+    hi, above = n, 0.0
+    while above + pmf[hi] <= alpha / 2:
+        above += pmf[hi]
+        hi -= 1
+    return lo, hi
+
+
+def test_binomial_band():
+    assert binomial_band(100, 0.25, SAMPLING_ALPHA) == (12, 40)
+    assert binomial_band(10, 0.5, 0.0) == (0, 10)
+
+
 def test_loadgen_audit_mode_observes_and_samples():
     fleet, report, _ = _run(sessions=100, audit_rate=0.25)
     audit = report["deterministic"]["audit"]
     assert audit["sessions_observed"] == 100
-    # Seeded sampling lands near the configured rate.
-    assert 10 <= audit["sessions_sampled"] <= 40
+    # Each observed session is sampled by its own seeded uniform draw, so
+    # the count is Binomial(100, 0.25); outside this band with probability
+    # at most SAMPLING_ALPHA whatever the seed.
+    lo, hi = binomial_band(100, 0.25, SAMPLING_ALPHA)
+    assert lo <= audit["sessions_sampled"] <= hi
     assert audit["certificates_checked"] == 2 * audit["sessions_sampled"]
     assert audit["window_violations"] == 0
     assert audit["signature_failures"] == 0
