@@ -40,7 +40,7 @@ from repro.netsim.topology import (
     PathHop,
     Topology,
 )
-from repro.netsim.trace import MeasurementTrace, ProbeRecord
+from repro.netsim.trace import MeasurementTrace
 from repro.netsim.traffic import (
     MultiProtocolProber,
     OneWayProbeTrain,
@@ -82,7 +82,6 @@ __all__ = [
     "Packet",
     "PathHop",
     "PoissonTraffic",
-    "ProbeRecord",
     "ProbeTrain",
     "RoundRobinProber",
     "Protocol",

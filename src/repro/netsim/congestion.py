@@ -10,10 +10,10 @@ observation that ICMP (priority-queued) shows lower jitter than UDP/TCP.
 The drop and queue-mean formulas are stated once, in
 :meth:`CongestionProcess.drop_and_queue_mean`, which reads the utilization
 once: it is what :meth:`DirectedChannel.transit` calls per packet, and
-``drop_probability`` / ``mean_queue_delay`` / ``sample_queue_delay`` are
-callers of it. ``utilization(t)`` is exact for any burst schedule — a burst
-is found however many later ones have started — and a process with no
-natural bursts, or none injected, pays nothing for the empty scan. A
+the gamma queueing draw around its mean is made there. ``utilization(t)``
+is exact for any burst schedule — a burst is found however many later
+ones have started — and a process with no natural bursts, or none
+injected, pays nothing for the empty scan. A
 *steady* process (no bursts of either kind, no diurnal swing) has one
 utilization at every instant: ``drop_and_queue_mean`` keeps the first it
 reads and reads it without a call from then on.
@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from repro.common.rng import RngStream, derive_buffered_rng
+from repro.common import rng as streams
 
 DAY = 86400.0
 
@@ -113,18 +113,16 @@ class CongestionProcess:
         # them, so it carries its own stamp beside theirs
         # (:meth:`DirectedChannel.state_stamp`).
         self._version = 0
-        # A stream is a pure function of ``(seed, labels)``, so deriving it
-        # only when there are bursts to schedule changes no draw — and a
-        # continent's worth of calm links derives none. The buffered stream
-        # serves the identical draw sequence as a bare generator (see
-        # common.rng), so burst schedules are unchanged.
         # A steady process's utilization, once read (``None`` until then,
         # and after every change to ``_extra``).
         self._steady: float | None = None
+        # A stream is a pure function of ``(seed, labels)``, so deriving it
+        # only when there are bursts to schedule changes no draw — and a
+        # continent's worth of calm links derives none.
         if config.burst_rate > 0:
-            self._generate_bursts(derive_buffered_rng(seed, label, "bursts"))
+            self._generate_bursts(streams.derive_rng(seed, label, "bursts"))
 
-    def _generate_bursts(self, rng: RngStream) -> None:
+    def _generate_bursts(self, rng: streams.RngStream) -> None:
         config = self.config
         bursts: list[Burst] = []
         time = 0.0
@@ -210,28 +208,6 @@ class CongestionProcess:
         if priority:
             backlog *= config.priority_backlog_fraction
         return drop, backlog * config.queue_service_time
-
-    def mean_queue_delay(self, t: float, *, priority: bool = False) -> float:
-        """Expected queueing delay at ``t`` for the given service class."""
-        return self.drop_and_queue_mean(t, 1.0, priority)[1]
-
-    def sample_queue_delay(
-        self, t: float, rng: RngStream, *, priority: bool = False
-    ) -> float:
-        """Draw a queueing delay with the class-appropriate mean."""
-        mean = self.mean_queue_delay(t, priority=priority)
-        if mean <= 0.0:
-            return 0.0
-        shape = self.config.queue_shape
-        return float(rng.gamma(shape, mean / shape))
-
-    def drop_probability(self, t: float, *, multiplier: float = 1.0) -> float:
-        """Congestion-loss probability at ``t``.
-
-        ``multiplier`` applies protocol-differential treatment (e.g. routers
-        deprioritizing TCP on congested links, per §II).
-        """
-        return self.drop_and_queue_mean(t, multiplier, False)[0]
 
 
 _CALM = CongestionConfig(

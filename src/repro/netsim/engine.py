@@ -102,8 +102,6 @@ class Simulator:
         self._cancelled = 0
         # Observability (repro.obs). ``obs`` stays None unless a bundle is
         # attached; the run loop then switches to its instrumented twin.
-        # ``_instrumented`` is True only for a *recording* bundle, so the
-        # disabled (null-recorder) mode skips the ring/sampling work too.
         self.obs = None
         self._instrumented = False
         self._recent: deque | None = None
@@ -124,14 +122,14 @@ class Simulator:
         self._m_compactions = metrics.counter("engine_compactions_total")
         self._h_queue = metrics.histogram("engine_queue_depth")
         self._h_lead = metrics.histogram("engine_event_lead_seconds")
-        self._instrumented = obs.record
-        self._recent = deque(maxlen=_RECENT_RING) if obs.record else None
+        self._instrumented = True
+        self._recent = deque(maxlen=_RECENT_RING)
 
     def recent_event_lines(self, n: int = 10) -> list[str]:
         """The last ``n`` dispatched events as ``t=..s name`` strings.
 
-        Empty unless a recording observability bundle is attached — the
-        detached hot path keeps no history.
+        Empty unless an observability bundle is attached — the detached
+        hot path keeps no history.
         """
         if not self._recent:
             return []

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.common.errors import SimulationError
-from repro.common.rng import derive_buffered_rng
+from repro.common import rng as streams
 from repro.netsim.conduit import DirectedChannel
 from repro.netsim.endhost import Host
 from repro.netsim.engine import Simulator
@@ -128,9 +128,10 @@ class Network:
         self.hosts: dict[Address, Host] = {}
         self.stats = NetworkStats()
         self.on_drop: DropCallback | None = None
-        # This stream only ever draws slow-path jitter normals, so the
-        # buffered façade serves it from blocks (sequence-identical).
-        self._rng = derive_buffered_rng(seed, "network")
+        # Slow-path ICMP jitter's stream, derived at its first draw (as a
+        # channel's is): most runs answer no TTL expiry with jittered ICMP.
+        self._seed = seed
+        self._rng: streams.RngStream | None = None
         # Trails are pure functions of (src, dst[, pinned path]) over a
         # static topology; memoize them. Invalidated when hosts appear.
         self._trail_cache: dict[tuple, list[_Segment]] = {}
@@ -273,7 +274,10 @@ class Network:
         # Control-plane punt: routers generate ICMP on the slow path.
         delay = router.slow_path_delay
         if router.slow_path_jitter:
-            delay += abs(float(self._rng.normal(0.0, router.slow_path_jitter)))
+            rng = self._rng
+            if rng is None:
+                rng = self._rng = streams.derive_rng(self._seed, "network")
+            delay += abs(float(rng.normal(0.0, router.slow_path_jitter)))
         self.simulator.post(self.simulator.now + delay, self.send, reply)
 
     def _deliver(self, packet: Packet, t: float) -> None:

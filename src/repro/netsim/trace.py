@@ -20,30 +20,13 @@ the values of the record-list trace this one replaced, in the same order,
 so every mean, std and percentile is bit-identical to it (the replaced
 class is kept as ``tests/netsim/trace_reference.py``, the oracle of
 ``tests/properties/test_prop_trace_columns.py``).
-:attr:`MeasurementTrace.records` is a per-probe view built on access, for
-readers that want one :class:`ProbeRecord` per probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.netsim.packet import Protocol
-
-
-@dataclass(frozen=True)
-class ProbeRecord:
-    """One probe's fate. ``rtt`` is ``None`` when the probe was lost."""
-
-    seq: int
-    send_time: float
-    rtt: float | None = None
-
-    @property
-    def lost(self) -> bool:
-        return self.rtt is None
 
 
 def _frozen_column(values) -> np.ndarray:
@@ -98,21 +81,6 @@ class MeasurementTrace:
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """``(send_times, rtts)``, read-only; a lost probe's rtt is ``NaN``."""
         return self._send_times, self._rtts
-
-    @property
-    def records(self) -> list[ProbeRecord]:
-        """One :class:`ProbeRecord` per probe, built on access."""
-        return [
-            ProbeRecord(seq, send, None if lost else rtt)
-            for seq, (send, rtt, lost) in enumerate(
-                zip(
-                    self._send_times.tolist(),
-                    self._rtts.tolist(),
-                    np.isnan(self._rtts).tolist(),
-                ),
-                start=1,
-            )
-        ]
 
     def __len__(self) -> int:
         return len(self._send_times)

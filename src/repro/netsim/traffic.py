@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
+from repro.common.rng import derive_rng
 from repro.netsim.endhost import Host, Socket
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, IcmpType, Packet, Protocol
@@ -262,7 +263,11 @@ class OneWayProbeTrain(_ColumnTrain):
 
 @dataclass
 class PoissonTraffic:
-    """Background cross-traffic between two hosts (for queueing tests)."""
+    """Background cross-traffic between two hosts (for queueing tests).
+
+    Arrivals are a Poisson process at ``rate`` per second: exponential
+    gaps drawn from the bare ``derive_rng(seed, "poisson", host)`` stream.
+    """
 
     client_socket: Socket
     server: Address
@@ -275,13 +280,7 @@ class PoissonTraffic:
     sent: int = field(default=0, init=False)
 
     def launch(self) -> None:
-        from repro.common.rng import derive_buffered_rng
-
-        # Single-distribution stream: the buffered façade serves it from
-        # blocks while preserving the exact draw sequence.
-        rng = derive_buffered_rng(
-            self.seed, "poisson", self.client_socket.host.address.host
-        )
+        rng = derive_rng(self.seed, "poisson", self.client_socket.host.address.host)
         t = self.start
         network = self.client_socket.host.network
         while True:
@@ -374,8 +373,6 @@ class TrafficMatrix:
         burst_rate: float = 0.0,
         label: str = "traffic",
     ) -> None:
-        from repro.common.rng import derive_rng
-
         self.topology = topology
         self.seed = seed
         self.label = label

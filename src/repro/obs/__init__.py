@@ -24,21 +24,18 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     log_buckets,
 )
 from repro.obs.observability import Observability
 from repro.obs.report import render_report
-from repro.obs.tracer import NullTracer, Span, TraceEvent, Tracer
+from repro.obs.tracer import Span, TraceEvent, Tracer
 
 __all__ = [
     "Observability",
     "Tracer",
-    "NullTracer",
     "Span",
     "TraceEvent",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "Counter",
     "Gauge",
     "Histogram",

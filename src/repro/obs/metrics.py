@@ -3,13 +3,10 @@
 Recorders are plain objects with one hot method each (``inc``, ``set``,
 ``observe``); components fetch them once at wiring time and keep the
 reference, so recording is a single method call with no registry lookup.
-When observability is disabled, :class:`NullMetricsRegistry` hands out
-shared no-op recorders — the disabled mode costs one no-op call per
-instrumented site and builds nothing, which
-``tests/workloads/test_perf_smoke.py`` counts on the Table I fast
-path. A site that records a whole array (a trace's RTTs) makes one
-``Histogram.observe_many`` call, so disabled it costs one call per array,
-not one per value.
+With no bundle attached nothing is fetched or recorded at all. A site
+that records a whole array (a trace's RTTs) makes one
+``Histogram.observe_many`` call, not one ``observe`` per value, which
+``tests/obs/test_metrics.py`` counts on the Table I study.
 
 Histograms use **fixed logarithmic buckets** so that two runs with the
 same seed fill exactly the same buckets: bucket boundaries are computed
@@ -121,38 +118,12 @@ class Histogram:
         self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
 
 
-class _NullRecorder:
-    """No-op twin of every recorder; shared singleton, near-zero cost."""
-
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
-        pass
-
-
-NULL_RECORDER = _NullRecorder()
-
-
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
 class MetricsRegistry:
     """Families of metrics keyed by name + sorted label set."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple], Counter | Gauge | Histogram] = {}
@@ -192,21 +163,3 @@ class MetricsRegistry:
         for (name, labels), metric in sorted(self._metrics.items()):
             rows.append((self._types[name], name, labels, metric))
         return rows
-
-
-class NullMetricsRegistry:
-    """Disabled mode: every request returns the shared no-op recorder."""
-
-    enabled = False
-
-    def counter(self, name: str, **labels: str) -> _NullRecorder:
-        return NULL_RECORDER
-
-    def gauge(self, name: str, **labels: str) -> _NullRecorder:
-        return NULL_RECORDER
-
-    def histogram(self, name: str, **labels: str) -> _NullRecorder:
-        return NULL_RECORDER
-
-    def snapshot(self) -> list:
-        return []

@@ -3,14 +3,12 @@
 An :class:`Observability` object is attached to a
 :class:`~repro.netsim.engine.Simulator` (and, for marketplace runs, the
 ledger); every instrumented component reaches it through
-``simulator.obs``. Three operating modes:
+``simulator.obs``. Two operating modes:
 
 - **detached** (``simulator.obs is None``, the default) — zero cost: the
-  hot loops run their uninstrumented branches;
-- **disabled** (:meth:`Observability.disabled`) — the bundle is attached
-  but hands out no-op recorders; instrumented sites each cost one no-op
-  call (bounded <5% by the perf guard);
-- **enabled** (:meth:`Observability.enabled`) — full recording.
+  hot loops run their uninstrumented branches and no instrumented site
+  builds a span, an event or a recorder;
+- **enabled** (:meth:`Observability.enabled`, attached) — full recording.
 
 Because the clock is the simulator clock and every random draw is
 seeded, two enabled runs with the same seed produce **bit-identical**
@@ -21,36 +19,21 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
-from repro.obs.tracer import NullTracer, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 
 
 class Observability:
     """Bundles a tracer and a metrics registry against one clock."""
 
-    def __init__(
-        self,
-        clock: Callable[[], float] | None = None,
-        *,
-        record: bool = True,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self._clock = clock or (lambda: 0.0)
-        self.record = record
-        if record:
-            self.tracer = Tracer(self._clock)
-            self.metrics = MetricsRegistry()
-        else:
-            self.tracer = NullTracer(self._clock)
-            self.metrics = NullMetricsRegistry()
+        self.tracer = Tracer(self._clock)
+        self.metrics = MetricsRegistry()
 
     @classmethod
     def enabled(cls, clock: Callable[[], float] | None = None) -> "Observability":
-        return cls(clock, record=True)
-
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """Attached-but-inert mode: null recorders everywhere."""
-        return cls(None, record=False)
+        return cls(clock)
 
     @property
     def clock(self) -> Callable[[], float]:

@@ -76,8 +76,6 @@ class _SpanContext:
 class Tracer:
     """Collects spans and events against a simulated clock."""
 
-    enabled = True
-
     def __init__(self, clock: Callable[[], float] | None = None) -> None:
         self.clock = clock or (lambda: 0.0)
         self.spans: list[Span] = []
@@ -184,55 +182,3 @@ class Tracer:
     def recent_events(self, n: int = 10) -> list[TraceEvent]:
         """The last ``n`` recorded events (for failure diagnostics)."""
         return self.events[-n:]
-
-
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return _NULL_SPAN
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-class _NullSpan:
-    """Inert span handle handed out by :class:`NullTracer`."""
-
-    __slots__ = ()
-    span_id = 0
-    parent_id = 0
-    corr = ""
-
-
-_NULL_SPAN = _NullSpan()
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
-class NullTracer:
-    """Disabled mode: records nothing, costs one no-op call per site."""
-
-    enabled = False
-    spans: tuple = ()
-    events: tuple = ()
-
-    def __init__(self, clock=None) -> None:
-        self.clock = clock or (lambda: 0.0)
-
-    def begin(self, name, **kwargs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def finish(self, span, **kwargs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def span(self, name, **kwargs) -> _NullSpanContext:
-        return _NULL_SPAN_CONTEXT
-
-    def span_at(self, name, start, end, **kwargs) -> _NullSpan:
-        return _NULL_SPAN
-
-    def event(self, name, **kwargs) -> None:
-        return None
-
-    def recent_events(self, n: int = 10) -> list:
-        return []

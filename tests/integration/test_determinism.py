@@ -12,6 +12,7 @@ Two independent guards:
 
 from repro.netsim.packet import Protocol
 from repro.workloads.wan import WanScenario
+from tests.netsim.probe_records import probe_records
 
 from tests.chaos.helpers import build_testbed, request_echo_session
 
@@ -49,7 +50,7 @@ def test_wan_study_serial_equals_workers_two():
     def fingerprint(results):
         return {
             (city, protocol.name): [
-                (r.seq, r.send_time, r.rtt) for r in trace.records
+                (r.seq, r.send_time, r.rtt) for r in probe_records(trace)
             ]
             for city, by_protocol in results.items()
             for protocol, trace in by_protocol.items()
@@ -66,6 +67,6 @@ def test_wan_study_serial_equals_workers_two():
     assert fingerprint(serial) == fingerprint(parallel)
     for city in ("frankfurt", "newyork"):
         for protocol in Protocol:
-            assert serial[city][protocol].records, (
+            assert probe_records(serial[city][protocol]), (
                 f"no probes recorded for {city}/{protocol.name}"
             )

@@ -15,6 +15,7 @@ from repro.netsim.congestion import (
 from tests.netsim.transit_reference import (
     reference_drop_probability,
     reference_mean_queue_delay,
+    reference_sample_queue_delay,
 )
 
 
@@ -153,8 +154,8 @@ class TestBurstScanIsExact:
 
 
 class TestOneStatement:
-    """``drop_and_queue_mean`` is what a packet pays; the three public
-    readings are callers of it, and all of them are the parent's formulas."""
+    """``drop_and_queue_mean`` is what a packet pays, and it is the parent's
+    drop and queue-mean formulas (``transit_reference``'s functions)."""
 
     @pytest.mark.parametrize("multiplier", [0.0, 1.0, 6.0, 400.0])
     @pytest.mark.parametrize("priority", [False, True])
@@ -167,22 +168,30 @@ class TestOneStatement:
         hot = 0
         for t in range(0, 86400, 211):
             drop, mean = process.drop_and_queue_mean(float(t), multiplier, priority)
-            assert drop == process.drop_probability(t, multiplier=multiplier)
             assert drop == reference_drop_probability(process, t, multiplier=multiplier)
-            assert mean == process.mean_queue_delay(t, priority=priority)
             assert mean == reference_mean_queue_delay(process, t, priority=priority)
             hot += drop > 0.0
         assert hot or not multiplier
 
     def test_sampling_draws_the_bare_gamma(self):
+        """``transit`` scales a standard gamma by the mean this returns; that
+        is the parent's ``gamma(shape, mean / shape)``, draw for draw."""
         config = CongestionConfig(base_utilization=0.5, queue_shape=1.5)
         process = CongestionProcess(config, seed=1)
         ours, bare = derive_rng(2, "q"), derive_rng(2, "q")
         for t in (0.0, 40.0, 4000.0):
-            mean = process.mean_queue_delay(t, priority=True)
-            assert process.sample_queue_delay(t, ours, priority=True) == (
+            mean = process.drop_and_queue_mean(t, 1.0, True)[1]
+            assert reference_sample_queue_delay(process, t, ours, priority=True) == (
                 mean / 1.5 * bare.standard_gamma(1.5)
             )
+
+
+def _queue_mean(process, t=0.0, *, priority=False):
+    return process.drop_and_queue_mean(t, 1.0, priority)[1]
+
+
+def _drop(process, t=0.0, *, multiplier=1.0):
+    return process.drop_and_queue_mean(t, multiplier, False)[0]
 
 
 class TestQueueDelay:
@@ -190,24 +199,18 @@ class TestQueueDelay:
         config = CongestionConfig(base_utilization=0.6, burst_rate=0.0,
                                   diurnal_amplitude=0.0)
         process = CongestionProcess(config, seed=1)
-        assert process.mean_queue_delay(0.0, priority=True) < process.mean_queue_delay(
-            0.0, priority=False
-        )
+        assert _queue_mean(process, priority=True) < _queue_mean(process)
 
     def test_sample_is_nonnegative(self):
+        """The queue mean is never negative, so neither is the scaled gamma
+        ``transit`` draws around it."""
         process = CongestionProcess(CongestionConfig(), seed=1)
         rng = derive_rng(1, "test")
-        for _ in range(100):
-            assert process.sample_queue_delay(10.0, rng) >= 0.0
-
-    def test_sample_mean_tracks_analytic_mean(self):
-        config = CongestionConfig(base_utilization=0.5, burst_rate=0.0,
-                                  diurnal_amplitude=0.0)
-        process = CongestionProcess(config, seed=1)
-        rng = derive_rng(2, "test")
-        samples = [process.sample_queue_delay(0.0, rng) for _ in range(4000)]
-        mean = sum(samples) / len(samples)
-        assert mean == pytest.approx(process.mean_queue_delay(0.0), rel=0.15)
+        for t in range(0, 86400, 450):
+            for priority in (False, True):
+                mean = _queue_mean(process, float(t), priority=priority)
+                assert mean >= 0.0
+                assert mean / 2.0 * rng.standard_gamma(2.0) >= 0.0
 
 
 class TestDrops:
@@ -215,19 +218,20 @@ class TestDrops:
         config = CongestionConfig(base_utilization=0.3, burst_rate=0.0,
                                   diurnal_amplitude=0.0, drop_threshold=0.7)
         process = CongestionProcess(config, seed=1)
-        assert process.drop_probability(0.0) == 0.0
+        assert _drop(process) == 0.0
+        assert _drop(process, multiplier=400.0) == 0.0
 
     def test_drops_grow_with_excess_utilization(self):
         config = CongestionConfig(base_utilization=0.85, burst_rate=0.0,
                                   diurnal_amplitude=0.0, drop_threshold=0.7)
         process = CongestionProcess(config, seed=1)
-        p1 = process.drop_probability(0.0)
+        p1 = _drop(process)
         assert p1 > 0.0
-        assert process.drop_probability(0.0, multiplier=6.0) == pytest.approx(6 * p1)
+        assert _drop(process, multiplier=6.0) == pytest.approx(6 * p1)
 
     def test_drop_probability_capped_at_one(self):
         config = CongestionConfig(base_utilization=0.95, burst_rate=0.0,
                                   diurnal_amplitude=0.0, drop_threshold=0.1,
                                   drop_scale=10.0)
         process = CongestionProcess(config, seed=1)
-        assert process.drop_probability(0.0, multiplier=100.0) == 1.0
+        assert _drop(process, multiplier=100.0) == 1.0

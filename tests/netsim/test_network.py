@@ -84,6 +84,22 @@ class TestTtl:
         assert got == [(Address(1, "br2"), IcmpType.TIME_EXCEEDED)]
         assert net.stats.ttl_expiries == 1
 
+    def test_jitter_stream_is_derived_at_the_first_expiry(
+        self, three_as_network, derived_streams
+    ):
+        """Slow-path ICMP jitter draws from the bare ``(seed, "network")``
+        stream, derived when the first time-exceeded reply is jittered."""
+        sim, _, net, client, server = three_as_network
+        udp = client.open_udp(1000)
+        udp.send(server.address, dst_port=7, ttl=5)
+        sim.run_until_idle()
+        assert net._rng is None and (4, "network") not in derived_streams
+        for ttl in (1, 2):  # two routers, so no rate limit intervenes
+            udp.send(server.address, dst_port=33434, ttl=ttl, seq=ttl)
+        sim.run_until_idle()
+        assert net.stats.icmp_generated == 2
+        assert derived_streams.count((4, "network")) == 1
+
     def test_each_border_router_decrements(self, three_as_network):
         sim, _, net, client, server = three_as_network
         icmp = client.open_icmp()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.netsim import Protocol, RoundRobinProber
+from tests.netsim.probe_records import probe_records
 
 
 class TestRoundRobinProber:
@@ -22,7 +23,7 @@ class TestRoundRobinProber:
         traces = prober.finalize()
         send_times = []
         for trace in traces.values():
-            send_times.extend(r.send_time for r in trace.records)
+            send_times.extend(r.send_time for r in probe_records(trace))
         send_times.sort()
         # One probe per second total: consecutive sends 1 s apart.
         gaps = [b - a for a, b in zip(send_times, send_times[1:])]
@@ -33,7 +34,7 @@ class TestRoundRobinProber:
         prober = RoundRobinProber(client, server.address, rounds=2, interval=1.0)
         sim.run_until_idle()
         udp = prober.trains[Protocol.UDP].trace
-        times = [r.send_time for r in udp.records]
+        times = [r.send_time for r in probe_records(udp)]
         assert times[1] - times[0] == pytest.approx(4.0)  # 4-protocol period
 
     def test_rounds_validation(self, two_as_network):

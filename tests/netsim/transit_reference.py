@@ -2,11 +2,13 @@
 
 ``ReferenceChannel.transit`` is the parent commit's
 ``DirectedChannel.transit``, verbatim, with what it leaned on: the two
-per-protocol caches, the :class:`~repro.common.rng.BufferedRng` façade over
-the channel stream, and the three ``CongestionProcess`` formulas it called
-(``drop_probability``, ``mean_queue_delay``, ``sample_queue_delay``, here as
-functions of the process; only their ``_memo_t`` memo is gone, which changed
-no value). Never edit its arithmetic: ``tests/properties/test_prop_transit.py``
+per-protocol caches, the channel stream, and the three ``CongestionProcess``
+formulas it called (``drop_probability``, ``mean_queue_delay``,
+``sample_queue_delay``, here as functions of the process; only their
+``_memo_t`` memo is gone, which changed no value). The stream was a
+``BufferedRng`` façade over ``derive_rng(seed, "channel", name)``, which
+served that generator's exact draw sequence; it is the bare generator now,
+the same draws. Never edit its arithmetic: ``tests/properties/test_prop_transit.py``
 drives it and the ``transit`` in ``src/`` through the same histories and
 demands the same outcome, counters, serializer state and bit-generator state
 after every packet, and ``event_golden.json`` was recorded with it.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.common.rng import RngStream, derive_buffered_rng
+from repro.common.rng import RngStream, derive_rng
 from repro.netsim.conduit import DirectedChannel
 from repro.netsim.congestion import CongestionProcess
 from repro.netsim.ecmp import EcmpGroup, single_route
@@ -63,7 +65,7 @@ class ReferenceChannel(DirectedChannel):
         super().__init__(name, seed=seed, **kwargs)
         self._ecmp_cache: dict[Protocol, EcmpGroup] = {}
         self._default_route = single_route()
-        self._rng = derive_buffered_rng(seed, "channel", name)
+        self._rng = derive_rng(seed, "channel", name)
 
     @property
     def treatment(self) -> TreatmentProfile:

@@ -58,15 +58,6 @@ class TestEngineInstrumentation:
         simulator.run_until_idle()
         assert simulator.recent_event_lines() == []
 
-    def test_disabled_mode_records_nothing(self):
-        simulator = Simulator()
-        obs = Observability.disabled()
-        simulator.attach_observability(obs)
-        simulator.schedule(0.1, lambda: None)
-        simulator.run_until_idle()
-        assert simulator.recent_event_lines() == []
-        assert obs.metrics.snapshot() == []
-
 
 class TestVmInstrumentation:
     SOURCE = (

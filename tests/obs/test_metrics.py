@@ -9,10 +9,7 @@ from repro.obs import Observability, to_prometheus
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    NULL_RECORDER,
     Histogram,
-    NullMetricsRegistry,
-    _NullRecorder,
     log_buckets,
 )
 from repro.workloads.wan import WanScenario
@@ -123,23 +120,6 @@ class TestRegistry:
         assert names == sorted(names)
 
 
-class TestNullRegistry:
-    def test_hands_out_shared_null_recorder(self):
-        registry = NullMetricsRegistry()
-        assert registry.counter("x") is NULL_RECORDER
-        assert registry.gauge("y") is NULL_RECORDER
-        assert registry.histogram("z") is NULL_RECORDER
-        # All four recorder methods exist and do nothing.
-        NULL_RECORDER.inc()
-        NULL_RECORDER.inc(5)
-        NULL_RECORDER.set(1.0)
-        NULL_RECORDER.add(1.0)
-        NULL_RECORDER.observe(1.0)
-        NULL_RECORDER.observe_many(np.ones(3))
-        assert registry.snapshot() == []
-        assert not registry.enabled
-
-
 class TestStudyRecording:
     """The §II study records each trace's RTTs with one ``observe_many``."""
 
@@ -149,12 +129,32 @@ class TestStudyRecording:
             probes_per_protocol=probes, fast=True
         )
 
-    def test_disabled_bundle_makes_no_per_value_call(self, monkeypatch):
-        def per_value(self, value):
-            raise AssertionError("a disabled bundle observed a single value")
+    def test_study_makes_no_per_value_call(self, monkeypatch):
+        """Every ``probe_rtt_seconds`` histogram takes its trace's RTTs in
+        one ``observe_many``, never one ``observe`` per value."""
+        batches = []
+        observe, observe_many = Histogram.observe, Histogram.observe_many
 
-        monkeypatch.setattr(_NullRecorder, "observe", per_value)
-        self._study(Observability.disabled(), probes=2000)
+        def per_value(self, value):
+            if self.name == "probe_rtt_seconds":
+                raise AssertionError("the study observed a single RTT")
+            observe(self, value)
+
+        def per_array(self, values):
+            if self.name == "probe_rtt_seconds":
+                batches.append(len(values))
+            observe_many(self, values)
+
+        monkeypatch.setattr(Histogram, "observe", per_value)
+        monkeypatch.setattr(Histogram, "observe_many", per_array)
+        obs = Observability.enabled()
+        self._study(obs, probes=2000)
+        histograms = [
+            metric for _, name, _, metric in obs.metrics.snapshot()
+            if name == "probe_rtt_seconds"
+        ]
+        assert histograms and len(batches) == len(histograms)
+        assert sum(batches) == sum(h.total for h in histograms) > 0
 
     def test_export_equals_the_per_value_loops(self, monkeypatch):
         batched = Observability.enabled()

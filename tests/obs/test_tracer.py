@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.tracer import NullTracer, Tracer
+from repro.obs.tracer import Tracer
 
 pytestmark = pytest.mark.obs
 
@@ -84,17 +84,3 @@ class TestEvents:
         tail = tracer.recent_events(5)
         assert [e.name for e in tail] == ["e10", "e11", "e12", "e13", "e14"]
 
-
-class TestNullTracer:
-    def test_records_nothing(self):
-        tracer = NullTracer()
-        with tracer.span("x") as span:
-            tracer.event("y")
-        other = tracer.begin("z")
-        tracer.finish(other)
-        tracer.span_at("w", 0.0, 1.0)
-        assert tracer.spans == ()
-        assert tracer.events == ()
-        assert tracer.recent_events() == []
-        assert span is other  # the shared inert span singleton
-        assert not tracer.enabled

@@ -20,6 +20,7 @@ from repro.netsim.fastpath import (
 )
 from repro.netsim.packet import Protocol
 from repro.workloads.wan import WanScenario
+from tests.netsim.probe_records import probe_records
 
 PROBES = 2000
 CITIES = ["frankfurt", "newyork"]
@@ -65,8 +66,8 @@ def test_fast_path_is_deterministic():
     second = _study(7, fast=True, probes=500)
     for city in CITIES:
         for protocol in Protocol:
-            a = first[city][protocol].records
-            b = second[city][protocol].records
+            a = probe_records(first[city][protocol])
+            b = probe_records(second[city][protocol])
             assert [(r.seq, r.send_time, r.rtt) for r in a] == [
                 (r.seq, r.send_time, r.rtt) for r in b
             ]
@@ -87,8 +88,8 @@ def test_cell_simulation_is_pure_function_of_cell():
     )
     a = simulate_cell(cell)
     b = simulate_cell(cell)
-    assert [(r.seq, r.rtt) for r in a.records] == [
-        (r.seq, r.rtt) for r in b.records
+    assert [(r.seq, r.rtt) for r in probe_records(a)] == [
+        (r.seq, r.rtt) for r in probe_records(b)
     ]
 
 

@@ -17,6 +17,7 @@ from repro.perf import parallel
 from repro.perf.parallel import map_cells
 from repro.workloads.wan import WanScenario
 from repro.workloads.wanbench import build_continent, run_campaign, small_config
+from tests.netsim.probe_records import probe_records
 
 
 def _fingerprint(traces):
@@ -24,7 +25,7 @@ def _fingerprint(traces):
         (
             trace.label,
             trace.protocol.name,
-            tuple((r.seq, r.send_time, r.rtt) for r in trace.records),
+            tuple((r.seq, r.send_time, r.rtt) for r in probe_records(trace)),
         )
         for trace in traces
     ]
@@ -80,8 +81,8 @@ def test_scenario_level_parallel_matches_serial():
         probes_per_protocol=400, fast=True, workers=2
     )
     for protocol in Protocol:
-        a = serial["frankfurt"][protocol].records
-        b = parallel["frankfurt"][protocol].records
+        a = probe_records(serial["frankfurt"][protocol])
+        b = probe_records(parallel["frankfurt"][protocol])
         assert [(r.seq, r.send_time, r.rtt) for r in a] == [
             (r.seq, r.send_time, r.rtt) for r in b
         ]

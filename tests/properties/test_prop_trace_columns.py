@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.netsim.packet import Protocol
 from repro.netsim.trace import MeasurementTrace
 from tests.netsim import trace_reference as reference
+from tests.netsim.probe_records import probe_records
 
 NAN = float("nan")
 PERCENTILES = (0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0)
@@ -80,7 +81,7 @@ def assert_equivalent(columns) -> None:
     assert summary.keys() == expected.keys()
     for key in expected:
         assert same(summary[key], expected[key]), key
-    assert [(r.seq, r.send_time, r.rtt) for r in ours.records] == [
+    assert [(r.seq, r.send_time, r.rtt) for r in probe_records(ours)] == [
         (r.seq, r.send_time, r.rtt) for r in theirs.records
     ]
     for column in ours.columns:
@@ -105,6 +106,6 @@ def test_columns_from_lists_equal_records(columns):
     theirs = reference.MeasurementTrace.from_arrays(Protocol.UDP, send_times, rtts)
     assert same(ours.rtts(), theirs.rtts())
     assert same(ours.summary()["std_ms"], theirs.summary()["std_ms"])
-    assert [(r.seq, r.send_time, r.rtt) for r in ours.records] == [
+    assert [(r.seq, r.send_time, r.rtt) for r in probe_records(ours)] == [
         (r.seq, r.send_time, r.rtt) for r in theirs.records
     ]

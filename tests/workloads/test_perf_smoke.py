@@ -1,7 +1,8 @@
 """Cheap guards that the fast path and the observability layer stay cheap.
 
 Both are deterministic counts, not seconds: the fast path runs no
-simulator event, and the observability disabled mode records nothing.
+simulator event, and with observability off (no bundle attached) nothing
+is recorded.
 Speed itself is measured by ``python3 -m bench`` (``table1_study``).
 """
 
@@ -56,9 +57,12 @@ def _count_recording(monkeypatch) -> list[str]:
 
 def test_observability_disabled_mode_records_nothing(monkeypatch):
     """The observability overhead guard (DESIGN.md §9), as a count: with
-    a disabled bundle attached, the Table I fast path builds no span, no
-    trace event and no metric recorder, and takes no sample. The enabled
-    run beside it shows the count sees that path's instrumentation."""
+    observability off — no bundle attached, the detached mode — the Table I
+    fast path builds no span, no trace event and no metric recorder, and
+    takes no sample. The enabled run beside it measures the same traces and
+    shows the count sees that path's instrumentation. A study that records
+    into a bundle of its own when none is attached (``_record_study``
+    called detached) fails the first count."""
     from repro.obs import Observability
 
     log = _count_recording(monkeypatch)
@@ -69,34 +73,49 @@ def test_observability_disabled_mode_records_nothing(monkeypatch):
 
     detached = run_study(None)
     assert log == []
-    disabled = run_study(Observability.disabled())
-    assert log == []
+
+    enabled = run_study(Observability.enabled())
+    for recorded in (
+        "Span.__init__", "Counter.__init__", "Counter.inc",
+        "Histogram.__init__", "Histogram.observe_many",
+    ):
+        assert recorded in log, recorded
     for protocol in Protocol:
-        assert disabled["frankfurt"][protocol].sent == (
+        assert enabled["frankfurt"][protocol].sent == (
             detached["frankfurt"][protocol].sent
         )
-        assert disabled["frankfurt"][protocol].lost == (
+        assert enabled["frankfurt"][protocol].lost == (
             detached["frankfurt"][protocol].lost
         )
 
-    run_study(Observability.enabled())
-    for recorded in ("Span.__init__", "Counter.inc", "Histogram.observe_many"):
-        assert recorded in log, recorded
 
-
-def test_engine_disabled_mode_skips_instrumented_loop():
-    """The disabled bundle must leave the engine on its uninstrumented
-    run loop (`_instrumented` False), not merely hand out null recorders."""
+def test_engine_disabled_mode_skips_instrumented_loop(monkeypatch):
+    """With observability off (detached) the engine runs its uninstrumented
+    loop; an attached bundle switches it to the recording twin."""
     from repro.netsim.engine import Simulator
     from repro.obs import Observability
 
-    simulator = Simulator()
-    simulator.attach_observability(Observability.disabled())
-    assert simulator._instrumented is False
+    entered = []
+    original = Simulator._run_instrumented
 
-    simulator = Simulator()
-    simulator.attach_observability(Observability.enabled())
-    assert simulator._instrumented is True
+    def counting(self, queue, until):
+        entered.append(self)
+        return original(self, queue, until)
+
+    monkeypatch.setattr(Simulator, "_run_instrumented", counting)
+
+    detached = Simulator()
+    detached.schedule(0.1, lambda: None)
+    detached.run()
+    assert detached._instrumented is False
+    assert detached.events_processed == 1 and entered == []
+
+    enabled = Simulator()
+    enabled.attach_observability(Observability.enabled())
+    enabled.schedule(0.1, lambda: None)
+    enabled.run()
+    assert enabled._instrumented is True
+    assert enabled.events_processed == 1 and entered == [enabled]
 
 
 def test_engine_compaction_keeps_queue_bounded():
