@@ -12,8 +12,9 @@ source, one ``def`` per Debuglet function, and compiles it:
   time. Within a block, operands that are pure arithmetic on locals,
   slots and immediates stay symbolic and are folded into the instruction
   that consumes them (``local_get 1; push 1; add; local_set 1`` becomes
-  ``l1 = (l1 + k0) & MASK``); loads, global reads, division and anything
-  that crosses a block boundary are written to their slot at once.
+  ``l1 = (_t - 2**64 if (_t := l1 + k0) > MASK else _t)``); loads,
+  global reads, division and anything that crosses a block boundary are
+  written to their slot at once.
 - **fuel per block** — each basic block adds its summed fuel to a
   frame-local counter once and bails if the counter passes the limit.
   Blocks end at control transfers *and* at suspension points
@@ -30,11 +31,30 @@ source, one ``def`` per Debuglet function, and compiles it:
   :class:`~repro.sandbox.vm.HostCall` and the ``send`` that resumes it
   carries the results.
 
-The checks stay those of the threaded tier this replaced: every
-arithmetic result is masked to 64 bits, signed comparisons compare
-``x ^ 2**63``, a zero divisor bails, and a load or store bails unless
-the verifier's intervals proved it in range (``safe_accesses`` for a
-constant address, ``inbounds_accesses`` for a dynamic one).
+**Every value the generated code holds is in [0, 2^64).** Its producers
+are push immediates (masked in :func:`_bindings`), start arguments
+(wrapped by the VM), loads (one byte, or one ``<Q`` struct unpack),
+globals (:func:`~repro.sandbox.verifier.facts.gather_facts` refuses any
+outside), division results and host results (both masked), and the ops
+themselves. So arithmetic needs no big-int work: a sum is corrected by
+one subtraction of 2^64 when it passes ``MASK``, a difference by one
+addition when it is negative, a product is masked only when it is too
+wide, and a signed comparison compares ``x - 2**64 if x >= 2**63 else
+x``. Each form is exact for every operand in that range, whatever the
+verifier's intervals say, and keeps small values small. A zero divisor
+bails, and a load or store bails unless the verifier's intervals proved
+it in range (``safe_accesses`` for a constant address,
+``inbounds_accesses`` for a dynamic one).
+
+**A wrong access proof traps; it never corrupts memory.** An access
+whose check was elided indexes the ``bytearray`` (8-bit) or goes through
+``struct``'s ``unpack_from``/``pack_into`` (64-bit), none of which can
+change the memory's length or read short bytes: out of range they raise
+one of :data:`ACCESS_FAULTS`, which the VM turns into a bail like any
+other, so the replay below renders the reference tier's exact trap. The
+VM records the bail's reason (``VM.bail_reason``) and, with
+observability attached, counts it as ``vm_compile_access_faults_total``
+— a series that appears only in a run whose proofs were wrong.
 
 **No module text reaches** :func:`compile`. Every identifier in the
 generated source is generated (``f3``, ``l2``, ``s0``, ``k7``), and the
@@ -53,12 +73,12 @@ names and arities, and per function the block leaders and fuel, entry
 depths and the index sets of the proven accesses. A module that shares a
 shape calls the cached factory with its own constants.
 
-**Equivalence by replay** — any trap (fuel, division, out-of-bounds)
-makes the compiled tier *bail*: the VM replays its interaction log
-(start arguments, resume results, embedder memory writes) on a fresh
-reference interpreter, which then produces the exact trap type,
-message, ``fuel_used`` and final memory, and keeps handling the session
-from there. The fast tier never reconstructs trap details; it only
+**Equivalence by replay** — any trap (fuel, division, out-of-bounds),
+and any access fault, makes the compiled tier *bail*: the VM replays its
+interaction log (start arguments, resume results, embedder memory
+writes) on a fresh reference interpreter, which then produces the exact
+trap type, message, ``fuel_used`` and final memory, and keeps handling
+the session from there. The fast tier never reconstructs trap details; it only
 detects that one is coming.
 
 Process-wide, modules are compiled once: :func:`get_compiled` keys a
@@ -77,6 +97,7 @@ beside the export, never in it.
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 from collections import OrderedDict
@@ -98,6 +119,9 @@ from repro.sandbox.vm import VM, HostCall
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
 _TWO64 = 1 << 64
+
+#: one little-endian u64: the compiled tier's 64-bit loads and stores
+_U64 = struct.Struct("<Q")
 
 _JUMPS = (Op.JMP, Op.JZ, Op.JNZ)
 _LOADS = (Op.LOAD8, Op.LOAD64)
@@ -124,10 +148,15 @@ class CompileUnsupported(Exception):
     """The module cannot be proven safe for the compiled tier."""
 
 
+#: what an access whose check was elided raises when its proof is wrong:
+#: ``struct.error`` from a 64-bit access that does not fit, ``IndexError``
+#: from an 8-bit one, ``OverflowError`` from an offset of 2^63 or more.
+ACCESS_FAULTS = (struct.error, IndexError, OverflowError)
+
 #: the factory's leading parameters: all that generated code may call.
 _RUNTIME: dict[str, object] = {
     "_HostCall": HostCall, "_Bail": _Bail, "_int": int, "_abs": abs,
-    "_fb": int.from_bytes,
+    "_up": _U64.unpack_from, "_pk": _U64.pack_into,
 }
 
 
@@ -187,8 +216,8 @@ def _bindings(
 ) -> Iterator[tuple[_Where, int | str | None]]:
     """``(function index, instruction index, kind), value`` for every
     value the generated source takes as a factory parameter, in one fixed
-    order: push immediates (wrapped), global and host-op names, and the
-    start and end of each proven constant address."""
+    order: push immediates (wrapped), global and host-op names, and each
+    proven constant address."""
     for fi, (name, function) in enumerate(module.functions.items()):
         safe = facts.functions[name].safe_accesses
         for index, instruction in enumerate(function.code):
@@ -198,10 +227,7 @@ def _bindings(
             elif op in _NAMED:
                 yield (fi, index, "name"), instruction.arg
             elif index in safe:
-                address = safe[index]
-                yield (fi, index, "addr"), address
-                if op in (Op.LOAD64, Op.STORE64):
-                    yield (fi, index, "end"), address + 8
+                yield (fi, index, "addr"), safe[index]
 
 
 def _shape_key(module: Module, facts: StaticFacts) -> tuple[object, ...]:
@@ -254,15 +280,26 @@ def _signed(text: str) -> str:
     return f"({text} - {_TWO64} if {text} >= {_SIGN} else {text})"
 
 
+def _signed_once(operand: _Operand) -> str:
+    """:func:`_signed` reading ``operand`` once: a name is repeated, an
+    expression is bound to ``_t`` first."""
+    if not operand.nesting:
+        return _signed(operand.text)
+    return f"(_t - {_TWO64} if (_t := {operand.text}) >= {_SIGN} else _t)"
+
+
 def _truth(operand: _Operand) -> str:
     return operand.cond if operand.cond is not None else operand.text
 
 
-#: pure, total binary ops: (value template, truth-test template or None)
+#: pure, total binary ops: (value template, truth-test template or None).
+#: Exact only because every operand is in [0, 2^64) (module docstring).
+#: ``{sa}``/``{sb}`` are the operands read as signed. ``_t`` is bound and
+#: read within one conditional expression, so nesting cannot clobber it.
 _PURE: dict[Op, tuple[str | None, str | None]] = {
-    Op.ADD: (f"(({{a}} + {{b}}) & {_MASK})", None),
-    Op.SUB: (f"(({{a}} - {{b}}) & {_MASK})", None),
-    Op.MUL: (f"(({{a}} * {{b}}) & {_MASK})", None),
+    Op.ADD: (f"(_t - {_TWO64} if (_t := {{a}} + {{b}}) > {_MASK} else _t)", None),
+    Op.SUB: (f"(_t + {_TWO64} if (_t := {{a}} - {{b}}) < 0 else _t)", None),
+    Op.MUL: (f"(_t & {_MASK} if (_t := {{a}} * {{b}}) > {_MASK} else _t)", None),
     Op.AND: ("({a} & {b})", None),
     Op.OR: ("({a} | {b})", None),
     Op.XOR: ("({a} ^ {b})", None),
@@ -270,10 +307,10 @@ _PURE: dict[Op, tuple[str | None, str | None]] = {
     Op.SHRU: ("({a} >> ({b} & 63))", None),
     Op.EQ: (None, "{a} == {b}"),
     Op.NE: (None, "{a} != {b}"),
-    Op.LTS: (None, f"({{a}} ^ {_SIGN}) < ({{b}} ^ {_SIGN})"),
-    Op.GTS: (None, f"({{a}} ^ {_SIGN}) > ({{b}} ^ {_SIGN})"),
-    Op.LES: (None, f"({{a}} ^ {_SIGN}) <= ({{b}} ^ {_SIGN})"),
-    Op.GES: (None, f"({{a}} ^ {_SIGN}) >= ({{b}} ^ {_SIGN})"),
+    Op.LTS: (None, "{sa} < {sb}"),
+    Op.GTS: (None, "{sa} > {sb}"),
+    Op.LES: (None, "{sa} <= {sb}"),
+    Op.GES: (None, "{sa} >= {sb}"),
 }
 
 
@@ -517,7 +554,8 @@ class _FunctionEmitter:
             nesting = max(a.nesting, b.nesting) + 1
             cond = None
             if test is not None:
-                cond = test.format(a=a.text, b=b.text)
+                cond = test.format(a=a.text, b=b.text, sa=_signed_once(a),
+                                   sb=_signed_once(b))
                 value = f"(1 if {cond} else 0)"
             else:
                 assert template is not None
@@ -598,28 +636,27 @@ class _FunctionEmitter:
         size = self.module.memory_size
         wide = op in (Op.LOAD64, Op.STORE64)
         constant = (self.fi, index, "addr") in self.params
+        checked = not constant and index not in self.facts.inbounds_accesses
         position = len(self.stack) - (1 if op in _LOADS else 2)
-        if not constant and self.stack[position].nesting:
-            self.settle(position)  # the address is read more than once
+        if checked and self.stack[position].nesting:
+            self.settle(position)  # the address is read twice
         value = "" if op in _LOADS else self.pop().text
         address = self.pop()
         if constant:
             start = self.param(index, "addr")
-            end = self.param(index, "end") if wide else ""
         else:
             start = address.text
-            if index not in self.facts.inbounds_accesses:
+            if checked:
                 self.emit(f"if {start} > {size - 8 if wide else size - 1}:")
                 self.emit("    raise _Bail")
-            end = f"{start} + 8" if wide else ""
         if op is Op.LOAD8:
             self.push_value(f"M[{start}]")
         elif op is Op.LOAD64:
-            self.push_value(f"_fb(M[{start}:{end}], 'little')")
+            self.push_value(f"_up(M, {start})[0]")
         elif op is Op.STORE8:
             self.emit(f"M[{start}] = {value} & 255")
         else:
-            self.emit(f"M[{start}:{end}] = {value}.to_bytes(8, 'little')")
+            self.emit(f"_pk(M, {start}, {value})")
 
     def call(self, name: str) -> None:
         callee = self.module.functions[name]

@@ -147,6 +147,10 @@ class VM:
         self._delegate: "VM | None" = None
         self._gen = None
         self._oplog: list[tuple] = []
+        #: why the compiled tier bailed, if it did: "trap" (a check saw
+        #: one coming) or "access" (an access whose check the verifier
+        #: elided faulted: a wrong proof)
+        self.bail_reason: str | None = None
         self.tier = "reference"
         if tier not in ("reference", "auto", "compiled"):
             raise SandboxError(f"unknown VM tier {tier!r}")
@@ -246,13 +250,22 @@ class VM:
         except StopIteration as stop:
             self._finished = True
             return Done(_signed(stop.value))
-        except _compile_mod._Bail:
-            # A trap is due (fuel, division, bounds). Replay the session
-            # on the reference tier for exact trap semantics.
-            self._gen = None
-            return self._fallback_replay()
-        self._awaiting_host = step
-        return step
+        except _compiled_tier()._Bail:
+            # A trap is due (fuel, division, a checked access). Replay the
+            # session on the reference tier for exact trap semantics.
+            self.bail_reason = "trap"
+        except _compiled_tier().ACCESS_FAULTS:
+            # An access the verifier proved in range was not: the proof
+            # is wrong. The fixed-size memory refused it; the replay
+            # renders the reference tier's trap, and the run says so.
+            self.bail_reason = "access"
+            if self._obs is not None:
+                self._obs.metrics.counter("vm_compile_access_faults_total").inc()
+        else:
+            self._awaiting_host = step
+            return step
+        self._gen = None
+        return self._fallback_replay()
 
     def _fallback_replay(self):
         """Replay the interaction log on a fresh reference interpreter.

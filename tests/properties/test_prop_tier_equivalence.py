@@ -28,7 +28,10 @@ compiled tier's block-level fuel accounting and bail-to-replay fallback
 must reproduce the reference interpreter's behaviour precisely. And a
 bail that a session did not need would hide a compiler bug behind the
 replay, so whenever the reference completes without a trap the compiled
-VM must never have bailed.
+VM must never have bailed. And since an elided access that faults also
+bails (to the same trap), every bail must be a check's, never an access
+fault: a dropped bounds check or a value outside [0, 2^64) reaching a
+64-bit store would otherwise pass unseen.
 """
 
 from hypothesis import given, settings
@@ -431,6 +434,9 @@ class TestTierEquivalence:
         if not any(row[0] == "trap" for row in reference):
             # nothing trapped, so nothing may have been replayed
             assert fast_vm._delegate is None, reference
+        # the verifier's access proofs are honest: every bail is a check
+        # that saw a trap coming, never an elided access that faulted
+        assert fast_vm.bail_reason != "access", reference
         threaded = _session(ThreadedVM(module, fuel_limit=fuel), "compiled",
                             host_results, writes, recv_seqs)
         assert threaded == compiled

@@ -185,6 +185,13 @@ class TestExactEquivalence:
             assert ref_err == fast_err
             assert ref.fuel_used == fast.fuel_used, f"fuel_limit={fuel}"
 
+    def test_a_store_settles_the_operands_that_read_its_target(self):
+        # ``local_get 0`` is still symbolic when ``local_set 0`` runs
+        module = _module("push 3\nlocal_set 0\nlocal_get 0\npush 4\n"
+                         "local_set 0\nlocal_get 0\nsub")
+        ref, fast = _both(module)
+        assert ref.start([]) == fast.start([]) == Done(-1)
+
     def test_division_trap_message_identical(self):
         module = _module("push 1\npush 0\ndivs")
         ref, fast = _both(module)
@@ -266,6 +273,90 @@ class TestCheckElision:
         with pytest.raises(MemoryFault) as fast_exc:
             fast.start([])
         assert str(ref_exc.value) == str(fast_exc.value)
+
+
+#: ``address = base + (arg & 1)``: the interval is [base, base + 1], and
+#: at arg 1 the access ends one byte past a 64-byte memory.
+_PAST_THE_END = {
+    "store64": ("push 7\nstore64\npush 0", 56),
+    "load64": ("load64", 56),
+    "store8": ("push 7\nstore8\npush 0", 63),
+    "load8": ("load8", 63),
+}
+
+
+class TestWrongProofs:
+    """ROADMAP 3(b): a wrong access proof traps instead of corrupting
+    memory. The mutant is the verifier's in-bounds proof widened by one
+    byte: facts that claim the dynamic access above is in range."""
+
+    @staticmethod
+    def _widened(monkeypatch, module: Module, lo: int) -> None:
+        import repro.sandbox.compile as compile_ns
+
+        honest = compile_ns.gather_facts
+        (index,) = [i for i, instruction in enumerate(
+            module.functions["run_debuglet"].code)
+            if instruction.op in (Op.LOAD8, Op.LOAD64, Op.STORE8, Op.STORE64)]
+        assert index not in honest(module).functions[
+            "run_debuglet"].inbounds_accesses
+
+        def widened(m: Module):
+            facts = honest(m)
+            facts.functions["run_debuglet"].inbounds_accesses[index] = (lo, lo + 1)
+            return facts
+
+        monkeypatch.setattr(compile_ns, "gather_facts", widened)
+
+    @pytest.mark.parametrize("access", sorted(_PAST_THE_END))
+    def test_an_elided_access_past_the_end_traps(self, monkeypatch, access):
+        from repro.obs import Observability, to_prometheus
+
+        tail, base = _PAST_THE_END[access]
+        module = assemble(
+            ".memory 64\n.func run_debuglet 1 0\nlocal_get 0\npush 1\nand\n"
+            f"push {base}\nadd\n{tail}\nret\n.end\n"
+        )
+        self._widened(monkeypatch, module, base)
+        compiled = compile_module(module)  # not the process cache
+        assert compiled.elided_ranged == 1
+        bundle = Observability.enabled()
+        ref = VM(module)
+        fast = VM(module, tier="compiled", compiled=compiled, obs=bundle)
+        memory = fast.memory
+        with pytest.raises(MemoryFault) as ref_exc:
+            ref.start([1])
+        try:
+            outcome = fast.start([1])
+        except MemoryFault as exc:
+            outcome = exc
+        # unchecked slice forms would grow memory or read short bytes
+        assert len(memory) == len(fast.memory) == 64
+        assert isinstance(outcome, MemoryFault), outcome
+        assert str(outcome) == str(ref_exc.value)
+        assert fast.fuel_used == ref.fuel_used
+        assert bytes(fast.memory) == bytes(ref.memory)
+        assert fast.bail_reason == "access"
+        assert "vm_compile_access_faults_total 1" in to_prometheus(
+            bundle.metrics)
+
+        # in range after all: no bail, the same result, no series
+        bundle = Observability.enabled()
+        fast = VM(module, tier="compiled", compiled=compiled, obs=bundle)
+        assert fast.start([0]) == VM(module).start([0])
+        assert fast.bail_reason is None
+        assert "access_faults" not in to_prometheus(bundle.metrics)
+
+    def test_a_trap_bail_is_told_apart(self):
+        from repro.obs import Observability, to_prometheus
+
+        module = _module("push 1\npush 0\ndivs")
+        bundle = Observability.enabled()
+        fast = VM(module, tier="compiled", obs=bundle)
+        with pytest.raises(SandboxError):
+            fast.start([])
+        assert fast.bail_reason == "trap"
+        assert "access_faults" not in to_prometheus(bundle.metrics)
 
 
 class TestFallbackReplay:
