@@ -14,21 +14,18 @@ from repro.core import (
     DebugletApplication,
     DecentralizedDirectory,
     EchoMeasurement,
-    ExecutorFleet,
 )
 from repro.core.executor import executor_data_address
 from repro.netsim import Protocol
 from repro.sandbox import echo_client, echo_server
-from repro.workloads import build_chain
+from repro.workloads import deployed_chain
 
 PROBES = 20
 PORT = 7870
 
 
 def main() -> None:
-    scenario = build_chain(4, seed=55)
-    fleet = ExecutorFleet(scenario.network, seed=56)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(4, seed=55, fleet_seed=56)
 
     # ASes announce executors in their routing messages.
     directory = DecentralizedDirectory(scenario.registry)

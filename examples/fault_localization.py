@@ -9,17 +9,15 @@ Run:  python examples/fault_localization.py
 """
 
 from repro.baselines import ping_sync, traceroute_sync
-from repro.core import ExecutorFleet, FaultLocalizer, SegmentProber
+from repro.core import FaultLocalizer, SegmentProber
 from repro.netsim import FaultInjector, InterfaceId, Protocol
-from repro.workloads import build_chain
+from repro.workloads import deployed_chain
 
 N_ASES = 10
 
 
 def main() -> None:
-    scenario = build_chain(N_ASES, seed=42)
-    fleet = ExecutorFleet(scenario.network, seed=43)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(N_ASES, seed=42, fleet_seed=43)
     print(f"deployed {len(fleet)} executors (one per border router)")
 
     injector = FaultInjector(scenario.topology)

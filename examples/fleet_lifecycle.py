@@ -11,12 +11,8 @@ Run:  python examples/fleet_lifecycle.py
 """
 
 from repro.chaos import ChaosInjector
-from repro.core import DebugletApplication
-from repro.core.executor import executor_data_address
 from repro.core.fleetmgr import CapabilityRecord
 from repro.core.placement import evaluate_strategies, synthetic_candidates
-from repro.netsim import Protocol
-from repro.sandbox import echo_client, echo_server
 from repro.workloads import MarketplaceTestbed
 
 PROBES = 20
@@ -30,18 +26,7 @@ def main() -> None:
     injector = ChaosInjector(simulator, testbed.ledger, seed=11)
     print(f"fleet registered: {manager.counts()}")
 
-    path = testbed.chain.registry.shortest(1, 3)
-    server_app = DebugletApplication.from_stock(
-        "srv",
-        echo_server(Protocol.UDP, max_echoes=PROBES, idle_timeout_us=3_000_000),
-        listen_port=7801, path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(Protocol.UDP, executor_data_address(3, 1),
-                    count=PROBES, interval_us=50_000, dst_port=7801),
-        path=path.as_list(),
-    )
+    client_app, server_app = testbed.echo_pair(count=PROBES)
 
     # Capability-scoped admission: the same program, two records. The
     # verdict comes from verifier-inferred facts (host ops, fuel), not

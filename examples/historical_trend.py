@@ -12,13 +12,12 @@ from repro.chain import KeyPair, Ledger, Wallet, sui_to_mist
 from repro.core import (
     ArchiveContract,
     ArchivedMeasurement,
-    ExecutorFleet,
     ResultArchive,
     SegmentProber,
     degradation_onset,
 )
 from repro.netsim import FaultInjector, InterfaceId
-from repro.workloads import build_chain
+from repro.workloads import deployed_chain
 
 PERIOD = 60.0
 ROUNDS = 12
@@ -26,9 +25,7 @@ FAULT_ROUND = 8
 
 
 def main() -> None:
-    scenario = build_chain(3, seed=33)
-    fleet = ExecutorFleet(scenario.network, seed=34)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(3, seed=33, fleet_seed=34)
     prober = SegmentProber(fleet, probes=10, interval_us=5000)
     path = scenario.registry.shortest(1, 3)
 

@@ -10,10 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.chain.gas import mist_to_sui
-from repro.core import ChainVerifier, DebugletApplication, EchoMeasurement
-from repro.core.executor import executor_data_address
-from repro.netsim import Protocol
-from repro.sandbox import echo_client, echo_server
+from repro.core import ChainVerifier, EchoMeasurement
 from repro.workloads import MarketplaceTestbed
 
 PROBES = 30
@@ -26,25 +23,9 @@ def main() -> None:
     path = testbed.chain.registry.shortest(1, 3)
     print(f"measurement path: {path}")
 
-    # 2. Generate the Debuglet pair: a UDP echo server at AS3's ingress
-    #    and a client at AS1's egress, both pinned to the path.
-    server_app = DebugletApplication.from_stock(
-        "quickstart-server",
-        echo_server(Protocol.UDP, max_echoes=PROBES, idle_timeout_us=3_000_000),
-        listen_port=7801,
-        path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "quickstart-client",
-        echo_client(
-            Protocol.UDP,
-            executor_data_address(3, 1),
-            count=PROBES,
-            interval_us=50_000,
-            dst_port=7801,
-        ),
-        path=path.as_list(),
-    )
+    # 2. Generate the Debuglet pair: the stock UDP echo server at AS3's
+    #    ingress and its client at AS1's egress, both pinned to the path.
+    client_app, server_app = testbed.echo_pair(count=PROBES)
 
     # 3. Look up and purchase slots (tokens escrowed with the bytecode).
     session = testbed.initiator.request_measurement(

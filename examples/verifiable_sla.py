@@ -14,7 +14,6 @@ import numpy as np
 from repro.core import (
     ChainVerifier,
     CrossValidator,
-    DebugletApplication,
     EchoMeasurement,
     enable_prioritization,
 )
@@ -27,30 +26,15 @@ from repro.netsim import (
     Protocol,
 )
 from repro.netsim.traffic import ProbeTrain
-from repro.sandbox import echo_client, echo_server
 from repro.workloads import MarketplaceTestbed
 
 PROBES = 25
 SLA_RTT_MS = 15.0  # what AS2 promised for the bracketed segment
 
 
-def measure_segment(testbed, client_vantage, server_vantage, path, port):
-    server_app = DebugletApplication.from_stock(
-        "sla-server",
-        echo_server(Protocol.UDP, max_echoes=PROBES, idle_timeout_us=3_000_000),
-        listen_port=port,
-        path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "sla-client",
-        echo_client(
-            Protocol.UDP, executor_data_address(*server_vantage),
-            count=PROBES, interval_us=50_000, dst_port=port,
-        ),
-        path=path.as_list(),
-    )
-    session = testbed.initiator.request_measurement(
-        client_app, server_app, client_vantage, server_vantage, duration=30.0
+def measure_segment(testbed, client_vantage, server_vantage, port):
+    session = testbed.request_echo(
+        client_vantage, server_vantage, count=PROBES, port=port
     )
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     echo = EchoMeasurement.from_result(
@@ -65,8 +49,7 @@ def main() -> None:
     injector = FaultInjector(testbed.chain.topology)
     injector.as_internal_delay(2, extra_delay=12e-3, start=0.0, end=1e12)
 
-    path = testbed.chain.registry.shortest(1, 3)
-    session, echo = measure_segment(testbed, (1, 2), (3, 1), path, port=7851)
+    session, echo = measure_segment(testbed, (1, 2), (3, 1), port=7851)
     print(
         f"bracketing measurement across AS2: {echo.mean_rtt_ms():.2f} ms "
         f"(SLA: {SLA_RTT_MS:.0f} ms) -> "
@@ -98,9 +81,7 @@ def main() -> None:
         channels, [executor_data_address(1, 2), executor_data_address(2, 1)]
     )
 
-    _, gamed_echo = measure_segment(
-        testbed, (1, 2), (2, 1), path.subsegment(1, 2), port=7852
-    )
+    _, gamed_echo = measure_segment(testbed, (1, 2), (2, 1), port=7852)
     user = testbed.chain.network.make_host(1, "user")
     site = testbed.chain.network.make_host(2, "site", echo_protocols=(Protocol.UDP,))
     train = ProbeTrain(user, site.address, Protocol.UDP,

@@ -1,13 +1,26 @@
-"""Command-line interface: run the paper's experiments directly.
+"""Command-line interface: ``python -m repro <command>``.
 
-Examples::
+Every scenario a command runs is built once, in :mod:`repro.workloads`
+(``demos.py`` for the marketplace demos and localization, ``fig8.py``,
+``wan.py``, ``loadgen.py``, ``wanbench.py``); this module only parses
+arguments, checks them, and prints what the scenario returns.
 
-    python -m repro table1 --probes 2000
-    python -m repro fig8
-    python -m repro table2
-    python -m repro localize --ases 10 --strategy binary
-    python -m repro quickstart
-    python -m repro verify program.dasm --manifest manifest.json
+Paper artifacts:
+    table1      §II Table I: per-protocol RTT/loss on the 7-city WAN
+    fig8        §V Fig 8: sandbox overhead (D2D / A2D / D2A / A2A)
+    table2      Table II: gas costs by application size
+    localize    §VI-D fault localization on an N-AS chain
+Marketplace demos:
+    quickstart  one verifiable measurement (§IV-A)
+    chaos-demo  one measurement surviving an injected fault
+    audit-demo  a Byzantine executor caught and slashed
+    fleet-demo  executor fleet lifecycle
+    placement   vantage placement strategies, synthetic or live pool
+Benches and tools:
+    loadgen     fleet-scale marketplace control plane
+    vmbench     reference vs compiled VM tier
+    wanbench    continent-scale localization campaigns
+    verify      static verification of a Debuglet assembly file
 """
 
 from __future__ import annotations
@@ -38,13 +51,8 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 def _obs_from_args(args: argparse.Namespace):
     """An enabled Observability bundle when any export was requested."""
-    wanted = (
-        getattr(args, "trace_out", None)
-        or getattr(args, "events_out", None)
-        or getattr(args, "metrics_out", None)
-        or getattr(args, "obs_report", False)
-    )
-    if not wanted:
+    if not (args.trace_out or args.events_out or args.metrics_out
+            or args.obs_report):
         return None
     from repro.obs import Observability
 
@@ -58,13 +66,13 @@ def _emit_obs(args: argparse.Namespace, obs) -> None:
 
     written = write_exports(
         obs,
-        trace_out=getattr(args, "trace_out", None),
-        events_out=getattr(args, "events_out", None),
-        metrics_out=getattr(args, "metrics_out", None),
+        trace_out=args.trace_out,
+        events_out=args.events_out,
+        metrics_out=args.metrics_out,
     )
     for path in written:
         print(f"wrote {path}")
-    if getattr(args, "obs_report", False):
+    if args.obs_report:
         print(render_report(obs))
 
 
@@ -74,25 +82,12 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
     obs = _obs_from_args(args)
 
-    def run() -> dict:
-        scenario = WanScenario.build(seed=args.seed, obs=obs)
-        return scenario.run_protocol_study(
-            probes_per_protocol=args.probes,
-            interval=args.interval,
-            fast=args.fast,
-            workers=args.workers,
-        )
-
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        traces = profiler.runcall(run)
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative").print_stats(20)
-    else:
-        traces = run()
+    traces = WanScenario.build(seed=args.seed, obs=obs).run_protocol_study(
+        probes_per_protocol=args.probes,
+        interval=args.interval,
+        fast=args.fast,
+        workers=args.workers,
+    )
     path = "fast" if args.fast else "event-driven"
     print(f"Table I ({args.probes} probes per cell, seed {args.seed}, {path}):")
     for city, by_protocol in traces.items():
@@ -102,86 +97,17 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
-    from repro.core.application import DebugletApplication
-    from repro.core.executor import Executor
-    from repro.core.results import EchoMeasurement
-    from repro.netsim import (
-        Link, Network, Protocol, ProtocolTreatment, Simulator, Topology,
-        TreatmentProfile,
-    )
-    from repro.sandbox.programs import echo_client, echo_server
-    from repro.sandbox.programs_native import (
-        native_echo_client,
-        native_echo_server,
-    )
+    from repro.workloads.fig8 import run_fig8
 
-    sim = Simulator()
-    topo = Topology()
-    topo.make_as(1, seed=1, internal_delay=0.2e-3)
-    topo.make_as(2, seed=2, internal_delay=0.2e-3)
-    treatment = TreatmentProfile.uniform(ProtocolTreatment(base_drop=0.008))
-    topo.connect(
-        1, 1, 2, 1,
-        Link.symmetric("lon-ny", base_delay=36.4e-3, seed=31,
-                       jitter_std=0.4e-3, treatment=treatment),
-    )
-    net = Network(topo, sim, seed=32)
-    ex_a = Executor(net, 1, 1, seed=33)
-    ex_b = Executor(net, 2, 1, seed=34)
-
-    count, interval_us = args.probes, 200_000
-    records = {}
-    for index, (name, sandbox_client, sandbox_server) in enumerate(
-        [("D2D", True, True), ("A2D", False, True),
-         ("D2A", True, False), ("A2A", False, False)]
-    ):
-        port = 8500 + index
-        client_stock = echo_client(
-            Protocol.UDP, ex_b.data_address, count=count,
-            interval_us=interval_us, dst_port=port,
-        )
-        server_stock = echo_server(
-            Protocol.UDP, max_echoes=count, idle_timeout_us=4_000_000
-        )
-        if sandbox_client:
-            client_app = DebugletApplication.from_stock("cli", client_stock)
-        else:
-            client_app = DebugletApplication(
-                "cli-n", client_stock.manifest,
-                native_factory=lambda port=port: native_echo_client(
-                    Protocol.UDP, count=count, interval_us=interval_us,
-                    dst_port=port,
-                ),
-            )
-        if sandbox_server:
-            server_app = DebugletApplication.from_stock(
-                "srv", server_stock, listen_port=port
-            )
-        else:
-            server_app = DebugletApplication(
-                "srv-n", server_stock.manifest,
-                native_factory=lambda: native_echo_server(
-                    Protocol.UDP, max_echoes=count, idle_timeout_us=4_000_000
-                ),
-                listen_port=port,
-            )
-        ex_b.submit(server_app, start_at=0.5,
-                    on_complete=lambda r, n=name: records.__setitem__((n, "s"), r))
-        ex_a.submit(client_app, start_at=0.6,
-                    on_complete=lambda r, n=name: records.__setitem__((n, "c"), r))
-    sim.run_until_idle()
-    print(f"Fig 8 ({count} probes per combination):")
-    means = {}
-    for name in ("D2D", "A2D", "D2A", "A2A"):
-        echo = EchoMeasurement.from_result(
-            records[(name, "c")].result, probes_sent=count
-        )
-        means[name] = echo.mean_rtt_ms()
+    measurements = run_fig8(args.probes)
+    print(f"Fig 8 ({args.probes} probes per combination):")
+    for name, echo in measurements.items():
         print(
             f"  {name}: mean={echo.mean_rtt_ms():8.3f} ms "
             f"loss={echo.loss_rate():.2%}"
         )
-    print(f"  D2D - A2A = {(means['D2D'] - means['A2A']) * 1e3:.0f} us")
+    overhead = measurements["D2D"].mean_rtt_ms() - measurements["A2A"].mean_rtt_ms()
+    print(f"  D2D - A2A = {overhead * 1e3:.0f} us")
     return 0
 
 
@@ -198,36 +124,26 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
-    from repro.core import ExecutorFleet, FaultLocalizer, SegmentProber
-    from repro.netsim import FaultInjector, InterfaceId
-    from repro.workloads import build_chain
+    from repro.workloads.demos import run_localize
 
     n = args.ases
     fault_link = args.fault_link if args.fault_link is not None else n - 1
     if not 1 <= fault_link <= n - 1:
         print(f"fault link must be in [1, {n - 1}]", file=sys.stderr)
         return 2
-    scenario = build_chain(n, seed=args.seed)
-    fleet = ExecutorFleet(scenario.network, seed=args.seed + 1)
-    fleet.deploy_full()
-    injector = FaultInjector(scenario.topology)
-    fault = injector.link_delay(
-        InterfaceId(fault_link, 2), InterfaceId(fault_link + 1, 1),
-        extra_delay=20e-3, start=0.0, end=1e12,
+    run = run_localize(
+        n, fault_link=fault_link, strategy=args.strategy, probes=args.probes,
+        seed=args.seed,
     )
-    prober = SegmentProber(fleet, probes=args.probes, interval_us=5000)
-    localizer = FaultLocalizer(prober)
-    report = localizer.localize(
-        scenario.registry.shortest(1, n), strategy=args.strategy
-    )
-    print(f"ground truth: {fault.location}")
+    report = run.report
+    print(f"ground truth: {run.fault}")
     print(
         f"{args.strategy}: suspects={[str(s) for s in report.suspects]} "
         f"measurements={report.measurements_used} "
         f"time={report.time_to_locate:.2f}s "
-        f"correct={report.found(fault.location)}"
+        f"correct={run.correct}"
     )
-    return 0 if report.found(fault.location) else 1
+    return 0 if run.correct else 1
 
 
 def _cmd_vmbench(args: argparse.Namespace) -> int:
@@ -385,120 +301,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
-    from repro.core import ChainVerifier, DebugletApplication, EchoMeasurement
-    from repro.core.executor import executor_data_address
-    from repro.netsim import Protocol
-    from repro.sandbox import echo_client, echo_server
-    from repro.workloads import MarketplaceTestbed
+    from repro.workloads.demos import run_quickstart
 
     obs = _obs_from_args(args)
-    testbed = MarketplaceTestbed.build(n_ases=3, seed=args.seed, obs=obs)
-    path = testbed.chain.registry.shortest(1, 3)
-    count = args.probes
-    server_app = DebugletApplication.from_stock(
-        "srv", echo_server(Protocol.UDP, max_echoes=count,
-                           idle_timeout_us=3_000_000),
-        listen_port=7801, path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(Protocol.UDP, executor_data_address(3, 1),
-                    count=count, interval_us=50_000, dst_port=7801),
-        path=path.as_list(),
-    )
-    session = testbed.initiator.request_measurement(
-        client_app, server_app, (1, 2), (3, 1), duration=30.0
-    )
-    testbed.initiator.run_until_done(session, testbed.chain.simulator)
-    echo = EchoMeasurement.from_result(
-        session.client_outcome.result, probes_sent=count
-    )
-    print(f"path: {path}")
-    print(f"delay-to-measurement: {session.delay_to_measurement:.2f} s")
+    run = run_quickstart(probes=args.probes, seed=args.seed, obs=obs)
+    print(f"path: {run.path}")
+    print(f"delay-to-measurement: {run.session.delay_to_measurement:.2f} s")
     print(
-        f"measured: mean RTT {echo.mean_rtt_ms():.3f} ms, "
-        f"loss {echo.loss_rate():.1%}"
+        f"measured: mean RTT {run.echo.mean_rtt_ms():.3f} ms, "
+        f"loss {run.echo.loss_rate():.1%}"
     )
-    ChainVerifier(testbed.ledger, testbed.market).verify_result(
-        session.client_application
-    )
-    testbed.ledger.verify_chain()
     print("verification: OK")
     _emit_obs(args, obs)
     return 0
 
 
 def _cmd_chaos_demo(args: argparse.Namespace) -> int:
-    from repro.chaos import ChaosInjector
-    from repro.core import DebugletApplication
-    from repro.core.executor import executor_data_address
-    from repro.netsim import Protocol
-    from repro.sandbox import echo_client, echo_server
-    from repro.workloads import MarketplaceTestbed
+    from repro.workloads.demos import run_chaos_demo
 
     obs = _obs_from_args(args)
-    testbed = MarketplaceTestbed.build(n_ases=3, seed=args.seed, obs=obs)
-    simulator = testbed.chain.simulator
-    injector = ChaosInjector(simulator, testbed.ledger, seed=args.seed)
-    path = testbed.chain.registry.shortest(1, 3)
-    count = args.probes
-    server_app = DebugletApplication.from_stock(
-        "srv", echo_server(Protocol.UDP, max_echoes=count,
-                           idle_timeout_us=3_000_000),
-        listen_port=7801, path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(Protocol.UDP, executor_data_address(3, 1),
-                    count=count, interval_us=50_000, dst_port=7801),
-        path=path.as_list(),
-    )
-
-    if args.fault == "txfail":
-        # Outage covering the initial purchase: the initiator retries with
-        # backoff until the ledger comes back.
-        fault = injector.fail_transactions(
-            start=simulator.now, end=simulator.now + 3.0
-        )
-
-    session = testbed.initiator.request_measurement(
-        client_app, server_app, (1, 2), (3, 1), duration=30.0,
-        deadline_margin=10.0,
-        max_attempts=1 if args.fault == "expiry" else 2,
-    )
-    if args.fault == "crash":
-        # The server-side executor dies as the window opens, killing the
-        # scheduled executions; it is back up before the deadline, so
-        # attempt 2 buys a fresh slot and succeeds.
-        fault = injector.crash_executor(
-            testbed.agents[(3, 1)].executor,
-            at=session.window_start + 0.1,
-            restart_at=session.window_end + 5.0,
-        )
-    elif args.fault == "drop":
-        # Certified results are produced but never published until after
-        # the first deadline; the refund + failover path recovers.
-        fault = injector.drop_publications(
-            testbed.agents[(3, 1)], start=0.0, end=session.window_end + 10.0
-        )
-    elif args.fault == "delay":
-        # Publications stall past the fault window, then go through.
-        fault = injector.delay_publications(
-            testbed.agents[(3, 1)],
-            start=0.0, end=session.window_end + 2.0, extra=1.0,
-        )
-    elif args.fault == "expiry":
-        # The executors renege before the window opens; the initiator
-        # reclaims its escrow once the deadline passes.
-        fault = injector.expire_slots_early(
-            testbed.agents[(3, 1)], at=session.window_start
-        )
-        injector.expire_slots_early(testbed.agents[(1, 2)],
-                                    at=session.window_start)
-
-    testbed.initiator.run_until_done(session, simulator, timeout=900.0)
-
-    print(f"fault: {fault.kind.value} on {fault.target}")
+    run = run_chaos_demo(args.fault, probes=args.probes, seed=args.seed, obs=obs)
+    session = run.session
+    print(f"fault: {run.fault.kind.value} on {run.fault.target}")
     print(f"states: {' -> '.join(session.state_names)}")
     print(f"attempts: {session.attempt}  purchase retries: "
           f"{session.purchase_retries}")
@@ -508,9 +332,7 @@ def _cmd_chaos_demo(args: argparse.Namespace) -> int:
               f"{len(session.refunds)} application(s)")
     if session.failure_reason:
         print(f"reason: {session.failure_reason}")
-    locked = testbed.ledger.contract_balances.get("debuglet_market", 0)
-    print(f"escrow still locked in contract: {locked} MIST")
-    testbed.ledger.verify_chain()
+    print(f"escrow still locked in contract: {run.escrow_locked} MIST")
     print(f"final state: {session.state.value}; chain verification: OK")
     _emit_obs(args, obs)
     return 0
@@ -518,116 +340,40 @@ def _cmd_chaos_demo(args: argparse.Namespace) -> int:
 
 def _cmd_audit_demo(args: argparse.Namespace) -> int:
     """Byzantine executor vs the audit pipeline, end to end (§11)."""
-    from repro.chain.gas import sui_to_mist
-    from repro.chaos import ChaosInjector
-    from repro.core import DebugletApplication
-    from repro.core.audit import AuditConfig
-    from repro.core.executor import executor_data_address
-    from repro.netsim import FaultInjector, Protocol
-    from repro.netsim.topology import InterfaceId
-    from repro.sandbox import echo_client, echo_server
-    from repro.workloads import MarketplaceTestbed
+    from repro.workloads.demos import run_audit_demo
 
     obs = _obs_from_args(args)
-    stake = sui_to_mist(5)
-    testbed = MarketplaceTestbed.build(
-        n_ases=3, seed=args.seed, executor_stake=stake, obs=obs,
-        initiator_funding=sui_to_mist(400),
+    run = run_audit_demo(
+        args.strategy, audit_rate=args.audit_rate, sessions=args.sessions,
+        probes=args.probes, seed=args.seed, obs=obs,
     )
-    simulator = testbed.chain.simulator
-    auditor = testbed.make_auditor(
-        config=AuditConfig(audit_rate=args.audit_rate, seed=args.seed), obs=obs
-    )
-    injector = ChaosInjector(simulator, testbed.ledger, seed=args.seed)
-
-    timeout_us = 200_000 if args.strategy == "hide_faults" else 1_000_000
-    if args.strategy == "hide_faults":
-        # Real loss on the forward path gives the liar something to hide.
-        FaultInjector(testbed.chain.topology).link_loss(
-            InterfaceId(1, 2), InterfaceId(2, 1),
-            loss=0.25, start=0.0, end=float("inf"), directions="forward",
-        )
-    corruptor = None
-    if args.strategy != "honest":
-        strategy = (
-            "forge_values" if args.strategy == "forge_consistent"
-            else args.strategy
-        )
-        fault = injector.corrupt_executor(
-            testbed.fleet.get(1, 2), strategy=strategy, start=0.0,
-            seed=args.seed,
-            **({"forge_log": True} if args.strategy == "forge_consistent" else {}),
-        )
-        corruptor = fault.corruptor
-
-    def run_session(client_v, server_v, *, count):
-        path = testbed.chain.registry.shortest(client_v[0], server_v[0])
-        server_app = DebugletApplication.from_stock(
-            "srv", echo_server(Protocol.UDP, max_echoes=count,
-                               idle_timeout_us=3_000_000),
-            listen_port=7801, path=path.reversed().as_list(),
-        )
-        client_app = DebugletApplication.from_stock(
-            "cli",
-            echo_client(Protocol.UDP, executor_data_address(*server_v),
-                        count=count, interval_us=50_000, dst_port=7801,
-                        timeout_us=timeout_us),
-            path=path.as_list(),
-        )
-        session = testbed.initiator.request_measurement(
-            client_app, server_app, client_v, server_v, duration=30.0,
-        )
-        testbed.initiator.run_until_done(session, simulator, timeout=3600.0)
-        return session
-
-    # Run every session first, audit afterwards: the first conviction
-    # bars the slashed executor from publishing (result_ready refuses),
-    # which would wedge its still-pending sessions mid-demo.
-    sessions = [
-        run_session((1, 2), (3, 1), count=args.probes)
-        for _ in range(args.sessions)
-    ]
-    if args.strategy == "forge_consistent":
-        # Independent vantages give cross-validation its quorum: the
-        # honest reverse path plus composed sub-segment votes via AS2.
-        sessions.append(run_session((3, 1), (1, 2), count=args.probes))
-        sessions.append(run_session((2, 1), (1, 2), count=args.probes))
-        sessions.append(run_session((2, 2), (3, 1), count=args.probes))
-    for session in sessions:
-        auditor.on_session_complete(session)
-    simulator.run()
-    auditor.finalize()
-
-    attacks = corruptor.attacks if corruptor is not None else []
     print(f"strategy: {args.strategy}  sessions: {args.sessions}  "
           f"audit rate: {args.audit_rate:.0%}")
-    print(f"attacks mounted: {len(attacks)}  "
-          f"sessions replay-audited: {auditor.sessions_audited}")
-    for conviction in auditor.convictions:
+    print(f"attacks mounted: {run.attacks}  "
+          f"sessions replay-audited: {run.sessions_audited}")
+    for conviction in run.convictions:
         asn, interface = conviction["vantage"]
         print(f"convicted {asn}:{interface} by {conviction['mechanism']}: "
               f"burned {conviction['slashed']} MIST, evidence "
               f"{conviction['evidence_hash'].hex()[:16]}…")
         print(f"  {conviction['detail']}")
-    if not auditor.convictions:
+    if not run.convictions:
         print("no convictions" + (
             " (honest executors keep their stake)"
             if args.strategy == "honest" else
             " — raise --audit-rate or --sessions to catch the liar"
         ))
-    print(f"tokens slashed on-ledger: {testbed.ledger.tokens_slashed} MIST")
-    state = testbed.market.state
-    for key, convictions in sorted(state["conviction_map"].items()):
+    print(f"tokens slashed on-ledger: {run.tokens_slashed} MIST")
+    for key, convictions in sorted(run.conviction_map.items()):
         if convictions:
             reasons = ", ".join(c["reason"] for c in convictions)
             print(f"on-chain conviction record for {key}: {reasons}; "
-                  f"remaining stake {state['stake_map'].get(key, 0)} MIST")
-    testbed.ledger.verify_chain()
+                  f"remaining stake {run.stake_map.get(key, 0)} MIST")
     print("chain verification: OK")
     _emit_obs(args, obs)
     if args.strategy == "honest":
-        return 1 if auditor.convictions else 0
-    return 0 if auditor.convictions else 1
+        return 1 if run.convictions else 0
+    return 0 if run.convictions else 1
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -709,101 +455,40 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_demo(args: argparse.Namespace) -> int:
-    """The fleet lifecycle end to end on a real 3-AS marketplace: a scoped
-    admission, a graceful drain with on-chain deregistration, a crash
-    followed by liveness eviction and re-registration, and a heartbeat-loss
-    eviction of a healthy executor (DESIGN.md §12)."""
-    from repro.chaos import ChaosInjector
-    from repro.core import DebugletApplication
-    from repro.core.executor import executor_data_address
-    from repro.core.fleetmgr import CapabilityRecord, ExecutorState
-    from repro.netsim import Protocol
-    from repro.sandbox import echo_client, echo_server
-    from repro.workloads import MarketplaceTestbed
+    from repro.core.fleetmgr import ExecutorState
+    from repro.workloads.demos import run_fleet_demo
 
     obs = _obs_from_args(args)
-    hb = args.heartbeat
-    testbed = MarketplaceTestbed.build(n_ases=3, seed=args.seed, obs=obs)
-    simulator = testbed.chain.simulator
-    manager = testbed.make_fleet_manager(heartbeat_interval=hb)
-    injector = ChaosInjector(simulator, testbed.ledger, seed=args.seed)
-
-    count = args.probes
-    path = testbed.chain.registry.shortest(1, 3)
-    server_app = DebugletApplication.from_stock(
-        "srv", echo_server(Protocol.UDP, max_echoes=count,
-                           idle_timeout_us=3_000_000),
-        listen_port=7801, path=path.reversed().as_list(),
+    run = run_fleet_demo(
+        probes=args.probes, seed=args.seed, heartbeat=args.heartbeat, obs=obs
     )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(Protocol.UDP, executor_data_address(3, 1),
-                    count=count, interval_us=50_000, dst_port=7801),
-        path=path.as_list(),
-    )
-
-    # Admission scope: the verifier-backed allowlist check in both verdicts.
     print("admission:")
     print(f"  cli at 1:2 under the full record: "
-          f"{'admitted' if manager.preflight((1, 2), client_app) else 'denied'}")
-    member = manager.get((1, 2))
-    member.capabilities = CapabilityRecord.read_only()
-    verdict = manager.preflight((1, 2), client_app)
+          f"{'admitted' if run.admitted else 'denied'}")
     print(f"  cli at 1:2 under a read-only record: "
-          f"{'admitted' if verdict else 'denied'}")
-    denial = member.admission_log[-1]
-    print(f"    reason: {denial.reason}")
-    member.capabilities = CapabilityRecord.from_policy(member.executor.policy)
-
-    # A session through the managed fleet while everything is active.
-    session = testbed.initiator.request_measurement(
-        client_app, server_app, (1, 2), (3, 1), duration=30.0
-    )
-    testbed.initiator.run_until_done(session, simulator)
-    print(f"session: {session.state.value} "
-          f"(delay-to-measurement {session.delay_to_measurement:.2f}s)")
-
-    # Graceful drain: 2:1 stops selling, retires idle, leaves the chain.
-    manager.drain((2, 1))
-    manager.run_until(simulator.now + 3 * hb)
-    print(f"drain 2:1 -> {manager.state_of((2, 1)).value}; on-chain address: "
-          f"{testbed.market.executor_address(2, 1)}")
-
-    # Crash + eviction + re-registration: 2:2 goes down long enough to be
-    # evicted, restarts, and re-registers (its stake was never touched).
-    crash_at = simulator.now + hb
-    restart_at = crash_at + (manager.evict_beats + 1.5) * hb
-    injector.crash_executor(
-        testbed.agents[(2, 2)].executor, at=crash_at, restart_at=restart_at
-    )
-    manager.run_until(restart_at + 0.5 * hb)
-    print(f"crash 2:2 -> {manager.state_of((2, 2)).value} "
-          f"(missed heartbeats: {manager.heartbeats_missed})")
-    manager.reregister((2, 2))
-    print(f"re-register 2:2 -> {manager.state_of((2, 2)).value} "
-          f"(registrations: {manager.get((2, 2)).registrations})")
-
-    # Heartbeat loss: 3:1 stays healthy but its control channel is cut.
-    injector.lose_heartbeats(manager.get((3, 1)), start=simulator.now)
-    manager.run_until(
-        simulator.now + (manager.evict_beats + 2) * hb
-    )
-    print(f"heartbeat loss 3:1 -> {manager.state_of((3, 1)).value} "
-          f"(executor crashed: {manager.get((3, 1)).executor.crashed})")
-
-    manager.stop()
+          f"{'admitted' if run.admitted_read_only else 'denied'}")
+    print(f"    reason: {run.denial_reason}")
+    print(f"session: {run.session.state.value} "
+          f"(delay-to-measurement {run.session.delay_to_measurement:.2f}s)")
+    print(f"drain 2:1 -> {run.drained.value}; on-chain address: "
+          f"{run.drained_address}")
+    print(f"crash 2:2 -> {run.crashed.value} "
+          f"(missed heartbeats: {run.heartbeats_missed})")
+    print(f"re-register 2:2 -> {run.reregistered.value} "
+          f"(registrations: {run.registrations})")
+    print(f"heartbeat loss 3:1 -> {run.heartbeat_lost.value} "
+          f"(executor crashed: {run.heartbeat_lost_crashed})")
     print("lifecycle log:")
-    for when, vantage, source, target, reason in manager.lifecycle_log:
+    for when, vantage, source, target, reason in run.lifecycle_log:
         print(f"  t={when:7.2f}  {vantage[0]}:{vantage[1]}  "
               f"{source:>10} -> {target:<10} {reason}")
-    print(f"fleet states: {manager.counts()}")
-    testbed.ledger.verify_chain()
+    print(f"fleet states: {run.counts}")
     print("chain verification: OK")
     _emit_obs(args, obs)
     ok = (
-        manager.state_of((2, 1)) is ExecutorState.RETIRED
-        and manager.state_of((2, 2)) is ExecutorState.ACTIVE
-        and manager.state_of((3, 1)) is ExecutorState.EVICTED
+        run.final[(2, 1)] is ExecutorState.RETIRED
+        and run.final[(2, 2)] is ExecutorState.ACTIVE
+        and run.final[(3, 1)] is ExecutorState.EVICTED
     )
     return 0 if ok else 1
 
@@ -815,26 +500,16 @@ def _cmd_placement(args: argparse.Namespace) -> int:
 
     from repro.core.placement import (
         STRATEGIES,
-        candidates_from_directory,
         evaluate_strategies,
         synthetic_candidates,
     )
 
     if args.live:
-        from repro.core.discovery import DecentralizedDirectory
-        from repro.core.probing import ExecutorFleet
-        from repro.workloads import build_chain
+        from repro.workloads.demos import live_candidates
 
-        chain = build_chain(args.ases, seed=args.seed)
-        fleet = ExecutorFleet(chain.network, seed=args.seed)
-        fleet.deploy_full()
-        directory = DecentralizedDirectory(chain.registry)
-        for vantage in fleet.vantages():
-            directory.advertise(
-                fleet.get(*vantage), price=args.border_price + vantage[0]
-            )
-        segment = chain.registry.shortest(1, args.ases)
-        pool = candidates_from_directory(directory, segment)
+        segment, pool = live_candidates(
+            args.ases, seed=args.seed, border_price=args.border_price
+        )
         n_ases = len(segment.asns())
         print(f"live pool from {len(pool)} advertised executors on {segment}")
     else:
@@ -867,30 +542,6 @@ def _cmd_placement(args: argparse.Namespace) -> int:
     return 0 if better else 1
 
 
-def _cmd_obs_report(args: argparse.Namespace) -> int:
-    """Run one instrumented scenario and print its observability rollup."""
-    defaults = {
-        "table1": dict(
-            func=_cmd_table1, probes=args.probes or 200, interval=1.0,
-            fast=True, workers=None, profile=False,
-        ),
-        "quickstart": dict(func=_cmd_quickstart, probes=args.probes or 30),
-        "chaos-demo": dict(
-            func=_cmd_chaos_demo, probes=args.probes or 30, fault=args.fault,
-        ),
-    }[args.scenario]
-    func = defaults.pop("func")
-    inner = argparse.Namespace(
-        seed=args.seed,
-        trace_out=args.trace_out,
-        events_out=args.events_out,
-        metrics_out=args.metrics_out,
-        obs_report=True,
-        **defaults,
-    )
-    return func(inner)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -906,8 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the vectorized fast path (see DESIGN.md)")
     p.add_argument("--workers", type=int, default=None,
                    help="fan fast-path cells over N processes (-1 = all cores)")
-    p.add_argument("--profile", action="store_true",
-                   help="print cProfile top-20 (by cumulative time) for the run")
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_table1)
 
@@ -1039,23 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the strategy rows as JSON")
     p.set_defaults(func=_cmd_placement)
-
-    p = sub.add_parser(
-        "obs-report",
-        help="run an instrumented scenario and print the observability rollup",
-    )
-    p.add_argument("--scenario", default="quickstart",
-                   choices=("table1", "quickstart", "chaos-demo"))
-    p.add_argument("--probes", type=int, default=None,
-                   help="probe count (default: scenario-appropriate)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--fault", default="crash",
-                   choices=("crash", "drop", "delay", "txfail", "expiry"),
-                   help="fault kind when --scenario chaos-demo")
-    p.add_argument("--trace-out", default=None, metavar="FILE")
-    p.add_argument("--events-out", default=None, metavar="FILE")
-    p.add_argument("--metrics-out", default=None, metavar="FILE")
-    p.set_defaults(func=_cmd_obs_report)
 
     p = sub.add_parser(
         "vmbench",

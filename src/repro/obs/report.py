@@ -1,4 +1,5 @@
-"""Human-readable observability report for the CLI (``repro obs-report``).
+"""Human-readable observability report: what ``--obs-report`` prints after
+an instrumented CLI command (``table1``, ``quickstart``, ``chaos-demo``, ...).
 
 Summarizes a recorded run: span counts and simulated-time totals per
 span name, the busiest counters, and histogram digests. Everything is
@@ -25,7 +26,7 @@ def _histogram_quantile(histogram: Histogram, q: float) -> float:
 
 
 def render_report(obs, *, top: int = 12) -> str:
-    """The obs-report text: span rollup + metric digest."""
+    """The ``--obs-report`` text: span rollup + metric digest."""
     lines: list[str] = []
     spans = list(obs.tracer.spans)
     events = list(obs.tracer.events)

@@ -250,27 +250,13 @@ def run_localization(
     up, then restores it.
     """
     import repro.sandbox.program as program_mod
-    from repro.core import ExecutorFleet, FaultLocalizer, SegmentProber
-    from repro.netsim import FaultInjector, InterfaceId
-    from repro.workloads import build_chain
+    from repro.workloads.demos import run_localize
 
     previous = program_mod.DEFAULT_TIER
     program_mod.DEFAULT_TIER = tier
     try:
         started = time.perf_counter()
-        scenario = build_chain(ases, seed=seed)
-        fleet = ExecutorFleet(scenario.network, seed=seed + 1)
-        fleet.deploy_full()
-        injector = FaultInjector(scenario.topology)
-        fault = injector.link_delay(
-            InterfaceId(ases - 1, 2), InterfaceId(ases, 1),
-            extra_delay=20e-3, start=0.0, end=1e12,
-        )
-        prober = SegmentProber(fleet, probes=probes, interval_us=5000)
-        localizer = FaultLocalizer(prober)
-        report = localizer.localize(
-            scenario.registry.shortest(1, ases), strategy="binary"
-        )
+        run = run_localize(ases, strategy="binary", probes=probes, seed=seed)
         seconds = time.perf_counter() - started
         return {
             "name": "localize_e2e",
@@ -278,8 +264,8 @@ def run_localization(
             "seconds": round(seconds, 6),
             "ases": ases,
             "probes": probes,
-            "correct": report.found(fault.location),
-            "measurements": report.measurements_used,
+            "correct": run.correct,
+            "measurements": run.report.measurements_used,
         }
     finally:
         program_mod.DEFAULT_TIER = previous

@@ -14,7 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "Fig6Scenario",
         "MarketplaceTestbed",
         "build_chain",
-        "build_internet_like",
+        "deployed_chain",
     ),
     "wan": (
         "CITY_SPECS",

@@ -3,11 +3,15 @@
 Builders for the topologies the Debuglet-side experiments run on:
 
 - :func:`build_chain` — N ASes in a line (the §VI-D ten-AS example);
-- :func:`build_fig6` — the three-AS scenario of Fig 6, with executors
+- :func:`deployed_chain` — the same line with an executor at every
+  border router;
+- :class:`Fig6Scenario` — the three-AS scenario of Fig 6, with executors
   A–D co-located with the border routers around AS #2;
 - :class:`MarketplaceTestbed` — a chain topology with a ledger, the
   marketplace contract, one registered executor agent per border router,
   and a funded initiator: the full five-step §IV-A stack in one object.
+  Its :meth:`~MarketplaceTestbed.echo_pair` is the stock ``cli``/``srv``
+  UDP echo pair every demo and most marketplace tests measure with.
 """
 
 from __future__ import annotations
@@ -26,6 +30,14 @@ from repro.netsim.engine import Simulator
 from repro.netsim.network import Network
 from repro.netsim.topology import Topology
 from repro.pathaware.discovery import PathRegistry
+
+#: The echo pair's default vantages: AS1's egress toward AS2 and AS3's
+#: ingress from AS2.
+CLIENT_VANTAGE = (1, 2)
+SERVER_VANTAGE = (3, 1)
+#: The echo pair's probe spacing and the server's idle timeout.
+ECHO_INTERVAL_US = 50_000
+ECHO_IDLE_TIMEOUT_US = 3_000_000
 
 
 @dataclass
@@ -74,6 +86,16 @@ def build_chain(
     )
 
 
+def deployed_chain(
+    n_ases: int, *, seed: int, fleet_seed: int
+) -> tuple[ChainScenario, ExecutorFleet]:
+    """:func:`build_chain` plus an executor at every border router."""
+    chain = build_chain(n_ases, seed=seed)
+    fleet = ExecutorFleet(chain.network, seed=fleet_seed)
+    fleet.deploy_full()
+    return chain, fleet
+
+
 @dataclass
 class Fig6Scenario:
     """The paper's Fig 6: AS#1 – AS#2 – AS#3 with executors A, B, C, D.
@@ -91,10 +113,8 @@ class Fig6Scenario:
     D = (3, 1)
 
     @classmethod
-    def build(cls, *, seed: int = 0, link_delay: float = 5e-3) -> "Fig6Scenario":
-        chain = build_chain(3, link_delay=link_delay, seed=seed)
-        fleet = ExecutorFleet(chain.network, seed=seed)
-        fleet.deploy_full()
+    def build(cls, *, seed: int = 0) -> "Fig6Scenario":
+        chain, fleet = deployed_chain(3, seed=seed, fleet_seed=seed)
         return cls(chain=chain, fleet=fleet)
 
 
@@ -172,6 +192,71 @@ class MarketplaceTestbed:
             code_store=code_store,
         )
 
+    def echo_pair(
+        self,
+        client: tuple[int, int] = CLIENT_VANTAGE,
+        server: tuple[int, int] = SERVER_VANTAGE,
+        *,
+        count: int = 10,
+        port: int = 7801,
+        timeout_us: int | None = None,
+    ):
+        """The stock UDP echo pair ``(cli, srv)`` from ``client`` to ``server``.
+
+        Both applications are pinned to the shortest path between the two
+        ASes (the server to its reverse). ``timeout_us`` is the client's
+        per-probe reply wait; ``None`` keeps the program's default.
+        """
+        from repro.core.application import DebugletApplication
+        from repro.core.executor import executor_data_address
+        from repro.netsim.packet import Protocol
+        from repro.sandbox.programs import DEFAULT_TIMEOUT_US, echo_client, echo_server
+
+        path = self.chain.registry.shortest(client[0], server[0])
+        server_app = DebugletApplication.from_stock(
+            "srv",
+            echo_server(
+                Protocol.UDP, max_echoes=count, idle_timeout_us=ECHO_IDLE_TIMEOUT_US
+            ),
+            listen_port=port,
+            path=path.reversed().as_list(),
+        )
+        client_app = DebugletApplication.from_stock(
+            "cli",
+            echo_client(
+                Protocol.UDP,
+                executor_data_address(*server),
+                count=count,
+                interval_us=ECHO_INTERVAL_US,
+                dst_port=port,
+                timeout_us=DEFAULT_TIMEOUT_US if timeout_us is None else timeout_us,
+            ),
+            path=path.as_list(),
+        )
+        return client_app, server_app
+
+    def request_echo(
+        self,
+        client: tuple[int, int] = CLIENT_VANTAGE,
+        server: tuple[int, int] = SERVER_VANTAGE,
+        *,
+        count: int = 10,
+        port: int = 7801,
+        timeout_us: int | None = None,
+        **request,
+    ):
+        """Buy a 30 s window for :meth:`echo_pair`; returns the session.
+
+        ``request`` goes to :meth:`Initiator.request_measurement` (deadline
+        margin, attempts, failover vantages, ...).
+        """
+        client_app, server_app = self.echo_pair(
+            client, server, count=count, port=port, timeout_us=timeout_us
+        )
+        return self.initiator.request_measurement(
+            client_app, server_app, client, server, duration=30.0, **request
+        )
+
     def make_fleet_manager(
         self,
         *,
@@ -237,60 +322,3 @@ class MarketplaceTestbed:
         auditor.register()
         return auditor
 
-
-def build_internet_like(
-    *,
-    n_tier2: int = 3,
-    stubs_per_tier2: int = 2,
-    seed: int = 0,
-    tier1_delay: float = 8e-3,
-    tier2_delay: float = 4e-3,
-    stub_delay: float = 2e-3,
-) -> ChainScenario:
-    """A small Internet-like hierarchy for richer localization scenarios.
-
-    Two tier-1 ASes (1 and 2) peer with each other; ``n_tier2`` tier-2
-    ASes each connect to *both* tier-1s (multihoming, so multiple paths
-    exist); each tier-2 serves ``stubs_per_tier2`` stub ASes. ASNs:
-    tier-1 = 1, 2; tier-2 = 10, 11, ...; stubs = 100, 101, ...
-    """
-    simulator = Simulator()
-    topology = Topology()
-    topology.make_as(1, name="tier1-a", internal_delay=0.5e-3, seed=seed + 1)
-    topology.make_as(2, name="tier1-b", internal_delay=0.5e-3, seed=seed + 2)
-    topology.connect(
-        1, 1, 2, 1,
-        Link.symmetric("t1-peering", base_delay=tier1_delay, seed=seed + 10),
-    )
-    stub_asn = 100
-    for index in range(n_tier2):
-        t2 = 10 + index
-        topology.make_as(t2, name=f"tier2-{index}", internal_delay=0.4e-3,
-                         seed=seed + t2)
-        topology.connect(
-            t2, 1, 1, 10 + index,
-            Link.symmetric(f"t2{index}-t1a", base_delay=tier2_delay,
-                           seed=seed + 20 + index),
-        )
-        topology.connect(
-            t2, 2, 2, 10 + index,
-            Link.symmetric(f"t2{index}-t1b", base_delay=tier2_delay,
-                           seed=seed + 30 + index),
-        )
-        for s in range(stubs_per_tier2):
-            topology.make_as(stub_asn, name=f"stub-{stub_asn}",
-                             internal_delay=0.3e-3, seed=seed + stub_asn)
-            topology.connect(
-                stub_asn, 1, t2, 10 + s,
-                Link.symmetric(f"stub{stub_asn}", base_delay=stub_delay,
-                               seed=seed + 200 + stub_asn),
-            )
-            stub_asn += 1
-    network = Network(topology, simulator, seed=seed)
-    return ChainScenario(
-        simulator=simulator,
-        topology=topology,
-        network=network,
-        registry=PathRegistry(topology),
-        n_ases=len(topology.ases),
-    )

@@ -19,20 +19,18 @@ from repro.chaos import ChaosInjector
 from repro.common.errors import SessionStalled, VerificationError
 from repro.core.verification import ChainVerifier
 from repro.obs import Observability, to_chrome_trace, to_jsonl, to_prometheus
-
-from tests.byzantine.helpers import (
+from repro.workloads.demos import (
     BYZANTINE_VANTAGE,
     STAKE,
     add_forward_loss,
     audit_sessions,
     build_audited_testbed,
-    convicted_vantages,
     corrupt,
-    market_key,
-    mechanisms,
     run_echo_session,
     run_support_sessions,
 )
+
+from tests.byzantine.helpers import convicted_vantages, market_key, mechanisms
 from tests.chaos.helpers import assert_escrow_conserved
 
 pytestmark = pytest.mark.byzantine
@@ -215,7 +213,7 @@ class TestReplayedResults:
         # any replay audit at all (audit_rate=0).
         testbed, auditor = build_audited_testbed(seed=1, audit_rate=0.0)
         corruptor = corrupt(testbed, "replay_result", seed=1)
-        sessions = [run_echo_session(testbed, port=7801) for _ in range(3)]
+        sessions = [run_echo_session(testbed) for _ in range(3)]
         audit_sessions(testbed, auditor, sessions)
         assert len(corruptor.attacks) >= 1
         assert auditor.sessions_audited == 0
@@ -230,7 +228,7 @@ class TestStaleCertificates:
         # its timestamps fall outside the later purchased windows.
         testbed, auditor = build_audited_testbed(seed=1, audit_rate=0.0)
         corruptor = corrupt(testbed, "stale_certificate", seed=1)
-        sessions = [run_echo_session(testbed, port=7801) for _ in range(3)]
+        sessions = [run_echo_session(testbed) for _ in range(3)]
         audit_sessions(testbed, auditor, sessions)
         assert len(corruptor.attacks) >= 1
         _assert_byzantine_convicted(testbed, auditor, mechanism="window")
@@ -241,7 +239,7 @@ class TestStaleCertificates:
         # side of every session still verify.
         testbed, _ = build_audited_testbed(seed=1, audit_rate=0.0)
         corruptor = corrupt(testbed, "stale_certificate", seed=1)
-        first, *later = [run_echo_session(testbed, port=7801) for _ in range(3)]
+        first, *later = [run_echo_session(testbed) for _ in range(3)]
         assert len(corruptor.attacks) == len(later)
         verifier = ChainVerifier(testbed.ledger, testbed.market)
         verifier.verify_result(first.outcomes["client"].application_id)

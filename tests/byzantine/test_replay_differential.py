@@ -20,7 +20,6 @@ import repro.sandbox.program as program_mod
 from repro.core.application import DebugletApplication
 from repro.core.audit import audit_record
 from repro.core.executor import executor_data_address
-from repro.core.probing import ExecutorFleet
 from repro.netsim import Protocol
 from repro.sandbox.compile import compile_cache
 from repro.sandbox.programs import (
@@ -29,7 +28,7 @@ from repro.sandbox.programs import (
     oneway_receiver,
     oneway_sender,
 )
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 pytestmark = pytest.mark.byzantine
 
@@ -51,9 +50,7 @@ def tier_flip():
 
 def _echo_records(seed: int) -> dict:
     """Run echo_client/echo_server through real executors; return records."""
-    scenario = build_chain(3, seed=seed)
-    fleet = ExecutorFleet(scenario.network, seed=seed)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(3, seed=seed, fleet_seed=seed)
     records = {}
     path = scenario.registry.shortest(1, 3)
     server_app = DebugletApplication.from_stock(
@@ -79,9 +76,7 @@ def _echo_records(seed: int) -> dict:
 
 
 def _oneway_records(seed: int) -> dict:
-    scenario = build_chain(3, seed=seed)
-    fleet = ExecutorFleet(scenario.network, seed=seed)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(3, seed=seed, fleet_seed=seed)
     records = {}
     path = scenario.registry.shortest(1, 3)
     receiver_app = DebugletApplication.from_stock(
@@ -153,9 +148,7 @@ class TestRestartKeepsCompileCacheWarm:
         # (zero new compiles) and still complete identically.
         cache = compile_cache()
         cache.clear()
-        scenario = build_chain(3, seed=23)
-        fleet = ExecutorFleet(scenario.network, seed=23)
-        fleet.deploy_full()
+        scenario, fleet = deployed_chain(3, seed=23, fleet_seed=23)
         path = scenario.registry.shortest(1, 3)
 
         def run_once() -> object:

@@ -1,7 +1,8 @@
 """Shared scaffolding for the chaos lifecycle tests.
 
-Builds small marketplace testbeds, requests echo measurements between
-AS1 and AS3, and asserts the invariants every schedule must uphold:
+Builds small marketplace testbeds (their echo sessions come from
+``MarketplaceTestbed.request_echo``) and asserts the invariants every
+schedule must uphold:
 
 * **escrow conservation** — the tokens locked in the market contract are
   exactly the escrows of applications that were neither paid out
@@ -16,57 +17,12 @@ AS1 and AS3, and asserts the invariants every schedule must uphold:
 from __future__ import annotations
 
 from repro.common.ids import ObjectId
-from repro.core import DebugletApplication
-from repro.core.executor import executor_data_address
 from repro.core.marketplace import TERMINAL_STATES, MeasurementSession
-from repro.netsim import Protocol
-from repro.sandbox import echo_client, echo_server
 from repro.workloads import MarketplaceTestbed
-
-CLIENT_VANTAGE = (1, 2)
-SERVER_VANTAGE = (3, 1)
 
 
 def build_testbed(seed: int = 0, **kwargs) -> MarketplaceTestbed:
     return MarketplaceTestbed.build(n_ases=3, seed=seed, **kwargs)
-
-
-def make_echo_apps(
-    testbed: MarketplaceTestbed, count: int = 10, port: int = 7801
-) -> tuple[DebugletApplication, DebugletApplication]:
-    path = testbed.chain.registry.shortest(1, 3)
-    server_app = DebugletApplication.from_stock(
-        "srv",
-        echo_server(Protocol.UDP, max_echoes=count, idle_timeout_us=3_000_000),
-        listen_port=port,
-        path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(
-            Protocol.UDP,
-            executor_data_address(*SERVER_VANTAGE),
-            count=count,
-            interval_us=50_000,
-            dst_port=port,
-        ),
-        path=path.as_list(),
-    )
-    return client_app, server_app
-
-
-def request_echo_session(
-    testbed: MarketplaceTestbed, count: int = 10, port: int = 7801, **kwargs
-) -> MeasurementSession:
-    client_app, server_app = make_echo_apps(testbed, count=count, port=port)
-    return testbed.initiator.request_measurement(
-        client_app,
-        server_app,
-        CLIENT_VANTAGE,
-        SERVER_VANTAGE,
-        duration=30.0,
-        **kwargs,
-    )
 
 
 def escrow_outstanding(testbed: MarketplaceTestbed) -> int:

@@ -13,11 +13,11 @@ from repro.chain.gas import sui_to_mist
 from repro.chaos import ChaosInjector
 from repro.core.fleetmgr import ExecutorState
 
+from repro.workloads.scenarios import SERVER_VANTAGE
+
 from tests.chaos.helpers import (
-    SERVER_VANTAGE,
     assert_invariants,
     build_testbed,
-    request_echo_session,
     stake_outstanding,
 )
 
@@ -87,7 +87,7 @@ class TestHeartbeatLoss:
         # sales, never in-flight work.
         testbed, manager, injector = build_managed(seed=3)
         simulator = testbed.chain.simulator
-        session = request_echo_session(testbed, count=10)
+        session = testbed.request_echo(count=10)
         injector.lose_heartbeats(
             manager.get(SERVER_VANTAGE), start=session.window_start
         )

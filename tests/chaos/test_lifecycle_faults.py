@@ -22,7 +22,6 @@ from tests.chaos.helpers import (
     assert_invariants,
     build_testbed,
     lifecycle_fingerprint,
-    request_echo_session,
 )
 
 pytestmark = pytest.mark.chaos
@@ -30,7 +29,7 @@ pytestmark = pytest.mark.chaos
 
 def test_baseline_without_faults_certifies():
     testbed = build_testbed()
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     assert session.state is SessionState.CERTIFIED
     assert session.state_names == ["pending", "purchased", "running", "certified"]
@@ -41,7 +40,7 @@ def test_baseline_without_faults_certifies():
 def test_executor_crash_without_restart_refunds_escrow():
     testbed = build_testbed()
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     injector.crash_executor(
         testbed.agents[(3, 1)].executor, at=session.window_start + 0.1
     )
@@ -58,9 +57,7 @@ def test_executor_crash_without_restart_refunds_escrow():
 def test_executor_crash_with_restart_fails_over_and_certifies():
     testbed = build_testbed()
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
-    session = request_echo_session(
-        testbed, deadline_margin=10.0, max_attempts=2
-    )
+    session = testbed.request_echo(deadline_margin=10.0, max_attempts=2)
     injector.crash_executor(
         testbed.agents[(3, 1)].executor,
         at=session.window_start + 0.1,
@@ -79,7 +76,7 @@ def test_executor_crash_with_restart_fails_over_and_certifies():
 def test_publication_drop_times_out_and_refunds():
     testbed = build_testbed()
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     agent = testbed.agents[(3, 1)]
     injector.drop_publications(agent, start=0.0, end=session.window_end + 60.0)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
@@ -92,7 +89,7 @@ def test_publication_drop_times_out_and_refunds():
 def test_publication_delay_still_certifies_within_deadline():
     testbed = build_testbed()
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     injector.delay_publications(
         testbed.agents[(3, 1)],
         start=0.0,
@@ -110,7 +107,7 @@ def test_tx_outage_during_purchase_is_retried():
     sim = testbed.chain.simulator
     injector = ChaosInjector(sim, testbed.ledger)
     injector.fail_transactions(start=sim.now, end=sim.now + 2.0)
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     assert session.state is SessionState.PENDING  # gated, not raised
     testbed.initiator.run_until_done(session, sim)
     assert session.state is SessionState.CERTIFIED
@@ -122,7 +119,7 @@ def test_tx_outage_during_publication_is_retried_by_agent():
     testbed = build_testbed()
     sim = testbed.chain.simulator
     injector = ChaosInjector(sim, testbed.ledger)
-    session = request_echo_session(testbed, deadline_margin=30.0)
+    session = testbed.request_echo(deadline_margin=30.0)
     # Outage covering the first seconds of the window, when the (short)
     # executions finish and both agents publish; the agents' seeded
     # exponential backoff outlives the outage.
@@ -151,7 +148,7 @@ def test_permanent_tx_outage_fails_the_session():
     # Outage that outlives every backoff schedule: purchase retries
     # exhaust and the session fails cleanly instead of hanging.
     injector.fail_transactions(start=sim.now, end=sim.now + 10_000.0)
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     testbed.initiator.run_until_done(session, sim)
     assert session.state is SessionState.FAILED
     assert "purchase failed after retries" in session.failure_reason
@@ -164,7 +161,7 @@ def test_finality_delay_slows_but_does_not_break_the_flow():
     sim = testbed.chain.simulator
     injector = ChaosInjector(sim, testbed.ledger)
     injector.delay_finality(extra=2.0, start=sim.now, end=sim.now + 1_000.0)
-    session = request_echo_session(testbed, deadline_margin=30.0)
+    session = testbed.request_echo(deadline_margin=30.0)
     testbed.initiator.run_until_done(session, sim)
     assert session.state is SessionState.CERTIFIED
     assert_invariants(testbed, session)
@@ -173,7 +170,7 @@ def test_finality_delay_slows_but_does_not_break_the_flow():
 def test_early_slot_expiry_refunds_the_initiator():
     testbed = build_testbed()
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     injector.expire_slots_early(testbed.agents[(3, 1)], at=session.window_start)
     injector.expire_slots_early(testbed.agents[(1, 2)], at=session.window_start)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
@@ -192,9 +189,7 @@ def test_same_seed_same_schedule_is_bit_identical(fault):
         injector = ChaosInjector(sim, testbed.ledger, seed=seed)
         if fault == "txfail":
             injector.fail_transactions(start=sim.now, end=sim.now + 2.0)
-        session = request_echo_session(
-            testbed, deadline_margin=10.0, max_attempts=2
-        )
+        session = testbed.request_echo(deadline_margin=10.0, max_attempts=2)
         if fault == "crash":
             injector.crash_executor(
                 testbed.agents[(3, 1)].executor,

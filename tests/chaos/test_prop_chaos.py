@@ -17,7 +17,6 @@ from repro.core.marketplace import TERMINAL_STATES
 from tests.chaos.helpers import (
     assert_escrow_conserved,
     build_testbed,
-    request_echo_session,
 )
 
 pytestmark = pytest.mark.chaos
@@ -71,7 +70,7 @@ def test_any_fault_any_timing_reaches_terminal_state(kind, offset, seed):
     testbed = build_testbed(seed=seed)
     sim = testbed.chain.simulator
     injector = ChaosInjector(sim, testbed.ledger, seed=seed)
-    session = request_echo_session(testbed, deadline_margin=10.0, max_attempts=2)
+    session = testbed.request_echo(deadline_margin=10.0, max_attempts=2)
     _inject(injector, testbed, session, kind, offset)
     testbed.initiator.run_until_done(session, sim, timeout=3_000.0)
     sim.run()  # drain late retries/refunds before checking the books
@@ -95,9 +94,7 @@ def test_seeded_random_fault_schedules_replay_identically(n_faults, seed):
         testbed = build_testbed(seed=0)
         sim = testbed.chain.simulator
         injector = ChaosInjector(sim, testbed.ledger, seed=seed)
-        session = request_echo_session(
-            testbed, deadline_margin=10.0, max_attempts=2
-        )
+        session = testbed.request_echo(deadline_margin=10.0, max_attempts=2)
         agents = [testbed.agents[(1, 2)], testbed.agents[(3, 1)]]
         for _ in range(n_faults):
             injector.random_fault(

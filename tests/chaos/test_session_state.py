@@ -9,7 +9,6 @@ from repro.core.marketplace import TERMINAL_STATES, SessionState
 from tests.chaos.helpers import (
     assert_invariants,
     build_testbed,
-    request_echo_session,
 )
 
 pytestmark = pytest.mark.chaos
@@ -17,7 +16,7 @@ pytestmark = pytest.mark.chaos
 
 def test_state_history_is_time_ordered_with_one_terminal_state():
     testbed = build_testbed()
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     times = [t for t, _ in session.state_history]
     assert times == sorted(times)
@@ -28,7 +27,7 @@ def test_state_history_is_time_ordered_with_one_terminal_state():
 
 def test_legacy_sessions_have_no_deadline():
     testbed = build_testbed()
-    session = request_echo_session(testbed)  # no deadline_margin
+    session = testbed.request_echo()  # no deadline_margin
     assert session.deadline is None
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     assert session.state is SessionState.CERTIFIED
@@ -39,7 +38,7 @@ def test_idle_simulator_with_unfinished_session_raises_session_stalled():
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
     # No deadline: a crashed executor means the server result never comes
     # and nothing is scheduled to recover — the old code busy-spun here.
-    session = request_echo_session(testbed)
+    session = testbed.request_echo()
     injector.crash_executor(
         testbed.agents[(3, 1)].executor, at=session.window_start + 0.1
     )
@@ -55,7 +54,7 @@ def test_run_until_done_enforces_the_hard_timeout():
     testbed = build_testbed()
     sim = testbed.chain.simulator
     injector = ChaosInjector(sim, testbed.ledger)
-    session = request_echo_session(testbed)  # no deadline: never recovers
+    session = testbed.request_echo()  # no deadline: never recovers
     injector.drop_publications(
         testbed.agents[(3, 1)], start=0.0, end=float("inf")
     )
@@ -73,7 +72,7 @@ def test_run_until_done_enforces_the_hard_timeout():
 def test_timed_out_session_reports_partial_outcome_with_reason():
     testbed = build_testbed()
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     injector.drop_publications(
         testbed.agents[(3, 1)], start=0.0, end=session.window_end + 60.0
     )
@@ -93,8 +92,8 @@ def test_on_complete_fires_exactly_once_for_degraded_sessions():
     testbed = build_testbed()
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
     calls = []
-    session = request_echo_session(
-        testbed, deadline_margin=10.0, on_complete=lambda s: calls.append(s.state)
+    session = testbed.request_echo(
+        deadline_margin=10.0, on_complete=lambda s: calls.append(s.state)
     )
     injector.crash_executor(
         testbed.agents[(3, 1)].executor, at=session.window_start + 0.1
@@ -107,7 +106,7 @@ def test_on_complete_fires_exactly_once_for_degraded_sessions():
 def test_failover_supersedes_old_subscriptions_not_outcomes():
     testbed = build_testbed()
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger)
-    session = request_echo_session(testbed, deadline_margin=10.0, max_attempts=2)
+    session = testbed.request_echo(deadline_margin=10.0, max_attempts=2)
     injector.crash_executor(
         testbed.agents[(3, 1)].executor,
         at=session.window_start + 0.1,
@@ -124,7 +123,7 @@ def test_failover_supersedes_old_subscriptions_not_outcomes():
 
 def test_deadline_is_armed_relative_to_the_purchased_window():
     testbed = build_testbed()
-    session = request_echo_session(testbed, deadline_margin=7.5)
+    session = testbed.request_echo(deadline_margin=7.5)
     assert session.deadline == pytest.approx(session.window_end + 7.5)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     assert session.state is SessionState.CERTIFIED

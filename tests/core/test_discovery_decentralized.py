@@ -5,19 +5,16 @@ import pytest
 from repro.common.errors import ConfigurationError, DebugletError
 from repro.core.application import DebugletApplication
 from repro.core.discovery import DecentralizedDirectory, ExecutorAdvertisement
-from repro.core.probing import ExecutorFleet
 from repro.core.results import EchoMeasurement
 from repro.core.executor import executor_data_address
 from repro.netsim.packet import Protocol
 from repro.sandbox.programs import echo_client, echo_server
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import build_chain, deployed_chain
 
 
 @pytest.fixture
 def directory_setup():
-    scenario = build_chain(3, seed=4)
-    fleet = ExecutorFleet(scenario.network, seed=5)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(3, seed=4, fleet_seed=5)
     directory = DecentralizedDirectory(scenario.registry)
     advertisements = {}
     for vantage in fleet.vantages():
@@ -95,9 +92,7 @@ class TestEdgeCases:
         """Equal asking prices break by (asn, interface), so every
         initiator converges on the same executor for the same routing
         state — no thundering herd split."""
-        scenario = build_chain(3, seed=4)
-        fleet = ExecutorFleet(scenario.network, seed=5)
-        fleet.deploy_full()
+        scenario, fleet = deployed_chain(3, seed=4, fleet_seed=5)
         directory = DecentralizedDirectory(scenario.registry)
         prices = {(1, 2): 500, (2, 1): 500, (2, 2): 500, (3, 1): 700}
         advertisements = {

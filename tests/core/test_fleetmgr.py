@@ -3,15 +3,11 @@
 import pytest
 
 from repro.common.errors import ConfigurationError, PolicyViolation
-from repro.core.application import DebugletApplication
-from repro.core.executor import executor_data_address
 from repro.core.fleetmgr import (
     CapabilityRecord,
     ExecutorState,
     FleetManager,
 )
-from repro.netsim.packet import Protocol
-from repro.sandbox.programs import echo_client, echo_server
 from repro.workloads.scenarios import MarketplaceTestbed
 
 pytestmark = pytest.mark.fleet
@@ -25,24 +21,8 @@ def build(seed=7, **kwargs):
     return testbed, manager
 
 
-def client_app(path, count=4):
-    return DebugletApplication.from_stock(
-        "cli",
-        echo_client(
-            Protocol.UDP, executor_data_address(3, 1),
-            count=count, interval_us=50_000, dst_port=8700,
-        ),
-        path=path.as_list(),
-    )
-
-
-def server_app(path, count=4):
-    return DebugletApplication.from_stock(
-        "srv",
-        echo_server(Protocol.UDP, max_echoes=count, idle_timeout_us=3_000_000),
-        listen_port=8700,
-        path=path.reversed().as_list(),
-    )
+def client_app(testbed):
+    return testbed.echo_pair(count=4, port=8700)[0]
 
 
 class TestLifecycle:
@@ -151,10 +131,7 @@ class TestDrainRetire:
 
     def test_drain_finishes_in_flight_session_first(self):
         testbed, manager = build()
-        path = testbed.chain.registry.shortest(1, 3)
-        session = testbed.initiator.request_measurement(
-            client_app(path), server_app(path), (1, 2), (3, 1), duration=30.0
-        )
+        session = testbed.request_echo(count=4, port=8700)
         manager.drain((1, 2))
         assert manager.state_of((1, 2)) is ExecutorState.DRAINING
         testbed.initiator.run_until_done(session, testbed.chain.simulator)
@@ -223,9 +200,8 @@ class TestAdmission:
             testbed.agents[(1, 2)],
             capabilities=CapabilityRecord(protocols=("tcp",)),
         )
-        path = testbed.chain.registry.shortest(1, 3)
         with pytest.raises(PolicyViolation, match="protocols outside"):
-            manager.check_program((1, 2), client_app(path))
+            manager.check_program((1, 2), client_app(testbed))
         manager.stop()
 
     def test_read_only_posture_denies_active_prober(self):
@@ -235,10 +211,9 @@ class TestAdmission:
             testbed.agents[(1, 2)],
             capabilities=CapabilityRecord.read_only(),
         )
-        path = testbed.chain.registry.shortest(1, 3)
         # echo_client transmits (net_send) — outside the passive allowlist.
         with pytest.raises(PolicyViolation, match="host ops outside"):
-            manager.check_program((1, 2), client_app(path))
+            manager.check_program((1, 2), client_app(testbed))
         manager.stop()
 
     def test_fuel_ceiling_denies_expensive_program(self):
@@ -248,15 +223,13 @@ class TestAdmission:
             testbed.agents[(1, 2)],
             capabilities=CapabilityRecord(max_fuel=1),
         )
-        path = testbed.chain.registry.shortest(1, 3)
         with pytest.raises(PolicyViolation, match="fuel"):
-            manager.check_program((1, 2), client_app(path))
+            manager.check_program((1, 2), client_app(testbed))
         manager.stop()
 
     def test_in_scope_program_admitted_and_logged(self):
         testbed, manager = build()
-        path = testbed.chain.registry.shortest(1, 3)
-        manager.check_program((1, 2), client_app(path))
+        manager.check_program((1, 2), client_app(testbed))
         log = manager.admission_log_of((1, 2))
         # One registration entry plus the program decision.
         assert log[0].subject == "registration" and log[0].admitted
@@ -269,9 +242,8 @@ class TestAdmission:
             testbed.agents[(1, 2)],
             capabilities=CapabilityRecord(protocols=("tcp",)),
         )
-        path = testbed.chain.registry.shortest(1, 3)
         with pytest.raises(PolicyViolation):
-            manager.check_program((1, 2), client_app(path))
+            manager.check_program((1, 2), client_app(testbed))
         denied = [d for d in manager.admission_log_of((1, 2)) if not d.admitted]
         assert len(denied) == 1
         assert "protocols outside" in denied[0].reason
@@ -284,16 +256,14 @@ class TestAdmission:
             testbed.agents[(1, 2)],
             capabilities=CapabilityRecord(protocols=("tcp",)),
         )
-        path = testbed.chain.registry.shortest(1, 3)
         executor = testbed.agents[(1, 2)].executor
         with pytest.raises(PolicyViolation):
-            executor.admit(client_app(path))
+            executor.admit(client_app(testbed))
         manager.stop()
 
     def test_preflight_false_for_unsellable_or_out_of_scope(self):
         testbed, manager = build()
-        path = testbed.chain.registry.shortest(1, 3)
-        app = client_app(path)
+        app = client_app(testbed)
         assert manager.preflight((1, 2), app)
         assert not manager.preflight((99, 1), app)  # unknown vantage
         manager.drain((1, 2))

@@ -4,17 +4,15 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.localization import FaultLocalizer
-from repro.core.probing import ExecutorFleet, SegmentProber
+from repro.core.probing import SegmentProber
 from repro.netsim import FaultInjector, InterfaceId
 from repro.netsim.faults import FaultLocation
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 
 @pytest.fixture
 def chain6():
-    scenario = build_chain(6, seed=71)
-    fleet = ExecutorFleet(scenario.network, seed=72)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(6, seed=71, fleet_seed=72)
     prober = SegmentProber(fleet, probes=15, interval_us=5000)
     return scenario, FaultLocalizer(prober)
 

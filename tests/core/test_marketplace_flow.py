@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core.application import DebugletApplication
-from repro.core.executor import executor_data_address
 from repro.core.marketplace import decode_result_payload, encode_result_payload
 from repro.core.results import EchoMeasurement, ServerReport
-from repro.netsim.packet import Protocol
-from repro.sandbox.programs import echo_client, echo_server
 from repro.workloads.scenarios import MarketplaceTestbed
 
 COUNT = 10
@@ -17,24 +13,7 @@ COUNT = 10
 def completed_session():
     """One full measurement run, shared by the read-only assertions."""
     testbed = MarketplaceTestbed.build(3, seed=5)
-    path = testbed.chain.registry.shortest(1, 3)
-    server_app = DebugletApplication.from_stock(
-        "srv",
-        echo_server(Protocol.UDP, max_echoes=COUNT, idle_timeout_us=3_000_000),
-        listen_port=8700,
-        path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(
-            Protocol.UDP, executor_data_address(3, 1),
-            count=COUNT, interval_us=50_000, dst_port=8700,
-        ),
-        path=path.as_list(),
-    )
-    session = testbed.initiator.request_measurement(
-        client_app, server_app, (1, 2), (3, 1), duration=30.0
-    )
+    session = testbed.request_echo(count=COUNT, port=8700)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     return testbed, session
 

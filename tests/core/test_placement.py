@@ -136,12 +136,9 @@ class TestDirectoryCandidates:
     def test_candidates_from_live_advertisements(self):
         from repro.core.discovery import DecentralizedDirectory
         from repro.core.placement import candidates_from_directory
-        from repro.core.probing import ExecutorFleet
-        from repro.workloads.scenarios import build_chain
+        from repro.workloads.scenarios import deployed_chain
 
-        chain = build_chain(4, seed=2)
-        fleet = ExecutorFleet(chain.network, seed=2)
-        fleet.deploy_full()
+        chain, fleet = deployed_chain(4, seed=2, fleet_seed=2)
         directory = DecentralizedDirectory(chain.registry)
         for vantage in fleet.vantages():
             directory.advertise(fleet.get(*vantage), price=40 + vantage[0])

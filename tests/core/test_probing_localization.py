@@ -8,17 +8,15 @@ from repro.core.localization import (
     FaultLocalizer,
     estimate_baseline_rtt,
 )
-from repro.core.probing import ExecutorFleet, SegmentProber
+from repro.core.probing import SegmentProber
 from repro.netsim import FaultInjector, InterfaceId
 from repro.netsim.faults import FaultLocation
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 
 @pytest.fixture
 def chain5():
-    scenario = build_chain(5, seed=2)
-    fleet = ExecutorFleet(scenario.network, seed=3)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(5, seed=2, fleet_seed=3)
     prober = SegmentProber(fleet, probes=15, interval_us=5000)
     return scenario, fleet, prober
 

@@ -13,7 +13,6 @@ from repro.core.verification import verify_certificate
 from tests.chaos.helpers import (
     assert_escrow_conserved,
     build_testbed,
-    request_echo_session,
 )
 
 
@@ -23,10 +22,8 @@ def test_capacity_exhaustion_queues_and_serves_both_sessions():
     testbed = build_testbed()
     for agent in testbed.agents.values():
         agent.executor.concurrent_capacity = 1
-    first = request_echo_session(testbed, count=8, port=7801,
-                                 deadline_margin=60.0)
-    second = request_echo_session(testbed, count=8, port=7802,
-                                  deadline_margin=60.0)
+    first = testbed.request_echo(count=8, port=7801, deadline_margin=60.0)
+    second = testbed.request_echo(count=8, port=7802, deadline_margin=60.0)
     testbed.initiator.run_until_done(first, testbed.chain.simulator)
     testbed.initiator.run_until_done(second, testbed.chain.simulator)
     assert first.state is SessionState.CERTIFIED
@@ -46,9 +43,7 @@ def test_purchase_of_already_sold_slot_reverts():
         "debuglet_market", "lookup_slot",
         1, 2, 3, 1, 1, 128, 10, 30.0, 1.0,
     ).return_value
-    from tests.chaos.helpers import make_echo_apps
-
-    client_app, server_app = make_echo_apps(testbed)
+    client_app, server_app = testbed.echo_pair()
     args = (
         1, 2, 3, 1,
         lookup["client_slot_start"], lookup["server_slot_start"],
@@ -85,7 +80,7 @@ def test_result_ready_for_unknown_application_id_fails_cleanly():
 
 def test_rotated_executor_key_does_not_invalidate_old_certificates():
     testbed = build_testbed()
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     assert session.state is SessionState.CERTIFIED
     old_certificate = session.client_outcome.certificate

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.workloads import demos
+from repro.workloads.fig8 import run_fig8
 
 
 class TestCli:
@@ -37,6 +39,111 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def _quickstart_lines(run):
+    return [
+        f"path: {run.path}",
+        f"delay-to-measurement: {run.session.delay_to_measurement:.2f} s",
+        f"measured: mean RTT {run.echo.mean_rtt_ms():.3f} ms, "
+        f"loss {run.echo.loss_rate():.1%}",
+    ]
+
+
+def _chaos_lines(run):
+    session = run.session
+    return [
+        f"fault: {run.fault.kind.value} on {run.fault.target}",
+        f"states: {' -> '.join(session.state_names)}",
+        f"attempts: {session.attempt}  purchase retries: {session.purchase_retries}",
+        f"escrow still locked in contract: {run.escrow_locked} MIST",
+        f"final state: {session.state.value}; chain verification: OK",
+    ]
+
+
+def _audit_lines(run):
+    return [
+        f"attacks mounted: {run.attacks}  "
+        f"sessions replay-audited: {run.sessions_audited}",
+        f"tokens slashed on-ledger: {run.tokens_slashed} MIST",
+        *(f"  {conviction['detail']}" for conviction in run.convictions),
+    ]
+
+
+def _fleet_lines(run):
+    return [
+        f"session: {run.session.state.value} "
+        f"(delay-to-measurement {run.session.delay_to_measurement:.2f}s)",
+        f"drain 2:1 -> {run.drained.value}; on-chain address: {run.drained_address}",
+        f"crash 2:2 -> {run.crashed.value} (missed heartbeats: {run.heartbeats_missed})",
+        f"re-register 2:2 -> {run.reregistered.value} "
+        f"(registrations: {run.registrations})",
+        f"heartbeat loss 3:1 -> {run.heartbeat_lost.value} "
+        f"(executor crashed: {run.heartbeat_lost_crashed})",
+        f"fleet states: {run.counts}",
+    ]
+
+
+def _fig8_lines(measurements):
+    overhead = measurements["D2D"].mean_rtt_ms() - measurements["A2A"].mean_rtt_ms()
+    return [
+        *(
+            f"  {name}: mean={echo.mean_rtt_ms():8.3f} ms loss={echo.loss_rate():.2%}"
+            for name, echo in measurements.items()
+        ),
+        f"  D2D - A2A = {overhead * 1e3:.0f} us",
+    ]
+
+
+def _localize_lines(run):
+    report = run.report
+    return [
+        f"ground truth: {run.fault}",
+        f"linear: suspects={[str(s) for s in report.suspects]} "
+        f"measurements={report.measurements_used} "
+        f"time={report.time_to_locate:.2f}s correct={run.correct}",
+    ]
+
+
+def _scenario(name, argv, run, lines):
+    return pytest.param(argv, run, lines, id=name)
+
+
+SCENARIOS = [
+    _scenario("quickstart", ["quickstart", "--probes", "5"],
+              lambda: demos.run_quickstart(probes=5), _quickstart_lines),
+    *(
+        _scenario(f"chaos-demo-{fault}",
+                  ["chaos-demo", "--fault", fault, "--probes", "5"],
+                  lambda fault=fault: demos.run_chaos_demo(fault, probes=5),
+                  _chaos_lines)
+        for fault in ("crash", "drop", "delay", "txfail", "expiry")
+    ),
+    _scenario("audit-demo",
+              ["audit-demo", "--audit-rate", "1.0", "--sessions", "2"],
+              lambda: demos.run_audit_demo(audit_rate=1.0, sessions=2),
+              _audit_lines),
+    _scenario("fleet-demo", ["fleet-demo", "--probes", "5"],
+              lambda: demos.run_fleet_demo(probes=5), _fleet_lines),
+    _scenario("fig8", ["fig8", "--probes", "40"],
+              lambda: run_fig8(40), _fig8_lines),
+    _scenario("localize",
+              ["localize", "--ases", "5", "--fault-link", "2",
+               "--strategy", "linear", "--probes", "8"],
+              lambda: demos.run_localize(5, fault_link=2, strategy="linear",
+                                         probes=8),
+              _localize_lines),
+]
+
+
+@pytest.mark.parametrize("argv, run, lines", SCENARIOS)
+def test_cli_prints_what_the_scenario_returns(argv, run, lines, capsys):
+    """Each command prints the numbers its ``workloads`` function returns
+    for the same arguments (run again here, in the same process)."""
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    for line in lines(run()):
+        assert line in printed
 
 
 @pytest.mark.obs
@@ -74,14 +181,6 @@ class TestCliObservability:
         assert main(["chaos-demo", "--fault", "txfail",
                      "--events-out", str(events)]) == 0
         assert "chaos.injected" in events.read_text()
-
-    def test_obs_report_subcommand(self, tmp_path, capsys):
-        trace = tmp_path / "trace.json"
-        assert main(["obs-report", "--scenario", "quickstart",
-                     "--trace-out", str(trace)]) == 0
-        out = capsys.readouterr().out
-        assert "observability report:" in out
-        assert trace.exists()
 
     def test_no_flags_means_detached(self, capsys):
         # Without any obs flag the run must not mention observability.

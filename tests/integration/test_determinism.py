@@ -14,12 +14,12 @@ from repro.netsim.packet import Protocol
 from repro.workloads.wan import WanScenario
 from tests.netsim.probe_records import probe_records
 
-from tests.chaos.helpers import build_testbed, request_echo_session
+from tests.chaos.helpers import build_testbed
 
 
 def _run_marketplace_once(seed: int):
     testbed = build_testbed(seed=seed)
-    session = request_echo_session(testbed, deadline_margin=10.0)
+    session = testbed.request_echo(deadline_margin=10.0)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     testbed.chain.simulator.run()
     return {

@@ -3,11 +3,10 @@
 
 from repro.core.application import DebugletApplication
 from repro.core.executor import executor_data_address
-from repro.core.probing import ExecutorFleet
 from repro.core.results import OneWayMeasurement
 from repro.netsim import FaultInjector, InterfaceId, Protocol
 from repro.sandbox.programs import oneway_receiver, oneway_sender
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 COUNT = 12
 
@@ -39,9 +38,7 @@ def _run_oneway(scenario, fleet, src, dst, path, *, port):
 
 class TestOneWayExecution:
     def test_forward_and_backward_measured_independently(self):
-        scenario = build_chain(3, seed=13)
-        fleet = ExecutorFleet(scenario.network, seed=14)
-        fleet.deploy_full()
+        scenario, fleet = deployed_chain(3, seed=13, fleet_seed=14)
         injector = FaultInjector(scenario.topology)
         # Degrade only the AS3->AS2 direction of the 2-3 link.
         injector.link_delay(
@@ -62,9 +59,7 @@ class TestOneWayExecution:
         assert backward.mean_delay_ms() > 35.0
 
     def test_oneway_loss_isolated_per_direction(self):
-        scenario = build_chain(2, seed=15)
-        fleet = ExecutorFleet(scenario.network, seed=16)
-        fleet.deploy_full()
+        scenario, fleet = deployed_chain(2, seed=15, fleet_seed=16)
         injector = FaultInjector(scenario.topology)
         injector.link_loss(
             InterfaceId(1, 2), InterfaceId(2, 1),

@@ -8,17 +8,15 @@ the affected protocol — §II's conclusion, demonstrated end to end.
 import pytest
 
 from repro.core.localization import FaultLocalizer
-from repro.core.probing import ExecutorFleet, SegmentProber
+from repro.core.probing import SegmentProber
 from repro.netsim import InterfaceId, Protocol
 from repro.netsim.conduit import FaultOverlay
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 
 @pytest.fixture
 def udp_only_fault():
-    scenario = build_chain(4, seed=130)
-    fleet = ExecutorFleet(scenario.network, seed=131)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(4, seed=130, fleet_seed=131)
     overlay = FaultOverlay(
         start=0.0, end=1e12, extra_delay=25e-3,
         protocols=frozenset({Protocol.UDP}),

@@ -32,9 +32,9 @@ import json
 import sys
 from pathlib import Path
 
-from repro.core import ExecutorFleet, FaultLocalizer, SegmentProber
+from repro.core import FaultLocalizer, SegmentProber
 from repro.netsim import FaultInjector, InterfaceId
-from repro.workloads import build_chain
+from repro.workloads import deployed_chain
 from repro.workloads.wan import WanScenario
 from tests.netsim.cell_golden import array_hash
 
@@ -63,9 +63,7 @@ def table1_cells(seed: int, probes: int) -> dict[str, dict]:
 
 def localization(seed: int = LOCALIZE_SEED) -> dict:
     """What one iteration of the bench's ``dataplane_event`` outputs."""
-    scenario = build_chain(LOCALIZE_ASES, seed=seed)
-    fleet = ExecutorFleet(scenario.network, seed=seed + 1)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(LOCALIZE_ASES, seed=seed, fleet_seed=seed + 1)
     FaultInjector(scenario.topology).link_delay(
         InterfaceId(3, 2), InterfaceId(4, 1), extra_delay=20e-3, start=0.0, end=1e12
     )

@@ -25,12 +25,12 @@ still granted after ``stop()``.
 """
 
 from repro.common.rng import derive_rng
-from repro.core import ExecutorFleet, SegmentProber
+from repro.core import SegmentProber
 from repro.core.probing import SegmentRequest
 from repro.netsim.packet import Protocol
 from repro.obs import Observability
 from repro.obs.export import to_jsonl, to_prometheus
-from repro.workloads import build_chain
+from repro.workloads import build_chain, deployed_chain
 from repro.workloads.wan import WanScenario
 
 ALL = tuple(Protocol)
@@ -214,9 +214,7 @@ class TestPacketHops:
 class TestEndToEnd:
     def test_executor_echo_pair(self):
         def scenario(sync):
-            chain = build_chain(4, seed=3)
-            fleet = ExecutorFleet(chain.network, seed=4)
-            fleet.deploy_full()
+            chain, fleet = deployed_chain(4, seed=3, fleet_seed=4)
             prober = SegmentProber(fleet, probes=12, interval_us=5000)
             segment = chain.registry.shortest(1, 4)
             requests = [SegmentRequest((1, 2), (4, 1), segment)] * 2

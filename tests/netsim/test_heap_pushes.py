@@ -21,9 +21,9 @@ Nothing is timed.
 
 import pytest
 
-from repro.core import ExecutorFleet, SegmentProber
+from repro.core import SegmentProber
 from repro.netsim.engine import Simulator
-from repro.workloads import build_chain
+from repro.workloads import deployed_chain
 from repro.workloads.wan import WanScenario
 
 
@@ -57,9 +57,7 @@ def test_protocol_study_pushes_per_probe(pushes):
 
 
 def test_echo_pair_pushes_per_answered_probe(pushes):
-    chain = build_chain(6, seed=1)
-    fleet = ExecutorFleet(chain.network, seed=2)
-    fleet.deploy_full()
+    chain, fleet = deployed_chain(6, seed=1, fleet_seed=2)
     prober = SegmentProber(fleet, probes=100, interval_us=5000)
     pushes[0] = 0
     measurement = prober.measure_sync((1, 2), (6, 1), chain.registry.shortest(1, 6))

@@ -10,11 +10,8 @@ import pytest
 
 from repro.chaos import ChaosInjector
 from repro.common.errors import FuelExhausted, SessionStalled
-from repro.core import DebugletApplication
-from repro.core.executor import executor_data_address
-from repro.netsim import Protocol, Simulator
+from repro.netsim import Simulator
 from repro.obs import Observability
-from repro.sandbox import echo_client, echo_server
 from repro.sandbox.assembler import assemble
 from repro.sandbox.vm import VM, Done
 from repro.workloads import MarketplaceTestbed
@@ -90,31 +87,15 @@ class TestVmInstrumentation:
         assert isinstance(vm.start(), Done)
 
 
-def build_quickstart(seed=1, obs=None, count=10):
-    testbed = MarketplaceTestbed.build(n_ases=3, seed=seed, obs=obs)
-    path = testbed.chain.registry.shortest(1, 3)
-    server_app = DebugletApplication.from_stock(
-        "srv",
-        echo_server(Protocol.UDP, max_echoes=count, idle_timeout_us=3_000_000),
-        listen_port=7801,
-        path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(Protocol.UDP, executor_data_address(3, 1),
-                    count=count, interval_us=50_000, dst_port=7801),
-        path=path.as_list(),
-    )
-    return testbed, client_app, server_app
+def build_quickstart(obs=None) -> MarketplaceTestbed:
+    return MarketplaceTestbed.build(n_ases=3, seed=1, obs=obs)
 
 
 class TestMarketplaceInstrumentation:
     def test_certified_session_records_lifecycle(self):
         obs = Observability.enabled()
-        testbed, client_app, server_app = build_quickstart(obs=obs)
-        session = testbed.initiator.request_measurement(
-            client_app, server_app, (1, 2), (3, 1), duration=30.0
-        )
+        testbed = build_quickstart(obs=obs)
+        session = testbed.request_echo()
         testbed.initiator.run_until_done(session, testbed.chain.simulator)
 
         # One session span, opened at request and closed at certification.
@@ -151,10 +132,8 @@ class TestMarketplaceInstrumentation:
 
     def test_ledger_tx_accounting(self):
         obs = Observability.enabled()
-        testbed, client_app, server_app = build_quickstart(obs=obs)
-        session = testbed.initiator.request_measurement(
-            client_app, server_app, (1, 2), (3, 1), duration=30.0
-        )
+        testbed = build_quickstart(obs=obs)
+        session = testbed.request_echo()
         testbed.initiator.run_until_done(session, testbed.chain.simulator)
         success = sum(
             metric.value
@@ -167,14 +146,11 @@ class TestMarketplaceInstrumentation:
 
     def test_chaos_outage_records_retries_and_fault_events(self):
         obs = Observability.enabled()
-        testbed, client_app, server_app = build_quickstart(obs=obs)
+        testbed = build_quickstart(obs=obs)
         simulator = testbed.chain.simulator
         injector = ChaosInjector(simulator, testbed.ledger, seed=1)
         injector.fail_transactions(start=simulator.now, end=simulator.now + 3.0)
-        session = testbed.initiator.request_measurement(
-            client_app, server_app, (1, 2), (3, 1), duration=30.0,
-            deadline_margin=10.0,
-        )
+        session = testbed.request_echo(deadline_margin=10.0)
         testbed.initiator.run_until_done(session, simulator, timeout=900.0)
         assert counter_value(
             obs, "marketplace_retries_total", kind="purchase"
@@ -196,7 +172,7 @@ class TestMarketplaceInstrumentation:
 
     def test_crash_fault_fires_and_revokes(self):
         obs = Observability.enabled()
-        testbed, _, _ = build_quickstart(obs=obs)
+        testbed = build_quickstart(obs=obs)
         simulator = testbed.chain.simulator
         injector = ChaosInjector(simulator, testbed.ledger, seed=1)
         fault = injector.crash_executor(
@@ -217,24 +193,21 @@ class TestMarketplaceInstrumentation:
 
 class TestSessionStalledDiagnostics:
     @staticmethod
-    def _stall(testbed, client_app, server_app):
+    def _stall(testbed):
         """Results certified but never published, no deadline: the session
         stays RUNNING until the simulator goes idle."""
         simulator = testbed.chain.simulator
         injector = ChaosInjector(simulator, testbed.ledger, seed=1)
         injector.drop_publications(testbed.agents[(1, 2)], start=0.0, end=1e12)
         injector.drop_publications(testbed.agents[(3, 1)], start=0.0, end=1e12)
-        session = testbed.initiator.request_measurement(
-            client_app, server_app, (1, 2), (3, 1), duration=30.0
-        )
+        session = testbed.request_echo()
         with pytest.raises(SessionStalled) as excinfo:
             testbed.initiator.run_until_done(session, simulator, timeout=900.0)
         return excinfo
 
     def test_stall_message_carries_history_and_engine_events(self):
         obs = Observability.enabled()
-        testbed, client_app, server_app = build_quickstart(obs=obs)
-        excinfo = self._stall(testbed, client_app, server_app)
+        excinfo = self._stall(build_quickstart(obs=obs))
         message = str(excinfo.value)
         assert "session state: running" in message
         assert "history:" in message and "pending@" in message
@@ -244,8 +217,7 @@ class TestSessionStalledDiagnostics:
         assert excinfo.value.events  # structured copy for tooling
 
     def test_stall_without_observability_still_reports_state(self):
-        testbed, client_app, server_app = build_quickstart()
-        excinfo = self._stall(testbed, client_app, server_app)
+        excinfo = self._stall(build_quickstart())
         message = str(excinfo.value)
         assert "session state: running" in message
         assert "last engine events" not in message

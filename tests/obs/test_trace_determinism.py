@@ -10,11 +10,7 @@ VM, ledger, or chaos layer shows up here as a byte diff.
 import pytest
 
 from repro.chaos import ChaosInjector
-from repro.core import DebugletApplication
-from repro.core.executor import executor_data_address
-from repro.netsim import Protocol
 from repro.obs import Observability, to_chrome_trace, to_jsonl, to_prometheus
-from repro.sandbox import echo_client, echo_server
 from repro.workloads import MarketplaceTestbed, WanScenario
 
 pytestmark = pytest.mark.obs
@@ -31,24 +27,7 @@ def run_chaos_scenario(seed: int) -> Observability:
         testbed.agents[(1, 2)].executor, at=6.0, restart_at=8.0
     )
 
-    path = testbed.chain.registry.shortest(1, 3)
-    count = 10
-    server_app = DebugletApplication.from_stock(
-        "srv",
-        echo_server(Protocol.UDP, max_echoes=count, idle_timeout_us=3_000_000),
-        listen_port=7801,
-        path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(Protocol.UDP, executor_data_address(3, 1),
-                    count=count, interval_us=50_000, dst_port=7801),
-        path=path.as_list(),
-    )
-    session = testbed.initiator.request_measurement(
-        client_app, server_app, (1, 2), (3, 1), duration=30.0,
-        deadline_margin=10.0, max_attempts=2,
-    )
+    session = testbed.request_echo(deadline_margin=10.0, max_attempts=2)
     testbed.initiator.run_until_done(session, simulator, timeout=900.0)
     return obs
 

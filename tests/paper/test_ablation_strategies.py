@@ -7,9 +7,9 @@ time-to-locate, and (slot-price) cost across the three strategies.
 """
 
 from repro.core.localization import FaultLocalizer
-from repro.core.probing import ExecutorFleet, SegmentProber
+from repro.core.probing import SegmentProber
 from repro.netsim import FaultInjector, InterfaceId
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 N_ASES = 10
 SLOT_PRICE_SUI = 0.05  # per executor per measurement
@@ -18,9 +18,7 @@ SLOT_PRICE_SUI = 0.05  # per executor per measurement
 def _run_strategies():
     results = {}
     for strategy in ("binary", "linear", "exhaustive", "guided"):
-        scenario = build_chain(N_ASES, seed=43)
-        fleet = ExecutorFleet(scenario.network, seed=44)
-        fleet.deploy_full()
+        scenario, fleet = deployed_chain(N_ASES, seed=43, fleet_seed=44)
         injector = FaultInjector(scenario.topology)
         fault = injector.link_delay(
             InterfaceId(N_ASES - 1, 2), InterfaceId(N_ASES, 1),

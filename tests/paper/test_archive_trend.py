@@ -12,10 +12,10 @@ from repro.core.archive import (
     ResultArchive,
     degradation_onset,
 )
-from repro.core.probing import ExecutorFleet, SegmentProber
+from repro.core.probing import SegmentProber
 from repro.chain import KeyPair, Ledger, Wallet, sui_to_mist
 from repro.netsim import FaultInjector, InterfaceId
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 ROUNDS = 10
 PERIOD = 30.0  # one archived measurement every 30 s
@@ -23,9 +23,7 @@ FAULT_ROUND = 6
 
 
 def _run_trend_study():
-    scenario = build_chain(3, seed=101)
-    fleet = ExecutorFleet(scenario.network, seed=102)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(3, seed=101, fleet_seed=102)
     prober = SegmentProber(fleet, probes=10, interval_us=5000)
     path = scenario.registry.shortest(1, 3)
 

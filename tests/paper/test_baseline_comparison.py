@@ -9,16 +9,14 @@ degradation and localizes it to the right link.
 
 from repro.baselines import ping_sync, traceroute_sync
 from repro.core.localization import FaultLocalizer
-from repro.core.probing import ExecutorFleet, SegmentProber
+from repro.core.probing import SegmentProber
 from repro.netsim import InterfaceId, Protocol
 from repro.netsim.conduit import FaultOverlay
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 
 def _run_comparison():
-    scenario = build_chain(4, seed=48)
-    fleet = ExecutorFleet(scenario.network, seed=49)
-    fleet.deploy_full()
+    scenario, fleet = deployed_chain(4, seed=48, fleet_seed=49)
     # UDP-only degradation on the 2-3 link (e.g. fine-grained balancing
     # onto a broken member link that only UDP traffic is sprayed across).
     overlay = FaultOverlay(

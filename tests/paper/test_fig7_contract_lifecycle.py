@@ -7,12 +7,8 @@ ledger, and prints the gas spent and token movement at each step.
 """
 
 from repro.chain.gas import mist_to_sui
-from repro.core.application import DebugletApplication
-from repro.core.executor import executor_data_address
 from repro.core.results import EchoMeasurement
 from repro.core.verification import ChainVerifier
-from repro.netsim.packet import Protocol
-from repro.sandbox.programs import echo_client, echo_server
 from repro.workloads.scenarios import MarketplaceTestbed
 
 COUNT = 15
@@ -20,21 +16,7 @@ COUNT = 15
 
 def _run_lifecycle():
     testbed = MarketplaceTestbed.build(3, seed=23)
-    path = testbed.chain.registry.shortest(1, 3)
-    server_app = DebugletApplication.from_stock(
-        "srv",
-        echo_server(Protocol.UDP, max_echoes=COUNT, idle_timeout_us=3_000_000),
-        listen_port=8650, path=path.reversed().as_list(),
-    )
-    client_app = DebugletApplication.from_stock(
-        "cli",
-        echo_client(Protocol.UDP, executor_data_address(3, 1),
-                    count=COUNT, interval_us=50_000, dst_port=8650),
-        path=path.as_list(),
-    )
-    session = testbed.initiator.request_measurement(
-        client_app, server_app, (1, 2), (3, 1), duration=30.0
-    )
+    session = testbed.request_echo(count=COUNT, port=8650)
     testbed.initiator.run_until_done(session, testbed.chain.simulator)
     return testbed, session
 

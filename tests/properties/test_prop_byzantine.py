@@ -14,16 +14,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.byzantine.helpers import (
+from repro.workloads.demos import (
     BYZANTINE_VANTAGE,
     STAKE,
     add_forward_loss,
     audit_sessions,
     build_audited_testbed,
-    convicted_vantages,
     corrupt,
     run_echo_session,
 )
+
+from tests.byzantine.helpers import convicted_vantages
 from tests.chaos.helpers import assert_escrow_conserved
 
 pytestmark = pytest.mark.byzantine

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.localization import FaultLocalizer
-from repro.core.probing import ExecutorFleet, SegmentProber
+from repro.core.probing import SegmentProber
 from repro.netsim import FaultInjector, InterfaceId
-from repro.workloads.scenarios import build_chain
+from repro.workloads.scenarios import deployed_chain
 
 
 @st.composite
@@ -33,9 +33,7 @@ class TestLocalizationProperty:
     @settings(max_examples=12, deadline=None)
     def test_binary_finds_any_single_fault(self, case):
         n_ases, (kind, where), seed = case
-        scenario = build_chain(n_ases, seed=seed)
-        fleet = ExecutorFleet(scenario.network, seed=seed + 1)
-        fleet.deploy_full()
+        scenario, fleet = deployed_chain(n_ases, seed=seed, fleet_seed=seed + 1)
         injector = FaultInjector(scenario.topology)
         if kind == "link":
             fault = injector.link_delay(

@@ -2,13 +2,9 @@
 contract in a multi-session marketplace scenario (ISSUE 5 acceptance)."""
 
 
-from repro.core.application import DebugletApplication
-from repro.core.executor import executor_data_address
-from repro.netsim.packet import Protocol
 from repro.obs import Observability, to_prometheus
 from repro.sandbox.assembler import assemble
 from repro.sandbox.compile import CompileCache, compile_cache, get_compiled
-from repro.sandbox.programs import echo_client, echo_server
 from repro.workloads.scenarios import MarketplaceTestbed
 
 
@@ -112,28 +108,8 @@ class TestMarketplaceHitRate:
         cache = compile_cache()
         cache.clear()
         testbed = MarketplaceTestbed.build(3, seed=7)
-        path = testbed.chain.registry.shortest(1, 3)
-        count = 4
         for _ in range(4):
-            server_app = DebugletApplication.from_stock(
-                "srv",
-                echo_server(
-                    Protocol.UDP, max_echoes=count, idle_timeout_us=3_000_000
-                ),
-                listen_port=8700,
-                path=path.reversed().as_list(),
-            )
-            client_app = DebugletApplication.from_stock(
-                "cli",
-                echo_client(
-                    Protocol.UDP, executor_data_address(3, 1),
-                    count=count, interval_us=50_000, dst_port=8700,
-                ),
-                path=path.as_list(),
-            )
-            session = testbed.initiator.request_measurement(
-                client_app, server_app, (1, 2), (3, 1), duration=30.0
-            )
+            session = testbed.request_echo(count=4, port=8700)
             testbed.initiator.run_until_done(session, testbed.chain.simulator)
             assert session.done
 
