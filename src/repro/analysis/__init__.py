@@ -1,6 +1,5 @@
 """Analysis helpers: trace statistics and RTT cluster detection."""
 
-from repro.analysis.export import write_summary_csv, write_timeseries_csv
 from repro.analysis.clustering import Cluster, cluster_count, detect_clusters, spread_ms
 from repro.analysis.stats import (
     CellStats,
@@ -20,6 +19,4 @@ __all__ = [
     "spread_ms",
     "step_changes",
     "table_row",
-    "write_summary_csv",
-    "write_timeseries_csv",
 ]

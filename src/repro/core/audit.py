@@ -22,10 +22,10 @@ trustfree against the Byzantine strategies of
    adjacent sub-segments measured by *independent* executors — must
    agree. Votes (one per executor per AS pair, plus one composed vote
    per intermediate AS) are clustered by mutual tolerance; with at
-   least ``quorum`` independent votes, every vote outside the majority
-   cluster convicts its executor. Majority clustering, not pairwise
-   comparison, is what attributes the lie: a disagreement flags the
-   minority, never the honest majority.
+   least :data:`QUORUM` independent votes, every vote outside the
+   majority cluster convicts its executor. Majority clustering, not
+   pairwise comparison, is what attributes the lie: a disagreement flags
+   the minority, never the honest majority.
 
 3. **Always-on cheap checks** on every published session: certificate
    timestamps inside the purchased window (stale-certificate reuse),
@@ -52,6 +52,7 @@ from repro.chain.crypto import sha256
 from repro.common.errors import ChainError, SandboxError
 from repro.common.rng import derive_rng
 from repro.common.serialize import canonical_encode
+from repro.contracts.debuglet_market import DebugletMarket
 from repro.core.executor import WINDOW_SLACK
 from repro.sandbox.hostops import output_bytes
 from repro.sandbox.program import ReceivedData
@@ -68,6 +69,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: repeats across sessions).
 MIN_EQUIVOCATION_BYTES = 32
 
+#: Minimum independent votes on an AS pair before cross-validation may
+#: convict (the §VI disagreement quorum).
+QUORUM = 3
+#: Absolute (µs) and relative RTT agreement tolerances for clustering.
+RTT_TOLERANCE_US = 2_000.0
+RTT_REL_TOLERANCE = 0.35
+
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -75,12 +83,6 @@ class AuditConfig:
 
     #: Fraction of completed sessions spot-checked by replay audit.
     audit_rate: float = 0.25
-    #: Minimum independent votes on an AS pair before cross-validation
-    #: may convict (the §VI disagreement quorum).
-    quorum: int = 3
-    #: Absolute and relative RTT agreement tolerances for clustering.
-    rtt_tolerance_us: float = 2_000.0
-    rtt_rel_tolerance: float = 0.35
     #: Grace around the purchased window for certificate timestamps.
     window_slack: float = WINDOW_SLACK
     seed: int = 0
@@ -292,25 +294,21 @@ class SegmentCrossValidator:
     claimed RTTs on the pair. Pairs spanning an intermediate AS also get
     one *composed* vote — the sum of the sub-segment medians from
     executors with no direct vote on the pair, so a suspect cannot
-    poison its own reference. With ``quorum`` or more votes on a pair,
+    poison its own reference. With :data:`QUORUM` or more votes on a pair,
     votes are clustered by mutual tolerance; a strict-majority cluster
     convicts everyone outside it. Named to stay distinct from
     :class:`repro.core.antigaming.CrossValidator`, which compares
     executor vs end-host views (§VI-E) rather than executor vs executor.
     """
 
-    def __init__(self, config: AuditConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.samples: list[PathSample] = []
 
     def add(self, sample: PathSample) -> None:
         self.samples.append(sample)
 
     def _agree(self, a: float, b: float) -> bool:
-        tolerance = max(
-            self.config.rtt_tolerance_us,
-            self.config.rtt_rel_tolerance * max(a, b),
-        )
+        tolerance = max(RTT_TOLERANCE_US, RTT_REL_TOLERANCE * max(a, b))
         return abs(a - b) <= tolerance
 
     def findings(self) -> list[CrossFinding]:
@@ -364,7 +362,7 @@ class SegmentCrossValidator:
         findings: list[CrossFinding] = []
         for pair, direct in sorted(votes.items()):
             ballot = direct + composed.get(pair, [])
-            if len(ballot) < self.config.quorum:
+            if len(ballot) < QUORUM:
                 continue
             counts = [
                 sum(1 for _, other in ballot if self._agree(rtt, other))
@@ -432,7 +430,6 @@ class Auditor:
         executors: dict[tuple[int, int], "Executor"] | None = None,
         config: AuditConfig | None = None,
         simulator=None,
-        market_name: str = "debuglet_market",
         obs=None,
     ) -> None:
         self.ledger = ledger
@@ -441,10 +438,9 @@ class Auditor:
         self.executors = dict(executors or {})
         self.config = config or AuditConfig()
         self.simulator = simulator
-        self.market_name = market_name
         self._obs = obs
         self._rng = derive_rng(self.config.seed, "auditor")
-        self.cross = SegmentCrossValidator(self.config)
+        self.cross = SegmentCrossValidator()
         self.findings: list[AuditFinding] = []
         self.convictions: list[dict] = []
         self.conviction_failures: list[tuple[str, str]] = []
@@ -464,7 +460,7 @@ class Auditor:
 
     def register(self) -> None:
         """Claim the on-chain auditor role."""
-        self.wallet.must_call(self.market_name, "register_auditor")
+        self.wallet.must_call(DebugletMarket.name, "register_auditor")
 
     # ------------------------------------------------------- observation
 
@@ -733,7 +729,7 @@ class Auditor:
         obs = self.obs
         try:
             receipt = self.wallet.must_call(
-                self.market_name,
+                DebugletMarket.name,
                 "slash_executor",
                 vantage[0],
                 vantage[1],

@@ -8,16 +8,18 @@ run time (packet budgets, duration, contact allow-list, result size), and
 finally *certifies* the result with its Ed25519 key so third parties can
 verify what was measured.
 
-Timing model (calibrated to the paper's §V-B measurements):
+Timing model: module constants, the costs the paper measured (§V-B,
+Fig 8):
 
-- ``setup_time`` (~10 ms): sandbox instantiation before the first
-  instruction runs — the "execution environment setup time";
-- ``host_call_overhead`` (~60 µs): simulated cost of each sandbox/host
-  boundary crossing. This is what makes D2D measurements read ~300 µs
-  above A2A in Fig 8 (3 crossings on the client's timing path, 2 on the
-  server's). Native programs pay neither.
-- ``instruction_time``: CPU time per unit of fuel, folded into the
-  moment results become available.
+- :data:`SETUP_TIME` (10 ms, plus ``|N(0, setup_jitter)|``): sandbox
+  instantiation before the first instruction runs — the "execution
+  environment setup time";
+- :data:`HOST_CALL_OVERHEAD` (60 µs): simulated cost of each
+  sandbox/host boundary crossing. This is what makes D2D measurements
+  read ~300 µs above A2A in Fig 8 (3 crossings on the client's timing
+  path, 2 on the server's). Native programs pay neither.
+- :data:`INSTRUCTION_TIME` (2 ns): CPU time per unit of fuel, folded
+  into the moment results become available.
 """
 
 from __future__ import annotations
@@ -97,6 +99,13 @@ class ExecutionRecord:
 #: Grace (seconds) around a purchased window for certificate timestamps:
 #: what the Auditor convicts on and what third-party verification accepts.
 WINDOW_SLACK = 5.0
+
+#: Sandbox instantiation before a sandboxed program's first instruction (s).
+SETUP_TIME = 10e-3
+#: Cost of one sandbox/host boundary crossing (s).
+HOST_CALL_OVERHEAD = 60e-6
+#: CPU time per unit of fuel (s).
+INSTRUCTION_TIME = 2e-9
 
 
 @dataclass(frozen=True)
@@ -194,10 +203,7 @@ class Executor:
         *,
         keypair: KeyPair | None = None,
         policy: ExecutorPolicy | None = None,
-        setup_time: float = 10e-3,
         setup_jitter: float = 0.3e-3,
-        host_call_overhead: float = 60e-6,
-        instruction_time: float = 2e-9,
         concurrent_capacity: int = 8,
         seed: int = 0,
     ) -> None:
@@ -206,10 +212,7 @@ class Executor:
         self.interface = interface
         self.keypair = keypair or KeyPair.deterministic(f"executor-{asn}-{interface}")
         self.policy = policy or ExecutorPolicy()
-        self.setup_time = setup_time
         self.setup_jitter = setup_jitter
-        self.host_call_overhead = host_call_overhead
-        self.instruction_time = instruction_time
         if concurrent_capacity < 1:
             raise ConfigurationError("concurrent_capacity must be >= 1")
         self.concurrent_capacity = concurrent_capacity
@@ -317,7 +320,7 @@ class Executor:
             raise ConfigurationError("cannot schedule execution in the past")
         setup = 0.0
         if program.is_sandboxed:
-            setup = self.setup_time + abs(
+            setup = SETUP_TIME + abs(
                 float(self._rng.normal(0.0, self.setup_jitter))
             )
         handle = self.simulator.schedule_at(start + setup, self._begin, execution)
@@ -461,7 +464,7 @@ class Executor:
 
     def _overhead(self, execution: _Execution) -> float:
         if execution.program.is_sandboxed:
-            return self.host_call_overhead
+            return HOST_CALL_OVERHEAD
         return 0.0
 
     def _resume_after(
@@ -501,7 +504,7 @@ class Executor:
         handler = _HOST_HANDLERS.get(op)
         if handler is None:
             raise PolicyViolation(f"host op {op!r} not available")
-        overhead = self.host_call_overhead if execution.program.is_sandboxed else 0.0
+        overhead = HOST_CALL_OVERHEAD if execution.program.is_sandboxed else 0.0
         return handler(self, execution, call, overhead)
 
     def _op_now_us(self, execution: _Execution, call: HostCall, overhead: float):
@@ -735,7 +738,7 @@ class Executor:
         record = execution.record
         record.status = status
         record.fuel_used = execution.program.fuel_used
-        cpu_time = record.fuel_used * self.instruction_time
+        cpu_time = record.fuel_used * INSTRUCTION_TIME
         record.finished_at = self.simulator.now + cpu_time
         if execution.deadline_handle is not None:
             execution.deadline_handle.cancel()

@@ -13,20 +13,17 @@ per-session pumping. (The "fleet" here is a fleet of *sessions*: not
 :class:`~repro.core.probing.ExecutorFleet`, the vantage → executor table
 of the data-plane probers, and not
 :class:`~repro.core.fleetmgr.FleetManager`, which owns executor
-membership and liveness.) Three mechanisms keep it honest at scale:
+membership and liveness.) Two mechanisms keep it honest at scale:
 
-- **ready queue** — with ``max_in_flight`` set, launches whose turn has
-  come while the fleet is saturated wait in a FIFO and are admitted as
-  earlier sessions complete (bounded admission);
 - **deadline wheel** — stall detection costs one timer per coarse wheel
   bucket, not one per session: each launched session is filed into the
   bucket covering its deadline (plus grace), and the bucket's single
   callback re-checks its sessions, re-filing any whose deadline moved
   (failover) and raising :class:`SessionStalled` for any that wedged;
-- **stall context** — a raised stall carries scheduler state (queue
-  depths, launch/completion counts, the stalled session's ledger shard,
-  live event subscriptions) so fleet-scale failures are debuggable from
-  the exception message alone.
+- **stall context** — a raised stall carries scheduler state (active and
+  scheduled sessions, launch/completion counts, the stalled session's
+  ledger shard, live event subscriptions) so fleet-scale failures are
+  debuggable from the exception message alone.
 
 The scheduler adds no session semantics of its own: purchase retries,
 backoff, deadlines, refunds, and failover all stay in
@@ -37,10 +34,9 @@ suite runs unchanged against fleets (``tests/chaos``).
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Callable
 
-from repro.common.errors import ConfigurationError, SessionStalled
+from repro.common.errors import SessionStalled
 from repro.common.ids import ObjectId
 from repro.core.marketplace import MeasurementSession
 
@@ -54,29 +50,29 @@ LaunchFn = Callable[[CompletionCallback], MeasurementSession]
 
 
 class FleetScheduler:
-    """Drives many :class:`MeasurementSession` machines off one simulator."""
+    """Drives many :class:`MeasurementSession` machines off one simulator.
+
+    A session with a deadline is watched until ``deadline + STALL_GRACE``;
+    one without, for ``session_timeout`` simulated seconds from launch.
+    """
+
+    #: Seconds a session may stay live past its deadline before it counts
+    #: as wedged.
+    STALL_GRACE = 30.0
+    #: Width of one deadline-wheel bucket, in simulated seconds.
+    WHEEL_RESOLUTION = 5.0
 
     def __init__(
         self,
         simulator,
         *,
         ledger=None,
-        max_in_flight: int | None = None,
-        session_timeout: float = 600.0,
-        stall_grace: float = 30.0,
-        wheel_resolution: float = 5.0,
+        session_timeout: float,
         auditor=None,
     ) -> None:
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ConfigurationError("max_in_flight must be >= 1")
-        if wheel_resolution <= 0:
-            raise ConfigurationError("wheel_resolution must be positive")
         self.simulator = simulator
         self.ledger = ledger
-        self.max_in_flight = max_in_flight
         self.session_timeout = session_timeout
-        self.stall_grace = stall_grace
-        self.wheel_resolution = wheel_resolution
         # Optional repro.core.audit.Auditor: every completed session is
         # handed over for always-on checks plus sampled replay audits,
         # scheduled cooperatively on the same simulator (DESIGN.md §11).
@@ -88,7 +84,6 @@ class FleetScheduler:
         self.peak_active = 0
         self._scheduled = 0  # launch events not yet fired
         self._active = 0
-        self._ready: deque[tuple[LaunchFn, str]] = deque()
         # Deadline wheel: coarse bucket index -> sessions watched by that
         # bucket's (single) scheduled callback.
         self._wheel: dict[int, list[MeasurementSession]] = {}
@@ -126,12 +121,6 @@ class FleetScheduler:
 
     def _fire(self, start: LaunchFn, label: str) -> None:
         self._scheduled -= 1
-        if self.max_in_flight is not None and self._active >= self.max_in_flight:
-            self._ready.append((start, label))
-            return
-        self._start(start, label)
-
-    def _start(self, start: LaunchFn, label: str) -> None:
         self._set_active(+1)
         try:
             session = start(self._on_session_complete)
@@ -143,7 +132,6 @@ class FleetScheduler:
                 obs.metrics.counter(
                     "fleet_sessions_total", state="launch-failed"
                 ).inc()
-            self._admit()
             return
         self.sessions.append(session)
         if session.done:  # completed synchronously (already counted down)
@@ -160,30 +148,22 @@ class FleetScheduler:
             ).inc()
         if self.auditor is not None:
             self.auditor.on_session_complete(session)
-        self._admit()
-
-    def _admit(self) -> None:
-        while self._ready and (
-            self.max_in_flight is None or self._active < self.max_in_flight
-        ):
-            start, label = self._ready.popleft()
-            self._start(start, label)
 
     # --------------------------------------------------- deadline wheel
 
     def _watch_time(self, session: MeasurementSession) -> float:
         if session.deadline is not None:
-            return session.deadline + self.stall_grace
+            return session.deadline + self.STALL_GRACE
         return self.simulator.now + self.session_timeout
 
     def _watch(self, session: MeasurementSession) -> None:
         at = self._watch_time(session)
-        bucket = int(math.ceil(at / self.wheel_resolution))
+        bucket = int(math.ceil(at / self.WHEEL_RESOLUTION))
         watched = self._wheel.get(bucket)
         if watched is None:
             self._wheel[bucket] = [session]
             self.simulator.schedule_at(
-                bucket * self.wheel_resolution, self._check_bucket, bucket
+                bucket * self.WHEEL_RESOLUTION, self._check_bucket, bucket
             )
         else:
             watched.append(session)
@@ -201,7 +181,7 @@ class FleetScheduler:
             raise SessionStalled(
                 session,
                 "fleet watchdog: session still live past its deadline "
-                f"(+{self.stall_grace:.0f}s grace)",
+                f"(+{self.STALL_GRACE:.0f}s grace)",
                 events=self._recent_events(),
                 context=self.stall_context(session),
             )
@@ -217,7 +197,6 @@ class FleetScheduler:
         context = {
             "sim_now": round(self.simulator.now, 3),
             "active": self._active,
-            "ready": len(self._ready),
             "scheduled": self._scheduled,
             "completed": len(self.completed),
             "launch_failures": len(self.launch_failures),
@@ -232,7 +211,7 @@ class FleetScheduler:
 
     def outstanding(self) -> int:
         """Launches and sessions that have not reached a terminal state."""
-        return self._scheduled + self._active + len(self._ready)
+        return self._scheduled + self._active
 
     def run(self, *, until: float | None = None) -> list[MeasurementSession]:
         """Drain the fleet: pump the simulator until every launched

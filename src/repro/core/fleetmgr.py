@@ -29,10 +29,11 @@ executor table of the data-plane probers, and not
   auditable per-executor admission log.
 
 - **liveness monitoring**: members heartbeat on the simulator clock;
-  a manager sweep marks members ``suspected`` after ``suspect_beats``
-  silent intervals and ``evicted`` after ``evict_beats``. A crashed
-  executor misses beats (its daemon died with it); a restarted one that
-  beats again before eviction recovers to ``active`` without ceremony.
+  a manager sweep, once per heartbeat interval, marks members
+  ``suspected`` after ``suspect_beats`` silent intervals and ``evicted``
+  after ``evict_beats``. A crashed executor misses beats (its daemon
+  died with it); a restarted one that beats again before eviction
+  recovers to ``active`` without ceremony.
   The chaos layer injects pure heartbeat loss (healthy executor, silent
   control channel) via :meth:`~repro.chaos.ChaosInjector.lose_heartbeats`.
 
@@ -60,6 +61,7 @@ from repro.common.errors import (
     ConfigurationError,
     PolicyViolation,
 )
+from repro.contracts.debuglet_market import DebugletMarket
 from repro.core.application import DebugletApplication
 from repro.sandbox.hostops import HOST_OPS
 from repro.sandbox.manifest import KNOWN_CAPABILITIES
@@ -209,7 +211,6 @@ class FleetManager:
         heartbeat_interval: float = 5.0,
         suspect_beats: int = 2,
         evict_beats: int = 4,
-        sweep_interval: float | None = None,
     ) -> None:
         if heartbeat_interval <= 0:
             raise ConfigurationError("heartbeat_interval must be positive")
@@ -222,7 +223,6 @@ class FleetManager:
         self.heartbeat_interval = heartbeat_interval
         self.suspect_beats = suspect_beats
         self.evict_beats = evict_beats
-        self.sweep_interval = sweep_interval or heartbeat_interval
         self.members: dict[tuple[int, int], FleetMember] = {}
         #: every transition, fleet-wide: (time, vantage, from, to, reason)
         self.lifecycle_log: list[tuple[float, tuple[int, int], str, str, str]] = []
@@ -353,7 +353,7 @@ class FleetManager:
         self._beat(member)  # registration carries the first heartbeat
         if self._sweep_handle is None and not self._stopped:
             self._sweep_handle = self.simulator.schedule(
-                self.sweep_interval, self._sweep
+                self.heartbeat_interval, self._sweep
             )
         return member
 
@@ -495,7 +495,7 @@ class FleetManager:
             for member in self.members.values()
         ):
             self._sweep_handle = self.simulator.schedule(
-                self.sweep_interval, self._sweep
+                self.heartbeat_interval, self._sweep
             )
 
     # --------------------------------------------------- drain and retire
@@ -576,7 +576,7 @@ class FleetManager:
         asn, interface = member.vantage
         try:
             wallet.must_call(
-                agent.market, "deregister_executor", asn, interface
+                DebugletMarket.name, "deregister_executor", asn, interface
             )
         except ChainError:
             pass  # never registered, or already deregistered

@@ -20,9 +20,10 @@ any third party can run :mod:`repro.core.verification` against them.
 Robustness layer (§IV-C failure handling; exercised by ``tests/chaos``):
 every session walks an explicit :class:`SessionState` machine, transient
 ledger outages (:class:`~repro.common.errors.LedgerUnavailable`) are
-retried with seeded exponential backoff + jitter on both sides, sessions
-can carry a hard deadline after which the initiator reclaims its escrow
-(``refund_expired``) or fails over to a fresh slot, and
+retried with seeded exponential backoff + jitter on both sides
+(:func:`backoff`), sessions can carry a hard deadline after which the
+initiator reclaims its escrow (``refund_expired``) or fails over to a
+fresh slot, and
 :meth:`Initiator.run_until_done` raises
 :class:`~repro.common.errors.SessionStalled` instead of spinning forever.
 """
@@ -44,10 +45,31 @@ from repro.common.errors import (
 )
 from repro.common.ids import ObjectId
 from repro.common.rng import derive_rng
-from repro.contracts.debuglet_market import APPLICATION_KIND, ExecutionSlot
+from repro.contracts.debuglet_market import (
+    APPLICATION_KIND,
+    DebugletMarket,
+    ExecutionSlot,
+)
 from repro.core.application import DebugletApplication
 from repro.core.executor import ExecutionRecord, Executor, ResultCertificate
 from repro.core.offchain import OffChainCodeStore
+
+#: Gas an executor agent's wallet is topped up to at construction (MIST).
+GAS_FUNDING = 10_000_000_000
+#: Retries of one ``result_ready`` publication after a ledger outage.
+PUBLISH_RETRIES = 6
+#: Retries of each initiator transaction (purchase, fetch, refund).
+TX_RETRIES = 4
+#: Backoff of retry ``k``: ``RETRY_BASE * 2**k`` s plus jitter below
+#: ``RETRY_JITTER`` s.
+RETRY_BASE = 0.2
+RETRY_JITTER = 0.1
+
+
+def backoff(rng, attempt: int) -> float:
+    """Delay before 0-based retry ``attempt``, with one jitter draw from
+    ``rng`` (the retrying object's own seeded stream)."""
+    return RETRY_BASE * (2**attempt) + float(rng.uniform(0.0, RETRY_JITTER))
 
 
 def encode_result_payload(record: ExecutionRecord) -> bytes:
@@ -99,7 +121,7 @@ class ExecutorAgent:
 
     Result publication survives transient ledger outages: on
     :class:`LedgerUnavailable` the agent retries with seeded exponential
-    backoff + jitter (up to ``publish_retries`` times). Permanent reverts
+    backoff + jitter (up to :data:`PUBLISH_RETRIES` times). Permanent reverts
     (e.g. the application was refunded after its window expired) are
     recorded in ``failed_publications`` rather than raised into the
     simulator loop. The ``publication_gate`` hook is the chaos layer's
@@ -111,24 +133,15 @@ class ExecutorAgent:
         executor: Executor,
         ledger: Ledger,
         *,
-        market: str = "debuglet_market",
-        gas_funding: int = 10_000_000_000,
         code_store: "OffChainCodeStore | None" = None,
-        publish_retries: int = 6,
-        retry_base: float = 0.2,
-        retry_jitter: float = 0.1,
         seed: int = 0,
     ) -> None:
         self.executor = executor
         self.ledger = ledger
-        self.market = market
         self.wallet = Wallet(ledger, executor.keypair)
-        if ledger.balance_of(self.wallet.address) < gas_funding:
-            ledger.faucet(self.wallet.address, gas_funding)
+        if ledger.balance_of(self.wallet.address) < GAS_FUNDING:
+            ledger.faucet(self.wallet.address, GAS_FUNDING)
         self.code_store = code_store
-        self.publish_retries = publish_retries
-        self.retry_base = retry_base
-        self.retry_jitter = retry_jitter
         self._retry_rng = derive_rng(
             seed, "agent-retry", executor.asn, executor.interface
         )
@@ -168,7 +181,7 @@ class ExecutorAgent:
         otherwise (DESIGN.md §11).
         """
         self.wallet.must_call(
-            self.market, "register_executor", self.asn, self.interface,
+            DebugletMarket.name, "register_executor", self.asn, self.interface,
             value=stake,
         )
         self._subscription = self.ledger.events.subscribe(
@@ -181,7 +194,7 @@ class ExecutorAgent:
     def offer_slots(self, slots: list[ExecutionSlot]) -> None:
         """RegisterTimeSlot for this executor."""
         self.wallet.must_call(
-            self.market,
+            DebugletMarket.name,
             "register_time_slot",
             self.asn,
             self.interface,
@@ -219,7 +232,7 @@ class ExecutorAgent:
     def withdraw_slots(self) -> int:
         """Withdraw all still-advertised slots (renege on unsold inventory)."""
         receipt = self.wallet.must_call(
-            self.market, "withdraw_time_slots", self.asn, self.interface
+            DebugletMarket.name, "withdraw_time_slots", self.asn, self.interface
         )
         return receipt.return_value
 
@@ -270,10 +283,8 @@ class ExecutorAgent:
         self,
         application_id: str,
         record: ExecutionRecord,
-        retries_left: int | None = None,
+        retries_left: int = PUBLISH_RETRIES,
     ) -> None:
-        if retries_left is None:
-            retries_left = self.publish_retries
         obs = self._obs
         if self.publication_gate is not None:
             verdict = self.publication_gate(application_id, record)
@@ -301,16 +312,15 @@ class ExecutorAgent:
                 return
         try:
             self.wallet.must_call(
-                self.market,
+                DebugletMarket.name,
                 "result_ready",
                 application_id,
                 encode_result_payload(record),
             )
         except LedgerUnavailable as exc:
             if retries_left > 0:
-                attempt = self.publish_retries - retries_left
-                delay = self.retry_base * (2**attempt) + float(
-                    self._retry_rng.uniform(0.0, self.retry_jitter)
+                delay = backoff(
+                    self._retry_rng, PUBLISH_RETRIES - retries_left
                 )
                 self.publication_retries += 1
                 if obs is not None:
@@ -377,7 +387,8 @@ class _RequestPlan:
 
     client_app: DebugletApplication
     server_app: DebugletApplication
-    vantages: list[tuple[tuple[int, int], tuple[int, int]]]
+    client_vantage: tuple[int, int]
+    server_vantage: tuple[int, int]
     duration: float
     cores: int
     memory_mb: int
@@ -385,12 +396,6 @@ class _RequestPlan:
     earliest: float | None
     code_store: OffChainCodeStore | None
     deadline_margin: float | None
-    tx_retries: int
-    retry_base: float
-    retry_jitter: float
-
-    def vantage_for(self, attempt: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        return self.vantages[min(attempt - 1, len(self.vantages) - 1)]
 
 
 @dataclass
@@ -471,13 +476,11 @@ class Initiator:
         ledger: Ledger,
         wallet: Wallet,
         *,
-        market: str = "debuglet_market",
         simulator=None,
         seed: int = 0,
     ) -> None:
         self.ledger = ledger
         self.wallet = wallet
-        self.market = market
         self.simulator = simulator
         self._retry_rng = derive_rng(seed, "initiator-retry")
         self.sessions: list[MeasurementSession] = []
@@ -505,12 +508,6 @@ class Initiator:
         code_store: OffChainCodeStore | None = None,
         deadline_margin: float | None = None,
         max_attempts: int = 1,
-        failover_vantages: (
-            list[tuple[tuple[int, int], tuple[int, int]]] | None
-        ) = None,
-        tx_retries: int = 4,
-        retry_base: float = 0.2,
-        retry_jitter: float = 0.1,
     ) -> MeasurementSession:
         """Steps 2–3: LookupSlot then PurchaseSlot with escrowed tokens.
 
@@ -525,19 +522,18 @@ class Initiator:
         ``deadline_margin`` arms a per-session deadline at
         ``window_end + margin``: when it fires with results still missing
         the session transitions to ``timed-out`` and the initiator either
-        fails over to a fresh slot (while ``max_attempts`` allows; later
-        attempts use ``failover_vantages`` when given, else the original
-        vantage pair) or refunds the unserved escrow. Transient ledger
-        failures are retried up to ``tx_retries`` times with exponential
-        backoff (``retry_base * 2**k``) plus seeded jitter. Without a
+        fails over to a fresh slot at the same vantage pair (while
+        ``max_attempts`` allows) or refunds the unserved escrow. Transient
+        ledger failures are retried up to :data:`TX_RETRIES` times with
+        :func:`backoff`'s exponential delay plus seeded jitter. Without a
         ``deadline_margin`` the legacy behaviour is preserved: the session
         waits indefinitely and :meth:`run_until_done` is the backstop.
         """
         plan = _RequestPlan(
             client_app=client_app,
             server_app=server_app,
-            vantages=[(client_vantage, server_vantage)]
-            + list(failover_vantages or []),
+            client_vantage=client_vantage,
+            server_vantage=server_vantage,
             duration=duration,
             cores=cores,
             memory_mb=memory_mb,
@@ -545,9 +541,6 @@ class Initiator:
             earliest=earliest,
             code_store=code_store,
             deadline_margin=deadline_margin,
-            tx_retries=tx_retries,
-            retry_base=retry_base,
-            retry_jitter=retry_jitter,
         )
         session = MeasurementSession(
             requested_at=self.ledger.now,
@@ -569,7 +562,7 @@ class Initiator:
                 server_vantage=f"{server_vantage[0]}:{server_vantage[1]}",
             )
         self._record(session, SessionState.PENDING)
-        self._attempt_purchase(session, plan.tx_retries, first=True)
+        self._attempt_purchase(session, TX_RETRIES, first=True)
         return session
 
     # ----------------------------------------------------- state machine
@@ -607,11 +600,6 @@ class Initiator:
                 )
                 session._span = None
 
-    def _backoff(self, plan: _RequestPlan, attempt: int) -> float:
-        return plan.retry_base * (2**attempt) + float(
-            self._retry_rng.uniform(0.0, plan.retry_jitter)
-        )
-
     # --------------------------------------------------------- purchasing
 
     def _attempt_purchase(
@@ -620,7 +608,8 @@ class Initiator:
         if session.done:
             return
         plan = session.plan
-        (asn_c, intf_c), (asn_s, intf_s) = plan.vantage_for(session.attempt)
+        asn_c, intf_c = plan.client_vantage
+        asn_s, intf_s = plan.server_vantage
         now = self.ledger.now
         if plan.earliest is not None and plan.earliest > now:
             earliest = plan.earliest
@@ -628,7 +617,7 @@ class Initiator:
             earliest = now + 2 * self.ledger.finality_latency + 0.1
         try:
             lookup = self.wallet.must_call(
-                self.market,
+                DebugletMarket.name,
                 "lookup_slot",
                 asn_c,
                 intf_c,
@@ -649,7 +638,7 @@ class Initiator:
                 server_payload = plan.code_store.put(plan.server_app.to_wire())
                 purchase_function = "purchase_slot_hashed"
             purchase = self.wallet.must_call(
-                self.market,
+                DebugletMarket.name,
                 purchase_function,
                 asn_c,
                 intf_c,
@@ -673,7 +662,7 @@ class Initiator:
                     obs.metrics.counter(
                         "marketplace_retries_total", kind="purchase"
                     ).inc()
-                delay = self._backoff(plan, plan.tx_retries - retries_left)
+                delay = backoff(self._retry_rng, TX_RETRIES - retries_left)
                 self.simulator.schedule(
                     delay, self._attempt_purchase, session, retries_left - 1
                 )
@@ -778,8 +767,7 @@ class Initiator:
             return  # superseded by failover
         if outcome.status:
             return  # already recorded
-        retries = session.plan.tx_retries if session.plan is not None else 0
-        self._fetch_result(session, role, application_id, retries)
+        self._fetch_result(session, role, application_id, TX_RETRIES)
 
     def _fetch_result(
         self,
@@ -797,17 +785,16 @@ class Initiator:
             return
         try:
             lookup = self.wallet.must_call(
-                self.market, "lookup_result", application_id
+                DebugletMarket.name, "lookup_result", application_id
             ).return_value
         except LedgerUnavailable as exc:
             if self.simulator is not None and retries_left > 0:
-                plan = session.plan
                 obs = self._obs
                 if obs is not None:
                     obs.metrics.counter(
                         "marketplace_retries_total", kind="fetch"
                     ).inc()
-                delay = self._backoff(plan, plan.tx_retries - retries_left)
+                delay = backoff(self._retry_rng, TX_RETRIES - retries_left)
                 self.simulator.schedule(
                     delay, self._fetch_result, session, role, application_id,
                     retries_left - 1,
@@ -845,20 +832,19 @@ class Initiator:
             f"deadline t={session.deadline:.3f} missed; "
             f"waiting on: {', '.join(missing) or 'nothing'}",
         )
-        plan = session.plan
         if session.attempt < session.max_attempts:
             # Fail over: reclaim what this attempt escrowed, then buy a
-            # fresh slot (possibly at an alternate vantage pair).
+            # fresh slot at the same vantage pair.
             for role in missing:
                 self._refund(
                     session,
                     session.outcomes[role].application_id,
-                    plan.tx_retries,
+                    TX_RETRIES,
                     settle=False,
                 )
             session.attempt += 1
             self._record(session, SessionState.PENDING)
-            self._attempt_purchase(session, plan.tx_retries)
+            self._attempt_purchase(session, TX_RETRIES)
         else:
             pending = [session.outcomes[role].application_id for role in missing]
             session._refunds_outstanding = len(pending)
@@ -867,7 +853,7 @@ class Initiator:
                 self._finalize_timeout(session)
                 return
             for app_id in pending:
-                self._refund(session, app_id, plan.tx_retries, settle=True)
+                self._refund(session, app_id, TX_RETRIES, settle=True)
 
     def _refund(
         self,
@@ -881,17 +867,16 @@ class Initiator:
             return  # a result landed between scheduling and firing
         try:
             receipt = self.wallet.must_call(
-                self.market, "refund_expired", application_id
+                DebugletMarket.name, "refund_expired", application_id
             )
         except LedgerUnavailable as exc:
             if self.simulator is not None and retries_left > 0:
-                plan = session.plan
                 obs = self._obs
                 if obs is not None:
                     obs.metrics.counter(
                         "marketplace_retries_total", kind="refund"
                     ).inc()
-                delay = self._backoff(plan, plan.tx_retries - retries_left)
+                delay = backoff(self._retry_rng, TX_RETRIES - retries_left)
                 self.simulator.schedule(
                     delay, self._refund, session, application_id,
                     retries_left - 1, settle=settle,

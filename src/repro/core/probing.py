@@ -152,6 +152,10 @@ class SegmentMeasurement:
 class SegmentProber:
     """Runs paired echo Debuglets between fleet vantage points."""
 
+    #: Measurement ``n`` (1-based) runs its echo pair on port
+    #: ``BASE_PORT + n``.
+    BASE_PORT = 7700
+
     def __init__(
         self,
         fleet: ExecutorFleet,
@@ -159,13 +163,12 @@ class SegmentProber:
         probes: int = 40,
         interval_us: int = 20_000,
         probe_size: int = 64,
-        base_port: int = 7700,
     ) -> None:
         self.fleet = fleet
         self.probes = probes
         self.interval_us = interval_us
         self.probe_size = probe_size
-        self._port_counter = base_port
+        self._port_counter = self.BASE_PORT
         self.measurements_run = 0
 
     @property

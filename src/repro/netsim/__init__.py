@@ -30,7 +30,6 @@ from repro.netsim.packet import Address, IcmpType, Packet, Protocol
 from repro.netsim.routechurn import (
     RouteChurnProcess,
     RouteShift,
-    attach_churn_ensemble,
     no_churn,
 )
 from repro.netsim.topology import (
@@ -44,9 +43,7 @@ from repro.netsim.trace import MeasurementTrace
 from repro.netsim.traffic import (
     MultiProtocolProber,
     OneWayProbeTrain,
-    PoissonTraffic,
     ProbeTrain,
-    RoundRobinProber,
     TrafficMatrix,
 )
 from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
@@ -81,9 +78,7 @@ __all__ = [
     "OneWayProbeTrain",
     "Packet",
     "PathHop",
-    "PoissonTraffic",
     "ProbeTrain",
-    "RoundRobinProber",
     "Protocol",
     "ProtocolTreatment",
     "Relation",
@@ -95,7 +90,6 @@ __all__ = [
     "Topology",
     "TrafficMatrix",
     "TreatmentProfile",
-    "attach_churn_ensemble",
     "calm_congestion",
     "evenly_spread",
     "generate_internet",

@@ -96,42 +96,3 @@ class RouteChurnProcess:
 def no_churn() -> RouteChurnProcess:
     """A churn process with no shifts."""
     return RouteChurnProcess([])
-
-
-def attach_churn_ensemble(
-    topology,
-    *,
-    seed: int,
-    fraction: float = 0.05,
-    horizon: float = 86400.0,
-    rate: float = 1.0 / 7200.0,
-    mean_duration: float = 1200.0,
-    delta_range: tuple[float, float] = (2e-3, 6e-3),
-    label: str = "wanchurn",
-) -> int:
-    """Attach random churn to a seeded fraction of inter-domain links.
-
-    ``topology`` must expose a deterministic ``links()`` iterator (see
-    :class:`repro.netsim.internet.InternetTopology`). Each selected link
-    gets independent forward/reverse churn schedules derived from
-    ``(seed, label, a, b, direction)``, so the ensemble is reproducible
-    and insensitive to selection order changes elsewhere. Returns the
-    number of links churned.
-    """
-    from repro.common.rng import derive_seed
-
-    selector = derive_rng(seed, label, "select")
-    churned = 0
-    for a, b, link in topology.links():
-        if float(selector.random()) >= fraction:
-            continue
-        for direction, channel in (("fwd", link.forward), ("rev", link.reverse)):
-            channel.churn = RouteChurnProcess.random(
-                seed=derive_seed(seed, label, a, b, direction),
-                horizon=horizon,
-                rate=rate,
-                mean_duration=mean_duration,
-                delta_range=delta_range,
-            )
-        churned += 1
-    return churned

@@ -12,11 +12,10 @@ arrival times instead of echoing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
-from repro.netsim.endhost import Host, Socket
+from repro.netsim.endhost import Host
 from repro.netsim.network import Network
 from repro.netsim.packet import Address, IcmpType, Packet, Protocol
 from repro.netsim.topology import PathHop
@@ -157,6 +156,10 @@ class MultiProtocolProber:
     """
 
     PROTOCOLS = (Protocol.UDP, Protocol.TCP, Protocol.ICMP, Protocol.RAW_IP)
+    #: Train ``i`` (in :attr:`PROTOCOLS` order) starts ``i * STAGGER`` s
+    #: after the first and sends from port ``BASE_PORT + i``.
+    STAGGER = 0.01
+    BASE_PORT = 40000
 
     def __init__(
         self,
@@ -167,10 +170,8 @@ class MultiProtocolProber:
         interval: float = 1.0,
         size: int = DEFAULT_PROBE_SIZE,
         start: float | None = None,
-        base_port: int = 40000,
         path: list[PathHop] | None = None,
         label: str = "",
-        stagger: float = 0.01,
     ) -> None:
         if start is None:
             start = client.network.simulator.now
@@ -183,8 +184,8 @@ class MultiProtocolProber:
                 count=count,
                 interval=interval,
                 size=size,
-                start=start + index * stagger,
-                src_port=base_port + index,
+                start=start + index * self.STAGGER,
+                src_port=self.BASE_PORT + index,
                 path=path,
                 label=f"{label}/{protocol.name}" if label else protocol.name,
             )
@@ -259,89 +260,6 @@ class OneWayProbeTrain(_ColumnTrain):
         self._client_socket.close()
         self._server_socket.close()
         return self.trace
-
-
-@dataclass
-class PoissonTraffic:
-    """Background cross-traffic between two hosts (for queueing tests).
-
-    Arrivals are a Poisson process at ``rate`` per second: exponential
-    gaps drawn from the bare ``derive_rng(seed, "poisson", host)`` stream.
-    """
-
-    client_socket: Socket
-    server: Address
-    rate: float
-    size: int = 1200
-    dst_port: int = 9
-    duration: float = 10.0
-    start: float = 0.0
-    seed: int = 0
-    sent: int = field(default=0, init=False)
-
-    def launch(self) -> None:
-        rng = derive_rng(self.seed, "poisson", self.client_socket.host.address.host)
-        t = self.start
-        network = self.client_socket.host.network
-        while True:
-            t += float(rng.exponential(1.0 / self.rate))
-            if t >= self.start + self.duration:
-                break
-            network.simulator.post(t, self._send_one)
-
-    def _send_one(self) -> None:
-        self.sent += 1
-        self.client_socket.send(self.server, dst_port=self.dst_port, size=self.size)
-
-
-class RoundRobinProber:
-    """The paper's exact §II client: one probe per second *total*,
-    rotating between the four protocols.
-
-    ``count`` is the number of rounds; each round sends one probe of each
-    protocol, spaced ``interval`` apart, so a full rotation takes
-    ``4 * interval`` (the paper's "period of one second" per protocol
-    slot). Compared with :class:`MultiProtocolProber` (concurrent trains),
-    this trades 4x fewer samples per protocol for zero cross-protocol
-    self-interference.
-    """
-
-    PROTOCOLS = (Protocol.UDP, Protocol.TCP, Protocol.ICMP, Protocol.RAW_IP)
-
-    def __init__(
-        self,
-        client: Host,
-        server: Address,
-        *,
-        rounds: int,
-        interval: float = 1.0,
-        size: int = DEFAULT_PROBE_SIZE,
-        start: float | None = None,
-        base_port: int = 43000,
-        path: list[PathHop] | None = None,
-        label: str = "",
-    ) -> None:
-        if rounds <= 0:
-            raise ConfigurationError("rounds must be positive")
-        self.trains: dict[Protocol, ProbeTrain] = {}
-        if start is None:
-            start = client.network.simulator.now
-        for index, protocol in enumerate(self.PROTOCOLS):
-            self.trains[protocol] = ProbeTrain(
-                client,
-                server,
-                protocol,
-                count=rounds,
-                interval=len(self.PROTOCOLS) * interval,
-                size=size,
-                start=start + index * interval,
-                src_port=base_port + index,
-                path=path,
-                label=f"{label}/{protocol.name}" if label else protocol.name,
-            )
-
-    def finalize(self) -> dict[Protocol, MeasurementTrace]:
-        return {proto: train.finalize() for proto, train in self.trains.items()}
 
 
 class TrafficMatrix:

@@ -549,8 +549,6 @@ def build(config: LoadgenConfig, *, obs=None) -> LoadgenFleet:
         session_timeout=config.windows_open
         + config.slots_per_side * config.duration
         + config.deadline_margin,
-        stall_grace=30.0,
-        wheel_resolution=5.0,
         auditor=auditor,
     )
 
@@ -732,7 +730,7 @@ def run(fleet: LoadgenFleet) -> dict:
         # drain finished with the last session, then silence the fleet
         # timers so the simulator can actually go idle.
         fleet.manager.run_until(
-            fleet.simulator.now + 3 * fleet.manager.sweep_interval
+            fleet.simulator.now + 3 * fleet.manager.heartbeat_interval
         )
         fleet.manager.stop()
         fleet.simulator.run_until_idle()

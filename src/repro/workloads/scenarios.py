@@ -248,7 +248,7 @@ class MarketplaceTestbed:
         """Buy a 30 s window for :meth:`echo_pair`; returns the session.
 
         ``request`` goes to :meth:`Initiator.request_measurement` (deadline
-        margin, attempts, failover vantages, ...).
+        margin, attempts, off-chain code store, ...).
         """
         client_app, server_app = self.echo_pair(
             client, server, count=count, port=port, timeout_us=timeout_us

@@ -470,16 +470,15 @@ class WanScenario:
     ) -> dict[str, dict[Protocol, MeasurementTrace]]:
         """Vectorized twin of the event-driven study above.
 
-        Mirrors :class:`MultiProtocolProber`'s exact schedule (0.01 s
-        stagger between protocol trains, base port 40000) so both paths
-        probe the same instants of the same channels.
+        Mirrors :class:`MultiProtocolProber`'s exact schedule (its
+        ``STAGGER`` between protocol trains, its ``BASE_PORT``) so both
+        paths probe the same instants of the same channels.
         """
         from repro.netsim.fastpath import cell_seed, extract_probe_cell
         from repro.perf.parallel import map_cells
 
         protocols = MultiProtocolProber.PROTOCOLS
-        base_port = 40000
-        stagger = 0.01
+        offset = MultiProtocolProber.STAGGER  # between consecutive trains
         cells = []
         for name, host in self.city_hosts.items():
             for index, protocol in enumerate(protocols):
@@ -492,8 +491,10 @@ class WanScenario:
                         protocol,
                         count=probes_per_protocol,
                         interval=interval,
-                        start=start + index * stagger,
-                        src_port=base_port + index if in_band else 0,
+                        start=start + index * offset,
+                        src_port=(
+                            MultiProtocolProber.BASE_PORT + index if in_band else 0
+                        ),
                         dst_port=7 if in_band else 0,
                         seed=cell_seed(self.seed, name, protocol.name),
                         label=f"{name}/{protocol.name}",
@@ -513,14 +514,14 @@ class WanScenario:
             study = obs.tracer.span_at(
                 "wan.protocol_study",
                 start,
-                window_end + (len(protocols) - 1) * stagger,
+                window_end + (len(protocols) - 1) * offset,
                 component="workload",
                 mode="fast",
                 cities=len(self.city_hosts),
                 probes_per_protocol=probes_per_protocol,
             )
             for index, cell in enumerate(cells):
-                cell_start = start + (index % len(protocols)) * stagger
+                cell_start = start + (index % len(protocols)) * offset
                 obs.tracer.span_at(
                     f"wan.cell.{cell.label}",
                     cell_start,

@@ -5,7 +5,7 @@ import pytest
 from repro.chain.crypto import sha256, verify_signature
 from repro.common.errors import ManifestError
 from repro.core.application import DebugletApplication
-from repro.core.executor import Executor, executor_data_address
+from repro.core.executor import SETUP_TIME, Executor, executor_data_address
 from repro.core.results import EchoMeasurement, ServerReport
 from repro.netsim.packet import Address, Protocol
 from repro.sandbox.manifest import ExecutorPolicy, Manifest
@@ -73,7 +73,7 @@ class TestBasicExecution:
         app, _ = _echo_pair(executor_data_address(2, 1), count=1)
         record = ex_a.submit(app, start_at=1.0)
         sim.run_until_idle()
-        assert record.started_at >= 1.0 + ex_a.setup_time * 0.9
+        assert record.started_at >= 1.0 + SETUP_TIME * 0.9
 
     def test_native_program_starts_without_setup(self, two_as_network):
         sim, ex_a, ex_b = _executors(two_as_network)

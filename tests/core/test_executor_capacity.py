@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.application import DebugletApplication
-from repro.core.executor import Executor
+from repro.core.executor import SETUP_TIME, Executor
 from repro.netsim import Link, Network, Protocol, Simulator, Topology
 from repro.sandbox.programs import echo_server
 
@@ -76,4 +76,4 @@ class TestCapacity:
         record = executor.submit(_waiter(9300, 0.5), start_at=1.0)
         sim.run_until_idle()
         assert record.completed
-        assert record.started_at == pytest.approx(1.0 + executor.setup_time, abs=2e-3)
+        assert record.started_at == pytest.approx(1.0 + SETUP_TIME, abs=2e-3)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ConfigurationError, PolicyViolation
+from repro.contracts.debuglet_market import DebugletMarket
 from repro.core.fleetmgr import (
     CapabilityRecord,
     ExecutorState,
@@ -277,7 +278,7 @@ class TestContractDeregistration:
         from repro.common.errors import ChainError
 
         with pytest.raises(ChainError, match="does not own"):
-            other.wallet.must_call(other.market, "deregister_executor", 1, 2)
+            other.wallet.must_call(DebugletMarket.name, "deregister_executor", 1, 2)
 
     def test_deregistered_executor_cannot_publish(self):
         testbed, manager = build()
@@ -290,5 +291,5 @@ class TestContractDeregistration:
 
         with pytest.raises(ChainError, match="not registered"):
             agent.wallet.must_call(
-                agent.market, "register_time_slot", 1, 2, []
+                DebugletMarket.name, "register_time_slot", 1, 2, []
             )

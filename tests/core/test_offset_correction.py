@@ -2,7 +2,7 @@
 
 
 from repro.core.application import DebugletApplication
-from repro.core.executor import Executor
+from repro.core.executor import HOST_CALL_OVERHEAD, Executor
 from repro.core.results import EchoMeasurement
 from repro.netsim import Link, Network, Protocol, Simulator, Topology
 from repro.sandbox.programs import echo_client, echo_server
@@ -67,7 +67,7 @@ class TestOffsetCorrection:
                                           probes_sent=COUNT)
         a2a = EchoMeasurement.from_result(records[(False, "cli")].result,
                                           probes_sent=COUNT)
-        overhead_us = 5 * ex_a.host_call_overhead * 1e6
+        overhead_us = 5 * HOST_CALL_OVERHEAD * 1e6
         corrected = d2d.offset_corrected(overhead_us)
         assert abs(corrected.mean_rtt_ms() - a2a.mean_rtt_ms()) < 0.05
         # Uncorrected, the gap is the full ~300 us.

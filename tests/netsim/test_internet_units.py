@@ -1,4 +1,4 @@
-"""Units for the Internet generator, background traffic, and WAN churn."""
+"""Units for the Internet generator and background traffic."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.netsim.internet import (
     Relation,
     generate_internet,
 )
-from repro.netsim.routechurn import attach_churn_ensemble
 from repro.netsim.traffic import TrafficMatrix
 
 
@@ -106,17 +105,3 @@ class TestTrafficMatrix:
         )
         for (a, b) in list(matrix.channel_load)[:50]:
             assert 0.1 <= matrix.utilization_of(a, b) <= 0.5
-
-
-class TestChurnEnsemble:
-    def test_attaches_deterministically_to_a_fraction(self, topology):
-        count = attach_churn_ensemble(topology, seed=5, fraction=0.1)
-        assert count > 0
-        links = list(topology.links())
-        churned = [
-            link for _a, _b, link in links
-            if link.forward.churn.shifts or link.reverse.churn.shifts
-        ]
-        assert len(churned) == count
-        # Roughly the requested fraction (binomial slack).
-        assert abs(len(churned) / len(links) - 0.1) < 0.08

@@ -18,9 +18,9 @@ Histories interleave packets (any protocol, at non-monotone times, to and
 from addresses that may be prioritized on one side) with every mutation a
 caller can make behind the channel's back: the ``treatment`` setter,
 ``priority_addresses`` changed in place, overlays added and removed,
-``congestion`` and ``churn`` replaced (what ``TrafficMatrix.apply`` and
-``attach_churn_ensemble`` do) or grown in place, and ``base_delay`` /
-``jitter_std`` / ``bandwidth_bps`` assigned. The forwarding plan may hold
+``congestion`` and ``churn`` replaced (what ``TrafficMatrix.apply`` does
+to congestion) or grown in place, and ``base_delay`` / ``jitter_std`` /
+``bandwidth_bps`` assigned. The forwarding plan may hold
 only what none of these can change without dropping it.
 """
 
