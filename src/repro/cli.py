@@ -3,7 +3,9 @@
 Every scenario a command runs is built once, in :mod:`repro.workloads`
 (``demos.py`` for the marketplace demos and localization, ``fig8.py``,
 ``wan.py``, ``loadgen.py``, ``wanbench.py``); this module only parses
-arguments, checks them, and prints what the scenario returns.
+arguments, checks them, and prints what the scenario returns. No
+command reads a clock: the same arguments and seed print the same
+bytes. Timing is ``python3 -m bench``'s job.
 
 Paper artifacts:
     table1      §II Table I: per-protocol RTT/loss on the 7-city WAN
@@ -16,9 +18,8 @@ Marketplace demos:
     audit-demo  a Byzantine executor caught and slashed
     fleet-demo  executor fleet lifecycle
     placement   vantage placement strategies, synthetic or live pool
-Benches and tools:
+Scale workloads and tools:
     loadgen     fleet-scale marketplace control plane
-    vmbench     reference vs compiled VM tier
     wanbench    continent-scale localization campaigns
     verify      static verification of a Debuglet assembly file
 """
@@ -146,53 +147,6 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     return 0 if run.correct else 1
 
 
-def _cmd_vmbench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.vmbench import (
-        TIERS,
-        WORKLOAD_NAMES,
-        run_localization,
-        run_suite,
-    )
-    from repro.sandbox.compile import compile_cache
-
-    tiers = TIERS if args.tier == "both" else (args.tier,)
-    workloads = WORKLOAD_NAMES
-    if args.workloads:
-        workloads = tuple(name.strip() for name in args.workloads.split(","))
-        unknown = set(workloads) - set(WORKLOAD_NAMES)
-        if unknown:
-            print(f"unknown workloads: {sorted(unknown)}", file=sys.stderr)
-            return 2
-    rows = run_suite(
-        tiers, scale=args.scale, repeats=args.repeats, workloads=workloads
-    )
-    if args.e2e:
-        for tier in tiers:
-            rows.append(run_localization(tier))
-    if args.json:
-        print(json.dumps(
-            {"rows": rows, "compile_cache": compile_cache().stats()}, indent=2
-        ))
-        return 0
-    print(f"{'workload':<14} {'tier':<10} {'seconds':>10} {'speedup':>8} "
-          f"{'elided':>14}")
-    for row in rows:
-        speedup = f"{row['speedup']:.2f}x" if "speedup" in row else ""
-        elided = (
-            f"{row['elided_checks']} ({row['elided_const']}c+"
-            f"{row['elided_ranged']}r)"
-            if "elided_checks" in row else ""
-        )
-        print(f"{row['name']:<14} {row['tier']:<10} "
-              f"{row['seconds']:>10.4f} {speedup:>8} {elided:>14}")
-    stats = compile_cache().stats()
-    print(f"compile cache: {stats['hits']} hits / {stats['misses']} misses "
-          f"({stats['entries']} entries)")
-    return 0
-
-
 def _cmd_wanbench(args: argparse.Namespace) -> int:
     import json
     from dataclasses import asdict
@@ -234,21 +188,17 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
         f"strategy {config.strategy}, seed {config.seed} "
         f"({summary['congested_channels']} congested channels)"
     )
-    print(f"{'mode':<9} {'seconds':>9} {'accuracy':>9} {'meas':>6} "
+    print(f"{'mode':<9} {'accuracy':>9} {'meas':>6} "
           f"{'probes':>8} {'conv(s)':>9}  digest")
     for mode, outcome in summary["outcomes"].items():
         print(
-            f"{mode:<9} {outcome.wall_seconds:>9.3f} "
-            f"{outcome.accuracy:>9.2%} {outcome.measurements:>6} "
+            f"{mode:<9} {outcome.accuracy:>9.2%} {outcome.measurements:>6} "
             f"{outcome.probes_sent:>8} {outcome.mean_convergence:>9.2f}  "
             f"{outcome.digest[:16]}"
         )
         if outcome.fallbacks:
             print(f"  {mode}: process pool failed, {outcome.fallbacks} "
                   f"batch(es) rerun serially (results unaffected)")
-    if "speedup_fast_over_event" in summary:
-        print(f"fast-path speedup over event-driven: "
-              f"{summary['speedup_fast_over_event']:.1f}x")
     if "digest_match" in summary:
         verdict = "MATCH" if summary["digest_match"] else "MISMATCH"
         if summary.get("digest_match_vacuous"):
@@ -413,12 +363,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         )
         print(
             f"  completed {det['completed']} "
-            f"({det['certified']} certified) in {report['wall_seconds']:.1f}s "
-            f"wall / {det['sim_seconds']:.1f}s simulated"
+            f"({det['certified']} certified) in {det['sim_seconds']:.1f}s "
+            f"simulated"
         )
         print(
-            f"  sessions/sec: {report['sessions_per_sec']:.1f}   "
-            f"peak active: {det['peak_active_sessions']}   "
+            f"  peak active: {det['peak_active_sessions']}   "
             f"signatures: {report['signature_backend']}"
         )
         print(
@@ -426,16 +375,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             f"p99 {det['latency_p99_s']:.2f}s (simulated)"
         )
         print(
-            f"  ledger: {det['ledger_txs']} txs "
-            f"({report['ledger_txs_per_sec']:.0f}/sec), "
+            f"  ledger: {det['ledger_txs']} txs, "
             f"{det['checkpoints']} checkpoints, "
             f"{det['blocks_sealed']} blocks"
         )
-        if "verify_chain_seconds" in report:
-            print(
-                f"  chain verification: OK "
-                f"({report['verify_chain_seconds']:.1f}s)"
-            )
+        if config.verify_chain:
+            print("  chain verification: OK")
         if "fleet" in det:
             section = det["fleet"]
             states = ", ".join(
@@ -613,8 +558,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "loadgen",
-        help="fleet-scale marketplace bench: ramp thousands of sessions "
-             "through the ledger and report throughput/latency",
+        help="fleet-scale marketplace control plane: ramp thousands of "
+             "sessions through the ledger and report outcomes, simulated "
+             "latency and the state digest",
     )
     p.add_argument("--sessions", type=int, default=12_000)
     p.add_argument("--executors", type=int, default=64,
@@ -688,24 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the strategy rows as JSON")
     p.set_defaults(func=_cmd_placement)
-
-    p = sub.add_parser(
-        "vmbench",
-        help="execution-tier microbench: reference interpreter vs compiled",
-    )
-    p.add_argument("--tier", choices=["reference", "compiled", "both"],
-                   default="both")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="multiply every workload's iteration count")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="min-of-N repeats per row")
-    p.add_argument("--workloads", default=None,
-                   help="comma-separated subset (default: all)")
-    p.add_argument("--e2e", action="store_true",
-                   help="also time an end-to-end fault-localization run per tier")
-    p.add_argument("--json", action="store_true",
-                   help="emit rows (plus compile-cache stats) as JSON")
-    p.set_defaults(func=_cmd_vmbench)
 
     p = sub.add_parser(
         "wanbench",

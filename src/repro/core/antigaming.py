@@ -17,6 +17,11 @@ import numpy as np
 from repro.netsim.conduit import DirectedChannel
 from repro.netsim.packet import Address
 
+#: Spread (max - min, ms) of per-vantage mean RTTs above which
+#: :meth:`CrossValidator.consistency_across_vantages` calls the segment
+#: suspicious.
+VANTAGE_SPREAD_TOLERANCE_MS = 2.0
+
 
 def enable_prioritization(
     channels: list[DirectedChannel], executor_addresses: list[Address]
@@ -93,13 +98,14 @@ class CrossValidator:
         )
 
     def consistency_across_vantages(
-        self, means_by_vantage_ms: dict[str, float], *, tolerance_ms: float = 2.0
+        self, means_by_vantage_ms: dict[str, float]
     ) -> tuple[bool, float]:
         """Second check: prefix-targeted prioritization cannot cover every
-        vantage point, so per-vantage means spread apart. Returns
-        (suspicious, spread_ms)."""
+        vantage point, so per-vantage means spread apart by more than
+        :data:`VANTAGE_SPREAD_TOLERANCE_MS`. Returns (suspicious,
+        spread_ms)."""
         values = list(means_by_vantage_ms.values())
         if len(values) < 2:
             return False, 0.0
         spread = max(values) - min(values)
-        return spread > tolerance_ms, spread
+        return spread > VANTAGE_SPREAD_TOLERANCE_MS, spread

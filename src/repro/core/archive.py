@@ -31,6 +31,10 @@ from repro.common.serialize import canonical_encode
 
 ANCHOR_KIND = "measurement_anchor"
 
+#: Leading archived measurements averaged into :func:`degradation_onset`'s
+#: baseline.
+BASELINE_COUNT = 3
+
 
 class ArchiveContract(Contract):
     """On-chain anchors for off-chain measurement archives."""
@@ -170,24 +174,23 @@ class OnsetReport:
 def degradation_onset(
     history: list[ArchivedMeasurement],
     *,
-    baseline_count: int = 3,
     rtt_slack_ms: float = 3.0,
     loss_threshold: float = 0.05,
 ) -> OnsetReport:
     """Find the first archived measurement where the segment degraded.
 
-    The baseline is the mean of the first ``baseline_count`` entries;
+    The baseline is the mean of the first :data:`BASELINE_COUNT` entries;
     the onset is the first later entry whose RTT exceeds baseline +
     ``rtt_slack_ms`` or whose loss exceeds ``loss_threshold``.
     """
-    if len(history) < baseline_count + 1:
+    if len(history) < BASELINE_COUNT + 1:
         raise DebugletError(
-            f"need more than {baseline_count} archived measurements"
+            f"need more than {BASELINE_COUNT} archived measurements"
         )
     baseline = float(
-        np.mean([entry.mean_rtt_ms for entry in history[:baseline_count]])
+        np.mean([entry.mean_rtt_ms for entry in history[:BASELINE_COUNT]])
     )
-    for entry in history[baseline_count:]:
+    for entry in history[BASELINE_COUNT:]:
         if entry.mean_rtt_ms > baseline + rtt_slack_ms or entry.loss_rate > loss_threshold:
             return OnsetReport(
                 onset_at=entry.measured_at,

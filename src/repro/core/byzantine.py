@@ -58,6 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _MASK64 = (1 << 64) - 1
 
+#: Forged RTT range in microseconds, inclusive (FORGE_VALUES / HIDE_FAULTS).
+FORGE_RTT_US = (100, 800)
+
 
 class ByzantineStrategy(enum.Enum):
     """The attack repertoire."""
@@ -95,8 +98,6 @@ class ByzantineCorruptor:
     seed: int = 0
     start: float = 0.0
     end: float = math.inf
-    #: Forged RTT range in microseconds (FORGE_VALUES / HIDE_FAULTS).
-    forge_rtt_us: tuple[int, int] = (100, 800)
     #: FORGE_VALUES only: rewrite the interaction log consistently so
     #: replay audits cannot distinguish the forgery.
     forge_log: bool = False
@@ -152,7 +153,7 @@ class ByzantineCorruptor:
         )
 
     def _forged_rtt(self, current: int) -> int | None:
-        lo, hi = self.forge_rtt_us
+        lo, hi = FORGE_RTT_US
         forged = int(self._rng.integers(lo, hi + 1))
         return forged if forged < current else None
 
@@ -275,7 +276,7 @@ class ByzantineCorruptor:
                 rtt = rtts[len(rtts) // 2] + int(self._rng.integers(-50, 51))
                 rtt = max(rtt, 1)
             else:
-                lo, hi = self.forge_rtt_us
+                lo, hi = FORGE_RTT_US
                 rtt = int(self._rng.integers(lo, hi + 1))
             fabricated += (seq & _MASK64).to_bytes(8, "little")
             fabricated += (rtt & _MASK64).to_bytes(8, "little")

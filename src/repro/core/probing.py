@@ -67,20 +67,17 @@ class SegmentRequest(NamedTuple):
 class ExecutorFleet:
     """The set of executors an operator (or many operators) deployed."""
 
-    def __init__(self, network: Network, *, seed: int = 0, **executor_kwargs) -> None:
+    def __init__(self, network: Network, *, seed: int = 0) -> None:
         self.network = network
         self.seed = seed
-        self.executor_kwargs = executor_kwargs
         self._executors: dict[Vantage, Executor] = {}
 
-    def deploy(self, asn: int, interface: int, **overrides) -> Executor:
+    def deploy(self, asn: int, interface: int) -> Executor:
         """Deploy one executor co-located with ``<asn, interface>``."""
         vantage = (asn, interface)
         if vantage in self._executors:
             raise ConfigurationError(f"executor already deployed at {vantage}")
-        kwargs = dict(self.executor_kwargs)
-        kwargs.update(overrides)
-        executor = Executor(self.network, asn, interface, seed=self.seed, **kwargs)
+        executor = Executor(self.network, asn, interface, seed=self.seed)
         self._executors[vantage] = executor
         return executor
 

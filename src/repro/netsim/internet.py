@@ -55,6 +55,13 @@ from repro.netsim.topology import (
 #: sharding layer only cares about the region *index*).
 REGION_NAMES = ("america", "europe", "asia", "africa", "oceania")
 
+#: One-way delay ranges (seconds) an inter-AS link draws from uniformly:
+#: both endpoints in one region, or in two.
+INTRA_REGION_DELAY = (2e-3, 12e-3)
+INTER_REGION_DELAY = (25e-3, 90e-3)
+#: Per-packet jitter (standard deviation, seconds) of every inter-AS link.
+LINK_JITTER = 0.05e-3
+
 
 class Relation(enum.Enum):
     """The business relationship of a neighbor, from one AS's viewpoint."""
@@ -72,9 +79,9 @@ class InternetConfig:
     probability a new AS buys transit from a second provider (so the mean
     provider count is ``1 + multihoming``). ``peer_fraction`` adds
     roughly that fraction of ``n_ases`` lateral peering links between
-    similar-degree ASes. Delays are drawn uniformly from the given ranges
-    (seconds, one way) depending on whether the two endpoints share a
-    region.
+    similar-degree ASes. Inter-AS link delays are drawn uniformly from
+    :data:`INTRA_REGION_DELAY` or :data:`INTER_REGION_DELAY`, depending
+    on whether the two endpoints share a region.
     """
 
     n_ases: int = 1000
@@ -83,11 +90,8 @@ class InternetConfig:
     multihoming: float = 0.35
     peer_fraction: float = 0.15
     regions: int = 5
-    intra_region_delay: tuple[float, float] = (2e-3, 12e-3)
-    inter_region_delay: tuple[float, float] = (25e-3, 90e-3)
     internal_delay: float = 0.3e-3
     internal_jitter: float = 0.02e-3
-    link_jitter: float = 0.05e-3
 
     def __post_init__(self) -> None:
         if self.n_ases < 3:
@@ -278,15 +282,15 @@ def generate_internet(config: InternetConfig) -> InternetTopology:
 
     def make_link(a: int, b: int) -> Link:
         low, high = (
-            config.intra_region_delay
+            INTRA_REGION_DELAY
             if topology.region_of[a] == topology.region_of[b]
-            else config.inter_region_delay
+            else INTER_REGION_DELAY
         )
         delay = float(rng.uniform(low, high))
         return Link.symmetric(
             f"inet-{a}-{b}",
             base_delay=delay,
-            jitter_std=config.link_jitter,
+            jitter_std=LINK_JITTER,
             seed=config.seed + 7919 * a + b,
         )
 

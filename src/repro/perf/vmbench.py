@@ -1,30 +1,26 @@
-"""Execution-tier microbenchmarks: reference interpreter vs generated code.
+"""Execution-tier workloads: four single-VM programs and the loop that runs them.
 
-Four single-VM workloads isolate where the compiled tier
-(:mod:`repro.sandbox.compile`) can and cannot win:
+Each program isolates one place where the compiled tier
+(:mod:`repro.sandbox.compile`) can and cannot win over the reference
+interpreter:
 
 - ``tight_loop`` — pure dispatch + fuel accounting; the interpreter-bound
   case, where the loop body is a handful of Python statements on locals
-  with one fuel charge per block (≈12–18x the decoded reference tier);
+  with one fuel charge per block;
 - ``memory_heavy`` — dynamic (runtime-checked) and constant (elided)
-  loads/stores per iteration (≈5–7x);
+  loads/stores per iteration;
 - ``call_heavy`` — frame push/pop cost via a helper called per iteration;
-  the helper never suspends, so it is a plain Python call (≈13–18x);
+  the helper never suspends, so it is a plain Python call;
 - ``host_heavy`` — one host call per iteration; the embedder's
   suspend/resume round trip, not interpretation, is the bottleneck here,
-  so the two tiers are closest (≈3x).
+  so the two tiers are closest.
 
-``run_localization`` additionally times an end-to-end fault-localization
-scenario (simulator + fleet + sandboxed probers) per tier, which bounds
-how much of a full-scenario wall clock the VM actually is.
-
-All timings are min-of-N wall seconds; results feed ``repro vmbench``
-and the ``vm_tiers`` workload of ``bench/``.
+Nothing here reads a clock. The ``vm_tiers`` workload of ``bench/`` times
+these programs on both tiers (``primary_per_s`` / ``secondary_per_s``, and
+per program with ``--trace 1``).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.sandbox.assembler import assemble
 from repro.sandbox.module import Module
@@ -147,7 +143,6 @@ loop:
 }
 
 WORKLOAD_NAMES = tuple(_WORKLOADS)
-TIERS = ("reference", "compiled")
 
 
 def workload_module(name: str) -> tuple[Module, int]:
@@ -164,108 +159,3 @@ def drive(vm: VM, args: list[int]) -> tuple[Done, int]:
         host_calls += 1
         step = vm.resume([0])
     return step, host_calls
-
-
-def run_workload(
-    name: str, tier: str, *, scale: float = 1.0, repeats: int = 3
-) -> dict:
-    """Min-of-``repeats`` timing of one workload on one tier.
-
-    Also checks the equivalence contract on the way: result and
-    ``fuel_used`` must not depend on the tier, so they are recorded and
-    comparable across rows.
-    """
-    module, baseline = workload_module(name)
-    iterations = max(1, int(baseline * scale))
-    best = float("inf")
-    result = fuel = host_calls = 0
-    for _ in range(repeats):
-        vm = VM(module, fuel_limit=10**12, tier=tier)
-        started = time.perf_counter()
-        done, host_calls = drive(vm, [iterations])
-        best = min(best, time.perf_counter() - started)
-        result, fuel = done.value, vm.fuel_used
-    row = {
-        "name": name,
-        "tier": tier,
-        "seconds": round(best, 6),
-        "iterations": iterations,
-        "fuel_used": fuel,
-        "result": result,
-        "host_calls": host_calls,
-        "repeats": repeats,
-    }
-    if tier == "compiled":
-        from repro.sandbox.compile import get_compiled
-
-        compiled = get_compiled(module)
-        if compiled is not None:
-            row["elided_checks"] = compiled.elided_checks
-            row["elided_const"] = compiled.elided_const
-            row["elided_ranged"] = compiled.elided_ranged
-    return row
-
-
-def run_suite(
-    tiers: tuple[str, ...] = TIERS,
-    *,
-    scale: float = 1.0,
-    repeats: int = 3,
-    workloads: tuple[str, ...] = WORKLOAD_NAMES,
-) -> list[dict]:
-    """All requested workloads on all requested tiers, with speedups.
-
-    When both tiers run, each compiled row gains a ``speedup`` key
-    (reference seconds / compiled seconds) and the tier-invariant fields
-    are asserted equal — a benchmark that quietly diverged would be
-    measuring two different programs.
-    """
-    rows: list[dict] = []
-    for name in workloads:
-        per_tier: dict[str, dict] = {}
-        for tier in tiers:
-            row = run_workload(name, tier, scale=scale, repeats=repeats)
-            per_tier[tier] = row
-            rows.append(row)
-        if "reference" in per_tier and "compiled" in per_tier:
-            ref, fast = per_tier["reference"], per_tier["compiled"]
-            for key in ("fuel_used", "result", "host_calls"):
-                if ref[key] != fast[key]:
-                    raise AssertionError(
-                        f"{name}: tiers diverged on {key}: "
-                        f"{ref[key]} != {fast[key]}"
-                    )
-            fast["speedup"] = round(ref["seconds"] / fast["seconds"], 2) \
-                if fast["seconds"] else float("inf")
-    return rows
-
-
-def run_localization(
-    tier: str, *, ases: int = 6, probes: int = 8, seed: int = 3
-) -> dict:
-    """End-to-end fault localization with every session VM on ``tier``.
-
-    Flips :data:`repro.sandbox.program.DEFAULT_TIER` for the duration so
-    the fleet's probers — built deep inside the scenario — pick the tier
-    up, then restores it.
-    """
-    import repro.sandbox.program as program_mod
-    from repro.workloads.demos import run_localize
-
-    previous = program_mod.DEFAULT_TIER
-    program_mod.DEFAULT_TIER = tier
-    try:
-        started = time.perf_counter()
-        run = run_localize(ases, strategy="binary", probes=probes, seed=seed)
-        seconds = time.perf_counter() - started
-        return {
-            "name": "localize_e2e",
-            "tier": tier,
-            "seconds": round(seconds, 6),
-            "ases": ases,
-            "probes": probes,
-            "correct": run.correct,
-            "measurements": run.report.measurements_used,
-        }
-    finally:
-        program_mod.DEFAULT_TIER = previous

@@ -90,16 +90,15 @@ histogram of translated module sizes and — only in runs that degrade — a
 ``vm_compile_unsupported_total{reason}`` counter for modules forced onto
 the reference tier. Every exported value is a function of the modules
 seen and hit/miss is judged *per observability bundle*, so same-seed
-exports are byte-identical across bundles and across processes; the wall
-clock a translation took stays on ``CompiledModule.compile_seconds``,
-beside the export, never in it.
+exports are byte-identical across bundles and across processes. Nothing
+here reads a clock; how long a translation takes is
+``sandbox.compile.compile_module_ms`` in ``bench/``.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Callable, Generator, Iterator
 from inspect import isgeneratorfunction
@@ -169,9 +168,9 @@ class CompiledModule:
     number of concurrently running VM instances.
     """
 
-    __slots__ = ("code_hash", "functions", "entry", "compile_seconds",
-                 "value_stack_peak", "call_depth", "elided_checks",
-                 "elided_const", "elided_ranged", "_entry_suspends")
+    __slots__ = ("code_hash", "functions", "entry", "value_stack_peak",
+                 "call_depth", "elided_checks", "elided_const",
+                 "elided_ranged", "_entry_suspends")
 
     def __init__(self, code_hash: bytes, functions: dict[str, _Generated],
                  facts: StaticFacts) -> None:
@@ -181,7 +180,6 @@ class CompiledModule:
         self.functions = functions
         self.entry = functions[ENTRY_POINT]
         self._entry_suspends = isgeneratorfunction(self.entry)
-        self.compile_seconds = 0.0
         self.value_stack_peak = facts.value_stack_peak
         self.call_depth = facts.call_depth
         self.elided_const = sum(
@@ -772,15 +770,12 @@ def compile_module(module: Module) -> CompiledModule:
     Raises :class:`CompileUnsupported` when the static proofs the tier
     relies on are unavailable (the caller should use the reference tier).
     """
-    started = time.perf_counter()
     facts = _proven(module)
     factory = _factory(module, facts, _shape_key(module, facts))
     values = [value for _, value in _bindings(module, facts)]
     generated = factory(*_RUNTIME.values(), *values)
     functions = dict(zip(module.functions, generated))
-    compiled = CompiledModule(module.code_hash(), functions, facts)
-    compiled.compile_seconds = time.perf_counter() - started
-    return compiled
+    return CompiledModule(module.code_hash(), functions, facts)
 
 
 # ------------------------------------------------------------------ cache

@@ -65,8 +65,8 @@ class RunnableProgram:
 #: Tier used by :class:`VMProgram` when none is requested explicitly.
 #: "auto" compiles modules whose static proofs hold and falls back to the
 #: reference interpreter otherwise; scenarios and the marketplace thus run
-#: on the compiled tier by default (DESIGN.md §7). Benchmarks flip this
-#: to "reference" to measure the interpreter baseline.
+#: on the compiled tier by default (DESIGN.md §7). Tests flip this to
+#: "reference" to run a whole scenario on the interpreter.
 DEFAULT_TIER = "auto"
 
 

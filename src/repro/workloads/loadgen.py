@@ -1,9 +1,11 @@
 """``repro loadgen``: the fleet-scale marketplace load generator.
 
 Ramps tens of thousands of measurement sessions into one ledger-backed
-marketplace and reports sessions/sec, session-latency percentiles, and
-ledger txs/sec — the reproduction's §V-B-style control-plane scale bench
-(DESIGN.md §10). Two ledger modes are compared head-to-head:
+marketplace and reports what they did — sessions certified, peak
+concurrency, simulated session-latency percentiles, ledger transactions,
+checkpoints and the state digest — the reproduction's §V-B-style
+control-plane scale workload (DESIGN.md §10). Two ledger modes are
+compared head-to-head:
 
 - ``serial`` — the pre-fleet baseline: one checkpoint (with a folded
   shard state root) sealed per transaction;
@@ -32,16 +34,16 @@ or evicted member — and the report's ``deterministic.fleet`` section
 records the lifecycle ledger (state counts, transitions, heartbeats,
 per-pair session spread) for the same-seed CI comparison.
 
-Everything that happens in simulated time is seeded and deterministic:
-two runs with the same config produce byte-identical observability
-exports and the same ledger state digest. Wall-clock throughput numbers
-live only in the returned report.
+Everything is seeded and deterministic: two runs with the same config
+produce byte-identical observability exports, the same ledger state
+digest and the same report. Nothing here reads a clock; the throughput
+of the drain and of ``verify_chain`` is measured by ``market_batched``
+and ``market_serial_verify`` in ``bench/``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from repro.chain.crypto import KeyPair, backend_name, ed25519_batch_verify
@@ -716,14 +718,15 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
 
 
 def run(fleet: LoadgenFleet) -> dict:
-    """Drain the fleet; returns the bench report.
+    """Drain the fleet, verify the chain if asked, and return the report.
 
-    The ``deterministic`` sub-dict depends only on (config, seed) — it is
-    what the CI smoke job compares across same-seed runs. Wall-clock
-    throughput lives at the top level.
+    The report is a function of the config and the signature backend
+    (``signature_backend``, top level); its ``deterministic`` sub-dict is
+    a function of the config alone. How fast the drain and the
+    verification run is ``market_batched`` / ``market_serial_verify`` in
+    ``bench/``.
     """
     config = fleet.config
-    started = time.perf_counter()
     completed = fleet.scheduler.run()
     if fleet.manager is not None:
         # Give the sweep a few more intervals to retire any member whose
@@ -737,13 +740,8 @@ def run(fleet: LoadgenFleet) -> dict:
     fleet.ledger.flush_block()  # seal the trailing partial block, if any
     if fleet.auditor is not None:
         fleet.auditor.finalize()
-    wall_seconds = time.perf_counter() - started
-
-    verify_seconds = None
     if config.verify_chain:
-        verify_started = time.perf_counter()
         fleet.ledger.verify_chain()
-        verify_seconds = time.perf_counter() - verify_started
 
     by_state: dict[str, int] = {}
     latencies: list[float] = []
@@ -753,7 +751,6 @@ def run(fleet: LoadgenFleet) -> dict:
         latencies.append(terminal_at - session.requested_at)
     latencies.sort()
 
-    tx_count = len(fleet.ledger.transactions)
     deterministic = {
         "sessions": config.sessions,
         "completed": len(completed),
@@ -764,7 +761,7 @@ def run(fleet: LoadgenFleet) -> dict:
         "sim_seconds": round(fleet.simulator.now, 6),
         "latency_p50_s": round(_percentile(latencies, 0.50), 6),
         "latency_p99_s": round(_percentile(latencies, 0.99), 6),
-        "ledger_txs": tx_count,
+        "ledger_txs": len(fleet.ledger.transactions),
         "checkpoints": len(fleet.ledger.checkpoints),
         "blocks_sealed": fleet.ledger.blocks_sealed,
         "state_digest": fleet.ledger.state_digest().hex(),
@@ -795,7 +792,7 @@ def run(fleet: LoadgenFleet) -> dict:
                 str(pair): count for pair, count in sorted(pair_sessions.items())
             },
         }
-    report = {
+    return {
         "mode": config.ledger_mode,
         "seed": config.seed,
         "churn": config.churn,
@@ -807,18 +804,8 @@ def run(fleet: LoadgenFleet) -> dict:
         ),
         "num_shards": config.num_shards,
         "signature_backend": backend_name(),
-        "wall_seconds": round(wall_seconds, 3),
-        "sessions_per_sec": round(len(completed) / wall_seconds, 2)
-        if wall_seconds > 0
-        else 0.0,
-        "ledger_txs_per_sec": round(tx_count / wall_seconds, 2)
-        if wall_seconds > 0
-        else 0.0,
         "deterministic": deterministic,
     }
-    if verify_seconds is not None:
-        report["verify_chain_seconds"] = round(verify_seconds, 3)
-    return report
 
 
 #: The names ``repro.workloads`` re-exports these under.

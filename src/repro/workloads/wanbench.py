@@ -18,16 +18,14 @@ All three feed the same strategy plans (:mod:`repro.core.locplans`) through
 the same driver and build their rows with the same row builder, so
 accuracy / probe-cost / convergence-time curves are comparable across
 engines; ``fast`` and ``sharded`` are additionally **bit-identical** to
-each other (digest equality), and the fast path's wall-clock advantage
-over ``event`` is the headline ratio (``speedup_fast_over_event`` in the
-summary; guarded at smoke scale by ``tests/workloads/test_wanbench.py``,
-measured at ≥5k ASes in EXPERIMENTS.md).
+each other (digest equality). Nothing here reads a clock: a run reports
+verdicts, counts and digests, so two same-seed runs print the same
+bytes. How fast the fast path runs is ``wan_campaign`` in ``bench/``
+(and ``wan_build`` for the continent itself).
 """
 
 from __future__ import annotations
 
-import gc
-import time
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import ConfigurationError
@@ -274,7 +272,6 @@ class ModeOutcome:
     """One engine's run over a scenario, summarized for curves/benches."""
 
     mode: str
-    wall_seconds: float
     episodes: int
     found: int
     measurements: int
@@ -300,7 +297,6 @@ class ModeOutcome:
             "seed": config.seed,
             "workers": self.workers,
             "fallbacks": self.fallbacks,
-            "seconds": round(self.wall_seconds, 4),
             "accuracy": round(self.accuracy, 4),
             "measurements": self.measurements,
             "probes": self.probes_sent,
@@ -309,12 +305,11 @@ class ModeOutcome:
         }
 
 
-def _summarize(mode: str, result: CampaignResult, wall: float) -> ModeOutcome:
+def _summarize(mode: str, result: CampaignResult) -> ModeOutcome:
     rows = result.rows
     convergences = [row["convergence_time"] for row in rows if row["measurements"]]
     return ModeOutcome(
         mode=mode,
-        wall_seconds=wall,
         episodes=len(rows),
         found=sum(1 for row in rows if row["found"]),
         measurements=result.measurements,
@@ -345,10 +340,7 @@ def run_campaign(scenario: ContinentScenario, *, workers: int = 0) -> ModeOutcom
         seed=config.seed,
         workers=workers,
     )
-    started = time.perf_counter()
-    result = engine.run()
-    wall = time.perf_counter() - started
-    return _summarize("sharded" if workers else "fast", result, wall)
+    return _summarize("sharded" if workers else "fast", engine.run())
 
 
 def run_event_baseline(scenario: ContinentScenario) -> ModeOutcome:
@@ -370,7 +362,6 @@ def run_event_baseline(scenario: ContinentScenario) -> ModeOutcome:
         probe_size=config.probe_size,
     )
     localizer = FaultLocalizer(prober, judge=campaign_judge())
-    started = time.perf_counter()
     reports = []
     for episode in scenario.episodes:
         for hop in episode.path.hops:
@@ -380,9 +371,8 @@ def run_event_baseline(scenario: ContinentScenario) -> ModeOutcome:
         if scenario.simulator.now < episode.window_start:
             scenario.simulator.run(until=episode.window_start)
         reports.append(localizer.localize(episode.path, strategy=episode.strategy))
-    wall = time.perf_counter() - started
     result = CampaignResult.from_reports(scenario.episodes, reports)
-    return _summarize("event", result, wall)
+    return _summarize("event", result)
 
 
 def run_wanbench(
@@ -390,15 +380,10 @@ def run_wanbench(
 ) -> dict:
     """Run the requested engines over identical same-seed scenarios.
 
-    Returns per-mode outcomes plus the two headline comparisons: the
-    fast-over-event wall-clock speedup and the serial-vs-sharded digest
-    match (with ``digest_match_vacuous`` when no pool worked for the
-    sharded run). Each mode gets a freshly built scenario so no engine can
-    leak state (sim clock, lazily deployed executors) into the next, and starts
-    from a collected heap so none is billed for collecting the garbage the
-    previous engine or its own scenario build left behind — a full
-    collection is 0.1–0.2 s in a long-lived process, several times the
-    smoke-scale fast campaign it could land in.
+    Returns per-mode outcomes plus the serial-vs-sharded digest match
+    (with ``digest_match_vacuous`` when no pool worked for the sharded
+    run). Each mode gets a freshly built scenario so no engine can leak
+    state (sim clock, lazily deployed executors) into the next.
     """
     unknown = set(modes) - set(MODES)
     if unknown:
@@ -407,7 +392,6 @@ def run_wanbench(
     scenario = None
     for mode in modes:
         scenario = build_continent(config)
-        gc.collect()
         if mode == "event":
             outcomes[mode] = run_event_baseline(scenario)
         elif mode == "fast":
@@ -420,11 +404,6 @@ def run_wanbench(
         "congested_channels": scenario.congested_channels if scenario else 0,
         "outcomes": outcomes,
     }
-    if "event" in outcomes and "fast" in outcomes:
-        event, fast = outcomes["event"], outcomes["fast"]
-        summary["speedup_fast_over_event"] = (
-            event.wall_seconds / fast.wall_seconds if fast.wall_seconds else 0.0
-        )
     if "fast" in outcomes and "sharded" in outcomes:
         summary["digest_match"] = (
             outcomes["fast"].digest == outcomes["sharded"].digest

@@ -5,7 +5,7 @@ its verdicts are only sound if the compiled tier is observationally
 identical — same emitted result bytes, same fuel, same return value —
 for every program an executor might run. These tests pin that contract
 end-to-end: the same seeded scenario is executed once per tier (flipping
-:data:`repro.sandbox.program.DEFAULT_TIER`, exactly as ``vmbench``
+:data:`repro.sandbox.program.DEFAULT_TIER`, as ``tests/core/hostop_golden.py``
 does), and every execution record must replay bit-for-bit regardless of
 which tier produced the transcript.
 

@@ -146,6 +146,27 @@ def test_cli_prints_what_the_scenario_returns(argv, run, lines, capsys):
         assert line in printed
 
 
+SAME_SEED = {
+    "loadgen": ["loadgen", "--sessions", "40", "--executors", "8",
+                "--initiators", "8"],
+    # small_config's size, on the fast path alone.
+    "wanbench": ["wanbench", "--ases", "120", "--episodes", "9",
+                 "--regions", "3", "--modes", "fast"],
+}
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("command", sorted(SAME_SEED))
+def test_same_seed_stdout_is_byte_identical(command, output, capsys):
+    """Two same-seed runs print the same bytes: no command reads a clock
+    into its output (timing is ``bench/``'s job)."""
+    printed = []
+    for _ in range(2):
+        assert main([*SAME_SEED[command], *output]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
 @pytest.mark.obs
 class TestCliObservability:
     def test_table1_trace_out(self, tmp_path, capsys):
@@ -295,7 +316,7 @@ class TestWanbenchCommand:
         def mismatched(config, *, modes):
             outcomes = {
                 mode: wanbench.ModeOutcome(
-                    mode=mode, wall_seconds=0.1, episodes=1, found=1,
+                    mode=mode, episodes=1, found=1,
                     measurements=1, probes_sent=10, mean_convergence=0.0,
                     digest=mode * 4,
                 )

@@ -423,7 +423,6 @@ class TestCompiledModuleMetadata:
         assert compiled.code_hash == module.code_hash()
         assert compiled.call_depth >= 1
         assert compiled.value_stack_peak >= 1
-        assert compiled.compile_seconds > 0.0
         assert list(compiled.functions) == list(module.functions)
         assert compiled.functions["run_debuglet"] is compiled.entry
 

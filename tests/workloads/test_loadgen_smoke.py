@@ -69,10 +69,26 @@ def test_loadgen_same_seed_obs_exports_are_byte_identical():
         assert name in first_text, f"{name} missing from metrics export"
 
 
-def test_loadgen_chain_verifies():
+def test_loadgen_chain_verifies(monkeypatch):
+    """``verify_chain=True`` re-verifies the drained chain exactly once,
+    and the default does not."""
+    from repro.chain.ledger import Ledger
+
+    calls = []
+    original = Ledger.verify_chain
+
+    def spy(ledger):
+        calls.append(ledger)
+        return original(ledger)
+
+    monkeypatch.setattr(Ledger, "verify_chain", spy)
+    fleet = build_loadgen(LoadgenConfig(**{**SMOKE, "sessions": 60}))
+    run_loadgen(fleet)
+    assert calls == []
     config = LoadgenConfig(**{**SMOKE, "sessions": 60, "verify_chain": True})
-    report = run_loadgen(build_loadgen(config))
-    assert "verify_chain_seconds" in report
+    fleet = build_loadgen(config)
+    run_loadgen(fleet)
+    assert len(calls) == 1 and calls[0] is fleet.ledger
 
 
 # ----------------------------------------------------------- perf guard
