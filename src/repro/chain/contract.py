@@ -8,6 +8,10 @@ meter storage, roll back on revert, and keep execution deterministic.
 
 ``ctx.abort(reason)`` (or raising :class:`ContractRevert`) undoes every
 state change of the call, like Move's ``abort``.
+
+An entry marked ``@entry(read_only=True)`` may also be served by
+:meth:`~repro.chain.ledger.Ledger.read`: no transaction, against the
+latest state, through a :class:`ReadContext` that refuses every effect.
 """
 
 from __future__ import annotations
@@ -23,10 +27,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.chain.objects import ObjectStore
 
 
-def entry(function: Callable) -> Callable:
-    """Mark a contract method as an externally callable entry function."""
-    function.__contract_entry__ = True
-    return function
+def entry(function: Callable | None = None, *, read_only: bool = False):
+    """Mark a contract method as an externally callable entry function.
+
+    ``@entry(read_only=True)`` marks a pure function of the state, which
+    :meth:`~repro.chain.ledger.Ledger.read` may serve without a
+    transaction. It stays callable as a transaction too.
+    """
+
+    def mark(method: Callable) -> Callable:
+        method.__contract_entry__ = True
+        method.__contract_read_only__ = read_only
+        return method
+
+    return mark if function is None else mark(function)
 
 
 class ExecutionContext:
@@ -120,6 +134,46 @@ class ExecutionContext:
             raise ContractRevert(reason)
 
 
+class ReadContext(ExecutionContext):
+    """The context of a :meth:`~repro.chain.ledger.Ledger.read`.
+
+    It reads the latest state like any call, carries no value, and
+    refuses every effect: object writes, token moves and events raise
+    :class:`ChainError` before anything changes.
+    """
+
+    def __init__(
+        self, *, ledger: "Ledger", contract: "Contract", sender: str, time: float
+    ) -> None:
+        super().__init__(
+            ledger=ledger, contract=contract, sender=sender, value=0, time=time,
+            tx_digest=b"",
+        )
+
+    def _refuse(self, what: str) -> None:
+        raise ChainError(f"a read of {self.contract.name!r} cannot {what}")
+
+    def create_object(
+        self, kind: str, data: dict, *, owner: str | None = None
+    ) -> ObjectId:
+        self._refuse("create an object")
+
+    def update_object(self, object_id: ObjectId, data: dict) -> None:
+        self._refuse("update an object")
+
+    def free_object(self, object_id: ObjectId) -> None:
+        self._refuse("free an object")
+
+    def transfer_from_contract(self, to_address: str, amount: int) -> None:
+        self._refuse("move tokens")
+
+    def burn_from_contract(self, amount: int) -> None:
+        self._refuse("burn tokens")
+
+    def emit(self, name: str, **attributes: Any) -> None:
+        self._refuse("emit an event")
+
+
 class Contract:
     """Base class for contracts. Subclasses set ``name`` and ``state``."""
 
@@ -143,6 +197,11 @@ class Contract:
                 functions[attr_name] = attr
         self._entry_cache = functions
         return functions
+
+    def is_read_only(self, function: str) -> bool:
+        """Whether ``function`` is an entry marked ``@entry(read_only=True)``."""
+        method = self.entry_functions().get(function)
+        return getattr(method, "__contract_read_only__", False)
 
     def call(self, ctx: ExecutionContext, function: str, args: tuple) -> Any:
         functions = self.entry_functions()
@@ -174,6 +233,10 @@ class Contract:
 
     def journal_commit(self) -> None:  # pragma: no cover - opt-in only
         raise ChainError(f"contract {self.name!r} has no journal to commit")
+
+    def journal_touched(self) -> bool:  # pragma: no cover - opt-in only
+        """True when the open undo log holds a write (a read must not)."""
+        raise ChainError(f"contract {self.name!r} has no journal to inspect")
 
     def state_payload(self) -> Any:
         """Deterministic, canonically encodable view of the state."""

@@ -14,7 +14,10 @@ Debuglet's control plane relies on (§IV-C, §V-B):
   Sui's; receipts carry submitted/finalized times for the
   delay-to-measurement evaluation;
 - **storage pricing** — gas follows :class:`~repro.chain.gas.GasSchedule`
-  (Table II calibration), with rebates on object free.
+  (Table II calibration), with rebates on object free;
+- **reads are not transactions** — :meth:`Ledger.read` serves an entry the
+  contract marks read-only against the latest state: unsigned, fee-free
+  and absent from the history, but refused by ``submit_gate`` like a write.
 
 Fleet-scale additions (DESIGN.md §10): object state lives in a sharded
 store whose folded Merkle root is committed in every checkpoint; rollback
@@ -31,7 +34,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.chain.contract import Contract, ExecutionContext
+from repro.chain.contract import Contract, ExecutionContext, ReadContext
 from repro.chain.crypto import KeyPair, ed25519_batch_verify
 from repro.chain.events import Event, EventBus
 from repro.chain.gas import GasCost, GasSchedule
@@ -84,6 +87,16 @@ class Checkpoint:
 _GENESIS_HASH = hashlib.sha256(b"debuglet-genesis").digest()
 
 
+@dataclass(frozen=True)
+class ReadCall:
+    """What ``submit_gate`` sees of a :meth:`Ledger.read`: the fields of a
+    transaction that name who calls what, and nothing to sign."""
+
+    sender: str
+    contract: str
+    function: str
+
+
 @dataclass
 class _TxJournal:
     """Undo log for the token side of one call: first-touch old values."""
@@ -122,12 +135,13 @@ class Ledger:
                 )
         self.block_window = block_window
         # Chaos / availability hooks (see repro.chaos). ``submit_gate`` may
-        # raise :class:`LedgerUnavailable` to reject a submission before it
-        # touches any state; ``event_delay`` returns extra seconds of event
-        # delivery latency (on top of ``finality_latency``). Both are None
+        # raise :class:`LedgerUnavailable` to reject a submission (or a
+        # read) before it touches any state; ``event_delay`` returns extra
+        # seconds of event delivery latency (on top of
+        # ``finality_latency``). Both are None
         # in normal operation and are never part of the replayable history:
         # a gated submission simply never happened.
-        self.submit_gate: Callable[[Transaction, float], None] | None = None
+        self.submit_gate: Callable[[Transaction | ReadCall, float], None] | None = None
         self.event_delay: Callable[[float], float] | None = None
         # Observability (repro.obs): wired by the testbed builders. Like
         # the chaos hooks, recording is never part of replayable history.
@@ -457,6 +471,65 @@ class Ledger:
         self.objects.rollback_journal()
         self._rollback_tx_journal()
 
+    # ------------------------------------------------------------- reads
+
+    def read(self, sender: str, contract: str, function: str, *args: Any) -> Any:
+        """Run a read-only entry against the latest state; return its value.
+
+        A read is never signed, nonced, charged, recorded or checkpointed,
+        so neither :meth:`verify_chain` nor :meth:`replay` sees it. It
+        still passes ``submit_gate`` (an outage refuses reads as it
+        refuses writes) and dispatches through :meth:`Contract.call`. Its
+        :class:`ReadContext` refuses every effect, and a read that writes
+        the contract's own state is rolled back and refused, so a failed
+        read leaves :meth:`state_digest` as it was. A revert raises
+        :class:`ContractRevert`.
+        """
+        obs = self.obs
+        if self.submit_gate is not None:
+            try:
+                self.submit_gate(ReadCall(sender, contract, function), self.now)
+            except ChainError as exc:
+                if obs is not None:
+                    obs.metrics.counter(
+                        "ledger_reads_total", status="gated", function=function
+                    ).inc()
+                    obs.tracer.event(
+                        "chain.read_gated", component="chain",
+                        function=function, reason=str(exc),
+                    )
+                raise
+        target = self.contracts.get(contract)
+        if target is None:
+            raise ChainError(f"unknown contract {contract!r}")
+        if not target.is_read_only(function):
+            raise ChainError(f"{contract}.{function} is not a read-only entry")
+        journaled = target.journal_begin()
+        snapshot = None if journaled else target.snapshot()
+        ctx = ReadContext(ledger=self, contract=target, sender=sender, time=self.now)
+        try:
+            value = target.call(ctx, function, args)
+            wrote = target.journal_touched() if journaled else target.state != snapshot
+            if wrote:
+                raise ChainError(f"read of {contract}.{function} wrote contract state")
+        except BaseException as exc:
+            if journaled:
+                target.journal_rollback()
+            else:
+                target.restore(snapshot)
+            if obs is not None and isinstance(exc, ChainError):
+                obs.metrics.counter(
+                    "ledger_reads_total", status="reverted", function=function
+                ).inc()
+            raise
+        if journaled:
+            target.journal_commit()
+        if obs is not None:
+            obs.metrics.counter(
+                "ledger_reads_total", status="ok", function=function
+            ).inc()
+        return value
+
     # ------------------------------------------------------------ blocks
 
     def begin_block(self) -> None:
@@ -644,7 +717,8 @@ class Ledger:
 
 
 class Wallet:
-    """Convenience: build, sign, and submit transactions for one key."""
+    """Convenience: build, sign, and submit transactions for one key, and
+    read read-only entries as it."""
 
     DEFAULT_GAS_BUDGET = 1_000_000_000  # 1 SUI
 
@@ -678,6 +752,10 @@ class Wallet:
             value=value,
         ).signed_by(self.keypair)
         return self.ledger.submit(tx)
+
+    def read(self, contract: str, function: str, *args: Any) -> Any:
+        """A read-only entry's value, as of now (:meth:`Ledger.read`)."""
+        return self.ledger.read(self.address, contract, function, *args)
 
     def must_call(self, contract: str, function: str, *args: Any, **kwargs: Any):
         """Like :meth:`call` but raises on revert; returns the receipt."""

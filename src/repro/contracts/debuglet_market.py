@@ -13,6 +13,12 @@ Entry functions: ``register_executor``, ``register_time_slot``,
 ``lookup_slot``, ``purchase_slot``, ``result_ready``, ``lookup_result``.
 Payment is escrowed in the application objects at purchase time and paid
 out to the executor by ``result_ready`` — enforcement by code, not trust.
+
+``lookup_slot`` and ``lookup_result`` are the two read entries
+(``@entry(read_only=True)``): pure functions of the state, which the
+initiator reads with :meth:`~repro.chain.ledger.Ledger.read` instead of a
+transaction. Either can still be submitted as a transaction, at the flat
+computation fee.
 """
 
 from __future__ import annotations
@@ -137,6 +143,9 @@ class DebugletMarket(Contract):
 
     def journal_commit(self) -> None:
         self._journal = None
+
+    def journal_touched(self) -> bool:
+        return bool(self._journal)
 
     def journal_rollback(self) -> None:
         journal = self._journal if self._journal is not None else []
@@ -390,7 +399,7 @@ class DebugletMarket(Contract):
 
     # ----------------------------------------- initiating a measurement
 
-    @entry
+    @entry(read_only=True)
     def lookup_slot(
         self,
         ctx: ExecutionContext,
@@ -763,7 +772,7 @@ class DebugletMarket(Contract):
         )
         return tokens
 
-    @entry
+    @entry(read_only=True)
     def lookup_result(self, ctx: ExecutionContext, application_id_hex: str) -> dict:
         """Fetch a published result by application ID (§IV-C LookupResult)."""
         result_hex = self.state["results_map"].get(application_id_hex)

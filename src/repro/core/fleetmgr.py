@@ -112,7 +112,6 @@ class CapabilityRecord:
     host_ops: tuple[str, ...] = ALL_HOST_OPS
     max_fuel: int = 100_000_000
     max_memory_bytes: int = 16 * 1024 * 1024
-    region: str = ""
     #: ASes this member may be asked to contact; empty = unrestricted.
     contact_asns: tuple[int, ...] = ()
     #: admit native (non-sandboxed, hence unverifiable) programs?

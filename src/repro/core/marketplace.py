@@ -4,7 +4,8 @@ Implements the five-step measurement flow of §IV-A over the
 :class:`~repro.contracts.debuglet_market.DebugletMarket` contract:
 
 1. an endpoint (here: the initiator itself) wants a measurement;
-2. the initiator generates Debuglet applications and looks up slots;
+2. the initiator generates Debuglet applications and looks up slots (a
+   ledger read, not a transaction: :meth:`~repro.chain.ledger.Ledger.read`);
 3. it purchases the slots, escrowing tokens with the bytecode on-chain;
 4. executor agents — subscribed to ``ApplicationSubmitted`` events for
    their ``<AS, interface>`` — fetch, admit, and run the applications at
@@ -616,7 +617,7 @@ class Initiator:
         else:
             earliest = now + 2 * self.ledger.finality_latency + 0.1
         try:
-            lookup = self.wallet.must_call(
+            lookup = self.wallet.read(
                 DebugletMarket.name,
                 "lookup_slot",
                 asn_c,
@@ -628,7 +629,7 @@ class Initiator:
                 plan.bandwidth_mbps,
                 plan.duration,
                 earliest,
-            ).return_value
+            )
             if plan.code_store is None:
                 client_payload = plan.client_app.to_wire()
                 server_payload = plan.server_app.to_wire()
@@ -784,9 +785,9 @@ class Initiator:
         if outcome.status:
             return
         try:
-            lookup = self.wallet.must_call(
+            lookup = self.wallet.read(
                 DebugletMarket.name, "lookup_result", application_id
-            ).return_value
+            )
         except LedgerUnavailable as exc:
             if self.simulator is not None and retries_left > 0:
                 obs = self._obs

@@ -21,7 +21,11 @@ It was re-recorded once, when the echo client, the echo server and the
 one-way receiver began keeping their pairs in linear memory and
 publishing them with one ``result_bytes`` call: their transcripts, fuel
 and op counters moved, and so did the chaos exports; every ``result`` and
-every replay's result hash stayed as recorded.
+every replay's result hash stayed as recorded. The ``chaos`` key alone
+moved once more when the initiator's ``lookup_slot`` / ``lookup_result``
+became ledger reads: the run records fewer transactions, gas and nonces,
+and ``ledger_reads_total`` / ``chain.read_gated`` where it recorded
+lookup transactions; every ``runs/*`` entry stayed byte-identical.
 
 Check: ``python -m tests.core.hostop_golden --check`` (exit 1 and the
 names that moved). Regenerate (no argument) only on a deliberate change

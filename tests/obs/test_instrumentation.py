@@ -158,14 +158,14 @@ class TestMarketplaceInstrumentation:
         assert counter_value(
             obs, "chaos_faults_injected_total", kind="tx-failure"
         ) == 1
-        gated_total = sum(
-            metric.value
-            for kind, name, labels, metric in obs.metrics.snapshot()
-            if name == "ledger_tx_total" and ("status", "gated") in labels
-        )
-        assert gated_total >= 1
-        gated = [e for e in obs.tracer.events if e.name == "chain.tx_gated"]
+        # The outage's first refused call is the initiator's lookup_slot,
+        # a ledger read: the gate refuses reads as it refuses writes.
+        assert counter_value(
+            obs, "ledger_reads_total", status="gated", function="lookup_slot"
+        ) >= 1
+        gated = [e for e in obs.tracer.events if e.name == "chain.read_gated"]
         assert gated and "chaos window" in gated[0].attributes["reason"]
+        assert gated[0].attributes["function"] == "lookup_slot"
         windows = [s for s in obs.tracer.spans if s.component == "chaos"]
         assert len(windows) == 1
         assert windows[0].name == "chaos.tx-failure"

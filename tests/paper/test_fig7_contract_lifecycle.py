@@ -21,10 +21,38 @@ def _run_lifecycle():
     return testbed, session
 
 
+def _lookups_as_transactions(testbed, session):
+    """Panels (b) LookupSlot and (c) LookupResult submitted as transactions.
+
+    The initiator serves both with ``Ledger.read``, which records nothing;
+    the entries stay callable as transactions, and that is what Fig 7
+    prices. Returns ``{function: (receipt, the read's answer)}``."""
+    plan = session.plan
+    wallet = testbed.initiator.wallet
+    calls = {
+        "lookup_slot": (
+            *plan.client_vantage, *plan.server_vantage, plan.cores,
+            plan.memory_mb, plan.bandwidth_mbps, plan.duration, testbed.ledger.now,
+        ),
+        "lookup_result": (session.client_application,),
+    }
+    return {
+        function: (
+            wallet.must_call("debuglet_market", function, *args),
+            wallet.read("debuglet_market", function, *args),
+        )
+        for function, args in calls.items()
+    }
+
+
 def test_fig7_contract_lifecycle():
     testbed, session = _run_lifecycle()
 
     ledger = testbed.ledger
+    assert not {"lookup_slot", "lookup_result"} & {
+        tx.function for tx in ledger.transactions
+    }
+    lookups = _lookups_as_transactions(testbed, session)
     receipts = ledger.receipts
     print("\n=== Fig 7: marketplace lifecycle on the ledger ===")
     step_names = {
@@ -47,6 +75,12 @@ def test_fig7_contract_lifecycle():
 
     print(f"  escrowed & paid out: {mist_to_sui(session.total_price):.3f} SUI")
     print(f"  events: {[e.name for e in ledger.events.history]}")
+
+    # A lookup pays the flat computation fee and stores nothing; as a
+    # transaction it answers exactly what the initiator's read answered.
+    for receipt, answer in lookups.values():
+        assert receipt.gas.total == ledger.gas_schedule.computation_fee
+        assert receipt.return_value == answer
 
     # Both sides completed and the payment moved through escrow.
     assert session.done
