@@ -25,7 +25,7 @@ def make_rng(seed: int) -> RngStream:
     return np.random.default_rng(seed)
 
 
-def derive_rng(seed: int, *labels: str | int) -> RngStream:
+def derive_rng(seed: int, *labels: str | int | float) -> RngStream:
     """Derive an independent stream from ``seed`` and a label path.
 
     The derivation hashes the labels, so streams for different labels are
@@ -35,7 +35,7 @@ def derive_rng(seed: int, *labels: str | int) -> RngStream:
     return np.random.default_rng(derive_seed(seed, *labels))
 
 
-def derive_seed(seed: int, *labels: str | int) -> int:
+def derive_seed(seed: int, *labels: str | int | float) -> int:
     """The child seed ``derive_rng`` uses for ``(seed, *labels)``.
 
     Exposed so that work fanned out to other processes (see

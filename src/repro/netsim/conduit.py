@@ -23,10 +23,14 @@ name: ``priority_addresses`` (a set mutated in place), ``overlays``,
 ``congestion`` and ``churn`` (both replaced wholesale by the WAN
 generators), ``base_delay``, ``jitter_std`` and ``bandwidth_bps``. Per
 packet the utilization is read once
-(:meth:`CongestionProcess.drop_and_queue_mean`) and the draws come straight
-from the channel's bare generator in their standard forms, scaled here with
-the arithmetic numpy uses itself — the sequence a seeded trace has always
-seen.
+(:meth:`CongestionProcess.drop_and_queue_mean`) and the draws come in their
+standard forms, scaled here with the arithmetic numpy uses itself, from
+:class:`ChannelDraws`: one stream per kind (the drop uniform, the jitter
+normals, and the queue gammas of each ``queue_shape``), each read in order
+from a block that one vector call fills. A block of n values is the n
+values, and the generator state, of n scalar calls on that stream, so the
+block size changes no draw; splitting the kinds into streams is what
+decides which value a packet gets.
 
 The same rule, for readers that keep what they read across packets (the
 vectorized path's :class:`~repro.netsim.fastpath.StageTable`): what is
@@ -49,6 +53,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import attrgetter
 
+from numpy.random import Generator
+
 from repro.common import rng as streams
 from repro.netsim.congestion import CongestionProcess, calm_congestion
 from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route, single_route
@@ -59,6 +65,15 @@ from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
 #: What a protocol with no ECMP group of its own rides: one route, no
 #: offset. Selection over one route keeps no state, so every channel shares it.
 _SINGLE_ROUTE = single_route()
+
+#: What a channel given no treatment forwards under. Nothing mutates a
+#: profile in place (the ``treatment`` setter replaces it), so every such
+#: channel shares it.
+_UNIFORM_TREATMENT = TreatmentProfile.uniform()
+
+#: Values one vector call draws into a stream's block. A block is read in
+#: order and never discarded, so the size changes no value a channel draws.
+DRAW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -82,6 +97,63 @@ class FaultOverlay:
         return self.protocols is None or protocol in self.protocols
 
 
+class ChannelDraws:
+    """One channel's random draws: a stream per kind, served in blocks.
+
+    A kind is ``("uniform",)`` (the drop decision), ``("normal",)`` (route
+    and overlay jitter, one stream in call order) or ``("gamma", shape)``
+    (the cross-traffic queue, one stream per ``queue_shape``); its stream is
+    ``derive_rng(seed, "channel", name, *kind)``, derived at the kind's
+    first draw. A stream per shape, rather than a refill when a channel's
+    shape changes, keeps every block whole.
+    """
+
+    __slots__ = ("_labels", "streams", "drawn", "uniforms", "normals", "gammas")
+
+    def __init__(self, seed: int, name: str) -> None:
+        self._labels = (seed, "channel", name)
+        #: Each kind's generator and the count of values drawn from it.
+        self.streams: dict[tuple, Generator] = {}
+        self.drawn: dict[tuple, int] = {}
+        # Unread values, stored reversed: ``pop()`` serves the next one.
+        self.uniforms: list[float] = []
+        self.normals: list[float] = []
+        self.gammas: dict[float, list[float]] = {}
+
+    def _block(self, kind: tuple, draw, *args) -> list[float]:
+        stream = self.streams.get(kind)
+        if stream is None:
+            stream = self.streams[kind] = streams.derive_rng(*self._labels, *kind)
+        block = draw(stream, *args, DRAW_BLOCK).tolist()
+        block.reverse()
+        self.drawn[kind] = self.drawn.get(kind, 0) + len(block)
+        return block
+
+    def uniform(self) -> float:
+        try:
+            return self.uniforms.pop()
+        except IndexError:
+            self.uniforms = self._block(("uniform",), Generator.random)
+            return self.uniforms.pop()
+
+    def normal(self) -> float:
+        try:
+            return self.normals.pop()
+        except IndexError:
+            self.normals = self._block(("normal",), Generator.standard_normal)
+            return self.normals.pop()
+
+    def gamma(self, shape: float) -> float:
+        try:
+            return self.gammas[shape].pop()
+        except (KeyError, IndexError):
+            block = self._block(
+                ("gamma", float(shape)), Generator.standard_gamma, shape
+            )
+            self.gammas[shape] = block
+            return block.pop()
+
+
 def _versioned(slot: str) -> property:
     """A public attribute kept in ``slot``; assigning it bumps ``_version``."""
 
@@ -95,10 +167,13 @@ def _versioned(slot: str) -> property:
 class DirectedChannel:
     """One direction of a link or aggregate path.
 
-    All stochastic draws come from a stream derived from ``seed`` and the
-    channel ``name``, so rebuilding the same topology reproduces identical
-    packet fates.
+    All stochastic draws come from streams derived from ``seed`` and the
+    channel ``name`` (:class:`ChannelDraws`), so rebuilding the same
+    topology reproduces identical packet fates.
     """
+
+    #: Built at the first draw: a channel no packet crosses holds none.
+    _draws: ChannelDraws | None = None
 
     base_delay = _versioned("_base_delay")
     bandwidth_bps = _versioned("_bandwidth_bps")
@@ -128,7 +203,7 @@ class DirectedChannel:
         self._base_delay = base_delay
         self._bandwidth_bps = bandwidth_bps
         self._jitter_std = jitter_std
-        self.treatment = treatment or TreatmentProfile.uniform()
+        self.treatment = treatment or _UNIFORM_TREATMENT
         self._congestion = congestion or calm_congestion(seed, f"{name}/congestion")
         # ECMP groups may differ per protocol (different protocols really
         # do take different route sets); a plain group applies to all.
@@ -143,10 +218,7 @@ class DirectedChannel:
         # Addresses whose packets get priority treatment regardless of
         # protocol — the §VI-E "ISP prioritizes executor traffic" attack.
         self.priority_addresses: set = set()
-        # The stream is derived at its first draw: a channel no packet
-        # crosses never builds one.
-        self._stream_labels = (seed, "channel", name)
-        self._rng: streams.RngStream | None = None
+        self._seed = seed
         # Lindley recursion state: when the serializer frees up, per class.
         self._busy_until = {True: 0.0, False: 0.0}  # keyed by priority flag
         self.packets_in = 0
@@ -257,11 +329,11 @@ class DirectedChannel:
                 self.packets_dropped += 1
                 return "blackhole"
             drop_probability += sum(overlay.extra_loss for overlay in active)
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = streams.derive_rng(*self._stream_labels)
+        draws = self._draws
+        if draws is None:
+            draws = self._draws = ChannelDraws(self._seed, self.name)
         # A uniform in [0, 1) is below any probability of 1 or more.
-        if drop_probability > 0 and rng.random() < drop_probability:
+        if drop_probability > 0 and draws.uniform() < drop_probability:
             self.packets_dropped += 1
             return "loss"
 
@@ -281,12 +353,12 @@ class DirectedChannel:
 
         if queue_mean > 0.0:
             shape = congestion.config.queue_shape
-            cross_queue = queue_mean / shape * rng.standard_gamma(shape)
+            cross_queue = queue_mean / shape * draws.gamma(shape)
         else:
             cross_queue = 0.0
 
         jitter_scale = self._jitter_std + route.jitter + treatment.extra_jitter
-        jitter = abs(jitter_scale * rng.standard_normal()) if jitter_scale else 0.0
+        jitter = abs(jitter_scale * draws.normal()) if jitter_scale else 0.0
 
         churn = self._churn
         delay = (
@@ -303,7 +375,7 @@ class DirectedChannel:
             delay += sum(overlay.extra_delay for overlay in active)
             for overlay in active:
                 if overlay.extra_jitter:
-                    delay += abs(overlay.extra_jitter * rng.standard_normal())
+                    delay += abs(overlay.extra_jitter * draws.normal())
         return delay
 
     @property

@@ -63,9 +63,9 @@ def _apps(sandboxed_client: bool, sandboxed_server: bool, port: int,
         Protocol.UDP, server_addr, count=count, interval_us=INTERVAL_US,
         dst_port=port,
     )
-    server_stock = echo_server(
-        Protocol.UDP, max_echoes=count, idle_timeout_us=4_000_000
-    )
+    # The servers keep the stock idle timeout (5 s): it outlasts two
+    # consecutive lost probes, each a 2 s client timeout.
+    server_stock = echo_server(Protocol.UDP, max_echoes=count)
     if sandboxed_client:
         client = DebugletApplication.from_stock("cli", client_stock)
     else:
@@ -83,7 +83,7 @@ def _apps(sandboxed_client: bool, sandboxed_server: bool, port: int,
         server = DebugletApplication(
             "srv-native", server_stock.manifest,
             native_factory=lambda: native_echo_server(
-                Protocol.UDP, max_echoes=count, idle_timeout_us=4_000_000
+                Protocol.UDP, max_echoes=count
             ),
             listen_port=port,
         )

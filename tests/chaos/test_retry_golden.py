@@ -12,6 +12,9 @@ transactions for the first 4 s of its window: its ``result_ready`` is
 retried on the agent's own stream until the certified time moves. The golden was
 recorded before the two backoff sites became one function; a changed
 base, a changed doubling, or one jitter draw more or fewer moves a time.
+The sixth case's ``certified`` instant moved once, by 20 µs, when each
+channel's draws split into one stream per kind: its measurement ends at
+another instant, while each of its four backoff delays stayed bit-identical.
 
 Regenerate (only if numpy changes its ``Generator`` streams) with
 ``PYTHONPATH=src python -m tests.chaos.test_retry_golden``.
@@ -95,7 +98,7 @@ GOLDEN: dict[str, dict] = {
             ["0x0.0p+0", "pending"],
             ["0x0.0p+0", "purchased"],
             ["0x1.ccccccccccccdp-1", "running"],
-            ["0x1.77aec957c92bep+2", "certified"],
+            ["0x1.77af1c697c340p+2", "certified"],
         ],
         "purchase_retries": 0,
         "publication_retries": 4,

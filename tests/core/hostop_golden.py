@@ -26,6 +26,10 @@ moved once more when the initiator's ``lookup_slot`` / ``lookup_result``
 became ledger reads: the run records fewer transactions, gas and nonces,
 and ``ledger_reads_total`` / ``chain.read_gated`` where it recorded
 lookup transactions; every ``runs/*`` entry stayed byte-identical.
+Every pair's ``runs/*`` entries and the ``chaos`` key moved once more when
+each channel's draws split into one stream per kind: the lossy link drops
+and delays other packets, so transcripts, results, fuel and op counters
+moved with them; ``runs/every_op`` stayed byte-identical.
 
 Check: ``python -m tests.core.hostop_golden --check`` (exit 1 and the
 names that moved). Regenerate (no argument) only on a deliberate change

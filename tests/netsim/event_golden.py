@@ -19,7 +19,10 @@ plan — with the ``DirectedChannel.transit`` that
 ``fuel_used`` counts the sandboxed programs' instructions, so it was
 re-recorded once when the stock programs began publishing one output
 region instead of a ``result_i64`` call per word; every other entry was
-unchanged.
+unchanged. Everything was re-recorded once more when each channel's draws
+split from one stream into one stream per kind (``ChannelDraws``): every
+``table1`` cell and the localization's ``mean_rtt_ms`` moved, its suspects,
+measurements used and ``fuel_used`` did not.
 
 Check: ``python -m tests.netsim.event_golden --check`` (exit 1 and the names
 that moved). Regenerate only if a numpy release changes its ``Generator``

@@ -6,7 +6,10 @@ hop walk and the executor's host-call resumes). ``step()`` never claims, so
 each scenario below is driven twice from the same seeds — once by
 ``run()``, once by ``while sim.step()`` — and the two must agree exactly on
 every packet's fate, the clock, ``events_processed`` and every channel's
-counters, serializer state and bit-generator state:
+counters, serializer state and, per kind of draw, values consumed, values
+drawn but unread and bit-generator state (``tests/netsim/draws.py``). Each
+pair is driven at every one of ``BLOCK_SIZES``, and every size must give
+the same fates:
 
 - a probe send and a packet's arrival due at the same float instant, on
   the same channel (the queued send goes first; claiming on a tie would
@@ -24,7 +27,6 @@ against the heap head made ``<=``; ``until`` ignored by ``claim``; claims
 still granted after ``stop()``.
 """
 
-from repro.common.rng import derive_rng
 from repro.core import SegmentProber
 from repro.core.probing import SegmentRequest
 from repro.netsim.packet import Protocol
@@ -32,6 +34,7 @@ from repro.obs import Observability
 from repro.obs.export import to_jsonl, to_prometheus
 from repro.workloads import build_chain, deployed_chain
 from repro.workloads.wan import WanScenario
+from tests.netsim.draws import BLOCK_SIZES, draw_block, draw_state
 
 ALL = tuple(Protocol)
 
@@ -67,12 +70,9 @@ def channels(topology):
 def channel_states(topology):
     states = {}
     for name, channel in sorted(channels(topology).items()):
-        rng = channel._rng
-        if rng is None:
-            rng = derive_rng(*channel._stream_labels)
         states[name] = (
             channel.packets_in, channel.packets_dropped,
-            dict(channel._busy_until), rng.bit_generator.state,
+            dict(channel._busy_until), draw_state(channel),
         )
     return states
 
@@ -119,9 +119,20 @@ def client_event_times(seed=5):
     return times
 
 
-def both(scenario):
-    """``scenario(driver)`` under ``run()`` and under the step loop."""
-    return scenario(run_driver), scenario(step_driver)
+def both(scenario, fates=None):
+    """``scenario(driver)`` under ``run()`` and under the step loop, at each
+    of ``BLOCK_SIZES``: the two must agree at every size, and ``fates`` (a
+    function of a result) must read the same at every size. Returns the pair
+    at the production size."""
+    seen = []
+    for size in BLOCK_SIZES:
+        with draw_block(size):
+            ran, stepped = scenario(run_driver), scenario(step_driver)
+        assert ran == stepped, size
+        if fates is not None:
+            seen.append(fates(ran))
+    assert seen[1:] == seen[:-1]
+    return ran, stepped
 
 
 class TestPacketHops:
@@ -138,7 +149,7 @@ class TestPacketHops:
             drive(chain.sim)
             return chain.state()
 
-        ran, stepped = both(scenario)
+        ran, stepped = both(scenario, fates=lambda state: state[0])
         assert ran == stepped
         assert len(ran[0]) == 2  # both echoes came back
 
@@ -239,8 +250,13 @@ class TestEndToEnd:
                 ))
             return measurements
 
-        synced, stepped = scenario(True), scenario(False)
-        assert synced == stepped
+        results = []
+        for size in BLOCK_SIZES:
+            with draw_block(size):
+                synced, stepped = scenario(True), scenario(False)
+            assert synced == stepped, size
+            results.append([m[:7] for m in synced])
+        assert results[1:] == results[:-1]
         assert all(m[2] for m in synced)
 
     def test_protocol_study(self):
@@ -257,5 +273,5 @@ class TestEndToEnd:
             return (columns, sim.now, sim.events_processed,
                     channel_states(wan.topology))
 
-        ran, stepped = both(scenario)
+        ran, stepped = both(scenario, fates=lambda state: state[:3])
         assert ran == stepped

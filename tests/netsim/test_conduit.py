@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.common.rng import derive_rng
-from repro.netsim.conduit import DirectedChannel, FaultOverlay, Link
+from repro.netsim.conduit import (
+    DRAW_BLOCK,
+    ChannelDraws,
+    DirectedChannel,
+    FaultOverlay,
+    Link,
+)
 from repro.netsim.congestion import CongestionConfig, CongestionProcess, calm_congestion
 from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
 from repro.netsim.packet import Address, Packet, Protocol
@@ -63,16 +69,25 @@ class TestBasicTransit:
 
 
     def test_channel_no_packet_crosses_builds_no_stream(self, derived_streams):
-        """Construction derives nothing — not the channel's own stream, not
-        its calm congestion process's; the first packet derives the
-        channel's, and the draws are those of the eagerly built stream."""
+        """Construction derives nothing — not the channel's streams, not its
+        calm congestion process's; the first packet derives the streams of
+        the kinds it draws (a queue gamma, then a jitter normal) and no
+        other (no drop probability, no uniform), and its draws are those of
+        eagerly built streams."""
         link = Link.symmetric("idle", base_delay=1e-3, jitter_std=1e-4, seed=9)
         assert derived_streams == []
         delay = outcome(link.forward, _packet(), 0.0).delay
-        assert derived_streams == [(9, "channel", "idle/fwd")]
+        assert derived_streams == [
+            (9, "channel", "idle/fwd", "gamma", 2.0),
+            (9, "channel", "idle/fwd", "normal"),
+        ]
+        assert link.reverse._draws is None
         eager = DirectedChannel("idle/fwd", base_delay=1e-3, jitter_std=1e-4, seed=9)
-        eager._rng = derive_rng(9, "channel", "idle/fwd")
+        eager._draws = ChannelDraws(9, "idle/fwd")
+        for kind in (("uniform",), ("normal",), ("gamma", 2.0)):
+            eager._draws.streams[kind] = derive_rng(9, "channel", "idle/fwd", *kind)
         assert delay == outcome(eager, _packet(), 0.0).delay
+        assert eager._draws.drawn == {("normal",): DRAW_BLOCK, ("gamma", 2.0): DRAW_BLOCK}
 
 
 class TestSelfQueueing:

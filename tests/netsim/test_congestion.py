@@ -179,11 +179,18 @@ class TestOneStatement:
         config = CongestionConfig(base_utilization=0.5, queue_shape=1.5)
         process = CongestionProcess(config, seed=1)
         ours, bare = derive_rng(2, "q"), derive_rng(2, "q")
+        kinds = []
+
+        def stream(*kind):
+            kinds.append(kind)
+            return ours
+
         for t in (0.0, 40.0, 4000.0):
             mean = process.drop_and_queue_mean(t, 1.0, True)[1]
-            assert reference_sample_queue_delay(process, t, ours, priority=True) == (
+            assert reference_sample_queue_delay(process, t, stream, priority=True) == (
                 mean / 1.5 * bare.standard_gamma(1.5)
             )
+        assert kinds == [("gamma", 1.5)] * 3
 
 
 def _queue_mean(process, t=0.0, *, priority=False):

@@ -8,7 +8,7 @@ claiming removes. It is pinned here, counted at ``post`` and
 
 * the §II study on the packet-level engine (seed 8, 400 probes per cell):
   a probe is 7 events — its send, three hops out, three back — of which
-  5.17 reach the heap; the send and each direction's first hop always do
+  5.16 reach the heap; the send and each direction's first hop always do
   (``Network.send`` is called mid-callback), the second and third hops
   when nothing else is due before them;
 * one sandboxed echo pair of ``dataplane_event`` (6 ASes, 100 probes every
@@ -16,7 +16,9 @@ claiming removes. It is pinned here, counted at ``post`` and
   and every resume of both programs was an event.
 
 The event count itself does not move: a claimed event is counted as one.
-Nothing is timed.
+Nothing is timed. The study's counts were re-pinned once (67 154 events and
+49 604 pushes, 5.17 per probe, before) when each channel's draws split
+into one stream per kind: other probes are lost, at other hops.
 """
 
 import pytest
@@ -52,8 +54,8 @@ def test_protocol_study_pushes_per_probe(pushes):
     traces = scenario.run_protocol_study(probes_per_protocol=400)
     probes = sum(trace.sent for cells in traces.values() for trace in cells.values())
     assert probes == 9_600
-    assert scenario.simulator.events_processed == 67_154  # 7 per probe
-    assert pushes[0] == 49_604  # 5.17 per probe
+    assert scenario.simulator.events_processed == 67_161  # 7 per probe
+    assert pushes[0] == 49_564  # 5.16 per probe
 
 
 def test_echo_pair_pushes_per_answered_probe(pushes):

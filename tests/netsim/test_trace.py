@@ -151,9 +151,11 @@ class TestEventTrainsAgainstReference:
     ``(seq, send_time, rtt)`` and every statistic equal with ``==``."""
 
     def test_event_study_seed_8(self, monkeypatch):
-        ours = WanScenario.build(seed=8).run_protocol_study(probes_per_protocol=60)
+        # The §II loss rates lose about 2 of 24 x 60 probes, and may lose
+        # none; at 200 per cell about 6 are lost.
+        ours = WanScenario.build(seed=8).run_protocol_study(probes_per_protocol=200)
         monkeypatch.setattr(traffic, "ProbeTrain", reference.ProbeTrain)
-        theirs = WanScenario.build(seed=8).run_protocol_study(probes_per_protocol=60)
+        theirs = WanScenario.build(seed=8).run_protocol_study(probes_per_protocol=200)
         assert sorted(ours) == sorted(theirs)
         lost = 0
         for city in ours:

@@ -1,22 +1,30 @@
 """The scalar transit as it stood before the compiled forwarding plan.
 
-``ReferenceChannel.transit`` is the parent commit's
-``DirectedChannel.transit``, verbatim, with what it leaned on: the two
-per-protocol caches, the channel stream, and the three ``CongestionProcess``
-formulas it called (``drop_probability``, ``mean_queue_delay``,
-``sample_queue_delay``, here as functions of the process; only their
-``_memo_t`` memo is gone, which changed no value). The stream was a
-``BufferedRng`` façade over ``derive_rng(seed, "channel", name)``, which
-served that generator's exact draw sequence; it is the bare generator now,
-the same draws. Never edit its arithmetic: ``tests/properties/test_prop_transit.py``
-drives it and the ``transit`` in ``src/`` through the same histories and
-demands the same outcome, counters, serializer state and bit-generator state
-after every packet, and ``event_golden.json`` was recorded with it.
+``ReferenceChannel.transit`` is that commit's ``DirectedChannel.transit``,
+verbatim, with what it leaned on: the two per-protocol caches and the three
+``CongestionProcess`` formulas it called (``drop_probability``,
+``mean_queue_delay``, ``sample_queue_delay``, here as functions of the
+process; only their ``_memo_t`` memo is gone, which changed no value).
+
+Only where it draws has changed. It drew every value from one stream,
+``derive_rng(seed, "channel", name)``; it now makes the same scalar calls,
+under the same conditions, on one stream per kind — ``(…, "uniform")``,
+``(…, "normal")`` and ``(…, "gamma", shape)`` — derived at the kind's first
+draw and counted per call (``stream``). With every kind mapped back onto the
+one stream it reproduced the single-stream ``transit`` exactly, bit-generator
+state included. Never edit its arithmetic:
+``tests/properties/test_prop_transit.py`` drives it and the block-served
+``transit`` in ``src/`` through the same histories and demands the same
+outcome, counters, serializer state and, per kind, values consumed and
+generator state after every packet; ``event_golden.json`` was recorded
+with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+
+from collections.abc import Callable
 
 from repro.common.rng import RngStream, derive_rng
 from repro.netsim.conduit import DirectedChannel
@@ -38,13 +46,17 @@ def reference_mean_queue_delay(
 
 
 def reference_sample_queue_delay(
-    congestion: CongestionProcess, t: float, rng: RngStream, *, priority: bool = False
+    congestion: CongestionProcess,
+    t: float,
+    stream: Callable[..., RngStream],
+    *,
+    priority: bool = False,
 ) -> float:
     mean = reference_mean_queue_delay(congestion, t, priority=priority)
     if mean <= 0.0:
         return 0.0
     shape = congestion.config.queue_shape
-    return float(rng.gamma(shape, mean / shape))
+    return float(stream("gamma", float(shape)).gamma(shape, mean / shape))
 
 
 def reference_drop_probability(
@@ -65,7 +77,19 @@ class ReferenceChannel(DirectedChannel):
         super().__init__(name, seed=seed, **kwargs)
         self._ecmp_cache: dict[Protocol, EcmpGroup] = {}
         self._default_route = single_route()
-        self._rng = derive_rng(seed, "channel", name)
+        self._labels = (seed, "channel", name)
+        #: Per kind: its generator, derived at the first draw, and the
+        #: number of scalar draws made on it.
+        self.streams: dict[tuple, RngStream] = {}
+        self.consumed: dict[tuple, int] = {}
+
+    def stream(self, *kind) -> RngStream:
+        """The generator of ``kind``, for one scalar draw."""
+        rng = self.streams.get(kind)
+        if rng is None:
+            rng = self.streams[kind] = derive_rng(*self._labels, *kind)
+        self.consumed[kind] = self.consumed.get(kind, 0) + 1
+        return rng
 
     @property
     def treatment(self) -> TreatmentProfile:
@@ -116,7 +140,9 @@ class ReferenceChannel(DirectedChannel):
                 self.packets_dropped += 1
                 return TransitOutcome.dropped("blackhole")
             drop_probability += sum(overlay.extra_loss for overlay in active)
-        if drop_probability > 0 and self._rng.random() < min(drop_probability, 1.0):
+        if drop_probability > 0 and self.stream("uniform").random() < min(
+            drop_probability, 1.0
+        ):
             self.packets_dropped += 1
             return TransitOutcome.dropped("loss")
 
@@ -129,11 +155,15 @@ class ReferenceChannel(DirectedChannel):
         self._busy_until[treatment.priority] = t + self_queue + transmission
 
         cross_queue = reference_sample_queue_delay(
-            self.congestion, t, self._rng, priority=treatment.priority
+            self.congestion, t, self.stream, priority=treatment.priority
         )
 
         jitter_scale = self.jitter_std + route.jitter + treatment.extra_jitter
-        jitter = abs(float(self._rng.normal(0.0, jitter_scale))) if jitter_scale else 0.0
+        jitter = (
+            abs(float(self.stream("normal").normal(0.0, jitter_scale)))
+            if jitter_scale
+            else 0.0
+        )
 
         delay = (
             self.base_delay
@@ -149,5 +179,7 @@ class ReferenceChannel(DirectedChannel):
             delay += sum(overlay.extra_delay for overlay in active)
             for overlay in active:
                 if overlay.extra_jitter:
-                    delay += abs(float(self._rng.normal(0.0, overlay.extra_jitter)))
+                    delay += abs(
+                        float(self.stream("normal").normal(0.0, overlay.extra_jitter))
+                    )
         return TransitOutcome(delivered=True, delay=delay, route_index=route_index)

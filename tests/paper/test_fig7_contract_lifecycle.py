@@ -12,6 +12,16 @@ from repro.core.verification import ChainVerifier
 from repro.workloads.scenarios import MarketplaceTestbed
 
 COUNT = 15
+#: Average gas per call, in SUI, as EXPERIMENTS.md's Fig 7 section quotes
+#: it; the test asserts each, so the document cannot drift from the code.
+QUOTED_GAS_SUI = {
+    "register_executor": "0.00939",
+    "register_time_slot": "0.00939",
+    "lookup_slot": "0.00939",
+    "purchase_slot": "0.12146",
+    "result_ready": "0.03498",
+    "lookup_result": "0.00939",
+}
 
 
 def _run_lifecycle():
@@ -66,15 +76,20 @@ def test_fig7_contract_lifecycle():
     by_function: dict[str, list] = {}
     for tx, receipt in zip(ledger.transactions, receipts):
         by_function.setdefault(tx.function, []).append(receipt)
+    gas_sui = {}
     for function, label in step_names.items():
         rs = by_function.get(function, [])
         if not rs:
             continue
         gas = sum(r.gas.total for r in rs) / len(rs)
-        print(f"  {label:<24} calls={len(rs):2d} avg gas={mist_to_sui(gas):.5f} SUI")
+        gas_sui[function] = f"{mist_to_sui(gas):.5f}"
+        print(f"  {label:<24} calls={len(rs):2d} avg gas={gas_sui[function]} SUI")
 
-    print(f"  escrowed & paid out: {mist_to_sui(session.total_price):.3f} SUI")
+    paid = f"{mist_to_sui(session.total_price):.3f}"
+    print(f"  escrowed & paid out: {paid} SUI")
     print(f"  events: {[e.name for e in ledger.events.history]}")
+    assert gas_sui == QUOTED_GAS_SUI
+    assert paid == "0.100"
 
     # A lookup pays the flat computation fee and stores nothing; as a
     # transaction it answers exactly what the initiator's read answered.

@@ -1,18 +1,29 @@
 """``DirectedChannel.transit`` against the transit it replaced, packet by packet.
 
 Two channels are built from one generated recipe — the one in ``src/`` and
-``tests/netsim/transit_reference.py`` (the parent's ``transit``, verbatim,
-on the buffered stream it drew from) — and driven through the same
-generated history. After **every** packet the two must agree exactly (``==``
-on floats, never a tolerance) on:
+``tests/netsim/transit_reference.py`` (the scalar ``transit``, verbatim,
+drawing one value per call from one stream per kind) — and driven through
+the same generated history. After **every** packet the two must agree
+exactly (``==`` on floats, never a tolerance) on:
 
 - the outcome (``tests/netsim/outcome.py``), field by field: delivered,
   delay, route index, drop reason;
 - ``packets_in`` / ``packets_dropped`` and the serializer state
   ``_busy_until``;
-- the **bit-generator state** of the channel stream, so a draw made out of
-  turn, skipped, or made under the wrong condition is caught at the packet
-  that made it, whether or not a later delay happens to show it.
+- per kind of draw, the set of streams derived, the **count of values
+  consumed** and the **bit-generator state** once the reference has drawn
+  what the block-served channel holds unread (``tests/netsim/draws.py``),
+  so a draw made out of turn, skipped, made under the wrong condition or
+  from the wrong kind's stream is caught at the packet that made it,
+  whether or not a later delay happens to show it.
+
+Every history runs at each of ``BLOCK_SIZES`` (1, 7 and the production
+size). Mutants that must turn this red (each checked on a copy of the
+tree): a gamma refill that drops the other shapes' unread blocks
+(``self.gammas = {shape: block}``), a uniform refilled on every draw, a
+block served in reverse (no ``block.reverse()``), and a gamma stream
+labelled by the raw shape (``3`` and ``3.0`` are one key, so the stream
+would depend on which came first).
 
 Histories interleave packets (any protocol, at non-monotone times, to and
 from addresses that may be prioritized on one side) with every mutation a
@@ -28,12 +39,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import derive_rng
-from repro.netsim.conduit import DirectedChannel, FaultOverlay
+from repro.netsim.conduit import DRAW_BLOCK, DirectedChannel, FaultOverlay
 from repro.netsim.congestion import CongestionConfig, CongestionProcess
 from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
 from repro.netsim.packet import Address, Packet, Protocol
 from repro.netsim.routechurn import RouteChurnProcess, RouteShift
 from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
+from tests.netsim.draws import BLOCK_SIZES, aligned, draw_block, served
 from tests.netsim.outcome import outcome
 from tests.netsim.transit_reference import ReferenceChannel
 
@@ -225,35 +237,33 @@ def mutate(channel, op):
         setattr(channel, kind, args[0])
 
 
-def stream_state(channel):
-    """Bit-generator state of the channel stream, drawn from yet or not."""
-    rng = channel._rng
-    if rng is None:
-        rng = derive_rng(*channel._stream_labels)
-    return rng.bit_generator.state
-
-
-def observable(channel, outcome):
+def observable(channel, outcome, draws):
     return (
         outcome.delivered, outcome.delay, outcome.route_index, outcome.drop_reason,
         channel.packets_in, channel.packets_dropped, dict(channel._busy_until),
-        stream_state(channel),
+        draws,
     )
 
 
 def assert_same_fates(recipe, history):
-    ours = build_channel(DirectedChannel, recipe)
-    reference = build_channel(ReferenceChannel, recipe)
-    for step, op in enumerate(history):
-        if op[0] != "packet":
-            mutate(ours, op)
-            mutate(reference, op)
-            continue
-        _, fields, t = op
-        # One Packet each: ``packet_id`` differs and nothing reads it.
-        got = observable(ours, outcome(ours, Packet(**fields), t))
-        expected = observable(reference, reference.transit(Packet(**fields), t))
-        assert got == expected, (step, op)
+    """Drive both channels through ``history`` at every block size; the
+    channel in ``src/`` at the production size is returned."""
+    for size in BLOCK_SIZES:
+        with draw_block(size):
+            ours = build_channel(DirectedChannel, recipe)
+            reference = build_channel(ReferenceChannel, recipe)
+            for step, op in enumerate(history):
+                if op[0] != "packet":
+                    mutate(ours, op)
+                    mutate(reference, op)
+                    continue
+                _, fields, t = op
+                # One Packet each: ``packet_id`` differs and nothing reads it.
+                got = outcome(ours, Packet(**fields), t)
+                expected = reference.transit(Packet(**fields), t)
+                assert observable(ours, got, served(ours)) == observable(
+                    reference, expected, aligned(reference, ours)
+                ), (size, step, op)
     return ours
 
 
@@ -325,11 +335,10 @@ class TestThePlan:
     def test_no_uniform_is_drawn_at_zero_drop_probability(self):
         channel = assert_same_fates(self.recipe(jitter_std=0.0), self.flow())
         assert channel.packets_dropped == 0
-        # The only draws were the queue gammas.
-        bare = derive_rng(11, "channel", "generated/fwd")
-        for _ in range(30):
-            bare.standard_gamma(2.0)
-        assert stream_state(channel) == bare.bit_generator.state
+        # The only draws were the queue gammas: one block of their stream.
+        bare = derive_rng(11, "channel", "generated/fwd", "gamma", 2.0)
+        bare.standard_gamma(2.0, DRAW_BLOCK)
+        assert served(channel) == {("gamma", 2.0): (30, bare.bit_generator.state)}
 
     def test_a_prioritized_address_is_spared_congestion_loss_only(self):
         hostile = TreatmentProfile.uniform(

@@ -46,10 +46,11 @@ GOLDEN_ONE_AT_A_TIME = (
 )
 # The event baseline runs the sandboxed echo client, so its
 # ``convergence_time`` also moves when the client's host calls do: it was
-# re-recorded once when the client began publishing one output region
-# (every other key of every row unchanged).
+# re-recorded once when the client began publishing one output region, and
+# once when each channel's draws split into one stream per kind (every
+# other key of every row unchanged both times).
 GOLDEN_EVENT_SIX_KEYS = (
-    "9b7c3af03b6e1e421c58149f066cbb849531d911dfe5021058b78be396ea9aab"
+    "7c0ed3a148d9079f0f5808a0b69942685c371a6fc1d2237fea2dcaab462177b4"
 )
 EVENT_KEYS = (
     "episode", "strategy", "fault_kind", "found", "measurements",
