@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Points of the grid the density is evaluated on.
+GRID_POINTS = 512
+
 
 @dataclass(frozen=True)
 class Cluster:
@@ -26,11 +29,11 @@ def detect_clusters(
     *,
     bandwidth_ms: float = 0.25,
     min_weight: float = 0.04,
-    grid_points: int = 512,
 ) -> list[Cluster]:
     """Find RTT density modes.
 
-    Builds a Gaussian KDE on a fixed grid and reports local maxima whose
+    Builds a Gaussian KDE on a fixed grid of :data:`GRID_POINTS` and
+    reports local maxima whose
     assigned sample mass exceeds ``min_weight``. Returns clusters sorted
     by center.
     """
@@ -41,7 +44,7 @@ def detect_clusters(
     if hi - lo < 1e-9:
         return [Cluster(center_ms=lo, weight=1.0)]
     pad = 3 * bandwidth_ms
-    grid = np.linspace(lo - pad, hi + pad, grid_points)
+    grid = np.linspace(lo - pad, hi + pad, GRID_POINTS)
     # KDE via broadcasting in manageable chunks.
     density = np.zeros_like(grid)
     chunk = 20000
@@ -54,7 +57,7 @@ def detect_clusters(
 
     peaks = [
         i
-        for i in range(1, grid_points - 1)
+        for i in range(1, GRID_POINTS - 1)
         if density[i] >= density[i - 1] and density[i] > density[i + 1]
     ]
     if not peaks:
@@ -80,9 +83,10 @@ def cluster_count(rtts_ms: np.ndarray, **kwargs) -> int:
     return len(detect_clusters(rtts_ms, **kwargs))
 
 
-def spread_ms(rtts_ms: np.ndarray, *, lower_q: float = 1.0, upper_q: float = 99.0) -> float:
-    """Robust spread of an RTT distribution (Fig 3's ‘30 ms range’)."""
+def spread_ms(rtts_ms: np.ndarray) -> float:
+    """Robust spread of an RTT distribution, p1 to p99 (Fig 3's ‘30 ms
+    range’)."""
     values = np.asarray(rtts_ms, dtype=float)
     if values.size == 0:
         return float("nan")
-    return float(np.percentile(values, upper_q) - np.percentile(values, lower_q))
+    return float(np.percentile(values, 99.0) - np.percentile(values, 1.0))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.netsim.endhost import Host
 from repro.netsim.packet import Address, Protocol
-from repro.netsim.topology import PathHop
 from repro.netsim.trace import MeasurementTrace
 from repro.netsim.traffic import ProbeTrain
 
@@ -25,10 +24,6 @@ class Ping:
         *,
         count: int = 10,
         interval: float = 1.0,
-        size: int = 64,
-        start: float = 0.0,
-        timeout: float = 5.0,
-        path: list[PathHop] | None = None,
     ) -> None:
         self._train = ProbeTrain(
             client,
@@ -36,10 +31,7 @@ class Ping:
             Protocol.ICMP,
             count=count,
             interval=interval,
-            size=size,
-            start=start,
-            timeout=timeout,
-            path=path,
+            start=0.0,
             label=f"ping {target}",
         )
 

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 from repro.netsim.endhost import Host
 from repro.netsim.packet import Address, IcmpType, Packet
-from repro.netsim.topology import PathHop
+
+#: Seconds a probe may go unanswered before its hop reads ``*``.
+PROBE_TIMEOUT = 2.0
 
 
 @dataclass
@@ -59,16 +61,12 @@ class Traceroute:
         max_ttl: int = 16,
         probes_per_hop: int = 1,
         probe_gap: float = 0.2,
-        timeout: float = 2.0,
-        path: list[PathHop] | None = None,
     ) -> None:
         self.client = client
         self.target = target
         self.max_ttl = max_ttl
         self.probes_per_hop = probes_per_hop
         self.probe_gap = probe_gap
-        self.timeout = timeout
-        self.path = path
         self.result = TracerouteResult()
         self._socket = client.open_icmp()
         self._socket.on_receive = self._on_reply
@@ -86,7 +84,7 @@ class Traceroute:
                 seq = self._seq
                 sim.schedule_at(t, self._send_probe, ttl, seq)
                 t += self.probe_gap
-        sim.schedule_at(t + self.timeout, self._finalize)
+        sim.schedule_at(t + PROBE_TIMEOUT, self._finalize)
 
     def _send_probe(self, ttl: int, seq: int) -> None:
         self._sent[seq] = (ttl, self.client.network.simulator.now)
@@ -95,7 +93,6 @@ class Traceroute:
             size=64,
             seq=seq,
             ttl=ttl,
-            path=self.path,
             icmp_type=IcmpType.ECHO_REQUEST,
         )
 
@@ -109,7 +106,7 @@ class Traceroute:
         if sent is None or seq in self._answered:
             return
         ttl, sent_at = sent
-        if t - sent_at > self.timeout:
+        if t - sent_at > PROBE_TIMEOUT:
             return
         self._answered.add(seq)
         self.result.hops.append(

@@ -8,7 +8,7 @@ events, sub-second finality, and Table II-calibrated storage pricing.
 from repro.chain.contract import Contract, ExecutionContext, entry
 from repro.chain.crypto import KeyPair, ed25519_batch_verify, sha256, verify_signature
 from repro.chain.events import Event, EventBus
-from repro.chain.gas import MIST_PER_SUI, GasCost, GasSchedule, mist_to_sui, sui_to_mist
+from repro.chain.gas import MIST_PER_SUI, GasCost, mist_to_sui, sui_to_mist
 from repro.chain.ledger import Account, Checkpoint, Ledger, Wallet
 from repro.chain.merkle import MerkleProof, MerkleTree, verify_inclusion
 from repro.chain.objects import DEFAULT_NUM_SHARDS, ObjectStore, StoredObject, shard_of
@@ -23,7 +23,6 @@ __all__ = [
     "EventBus",
     "ExecutionContext",
     "GasCost",
-    "GasSchedule",
     "KeyPair",
     "Ledger",
     "MerkleProof",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.chain.gas import REBATE_OBJECT_OVERHEAD, REBATE_PER_BYTE
 from repro.common.errors import ChainError, ContractRevert
 from repro.common.ids import ObjectId, new_object_id
 
@@ -78,11 +79,12 @@ class ExecutionContext:
         self._object_counter += 1
         return new_object_id(self.tx_digest, self._object_counter)
 
-    def create_object(self, kind: str, data: dict, *, owner: str | None = None) -> ObjectId:
-        """Create an on-chain object; storage is charged to this tx."""
+    def create_object(self, kind: str, data: dict) -> ObjectId:
+        """Create an on-chain object owned by the sender; storage is
+        charged to this tx."""
         object_id = self.new_object_id()
         obj = self.ledger.objects.create(
-            object_id, kind, owner or self.sender, data, self.tx_digest
+            object_id, kind, self.sender, data, self.tx_digest
         )
         self.stored_bytes += obj.size_bytes
         self.stored_objects += 1
@@ -100,8 +102,7 @@ class ExecutionContext:
         """Free an object; the storage rebate is paid to the sender from
         the ledger's storage fund."""
         obj = self.ledger.objects.free(object_id)
-        rebate = self.ledger.gas_schedule.rebate_object_overhead
-        rebate += obj.size_bytes * self.ledger.gas_schedule.rebate_per_byte
+        rebate = REBATE_OBJECT_OVERHEAD + obj.size_bytes * REBATE_PER_BYTE
         self.ledger.pay_rebate(self.sender, rebate)
 
     # ------------------------------------------------------------- tokens
@@ -153,9 +154,7 @@ class ReadContext(ExecutionContext):
     def _refuse(self, what: str) -> None:
         raise ChainError(f"a read of {self.contract.name!r} cannot {what}")
 
-    def create_object(
-        self, kind: str, data: dict, *, owner: str | None = None
-    ) -> ObjectId:
+    def create_object(self, kind: str, data: dict) -> ObjectId:
         self._refuse("create an object")
 
     def update_object(self, object_id: ObjectId, data: dict) -> None:

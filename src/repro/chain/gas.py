@@ -50,32 +50,25 @@ class GasCost:
         return mist_to_sui(self.rebate)
 
 
-@dataclass(frozen=True)
-class GasSchedule:
-    """Pricing parameters (MIST). Defaults reproduce Table II."""
+# Pricing (MIST); these values reproduce Table II.
+COMPUTATION_FEE = 9_390_000  # 0.00939 SUI per transaction
+OBJECT_OVERHEAD_FEE = 4_300_000  # 0.00430 SUI per stored object
+PER_BYTE_FEE = 21_584  # 2.1584e-5 SUI per stored byte
+REBATE_OBJECT_OVERHEAD = 4_300_000  # fully rebated on free
+REBATE_PER_BYTE = 20_266  # 2.0266e-5 SUI per byte rebated
 
-    computation_fee: int = 9_390_000  # 0.00939 SUI per transaction
-    object_overhead_fee: int = 4_300_000  # 0.00430 SUI per stored object
-    per_byte_fee: int = 21_584  # 2.1584e-5 SUI per stored byte
-    rebate_object_overhead: int = 4_300_000  # fully rebated on free
-    rebate_per_byte: int = 20_266  # 2.0266e-5 SUI per byte rebated
 
-    def price(self, *, stored_bytes: int = 0, stored_objects: int = 1) -> GasCost:
-        """Cost of a transaction storing ``stored_objects`` objects whose
-        payloads total ``stored_bytes`` bytes."""
-        if stored_bytes < 0 or stored_objects < 0:
-            raise ValueError("storage amounts must be non-negative")
-        storage = (
-            stored_objects * self.object_overhead_fee
-            + stored_bytes * self.per_byte_fee
-        )
-        rebate = (
-            stored_objects * self.rebate_object_overhead
-            + stored_bytes * self.rebate_per_byte
-        )
-        return GasCost(computation=self.computation_fee, storage=storage, rebate=rebate)
+def price(*, stored_bytes: int = 0, stored_objects: int = 1) -> GasCost:
+    """Cost of a transaction storing ``stored_objects`` objects whose
+    payloads total ``stored_bytes`` bytes."""
+    if stored_bytes < 0 or stored_objects < 0:
+        raise ValueError("storage amounts must be non-negative")
+    storage = stored_objects * OBJECT_OVERHEAD_FEE + stored_bytes * PER_BYTE_FEE
+    rebate = stored_objects * REBATE_OBJECT_OVERHEAD + stored_bytes * REBATE_PER_BYTE
+    return GasCost(computation=COMPUTATION_FEE, storage=storage, rebate=rebate)
 
-    def price_reference_only(self) -> GasCost:
-        """Cost when only a hash/link is stored on-chain (§V-B's
-        optimization: ~1 cent regardless of application size)."""
-        return self.price(stored_bytes=32 + 64, stored_objects=1)
+
+def price_reference_only() -> GasCost:
+    """Cost when only a hash/link is stored on-chain (§V-B's
+    optimization: ~1 cent regardless of application size)."""
+    return price(stored_bytes=32 + 64, stored_objects=1)

@@ -13,7 +13,7 @@ Debuglet's control plane relies on (§IV-C, §V-B):
 - **fast finality** — a configurable sub-second finality latency models
   Sui's; receipts carry submitted/finalized times for the
   delay-to-measurement evaluation;
-- **storage pricing** — gas follows :class:`~repro.chain.gas.GasSchedule`
+- **storage pricing** — gas follows :func:`~repro.chain.gas.price`
   (Table II calibration), with rebates on object free;
 - **reads are not transactions** — :meth:`Ledger.read` serves an entry the
   contract marks read-only against the latest state: unsigned, fee-free
@@ -37,7 +37,7 @@ from typing import Any, Callable
 from repro.chain.contract import Contract, ExecutionContext, ReadContext
 from repro.chain.crypto import KeyPair, ed25519_batch_verify
 from repro.chain.events import Event, EventBus
-from repro.chain.gas import GasCost, GasSchedule
+from repro.chain.gas import COMPUTATION_FEE, GasCost, price
 from repro.chain.merkle import MerkleTree
 from repro.chain.objects import DEFAULT_NUM_SHARDS, ObjectStore
 from repro.chain.transaction import Transaction, TransactionReceipt
@@ -113,7 +113,6 @@ class Ledger:
     def __init__(
         self,
         *,
-        gas_schedule: GasSchedule | None = None,
         clock: Callable[[], float] | None = None,
         finality_latency: float = 0.4,
         scheduler: Callable[[float, Callable[[], None]], None] | None = None,
@@ -121,7 +120,6 @@ class Ledger:
         num_shards: int = DEFAULT_NUM_SHARDS,
         block_window: float | None = None,
     ) -> None:
-        self.gas_schedule = gas_schedule or GasSchedule()
         self._clock = clock or (lambda: float(len(self._receipts)))
         self.finality_latency = finality_latency
         self._scheduler = scheduler
@@ -385,7 +383,7 @@ class Ledger:
         )
         try:
             return_value = contract.call(ctx, tx.function, tx.args)
-            gas = self.gas_schedule.price(
+            gas = price(
                 stored_bytes=ctx.stored_bytes, stored_objects=ctx.stored_objects
             )
             if gas.total > tx.gas_budget:
@@ -400,9 +398,7 @@ class Ledger:
         except ContractRevert as revert:
             self._rollback_call(contract, contract_journaled, contract_snapshot)
             # The attached value returned with the rollback; nonce stays.
-            gas = GasCost(
-                computation=self.gas_schedule.computation_fee, storage=0, rebate=0
-            )
+            gas = GasCost(computation=COMPUTATION_FEE, storage=0, rebate=0)
             status = f"reverted: {revert.reason}"
             return_value = None
             ctx.created_objects = []
@@ -695,7 +691,6 @@ class Ledger:
         """
         times = iter([receipt.submitted_at for receipt in self._receipts])
         replica = Ledger(
-            gas_schedule=self.gas_schedule,
             clock=lambda: next(times),
             finality_latency=self.finality_latency,
             require_signatures=self.require_signatures,

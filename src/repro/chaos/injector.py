@@ -214,11 +214,10 @@ class ChaosInjector:
         *,
         strategy,
         start: float,
-        end: float = float("inf"),
         seed: int = 0,
         **params,
     ) -> ChaosFault:
-        """Turn ``executor`` Byzantine inside [start, end) (DESIGN.md §11).
+        """Turn ``executor`` Byzantine from ``start`` on (DESIGN.md §11).
 
         ``strategy`` is a :class:`~repro.core.byzantine.ByzantineStrategy`
         (or its string value); ``params`` are forwarded to
@@ -235,13 +234,13 @@ class ChaosInjector:
         if isinstance(strategy, str):
             strategy = ByzantineStrategy(strategy)
         corruptor = ByzantineCorruptor(
-            strategy=strategy, seed=seed, start=start, end=end, **params
+            strategy=strategy, seed=seed, start=start, **params
         )
         fault = ChaosFault(
             kind=ChaosKind.BYZANTINE,
             target=f"executor {executor.asn}:{executor.interface}",
             start=start,
-            end=end,
+            end=float("inf"),
             magnitude=1.0,
         )
         fault.corruptor = corruptor
@@ -296,23 +295,21 @@ class ChaosInjector:
         member.heartbeat_gate = gate
         return faults
 
-    def lose_heartbeats(
-        self, member, *, start: float, end: float = float("inf")
-    ) -> ChaosFault:
-        """Suppress a fleet member's heartbeats inside [start, end).
+    def lose_heartbeats(self, member, *, start: float) -> ChaosFault:
+        """Suppress a fleet member's heartbeats from ``start`` on.
 
         The executor itself stays healthy — sold sessions keep running
         and publishing — but its control channel goes silent, so the
         :class:`~repro.core.fleetmgr.FleetManager` suspects and (past the
-        eviction threshold) evicts it. The default open end models a
-        permanently severed channel; revoking restores the beats.
+        eviction threshold) evicts it. The channel stays severed until
+        the fault is revoked, which restores the beats.
         """
         asn, interface = member.vantage
         fault = ChaosFault(
             kind=ChaosKind.HEARTBEAT_LOSS,
             target=f"member {asn}:{interface}",
             start=start,
-            end=end,
+            end=float("inf"),
             magnitude=1.0,
         )
         faults = self._install_heartbeat_gate(member)

@@ -113,13 +113,12 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
-    from repro.chain import GasSchedule
+    from repro.chain.gas import price
 
-    schedule = GasSchedule()
     print("Table II (gas schedule):")
     print("  size      total SUI   rebate SUI")
     for size in (0, 100, 1000, 5000, 10000):
-        cost = schedule.price(stored_bytes=size)
+        cost = price(stored_bytes=size)
         print(f"  {size:6d} B  {cost.total_sui():9.5f}   {cost.rebate_sui():9.5f}")
     return 0
 
@@ -169,7 +168,6 @@ def _cmd_wanbench(args: argparse.Namespace) -> int:
         regions=args.regions,
         strategy=args.strategy,
         workers=args.workers,
-        traffic=not args.no_traffic,
     )
     summary = run_wanbench(config, modes=modes)
     # A serial-vs-sharded digest mismatch fails the command in both output modes.
@@ -336,19 +334,14 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         executors=args.executors,
         initiators=args.initiators,
         ledger_mode=args.ledger,
-        block_window=args.window,
-        num_shards=args.shards,
         seed=args.seed,
-        ramp=args.ramp,
         verify_chain=args.verify,
         audit_rate=args.audit_rate,
         churn=args.churn,
-        heartbeat_interval=args.heartbeat,
         late_pairs=args.late,
         drain_pairs=args.drains,
         crash_pairs=args.crashes,
         lost_pairs=args.lost,
-        slot_factor=args.slot_factor,
     )
     obs = _obs_from_args(args)
     fleet = build_loadgen(config, obs=obs)
@@ -404,9 +397,7 @@ def _cmd_fleet_demo(args: argparse.Namespace) -> int:
     from repro.workloads.demos import run_fleet_demo
 
     obs = _obs_from_args(args)
-    run = run_fleet_demo(
-        probes=args.probes, seed=args.seed, heartbeat=args.heartbeat, obs=obs
-    )
+    run = run_fleet_demo(probes=args.probes, seed=args.seed, obs=obs)
     print("admission:")
     print(f"  cli at 1:2 under the full record: "
           f"{'admitted' if run.admitted else 'denied'}")
@@ -452,18 +443,12 @@ def _cmd_placement(args: argparse.Namespace) -> int:
     if args.live:
         from repro.workloads.demos import live_candidates
 
-        segment, pool = live_candidates(
-            args.ases, seed=args.seed, border_price=args.border_price
-        )
+        segment, pool = live_candidates(args.ases, seed=args.seed)
         n_ases = len(segment.asns())
         print(f"live pool from {len(pool)} advertised executors on {segment}")
     else:
         n_ases = args.ases
-        pool = synthetic_candidates(
-            n_ases,
-            border_price=args.border_price,
-            in_as_price=args.in_as_price,
-        )
+        pool = synthetic_candidates(n_ases)
     plans = evaluate_strategies(n_ases, pool, budget=args.budget, seed=args.seed)
     if args.json:
         print(json.dumps(
@@ -569,13 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initiator wallets launching sessions round-robin")
     p.add_argument("--ledger", choices=("serial", "batched"), default="batched",
                    help="per-tx checkpoints vs batched transaction blocks")
-    p.add_argument("--window", type=float, default=4.0,
-                   help="block finality window in seconds (batched mode)")
-    p.add_argument("--shards", type=int, default=16,
-                   help="object-store shard count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ramp", type=float, default=30.0,
-                   help="simulated seconds over which launches ramp up")
     p.add_argument("--verify", action="store_true",
                    help="run full chain verification after the drain")
     p.add_argument("--audit-rate", type=float, default=0.0,
@@ -584,8 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--churn", action="store_true",
                    help="fleet churn: a FleetManager owns every pair's "
                         "lifecycle; sessions pick sellable pairs at fire time")
-    p.add_argument("--heartbeat", type=float, default=2.0,
-                   help="fleet heartbeat interval in simulated seconds")
     p.add_argument("--late", type=int, default=0,
                    help="vantage pairs registering mid-ramp (needs --churn)")
     p.add_argument("--drains", type=int, default=0,
@@ -594,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vantage pairs that crash, get evicted, re-register")
     p.add_argument("--lost", type=int, default=0,
                    help="vantage pairs losing heartbeats (healthy executor)")
-    p.add_argument("--slot-factor", type=float, default=1.0,
-                   help="slot over-provisioning so survivors absorb churn")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON")
     _add_obs_flags(p)
@@ -608,8 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--probes", type=int, default=30)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--heartbeat", type=float, default=5.0,
-                   help="heartbeat interval in simulated seconds")
     _add_obs_flags(p)
     p.set_defaults(func=_cmd_fleet_demo)
 
@@ -622,10 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path length in ASes")
     p.add_argument("--budget", type=int, default=300,
                    help="total vantage budget")
-    p.add_argument("--border-price", type=int, default=100,
-                   help="price of a border-router co-located vantage")
-    p.add_argument("--in-as-price", type=int, default=60,
-                   help="price of an in-AS alternative vantage")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--live", action="store_true",
                    help="derive candidates from live directory "
@@ -653,8 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0,
                    help="sharded-mode pool size (0 = all cores)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-traffic", action="store_true",
-                   help="skip the background traffic matrix")
     p.add_argument("--json", action="store_true",
                    help="emit the summary as JSON")
     p.set_defaults(func=_cmd_wanbench)

@@ -34,6 +34,8 @@ ANCHOR_KIND = "measurement_anchor"
 #: Leading archived measurements averaged into :func:`degradation_onset`'s
 #: baseline.
 BASELINE_COUNT = 3
+#: Loss rate above which :func:`degradation_onset` calls an entry degraded.
+LOSS_THRESHOLD = 0.05
 
 
 class ArchiveContract(Contract):
@@ -139,18 +141,17 @@ class ResultArchive:
             raise VerificationError("anchor names a different segment")
         return measurement
 
-    def history(self, segment_key: str, *, verified: bool = True) -> list[ArchivedMeasurement]:
+    def history(self, segment_key: str) -> list[ArchivedMeasurement]:
         """All retained measurements of a segment, oldest first.
 
-        With ``verified`` (default), each entry is checked against its
-        on-chain anchor — tampered retention is surfaced, not returned.
+        Each entry is checked against its on-chain anchor — tampered
+        retention is surfaced, not returned.
         """
         entries = []
         for anchor_hex in self.contract.anchors_for(segment_key):
             if anchor_hex not in self._entries:
                 continue  # retained elsewhere or expired (off-chain is best effort)
-            entry_value = self.verify(anchor_hex) if verified else self.fetch(anchor_hex)
-            entries.append(entry_value)
+            entries.append(self.verify(anchor_hex))
         entries.sort(key=lambda e: e.measured_at)
         return entries
 
@@ -175,13 +176,12 @@ def degradation_onset(
     history: list[ArchivedMeasurement],
     *,
     rtt_slack_ms: float = 3.0,
-    loss_threshold: float = 0.05,
 ) -> OnsetReport:
     """Find the first archived measurement where the segment degraded.
 
     The baseline is the mean of the first :data:`BASELINE_COUNT` entries;
     the onset is the first later entry whose RTT exceeds baseline +
-    ``rtt_slack_ms`` or whose loss exceeds ``loss_threshold``.
+    ``rtt_slack_ms`` or whose loss exceeds :data:`LOSS_THRESHOLD`.
     """
     if len(history) < BASELINE_COUNT + 1:
         raise DebugletError(
@@ -191,7 +191,7 @@ def degradation_onset(
         np.mean([entry.mean_rtt_ms for entry in history[:BASELINE_COUNT]])
     )
     for entry in history[BASELINE_COUNT:]:
-        if entry.mean_rtt_ms > baseline + rtt_slack_ms or entry.loss_rate > loss_threshold:
+        if entry.mean_rtt_ms > baseline + rtt_slack_ms or entry.loss_rate > LOSS_THRESHOLD:
             return OnsetReport(
                 onset_at=entry.measured_at,
                 baseline_rtt_ms=baseline,

@@ -83,8 +83,6 @@ class AuditConfig:
 
     #: Fraction of completed sessions spot-checked by replay audit.
     audit_rate: float = 0.25
-    #: Grace around the purchased window for certificate timestamps.
-    window_slack: float = WINDOW_SLACK
     seed: int = 0
 
 
@@ -497,7 +495,7 @@ class Auditor:
     def _check_window(self, session, outcome) -> None:
         certificate = outcome.certificate
         if certificate.within_window(
-            session.window_start, session.window_end, self.config.window_slack
+            session.window_start, session.window_end, WINDOW_SLACK
         ):
             return
         self._convict(

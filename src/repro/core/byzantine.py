@@ -10,8 +10,8 @@ signed. Everything upstream — the network, the VM, the manifest
 enforcement — runs honestly; the lie is injected into what the executor
 *reports*.
 
-Strategies (each seeded and windowed so attacks are deterministic and
-compose with crashes/outages via ``repro.chaos``):
+Strategies (each seeded and started at a set time, so attacks are
+deterministic and compose with crashes/outages via ``repro.chaos``):
 
 - ``FORGE_VALUES`` — report better RTTs than measured. With
   ``forge_log=False`` only the result bytes are patched, so a
@@ -44,7 +44,6 @@ pipeline (``repro.core.audit``) never reads either.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -86,18 +85,17 @@ class AttackRecord:
 
 @dataclass
 class ByzantineCorruptor:
-    """Seeded, windowed corruption of one executor's certified outputs.
+    """Seeded corruption of one executor's certified outputs.
 
     Install with ``executor.corruptor = corruptor`` (or via
     :meth:`repro.chaos.ChaosInjector.corrupt_executor`, which also makes
     the attack revocable and visible in the chaos ground truth). Only
-    executions finishing inside ``[start, end)`` are corrupted.
+    executions finishing at or after ``start`` are corrupted.
     """
 
     strategy: ByzantineStrategy
     seed: int = 0
     start: float = 0.0
-    end: float = math.inf
     #: FORGE_VALUES only: rewrite the interaction log consistently so
     #: replay audits cannot distinguish the forgery.
     forge_log: bool = False
@@ -110,7 +108,7 @@ class ByzantineCorruptor:
         self._stale_cache: dict[bytes, tuple[bytes, object]] = {}
 
     def active(self, now: float) -> bool:
-        return self.start <= now < self.end
+        return self.start <= now
 
     # ------------------------------------------------------------- hooks
 

@@ -201,7 +201,6 @@ class Executor:
         asn: int,
         interface: int,
         *,
-        keypair: KeyPair | None = None,
         policy: ExecutorPolicy | None = None,
         setup_jitter: float = 0.3e-3,
         concurrent_capacity: int = 8,
@@ -210,7 +209,7 @@ class Executor:
         self.network = network
         self.asn = asn
         self.interface = interface
-        self.keypair = keypair or KeyPair.deterministic(f"executor-{asn}-{interface}")
+        self.keypair = KeyPair.deterministic(f"executor-{asn}-{interface}")
         self.policy = policy or ExecutorPolicy()
         self.setup_jitter = setup_jitter
         if concurrent_capacity < 1:

@@ -356,14 +356,9 @@ class FleetManager:
             )
         return member
 
-    def reregister(
-        self,
-        vantage: tuple[int, int],
-        *,
-        capabilities: CapabilityRecord | None = None,
-        stake: int = 0,
-    ) -> FleetMember:
-        """Bring an evicted or retired member back into the fleet.
+    def reregister(self, vantage: tuple[int, int]) -> FleetMember:
+        """Bring an evicted or retired member back into the fleet, under
+        its capability record and with no stake attached.
 
         The executor must be up (a crashed process cannot register).
         """
@@ -378,11 +373,7 @@ class FleetManager:
                 f"executor {vantage[0]}:{vantage[1]} is down; restart it "
                 "before re-registering"
             )
-        return self.register(
-            member.agent,
-            capabilities=capabilities or member.capabilities,
-            stake=stake,
-        )
+        return self.register(member.agent, capabilities=member.capabilities)
 
     def _validate_record(self, agent, record: CapabilityRecord) -> None:
         """A record may not promise more than the executor policy offers."""

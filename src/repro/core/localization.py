@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.common.errors import ConfigurationError
 from repro.core.locplans import STRATEGIES, SuspectSpec, make_plan
@@ -219,15 +218,12 @@ class FaultLocalizer:
         *,
         judge: FaultJudge | None = None,
         protocol: Protocol = Protocol.UDP,
-        baseline: Callable[[PathSegment], float] | None = None,
     ) -> None:
         self.prober = prober
         self.judge = judge or FaultJudge()
         self.protocol = protocol
         topology = prober.network.topology
-        self._baseline = baseline or (
-            lambda segment: estimate_baseline_rtt(topology, segment)
-        )
+        self._baseline = lambda segment: estimate_baseline_rtt(topology, segment)
 
     def localize(
         self,

@@ -65,6 +65,19 @@ TX_RETRIES = 4
 #: ``RETRY_JITTER`` s.
 RETRY_BASE = 0.2
 RETRY_JITTER = 0.1
+#: A standing slot: what it offers, its price (MIST), and ``SLOT_COUNT``
+#: back-to-back slots covering ``SLOT_HORIZON`` s (§V-B's IaaS-style
+#: availability).
+SLOT_CORES = 2
+SLOT_MEMORY_MB = 512
+SLOT_BANDWIDTH_MBPS = 100
+SLOT_PRICE = 50_000_000
+SLOT_COUNT = 16
+SLOT_HORIZON = 3600.0
+#: What an initiator asks of each vantage's slot.
+REQUEST_CORES = 1
+REQUEST_MEMORY_MB = 128
+REQUEST_BANDWIDTH_MBPS = 10
 
 
 def backoff(rng, attempt: int) -> float:
@@ -202,31 +215,22 @@ class ExecutorAgent:
             [slot.as_dict() for slot in slots],
         )
 
-    def offer_standing_slots(
-        self,
-        *,
-        horizon: float = 3600.0,
-        price: int = 50_000_000,
-        cores: int = 2,
-        memory_mb: int = 512,
-        bandwidth_mbps: int = 100,
-        count: int = 16,
-    ) -> None:
-        """Offer ``count`` back-to-back slots covering the next ``horizon``
-        seconds — the standing IaaS-style availability the paper expects
-        ISPs to provision (§V-B)."""
+    def offer_standing_slots(self) -> None:
+        """Offer ``SLOT_COUNT`` back-to-back slots covering the next
+        ``SLOT_HORIZON`` seconds — the standing IaaS-style availability the
+        paper expects ISPs to provision (§V-B)."""
         now = self.ledger.now
-        width = horizon / count
+        width = SLOT_HORIZON / SLOT_COUNT
         slots = [
             ExecutionSlot(
-                cores=cores,
-                memory_mb=memory_mb,
-                bandwidth_mbps=bandwidth_mbps,
+                cores=SLOT_CORES,
+                memory_mb=SLOT_MEMORY_MB,
+                bandwidth_mbps=SLOT_BANDWIDTH_MBPS,
                 start=now + i * width,
                 end=now + (i + 1) * width,
-                price=price,
+                price=SLOT_PRICE,
             )
-            for i in range(count)
+            for i in range(SLOT_COUNT)
         ]
         self.offer_slots(slots)
 
@@ -246,9 +250,7 @@ class ExecutorAgent:
         if obj.kind != APPLICATION_KIND:
             return
         try:
-            wire = self._fetch_wire(obj.data)
-            application = DebugletApplication.from_wire(wire)
-            self.executor.admit(application)
+            application = self._admitted(obj.data)
         except DebugletError as exc:
             # Inadmissible or unfetchable application: never run. The
             # initiator's escrow stays locked until it reclaims it with
@@ -267,6 +269,12 @@ class ExecutorAgent:
             # Down (crashed) or otherwise unable to schedule: treat like a
             # rejection — the session-level deadline handles recovery.
             self.rejected_applications.append((application_id, str(exc)))
+
+    def _admitted(self, data: dict) -> DebugletApplication:
+        """The purchased application, fetched, decoded and admitted."""
+        application = DebugletApplication.from_wire(self._fetch_wire(data))
+        self.executor.admit(application)
+        return application
 
     def _fetch_wire(self, data: dict) -> bytes:
         """The on-chain bytecode, or the off-chain blob verified against
@@ -391,9 +399,6 @@ class _RequestPlan:
     client_vantage: tuple[int, int]
     server_vantage: tuple[int, int]
     duration: float
-    cores: int
-    memory_mb: int
-    bandwidth_mbps: int
     earliest: float | None
     code_store: OffChainCodeStore | None
     deadline_margin: float | None
@@ -501,9 +506,6 @@ class Initiator:
         server_vantage: tuple[int, int],
         *,
         duration: float,
-        cores: int = 1,
-        memory_mb: int = 128,
-        bandwidth_mbps: int = 10,
         earliest: float | None = None,
         on_complete: Callable[[MeasurementSession], None] | None = None,
         code_store: OffChainCodeStore | None = None,
@@ -536,9 +538,6 @@ class Initiator:
             client_vantage=client_vantage,
             server_vantage=server_vantage,
             duration=duration,
-            cores=cores,
-            memory_mb=memory_mb,
-            bandwidth_mbps=bandwidth_mbps,
             earliest=earliest,
             code_store=code_store,
             deadline_margin=deadline_margin,
@@ -624,9 +623,9 @@ class Initiator:
                 intf_c,
                 asn_s,
                 intf_s,
-                plan.cores,
-                plan.memory_mb,
-                plan.bandwidth_mbps,
+                REQUEST_CORES,
+                REQUEST_MEMORY_MB,
+                REQUEST_BANDWIDTH_MBPS,
                 plan.duration,
                 earliest,
             )

@@ -45,6 +45,10 @@ from repro.core.deployment import Element, coverage_signatures
 BORDER = "border"
 IN_AS = "in_as"
 STRATEGIES = ("border", "in_as", "random")
+#: Synthetic vantage prices: in-AS hosting is cheaper (no router real
+#: estate), the §VI trade-off the strategies navigate.
+BORDER_PRICE = 100
+IN_AS_PRICE = 60
 
 
 @dataclass(frozen=True)
@@ -320,9 +324,8 @@ def evaluate_strategies(
 def synthetic_candidates(
     n_ases: int,
     *,
-    border_price: int = 100,
-    in_as_price: int = 60,
-    interface: int = 1,
+    border_price: int = BORDER_PRICE,
+    in_as_price: int = IN_AS_PRICE,
     base_asn: int = 64512,
 ) -> list[VantageCandidate]:
     """A full prospective pool: one border and one in-AS candidate per
@@ -334,7 +337,7 @@ def synthetic_candidates(
         pool.append(
             VantageCandidate(
                 asn=asn,
-                interface=interface,
+                interface=1,
                 kind=BORDER,
                 price=border_price,
                 position=position,
@@ -343,7 +346,7 @@ def synthetic_candidates(
         pool.append(
             VantageCandidate(
                 asn=asn,
-                interface=interface,
+                interface=1,
                 kind=IN_AS,
                 price=in_as_price,
                 position=position,

@@ -183,7 +183,6 @@ class SegmentProber:
         segment: PathSegment,
         *,
         protocol: Protocol = Protocol.UDP,
-        probes: int | None = None,
         start_at: float | None = None,
         on_complete: Callable[[SegmentMeasurement], None] | None = None,
     ) -> SegmentMeasurement:
@@ -196,7 +195,7 @@ class SegmentProber:
         """
         if segment.src_asn != client[0] or segment.dst_asn != server[0]:
             raise ConfigurationError("segment does not join the two vantage points")
-        count = self.probes if probes is None else probes
+        count = self.probes
         client_executor = self.fleet.get(*client)
         server_executor = self.fleet.get(*server)
         port = self._next_port()
@@ -271,21 +270,17 @@ class SegmentProber:
         client: Vantage,
         server: Vantage,
         segment: PathSegment,
-        *,
-        on_complete: Callable[[SegmentMeasurement], None] | None = None,
         **kwargs,
     ) -> SegmentMeasurement:
         """Run :meth:`measure` and run the simulator until it finishes.
 
         The run stops after the event in which the measurement completes
-        (:meth:`Simulator.stop`, called after any ``on_complete``), where
-        stepping one event at a time would have stopped.
+        (:meth:`Simulator.stop`), where stepping one event at a time would
+        have stopped.
         """
         sim = self.network.simulator
 
         def finished(measurement: SegmentMeasurement) -> None:
-            if on_complete is not None:
-                on_complete(measurement)
             sim.stop()
 
         measurement = self.measure(

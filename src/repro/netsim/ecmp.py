@@ -113,14 +113,12 @@ class EcmpGroup:
         return self.routes[index]
 
 
-def single_route(delay_offset: float = 0.0, jitter: float = 0.0) -> EcmpGroup:
+def single_route(delay_offset: float = 0.0) -> EcmpGroup:
     """An ECMP group with one route (no load balancing)."""
-    return EcmpGroup([Route(delay_offset=delay_offset, jitter=jitter)])
+    return EcmpGroup([Route(delay_offset=delay_offset)])
 
 
-def evenly_spread(
-    count: int, spread: float, *, jitter: float = 0.0, salt: int = 0
-) -> EcmpGroup:
+def evenly_spread(count: int, spread: float) -> EcmpGroup:
     """``count`` routes whose delay offsets span ``[0, spread]`` evenly."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -129,7 +127,7 @@ def evenly_spread(
     else:
         offsets = [spread * i / (count - 1) for i in range(count)]
     routes = [
-        Route(delay_offset=offset, jitter=jitter, name=f"route-{i}")
+        Route(delay_offset=offset, name=f"route-{i}")
         for i, offset in enumerate(offsets)
     ]
-    return EcmpGroup(routes, salt=salt)
+    return EcmpGroup(routes)

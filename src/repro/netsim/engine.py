@@ -38,6 +38,8 @@ _OBS_SAMPLE_EVERY = 256
 #: Size of the recent-dispatch ring kept for failure diagnostics
 #: (:meth:`Simulator.recent_event_lines`, used by ``SessionStalled``).
 _RECENT_RING = 64
+#: How many of them :meth:`Simulator.recent_event_lines` reports.
+_RECENT_LINES = 10
 
 
 def _callback_name(callback: Callable) -> str:
@@ -125,15 +127,17 @@ class Simulator:
         self._instrumented = True
         self._recent = deque(maxlen=_RECENT_RING)
 
-    def recent_event_lines(self, n: int = 10) -> list[str]:
-        """The last ``n`` dispatched events as ``t=..s name`` strings.
+    def recent_event_lines(self) -> list[str]:
+        """The last ``_RECENT_LINES`` dispatched events as ``t=..s name``
+        strings.
 
         Empty unless an observability bundle is attached — the detached
         hot path keeps no history.
         """
         if not self._recent:
             return []
-        return [f"t={t:.6f}s {name}" for t, name in list(self._recent)[-n:]]
+        recent = list(self._recent)[-_RECENT_LINES:]
+        return [f"t={t:.6f}s {name}" for t, name in recent]
 
     def _note_dispatch(self, time: float, callback: Callable) -> None:
         """Per-event bookkeeping on the instrumented path."""

@@ -80,7 +80,14 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import derive_seed
 from repro.netsim.conduit import DirectedChannel
 from repro.netsim.ecmp import HashGranularity
-from repro.netsim.packet import Address, Packet, Protocol
+from repro.netsim.packet import (
+    DEFAULT_PROBE_SIZE,
+    ECHO_PORT,
+    PROBE_TIMEOUT,
+    Address,
+    Packet,
+    Protocol,
+)
 from repro.netsim.trace import MeasurementTrace
 
 DAY = 86400.0
@@ -297,10 +304,8 @@ def extract_probe_cell(
     count: int,
     interval: float,
     start: float,
-    size: int = 64,
-    timeout: float = 5.0,
     src_port: int = 0,
-    dst_port: int = 7,
+    dst_port: int = ECHO_PORT,
     seed: int = 0,
     label: str = "",
 ) -> ProbeCell:
@@ -326,7 +331,7 @@ def extract_probe_cell(
         src=client.address,
         dst=server_address,
         protocol=protocol,
-        size=size,
+        size=DEFAULT_PROBE_SIZE,
         src_port=src_port,
         dst_port=dst_port,
     )
@@ -343,7 +348,7 @@ def extract_probe_cell(
         count=count,
         interval=interval,
         start=start,
-        timeout=timeout,
+        timeout=PROBE_TIMEOUT,
         seed=seed,
     )
 
@@ -407,7 +412,6 @@ class StageTable:
         hops,
         client_vantage: tuple[int, int],
         server_vantage: tuple[int, int],
-        dst_port: int,
     ) -> tuple[np.ndarray, tuple[tuple[int, StageExtras], ...]]:
         """``(stages, extras)`` of the echo round trip over pinned ``hops``:
         client to server, then back over the same hops reversed."""
@@ -434,7 +438,7 @@ class StageTable:
                     dst=_vantage_address(server_vantage),
                     protocol=self.protocol,
                     size=self.size,
-                    dst_port=dst_port,
+                    dst_port=ECHO_PORT,
                 )
                 echo = (probe, probe.reply_to())
             traversal = _stage_from_channel(channel, echo[position >= turn])
@@ -534,9 +538,8 @@ def extract_segment_cell(
     count: int,
     interval: float,
     start: float,
-    size: int = 64,
-    timeout: float = 5.0,
-    dst_port: int = 7,
+    size: int = DEFAULT_PROBE_SIZE,
+    timeout: float = PROBE_TIMEOUT,
     seed: int = 0,
     label: str = "",
 ) -> ProbeCell:
@@ -562,9 +565,7 @@ def extract_segment_cell(
     if table is None:
         table = tables[protocol, size] = StageTable(topology, protocol, size)
     try:
-        stages, extras = table.cell_stages(
-            hops, client_vantage, server_vantage, dst_port
-        )
+        stages, extras = table.cell_stages(hops, client_vantage, server_vantage)
     except SimulationError as error:
         raise FastPathUnsupported(str(error)) from error
     return ProbeCell(

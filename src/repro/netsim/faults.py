@@ -162,15 +162,14 @@ class FaultInjector:
         )
 
     def link_blackhole(
-        self, a: InterfaceId, b: InterfaceId, *, start: float, end: float,
-        directions: str = "both",
+        self, a: InterfaceId, b: InterfaceId, *, start: float, end: float
     ) -> InjectedFault:
-        """Total outage on the link a<->b."""
+        """Total outage on the link a<->b, both directions."""
         overlay = FaultOverlay(start=start, end=end, blackhole=True)
         return self._inject(
             FaultKind.BLACKHOLE,
             FaultLocation(link=(a, b)),
-            self._link_channels(a, b, directions=directions),
+            self._link_channels(a, b),
             overlay,
             1.0,
         )

@@ -61,6 +61,9 @@ INTRA_REGION_DELAY = (2e-3, 12e-3)
 INTER_REGION_DELAY = (25e-3, 90e-3)
 #: Per-packet jitter (standard deviation, seconds) of every inter-AS link.
 LINK_JITTER = 0.05e-3
+#: Interior delay and its per-packet jitter (seconds) of every generated AS.
+INTERNAL_DELAY = 0.3e-3
+INTERNAL_JITTER = 0.02e-3
 
 
 class Relation(enum.Enum):
@@ -90,8 +93,6 @@ class InternetConfig:
     multihoming: float = 0.35
     peer_fraction: float = 0.15
     regions: int = 5
-    internal_delay: float = 0.3e-3
-    internal_jitter: float = 0.02e-3
 
     def __post_init__(self) -> None:
         if self.n_ases < 3:
@@ -275,8 +276,8 @@ def generate_internet(config: InternetConfig) -> InternetTopology:
         topology.make_as(
             asn,
             name=f"AS{asn}",
-            internal_delay=config.internal_delay,
-            internal_jitter=config.internal_jitter,
+            internal_delay=INTERNAL_DELAY,
+            internal_jitter=INTERNAL_JITTER,
             seed=config.seed + asn,
         )
 

@@ -17,6 +17,10 @@ _PACKET_COUNTER = count(1)
 
 #: Total layer-3 packet length used by the paper-style probes, in bytes.
 DEFAULT_PROBE_SIZE = 64
+#: The port UDP/TCP echo probes are addressed to (RFC 862's echo service).
+ECHO_PORT = 7
+#: Seconds an echo probe waits for its reply before it counts as lost.
+PROBE_TIMEOUT = 5.0
 
 
 class Protocol(enum.Enum):
@@ -109,8 +113,9 @@ class Packet:
             )
         return (self.src, self.dst, self.protocol.wire_number)
 
-    def reply_to(self, *, size: int | None = None, payload: Any = None) -> "Packet":
-        """Build a response packet with src/dst (and ports) swapped."""
+    def reply_to(self, *, payload: Any = None) -> "Packet":
+        """Build a same-size response packet with src/dst (and ports)
+        swapped."""
         icmp_type = None
         if self.protocol is Protocol.ICMP:
             icmp_type = IcmpType.ECHO_REPLY
@@ -118,7 +123,7 @@ class Packet:
             src=self.dst,
             dst=self.src,
             protocol=self.protocol,
-            size=self.size if size is None else size,
+            size=self.size,
             src_port=self.dst_port,
             dst_port=self.src_port,
             seq=self.seq,

@@ -20,6 +20,11 @@ from repro.netsim.congestion import CongestionProcess
 from repro.netsim.packet import Address
 from repro.netsim.treatment import TreatmentProfile
 
+#: A border router's slow-path (control-plane punt) delay and its jitter,
+#: in seconds; tests reassign a router's ``slow_path_*`` to vary them.
+SLOW_PATH_DELAY = 2e-3
+SLOW_PATH_JITTER = 1.5e-3
+
 
 @dataclass(frozen=True, order=True)
 class InterfaceId:
@@ -60,14 +65,12 @@ class BorderRouter:
         *,
         ttl_exceeded_enabled: bool = True,
         icmp_rate_limit: float = 2.0,
-        slow_path_delay: float = 2e-3,
-        slow_path_jitter: float = 1.5e-3,
     ) -> None:
         self.interface_id = interface_id
         self.ttl_exceeded_enabled = ttl_exceeded_enabled
         self.icmp_rate_limit = icmp_rate_limit
-        self.slow_path_delay = slow_path_delay
-        self.slow_path_jitter = slow_path_jitter
+        self.slow_path_delay = SLOW_PATH_DELAY
+        self.slow_path_jitter = SLOW_PATH_JITTER
         self._icmp_tokens = 1.0
         self._icmp_last_refill = 0.0
 
@@ -111,7 +114,6 @@ class AutonomousSystem:
         name: str = "",
         internal_delay: float = 1e-3,
         internal_jitter: float = 0.05e-3,
-        treatment: TreatmentProfile | None = None,
         congestion: CongestionProcess | None = None,
         seed: int = 0,
     ) -> None:
@@ -121,7 +123,7 @@ class AutonomousSystem:
         self.name = name or f"AS{asn}"
         self.internal_delay = internal_delay
         self.internal_jitter = internal_jitter
-        self.treatment = treatment or TreatmentProfile.uniform()
+        self.treatment = TreatmentProfile.uniform()
         self.congestion = congestion
         self.seed = seed
         self.routers: dict[int, BorderRouter] = {}

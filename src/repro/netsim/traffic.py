@@ -17,7 +17,14 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
 from repro.netsim.endhost import Host
 from repro.netsim.network import Network
-from repro.netsim.packet import Address, IcmpType, Packet, Protocol
+from repro.netsim.packet import (
+    ECHO_PORT,
+    PROBE_TIMEOUT,
+    Address,
+    IcmpType,
+    Packet,
+    Protocol,
+)
 from repro.netsim.topology import PathHop
 from repro.netsim.trace import MeasurementTrace
 
@@ -83,10 +90,7 @@ class ProbeTrain(_ColumnTrain):
         interval: float = 1.0,
         size: int = DEFAULT_PROBE_SIZE,
         start: float | None = None,
-        timeout: float = 5.0,
         src_port: int = 0,
-        dst_port: int = 7,
-        path: list[PathHop] | None = None,
         label: str = "",
     ) -> None:
         super().__init__(protocol, count=count, interval=interval, label=label)
@@ -94,14 +98,12 @@ class ProbeTrain(_ColumnTrain):
         self.server = server
         self.size = size
         self.start = client.network.simulator.now if start is None else start
-        self.timeout = timeout
-        self.path = path
 
         if protocol in (Protocol.UDP, Protocol.TCP):
             if src_port <= 0:
                 raise ConfigurationError("UDP/TCP probe train needs src_port")
             self._socket = client.open_socket(protocol, src_port)
-            self._dst_port = dst_port
+            self._dst_port = ECHO_PORT
         else:
             self._socket = client.open_socket(protocol, 0)
             self._dst_port = 0
@@ -125,7 +127,6 @@ class ProbeTrain(_ColumnTrain):
             dst_port=self._dst_port,
             size=self.size,
             seq=seq,
-            path=self.path,
             icmp_type=icmp_type,
         )
 
@@ -135,7 +136,7 @@ class ProbeTrain(_ColumnTrain):
         send_time = self._pending.pop(packet.seq, None)
         if send_time is None:
             return  # duplicate or late reply
-        if t - send_time > self.timeout:
+        if t - send_time > PROBE_TIMEOUT:
             return  # reply after timeout counts as loss
         self._rtts[packet.seq - 1] = t - send_time
 
@@ -170,7 +171,6 @@ class MultiProtocolProber:
         interval: float = 1.0,
         size: int = DEFAULT_PROBE_SIZE,
         start: float | None = None,
-        path: list[PathHop] | None = None,
         label: str = "",
     ) -> None:
         if start is None:
@@ -186,7 +186,6 @@ class MultiProtocolProber:
                 size=size,
                 start=start + index * self.STAGGER,
                 src_port=self.BASE_PORT + index,
-                path=path,
                 label=f"{label}/{protocol.name}" if label else protocol.name,
             )
 
@@ -262,6 +261,11 @@ class OneWayProbeTrain(_ColumnTrain):
         return self.trace
 
 
+#: Day-period swing of a background-loaded channel's utilization; the
+#: background load has no bursts.
+DIURNAL_AMPLITUDE = 0.04
+
+
 class TrafficMatrix:
     """A gravity-model background traffic matrix over an Internet topology.
 
@@ -287,23 +291,17 @@ class TrafficMatrix:
         utilization_floor: float = 0.05,
         utilization_scale: float = 0.06,
         utilization_cap: float = 0.92,
-        diurnal_amplitude: float = 0.04,
-        burst_rate: float = 0.0,
-        label: str = "traffic",
     ) -> None:
         self.topology = topology
         self.seed = seed
-        self.label = label
         self.utilization_floor = utilization_floor
         self.utilization_scale = utilization_scale
         self.utilization_cap = utilization_cap
-        self.diurnal_amplitude = diurnal_amplitude
-        self.burst_rate = burst_rate
         self.applied = 0
 
         ases = sorted(topology.ases)
         n = len(ases)
-        rng = derive_rng(seed, label, "demands")
+        rng = derive_rng(seed, "traffic", "demands")
         import numpy as np
 
         weights = np.array([topology.degree(a) for a in ases], dtype=float)
@@ -366,12 +364,12 @@ class TrafficMatrix:
             )
             config = CongestionConfig(
                 base_utilization=self.utilization_of(a, b),
-                diurnal_amplitude=self.diurnal_amplitude,
-                burst_rate=self.burst_rate,
+                diurnal_amplitude=DIURNAL_AMPLITUDE,
+                burst_rate=0.0,
             )
             channel.congestion = CongestionProcess(
                 config,
-                seed=derive_seed(self.seed, self.label, a, b),
+                seed=derive_seed(self.seed, "traffic", a, b),
                 label="background",
             )
             count += 1

@@ -25,7 +25,11 @@ def _histogram_quantile(histogram: Histogram, q: float) -> float:
     return histogram.bounds[-1]
 
 
-def render_report(obs, *, top: int = 12) -> str:
+#: How many of the busiest counters the report lists.
+TOP_COUNTERS = 12
+
+
+def render_report(obs) -> str:
     """The ``--obs-report`` text: span rollup + metric digest."""
     lines: list[str] = []
     spans = list(obs.tracer.spans)
@@ -51,7 +55,7 @@ def render_report(obs, *, top: int = 12) -> str:
         lines.append("metrics:")
         counters = [r for r in rows if isinstance(r[3], Counter)]
         counters.sort(key=lambda r: (-r[3].value, r[1], r[2]))
-        for kind, name, labels, metric in counters[:top]:
+        for kind, name, labels, metric in counters[:TOP_COUNTERS]:
             label_str = (
                 "{" + ",".join(f"{k}={v}" for k, v in labels) + "}" if labels else ""
             )

@@ -126,13 +126,10 @@ class Tracer:
         *,
         component: str = "app",
         corr: str = "",
-        parent: Span | None = None,
         **attributes,
     ) -> _SpanContext:
         """Context manager: spans nested inside become children."""
-        span = self.begin(
-            name, component=component, corr=corr, parent=parent, **attributes
-        )
+        span = self.begin(name, component=component, corr=corr, **attributes)
         self._stack.append(span)
         return _SpanContext(self, span)
 

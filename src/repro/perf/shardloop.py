@@ -51,7 +51,6 @@ from repro.core.localization import (
     LocalizationReport,
 )
 from repro.netsim.faults import FaultLocation
-from repro.netsim.packet import Protocol
 from repro.perf import parallel
 
 
@@ -151,7 +150,6 @@ class CampaignEngine:
         episodes: list[Episode],
         *,
         judge: FaultJudge | None = None,
-        protocol: Protocol = Protocol.UDP,
         probes: int = 10,
         interval_us: int = 5_000,
         probe_size: int = 64,
@@ -174,7 +172,7 @@ class CampaignEngine:
             seed=seed,
             label="wan",
         )
-        self.localizer = FaultLocalizer(self.prober, judge=judge, protocol=protocol)
+        self.localizer = FaultLocalizer(self.prober, judge=judge)
         # One measurement slot: server warmup + the train + timeout slack.
         self.slot = slot if slot is not None else (
             0.1 + probes * interval_us * 1e-6 + timeout

@@ -146,12 +146,12 @@ def build_audited_testbed(
     return testbed, auditor
 
 
-def corrupt(testbed, strategy: str, *, seed: int = 1,
-            vantage=BYZANTINE_VANTAGE, **params):
-    """Attach a seeded Byzantine corruptor; returns it (``.attacks``)."""
+def corrupt(testbed, strategy: str, *, seed: int = 1, **params):
+    """Attach a seeded Byzantine corruptor to the executor at
+    ``BYZANTINE_VANTAGE``; returns it (``.attacks``)."""
     injector = ChaosInjector(testbed.chain.simulator, testbed.ledger, seed=seed)
     fault = injector.corrupt_executor(
-        testbed.fleet.get(*vantage), strategy=strategy, start=0.0,
+        testbed.fleet.get(*BYZANTINE_VANTAGE), strategy=strategy, start=0.0,
         seed=seed, **params,
     )
     return fault.corruptor
@@ -279,14 +279,16 @@ class FleetDemoRun:
     final: dict[tuple[int, int], ExecutorState]
 
 
-def run_fleet_demo(
-    *, probes: int = 30, seed: int = 1, heartbeat: float = 5.0, obs=None
-) -> FleetDemoRun:
+#: The fleet demo's heartbeat interval (simulated seconds).
+FLEET_DEMO_HEARTBEAT = 5.0
+
+
+def run_fleet_demo(*, probes: int = 30, seed: int = 1, obs=None) -> FleetDemoRun:
     """The fleet lifecycle on a 3-AS marketplace (DESIGN.md §12): scoped
     admission, a graceful drain with on-chain deregistration, a crash
     followed by eviction and re-registration, and a heartbeat-loss
     eviction of a healthy executor."""
-    hb = heartbeat
+    hb = FLEET_DEMO_HEARTBEAT
     testbed = MarketplaceTestbed.build(n_ases=3, seed=seed, obs=obs)
     simulator = testbed.chain.simulator
     manager = testbed.make_fleet_manager(heartbeat_interval=hb)
@@ -389,16 +391,17 @@ def run_localize(
     return LocalizeRun(fault=fault.location, report=report)
 
 
-def live_candidates(n_ases: int, *, seed: int, border_price: int):
+def live_candidates(n_ases: int, *, seed: int):
     """Placement candidates from live directory advertisements: every
-    executor of a deployed ``n_ases`` chain advertises at ``border_price``
-    plus its ASN. Returns ``(segment, pool)`` for the end-to-end path."""
+    executor of a deployed ``n_ases`` chain advertises at the border
+    price plus its ASN. Returns ``(segment, pool)`` for the end-to-end
+    path."""
     from repro.core.discovery import DecentralizedDirectory
-    from repro.core.placement import candidates_from_directory
+    from repro.core.placement import BORDER_PRICE, candidates_from_directory
 
     chain, fleet = deployed_chain(n_ases, seed=seed, fleet_seed=seed)
     directory = DecentralizedDirectory(chain.registry)
     for vantage in fleet.vantages():
-        directory.advertise(fleet.get(*vantage), price=border_price + vantage[0])
+        directory.advertise(fleet.get(*vantage), price=BORDER_PRICE + vantage[0])
     segment = chain.registry.shortest(1, n_ases)
     return segment, candidates_from_directory(directory, segment)

@@ -47,23 +47,25 @@ import math
 from dataclasses import dataclass, field
 
 from repro.chain.crypto import KeyPair, backend_name, ed25519_batch_verify
-from repro.chain.events import Event
 from repro.chain.gas import sui_to_mist
 from repro.chain.ledger import Ledger, Wallet
 from repro.chaos.injector import ChaosInjector
 from repro.common.errors import ConfigurationError, DebugletError
 from repro.common.rng import derive_rng
-from repro.common.ids import ObjectId
-from repro.contracts.debuglet_market import (
-    APPLICATION_KIND,
-    DebugletMarket,
-    ExecutionSlot,
-)
+from repro.contracts.debuglet_market import DebugletMarket, ExecutionSlot
 from repro.core.application import DebugletApplication
 from repro.core.executor import ExecutionRecord, issue_certificate
 from repro.core.fleet import FleetScheduler
 from repro.core.fleetmgr import ExecutorState, FleetManager
-from repro.core.marketplace import ExecutorAgent, Initiator, SessionState
+from repro.core.marketplace import (
+    SLOT_BANDWIDTH_MBPS,
+    SLOT_CORES,
+    SLOT_MEMORY_MB,
+    SLOT_PRICE,
+    ExecutorAgent,
+    Initiator,
+    SessionState,
+)
 from repro.core.offchain import OffChainCodeStore
 from repro.netsim.engine import Simulator
 from repro.netsim.packet import Address, Protocol
@@ -80,6 +82,12 @@ CRASH_AT_FRACTION = 0.15
 LOST_AT_FRACTION = 0.35
 DRAIN_AT_FRACTION = 0.55
 
+#: The ledger every run builds: its finality latency (s), the window its
+#: batched blocks seal on (s), and its object-store shards.
+FINALITY_LATENCY = 0.4
+BLOCK_WINDOW = 4.0
+NUM_SHARDS = 16
+
 
 @dataclass
 class LoadgenConfig:
@@ -89,14 +97,10 @@ class LoadgenConfig:
     executors: int = 64  # paired into vantage pairs; must be even
     initiators: int = 64
     ledger_mode: str = "batched"  # "serial" | "batched"
-    block_window: float = 4.0  # finality window batched blocks seal on
-    num_shards: int = 16
     seed: int = 0
     ramp: float = 30.0  # seconds of simulated launch ramp
     duration: float = 0.5  # measurement duration (= slot width)
     exec_time: float = 0.05  # synthetic execution run time
-    finality_latency: float = 0.4
-    slot_price: int = 50_000_000
     deadline_margin: float = 120.0
     verify_chain: bool = False  # run full chain verification after drain
     #: Fraction of completed sessions spot-checked by the lightweight
@@ -117,11 +121,6 @@ class LoadgenConfig:
     drain_pairs: int = 0  # gracefully drained mid-ramp, retire when idle
     crash_pairs: int = 0  # crash, get evicted, restart, re-register
     lost_pairs: int = 0  # healthy executor, severed heartbeat channel
-    #: Slot over-provisioning: each executor offers ``slot_factor`` times
-    #: its fair share of slots, so surviving pairs can absorb the load of
-    #: drained/evicted ones. Escrow moves only on purchase, so unsold
-    #: headroom costs nothing.
-    slot_factor: float = 1.0
 
     def validate(self) -> None:
         if self.sessions < 1:
@@ -136,8 +135,6 @@ class LoadgenConfig:
             raise ConfigurationError("durations must be positive")
         if not 0.0 <= self.audit_rate <= 1.0:
             raise ConfigurationError("audit_rate must be in [0, 1]")
-        if self.slot_factor < 1.0:
-            raise ConfigurationError("slot_factor must be >= 1")
         role_counts = (
             self.late_pairs,
             self.drain_pairs,
@@ -161,16 +158,25 @@ class LoadgenConfig:
         return self.executors // 2
 
     @property
+    def stable_pairs(self) -> int:
+        """Pairs no churn role touches."""
+        return self.pairs - (
+            self.late_pairs + self.drain_pairs + self.crash_pairs + self.lost_pairs
+        )
+
+    @property
     def slots_per_side(self) -> int:
-        """Slots each executor offers: its fair share times the churn
-        over-provisioning factor."""
-        return math.ceil(self.sessions / self.pairs * self.slot_factor)
+        """Slots each executor offers: enough for the stable pairs alone
+        to carry every session, so they absorb the load of drained and
+        evicted pairs. Escrow moves only on purchase, so unsold headroom
+        costs nothing; without churn this is each pair's fair share."""
+        return math.ceil(self.sessions / self.stable_pairs)
 
     @property
     def windows_open(self) -> float:
         """When execution windows begin: after the ramp plus enough slack
         for the purchase transactions' finality."""
-        return self.ramp + 4 * self.finality_latency + 1.0
+        return self.ramp + 4 * FINALITY_LATENCY + 1.0
 
 
 class SyntheticExecutor:
@@ -265,36 +271,20 @@ class SyntheticExecutor:
 class SyntheticExecutorAgent(ExecutorAgent):
     """An :class:`ExecutorAgent` that skips wire decode and VM admission.
 
-    Only ``_on_application`` is overridden: instead of fetching and
-    reassembling the purchased bytecode, the agent schedules its synthetic
-    executor with a fixed application template. Publication — gates,
-    LedgerUnavailable retries with backoff, failure accounting — is
-    inherited unchanged, which is what keeps the chaos fault classes
-    meaningful against loadgen fleets.
+    Only ``_admitted`` is overridden: instead of fetching, reassembling and
+    admitting the purchased bytecode, the agent schedules its synthetic
+    executor with a fixed application template. Scheduling, publication —
+    gates, LedgerUnavailable retries with backoff, failure accounting —
+    and rejection bookkeeping are inherited unchanged, which is what keeps
+    the chaos fault classes meaningful against loadgen fleets.
     """
 
     def __init__(self, *args, template: DebugletApplication, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.template = template
 
-    def _on_application(self, event: Event) -> None:
-        application_id = event.get("application_id")
-        self.handled_applications.append(application_id)
-        obj = self.ledger.objects.get(ObjectId.from_hex(application_id))
-        if obj.kind != APPLICATION_KIND:
-            return
-        window_start = obj.data["window"]["start"]
-        start_at = max(window_start, self.executor.simulator.now)
-
-        def on_complete(record: ExecutionRecord) -> None:
-            self._publish_result(application_id, record)
-
-        try:
-            self.executor.submit(
-                self.template, start_at=start_at, on_complete=on_complete
-            )
-        except DebugletError as exc:
-            self.rejected_applications.append((application_id, str(exc)))
+    def _admitted(self, data: dict) -> DebugletApplication:
+        return self.template
 
 
 class LoadgenAuditor:
@@ -427,12 +417,12 @@ def _slot_grid(config: LoadgenConfig, *, first: int = 0) -> list[ExecutionSlot]:
     index ``first`` (0 = the instant the windows open)."""
     return [
         ExecutionSlot(
-            cores=2,
-            memory_mb=512,
-            bandwidth_mbps=100,
+            cores=SLOT_CORES,
+            memory_mb=SLOT_MEMORY_MB,
+            bandwidth_mbps=SLOT_BANDWIDTH_MBPS,
             start=config.windows_open + slot * config.duration,
             end=config.windows_open + (slot + 1) * config.duration,
-            price=config.slot_price,
+            price=SLOT_PRICE,
         )
         for slot in range(first, first + config.slots_per_side)
     ]
@@ -447,11 +437,9 @@ def build(config: LoadgenConfig, *, obs=None) -> LoadgenFleet:
     ledger = Ledger(
         clock=lambda: simulator.now,
         scheduler=lambda delay, fn: simulator.schedule(delay, fn),
-        finality_latency=config.finality_latency,
-        num_shards=config.num_shards,
-        block_window=(
-            config.block_window if config.ledger_mode == "batched" else None
-        ),
+        finality_latency=FINALITY_LATENCY,
+        num_shards=NUM_SHARDS,
+        block_window=BLOCK_WINDOW if config.ledger_mode == "batched" else None,
     )
     if obs is not None:
         ledger.obs = obs
@@ -524,7 +512,7 @@ def build(config: LoadgenConfig, *, obs=None) -> LoadgenFleet:
 
     # Initiator wallets, funded for their share of purchases plus gas.
     per_initiator = math.ceil(config.sessions / config.initiators)
-    funding = sui_to_mist(5) + per_initiator * (2 * config.slot_price + sui_to_mist(1))
+    funding = sui_to_mist(5) + per_initiator * (2 * SLOT_PRICE + sui_to_mist(1))
     initiators: list[Initiator] = []
     for index in range(config.initiators):
         keypair = KeyPair.deterministic(f"loadgen-initiator-{config.seed}-{index}")
@@ -542,7 +530,7 @@ def build(config: LoadgenConfig, *, obs=None) -> LoadgenFleet:
     if config.audit_rate > 0:
         auditor = LoadgenAuditor(
             audit_rate=config.audit_rate,
-            window_slack=config.finality_latency + 1.0,
+            window_slack=FINALITY_LATENCY + 1.0,
             seed=config.seed,
         )
     scheduler = FleetScheduler(
@@ -629,7 +617,7 @@ def _reregister_pair(fleet: LoadgenFleet, pair: int) -> None:
     executor can still honor."""
     config = fleet.config
     manager = fleet.manager
-    slack = 4 * config.finality_latency + 1.0
+    slack = 4 * FINALITY_LATENCY + 1.0
     first = max(
         0,
         math.ceil(
@@ -799,10 +787,8 @@ def run(fleet: LoadgenFleet) -> dict:
         "audit_rate": config.audit_rate,
         "executors": config.executors,
         "initiators": config.initiators,
-        "block_window": (
-            config.block_window if config.ledger_mode == "batched" else None
-        ),
-        "num_shards": config.num_shards,
+        "block_window": BLOCK_WINDOW if config.ledger_mode == "batched" else None,
+        "num_shards": NUM_SHARDS,
         "signature_backend": backend_name(),
         "deterministic": deterministic,
     }

@@ -38,6 +38,11 @@ SERVER_VANTAGE = (3, 1)
 #: The echo pair's probe spacing and the server's idle timeout.
 ECHO_INTERVAL_US = 50_000
 ECHO_IDLE_TIMEOUT_US = 3_000_000
+#: Inter-AS link delay and intra-AS delay (s) on a :func:`build_chain` line.
+CHAIN_LINK_DELAY = 5e-3
+CHAIN_INTERNAL_DELAY = 0.5e-3
+#: What :meth:`MarketplaceTestbed.make_auditor` funds a new auditor with.
+AUDITOR_FUNDING = sui_to_mist(10)
 
 
 @dataclass
@@ -51,20 +56,15 @@ class ChainScenario:
     n_ases: int
 
 
-def build_chain(
-    n_ases: int,
-    *,
-    link_delay: float = 5e-3,
-    internal_delay: float = 0.5e-3,
-    seed: int = 0,
-) -> ChainScenario:
+def build_chain(n_ases: int, *, seed: int = 0) -> ChainScenario:
     """``n_ases`` ASes in a line: AS1 -2- AS2 -2- ... Interface 1 faces
     the previous AS, interface 2 the next."""
     simulator = Simulator()
     topology = Topology()
     for asn in range(1, n_ases + 1):
         topology.make_as(
-            asn, internal_delay=internal_delay, internal_jitter=0.02e-3, seed=seed + asn
+            asn, internal_delay=CHAIN_INTERNAL_DELAY, internal_jitter=0.02e-3,
+            seed=seed + asn,
         )
     for asn in range(1, n_ases):
         topology.connect(
@@ -73,7 +73,9 @@ def build_chain(
             asn + 1,
             1,
             Link.symmetric(
-                f"chain-{asn}-{asn + 1}", base_delay=link_delay, seed=seed + 100 + asn
+                f"chain-{asn}-{asn + 1}",
+                base_delay=CHAIN_LINK_DELAY,
+                seed=seed + 100 + asn,
             ),
         )
     network = Network(topology, simulator, seed=seed)
@@ -136,14 +138,12 @@ class MarketplaceTestbed:
         n_ases: int = 3,
         *,
         seed: int = 0,
-        link_delay: float = 5e-3,
         finality_latency: float = 0.4,
-        slot_price: int = 50_000_000,
         initiator_funding: int | None = None,
         executor_stake: int = 0,
         obs=None,
     ) -> "MarketplaceTestbed":
-        chain = build_chain(n_ases, link_delay=link_delay, seed=seed)
+        chain = build_chain(n_ases, seed=seed)
         simulator = chain.simulator
         if obs is not None:
             simulator.attach_observability(obs)
@@ -168,7 +168,7 @@ class MarketplaceTestbed:
             if executor_stake > 0:
                 ledger.faucet(agent.wallet.address, executor_stake)
             agent.register(stake=executor_stake)
-            agent.offer_standing_slots(price=slot_price)
+            agent.offer_standing_slots()
             agents[vantage] = agent
 
         initiator_keypair = KeyPair.deterministic(f"initiator-{seed}")
@@ -258,22 +258,15 @@ class MarketplaceTestbed:
         )
 
     def make_fleet_manager(
-        self,
-        *,
-        heartbeat_interval: float = 5.0,
-        suspect_beats: int = 2,
-        evict_beats: int = 4,
-        capabilities=None,
-        enroll: bool = True,
+        self, *, heartbeat_interval: float = 5.0, enroll: bool = True
     ):
         """A :class:`~repro.core.fleetmgr.FleetManager` over this testbed.
 
         With ``enroll`` (the default) every existing agent joins the
-        fleet immediately — they are already registered on-chain, so
-        enrollment only adds lifecycle tracking and the admission guard.
-        ``capabilities`` maps vantage → :class:`CapabilityRecord` for
-        per-executor overrides. Call :meth:`FleetManager.stop` before
-        draining the simulator to idle.
+        fleet immediately under its derived capability record — they are
+        already registered on-chain, so enrollment only adds lifecycle
+        tracking and the admission guard. Call :meth:`FleetManager.stop`
+        before draining the simulator to idle.
         """
         from repro.core.fleetmgr import FleetManager
 
@@ -281,19 +274,13 @@ class MarketplaceTestbed:
             self.chain.simulator,
             market=self.market,
             heartbeat_interval=heartbeat_interval,
-            suspect_beats=suspect_beats,
-            evict_beats=evict_beats,
         )
         if enroll:
-            overrides = capabilities or {}
             for vantage in sorted(self.agents):
-                manager.register(
-                    self.agents[vantage],
-                    capabilities=overrides.get(vantage),
-                )
+                manager.register(self.agents[vantage])
         return manager
 
-    def make_auditor(self, *, config=None, funding: int | None = None, obs=None):
+    def make_auditor(self, *, config=None, obs=None):
         """A funded, on-chain-registered :class:`~repro.core.audit.Auditor`.
 
         Wired to this testbed's ledger, market, simulator, and executor
@@ -307,7 +294,7 @@ class MarketplaceTestbed:
         if self.ledger.accounts.get(keypair.address) is None:
             self.ledger.create_account(
                 keypair,
-                balance=sui_to_mist(10) if funding is None else funding,
+                balance=AUDITOR_FUNDING,
                 label="auditor",
             )
         auditor = Auditor(

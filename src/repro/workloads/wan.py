@@ -33,7 +33,7 @@ from repro.netsim.ecmp import EcmpGroup, HashGranularity, Route
 from repro.netsim.endhost import Host
 from repro.netsim.engine import Simulator
 from repro.netsim.network import Network
-from repro.netsim.packet import Protocol
+from repro.netsim.packet import ECHO_PORT, Protocol
 from repro.netsim.routechurn import RouteChurnProcess, RouteShift
 from repro.netsim.topology import Topology
 from repro.netsim.trace import MeasurementTrace
@@ -44,6 +44,10 @@ from repro.netsim.treatment import ProtocolTreatment, TreatmentProfile
 #: of 0.2 ms each).
 INTERNAL_RTT_MS = 0.8
 _INTERNAL_DELAY = 0.2e-3
+#: Per-packet jitter (ms) added to each city's UDP on top of its routes.
+UDP_JITTER_MS = 0.35
+#: Simulated seconds each city link's route-churn schedule covers.
+HORIZON = 2 * 86400.0
 
 # Folded-normal moments: |N(0, j)| has mean 0.7979 j and std 0.6028 j; an
 # RTT crosses the channel twice.
@@ -71,7 +75,6 @@ class CitySpec:
     udp_routes: int = 4
     udp_spread_ms: float = 4.0
     udp_weighting: str = "uniform"  # or "triangular"
-    udp_jitter_ms: float = 0.35
     # Route churn: (rate per second, RTT delta range ms, protocols or None)
     churn_rate: float = 0.0
     churn_delta_ms: tuple[float, float] = (2.0, 6.0)
@@ -200,7 +203,7 @@ def _calibrated_treatment(
                 if direction == "forward"
                 else HashGranularity.SINGLE
             ),
-            extra_jitter=spec.udp_jitter_ms * 1e-3,
+            extra_jitter=UDP_JITTER_MS * 1e-3,
             base_drop=proto_spec.loss_pm / 2000.0,
         )
     jitter = proto_spec.std_ms / _FOLD_STD_RTT  # per-traversal, ms
@@ -223,7 +226,7 @@ def _udp_route_group(spec: CitySpec, seed: int) -> EcmpGroup:
         0.0,
         proto_spec.mean_ms
         - spec.base_rtt_ms
-        - 2.0 * _FOLD_MEAN * spec.udp_jitter_ms,
+        - 2.0 * _FOLD_MEAN * UDP_JITTER_MS,
     )
     count = spec.udp_routes
     if count == 1:
@@ -331,7 +334,6 @@ class WanScenario:
         cls,
         *,
         seed: int = 7,
-        horizon: float = 2 * 86400.0,
         cities: list[str] | None = None,
         obs=None,
     ) -> "WanScenario":
@@ -359,7 +361,7 @@ class WanScenario:
                 internal_jitter=0.02e-3,
                 seed=seed + spec.asn,
             )
-            link = build_city_link(spec, seed=seed + 100 + spec.asn, horizon=horizon)
+            link = build_city_link(spec, seed=seed + 100 + spec.asn, horizon=HORIZON)
             topology.connect(spec.asn, 1, LONDON_ASN, index + 1, link)
 
         network = Network(topology, simulator, seed=seed)
@@ -392,12 +394,12 @@ class WanScenario:
         *,
         probes_per_protocol: int = 4000,
         interval: float = 1.0,
-        start: float = 0.0,
         fast: bool = False,
         workers: int | None = None,
     ) -> dict[str, dict[Protocol, MeasurementTrace]]:
         """Run the §II experiment: concurrent 4-protocol probe trains from
-        every city toward London. Returns traces per city per protocol.
+        every city toward London, from simulated time 0. Returns traces
+        per city per protocol.
 
         The paper uses 86 400 probes (one per second for a day); the
         default here is scaled down. Probe *timing* still spans
@@ -416,7 +418,6 @@ class WanScenario:
             return self._run_protocol_study_fast(
                 probes_per_protocol=probes_per_protocol,
                 interval=interval,
-                start=start,
                 workers=workers,
             )
         obs = self.simulator.obs
@@ -426,7 +427,7 @@ class WanScenario:
                 self.london.address,
                 count=probes_per_protocol,
                 interval=interval,
-                start=start,
+                start=0.0,
                 label=name,
             )
             for name, host in self.city_hosts.items()
@@ -465,7 +466,6 @@ class WanScenario:
         *,
         probes_per_protocol: int,
         interval: float,
-        start: float,
         workers: int | None,
     ) -> dict[str, dict[Protocol, MeasurementTrace]]:
         """Vectorized twin of the event-driven study above.
@@ -479,6 +479,7 @@ class WanScenario:
 
         protocols = MultiProtocolProber.PROTOCOLS
         offset = MultiProtocolProber.STAGGER  # between consecutive trains
+        start = 0.0  # the event-driven study's start
         cells = []
         for name, host in self.city_hosts.items():
             for index, protocol in enumerate(protocols):
@@ -495,7 +496,7 @@ class WanScenario:
                         src_port=(
                             MultiProtocolProber.BASE_PORT + index if in_band else 0
                         ),
-                        dst_port=7 if in_band else 0,
+                        dst_port=ECHO_PORT if in_band else 0,
                         seed=cell_seed(self.seed, name, protocol.name),
                         label=f"{name}/{protocol.name}",
                     )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.chain.contract import Contract, ExecutionContext, entry
 from repro.chain.crypto import KeyPair
+from repro.chain.gas import REBATE_OBJECT_OVERHEAD
 from repro.chain.ledger import Ledger, Wallet
 from repro.chain.transaction import Transaction
 from repro.common.errors import (
@@ -232,4 +233,4 @@ class TestObjectRebate:
         before = wallet.balance
         free_receipt = wallet.must_call("freer", "free_it", object_id)
         rebate_received = wallet.balance - before + free_receipt.gas.total
-        assert rebate_received > ledger.gas_schedule.rebate_object_overhead
+        assert rebate_received > REBATE_OBJECT_OVERHEAD

@@ -10,6 +10,7 @@ import pytest
 
 from repro.chain import KeyPair, Ledger, Wallet, sui_to_mist
 from repro.chain.contract import Contract, ExecutionContext, entry
+from repro.chain.gas import COMPUTATION_FEE
 from repro.chaos import ChaosInjector
 from repro.common.errors import ChainError, ContractRevert, LedgerUnavailable
 from repro.contracts.debuglet_market import DebugletMarket, ExecutionSlot
@@ -155,7 +156,7 @@ class TestReadEqualsTransaction:
         receipt = tx_wallets["init"].must_call(MARKET, function, *args)
         assert answer == receipt.return_value
         # The transaction paid the flat computation fee; the read paid nothing.
-        assert receipt.gas.total == tx_ledger.gas_schedule.computation_fee
+        assert receipt.gas.total == COMPUTATION_FEE
         assert read_ledger.gas_burned + receipt.gas.total == tx_ledger.gas_burned
 
     @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """The ``python -m repro`` CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -123,6 +125,13 @@ SCENARIOS = [
               ["audit-demo", "--audit-rate", "1.0", "--sessions", "2"],
               lambda: demos.run_audit_demo(audit_rate=1.0, sessions=2),
               _audit_lines),
+    _scenario("quickstart-seed", ["quickstart", "--probes", "5", "--seed", "2"],
+              lambda: demos.run_quickstart(probes=5, seed=2), _quickstart_lines),
+    _scenario("audit-demo-probes",
+              ["audit-demo", "--audit-rate", "1.0", "--sessions", "2",
+               "--probes", "5"],
+              lambda: demos.run_audit_demo(audit_rate=1.0, sessions=2, probes=5),
+              _audit_lines),
     _scenario("fleet-demo", ["fleet-demo", "--probes", "5"],
               lambda: demos.run_fleet_demo(probes=5), _fleet_lines),
     _scenario("fig8", ["fig8", "--probes", "40"],
@@ -132,6 +141,12 @@ SCENARIOS = [
                "--strategy", "linear", "--probes", "8"],
               lambda: demos.run_localize(5, fault_link=2, strategy="linear",
                                          probes=8),
+              _localize_lines),
+    _scenario("localize-seed",
+              ["localize", "--ases", "5", "--fault-link", "2",
+               "--strategy", "linear", "--probes", "8", "--seed", "1"],
+              lambda: demos.run_localize(5, fault_link=2, strategy="linear",
+                                         probes=8, seed=1),
               _localize_lines),
 ]
 
@@ -279,6 +294,65 @@ class TestVerifyCommand:
 
     def test_missing_file(self, capsys):
         assert main(["verify", "/nonexistent/x.dasm"]) == 2
+
+
+#: The fleet-churn command CI runs: six vantage pairs, four of them churned.
+CHURN = ["loadgen", "--sessions", "100", "--executors", "12", "--initiators", "8",
+         "--churn", "--late", "1", "--drains", "1", "--crashes", "1", "--lost", "1",
+         "--verify", "--json"]
+
+
+def test_churn_at_the_defaults_launches_every_session(capsys):
+    """The two stable pairs offer a slot for every session, so none fails
+    to launch and the command exits 0."""
+    assert main(CHURN) == 0
+    report = json.loads(capsys.readouterr().out)["deterministic"]
+    assert (report["launch_failures"], report["completed"]) == (0, 100)
+    assert report["fleet"]["assigned_while_unsellable"] == 0
+
+
+def test_loadgen_seed_and_audit_rate_reach_the_report(capsys):
+    assert main(["loadgen", "--sessions", "40", "--executors", "8",
+                 "--initiators", "8", "--seed", "3", "--audit-rate", "0.5",
+                 "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["seed"], report["audit_rate"]) == (3, 0.5)
+    assert report["deterministic"]["audit"]["sessions_sampled"] > 0
+
+
+def test_placement_json_has_one_row_per_strategy(capsys):
+    from repro.core.placement import STRATEGIES
+
+    assert main(["placement", "--json"]) == 0
+    assert sorted(json.loads(capsys.readouterr().out)) == sorted(STRATEGIES)
+
+
+def test_wanbench_strategy_reaches_the_config(capsys):
+    assert main(["wanbench", "--ases", "120", "--episodes", "9", "--regions", "3",
+                 "--modes", "fast", "--strategy", "binary", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["strategy"] == "binary"
+
+
+#: Flags no test, CI step or document ran; what they set is a constant now.
+REMOVED_FLAGS = [
+    ["loadgen", "--window", "4.0"],
+    ["loadgen", "--shards", "16"],
+    ["loadgen", "--ramp", "30.0"],
+    ["loadgen", "--heartbeat", "2.0"],
+    ["loadgen", "--slot-factor", "3"],
+    ["fleet-demo", "--heartbeat", "5.0"],
+    ["placement", "--border-price", "100"],
+    ["placement", "--in-as-price", "60"],
+    ["wanbench", "--no-traffic"],
+]
+
+
+@pytest.mark.parametrize("argv", REMOVED_FLAGS, ids=lambda argv: " ".join(argv[:2]))
+def test_removed_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 @pytest.mark.wan

@@ -6,7 +6,12 @@ tokens, (c) executors run and report, collecting payment — over the real
 ledger, and prints the gas spent and token movement at each step.
 """
 
-from repro.chain.gas import mist_to_sui
+from repro.chain.gas import COMPUTATION_FEE, mist_to_sui
+from repro.core.marketplace import (
+    REQUEST_BANDWIDTH_MBPS,
+    REQUEST_CORES,
+    REQUEST_MEMORY_MB,
+)
 from repro.core.results import EchoMeasurement
 from repro.core.verification import ChainVerifier
 from repro.workloads.scenarios import MarketplaceTestbed
@@ -41,8 +46,9 @@ def _lookups_as_transactions(testbed, session):
     wallet = testbed.initiator.wallet
     calls = {
         "lookup_slot": (
-            *plan.client_vantage, *plan.server_vantage, plan.cores,
-            plan.memory_mb, plan.bandwidth_mbps, plan.duration, testbed.ledger.now,
+            *plan.client_vantage, *plan.server_vantage, REQUEST_CORES,
+            REQUEST_MEMORY_MB, REQUEST_BANDWIDTH_MBPS, plan.duration,
+            testbed.ledger.now,
         ),
         "lookup_result": (session.client_application,),
     }
@@ -94,7 +100,7 @@ def test_fig7_contract_lifecycle():
     # A lookup pays the flat computation fee and stores nothing; as a
     # transaction it answers exactly what the initiator's read answered.
     for receipt, answer in lookups.values():
-        assert receipt.gas.total == ledger.gas_schedule.computation_fee
+        assert receipt.gas.total == COMPUTATION_FEE
         assert receipt.return_value == answer
 
     # Both sides completed and the payment moved through escrow.

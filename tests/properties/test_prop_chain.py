@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain.crypto import KeyPair, verify_signature
-from repro.chain.gas import GasSchedule
+from repro.chain.gas import price
 from repro.core.deployment import analyze_deployment
 from repro.pathaware.segments import PathSegment
 from repro.netsim.topology import PathHop
@@ -33,17 +33,16 @@ class TestGasProperties:
            st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=80)
     def test_cost_monotone_in_size(self, a, b):
-        schedule = GasSchedule()
         small, large = sorted((a, b))
         assert (
-            schedule.price(stored_bytes=small).total
-            <= schedule.price(stored_bytes=large).total
+            price(stored_bytes=small).total
+            <= price(stored_bytes=large).total
         )
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=80)
     def test_rebate_below_total(self, size):
-        cost = GasSchedule().price(stored_bytes=size)
+        cost = price(stored_bytes=size)
         assert 0 <= cost.rebate < cost.total
 
 

@@ -43,7 +43,6 @@ CHURN = dict(
     drain_pairs=1,
     crash_pairs=1,
     lost_pairs=1,
-    slot_factor=3.0,
 )
 
 

@@ -55,7 +55,7 @@ class TestUdpRouteGroup:
         center = sum(offsets_ms) / len(offsets_ms)
         expected = (
             frankfurt.protocols[Protocol.UDP].mean_ms - frankfurt.base_rtt_ms
-            - 2 * wan._FOLD_MEAN * frankfurt.udp_jitter_ms
+            - 2 * wan._FOLD_MEAN * wan.UDP_JITTER_MS
         )
         assert center == pytest.approx(expected, abs=0.05)
 
