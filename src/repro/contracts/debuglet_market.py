@@ -838,8 +838,8 @@ def _verify_application_wire(ctx: ExecutionContext, wire: bytes, label: str) -> 
         + "; ".join(diag.render() for diag in report.errors),
     )
     # Purchase is the first time most modules are seen; translating here
-    # warms the process-wide compile cache so executor admission and every
-    # session VM afterwards reuse the compiled module by hash.
+    # puts the compiled form in the module's shared analysis, so executor
+    # admission and every session VM afterwards reuse it by hash.
     from repro.sandbox.compile import get_compiled
 
     get_compiled(module)

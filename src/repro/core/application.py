@@ -55,8 +55,8 @@ class DebugletApplication:
         overrides the sandbox execution tier (default: the process-wide
         :data:`repro.sandbox.program.DEFAULT_TIER`, normally "auto" —
         the compiled tier with reference fallback); the translation is
-        shared through the compile cache, so per-session instantiation
-        is a hash lookup.
+        kept in the module's shared analysis, so per-session
+        instantiation is a hash lookup.
         """
         if self.module is not None:
             return VMProgram(

@@ -268,25 +268,22 @@ class Executor:
         the executor never trusts that the marketplace (or anyone else)
         already ran the verifier. In ``strict`` mode any verification
         error is a :class:`PolicyViolation`; in ``warn`` mode the module
-        is admitted and the VM's runtime traps are the backstop; ``off``
-        skips the verifier entirely.
+        is admitted and the VM's runtime traps are the backstop.
         """
         self.policy.admit(application.manifest)
         if application.module is not None:
             application.manifest.validate_module(application.module)
-            if self.policy.verification != "off":
-                report = verify_module(
-                    application.module, application.manifest, self.policy
+            report = verify_module(
+                application.module, application.manifest, self.policy
+            )
+            if not report.ok and self.policy.verification == "strict":
+                raise PolicyViolation(
+                    "bytecode failed ahead-of-time verification: "
+                    + "; ".join(diag.render() for diag in report.errors)
                 )
-                if not report.ok and self.policy.verification == "strict":
-                    raise PolicyViolation(
-                        "bytecode failed ahead-of-time verification: "
-                        + "; ".join(diag.render() for diag in report.errors)
-                    )
-            # Warm the process-wide compile cache at admission so every
-            # session VM for this module starts from a hash lookup
-            # (repro.sandbox.compile; unprovable modules are cached as
-            # reference-tier and never re-analysed).
+            # Compile at admission so every session VM for this module
+            # starts from a hash lookup: the compiled form, or why there
+            # is none, is kept in the module's shared analysis.
             from repro.sandbox.compile import get_compiled
 
             get_compiled(application.module, obs=self.obs)
@@ -843,12 +840,13 @@ class Executor:
         Work lost to the crash stays lost — the control plane's deadlines,
         refunds, and failover are what recover the *session*.
 
-        The process-wide compile cache (repro.sandbox.compile) is
-        deliberately NOT invalidated across restart: entries are keyed by
-        ``Module.code_hash()`` and translation is a pure function of the
-        bytecode, so a warm entry is exactly as trustworthy after a crash
-        as before it — re-admitting a previously-seen module after
-        restart hits the cache and re-executes bit-identically. What a
+        The process-wide analysis cache, compiled forms included
+        (repro.sandbox.verifier.analysis), is deliberately NOT invalidated
+        across restart: entries are keyed by ``Module.code_hash()`` and
+        analysis and translation are pure functions of the bytecode, so a
+        warm entry is exactly as trustworthy after a crash as before it —
+        re-admitting a previously-seen module after restart hits the cache
+        and re-executes bit-identically. What a
         crash *does* lose is everything execution-scoped: run queues,
         sockets, in-flight program state, uncertified results.
         """

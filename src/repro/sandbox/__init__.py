@@ -9,10 +9,8 @@ overhead comparison.
 
 from repro.sandbox.assembler import AssemblyError, assemble
 from repro.sandbox.compile import (
-    CompileCache,
     CompiledModule,
     CompileUnsupported,
-    compile_cache,
     compile_module,
     get_compiled,
 )
@@ -57,7 +55,6 @@ from repro.sandbox.vm import VM, Done, HostCall
 __all__ = [
     "AssemblyError",
     "BufferSpec",
-    "CompileCache",
     "CompileUnsupported",
     "CompiledModule",
     "Diagnostic",
@@ -84,7 +81,6 @@ __all__ = [
     "VMProgram",
     "VerificationReport",
     "assemble",
-    "compile_cache",
     "compile_module",
     "decode_result_pairs",
     "get_compiled",

@@ -81,10 +81,13 @@ trap type, message, ``fuel_used`` and final memory, and keeps handling
 the session from there. The fast tier never reconstructs trap details; it only
 detects that one is coming.
 
-Process-wide, modules are compiled once: :func:`get_compiled` keys a
-small LRU cache by ``Module.code_hash()``, so the marketplace's
-``purchase_slot``, ``Executor.admit``, and every per-session VM share one
-translation. Cache traffic is exported as ``vm_compile_cache_hits_total``
+Process-wide, modules are compiled once: the compiled form (or the
+reason there is none) is one more entry of the module's shared
+:class:`~repro.sandbox.verifier.analysis.ModuleAnalysis`, keyed by
+``Module.code_hash()`` like the proofs it is built from, and
+:func:`get_compiled` reads it, so the marketplace's ``purchase_slot``,
+``Executor.admit``, and every per-session VM share one translation.
+Cache traffic is exported as ``vm_compile_cache_hits_total``
 / ``vm_compile_cache_misses_total`` counters, a ``vm_compile_instructions``
 histogram of translated module sizes and — only in runs that degrade — a
 ``vm_compile_unsupported_total{reason}`` counter for modules forced onto
@@ -107,6 +110,7 @@ from typing import Any
 from repro.sandbox.hostops import HOST_OPS
 from repro.sandbox.isa import Instruction, Op
 from repro.sandbox.module import CACHE_CAPACITY, ENTRY_POINT, Function, Module
+from repro.sandbox.verifier.analysis import ModuleAnalysis
 from repro.sandbox.verifier.facts import (
     FactsUnavailable,
     FunctionFacts,
@@ -751,8 +755,8 @@ def _factory(
         if factory is not None:
             _FACTORIES.move_to_end(key)
             return factory
-    # Generate outside the lock, like CompileCache: pure, and a rare
-    # duplicate compile beats serialising every admission.
+    # Generate outside the lock, like the analysis stages: pure, and a
+    # rare duplicate compile beats serialising every admission.
     namespace: dict[str, Any] = {"__builtins__": {}}
     exec(compile(_source(module, facts), "<debuglet>", "exec"), namespace)
     factory = namespace["factory"]
@@ -778,122 +782,46 @@ def compile_module(module: Module) -> CompiledModule:
     return CompiledModule(module.code_hash(), functions, facts)
 
 
-# ------------------------------------------------------------------ cache
-
-
-class CompileCache:
-    """Process-wide LRU of compiled modules, keyed by bytecode hash.
-
-    Uncompilable modules are cached as the reason they were refused, so
-    the refusal is derived once, not once per session, and a run degraded
-    to the reference tier can say why. ``stats()`` exposes the counters
-    the marketplace-scenario tests assert on.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, CompiledModule | str] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._compiles = 0
-        self._unsupported = 0
-
-    def get(self, module: Module, obs=None) -> CompiledModule | None:
-        key = module.code_hash()
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                entry = self._entries[key]
-                self._hits += 1
-                self._record_obs(obs, module, entry)
-                return None if isinstance(entry, str) else entry
-        # Translate outside the lock: compilation is pure, and a rare
-        # duplicate translation beats serialising every admission.
-        try:
-            entry = compile_module(module)
-        except CompileUnsupported as exc:
-            entry = str(exc)
-        with self._lock:
-            if key in self._entries:
-                entry = self._entries[key]
-                self._entries.move_to_end(key)
-            else:
-                self._entries[key] = entry
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                if isinstance(entry, str):
-                    self._unsupported += 1
-                else:
-                    self._compiles += 1
-            self._misses += 1
-            self._record_obs(obs, module, entry)
-        return None if isinstance(entry, str) else entry
-
-    @staticmethod
-    def _record_obs(obs, module: Module, entry: CompiledModule | str) -> None:
-        """Count hit/miss per observability bundle, not per process.
-
-        The process cache outlives a scenario, so judging hit/miss
-        against it would make the second same-seed run emit different
-        counters than the first. Each bundle keeps its own seen-hash set,
-        and what is observed on first sight — the module's instruction
-        count, or the reason it cannot be compiled — depends on the
-        module alone, never on the wall clock, which keeps same-seed
-        exports byte-identical from one process to the next.
-        """
-        if obs is None:
-            return
-        seen = getattr(obs, "_vm_compile_seen", None)
-        if seen is None:
-            seen = set()
-            obs._vm_compile_seen = seen
-        key = module.code_hash()
-        if key in seen:
-            obs.metrics.counter("vm_compile_cache_hits_total").inc()
-            return
-        seen.add(key)
-        obs.metrics.counter("vm_compile_cache_misses_total").inc()
-        if isinstance(entry, str):
-            obs.metrics.counter(
-                "vm_compile_unsupported_total", reason=entry
-            ).inc()
-        else:
-            obs.metrics.histogram("vm_compile_instructions").observe(
-                module.instruction_count()
-            )
-
-    def stats(self) -> dict:
-        with self._lock:
-            lookups = self._hits + self._misses
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "compiles": self._compiles,
-                "unsupported": self._unsupported,
-                "entries": len(self._entries),
-                "hit_rate": self._hits / lookups if lookups else 0.0,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = self._misses = 0
-            self._compiles = self._unsupported = 0
-
-
-_CACHE = CompileCache()
-
-
-def compile_cache() -> CompileCache:
-    """The process-wide cache instance."""
-    return _CACHE
+# ------------------------------------------------------------ the per-hash entry
 
 
 def get_compiled(module: Module, obs=None) -> CompiledModule | None:
-    """Compiled form of ``module`` via the process cache.
+    """Compiled form of ``module``, from its shared analysis.
 
     Returns ``None`` when the module is not provable for the compiled
-    tier; callers fall back to the reference interpreter.
+    tier; callers fall back to the reference interpreter, and
+    ``ModuleAnalysis.of(module).compiled`` holds the reason.
     """
-    return _CACHE.get(module, obs=obs)
+    entry = ModuleAnalysis.of(module).compiled
+    if obs is not None:
+        _record_obs(obs, module, entry)
+    return None if isinstance(entry, str) else entry
+
+
+def _record_obs(obs, module: Module, entry: CompiledModule | str) -> None:
+    """Count hit/miss per observability bundle, not per process.
+
+    The analysis cache outlives a scenario, so judging hit/miss against
+    it would make the second same-seed run emit different counters than
+    the first. Each bundle keeps its own seen-hash set, and what is
+    observed on first sight — the module's instruction count, or the
+    reason it cannot be compiled — depends on the module alone, never on
+    the wall clock, which keeps same-seed exports byte-identical from one
+    process to the next.
+    """
+    seen = getattr(obs, "_vm_compile_seen", None)
+    if seen is None:
+        seen = set()
+        obs._vm_compile_seen = seen
+    key = module.code_hash()
+    if key in seen:
+        obs.metrics.counter("vm_compile_cache_hits_total").inc()
+        return
+    seen.add(key)
+    obs.metrics.counter("vm_compile_cache_misses_total").inc()
+    if isinstance(entry, str):
+        obs.metrics.counter("vm_compile_unsupported_total", reason=entry).inc()
+    else:
+        obs.metrics.histogram("vm_compile_instructions").observe(
+            module.instruction_count()
+        )

@@ -185,7 +185,7 @@ class ExecutorPolicy:
     ``verification`` selects how the executor treats the ahead-of-time
     bytecode verifier's verdict: ``"strict"`` (default) refuses modules
     with any verification error, ``"warn"`` admits them but relies on
-    the runtime traps, ``"off"`` skips static verification entirely.
+    the runtime traps. The verifier runs either way.
     """
 
     max_instructions: int = 100_000_000
@@ -199,10 +199,10 @@ class ExecutorPolicy:
     verification: str = "strict"
 
     def __post_init__(self) -> None:
-        if self.verification not in ("strict", "warn", "off"):
+        if self.verification not in ("strict", "warn"):
             raise ManifestError(
                 f"verification mode {self.verification!r} is not one of "
-                "'strict', 'warn', 'off'"
+                "'strict', 'warn'"
             )
 
     def admit(self, manifest: Manifest) -> None:

@@ -16,13 +16,13 @@ comparison results remember which local they tested (a *predicate
 token*), and a conditional jump meets the implied constraint into that
 local on each outgoing edge; an empty meet marks the edge infeasible.
 
-Per-function analysis is driven either standalone (the context-free stage
-of :mod:`.analysis`, read by capability inference and :mod:`.facts`) or
-by :mod:`.taint`'s module-level fixpoint, which
-supplies an :class:`AnalysisContext` — memory/global taint maps and
-interprocedural parameter/return summaries — and consumes the memory
-writes, global writes, call arguments, and host-call argument facts
-collected here.
+Per-function analysis is driven by :mod:`.taint`'s module-level
+fixpoint, which supplies an :class:`AnalysisContext` — memory/global
+taint maps and interprocedural parameter/return summaries — and consumes
+the memory writes, global writes, call arguments, and host-call argument
+facts collected here. That fixpoint is the one abstract interpretation of
+a module: capability inference, the verifier's report and the compiled
+tier's check elision all read its outcomes (:mod:`.analysis`).
 
 Three consumers read the result:
 
@@ -143,10 +143,9 @@ class FunctionSummary:
 class AnalysisContext:
     """Module-level facts the per-function analysis reads and feeds.
 
-    The context-free stage (read by capability inference and facts
-    gathering) passes no context: memory and global reads are then
-    *untainted* — sound for those consumers, which ignore taint — and
-    calls return TOP.
+    An empty context knows nothing of the module around the function:
+    arguments and call results are TOP, and memory and global reads are
+    *untainted* (no memory map is attached).
     """
 
     memory_taint: MemoryTaintMap | None = None
@@ -418,14 +417,12 @@ def analyze_function(
     module: Module,
     function: Function,
     cfg: FunctionCFG,
-    context: AnalysisContext | None = None,
+    context: AnalysisContext,
 ) -> FunctionAbstract:
     """Run the interval+taint analysis; requires a stack-valid function."""
     result = FunctionAbstract()
     if not function.code:
         return result
-    if context is None:
-        context = AnalysisContext()
     memory_limit = module.memory_size
     rows = _rows(module, function, cfg)
     successors = cfg.successors

@@ -21,18 +21,20 @@ Stages are lazy, and each assumes what the one before it established:
    those depths and the acyclic call graph, the worst-case value-stack
    depth along call chains (V203). The abstract interpreter pops without
    checking, so it only ever runs behind this.
-4. **context-free abstracts** — interval facts per function with unknown
-   arguments and callees: what capability inference and check elision
-   read. ``None`` unless stages 1 and 3 passed.
 5. **interprocedural dataflow** — :func:`.taint.analyze_module`, plus the
-   host-effect sequencing checks over it: what the report reads. ``None``
-   unless every earlier stage is free of errors (which also makes the
-   call graph acyclic, as the fixpoint requires).
+   host-effect sequencing checks over it: the module's one abstract
+   interpretation, at one context strength, read by all three readers
+   (host sites, access proofs, taint). ``None`` unless every earlier
+   stage is free of errors (which also makes the call graph acyclic, as
+   the fixpoint requires). The numbers follow DESIGN.md §7, which has
+   no stage 4.
 
 On top of the stages, :meth:`ModuleAnalysis.fuel` keeps the worst-case
 fuel estimate per ``(max_instructions, max_packets_received)`` pair a
 manifest asked with: the limits select the diagnostics, the bytecode
-decides the rest.
+decides the rest. And :attr:`ModuleAnalysis.compiled` keeps the compiled
+tier's form of the module, or the reason it has none
+(:func:`repro.sandbox.compile.get_compiled` is its reader).
 
 Results are immutable once computed and the cache is keyed by the hash of
 the module's own canonical encoding, computed by whoever asks: a hit is
@@ -44,7 +46,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from functools import cached_property
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.common.errors import SandboxError
 from repro.sandbox.hostops import HOST_OPS
@@ -58,11 +60,13 @@ from repro.sandbox.module import (
 from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier import effects as fx
 from repro.sandbox.verifier import taint as tt
-from repro.sandbox.verifier.absint import FunctionAbstract, analyze_function
 from repro.sandbox.verifier.cfg import FunctionCFG, build_cfg, tarjan_sccs
 from repro.sandbox.verifier.fuel import FuelEstimate, estimate_module_fuel
 from repro.sandbox.verifier.stackcheck import check_stack, stack_effect
 from repro.sandbox.vm import VM
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; compile reads this module
+    from repro.sandbox.compile import CompiledModule
 
 _LOCAL_OPS = (Op.LOCAL_GET, Op.LOCAL_SET, Op.LOCAL_TEE)
 
@@ -344,29 +348,12 @@ class ModuleAnalysis:
             ))
         return tuple(diags) + self.stack[0]
 
-    # ------------------------------------------- 4: context-free abstracts
-
-    @cached_property
-    def abstracts(self) -> dict[str, FunctionAbstract] | None:
-        """Each function interpreted alone — arguments, globals written
-        anywhere and call results unknown. None when the module is invalid
-        or its stack discipline unproven: there is then nothing sound to
-        interpret."""
-        if (
-            self.invalid is not None
-            or _has_error(self.structure)
-            or _has_error(self.stack[0])
-        ):
-            return None
-        return {
-            name: analyze_function(self.module, function, self.cfgs[name])
-            for name, function in self.module.functions.items()
-        }
-
     # ---------------------------------------- 5: interprocedural dataflow
 
     @cached_property
     def dataflow(self) -> tt.ModuleDataflow | None:
+        """The module's one abstract interpretation, every reader's source
+        of host sites and access proofs."""
         if _has_error(self.preflight):
             return None
         return tt.analyze_module(
@@ -416,3 +403,16 @@ class ModuleAnalysis:
             dataflow.outcomes,
         ))
         return tuple(diags)
+
+    # --------------------------------------------------- the compiled form
+
+    @cached_property
+    def compiled(self) -> CompiledModule | str:
+        """The compiled tier's form of the module, or why it has none
+        (:func:`repro.sandbox.compile.compile_module`'s refusal)."""
+        from repro.sandbox import compile as tier  # late: tier imports this
+
+        try:
+            return tier.compile_module(self.module)
+        except tier.CompileUnsupported as exc:
+            return str(exc)

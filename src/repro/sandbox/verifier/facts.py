@@ -13,9 +13,15 @@ runs no analysis of its own — and takes from it:
 - operand-stack discipline (no underflow, depth below the VM ceiling,
   consistent depths at joins), the per-instruction entry depths and the
   worst-case value-stack depth summed along call chains — stage 3;
-- the context-free interval facts that let individual bounds checks be
-  elided (:attr:`FunctionFacts.safe_accesses`,
-  :attr:`FunctionFacts.inbounds_accesses`) — stage 4.
+- the interval facts that let individual bounds checks be elided
+  (:attr:`FunctionFacts.safe_accesses`,
+  :attr:`FunctionFacts.inbounds_accesses`) — the interprocedural
+  dataflow of stage 5, the same one the verifier's report reads, so an
+  address passed as an argument is proven from its call sites. Only
+  functions the entry reaches are interpreted there, and only a
+  converged fixpoint proves anything: the other functions, and every
+  function of a module whose fixpoint did not converge, keep all their
+  checks.
 
 What it adds is what only the translator needs: globals representable as
 unsigned 64-bit values, and the *block layout* used for fuel
@@ -124,24 +130,6 @@ def gather_facts(module: Module) -> StaticFacts:
             f"{stack_diags[0].function}: operand-stack discipline not "
             f"provable ({stack_diags[0].message})"
         )
-    abstracts = analysis.abstracts
-    assert abstracts is not None  # valid, well-formed, stack-checked
-
-    per_function: dict[str, FunctionFacts] = {}
-    for name, function in module.functions.items():
-        abstract = abstracts[name]
-        safe = dict(abstract.safe_accesses) if abstract.converged else {}
-        inbounds = dict(abstract.inbounds_accesses) if abstract.converged else {}
-        leaders = block_leaders(function)
-        per_function[name] = FunctionFacts(
-            name=name,
-            leaders=leaders,
-            block_fuel=block_fuel(function, leaders),
-            safe_accesses=safe,
-            depth_in=dict(depth_in[name]),
-            inbounds_accesses=inbounds,
-        )
-
     _, call_depth, reentered = analysis.entry_walk
     if reentered is not None:
         raise FactsUnavailable(f"recursive call through {reentered!r}")
@@ -158,6 +146,26 @@ def gather_facts(module: Module) -> StaticFacts:
         raise FactsUnavailable(
             f"worst-case value-stack depth {value_stack_peak} exceeds the "
             f"ceiling of {VM.MAX_VALUE_STACK}"
+        )
+
+    dataflow = analysis.dataflow
+    outcomes = (
+        dataflow.outcomes if dataflow is not None and dataflow.converged
+        else {}
+    )
+    per_function: dict[str, FunctionFacts] = {}
+    for name, function in module.functions.items():
+        outcome = outcomes.get(name)
+        safe = {} if outcome is None else dict(outcome.safe_accesses)
+        inbounds = {} if outcome is None else dict(outcome.inbounds_accesses)
+        leaders = block_leaders(function)
+        per_function[name] = FunctionFacts(
+            name=name,
+            leaders=leaders,
+            block_fuel=block_fuel(function, leaders),
+            safe_accesses=safe,
+            depth_in=dict(depth_in[name]),
+            inbounds_accesses=inbounds,
         )
     return StaticFacts(
         functions=per_function,

@@ -16,9 +16,9 @@ the two entry points that read it and add what depends on who is asking:
   manifest's declarations and, when given, an executor policy's offer
   (V50x); and the manifest's **policy block** against the emission/send
   dataflow (V60x).
-- :func:`infer_capabilities` — the cheap question
-  ``Manifest.validate_module`` asks, answered from the context-free
-  abstracts alone.
+- :func:`infer_capabilities` — the question ``Manifest.validate_module``
+  asks, answered from the same host sites :func:`verify_module` reads,
+  with nobody's declarations to check them against.
 
 Every party still calls these itself and acts on its own report; a second
 identical derivation in the same process is simply answered from the
@@ -145,20 +145,18 @@ def infer_capabilities(module: Module) -> tuple[frozenset[str], bool]:
 
     Returns ``(capabilities, derivable)`` where ``derivable`` is False
     when some reachable network host call's protocol argument is not a
-    static constant (the true set may then be larger). Modules that fail
-    validation or the stack check yield ``(frozenset(), False)`` — nothing
-    provable, because nothing was interpreted.
+    static constant (the true set may then be larger). The host sites are
+    the ones :func:`verify_module` reads; a module that fails validation,
+    or whose dataflow stage did not run or did not converge, yields
+    ``(frozenset(), False)`` — nothing provable.
     """
     analysis = ModuleAnalysis.of(module)
-    abstracts = analysis.abstracts
-    if abstracts is None:
+    dataflow = analysis.dataflow
+    if (analysis.invalid is not None or dataflow is None
+            or not dataflow.converged):
         return frozenset(), False
     report = VerificationReport()
-    _check_capabilities(
-        [site for name in analysis.entry_walk[0]
-         for site in abstracts[name].host_sites],
-        None, None, report,
-    )
+    _check_capabilities(dataflow.host_sites(), None, None, report)
     # With nobody to compare against, the only possible error is a
     # protocol number no capability names (V502): not derivable either.
     return report.capabilities, report.capabilities_derivable and report.ok

@@ -160,14 +160,13 @@ class VM:
                 else _compiled_tier().get_compiled(module, obs=obs)
             )
             if compiled is None and tier == "compiled":
-                # Ask once more, for the reason: the refusal is read off
-                # the module's shared analysis, not derived again.
-                try:
-                    compiled = _compiled_tier().compile_module(module)
-                except _compiled_tier().CompileUnsupported as exc:
-                    raise SandboxError(
-                        f"module is not provable for the compiled tier: {exc}"
-                    ) from exc
+                # The refusal's reason is cached beside the compiled form.
+                from repro.sandbox.verifier.analysis import ModuleAnalysis
+
+                raise SandboxError(
+                    "module is not provable for the compiled tier: "
+                    f"{ModuleAnalysis.of(module).compiled}"
+                )
             if compiled is not None:
                 self._compiled = compiled
                 self.tier = "compiled"

@@ -10,24 +10,26 @@ does), and every execution record must replay bit-for-bit regardless of
 which tier produced the transcript.
 
 Also pins the executor-restart contract the audit trail depends on: the
-process-wide compile cache stays warm across a crash/restart, so
-re-admitted modules recompile zero times and re-execute identically.
+process-wide analysis cache, compiled forms included, stays warm across
+a crash/restart, so re-admitted modules recompile zero times and
+re-execute identically.
 """
 
 import pytest
 
+import repro.sandbox.compile as compile_ns
 import repro.sandbox.program as program_mod
 from repro.core.application import DebugletApplication
 from repro.core.audit import audit_record
 from repro.core.executor import executor_data_address
 from repro.netsim import Protocol
-from repro.sandbox.compile import compile_cache
 from repro.sandbox.programs import (
     echo_client,
     echo_server,
     oneway_receiver,
     oneway_sender,
 )
+from repro.sandbox.verifier.analysis import ModuleAnalysis
 from repro.workloads.scenarios import deployed_chain
 
 pytestmark = pytest.mark.byzantine
@@ -142,12 +144,26 @@ class TestTierDifferentialReplay:
 
 
 class TestRestartKeepsCompileCacheWarm:
-    def test_readmitted_module_recompiles_nothing(self):
+    def test_readmitted_module_recompiles_nothing(self, monkeypatch):
         # Crash the client executor mid-life, restart it, and run the
-        # same application again: the second run must be pure cache hits
-        # (zero new compiles) and still complete identically.
-        cache = compile_cache()
-        cache.clear()
+        # same application again: the second run must be pure hits on the
+        # modules' analyses (zero new compiles) and still complete
+        # identically.
+        counts = {"compiles": 0, "lookups": 0}
+        compile_module, lookup = compile_ns.compile_module, compile_ns.get_compiled
+
+        def counting_compile(module):
+            counts["compiles"] += 1
+            return compile_module(module)
+
+        def counting_lookup(module, obs=None):
+            counts["lookups"] += 1
+            return lookup(module, obs=obs)
+
+        monkeypatch.setattr(compile_ns, "compile_module", counting_compile)
+        monkeypatch.setattr(compile_ns, "get_compiled", counting_lookup)
+        with ModuleAnalysis._lock:
+            ModuleAnalysis._shared.clear()
         scenario, fleet = deployed_chain(3, seed=23, fleet_seed=23)
         path = scenario.registry.shortest(1, 3)
 
@@ -180,7 +196,7 @@ class TestRestartKeepsCompileCacheWarm:
 
         first = run_once()
         assert first.completed
-        warm = cache.stats()
+        warm = dict(counts)
         assert warm["compiles"] > 0
 
         executor = fleet.get(1, 2)
@@ -191,11 +207,10 @@ class TestRestartKeepsCompileCacheWarm:
 
         second = run_once()
         assert second.completed
-        after = cache.stats()
-        assert after["compiles"] == warm["compiles"], (
-            "restart must not cold-start the compile cache"
+        assert counts["compiles"] == warm["compiles"], (
+            "restart must not cold-start the compiled forms"
         )
-        assert after["hits"] > warm["hits"]
+        assert counts["lookups"] > warm["lookups"]
         # Warm-cache execution is just as auditable: the post-restart
         # transcript replays bit-for-bit (RTT values differ across runs
         # — later simulated time — so only the shape is comparable).

@@ -125,7 +125,9 @@ def _assert_same(module) -> int:
             continue
         cfg = staged.cfgs[name]
         expected = ref.analyze_function(module, function, cfg)
-        actual = absint.analyze_function(module, function, cfg)
+        actual = absint.analyze_function(
+            module, function, cfg, absint.AnalysisContext()
+        )
         assert _abstract(actual) == _abstract(expected), name
         compared += 1
     if not _has_error(staged.preflight):
@@ -146,7 +148,7 @@ class TestGenerated:
     @settings(max_examples=80, deadline=None)
     def test_expression_programs(self, exprs):
         module = _build_module(exprs)
-        assert _assert_same(module) == len(module.functions) == 4
+        assert _assert_same(module) == len(module.functions) == 5
 
     def test_raw_instruction_modules(self):
         """Most raw modules fail the stack stage; enough pass it that the

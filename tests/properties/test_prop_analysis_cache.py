@@ -11,8 +11,8 @@ fixpoint's result — only to the amount of work done.
   reference; both must produce the same ``ModuleDataflow``.
 * **Work count.** Wrapping ``absint.analyze_function`` from outside: a
   session whose bytecode this process has already analysed performs no
-  abstract interpretation at all, a fresh client port exactly one
-  context-free pass plus the fixpoint's rounds.
+  abstract interpretation at all, a fresh client port exactly the
+  fixpoint's rounds (there is no other pass).
 
 Programs come from the generator of ``test_prop_tier_equivalence`` (a first
 step of ROADMAP 5(a)) plus hand-written ones that force a late change
@@ -32,7 +32,6 @@ from repro.netsim.packet import Address, Protocol
 from repro.sandbox.assembler import assemble
 from repro.sandbox.manifest import ExecutorPolicy
 from repro.sandbox.programs import echo_client, echo_server
-from repro.sandbox.verifier import analysis as analysis_module
 from repro.sandbox.verifier import infer_capabilities, taint, verify_module
 from repro.sandbox.verifier.absint import (
     NO_TAINT,
@@ -396,7 +395,6 @@ class TestWorkCount:
             calls.append(args[1].name)
             return analyze_function(*args, **kwargs)
 
-        monkeypatch.setattr(analysis_module, "analyze_function", counting)
         monkeypatch.setattr(taint, "analyze_function", counting)
         _cold()
 
@@ -428,9 +426,8 @@ class TestWorkCount:
 
         session(8900)  # first sight of both programs
         assert session(8900) == 0
-        # A new port is new client bytecode: two functions interpreted
-        # context-free, then the fixpoint's first round over both and a
-        # confirming round that re-runs only the callee.
-        assert session(8901) == 5
-        assert sorted(calls[-5:-3]) == ["record_reply", "run_debuglet"]
+        # A new port is new client bytecode: the fixpoint's first round
+        # over both functions and a confirming round that re-runs only the
+        # callee.
+        assert session(8901) == 3
         assert calls[-3:] == ["record_reply", "run_debuglet", "record_reply"]

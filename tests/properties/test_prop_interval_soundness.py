@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sandbox.assembler import assemble
-from repro.sandbox.verifier.absint import analyze_function
+from repro.sandbox.verifier.absint import AnalysisContext, analyze_function
 from repro.sandbox.verifier.cfg import build_cfg
 from repro.sandbox.vm import VM, HostCall
 
@@ -80,7 +80,9 @@ def _render(steps, loop_iters: int) -> str:
 
 def _log_sites(module):
     function = module.functions["run_debuglet"]
-    outcome = analyze_function(module, function, build_cfg(function))
+    outcome = analyze_function(
+        module, function, build_cfg(function), AnalysisContext()
+    )
     assert outcome.converged
     return {
         site.instruction: site.arg_intervals[0]

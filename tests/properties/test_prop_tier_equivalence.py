@@ -8,7 +8,9 @@ constant memory accesses of both widths, globals, ``dup``/``swap``/
 range — counted loops of both shapes,
 branches, and calls into three helpers — one of which calls another
 that makes a host call, so a suspension crosses nested frames — with
-operands left live below the call's arguments), then run to completion
+operands left live below the call's arguments, plus a fourth that stores
+and loads at the address its caller passes, so that access is proven
+only from the call sites, by the interprocedural dataflow), then run to completion
 on both tiers under random fuel limits, host-result scripts, and
 embedder memory writes; where a script answers a ``net_recv`` with a
 size, the host writes a receive header (with a scripted sequence number)
@@ -226,6 +228,18 @@ class DoLoop:
         )
 
 
+class Slot:
+    """Store ``value`` through ``slot``, which stores and loads at the
+    address its caller passes, as ``record_reply`` does: the access is
+    proven in range (or not) only from the call sites' addresses."""
+
+    def __init__(self, addr: int, value) -> None:
+        self.addr, self.value = addr, value
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        return [f"push {self.addr}"] + self.value.render(ctx) + ["call slot"]
+
+
 class Call:
     def __init__(self, left, right, callee: str = "helper") -> None:
         self.left, self.right, self.callee = left, right, callee
@@ -261,6 +275,7 @@ _flat = st.recursive(
         ),
         # mostly in-range constant addresses, occasionally OOB (traps)
         st.tuples(_address, children).map(lambda t: Mem(*t)),
+        st.tuples(_address, children).map(lambda t: Slot(*t)),
         st.tuples(
             st.one_of(_address, st.integers(min_value=4090, max_value=4096)),
             children,
@@ -353,6 +368,8 @@ def _build_module(exprs) -> "Module":  # noqa: F821 - doc only
         ".func nested 2 1\n"
         "push 3\nlocal_get 0\nlocal_get 1\ncall hostly\nlocal_tee 2\n"
         "local_get 1\ncall helper\nadd\nlocal_get 2\nsub\nret\n.end\n"
+        ".func slot 2 0\n"
+        "local_get 0\nlocal_get 1\nstore64\nlocal_get 0\nload64\nret\n.end\n"
     )
     return assemble(source)
 
@@ -447,10 +464,14 @@ class TestStockPrograms:
     never bail."""
 
     def test_echo_programs_never_bail(self):
-        stocks = (
-            echo_client(Protocol.UDP, Address(20, 2), count=4, interval_us=1_000),
-            echo_server(Protocol.TCP, max_echoes=4, idle_timeout_us=5_000),
-        )
+        # every client whose record_reply accesses are proven from its
+        # call sites: three protocols x three counts
+        stocks = [
+            echo_client(protocol, Address(20, 2), count=count,
+                        interval_us=1_000)
+            for protocol in (Protocol.UDP, Protocol.TCP, Protocol.ICMP)
+            for count in (3, 20, 200)
+        ] + [echo_server(Protocol.TCP, max_echoes=4, idle_timeout_us=5_000)]
         for stock in stocks:
             for host_results in ([64], [-1], [7, 64, -1, 0]):
                 reference = _run_session(stock.module, "reference", 1_000_000,

@@ -6,8 +6,9 @@ what every party in the marketplace acts on, so a change to how their
 shared analysis is computed, staged or cached must not move a byte of
 what they return. The corpus: the four stock programs over three
 protocols and three sizes, the four vmbench modules, both ``repro verify``
-fixtures, one rejected module per diagnostic family, and one module per
-reason ``gather_facts`` refuses the compiled tier.
+fixtures, one rejected module per diagnostic family, one module per
+reason ``gather_facts`` refuses the compiled tier, and one whose
+protocol reaches ``net_send`` as a call argument.
 
 ``infer_capabilities`` is recorded only for modules that pass the
 structure and stack stages: on the others it was never specified (it
@@ -17,7 +18,14 @@ raised ``IndexError`` or read a garbage abstract stack), and
 The golden was generated at the commit *before* the analysis was shared;
 the six cases that pin the rules the host-op rows drive (V400 on
 ``result_bytes``, V602, V603 on ``net_reply``, V604, V606, V702) were
-recorded before those rules read the rows.
+recorded before those rules read the rows. It was regenerated once when
+capability inference and the compiled tier's access proofs moved from
+a context-free pass onto the interprocedural dataflow the report reads:
+the nine ``echo_client`` rows gained ``record_reply``'s argument-derived
+accesses, ``infer_capabilities`` proves nothing on the three modules the
+dataflow never runs on (recursion, call depth, value-stack peak), and the
+protocol-argument case was added. A second test holds the two
+capability readers to one answer on every case.
 A deliberate change to a diagnostic or a fact means regenerating it::
 
     PYTHONPATH=src python -m tests.sandbox.test_analysis_equivalence
@@ -37,6 +45,7 @@ from repro.sandbox.isa import Instruction, Op
 from repro.sandbox.manifest import DebugletPolicy, ExecutorPolicy, Manifest
 from repro.sandbox.module import BufferSpec, Function, Module
 from repro.sandbox.verifier import infer_capabilities, verify_module
+from repro.sandbox.verifier.analysis import ModuleAnalysis
 from repro.sandbox.verifier.facts import FactsUnavailable, gather_facts
 from repro.sandbox.vm import VM
 from tests.sandbox import test_effects, test_taint_policy, test_verifier
@@ -138,6 +147,28 @@ _REPLY_OVER_POLICY = """
     host net_reply
     drop
     push 0
+    ret
+.end
+"""
+
+
+#: the protocol number is ``send``'s argument: derivable only from the
+#: call site, so only an interprocedural analysis names the capability
+_PROTOCOL_ARGUMENT = """
+.memory 4096
+.buffer udp_send_buffer 0 64
+.func run_debuglet 0 0
+    push 17
+    call send
+    ret
+.end
+.func send 1 0
+    local_get 0
+    push 0
+    push 9000
+    push 0
+    push 8
+    host net_send
     ret
 .end
 """
@@ -262,6 +293,8 @@ def corpus() -> dict[str, tuple[Module, Manifest]]:
         cases[f"vmbench-{name}"] = (vmbench.workload_module(name)[0], manifest())
     for name in ("exfil", "clean_sender"):
         cases[f"fixture-{name}"] = _fixture(name)
+    cases["capability_protocol_argument"] = (
+        assemble(_PROTOCOL_ARGUMENT), manifest())
     cases.update(_rejected())
     cases.update(_facts_unavailable())
     return cases
@@ -325,6 +358,26 @@ def test_golden_covers_exactly_the_corpus(golden):
 @pytest.mark.parametrize("name", sorted(_CORPUS))
 def test_readers_match_golden(golden, name):
     assert snapshot(*_CORPUS[name]) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS))
+def test_infer_capabilities_agrees_with_verify_module(name):
+    """One context strength: wherever the dataflow proves anything,
+    ``infer_capabilities`` reports the capabilities and derivability the
+    report does; where it proves nothing, it says so."""
+    module, _ = _CORPUS[name]
+    analysis = ModuleAnalysis.of(module)
+    dataflow = analysis.dataflow
+    if (analysis.invalid is not None or dataflow is None
+            or not dataflow.converged):
+        assert infer_capabilities(module) == (frozenset(), False)
+        return
+    report = verify_module(module)
+    # an unsupported protocol number (V502) is a capability nobody can name
+    unnamed = any(diag.code == "V502" for diag in report.errors)
+    assert infer_capabilities(module) == (
+        report.capabilities, report.capabilities_derivable and not unnamed,
+    )
 
 
 def test_corpus_reaches_every_family_and_cause(golden):

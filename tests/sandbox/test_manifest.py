@@ -79,3 +79,11 @@ class TestExecutorPolicy:
         policy = ExecutorPolicy(max_duration=5.0)
         with pytest.raises(ManifestError, match="max_duration"):
             policy.admit(_manifest(max_duration=10.0))
+
+    @pytest.mark.parametrize("mode", ["off", "lax"])
+    def test_verification_is_strict_or_warn(self, mode):
+        # the verifier always runs at admission; a mode only says what a
+        # failed verdict costs, and there is no mode that skips it
+        assert ExecutorPolicy(verification="warn").verification == "warn"
+        with pytest.raises(ManifestError, match="verification mode"):
+            ExecutorPolicy(verification=mode)
