@@ -33,7 +33,7 @@ from typing import Any
 
 from repro.common.errors import ChainError
 from repro.common.ids import ObjectId
-from repro.common.serialize import canonical_encode
+from repro.common.serialize import canonical_encode, canonical_encode_spliced
 from repro.chain.merkle import hash_leaf, merkle_root_from_hashes
 
 DEFAULT_NUM_SHARDS = 16
@@ -66,12 +66,20 @@ class StoredObject:
     freed: bool = False
     # Cached leaf hash for the shard Merkle tree; invalidated on mutation.
     leaf_hash: bytes | None = field(default=None, repr=False, compare=False)
+    # ``data``'s encoding, made for ``size_bytes`` by the store's create or
+    # update and spent by the next leaf hash, so the data of an object is
+    # encoded once per write, not once for its size and again for its leaf.
+    data_encoding: bytes | None = field(default=None, repr=False, compare=False)
 
     def compute_leaf_hash(self) -> bytes:
         if self.leaf_hash is None:
+            encoded, self.data_encoding = self.data_encoding, None
+            if encoded is None:
+                encoded = canonical_encode(self.data)
             self.leaf_hash = hash_leaf(
-                canonical_encode(
-                    [self.object_id.hex(), self.kind, self.owner, self.data, self.freed]
+                canonical_encode_spliced(
+                    [self.object_id.hex(), self.kind, self.owner, None, self.freed],
+                    3, encoded,
                 )
             )
         return self.leaf_hash
@@ -165,7 +173,7 @@ class ObjectStore:
                 obj = self._shard(object_id)[object_id]
                 obj.data = old_data
                 obj.size_bytes = old_size
-                obj.leaf_hash = None
+                obj.leaf_hash = obj.data_encoding = None
             else:  # "free"
                 _, object_id = entry
                 obj = self._shard(object_id)[object_id]
@@ -182,8 +190,11 @@ class ObjectStore:
         shard = self._shard(object_id)
         if object_id in shard:
             raise ChainError(f"object {object_id} already exists")
-        size = len(canonical_encode(data))
-        obj = StoredObject(object_id, kind, owner, data, created_tx, size)
+        encoded = canonical_encode(data)
+        obj = StoredObject(
+            object_id, kind, owner, data, created_tx, len(encoded),
+            data_encoding=encoded,
+        )
         shard[object_id] = obj
         ids = self._sorted_ids[shard_of(object_id, self.num_shards)]
         if ids is not None:
@@ -213,7 +224,8 @@ class ObjectStore:
         if self._journal is not None:
             self._journal.append(("update", object_id, obj.data, old_size))
         obj.data = data
-        obj.size_bytes = len(canonical_encode(data))
+        obj.data_encoding = canonical_encode(data)
+        obj.size_bytes = len(obj.data_encoding)
         obj.leaf_hash = None
         self._touch(object_id)
         return old_size, obj.size_bytes

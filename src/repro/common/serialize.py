@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Sequence
 from typing import Any
 
 _TAG_NONE = b"N"
@@ -33,6 +34,22 @@ def canonical_encode(value: Any) -> bytes:
     """
     out = bytearray()
     _encode_into(out, value)
+    return bytes(out)
+
+
+def canonical_encode_spliced(items: Sequence[Any], index: int, encoded: bytes) -> bytes:
+    """``canonical_encode(list(items))`` with the item at ``index`` given by
+    its canonical encoding ``encoded`` (what ``items`` holds there is not
+    read). A list encodes as a header and then its items' encodings in
+    order, so an item encoded once already is copied in, not encoded again.
+    """
+    out = bytearray(_TAG_LIST)
+    out += len(items).to_bytes(4, "big")
+    for position, item in enumerate(items):
+        if position == index:
+            out += encoded
+        else:
+            _encode_into(out, item)
     return bytes(out)
 
 

@@ -804,7 +804,8 @@ class DebugletMarket(Contract):
 
 
 def _verify_application_wire(ctx: ExecutionContext, wire: bytes, label: str) -> None:
-    """Statically verify one shipped application; revert when it fails.
+    """Statically verify one shipped application and check its arguments
+    against the intervals its module declares; revert when either fails.
 
     Runs before any slot is consumed, so a rejected Debuglet costs the
     buyer nothing but gas. ``purchase_slot_hashed`` cannot do this — only
@@ -823,6 +824,7 @@ def _verify_application_wire(ctx: ExecutionContext, wire: bytes, label: str) -> 
         payload = json.loads(wire.decode("utf-8"))
         source = payload["source"]
         manifest = Manifest.from_dict(payload["manifest"])
+        args = payload.get("args", [])
     except Exception as exc:
         ctx.require(False, f"{label} application wire is malformed: {exc}")
         return
@@ -837,6 +839,13 @@ def _verify_application_wire(ctx: ExecutionContext, wire: bytes, label: str) -> 
         f"{label} bytecode failed verification: "
         + "; ".join(diag.render() for diag in report.errors),
     )
+    # The report holds for the arguments the module declares; these must
+    # be among them (the executor and the VM check the same again).
+    refusal = (
+        module.argument_error(args) if isinstance(args, list)
+        else f"args {args!r} is not a list"
+    )
+    ctx.require(refusal is None, f"{label} arguments refused: {refusal}")
     # Purchase is the first time most modules are seen; translating here
     # puts the compiled form in the module's shared analysis, so executor
     # admission and every session VM afterwards reuse it by hash.

@@ -1,20 +1,30 @@
 """Debuglet applications: what an initiator ships to an executor.
 
 Bundles the program (sandboxed module or native body), its manifest, the
-port it listens on, and the pinned forwarding path. Sandboxed applications
-serialize to a JSON wire format whose ``source`` is the assembly text —
-the analogue of shipping WA bytecode through the marketplace — and any
-executor can reassemble and run them. Native applications exist only as
-local baselines (Fig 8) and do not serialize.
+arguments its entry point starts with, the port it listens on, and the
+pinned forwarding path. Sandboxed applications serialize to a JSON wire
+format whose ``source`` is the assembly text — the analogue of shipping
+WA bytecode through the marketplace — and whose ``args`` are the
+session's own values; any executor can reassemble and run them. Native
+applications exist only as local baselines (Fig 8) and do not serialize.
+
+The bytecode is shared by every session of a measurement kind, and the
+arguments are what make a session its own (an echo client's port and
+pacing). So the module's code hash keys everything derived from the
+bytecode alone (the parse, the analysis, the compiled form), while
+:meth:`DebugletApplication.code_hash` — what an executor certifies and a
+verifier expects — covers the bytecode and the arguments together.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.errors import ConfigurationError, ManifestError
+from repro.common.serialize import canonical_encode
 from repro.netsim.topology import PathHop
 from repro.sandbox.assembler import assemble
 from repro.sandbox.manifest import Manifest
@@ -25,7 +35,14 @@ from repro.sandbox.programs import StockProgram
 
 @dataclass
 class DebugletApplication:
-    """One deployable measurement application."""
+    """One deployable measurement application.
+
+    ``args`` are what ``run_debuglet`` starts with; a module that declares
+    intervals for them is refused (at purchase, at admission, at
+    ``VM.start``) any argument outside one. Sessions of one measurement
+    kind share the module and differ only here, so :meth:`code_hash`
+    covers both.
+    """
 
     name: str
     manifest: Manifest
@@ -69,11 +86,15 @@ class DebugletApplication:
         return self.native_factory()
 
     def code_hash(self) -> bytes:
-        """What the executor certifies it ran."""
+        """What the executor certifies it ran: the bytecode's hash, bound
+        to the arguments when there are any (so a result certified for
+        one port or pacing does not pass for another)."""
         if self.module is not None:
-            return self.module.code_hash()
-        import hashlib
-
+            if not self.args:
+                return self.module.code_hash()
+            return hashlib.sha256(
+                self.module.code_hash() + canonical_encode(list(self.args))
+            ).digest()
         return hashlib.sha256(f"native:{self.name}".encode("utf-8")).digest()
 
     @property
@@ -130,6 +151,7 @@ class DebugletApplication:
             module=stock.module,
             listen_port=listen_port,
             path=path,
+            args=stock.args,
         )
 
 

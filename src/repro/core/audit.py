@@ -225,13 +225,17 @@ def audit_record(
     record: "ExecutionRecord",
     *,
     published_result: bytes | None = None,
+    purchased_args: tuple[int, ...] | None = None,
     obs=None,
 ) -> tuple[bool, list[str], ReplayReport]:
     """Full challenge–response audit of one execution record.
 
     Replays the transcript and checks the replayed emissions against the
-    published result bytes (default: the record's own). Returns
-    ``(ok, findings, report)``.
+    published result bytes (default: the record's own) and, when given,
+    the transcript's ``begin`` arguments against the purchased
+    application's: a transcript that replays cleanly proves what the code
+    computed from the arguments it was started with, not that they were
+    the ones bought. Returns ``(ok, findings, report)``.
     """
     if published_result is None:
         published_result = record.result
@@ -243,6 +247,17 @@ def audit_record(
         f"logged {m.expected!r}, replayed {m.actual!r}"
         for m in report.mismatches
     ]
+    if purchased_args is not None:
+        begun = next(
+            (tuple(entry[1]) for entry in record.interaction_log
+             if entry[0] == "begin"),
+            None,
+        )
+        if begun != tuple(purchased_args):
+            findings.append(
+                f"transcript begins with arguments {begun}, the purchased "
+                f"application's are {tuple(purchased_args)}"
+            )
     if report.ok and report.result != published_result:
         findings.append(
             f"published result ({len(published_result)} bytes, "
@@ -645,8 +660,13 @@ class Auditor:
                 if obs is not None:
                     obs.tracer.finish(span, outcome="no-transcript")
                 continue  # executor unknown to this auditor (e.g. synthetic)
+            purchased = None
+            if session.plan is not None:
+                purchased = (session.plan.client_app if role == "client"
+                             else session.plan.server_app).args
             ok, details, report = audit_record(
-                record, published_result=outcome.result, obs=None
+                record, published_result=outcome.result,
+                purchased_args=purchased, obs=None,
             )
             if obs is not None:
                 obs.metrics.counter(

@@ -201,7 +201,6 @@ class Executor:
         asn: int,
         interface: int,
         *,
-        policy: ExecutorPolicy | None = None,
         setup_jitter: float = 0.3e-3,
         concurrent_capacity: int = 8,
         seed: int = 0,
@@ -210,7 +209,8 @@ class Executor:
         self.asn = asn
         self.interface = interface
         self.keypair = KeyPair.deterministic(f"executor-{asn}-{interface}")
-        self.policy = policy or ExecutorPolicy()
+        #: the AS's admission policy; an operator replaces it whole
+        self.policy = ExecutorPolicy()
         self.setup_jitter = setup_jitter
         if concurrent_capacity < 1:
             raise ConfigurationError("concurrent_capacity must be >= 1")
@@ -266,9 +266,9 @@ class Executor:
 
         Sandboxed bytecode is additionally re-verified ahead of time —
         the executor never trusts that the marketplace (or anyone else)
-        already ran the verifier. In ``strict`` mode any verification
-        error is a :class:`PolicyViolation`; in ``warn`` mode the module
-        is admitted and the VM's runtime traps are the backstop.
+        already ran the verifier — and any verification error, or an
+        argument the module does not admit, is a :class:`PolicyViolation`.
+        Nothing that fails either check runs.
         """
         self.policy.admit(application.manifest)
         if application.module is not None:
@@ -276,11 +276,14 @@ class Executor:
             report = verify_module(
                 application.module, application.manifest, self.policy
             )
-            if not report.ok and self.policy.verification == "strict":
+            if not report.ok:
                 raise PolicyViolation(
                     "bytecode failed ahead-of-time verification: "
                     + "; ".join(diag.render() for diag in report.errors)
                 )
+            refusal = application.module.argument_error(list(application.args))
+            if refusal is not None:
+                raise PolicyViolation(f"arguments refused: {refusal}")
             # Compile at admission so every session VM for this module
             # starts from a hash lookup: the compiled form, or why there
             # is none, is kept in the module's shared analysis.

@@ -5,24 +5,29 @@ The source format, one item per line (``;`` starts a comment):
 .. code-block:: text
 
     .memory 65536
+    .arg 0 100                     ; lo, hi of run_debuglet's next parameter
     .buffer udp_send_buffer 0 1024
     .buffer udp_recv_buffer 1024 1056
     .global counter 0
-    .func run_debuglet 0 2        ; name, n_params, n_locals
-        push 10
-        local_set 0
+    .func run_debuglet 1 1        ; name, n_params, n_locals
+        local_get 0
+        local_set 1
     loop:                          ; labels end with ':'
-        local_get 0
+        local_get 1
         jz done
-        local_get 0
+        local_get 1
         push 1
         sub
-        local_set 0
+        local_set 1
         jmp loop
     done:
         push 0
         ret
     .end
+
+Each ``.arg`` declares the interval of one ``run_debuglet`` parameter,
+in order; a module declares one per parameter or none (see
+:class:`~repro.sandbox.module.Module`).
 
 Numeric immediates may be decimal (optionally negative) or ``0x`` hex.
 Jumps take label names; the assembler resolves them to instruction
@@ -102,6 +107,7 @@ def _parse(source: str) -> Module:
     buffers: dict[str, BufferSpec] = {}
     globals_: dict[str, int] = {}
     functions: dict[str, Function] = {}
+    arg_intervals: list[tuple[int, int]] = []
 
     current: Function | None = None
     labels: dict[str, int] = {}
@@ -120,6 +126,13 @@ def _parse(source: str) -> Module:
                 if len(tokens) != 2:
                     raise AssemblyError(line_no, ".memory takes one argument")
                 memory_size = _parse_int(tokens[1], line_no)
+                continue
+            if head == ".arg":
+                if len(tokens) != 3:
+                    raise AssemblyError(line_no, ".arg takes lo and hi")
+                arg_intervals.append(
+                    (_parse_int(tokens[1], line_no), _parse_int(tokens[2], line_no))
+                )
                 continue
             if head == ".buffer":
                 if len(tokens) != 4:
@@ -263,6 +276,7 @@ def _parse(source: str) -> Module:
         buffers=buffers,
         globals=globals_,
         source=source,
+        arg_intervals=tuple(arg_intervals),
     )
     module.validate()
     return module

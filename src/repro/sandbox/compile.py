@@ -64,8 +64,9 @@ of an outer factory ``def``, bound per module; function names never
 appear at all. The source executes with empty builtins, so it can reach
 nothing it is not handed.
 
-**One** :func:`compile` **per shape.** Ports and pacing make every
-marketplace session's code hash new, but not its shape. The factory is
+**One** :func:`compile` **per shape.** Modules that differ only in
+push immediates (echo clients of two probe counts in one memory size)
+differ in code hash, but not in shape. The factory is
 memoised in an LRU of :data:`~repro.sandbox.module.CACHE_CAPACITY`
 entries keyed by everything the generated text is a function of: the
 instruction sequence with push immediates masked, memory size, function

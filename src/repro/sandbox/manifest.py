@@ -180,12 +180,9 @@ class ExecutorPolicy:
     """An AS's admission policy for foreign Debuglets (§IV-B).
 
     A manifest is admitted only if every declared requirement fits under
-    the policy's ceilings and every requested capability is offered.
-
-    ``verification`` selects how the executor treats the ahead-of-time
-    bytecode verifier's verdict: ``"strict"`` (default) refuses modules
-    with any verification error, ``"warn"`` admits them but relies on
-    the runtime traps. The verifier runs either way.
+    the policy's ceilings and every requested capability is offered. The
+    bytecode itself is judged by the verifier, whose verdict no policy
+    overrides: ``Executor.admit`` refuses any module that fails it.
     """
 
     max_instructions: int = 100_000_000
@@ -196,14 +193,6 @@ class ExecutorPolicy:
     max_result_bytes: int = 1024 * 1024
     offered_capabilities: tuple[str, ...] = KNOWN_CAPABILITIES
     blocked_asns: frozenset[int] = frozenset()
-    verification: str = "strict"
-
-    def __post_init__(self) -> None:
-        if self.verification not in ("strict", "warn"):
-            raise ManifestError(
-                f"verification mode {self.verification!r} is not one of "
-                "'strict', 'warn'"
-            )
 
     def admit(self, manifest: Manifest) -> None:
         """Raise :class:`ManifestError` when the manifest is inadmissible."""

@@ -5,11 +5,21 @@ paper's ``udp_send_buffer``-style namespaces), globals, and functions. The
 entry point must be called ``run_debuglet`` (§IV-B). ``encoded()`` gives
 the canonical byte representation used for on-chain storage costs and the
 code hash that executors certify.
+
+A module may also declare an interval ``[lo, hi]`` for each of the entry
+point's parameters (``arg_intervals``, the assembler's ``.arg``
+directive). The intervals are part of the encoding, the verifier proves
+the module over every argument they admit, and every gate that starts a
+session refuses arguments outside them (:meth:`Module.argument_error`).
+One bytecode then serves every session of a measurement kind, with the
+per-session values (a port, a pacing) passed as arguments. A module that
+declares none takes any arguments of the right count.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from repro.common.errors import SandboxError
@@ -78,6 +88,8 @@ class Module:
     buffers: dict[str, BufferSpec] = field(default_factory=dict)
     globals: dict[str, int] = field(default_factory=dict)
     source: str = ""
+    #: ``(lo, hi)`` per entry-point parameter, or empty: no declaration
+    arg_intervals: tuple[tuple[int, int], ...] = ()
 
     def validate(self) -> None:
         """Check structural invariants; raise :class:`SandboxError` if bad."""
@@ -98,6 +110,44 @@ class Module:
                 raise SandboxError(
                     f"buffer {buffer.name} [{buffer.offset}, {buffer.end}) exceeds memory"
                 )
+        if self.arg_intervals:
+            n_params = self.functions[ENTRY_POINT].n_params
+            if len(self.arg_intervals) != n_params:
+                raise SandboxError(
+                    f"{len(self.arg_intervals)} argument interval(s) declared "
+                    f"for {ENTRY_POINT}'s {n_params} parameter(s)"
+                )
+            for index, (lo, hi) in enumerate(self.arg_intervals):
+                if not -(1 << 63) <= lo <= hi < 1 << 63:
+                    raise SandboxError(
+                        f"argument {index} interval [{lo}, {hi}] is empty or "
+                        "outside the signed 64-bit range"
+                    )
+
+    def argument_error(self, args: Sequence[object]) -> str | None:
+        """Why ``run_debuglet(*args)`` may not start; None when it may.
+
+        The one check behind every gate that starts a session (the
+        contract at purchase, ``Executor.admit``, ``VM.start``): the
+        count must match the entry point's parameters and, where the
+        module declares intervals, each argument must be an integer
+        inside its own. The verifier's proofs assume exactly this.
+        """
+        entry = self.functions.get(ENTRY_POINT)
+        n_params = 0 if entry is None else entry.n_params
+        if len(args) != n_params:
+            return f"{ENTRY_POINT} expects {n_params} args, got {len(args)}"
+        for index, value in enumerate(args):
+            if isinstance(value, bool) or not isinstance(value, int):
+                return f"argument {index} is not an integer: {value!r}"
+            if self.arg_intervals:
+                lo, hi = self.arg_intervals[index]
+                if not lo <= value <= hi:
+                    return (
+                        f"argument {index} = {value} is outside its "
+                        f"declared interval [{lo}, {hi}]"
+                    )
+        return None
 
     def buffer(self, *names: str) -> BufferSpec:
         """First declared buffer among ``names`` (protocol-specific first)."""
@@ -141,28 +191,30 @@ class Module:
         return cached
 
     def _encode(self) -> bytes:
-        return canonical_encode(
-            {
-                "memory": self.memory_size,
-                "buffers": [
-                    [b.name, b.offset, b.size]
-                    for b in sorted(self.buffers.values(), key=lambda b: b.name)
-                ],
-                "globals": {k: v for k, v in sorted(self.globals.items())},
-                "functions": [
+        fields: dict[str, object] = {
+            "memory": self.memory_size,
+            "buffers": [
+                [b.name, b.offset, b.size]
+                for b in sorted(self.buffers.values(), key=lambda b: b.name)
+            ],
+            "globals": {k: v for k, v in sorted(self.globals.items())},
+            "functions": [
+                [
+                    f.name,
+                    f.n_params,
+                    f.n_locals,
                     [
-                        f.name,
-                        f.n_params,
-                        f.n_locals,
-                        [
-                            [i.op.value, i.arg if i.arg is not None else ""]
-                            for i in f.code
-                        ],
-                    ]
-                    for f in sorted(self.functions.values(), key=lambda f: f.name)
-                ],
-            }
-        )
+                        [i.op.value, i.arg if i.arg is not None else ""]
+                        for i in f.code
+                    ],
+                ]
+                for f in sorted(self.functions.values(), key=lambda f: f.name)
+            ],
+        }
+        if self.arg_intervals:
+            # only when declared, so a module without them keeps its hash
+            fields["args"] = [list(bounds) for bounds in self.arg_intervals]
+        return canonical_encode(fields)
 
     def code_hash(self) -> bytes:
         """SHA-256 of the canonical encoding; what executors certify.
@@ -193,6 +245,8 @@ def disassemble(module: "Module") -> str:
     preserved; jump targets become ``L<index>`` labels).
     """
     lines: list[str] = [f".memory {module.memory_size}"]
+    for lo, hi in module.arg_intervals:
+        lines.append(f".arg {lo} {hi}")
     for buffer in sorted(module.buffers.values(), key=lambda b: b.offset):
         lines.append(f".buffer {buffer.name} {buffer.offset} {buffer.size}")
     for name, value in sorted(module.globals.items()):

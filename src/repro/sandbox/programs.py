@@ -4,7 +4,9 @@ These are the reproduction's equivalents of the paper's Rust-to-WA sample
 Debuglets (§V-A): an echo client that measures RTT and loss, an echo
 server, and a one-way sender/receiver pair for unidirectional measurements
 (§III). Each factory returns the compiled module plus a manifest sized to
-the requested workload.
+the requested workload, and the entry arguments it starts with: the echo
+client takes its port and pacing as arguments, so one bytecode serves
+every client of a ``(protocol, count, size)``.
 
 Result encoding convention (shared by the native twins): the output buffer
 is a sequence of i64 little-endian values, in (key, value) pairs —
@@ -39,13 +41,19 @@ from repro.sandbox.module import Module
 DEFAULT_TIMEOUT_US = 2_000_000
 DEFAULT_DRAIN_US = 2_000_000
 
+#: The longest interval, receive timeout or drain an echo client accepts
+#: as an argument: one hour, the default executor policy's duration cap.
+MAX_WAIT_US = 3_600_000_000
+
 
 @dataclass(frozen=True)
 class StockProgram:
-    """A compiled module with its matching manifest."""
+    """A compiled module with its matching manifest and the arguments its
+    entry point is started with (empty for a module that takes none)."""
 
     module: Module
     manifest: Manifest
+    args: tuple[int, ...] = ()
 
 
 def _align(value: int, boundary: int = 64) -> int:
@@ -88,6 +96,16 @@ def echo_client(
     in time crosses the sandbox boundary five times (``now_us``,
     ``net_send``, ``net_recv``, ``now_us``, ``sleep_until_us``), a lost
     one four.
+
+    One bytecode serves every client of a measurement kind, the
+    ``(protocol, count, size)`` that shape its memory and its loop: the
+    port and the pacing (``dst_port``, ``interval_us``, ``timeout_us``,
+    ``drain_us``) are ``run_debuglet``'s arguments, in that order, each
+    declared in an interval (``[0, 65535]`` for the port, up to
+    :data:`MAX_WAIT_US` for the others) that the verifier proves the
+    module over and every gate that starts a session checks. They travel
+    as :attr:`StockProgram.args`; only the manifest's duration budget
+    depends on them.
     """
     if count <= 0:
         raise SandboxError("count must be positive")
@@ -103,8 +121,12 @@ def echo_client(
     seq_addr = recv_off + 16
 
     source = f"""
-; echo client: {proto} x{count} to contact 0, {size}B every {interval_us}us
+; echo client: {proto} x{count} to contact 0, {size}B probes
 .memory {memory}
+.arg 0 65535        ; arguments: destination port,
+.arg 0 {MAX_WAIT_US}   ; probe interval,
+.arg 1 {MAX_WAIT_US}   ; reply timeout and
+.arg 1 {MAX_WAIT_US}   ; drain, in us
 .buffer {proto}_send_buffer {send_off} {send_size}
 .buffer {proto}_recv_buffer {recv_off} {recv_size}
 
@@ -130,77 +152,77 @@ def echo_client(
     ret
 .end
 
-.func run_debuglet 0 4        ; locals: i, start, next pair, recv size
+.func run_debuglet 4 4        ; locals: i, start, next pair, recv size
     push {out_off}
-    local_set 2
+    local_set 6
     host now_us
-    local_set 1               ; start = now
+    local_set 5               ; start = now
 loop:
-    local_get 0
+    local_get 4
     push {count}
     ges
     jnz drain                 ; all probes sent
-    local_get 0
+    local_get 4
     push 8
     mul
     host now_us
     store64                   ; table[i] = now (send timestamp)
     push {protocol.wire_number}
     push 0
-    push {dst_port}
     local_get 0
+    local_get 4
     push {size}
     host net_send
     drop
     push {protocol.wire_number}
-    push {timeout_us}
+    local_get 2
     host net_recv
     push 0
     lts
     jnz no_reply              ; timeout: loss recorded implicitly
-    local_get 2
+    local_get 6
     push {out_last}
     gts
     jnz no_reply              ; output region full
-    local_get 2
+    local_get 6
     call record_reply
-    local_get 2
+    local_get 6
     add
-    local_set 2
+    local_set 6
 no_reply:
-    local_get 0
+    local_get 4
     push 1
     add
-    local_tee 0
-    push {interval_us}
-    mul
+    local_tee 4
     local_get 1
+    mul
+    local_get 5
     add
     host sleep_until_us       ; until start + (i + 1) * interval
     drop
     jmp loop
 drain:
     push {protocol.wire_number}
-    push {drain_us}
-    host net_recv
-    local_set 3
     local_get 3
+    host net_recv
+    local_set 7
+    local_get 7
     push 0
     lts
     jnz done
-    local_get 2
+    local_get 6
     push {out_last}
     gts
     jnz drain
-    local_get 2
+    local_get 6
     call record_reply
-    local_get 2
+    local_get 6
     add
-    local_set 2
+    local_set 6
     jmp drain
 done:
     push {out_off}
-    local_get 2
+    local_get 6
     push {out_off}
     sub
     host result_bytes         ; publish the output region
@@ -225,7 +247,9 @@ done:
             allowed_protocols=(proto,),
         ),
     )
-    return StockProgram(module, manifest)
+    return StockProgram(
+        module, manifest, (dst_port, interval_us, timeout_us, drain_us)
+    )
 
 
 def echo_server(

@@ -11,9 +11,11 @@ depends on who is asking (manifest limits, executor policy).
 
 Stages are lazy, and each assumes what the one before it established:
 
-1. **validity / structure** — ``Module.validate`` and the V10x checks
-   (entry point, well-formed instructions, jumps, names and indices that
-   resolve). Everything below indexes by those names without looking.
+1. **validity / structure** — the V10x checks (entry point, well-formed
+   instructions, jumps, names and indices that resolve) and, for any
+   refusal of ``Module.validate`` none of them names (a buffer past the
+   memory, argument intervals that do not fit the entry point), V110.
+   Everything below indexes by those names without looking.
 2. **call graph and CFGs** — the callee map, its bottom-up order and
    cycles, what the entry point reaches and how deep; per-function CFGs
    with dead code (V102), recursion (V103), call depth (V104).
@@ -24,9 +26,10 @@ Stages are lazy, and each assumes what the one before it established:
 5. **interprocedural dataflow** — :func:`.taint.analyze_module`, plus the
    host-effect sequencing checks over it: the module's one abstract
    interpretation, at one context strength, read by all three readers
-   (host sites, access proofs, taint). ``None`` unless every earlier
-   stage is free of errors (which also makes the call graph acyclic, as
-   the fixpoint requires). The numbers follow DESIGN.md §7, which has
+   (host sites, access proofs, taint); the entry's parameters start at
+   their declared intervals, TOP where none are declared. ``None`` unless
+   every earlier stage is free of errors (which also makes the call graph
+   acyclic, as the fixpoint requires). The numbers follow DESIGN.md §7, which has
    no stage 4.
 
 On top of the stages, :meth:`ModuleAnalysis.fuel` keeps the worst-case
@@ -76,7 +79,15 @@ def _has_error(diagnostics: tuple[d.Diagnostic, ...]) -> bool:
 
 
 class ModuleAnalysis:
-    """Everything the verifier knows about one module from its bytecode."""
+    """Everything the verifier knows about one module from its bytecode.
+
+    The bytecode includes the intervals the module declares for its entry
+    arguments (``Module.arg_intervals``, part of its encoding): stage 5
+    proves the module over every argument they admit, and every gate that
+    starts a session refuses the rest. Sessions that differ only in their
+    arguments (an echo client's port and pacing) therefore share one
+    entry, so the cache holds one analysis per measurement kind.
+    """
 
     _CAPACITY: ClassVar[int] = CACHE_CAPACITY
     _shared: ClassVar[OrderedDict[bytes, ModuleAnalysis]] = OrderedDict()
@@ -180,6 +191,13 @@ class ModuleAnalysis:
                     diags.append(d.error(
                         d.UNKNOWN_GLOBAL, f"unknown global {arg!r}", name, index,
                     ))
+        if not _has_error(tuple(diags)) and self.invalid is not None:
+            # What no finding above names (a buffer past the memory, an
+            # argument interval that does not fit the entry point): the
+            # VM would refuse to construct, so the verdict must too.
+            diags.append(d.error(
+                d.MODULE_INVALID, f"module fails validation: {self.invalid}",
+            ))
         return tuple(diags)
 
     # -------------------------------------------------- 2: call graph, CFGs

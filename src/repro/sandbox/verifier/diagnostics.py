@@ -23,6 +23,7 @@ MISSING_ENTRY_POINT = "V106"
 BAD_LOCAL_INDEX = "V107"
 UNKNOWN_GLOBAL = "V108"
 MALFORMED_INSTRUCTION = "V109"
+MODULE_INVALID = "V110"
 
 # ------------------------------------------------------------------- stack
 STACK_UNDERFLOW = "V200"

@@ -35,7 +35,9 @@ The policy checks then prove, per reachable host site, that
 - ``net_send``/``net_reply`` sizes are provably within the send buffer
   (V602, intrinsic — a provable runtime trap) and the policy's
   ``max_send_size`` (V603);
-- ``net_send`` ports and contact indices are in range (V604, V605);
+- ``net_send`` ports and contact indices are in range (V604, V605; a
+  port bounded on both sides must lie in [0, 65535], a port always
+  outside it is only warned about);
 - every derivable protocol is in the policy's allow-list (V606).
 
 A declared-but-unused emission source is reported as info (V607).
@@ -49,10 +51,11 @@ from typing import TYPE_CHECKING
 from repro.common.errors import SandboxError
 from repro.sandbox.hostops import HOST_OPS, protocol_buffer, protocol_from_number
 from repro.sandbox.isa import Op
-from repro.sandbox.module import Module
+from repro.sandbox.module import ENTRY_POINT, Module
 from repro.sandbox.verifier import diagnostics as d
 from repro.sandbox.verifier.absint import (
     NO_TAINT,
+    AbsVal,
     AnalysisContext,
     FunctionAbstract,
     FunctionSummary,
@@ -63,6 +66,7 @@ from repro.sandbox.verifier.absint import (
     join_vals,
 )
 from repro.sandbox.verifier.cfg import FunctionCFG
+from repro.sandbox.verifier.intervals import INT_MAX, INT_MIN, Interval
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sandbox.manifest import Manifest
@@ -203,6 +207,12 @@ def analyze_module(
     memory = MemoryTaint(module.memory_size)
     result = ModuleDataflow(memory_taint=memory)
     context = AnalysisContext(memory_taint=memory)
+    if module.arg_intervals:
+        # The entry's parameters hold what every gate that starts a
+        # session admits (``Module.argument_error``), and no more.
+        context.param_values[ENTRY_POINT] = tuple(
+            AbsVal(Interval(lo, hi)) for lo, hi in module.arg_intervals
+        )
     codes = {name: module.functions[name].code for name in reachable}
     globals_read = {
         name: sorted({str(i.arg) for i in code if i.op is Op.GLOBAL_GET})
@@ -426,6 +436,17 @@ def _check_send_site(
         diags.append(d.warning(
             d.SEND_PORT_OUT_OF_RANGE,
             f"{site.op} destination port {port.render()} is always "
+            f"outside [0, 65535]",
+            site.function, site.instruction,
+        ))
+    elif (port is not None and INT_MIN < port.lo and port.hi < INT_MAX
+            and not port.within(*_VALID_PORT)):
+        # A port bounded on both sides comes from a declaration (an
+        # argument interval) or arithmetic on one; a bound that reaches
+        # past the valid range admits runs that address no port.
+        diags.append(d.error(
+            d.SEND_PORT_OUT_OF_RANGE,
+            f"{site.op} destination port {port.render()} may fall "
             f"outside [0, 65535]",
             site.function, site.instruction,
         ))

@@ -174,16 +174,20 @@ class VM:
     # ------------------------------------------------------------ control
 
     def start(self, args: list[int] | None = None) -> "HostCall | Done":
-        """Begin executing ``run_debuglet(*args)``."""
+        """Begin executing ``run_debuglet(*args)``.
+
+        Refuses arguments the module does not admit (a wrong count, or a
+        value outside a declared interval) on both tiers alike: the
+        verifier's proofs, which the compiled tier spends, assume them.
+        """
         if self._started:
             raise SandboxError("VM already started")
         self._started = True
         entry = self.module.functions[ENTRY_POINT]
         args = [int(a) for a in (args or [])]
-        if len(args) != entry.n_params:
-            raise SandboxError(
-                f"{ENTRY_POINT} expects {entry.n_params} args, got {len(args)}"
-            )
+        refusal = self.module.argument_error(args)
+        if refusal is not None:
+            raise SandboxError(refusal)
         if self._compiled is not None:
             runner = partial(self._compiled_start, args)
         else:

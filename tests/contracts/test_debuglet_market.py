@@ -257,6 +257,28 @@ class TestPurchaseVerification:
         assert len(market.available_slots(20, 2)) == 1
         assert wallets["init"].balance == before - receipt.gas.total
 
+    @pytest.mark.parametrize("port", [-1, 65_536])
+    def test_argument_past_its_interval_reverts_before_escrow(
+        self, market_setup, port,
+    ):
+        import json
+
+        ledger, market, wallets = market_setup
+        _offer_default_slots(wallets)
+        found = _lookup(wallets)
+        before = wallets["init"].balance
+        payload = json.loads(CLIENT_WIRE.decode("utf-8"))
+        payload["args"][0] = port  # the port is declared in [0, 65535]
+        wire = json.dumps(payload, sort_keys=True).encode("utf-8")
+        receipt = self._try_purchase(wallets, found, wire)
+        assert not receipt.success
+        assert "client arguments refused" in receipt.status
+        assert f"argument 0 = {port}" in receipt.status
+        assert ledger.contract_balances.get("debuglet_market", 0) == 0
+        assert len(market.available_slots(10, 1)) == 1
+        assert len(market.available_slots(20, 2)) == 1
+        assert wallets["init"].balance == before - receipt.gas.total
+
     def test_unverifiable_program_reverts(self, market_setup):
         import json
 

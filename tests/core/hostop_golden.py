@@ -30,6 +30,13 @@ Every pair's ``runs/*`` entries and the ``chaos`` key moved once more when
 each channel's draws split into one stream per kind: the lossy link drops
 and delays other packets, so transcripts, results, fuel and op counters
 moved with them; ``runs/every_op`` stayed byte-identical.
+The echo pairs' client ``log`` digests and the ``chaos`` key moved once
+more when the echo client's port and pacing became entry arguments: its
+transcript's ``begin`` entry carries them, and its wire (priced by the
+byte, hashed into transaction digests) carries them and their ``.arg``
+declarations; every ``result``, ``fuel_used``, replay and op counter
+stayed as recorded, since a ``local_get`` costs the fuel of the ``push``
+it replaced.
 
 Check: ``python -m tests.core.hostop_golden --check`` (exit 1 and the
 names that moved). Regenerate (no argument) only on a deliberate change

@@ -154,7 +154,9 @@ class TestManifestEnforcement:
             contacts=(),  # nothing declared
             capabilities=("udp",),
         )
-        app = DebugletApplication("cli", manifest, module=stock.module)
+        app = DebugletApplication(
+            "cli", manifest, module=stock.module, args=stock.args
+        )
         record = ex_a.submit(app)
         sim.run_until_idle()
         assert record.failed
@@ -225,7 +227,9 @@ class TestManifestEnforcement:
             contacts=stock.manifest.contacts,
             capabilities=("udp",),
         )
-        app = DebugletApplication("cli", manifest, module=stock.module)
+        app = DebugletApplication(
+            "cli", manifest, module=stock.module, args=stock.args
+        )
         record = ex_a.submit(app)
         sim.run_until_idle()
         assert record.failed
@@ -288,24 +292,21 @@ class TestManifestEnforcement:
         assert record.failed
         assert "result exceeds" in record.status
 
-    def test_fuel_exhaustion_fails_execution(self, two_as_network):
-        # A spin loop is statically rejected in strict mode; run the
-        # executor in "warn" mode to prove the runtime fuel trap still
-        # backstops whatever the verifier lets through.
-        sim, topo, net, _, _ = two_as_network
-        ex_warn = Executor(
-            net, 1, 1, seed=1, policy=ExecutorPolicy(verification="warn")
-        )
+    def test_fuel_exhaustion_fails_execution(self):
+        # A spin loop fails verification (V302), so no executor admits it
+        # (next test); the runtime fuel trap that backstops the verifier
+        # is driven on the program itself, on both tiers.
+        from repro.common.errors import FuelExhausted
+        from repro.sandbox.program import VMProgram
+
         source = ".memory 4096\n.func run_debuglet 0 0\nloop:\njmp loop\n.end"
-        manifest = Manifest(
-            max_instructions=1000, max_duration=10.0, max_memory_bytes=4096,
-            max_packets_sent=0, max_packets_received=0, capabilities=(),
-        )
-        app = DebugletApplication("spin", manifest, module=assemble(source))
-        record = ex_warn.submit(app)
-        sim.run_until_idle()
-        assert record.failed
-        assert "fuel" in record.status
+        spent = set()
+        for tier in ("reference", "auto"):
+            program = VMProgram(assemble(source), fuel_limit=1000, tier=tier)
+            with pytest.raises(FuelExhausted, match="fuel"):
+                program.begin([])
+            spent.add(program.fuel_used)
+        assert spent == {1001}  # the instruction past the limit traps
 
     def test_unverifiable_program_rejected_in_strict_mode(self, two_as_network):
         from repro.common.errors import PolicyViolation

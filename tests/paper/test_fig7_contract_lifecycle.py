@@ -23,7 +23,7 @@ QUOTED_GAS_SUI = {
     "register_executor": "0.00939",
     "register_time_slot": "0.00939",
     "lookup_slot": "0.00939",
-    "purchase_slot": "0.12146",
+    "purchase_slot": "0.12559",
     "result_ready": "0.03498",
     "lookup_result": "0.00939",
 }

@@ -11,8 +11,10 @@ fixpoint's result — only to the amount of work done.
   reference; both must produce the same ``ModuleDataflow``.
 * **Work count.** Wrapping ``absint.analyze_function`` from outside: a
   session whose bytecode this process has already analysed performs no
-  abstract interpretation at all, a fresh client port exactly the
-  fixpoint's rounds (there is no other pass).
+  abstract interpretation at all — a client on a fresh port or pacing
+  included, since those are arguments — and a new measurement kind (a
+  new probe count) exactly the fixpoint's rounds (there is no other
+  pass).
 
 Programs come from the generator of ``test_prop_tier_equivalence`` (a first
 step of ROADMAP 5(a)) plus hand-written ones that force a late change
@@ -35,12 +37,14 @@ from repro.sandbox.programs import echo_client, echo_server
 from repro.sandbox.verifier import infer_capabilities, taint, verify_module
 from repro.sandbox.verifier.absint import (
     NO_TAINT,
+    AbsVal,
     AnalysisContext,
     FunctionSummary,
     analyze_function,
     join_vals,
 )
 from repro.sandbox.verifier.analysis import ModuleAnalysis
+from repro.sandbox.verifier.intervals import Interval
 from repro.workloads.scenarios import MarketplaceTestbed
 from tests.properties.test_prop_tier_equivalence import _build_module, _program
 from tests.sandbox.test_analysis_equivalence import _facts
@@ -124,6 +128,10 @@ def _reference_analyze_module(module, cfgs, reachable, interpret):
         memory_taint=taint.MemoryTaint(module.memory_size)
     )
     context = AnalysisContext(memory_taint=result.memory_taint)
+    if module.arg_intervals:  # the entry's declared arguments, seeded alike
+        context.param_values["run_debuglet"] = tuple(
+            AbsVal(Interval(lo, hi)) for lo, hi in module.arg_intervals
+        )
     memory = result.memory_taint
 
     for _ in range(taint._MAX_ITERATIONS):
@@ -401,7 +409,7 @@ class TestWorkCount:
         testbed = MarketplaceTestbed.build(2, seed=21)
         path = testbed.chain.registry.shortest(1, 2)
 
-        def session(port: int) -> int:
+        def session(port: int, count: int = 4) -> int:
             before = len(calls)
             server_app = DebugletApplication.from_stock(
                 "srv",
@@ -412,7 +420,8 @@ class TestWorkCount:
             client_app = DebugletApplication.from_stock(
                 "cli",
                 echo_client(Protocol.UDP, executor_data_address(2, 1),
-                            count=4, interval_us=20_000, dst_port=port),
+                            count=count, interval_us=20_000 + port,
+                            dst_port=port),
                 path=path.as_list(),
             )
             run = testbed.initiator.request_measurement(
@@ -426,8 +435,10 @@ class TestWorkCount:
 
         session(8900)  # first sight of both programs
         assert session(8900) == 0
-        # A new port is new client bytecode: the fixpoint's first round
-        # over both functions and a confirming round that re-runs only the
+        # A new port and pacing are new arguments, not new bytecode.
+        assert session(8901) == 0
+        # A new probe count is a new kind: the fixpoint's first round over
+        # both functions and a confirming round that re-runs only the
         # callee.
-        assert session(8901) == 3
+        assert session(8902, count=3) == 3
         assert calls[-3:] == ["record_reply", "run_debuglet", "record_reply"]

@@ -10,7 +10,10 @@ branches, and calls into three helpers — one of which calls another
 that makes a host call, so a suspension crosses nested frames — with
 operands left live below the call's arguments, plus a fourth that stores
 and loads at the address its caller passes, so that access is proven
-only from the call sites, by the interprocedural dataflow), then run to completion
+only from the call sites, by the interprocedural dataflow; a second generator
+adds two declared entry arguments, an address and a trip count, so an
+access and a loop bound are proven only from the arguments' intervals, and
+runs each program at both ends of them), then run to completion
 on both tiers under random fuel limits, host-result scripts, and
 embedder memory writes; where a script answers a ``net_recv`` with a
 size, the host writes a receive header (with a scripted sequence number)
@@ -55,9 +58,9 @@ RECV_OFF, RECV_SIZE = 64, 96
 class _Ctx:
     """Fresh labels and local slots while rendering one program."""
 
-    def __init__(self) -> None:
+    def __init__(self, first_local: int = 0) -> None:
         self.labels = 0
-        self.next_local = 0
+        self.next_local = first_local
 
     def label(self) -> str:
         self.labels += 1
@@ -240,6 +243,39 @@ class Slot:
         return [f"push {self.addr}"] + self.value.render(ctx) + ["call slot"]
 
 
+class ArgMem:
+    """Store ``value`` at the address entry argument 0 holds and load it
+    back: the access is proven in range (or not) only from the argument's
+    declared interval."""
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        return (["local_get 0"] + self.value.render(ctx)
+                + ["store64", "local_get 0", "load64"])
+
+
+class ArgLoop:
+    """acc = sum of ``body`` over as many iterations as entry argument 1
+    says: the loop's bound is the argument's declared interval."""
+
+    def __init__(self, body) -> None:
+        self.body = body
+
+    def render(self, ctx: _Ctx) -> list[str]:
+        i, acc = ctx.locals_pair()
+        head, end = ctx.label(), ctx.label()
+        return (
+            ["push 0", f"local_set {acc}", "local_get 1", f"local_set {i}",
+             f"{head}:", f"local_get {i}", f"jz {end}"]
+            + self.body.render(ctx)
+            + [f"local_get {acc}", "add", f"local_set {acc}",
+               f"local_get {i}", "push 1", "sub", f"local_set {i}",
+               f"jmp {head}", f"{end}:", f"local_get {acc}"]
+        )
+
+
 class Call:
     def __init__(self, left, right, callee: str = "helper") -> None:
         self.left, self.right, self.callee = left, right, callee
@@ -319,6 +355,30 @@ _expr = st.one_of(
 
 _program = st.lists(_expr, min_size=1, max_size=3)
 
+#: programs that read their two entry arguments (an address, a trip
+#: count), at least once, beside ordinary expressions
+_arg_expr = st.one_of(
+    _flat.map(ArgMem),
+    _flat.map(ArgLoop),
+    _flat.map(lambda e: ArgLoop(ArgMem(e))),
+)
+_arg_program = st.tuples(_arg_expr, st.lists(_expr, max_size=2)).map(
+    lambda t: [t[0], *t[1]]
+)
+
+
+def _interval(lo: int, hi: int):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(
+        lambda t: tuple(sorted(t))
+    )
+
+
+#: the address argument's declared interval: inside memory (the access
+#: is proven and its check elided), or reaching past it (checked; the
+#: far end traps)
+_address_interval = st.one_of(_interval(0, 4088), _interval(0, 5000))
+_count_interval = _interval(0, 12)
+
 _fuel = st.sampled_from((3, 17, 64, 257, 4_000, 1_000_000))
 
 _host_results = st.lists(
@@ -345,22 +405,26 @@ _writes = st.lists(
 )
 
 
-def _build_module(exprs) -> "Module":  # noqa: F821 - doc only
-    ctx = _Ctx()
+def _build_module(exprs, arg_intervals=()) -> "Module":  # noqa: F821 - doc only
+    """The program as ``run_debuglet``, taking one entry argument per
+    declared interval."""
+    n_params = len(arg_intervals)
+    ctx = _Ctx(first_local=n_params)
     lines: list[str] = []
     for position, expr in enumerate(exprs):
         lines.extend(expr.render(ctx))
         if position:
             lines.append("add")
     body = "\n".join(lines)
-    n_locals = max(ctx.next_local, 1)
+    n_locals = max(ctx.next_local - n_params, 1)
+    declared = "".join(f".arg {lo} {hi}\n" for lo, hi in arg_intervals)
     source = (
-        ".memory 4096\n"
+        f".memory 4096\n{declared}"
         f".buffer udp_send_buffer {SEND_OFF} {SEND_SIZE}\n"
         f".buffer udp_recv_buffer {RECV_OFF} {RECV_SIZE}\n"
         ".global g 18446744073709551615\n"
         ".global h 9223372036854775808\n"
-        f".func run_debuglet 0 {n_locals}\n{body}\nret\n.end\n"
+        f".func run_debuglet {n_params} {n_locals}\n{body}\nret\n.end\n"
         ".func helper 2 0\n"
         "local_get 0\nlocal_get 1\nxor\npush 7\nadd\nret\n.end\n"
         ".func hostly 2 0\n"
@@ -374,10 +438,11 @@ def _build_module(exprs) -> "Module":  # noqa: F821 - doc only
     return assemble(source)
 
 
-def _run_session(module, tier, fuel, host_results, writes, recv_seqs=(0,)):
+def _run_session(module, tier, fuel, host_results, writes, recv_seqs=(0,),
+                 args=()):
     """One full session as a comparable trace of every observable."""
     return _session(VM(module, fuel_limit=fuel, tier=tier), tier,
-                    host_results, writes, recv_seqs)
+                    host_results, writes, recv_seqs, args)
 
 
 def _payload(vm, step) -> bytes | None:
@@ -402,10 +467,10 @@ def _deliver(vm, step, size: int, seq: int) -> None:
     vm.write_memory(recv.offset, header + payload)
 
 
-def _session(vm, tier, host_results, writes, recv_seqs=(0,)):
+def _session(vm, tier, host_results, writes, recv_seqs=(0,), args=()):
     trace: list = [("tier", vm.tier)] if tier == "reference" else []
     try:
-        step = vm.start([])
+        step = vm.start(list(args))
         calls = replies = 0
         while isinstance(step, HostCall):
             trace.append(("host", step.name, step.args, vm.fuel_used,
@@ -459,6 +524,41 @@ class TestTierEquivalence:
         assert threaded == compiled
 
 
+class TestArgumentIntervals:
+    """Addresses and loop bounds that come from declared entry arguments:
+    the verifier proves the module over the whole interval, so the two
+    ends are where a wrong proof would show."""
+
+    @given(_arg_program, _address_interval, _count_interval, _fuel,
+           _host_results, _writes, _recv_seqs)
+    @settings(max_examples=100, deadline=None)
+    def test_both_interval_ends_are_bit_identical(
+        self, exprs, address, count, fuel, host_results, writes, recv_seqs,
+    ):
+        module = _build_module(exprs, (address, count))
+        for args in ((address[0], count[0]), (address[1], count[1])):
+            reference = _run_session(module, "reference", fuel, host_results,
+                                     writes, recv_seqs, args)
+            fast_vm = VM(module, fuel_limit=fuel, tier="auto")
+            assert fast_vm.tier == "compiled"
+            compiled = _session(fast_vm, "auto", host_results, writes,
+                                recv_seqs, args)
+            assert reference[1:] == compiled, (args, reference, compiled)
+            if not any(row[0] == "trap" for row in reference):
+                assert fast_vm._delegate is None, reference
+            assert fast_vm.bail_reason != "access", (args, reference)
+
+    def test_the_declaration_is_what_proves_the_access(self):
+        from repro.sandbox.verifier.analysis import ModuleAnalysis
+
+        exprs = [ArgMem(Lit(5))]
+        proven = ModuleAnalysis.of(_build_module(exprs, ((8, 800), (0, 1))))
+        accesses = proven.dataflow.outcomes["run_debuglet"].inbounds_accesses
+        assert sorted(set(accesses.values())) == [(8, 800)]
+        unproven = ModuleAnalysis.of(_build_module(exprs, ((8, 8000), (0, 1))))
+        assert not unproven.dataflow.outcomes["run_debuglet"].inbounds_accesses
+
+
 class TestStockPrograms:
     """The echo pair, driven by scripted hosts, never trap and so must
     never bail."""
@@ -475,11 +575,12 @@ class TestStockPrograms:
         for stock in stocks:
             for host_results in ([64], [-1], [7, 64, -1, 0]):
                 reference = _run_session(stock.module, "reference", 1_000_000,
-                                         host_results, [])
+                                         host_results, [], args=stock.args)
                 assert not any(row[0] == "trap" for row in reference)
                 vm = VM(stock.module, fuel_limit=1_000_000, tier="auto")
                 assert vm.tier == "compiled"
-                assert _session(vm, "auto", host_results, []) == reference[1:]
+                assert _session(vm, "auto", host_results, [],
+                                args=stock.args) == reference[1:]
                 assert vm._delegate is None
 
     def test_client_output_region_survives_excess_replies(self):
@@ -494,11 +595,12 @@ class TestStockPrograms:
         host_results = [0] * (1 + count * 4) + [8] * 20 + [-1]
         for recv_seqs in ([0, 1, 2, 3], [3, -1, 2 ** 63 - 1, -(2 ** 63), 9]):
             reference = _run_session(stock.module, "reference", 1_000_000,
-                                     host_results, [], recv_seqs)
+                                     host_results, [], recv_seqs, stock.args)
             assert not any(row[0] == "trap" for row in reference)
             vm = VM(stock.module, fuel_limit=1_000_000, tier="auto")
             assert vm.tier == "compiled"
-            compiled = _session(vm, "auto", host_results, [], recv_seqs)
+            compiled = _session(vm, "auto", host_results, [], recv_seqs,
+                                stock.args)
             assert compiled == reference[1:]
             assert vm._delegate is None
             [published] = [row[4] for row in compiled

@@ -12,11 +12,15 @@ once:
 * one fuel estimate per distinct ``(code hash, max_instructions,
   max_packets_received)``;
 * no more abstract interpretation than the one interprocedural fixpoint
-  every reader reads (client 3 runs, server 2);
-* one ``compile_module`` and no ``compile()`` at all for a second fresh
-  session on a new port: its client bytecode is new, but its shape is
-  not, so the compiled tier binds the new immediates to the factory the
-  first session compiled, and keeps the result in the client's analysis.
+  every reader reads (client 3 runs, server 2).
+
+A second session of the same kind (same protocol, probe count and size)
+on a new port and a new pacing does none of this work: 0 parses, 0
+``Module._encode``, 0 ``analyze_function``, 0 ``compile_module`` and 0
+``compile()``. Its port and pacing are the client's entry arguments, so
+its bytecode is the first session's, and its admission is an interval
+check plus cache hits; only what covers the arguments (the application's
+code hash, which the certificate signs) is new.
 
 Calls are counted through wrappers; nothing is timed.
 """
@@ -79,12 +83,15 @@ def test_one_fresh_session_derives_each_fact_once(monkeypatch):
     monkeypatch.setattr(taint, "analyze_function", counting_analyze)
     with ModuleAnalysis._lock:
         ModuleAnalysis._shared.clear()
+    with assembler._parsed_lock:
+        assembler._parsed.clear()
 
     testbed = MarketplaceTestbed.build(2, seed=29)
     path = testbed.chain.registry.shortest(1, 2)
 
-    def session(port: int):
-        # Parameters no other test uses: bytecode this process has not seen.
+    def session(port: int, interval_us: int):
+        # A kind no other test uses, on caches emptied above: bytecode
+        # this process has not seen.
         server_app = DebugletApplication.from_stock(
             "srv",
             echo_server(Protocol.UDP, max_echoes=3, idle_timeout_us=2_345_678),
@@ -93,7 +100,7 @@ def test_one_fresh_session_derives_each_fact_once(monkeypatch):
         client_app = DebugletApplication.from_stock(
             "cli",
             echo_client(Protocol.UDP, executor_data_address(2, 1), count=3,
-                        interval_us=23_456, dst_port=port),
+                        size=72, interval_us=interval_us, dst_port=port),
             path=path.as_list(),
         )
         run = testbed.initiator.request_measurement(
@@ -103,7 +110,7 @@ def test_one_fresh_session_derives_each_fact_once(monkeypatch):
         assert run.done
         return client_app, server_app, run
 
-    client_app, server_app, run = session(8_765)
+    client_app, server_app, run = session(8_765, 23_456)
     verifier = ChainVerifier(testbed.ledger, testbed.market)
     assert verifier.verify_result(run.client_application)
 
@@ -128,8 +135,13 @@ def test_one_fresh_session_derives_each_fact_once(monkeypatch):
 
     monkeypatch.setattr(compile_ns, "compile", counting_compile, raising=False)
     monkeypatch.setattr(compile_ns, "compile_module", counting_compile_module)
-    second_client, _, _ = session(8_766)
-    assert second_client.module.code_hash() != client_app.module.code_hash()
-    # the new client module was compiled once, through the factory memo
-    assert translated == [second_client.module.code_hash()]
-    assert compiled_sources == []
+    parses.clear()
+    encodes.clear()
+    interpreted.clear()
+    second_client, _, second_run = session(8_766, 34_567)
+    assert verifier.verify_result(second_run.client_application)
+    assert second_client.args != client_app.args
+    assert second_client.module.code_hash() == client_app.module.code_hash()
+    assert second_client.code_hash() != client_app.code_hash()
+    assert (parses, encodes, interpreted) == (Counter(), Counter(), [])
+    assert (translated, compiled_sources) == ([], [])

@@ -5,7 +5,7 @@ executor policy), ``infer_capabilities`` and ``facts.gather_facts`` are
 what every party in the marketplace acts on, so a change to how their
 shared analysis is computed, staged or cached must not move a byte of
 what they return. The corpus: the four stock programs over three
-protocols and three sizes, the four vmbench modules, both ``repro verify``
+protocols and three sizes, the four vmbench modules, the four ``repro verify``
 fixtures, one rejected module per diagnostic family, one module per
 reason ``gather_facts`` refuses the compiled tier, and one whose
 protocol reaches ``net_send`` as a call argument.
@@ -24,8 +24,13 @@ a context-free pass onto the interprocedural dataflow the report reads:
 the nine ``echo_client`` rows gained ``record_reply``'s argument-derived
 accesses, ``infer_capabilities`` proves nothing on the three modules the
 dataflow never runs on (recursion, call depth, value-stack peak), and the
-protocol-argument case was added. A second test holds the two
-capability readers to one answer on every case.
+protocol-argument case was added. It moved once more when
+``verify_module`` began reporting ``Module.validate``'s refusals (V110):
+``facts_fails_validation``, which had verified ok, is rejected, and the
+two ``repro verify`` fixtures whose port is a declared entry argument
+were added; the echo clients' port and pacing becoming arguments moved
+no row. A second test holds the two capability readers to one answer on
+every case.
 A deliberate change to a diagnostic or a fact means regenerating it::
 
     PYTHONPATH=src python -m tests.sandbox.test_analysis_equivalence
@@ -56,7 +61,7 @@ GOLDEN = Path(__file__).parent / "golden" / "analysis_equivalence.json"
 
 #: error codes that stop the pipeline before any abstract interpretation
 _STRUCTURE_OR_STACK = {
-    "V100", "V101", "V105", "V106", "V107", "V108", "V109",
+    "V100", "V101", "V105", "V106", "V107", "V108", "V109", "V110",
     "V200", "V201", "V202",
 }
 
@@ -291,7 +296,7 @@ def corpus() -> dict[str, tuple[Module, Manifest]]:
                     stock.module, stock.manifest)
     for name in vmbench.WORKLOAD_NAMES:
         cases[f"vmbench-{name}"] = (vmbench.workload_module(name)[0], manifest())
-    for name in ("exfil", "clean_sender"):
+    for name in ("exfil", "clean_sender", "port_argument", "port_argument_wide"):
         cases[f"fixture-{name}"] = _fixture(name)
     cases["capability_protocol_argument"] = (
         assemble(_PROTOCOL_ARGUMENT), manifest())

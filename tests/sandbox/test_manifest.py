@@ -80,10 +80,9 @@ class TestExecutorPolicy:
         with pytest.raises(ManifestError, match="max_duration"):
             policy.admit(_manifest(max_duration=10.0))
 
-    @pytest.mark.parametrize("mode", ["off", "lax"])
-    def test_verification_is_strict_or_warn(self, mode):
-        # the verifier always runs at admission; a mode only says what a
-        # failed verdict costs, and there is no mode that skips it
-        assert ExecutorPolicy(verification="warn").verification == "warn"
-        with pytest.raises(ManifestError, match="verification mode"):
+    @pytest.mark.parametrize("mode", ["off", "lax", "warn", "strict"])
+    def test_verification_is_not_a_setting(self, mode):
+        # the verifier's verdict is the admission verdict: no policy
+        # field skips it or admits what fails it
+        with pytest.raises(TypeError, match="verification"):
             ExecutorPolicy(verification=mode)

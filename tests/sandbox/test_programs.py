@@ -41,14 +41,14 @@ def _words(payload: bytes) -> list[int]:
     return [value for pair in decode_result_pairs(payload) for value in pair]
 
 
-def _drive_echo_client(program: VMProgram, *, reply_seqs, rtt_us=500):
+def _drive_echo_client(program: VMProgram, args, *, reply_seqs, rtt_us=500):
     """Minimal host loop: answer net_recv with echoes for chosen seqs."""
     t = [0]
     results = []
     pending_replies = list(reply_seqs)
     sent = []
 
-    step = program.begin()
+    step = program.begin(list(args))
     while isinstance(step, HostCall):
         if step.name == "now_us":
             step = program.resume(t[0])
@@ -85,7 +85,7 @@ class TestEchoClient:
             drain_us=100,
         )
         program = VMProgram(stock.module, fuel_limit=stock.manifest.max_instructions)
-        sent, results = _drive_echo_client(program, reply_seqs=[0, 1, 2])
+        sent, results = _drive_echo_client(program, stock.args, reply_seqs=[0, 1, 2])
         assert sent == [0, 1, 2]
         pairs = list(zip(results[0::2], results[1::2]))
         assert [seq for seq, _ in pairs] == [0, 1, 2]
@@ -97,7 +97,7 @@ class TestEchoClient:
             drain_us=100,
         )
         program = VMProgram(stock.module, fuel_limit=stock.manifest.max_instructions)
-        sent, results = _drive_echo_client(program, reply_seqs=[0, 2])
+        sent, results = _drive_echo_client(program, stock.args, reply_seqs=[0, 2])
         assert sent == [0, 1, 2, 3]
         recorded_seqs = results[0::2]
         assert recorded_seqs == [0, 2]

@@ -2,18 +2,20 @@
 
 import pytest
 
+from repro.common.errors import SandboxError
 from repro.netsim import Protocol
 from repro.netsim.packet import Address
 from repro.sandbox.assembler import assemble
 from repro.sandbox.isa import Instruction, Op
 from repro.sandbox.manifest import ExecutorPolicy, Manifest
-from repro.sandbox.module import Function, Module
+from repro.sandbox.module import BufferSpec, Function, Module
 from repro.sandbox.programs import (
     echo_client, echo_server, oneway_receiver, oneway_sender,
 )
 from repro.sandbox.verifier import infer_capabilities, verify_module
 from repro.sandbox.verifier.cfg import build_cfg
 from repro.sandbox.verifier.fuel import BOUNDED, EXACT, UNBOUNDED
+from repro.sandbox.vm import VM
 
 
 def mod(code, *, n_params=0, n_locals=4, memory=4096, extra=None):
@@ -97,6 +99,31 @@ class TestStructure:
         ]))
         assert not report.ok
         assert "V108" in codes(report)
+
+    @pytest.mark.parametrize("module", [
+        # a buffer past the memory: the analysis corpus's
+        # ``facts_fails_validation``
+        Module(functions=mod([Instruction(Op.PUSH, 0), Instruction(Op.RET)])
+               .functions, memory_size=64,
+               buffers={"b": BufferSpec("b", 4000, 200)}),
+        # argument intervals for an entry that takes no argument
+        Module(functions=mod([Instruction(Op.PUSH, 0), Instruction(Op.RET)])
+               .functions, memory_size=64, arg_intervals=((0, 9),)),
+        # an empty interval
+        Module(functions=mod([Instruction(Op.PUSH, 0), Instruction(Op.RET)],
+                             n_params=1).functions,
+               memory_size=64, arg_intervals=((9, 0),)),
+    ], ids=["buffer-past-memory", "interval-count", "empty-interval"])
+    def test_what_validate_refuses_is_rejected(self, module):
+        # the one admission verdict: the VM will not construct, so the
+        # report cannot say ok (and neither the purchase check nor
+        # ``repro verify`` pass it)
+        with pytest.raises(SandboxError):
+            VM(module)
+        report = verify_module(module, manifest())
+        assert not report.ok
+        assert [diag.code for diag in report.errors] == ["V110"]
+        assert infer_capabilities(module) == (frozenset(), False)
 
     def test_dead_code_is_a_warning_only(self):
         report = verify_module(mod([
